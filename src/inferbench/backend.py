@@ -320,4 +320,13 @@ def load_checkpoint(path: str | Path) -> ToyBackend:
     backend.E = np.array(payload["E"], dtype=float)
     backend.U = np.array(payload["U"], dtype=float)
     backend.b = np.array(payload["b"], dtype=float)
+    if backend.d < 1:
+        raise ValueError(f"checkpoint dimension d={backend.d} must be >= 1")
+    v = len(vocab)
+    for name, shape in (("E", (v, backend.d)), ("U", (v, backend.d)), ("b", (v,))):
+        value = getattr(backend, name)
+        if value.shape != shape:
+            raise ValueError(f"checkpoint {name} has shape {value.shape}, expected {shape}")
+        if not np.isfinite(value).all():
+            raise ValueError(f"checkpoint {name} holds non-finite values")
     return backend

@@ -336,10 +336,20 @@ def cmd_score(args) -> int:
 
 
 def _read_judgments(path: str) -> list[Judgment]:
-    return [
-        Judgment(item_id=str(r["item_id"]), rater_id=str(r["rater_id"]), choice=str(r["choice"]))
-        for r in read_jsonl(path)
-    ]
+    judgments = []
+    with open(path, encoding="utf-8") as fh:
+        for line_no, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            record = json.loads(line)
+            for key in ("item_id", "rater_id", "choice"):
+                if not isinstance(record, dict) or key not in record:
+                    raise DatasetError(f"{path}: line {line_no}: judgment has no {key!r}")
+            judgments.append(Judgment(
+                item_id=str(record["item_id"]), rater_id=str(record["rater_id"]),
+                choice=str(record["choice"]),
+            ))
+    return judgments
 
 
 def cmd_agree(args) -> int:
@@ -586,7 +596,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, DatasetError, ValueError, OSError) as exc:
+    except (ConfigError, DatasetError, ValueError, OSError, RuntimeError) as exc:
         sys.stderr.write(json.dumps({"error": str(exc), "command": args.command}) + "\n")
         return 2
 

@@ -23,7 +23,7 @@ import numpy as np
 from .backend import SPECIALS, TopKDecode, ToyBackend, Vocabulary, derive_seed
 from .corpus import InferenceExample, normalize_answer, prepare_input_text
 from .metrics import tokenize
-from .objective import cl_sample_loss, _embed_backward
+from .objective import LossConfig, encode_set, forward
 
 STRATEGIES = ("counterfactual", "non_optimal", "replace_zs", "replace_mcq", "in_batch")
 
@@ -264,20 +264,11 @@ def train_mcq_scorer(
             texts.extend(ex.counterfactuals)
         vocab = Vocabulary.from_texts(texts)
     scorer = ToyBackend(vocab, d=d, seed=derive_seed(seed, "mcq_scorer"))
+    encoded = encode_set(
+        scorer, usable, [list(ex.counterfactuals) for ex in usable], template_id
+    )
+    # the per-sample term alone, its gradient a mean over the examples
+    config = LossConfig(tau_s=tau, lambda_b=0.0, lambda_s=1.0)
     for _ in range(epochs):
-        grad_E = np.zeros_like(scorer.E)
-        for ex in usable:
-            x_ids = vocab.encode(tokenize(prepare_input_text(ex, template_id)))
-            pos_ids = vocab.encode(tokenize(ex.answer))
-            neg_id_lists = [vocab.encode(tokenize(c)) for c in ex.counterfactuals]
-            h_x = scorer.embed_ids(x_ids)
-            h_pos = scorer.embed_ids(pos_ids)
-            h_negs = [scorer.embed_ids(ids) for ids in neg_id_lists]
-            _, g = cl_sample_loss(h_x, h_pos, h_negs, tau)
-            scale = 1.0 / len(usable)
-            _embed_backward(scorer, x_ids, g["h_x"], grad_E, scale)
-            _embed_backward(scorer, pos_ids, g["h_pos"], grad_E, scale)
-            for ids, gn in zip(neg_id_lists, g["h_negs"]):
-                _embed_backward(scorer, ids, gn, grad_E, scale)
-        scorer.E -= lr * grad_E
+        scorer.E -= lr * forward(scorer, encoded, config, nll=False).grads.E
     return scorer

@@ -11,16 +11,24 @@ Conventions fixed here and relied on by the trainer and tests:
   gradients exactly;
 * the positive representation is the embedding of the gold answer;
 * the in-batch InfoNCE denominator includes the positive pair.
+
+Text is encoded once into an :class:`EncodedSet`, and :func:`forward`
+evaluates the whole objective on it in matrix form: every pooled
+embedding (inputs, answers, negatives) comes from one segment sum, the
+NLL scores all answers of a block with one product with U, and both
+InfoNCE terms are row-wise softmax cross-entropies over a logit matrix,
+n x n for the in-batch term and n x (1 + m) for the per-sample one
+(padded with -inf where an example has fewer negatives). The backward
+pass ends in one scatter into E.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .backend import Gradients, ToyBackend, derive_seed
+from .backend import Gradients, ToyBackend, Vocabulary, derive_seed
 from .corpus import InferenceExample, prepare_input_text
 from .metrics import tokenize
 
@@ -45,8 +53,10 @@ class LossBreakdown:
     cl_b: float
     cl_s: float
     total: float
-    grads: Gradients
+    grads: Gradients | None  # None for a forward-only evaluation
 
+
+# --- encoding ----------------------------------------------------------------
 
 def _answer_ids(backend: ToyBackend, answer: str) -> list[int]:
     tokens = tokenize(answer)
@@ -55,81 +65,286 @@ def _answer_ids(backend: ToyBackend, answer: str) -> list[int]:
     return backend.vocab.encode(tokens) + [backend.vocab.eos_id]
 
 
-def nll_ids(
-    backend: ToyBackend, input_ids: list[int], answer_ids: list[int]
-) -> tuple[float, Gradients]:
-    """Summed negative log-likelihood of answer_ids (EOS included) with
-    exact gradients for the ToyBackend forward equations."""
-    k = len(answer_ids)
-    E, U, b = backend.E, backend.U, backend.b
-    c = E[input_ids].mean(axis=0) if input_ids else np.zeros(backend.d)
-
-    # prefix means: row j pools BOS plus the first j answer tokens
-    rows = np.vstack([E[backend.vocab.bos_id], E[answer_ids[: k - 1]]])
-    prefix_means = np.cumsum(rows, axis=0) / np.arange(1, k + 1)[:, None]
-
-    states = 0.5 * (c[None, :] + prefix_means)
-    logits = states @ U.T + b[None, :]
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    log_z = np.log(np.exp(shifted).sum(axis=1))
-    log_probs = shifted - log_z[:, None]
-    value = -float(log_probs[np.arange(k), answer_ids].sum())
-
-    d_logits = np.exp(log_probs)
-    d_logits[np.arange(k), answer_ids] -= 1.0
-
-    grads = Gradients.zeros_like(backend)
-    grads.b = d_logits.sum(axis=0)
-    grads.U = d_logits.T @ states
-    d_states = d_logits @ U
-    d_prefix = 0.5 * d_states / np.arange(1, k + 1)[:, None]
-    # token at answer position i feeds every prefix mean from step i+1 on
-    suffix = np.cumsum(d_prefix[::-1], axis=0)[::-1]
-    grads.E[backend.vocab.bos_id] += suffix[0]
-    if k > 1:
-        np.add.at(grads.E, answer_ids[: k - 1], suffix[1:])
-    if input_ids:
-        d_c = 0.5 * d_states.sum(axis=0)
-        np.add.at(grads.E, input_ids, d_c[None, :].repeat(len(input_ids), 0) / len(input_ids))
-    return value, grads
+def encode_texts(vocab: Vocabulary, texts: list[str]) -> list[np.ndarray]:
+    """Token ids of each text; out-of-vocabulary tokens map to UNK."""
+    return [np.array(vocab.encode(tokenize(text)), dtype=np.intp) for text in texts]
 
 
-def nll_value_ids(
-    backend: ToyBackend, input_ids: list[int], answer_ids: list[int]
-) -> float:
-    """Forward-only NLL, shared by perplexity and finite differencing."""
-    k = len(answer_ids)
-    E, U, b = backend.E, backend.U, backend.b
-    c = E[input_ids].mean(axis=0) if input_ids else np.zeros(backend.d)
-    rows = np.vstack([E[backend.vocab.bos_id], E[answer_ids[: k - 1]]])
-    prefix_means = np.cumsum(rows, axis=0) / np.arange(1, k + 1)[:, None]
-    logits = (0.5 * (c[None, :] + prefix_means)) @ U.T + b[None, :]
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    log_probs = shifted - np.log(np.exp(shifted).sum(axis=1))[:, None]
-    return -float(log_probs[np.arange(k), answer_ids].sum())
+@dataclass(frozen=True)
+class EncodedSet:
+    """Token ids of a batch or dataset under one vocabulary and template:
+    input ids (possibly empty), answer ids with EOS, and the ids of each
+    negative of each example (None without negatives)."""
 
+    example_ids: list[str]
+    inputs: list[np.ndarray]
+    answers: list[np.ndarray]
+    negatives: list[list[np.ndarray]] | None = None
+
+    def __len__(self) -> int:
+        return len(self.example_ids)
+
+    def take(self, index) -> "EncodedSet":
+        def pick(rows):
+            return None if rows is None else [rows[i] for i in index]
+
+        return EncodedSet(
+            pick(self.example_ids), pick(self.inputs), pick(self.answers), pick(self.negatives)
+        )
+
+
+def encode_set(
+    backend: ToyBackend,
+    examples: list[InferenceExample],
+    negatives: list[list[str]] | None = None,
+    template_id: str = "default",
+) -> EncodedSet:
+    """Encode examples, and ``negatives[i]`` (the negative answer strings
+    of ``examples[i]``), under the backend's vocabulary."""
+    if negatives is not None and len(negatives) != len(examples):
+        raise ValueError(f"{len(negatives)} negative lists for {len(examples)} examples")
+    vocab = backend.vocab
+    return EncodedSet(
+        example_ids=[ex.id for ex in examples],
+        inputs=encode_texts(vocab, [prepare_input_text(ex, template_id) for ex in examples]),
+        answers=[np.array(_answer_ids(backend, ex.answer), dtype=np.intp) for ex in examples],
+        negatives=None if negatives is None else [encode_texts(vocab, negs) for negs in negatives],
+    )
+
+
+def _encoded(backend, batch, negatives, template_id) -> EncodedSet:
+    """The public entry points take examples plus negative strings, or a
+    set the caller encoded once (negatives included)."""
+    if not isinstance(batch, EncodedSet):
+        return encode_set(backend, batch, negatives, template_id)
+    if negatives is not None:
+        raise ValueError("an encoded set carries its own negatives")
+    return batch
+
+
+# --- matrix kernels -------------------------------------------------------------
+
+def _xent(logits: np.ndarray, target: np.ndarray, grads: bool):
+    """Row-wise softmax cross-entropy against one target column per row;
+    -inf entries are padding. Returns the row values and, with ``grads``,
+    d value / d logits = softmax - onehot."""
+    rows = np.arange(len(target))
+    top = logits.max(axis=1, keepdims=True)
+    exp = np.exp(logits - top)
+    z = exp.sum(axis=1, keepdims=True)
+    values = (np.log(z) + top)[:, 0] - logits[rows, target]
+    if not grads:
+        return values, None
+    d = exp / z
+    d[rows, target] -= 1.0
+    return values, d
+
+
+def _pool(E: np.ndarray, segments: list[np.ndarray]):
+    """Mean E row of each id segment (zero for an empty one) from one
+    segment sum; also the flat ids and the lengths, for the backward."""
+    lengths = np.array([len(s) for s in segments])
+    flat = np.concatenate(segments)
+    sums = np.zeros((len(segments), E.shape[1]))
+    full = lengths > 0
+    if flat.size:
+        starts = np.cumsum(lengths) - lengths
+        sums[full] = np.add.reduceat(E[flat], starts[full], axis=0)
+    return sums / np.maximum(lengths, 1)[:, None], flat, lengths
+
+
+def _unit(V: np.ndarray, zero_message):
+    """Unit rows of V and their norms; a zero row raises
+    ``zero_message(row)``."""
+    norms = np.linalg.norm(V, axis=1)
+    if not norms.all():
+        raise ValueError(zero_message(int(np.argmin(norms))))
+    return V / norms[:, None], norms
+
+
+def _unit_backward(H: np.ndarray, norms: np.ndarray, dH: np.ndarray) -> np.ndarray:
+    """Chain d/dh through h = v / |v| onto v, for every row at once."""
+    return (dH - H * np.einsum("ij,ij->i", H, dH)[:, None]) / norms[:, None]
+
+
+def _sample_nce(hx, hpos, hneg, counts, tau, grads):
+    """Per-sample InfoNCE rows over unit vectors. Column 0 of the
+    n x (1 + m) logit matrix is the positive; row i's ``counts[i]``
+    negatives are consecutive rows of ``hneg``. Returns the row values
+    and, with ``grads``, d/d(hx, hpos, hneg) stacked in that order."""
+    n = len(hx)
+    starts = np.cumsum(counts) - counts
+    owner = np.repeat(np.arange(n), counts)
+    col = 1 + np.arange(len(hneg)) - starts[owner]
+    logits = np.full((n, 1 + counts.max()), -np.inf)
+    logits[:, 0] = np.einsum("ij,ij->i", hx, hpos) / tau
+    logits[owner, col] = np.einsum("ij,ij->i", hx[owner], hneg) / tau
+    values, d = _xent(logits, np.zeros(n, dtype=np.intp), grads)
+    if not grads:
+        return values, None
+    d /= tau
+    d_neg = d[owner, col][:, None]
+    d_hx = d[:, :1] * hpos + np.add.reduceat(d_neg * hneg, starts, axis=0)
+    return values, np.concatenate([d_hx, d[:, :1] * hx, d_neg * hx[owner]])
+
+
+def _batch_nce(hx, ha, tau, grads):
+    """In-batch InfoNCE rows over unit vectors: S = hx ha^T / tau with
+    each row's positive on the diagonal, dL/dS = (softmax(S) - I) / tau.
+    Returns the row values and, with ``grads``, d/d(hx, ha) stacked."""
+    values, d = _xent(hx @ ha.T / tau, np.arange(len(hx)), grads)
+    if not grads:
+        return values, None
+    d /= tau
+    return values, np.concatenate([d @ ha, d.T @ hx])
+
+
+def _nll(backend: ToyBackend, c: np.ndarray, answers: list[np.ndarray], scale: float, g):
+    """Summed NLL of each answer (EOS included) given its pooled input c.
+
+    Prefix means come from one cumsum over the answers padded to a
+    common length, logits from one product with U. With gradient
+    container ``g``, adds ``scale`` times the U and b gradients to it
+    and returns (d/dc, prefix ids, their E rows) for the caller's
+    scatter; otherwise returns None in their place.
+    """
+    k = np.array([len(a) for a in answers])
+    steps = np.arange(1, k.max() + 1)
+    mask = steps <= k[:, None]
+    targets = np.concatenate(answers)
+    padded = np.zeros(mask.shape, dtype=np.intp)
+    padded[mask] = targets
+    prefix = np.empty_like(padded)  # BOS, then the answer shifted right
+    prefix[:, 0] = backend.vocab.bos_id
+    prefix[:, 1:] = padded[:, :-1]
+    means = np.cumsum(backend.E[prefix], axis=1) / steps[:, None]
+    states = 0.5 * (c[:, None, :] + means)[mask]
+    values, d = _xent(states @ backend.U.T + backend.b, targets, g is not None)
+    starts = np.cumsum(k) - k
+    per_answer = np.add.reduceat(values, starts)
+    if g is None:
+        return per_answer, None
+    d *= scale
+    g.b += d.sum(axis=0)
+    g.U += d.T @ states
+    d_states = d @ backend.U
+    d_means = np.zeros(means.shape)
+    d_means[mask] = 0.5 * d_states
+    d_means /= steps[:, None]
+    # the token at answer position j feeds every prefix mean from step j + 1 on
+    suffix = np.cumsum(d_means[:, ::-1], axis=1)[:, ::-1]
+    d_c = 0.5 * np.add.reduceat(d_states, starts, axis=0)
+    return per_answer, (d_c, prefix[mask], suffix[mask])
+
+
+# --- batch objective --------------------------------------------------------------
+
+def _zero_embedding(enc: EncodedSet, row: int) -> str:
+    """Name pooled row ``row`` of :func:`forward`: inputs, answers, negatives."""
+    names = [f"input of {i}" for i in enc.example_ids]
+    names += [f"answer of {i}" for i in enc.example_ids]
+    for i, negs in zip(enc.example_ids, enc.negatives or []):
+        names += [f"negative {s} of {i}" for s in range(len(negs))]
+    return f"zero embedding for {names[row]}"
+
+
+def forward(
+    backend: ToyBackend,
+    enc: EncodedSet,
+    config: LossConfig,
+    grads: bool = True,
+    micro_batch: int | None = None,
+    nll: bool = True,
+) -> LossBreakdown:
+    """Mean NLL + lambda_b * in-batch InfoNCE + lambda_s * per-sample
+    InfoNCE over an encoded batch, with the gradients of the weighted
+    total when ``grads`` is set.
+
+    ``micro_batch`` caps the examples per NLL logit block, whose
+    gradients accumulate; the InfoNCE terms always span the whole batch.
+    ``nll=False`` leaves the NLL term out. Batches of size 1 contribute
+    no in-batch term.
+    """
+    n = len(enc)
+    if n == 0:
+        raise ValueError("empty batch")
+    if micro_batch is not None and micro_batch < 1:
+        raise ValueError("micro_batch must be >= 1")
+    sample = config.lambda_s > 0
+    if sample and (enc.negatives is None or not all(enc.negatives)):
+        raise ValueError("lambda_s > 0 requires >= 1 negative per example")
+    in_batch = config.lambda_b > 0 and n >= 2
+
+    segments = list(enc.inputs)
+    if sample or in_batch:
+        segments += [a[:-1] for a in enc.answers]
+    if sample:
+        counts = np.array([len(negs) for negs in enc.negatives])
+        segments += [ids for negs in enc.negatives for ids in negs]
+    V, flat, lengths = _pool(backend.E, segments)
+    g = Gradients.zeros_like(backend) if grads else None
+    dV = np.zeros_like(V)
+    prefix_ids, prefix_rows = [], []
+
+    nll_mean = 0.0
+    if nll:
+        block = micro_batch or n
+        values = []
+        for lo in range(0, n, block):
+            hi = min(lo + block, n)
+            part, back = _nll(backend, V[lo:hi], enc.answers[lo:hi], 1.0 / n, g)
+            values.append(part)
+            if back is not None:
+                dV[lo:hi] += back[0]
+                prefix_ids.append(back[1])
+                prefix_rows.append(back[2])
+        nll_mean = float(np.concatenate(values).sum()) / n
+
+    cl_b = cl_s = 0.0
+    if sample or in_batch:
+        H, norms = _unit(V, lambda row: _zero_embedding(enc, row))
+        hx, ha = H[:n], H[n : 2 * n]
+        dH = np.zeros_like(H)
+        if sample:
+            values, back = _sample_nce(hx, ha, H[2 * n :], counts, config.tau_s, grads)
+            cl_s = float(values.sum()) / n
+            if grads:
+                dH += (config.lambda_s / n) * back
+        if in_batch:
+            values, back = _batch_nce(hx, ha, config.tau_b, grads)
+            cl_b = float(values.sum()) / n
+            if grads:
+                dH[: 2 * n] += (config.lambda_b / n) * back
+        if grads:
+            dV += _unit_backward(H, norms, dH)
+
+    if grads:
+        # one scatter into E as a bincount per column, which adds in order
+        # like np.add.at but faster; gathering each pooled segment's row per
+        # column keeps no (ids x d) copy alive
+        ids = np.concatenate([flat, *prefix_ids])
+        owner = np.repeat(np.arange(len(lengths)), lengths)
+        pooled = dV / np.maximum(lengths, 1)[:, None]
+        rows = np.concatenate([np.zeros((0, backend.d)), *prefix_rows])
+        g.E = np.stack([
+            np.bincount(ids, np.concatenate([pooled[owner, j], rows[:, j]]), len(g.E))
+            for j in range(backend.d)
+        ], axis=1)
+    total = nll_mean + config.lambda_b * cl_b + config.lambda_s * cl_s
+    return LossBreakdown(nll=nll_mean, cl_b=cl_b, cl_s=cl_s, total=total, grads=g)
+
+
+# --- public entry points ------------------------------------------------------------
 
 def nll_loss(
     backend: ToyBackend, example: InferenceExample, template_id: str = "default"
 ) -> tuple[float, Gradients]:
-    input_ids = backend.vocab.encode(tokenize(prepare_input_text(example, template_id)))
-    return nll_ids(backend, input_ids, _answer_ids(backend, example.answer))
-
-
-# --- contrastive losses on raw vectors -------------------------------------
-
-def _check_nonzero(name: str, vec: np.ndarray) -> float:
-    norm = float(np.linalg.norm(vec))
-    if norm == 0.0:
-        raise ValueError(f"zero vector passed to contrastive loss: {name}")
-    return norm
-
-
-def _cos_and_grads(u, v, nu, nv):
-    s = float(u @ v) / (nu * nv)
-    du = (v / nv - s * u / nu) / nu
-    dv = (u / nu - s * v / nv) / nv
-    return s, du, dv
+    """Summed NLL of the answer (EOS included) with its gradients."""
+    result = forward(
+        backend, encode_set(backend, [example], template_id=template_id),
+        LossConfig(lambda_b=0.0, lambda_s=0.0),
+    )
+    return result.nll, result.grads
 
 
 def cl_sample_loss(
@@ -148,34 +363,14 @@ def cl_sample_loss(
     """
     if len(h_negs) < 1:
         raise ValueError("cl_sample_loss needs at least one negative")
-    nx = _check_nonzero("h_x", h_x)
-    norms = [_check_nonzero("h_pos", h_pos)]
-    vecs = [h_pos]
-    for i, h in enumerate(h_negs):
-        norms.append(_check_nonzero(f"h_negs[{i}]", h))
-        vecs.append(h)
-
-    sims, d_hx_parts, d_other = [], [], []
-    for v, nv in zip(vecs, norms):
-        s, du, dv = _cos_and_grads(h_x, v, nx, nv)
-        sims.append(s)
-        d_hx_parts.append(du)
-        d_other.append(dv)
-
-    logits = np.array(sims) / tau_s
-    shifted = logits - logits.max()
-    soft = np.exp(shifted) / np.exp(shifted).sum()
-    value = float(-logits[0] + logits.max() + math.log(np.exp(shifted).sum()))
-
-    d_sims = soft / tau_s
-    d_sims[0] -= 1.0 / tau_s
-    g_x = sum(d * part for d, part in zip(d_sims, d_hx_parts))
-    grads = {
-        "h_x": g_x,
-        "h_pos": d_sims[0] * d_other[0],
-        "h_negs": [d_sims[i + 1] * d_other[i + 1] for i in range(len(h_negs))],
-    }
-    return value, grads
+    names = ["h_x", "h_pos"] + [f"h_negs[{i}]" for i in range(len(h_negs))]
+    H, norms = _unit(
+        np.array([h_x, h_pos, *h_negs], dtype=float),
+        lambda row: f"zero vector passed to contrastive loss: {names[row]}",
+    )
+    values, back = _sample_nce(H[:1], H[1:2], H[2:], np.array([len(h_negs)]), tau_s, True)
+    d = _unit_backward(H, norms, back)
+    return float(values[0]), {"h_x": d[0], "h_pos": d[1], "h_negs": list(d[2:])}
 
 
 def cl_batch_loss(
@@ -187,59 +382,19 @@ def cl_batch_loss(
     n = len(pairs)
     if n < 2:
         raise ValueError("cl_batch_loss needs batch size >= 2")
-    xs = [p[0] for p in pairs]
-    ans = [p[1] for p in pairs]
-    nxs = [_check_nonzero(f"h_x[{i}]", x) for i, x in enumerate(xs)]
-    nas = [_check_nonzero(f"h_a[{j}]", a) for j, a in enumerate(ans)]
-
-    sims = np.empty((n, n))
-    dx_parts = np.empty((n, n), dtype=object)
-    da_parts = np.empty((n, n), dtype=object)
-    for i in range(n):
-        for j in range(n):
-            s, du, dv = _cos_and_grads(xs[i], ans[j], nxs[i], nas[j])
-            sims[i, j] = s
-            dx_parts[i, j] = du
-            da_parts[i, j] = dv
-
-    logits = sims / tau_b
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    soft = np.exp(shifted) / np.exp(shifted).sum(axis=1, keepdims=True)
-    log_z = np.log(np.exp(shifted).sum(axis=1)) + logits.max(axis=1)
-    value = float((log_z - np.diag(logits)).sum())
-
-    d_sims = soft / tau_b
-    d_sims[np.diag_indices(n)] -= 1.0 / tau_b
-    g_x = [
-        sum(d_sims[i, j] * dx_parts[i, j] for j in range(n)) for i in range(n)
-    ]
-    g_a = [
-        sum(d_sims[i, j] * da_parts[i, j] for i in range(n)) for j in range(n)
-    ]
-    return value, {"h_x": g_x, "h_a": g_a}
-
-
-# --- batch objective --------------------------------------------------------
-
-def _embed_with_ids(backend: ToyBackend, tokens: list[str]) -> tuple[np.ndarray, list[int]]:
-    ids = backend.vocab.encode(tokens)
-    return backend.embed_ids(ids), ids
-
-
-def _embed_backward(
-    backend: ToyBackend, ids: list[int], grad_e: np.ndarray, out_E: np.ndarray, scale: float
-) -> None:
-    """Chain a gradient on the normalized mean embedding back onto E."""
-    v = backend.E[ids].mean(axis=0)
-    norm = float(np.linalg.norm(v))
-    e = v / norm
-    gv = (grad_e - e * float(e @ grad_e)) / norm
-    np.add.at(out_E, ids, (scale / len(ids)) * gv[None, :].repeat(len(ids), 0))
+    names = [f"h_x[{i}]" for i in range(n)] + [f"h_a[{j}]" for j in range(n)]
+    H, norms = _unit(
+        np.array([p[0] for p in pairs] + [p[1] for p in pairs], dtype=float),
+        lambda row: f"zero vector passed to contrastive loss: {names[row]}",
+    )
+    values, back = _batch_nce(H[:n], H[n:], tau_b, True)
+    d = _unit_backward(H, norms, back)
+    return float(values.sum()), {"h_x": list(d[:n]), "h_a": list(d[n:])}
 
 
 def total_loss(
     backend: ToyBackend,
-    batch: list[InferenceExample],
+    batch: list[InferenceExample] | EncodedSet,
     negatives: list[list[str]] | None,
     config: LossConfig,
     template_id: str = "default",
@@ -248,140 +403,16 @@ def total_loss(
     InfoNCE over a batch, with gradients of the weighted total.
 
     ``negatives[i]`` are the negative answer strings for ``batch[i]``;
-    required whenever lambda_s > 0. Batches of size 1 contribute no
-    in-batch term.
+    required whenever lambda_s > 0. ``batch`` may instead be an
+    :class:`EncodedSet`, which carries its negatives. Batches of size 1
+    contribute no in-batch term.
     """
-    n = len(batch)
-    if n == 0:
-        raise ValueError("empty batch")
-    if config.lambda_s > 0:
-        if negatives is None or any(not negs for negs in negatives):
-            raise ValueError("lambda_s > 0 requires >= 1 negative per example")
-
-    grads = Gradients.zeros_like(backend)
-    nll_total = 0.0
-    for example in batch:
-        value, g = nll_loss(backend, example, template_id)
-        nll_total += value
-        grads.add_scaled(g, 1.0 / n)
-    nll_mean = nll_total / n
-
-    need_embeddings = config.lambda_s > 0 or (config.lambda_b > 0 and n >= 2)
-    cl_b_term = 0.0
-    cl_s_mean = 0.0
-    if need_embeddings:
-        h_x, x_ids, h_a, a_ids = [], [], [], []
-        for example in batch:
-            hx, xi = _embed_with_ids(
-                backend, tokenize(prepare_input_text(example, template_id))
-            )
-            ha, ai = _embed_with_ids(backend, tokenize(example.answer))
-            for name, vec in (("input", hx), ("answer", ha)):
-                if float(np.linalg.norm(vec)) == 0.0:
-                    raise ValueError(
-                        f"example {example.id}: zero {name} embedding"
-                    )
-            h_x.append(hx)
-            x_ids.append(xi)
-            h_a.append(ha)
-            a_ids.append(ai)
-
-        if config.lambda_s > 0:
-            cl_s_total = 0.0
-            for i, example in enumerate(batch):
-                neg_vecs, neg_ids = [], []
-                for neg in negatives[i]:
-                    hv, nids = _embed_with_ids(backend, tokenize(neg))
-                    if float(np.linalg.norm(hv)) == 0.0:
-                        raise ValueError(
-                            f"example {example.id}: zero embedding for negative {neg!r}"
-                        )
-                    neg_vecs.append(hv)
-                    neg_ids.append(nids)
-                value, g = cl_sample_loss(h_x[i], h_a[i], neg_vecs, config.tau_s)
-                cl_s_total += value
-                scale = config.lambda_s / n
-                _embed_backward(backend, x_ids[i], g["h_x"], grads.E, scale)
-                _embed_backward(backend, a_ids[i], g["h_pos"], grads.E, scale)
-                for nids, gn in zip(neg_ids, g["h_negs"]):
-                    _embed_backward(backend, nids, gn, grads.E, scale)
-            cl_s_mean = cl_s_total / n
-
-        if config.lambda_b > 0 and n >= 2:
-            value, g = cl_batch_loss(list(zip(h_x, h_a)), config.tau_b)
-            cl_b_term = value / n
-            scale = config.lambda_b / n
-            for i in range(n):
-                _embed_backward(backend, x_ids[i], g["h_x"][i], grads.E, scale)
-                _embed_backward(backend, a_ids[i], g["h_a"][i], grads.E, scale)
-
-    total = nll_mean + config.lambda_b * cl_b_term + config.lambda_s * cl_s_mean
-    return LossBreakdown(
-        nll=nll_mean, cl_b=cl_b_term, cl_s=cl_s_mean, total=total, grads=grads
-    )
-
-
-def total_loss_value(
-    backend: ToyBackend,
-    batch: list[InferenceExample],
-    negatives: list[list[str]] | None,
-    config: LossConfig,
-    template_id: str = "default",
-) -> float:
-    """Forward-only total, used by the finite-difference gate."""
-    n = len(batch)
-    if n == 0:
-        raise ValueError("empty batch")
-    nll_mean = (
-        sum(
-            nll_value_ids(
-                backend,
-                backend.vocab.encode(tokenize(prepare_input_text(ex, template_id))),
-                _answer_ids(backend, ex.answer),
-            )
-            for ex in batch
-        )
-        / n
-    )
-
-    def unit(tokens: list[str], what: str) -> np.ndarray:
-        vec = backend.embed_text(tokens)
-        if float(np.linalg.norm(vec)) == 0.0:
-            raise ValueError(f"zero embedding for {what}")
-        return vec
-
-    cl_b_term = 0.0
-    cl_s_mean = 0.0
-    if config.lambda_s > 0 or (config.lambda_b > 0 and n >= 2):
-        h_x = [
-            unit(tokenize(prepare_input_text(ex, template_id)), f"input of {ex.id}")
-            for ex in batch
-        ]
-        h_a = [unit(tokenize(ex.answer), f"answer of {ex.id}") for ex in batch]
-        if config.lambda_s > 0:
-            if negatives is None or any(not negs for negs in negatives):
-                raise ValueError("lambda_s > 0 requires >= 1 negative per example")
-            total_s = 0.0
-            for i, ex in enumerate(batch):
-                sims = [float(h_x[i] @ h_a[i])] + [
-                    float(h_x[i] @ unit(tokenize(neg), f"negative of {ex.id}"))
-                    for neg in negatives[i]
-                ]
-                logits = np.array(sims) / config.tau_s
-                total_s += float(-logits[0] + np.logaddexp.reduce(logits))
-            cl_s_mean = total_s / n
-        if config.lambda_b > 0 and n >= 2:
-            sims = np.array([[float(x @ a) for a in h_a] for x in h_x]) / config.tau_b
-            value = float(
-                (np.logaddexp.reduce(sims, axis=1) - np.diag(sims)).sum()
-            )
-            cl_b_term = value / n
-    return nll_mean + config.lambda_b * cl_b_term + config.lambda_s * cl_s_mean
+    return forward(backend, _encoded(backend, batch, negatives, template_id), config)
 
 
 def accumulated_total_loss(
     backend: ToyBackend,
-    batch: list[InferenceExample],
+    batch: list[InferenceExample] | EncodedSet,
     negatives: list[list[str]] | None,
     config: LossConfig,
     micro_batch: int | None = None,
@@ -389,52 +420,14 @@ def accumulated_total_loss(
 ) -> LossBreakdown:
     """Micro-batched evaluation of :func:`total_loss`.
 
-    NLL and per-sample gradients accumulate over micro-batches weighted
-    by micro size; the in-batch term is always computed once over the
-    whole batch, so any micro_batch divisor reproduces the full-batch
-    loss and gradients up to float summation order.
+    NLL gradients accumulate over blocks of ``micro_batch`` examples;
+    both InfoNCE terms are computed once over the whole batch, so any
+    micro_batch divisor reproduces the full-batch loss and gradients up
+    to float summation order.
     """
-    n = len(batch)
-    if micro_batch is None or micro_batch >= n:
-        return total_loss(backend, batch, negatives, config, template_id)
-    if micro_batch < 1:
-        raise ValueError("micro_batch must be >= 1")
-
-    no_batch_cfg = replace(config, lambda_b=0.0)
-    grads = Gradients.zeros_like(backend)
-    nll_mean = 0.0
-    cl_s_mean = 0.0
-    for start in range(0, n, micro_batch):
-        sub = batch[start : start + micro_batch]
-        sub_negs = negatives[start : start + micro_batch] if negatives else None
-        part = total_loss(backend, sub, sub_negs, no_batch_cfg, template_id)
-        w = len(sub) / n
-        nll_mean += part.nll * w
-        cl_s_mean += part.cl_s * w
-        grads.add_scaled(part.grads, w)
-
-    cl_b_term = 0.0
-    if config.lambda_b > 0 and n >= 2:
-        h_x, x_ids, h_a, a_ids = [], [], [], []
-        for example in batch:
-            hx, xi = _embed_with_ids(
-                backend, tokenize(prepare_input_text(example, template_id))
-            )
-            ha, ai = _embed_with_ids(backend, tokenize(example.answer))
-            h_x.append(hx)
-            x_ids.append(xi)
-            h_a.append(ha)
-            a_ids.append(ai)
-        value, g = cl_batch_loss(list(zip(h_x, h_a)), config.tau_b)
-        cl_b_term = value / n
-        scale = config.lambda_b / n
-        for i in range(n):
-            _embed_backward(backend, x_ids[i], g["h_x"][i], grads.E, scale)
-            _embed_backward(backend, a_ids[i], g["h_a"][i], grads.E, scale)
-
-    total = nll_mean + config.lambda_b * cl_b_term + config.lambda_s * cl_s_mean
-    return LossBreakdown(
-        nll=nll_mean, cl_b=cl_b_term, cl_s=cl_s_mean, total=total, grads=grads
+    return forward(
+        backend, _encoded(backend, batch, negatives, template_id), config,
+        micro_batch=micro_batch,
     )
 
 
@@ -480,7 +473,7 @@ class FiniteDiffReport:
 
 def finite_diff_check(
     backend: ToyBackend,
-    batch: list[InferenceExample],
+    batch: list[InferenceExample] | EncodedSet,
     negatives: list[list[str]] | None,
     config: LossConfig,
     step: float = 1e-5,
@@ -500,8 +493,9 @@ def finite_diff_check(
     gradients are near zero. Failure is reported, never raised.
     """
     work = backend.copy()
+    enc = _encoded(work, batch, negatives, template_id)
     if analytic is None:
-        analytic = total_loss(work, batch, negatives, config, template_id).grads
+        analytic = forward(work, enc, config).grads
     flat_analytic = np.concatenate(
         [analytic.E.ravel(), analytic.U.ravel(), analytic.b]
     )
@@ -519,10 +513,10 @@ def finite_diff_check(
         orig = theta[idx]
         theta[idx] = orig + step
         work.set_flat_parameters(theta)
-        up = total_loss_value(work, batch, negatives, config, template_id)
+        up = forward(work, enc, config, grads=False).total
         theta[idx] = orig - step
         work.set_flat_parameters(theta)
-        down = total_loss_value(work, batch, negatives, config, template_id)
+        down = forward(work, enc, config, grads=False).total
         theta[idx] = orig
         numeric = (up - down) / (2.0 * step)
         ana = float(flat_analytic[idx])

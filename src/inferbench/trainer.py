@@ -6,14 +6,15 @@ ties)."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import numbers
+import sys
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from .backend import ToyBackend, Vocabulary, derive_seed, save_checkpoint
 from .corpus import InferenceExample, prepare_input_text
-from .metrics import tokenize
 from .negatives import (
     generate_nonoptimal,
     pick_counterfactuals,
@@ -21,7 +22,14 @@ from .negatives import (
     train_mcq_scorer,
     ReplaceConfig,
 )
-from .objective import LossConfig, _answer_ids, accumulated_total_loss, nll_ids
+from .objective import (
+    EncodedSet,
+    LossConfig,
+    accumulated_total_loss,
+    encode_set,
+    encode_texts,
+    forward,
+)
 
 
 @dataclass(frozen=True)
@@ -43,6 +51,13 @@ class TrainConfig:
     template_id: str = "default"
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            kinds = {"int": numbers.Integral, "float": numbers.Real}.get(f.type)
+            if kinds and (isinstance(value, bool) or not isinstance(value, kinds)):
+                raise ValueError(f"{f.name} must be {f.type}, got {value!r}")
+        if self.d < 1:
+            raise ValueError("d must be >= 1")
         if self.effective_batch < 1 or self.micro_batch < 1:
             raise ValueError("batch sizes must be >= 1")
         if self.effective_batch % self.micro_batch != 0:
@@ -98,22 +113,22 @@ def lr_at(step: int, total_steps: int, lr0: float) -> float:
 
 
 def perplexity(
-    backend: ToyBackend, dataset: list[InferenceExample], template_id: str = "default"
+    backend: ToyBackend,
+    dataset: list[InferenceExample] | EncodedSet,
+    template_id: str = "default",
 ) -> float:
-    """exp(total answer NLL / total answer token count), EOS included."""
+    """exp(total answer NLL / total answer token count), EOS included,
+    forward only; ``dataset`` may be a set encoded once by the caller.
+    A perplexity that is not finite raises RuntimeError."""
     if not dataset:
         raise ValueError("perplexity of an empty dataset")
-    total_nll = 0.0
-    total_tokens = 0
-    for example in dataset:
-        input_ids = backend.vocab.encode(
-            tokenize(prepare_input_text(example, template_id))
-        )
-        answer_ids = _answer_ids(backend, example.answer)
-        value, _ = nll_ids(backend, input_ids, answer_ids)
-        total_nll += value
-        total_tokens += len(answer_ids)
-    return math.exp(total_nll / total_tokens)
+    if not isinstance(dataset, EncodedSet):
+        dataset = encode_set(backend, dataset, template_id=template_id)
+    nll = forward(backend, dataset, LossConfig(lambda_b=0.0, lambda_s=0.0), grads=False).nll
+    per_token = nll * len(dataset) / sum(len(a) for a in dataset.answers)
+    if not per_token < math.log(sys.float_info.max):  # also catches nan
+        raise RuntimeError(f"non-finite perplexity: mean answer NLL per token {per_token}")
+    return math.exp(per_token)
 
 
 def build_vocabulary(examples: list[InferenceExample], template_id: str = "default") -> Vocabulary:
@@ -127,17 +142,15 @@ def build_vocabulary(examples: list[InferenceExample], template_id: str = "defau
 
 def _static_negatives(
     config: TrainConfig, train_set: list[InferenceExample], vocab: Vocabulary
-) -> dict[str, list[str]] | None:
-    """Materialize negatives for the strategies that do not depend on
-    the evolving model; non_optimal is regenerated every epoch."""
+) -> list[list[str]] | None:
+    """Materialize negatives, in training-set order, for the strategies
+    that do not depend on the evolving model; non_optimal is regenerated
+    every epoch."""
     strategy = config.negative_strategy
     if strategy in ("none", "non_optimal") or config.loss.lambda_s == 0:
         return None
     if strategy == "counterfactual":
-        return {
-            ex.id: pick_counterfactuals(ex, config.m, config.seed).negatives
-            for ex in train_set
-        }
+        return [pick_counterfactuals(ex, config.m, config.seed).negatives for ex in train_set]
     if strategy == "replace_zs":
         scorer = ToyBackend(vocab, d=config.d, seed=derive_seed(config.seed, "zs_scorer"))
     else:  # replace_mcq
@@ -151,24 +164,17 @@ def _static_negatives(
         mode=strategy.removeprefix("replace_"),
         seed=config.seed,
     )
-    return {
-        ex.id: token_replace(scorer, ex, cfg, m=config.m, template_id=config.template_id).negatives
+    return [
+        token_replace(scorer, ex, cfg, m=config.m, template_id=config.template_id).negatives
         for ex in train_set
-    }
+    ]
 
 
-def _epoch_negatives(
-    config: TrainConfig,
-    backend: ToyBackend,
-    train_set: list[InferenceExample],
-    static: dict[str, list[str]] | None,
-    epoch: int,
-) -> dict[str, list[str]] | None:
-    if config.loss.lambda_s == 0:
-        return None
-    if config.negative_strategy != "non_optimal":
-        return static
-    negatives = {}
+def _nonoptimal_negatives(
+    config: TrainConfig, backend: ToyBackend, train_set: list[InferenceExample], epoch: int
+) -> list[list[np.ndarray]]:
+    """This epoch's non_optimal negatives, encoded, in training-set order."""
+    negatives = []
     for ex in train_set:
         ns = generate_nonoptimal(
             backend,
@@ -184,7 +190,7 @@ def _epoch_negatives(
             raise ValueError(
                 f"example {ex.id}: non_optimal produced no usable negative"
             )
-        negatives[ex.id] = ns.negatives
+        negatives.append(encode_texts(backend.vocab, ns.negatives))
     return negatives
 
 
@@ -214,7 +220,11 @@ def train(
 
     vocab = build_vocabulary(train_set, config.template_id)
     backend = ToyBackend(vocab, d=config.d, seed=config.seed)
-    static_negs = _static_negatives(config, train_set, vocab)
+    encoded = encode_set(
+        backend, train_set, _static_negatives(config, train_set, vocab), config.template_id
+    )
+    valid_encoded = encode_set(backend, valid_set, template_id=config.template_id)
+    resample = config.negative_strategy == "non_optimal" and config.loss.lambda_s > 0
 
     steps_per_epoch = math.ceil(len(train_set) / config.effective_batch)
     total_steps = steps_per_epoch * config.max_epochs
@@ -225,18 +235,16 @@ def train(
     global_step = 0
 
     for epoch in range(1, config.max_epochs + 1):
-        negatives_by_id = _epoch_negatives(config, backend, train_set, static_negs, epoch)
+        if resample:
+            encoded = replace(
+                encoded, negatives=_nonoptimal_negatives(config, backend, train_set, epoch)
+            )
         rng = np.random.default_rng(derive_seed(config.seed, "shuffle", epoch))
         order = rng.permutation(len(train_set))
         for start in range(0, len(train_set), config.effective_batch):
-            batch = [train_set[i] for i in order[start : start + config.effective_batch]]
-            negs = (
-                [negatives_by_id[ex.id] for ex in batch]
-                if negatives_by_id is not None
-                else None
-            )
+            batch = encoded.take(order[start : start + config.effective_batch])
             breakdown = accumulated_total_loss(
-                backend, batch, negs, config.loss, config.micro_batch, config.template_id
+                backend, batch, None, config.loss, config.micro_batch
             )
             if not math.isfinite(breakdown.total):
                 raise RuntimeError(
@@ -260,7 +268,7 @@ def train(
                 }
             )
 
-        val_ppl = perplexity(backend, valid_set, config.template_id)
+        val_ppl = perplexity(backend, valid_encoded)
         ckpt_path = None
         if out_path is not None:
             ckpt_path = str(out_path / f"epoch_{epoch:03d}.json")

@@ -248,3 +248,59 @@ def test_console_entry_point():
     )
     assert out.returncode == 0
     assert "inferbench" in out.stdout
+
+
+# --- bad inputs end in the JSON error, exit 2 -------------------------------------
+
+def json_error(capsys, command):
+    err = capsys.readouterr().err.strip().splitlines()
+    payload = json.loads(err[-1])
+    assert payload["command"] == command
+    return payload["error"]
+
+
+def test_diverging_training_is_json_error(tmp_path, small_data, capsys):
+    code = run(["train", "--train", small_data / "train.jsonl",
+                "--valid", small_data / "valid.jsonl", "--out-dir", tmp_path / "m",
+                *FAST, "--set", "train.lr0=1e9"])
+    assert code == 2
+    assert "non-finite" in json_error(capsys, "train")
+
+
+def test_short_checkpoint_is_json_error(tmp_path, small_data, capsys):
+    model = tmp_path / "model"
+    assert run(["train", "--train", small_data / "train.jsonl",
+                "--valid", small_data / "valid.jsonl", "--out-dir", model, *FAST]) == 0
+    payload = json.loads((model / "best.json").read_text())
+    payload["E"] = payload["E"][:-3]
+    short = tmp_path / "short.json"
+    short.write_text(json.dumps(payload))
+    capsys.readouterr()
+    code = run(["generate", "--ckpt", short, "--in", small_data / "valid.jsonl",
+                "--out", tmp_path / "gen.jsonl"])
+    assert code == 2
+    assert "checkpoint E has shape" in json_error(capsys, "generate")
+
+
+def test_judgment_without_rater_is_json_error(tmp_path, small_data, capsys):
+    lines = (small_data / "judgments.jsonl").read_text().splitlines()
+    broken = json.loads(lines[1])
+    del broken["rater_id"]
+    bad = tmp_path / "judgments.jsonl"
+    bad.write_text("\n".join([lines[0], json.dumps(broken), *lines[2:]]) + "\n")
+    code = run(["agree", "--judgments", bad, "--out", tmp_path / "agree.json"])
+    assert code == 2
+    error = json_error(capsys, "agree")
+    assert "line 2" in error and "rater_id" in error
+
+
+@pytest.mark.parametrize(
+    "override,message",
+    [("train.micro_batch=\"8\"", "micro_batch must be int"), ("model.d=0", "d must be >= 1")],
+)
+def test_bad_train_config_is_json_error(tmp_path, small_data, capsys, override, message):
+    code = run(["train", "--train", small_data / "train.jsonl",
+                "--valid", small_data / "valid.jsonl", "--out-dir", tmp_path / "m",
+                "--set", override])
+    assert code == 2
+    assert message in json_error(capsys, "train")

@@ -353,3 +353,51 @@ def test_finite_diff_detects_injected_fault():
     assert not report.passed
     expected_name = f"U[{r},{c}]"
     assert any(w.parameter == expected_name for w in report.worst)
+
+
+# --- encoded batch: ragged negatives, perplexity ------------------------------------
+
+def ragged_negatives(batch):
+    return [list(ex.counterfactuals)[:m] for ex, m in zip(batch, (1, 2, 4, 2))]
+
+
+def test_ragged_negatives_pass_finite_differences():
+    batch = small_batch()
+    negs = ragged_negatives(batch)
+    be = batch_backend(seed=4)
+    report = finite_diff_check(be, batch, negs, LossConfig(), tol=1e-4, seed=4)
+    assert report.passed, report.worst[:3]
+    assert report.n_checked == be.flat_parameters().size
+
+
+def test_ragged_rows_match_single_sample_loss():
+    from inferbench.objective import _sample_nce, encode_set
+
+    batch = small_batch()
+    negs = ragged_negatives(batch)
+    be = batch_backend(seed=6)
+    enc = encode_set(be, batch, negs)
+    h_x = np.array([be.embed_ids(list(ids)) for ids in enc.inputs])
+    h_a = np.array([be.embed_ids(list(ids[:-1])) for ids in enc.answers])
+    h_n = np.array([be.embed_ids(list(ids)) for row in enc.negatives for ids in row])
+    counts = np.array([len(row) for row in enc.negatives])
+    rows, _ = _sample_nce(h_x, h_a, h_n, counts, 2.5, grads=False)
+    singles = []
+    for i, row in enumerate(enc.negatives):
+        value, _ = cl_sample_loss(h_x[i], h_a[i], [be.embed_ids(list(ids)) for ids in row], 2.5)
+        assert rows[i] == pytest.approx(value, abs=1e-12)
+        singles.append(value)
+    batched = total_loss(be, enc, None, LossConfig())
+    assert batched.cl_s == pytest.approx(np.mean(singles), abs=1e-12)
+    assert batched.total == total_loss(be, batch, negs, LossConfig()).total
+
+
+def test_perplexity_is_exp_of_summed_nll_per_token():
+    from inferbench.metrics import tokenize
+    from inferbench.trainer import perplexity
+
+    batch = small_batch()
+    be = batch_backend(seed=9)
+    nll = sum(nll_loss(be, ex)[0] for ex in batch)
+    tokens = sum(len(tokenize(ex.answer)) + 1 for ex in batch)
+    assert perplexity(be, batch) == pytest.approx(math.exp(nll / tokens), abs=1e-12)
