@@ -19,6 +19,7 @@ import json
 import logging
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
@@ -31,19 +32,13 @@ from .analysis import (
     winning_rate,
 )
 from .backend import GreedyDecode, TopKDecode, ToyBackend, derive_seed, load_checkpoint
-from .corpus import DatasetError, load_dataset, save_dataset
+from .corpus import DatasetError, load_dataset, prepare_input_text, save_dataset
 from .jsonio import config_digest, read_jsonl, write_artifact, write_jsonl_artifact
-from .metrics import score_corpus
-from .negatives import (
-    ReplaceConfig,
-    generate_nonoptimal,
-    pick_counterfactuals,
-    token_replace,
-    train_mcq_scorer,
-)
-from .objective import LossConfig, finite_diff_check
+from .metrics import score_corpus, tokenize
+from .negatives import DEFAULT_STRATEGY, STRATEGIES, untrained_model
+from .objective import LossConfig, build_vocabulary, check_number_fields, finite_diff_check
 from .synth import build_split
-from .trainer import TrainConfig, build_vocabulary, train
+from .trainer import TrainConfig, train
 
 log = logging.getLogger("inferbench")
 
@@ -63,7 +58,7 @@ DEFAULT_CONFIG: dict = {
         "warmup_steps": 0,
     },
     "negatives": {
-        "strategy": "counterfactual",
+        "strategy": DEFAULT_STRATEGY,
         "m": 4,
         "k": 10,
         "threshold": 0.75,
@@ -73,6 +68,8 @@ DEFAULT_CONFIG: dict = {
     "report": {"stratify_by": None},
     "sweep": {"lambda_b": None, "lambda_s": None, "m": None, "strategy": None},
 }
+
+STRATA = ("difficulty", "question")
 
 
 class ConfigError(ValueError):
@@ -127,7 +124,22 @@ def load_run_config(path: str | None, overrides: list[str] | None = None) -> tup
         raise ConfigError(
             f"unsupported config_version {config['config_version']!r}"
         )
+    _check_config(config)
     return config, config_digest(config)
+
+
+def _check_config(config: dict) -> None:
+    """Reject any value a subcommand would misread, at every sweep grid
+    point; the dict itself is left as it is, because its digest stamps
+    the artifacts."""
+    for run in _expand_sweep(config):
+        _train_config(run)
+    decode = config["decode"]
+    if decode["method"] not in ("greedy", "top_k"):
+        raise ConfigError(f"unknown decode method {decode['method']!r}")
+    check_number_fields(TopKDecode(k=decode["k"], seed=decode["seed"], max_len=decode["max_len"]))
+    if config["report"]["stratify_by"] not in [None, *STRATA]:
+        raise ConfigError(f"unknown report.stratify_by {config['report']['stratify_by']!r}")
 
 
 def _train_config(config: dict) -> TrainConfig:
@@ -157,9 +169,9 @@ def _meta(digest: str, seed: int) -> dict:
 # --- subcommands -------------------------------------------------------------
 
 def cmd_ingest(args) -> int:
+    config, digest = load_run_config(args.config, args.set)
     examples = load_dataset(args.input, args.format)
     save_dataset(examples, args.out)
-    config, digest = load_run_config(args.config, args.set)
     sidecar = Path(args.out).with_suffix(Path(args.out).suffix + ".meta.json")
     write_artifact(sidecar, {"n_examples": len(examples)}, _meta(digest, config["seed"]))
     log.info("ingested %d examples -> %s", len(examples), args.out)
@@ -188,28 +200,28 @@ def cmd_train(args) -> int:
     return 0
 
 
-def cmd_generate(args) -> int:
-    from .corpus import prepare_input_text
-    from .metrics import tokenize
+def _generate(backend: ToyBackend, examples, decode: dict, template_id: str) -> list[str]:
+    """One decoded answer per example; top-k draws are seeded per example id."""
+    if decode["method"] == "greedy":
+        decodes = itertools.repeat(GreedyDecode(max_len=decode["max_len"]))
+    else:
+        decodes = (
+            TopKDecode(k=decode["k"], seed=derive_seed(decode["seed"], ex.id, "decode"),
+                       max_len=decode["max_len"])
+            for ex in examples
+        )
+    return [
+        " ".join(backend.generate(tokenize(prepare_input_text(ex, template_id)), how))
+        for ex, how in zip(examples, decodes)
+    ]
 
+
+def cmd_generate(args) -> int:
     config, digest = load_run_config(args.config, args.set)
     backend = load_checkpoint(args.ckpt)
     examples = load_dataset(args.input)
-    decode_cfg = config["decode"]
-    records = []
-    for ex in examples:
-        input_tokens = tokenize(prepare_input_text(ex, config["template_id"]))
-        if decode_cfg["method"] == "greedy":
-            decode = GreedyDecode(max_len=decode_cfg["max_len"])
-        elif decode_cfg["method"] == "top_k":
-            decode = TopKDecode(
-                k=decode_cfg["k"],
-                seed=derive_seed(decode_cfg["seed"], ex.id, "decode"),
-                max_len=decode_cfg["max_len"],
-            )
-        else:
-            raise ConfigError(f"unknown decode method {decode_cfg['method']!r}")
-        records.append({"id": ex.id, "generated": " ".join(backend.generate(input_tokens, decode))})
+    generated = _generate(backend, examples, config["decode"], config["template_id"])
+    records = [{"id": ex.id, "generated": text} for ex, text in zip(examples, generated)]
     write_jsonl_artifact(args.out, records, _meta(digest, config["seed"]))
     print(f"generated {len(records)} answers -> {args.out}")
     return 0
@@ -217,58 +229,22 @@ def cmd_generate(args) -> int:
 
 def cmd_perturb(args) -> int:
     config, digest = load_run_config(args.config, args.set)
-    neg = dict(config["negatives"])
-    if args.strategy:
-        neg["strategy"] = args.strategy
-    if args.m is not None:
-        neg["m"] = args.m
-    if args.threshold is not None:
-        neg["threshold"] = args.threshold
-    if args.k is not None:
-        neg["k"] = args.k
+    overrides = {"negative_strategy": args.strategy, "m": args.m,
+                 "threshold": args.threshold, "k": args.k}
+    tc = replace(_train_config(config), **{k: v for k, v in overrides.items() if v is not None})
     seed = args.seed if args.seed is not None else config["seed"]
+    if tc.negative_strategy not in STRATEGIES:
+        raise ConfigError(f"unknown strategy {tc.negative_strategy!r}")
+    strategy = STRATEGIES[tc.negative_strategy]
     examples = load_dataset(args.input)
-    strategy = neg["strategy"]
-
-    scorer = None
-    sampler = None
-    if strategy in ("replace_zs", "replace_mcq", "non_optimal"):
-        if args.ckpt:
-            model = load_checkpoint(args.ckpt)
-        else:
-            vocab = build_vocabulary(examples, config["template_id"])
-            model = ToyBackend(vocab, d=config["model"]["d"], seed=derive_seed(seed, "zs_scorer"))
-        if strategy == "replace_mcq":
-            scorer = train_mcq_scorer(
-                examples, vocab=model.vocab, d=model.d, seed=seed,
-                template_id=config["template_id"],
-            )
-        elif strategy == "replace_zs":
-            scorer = model
-        else:
-            sampler = model
-
-    records = []
-    for ex in examples:
-        if strategy == "counterfactual":
-            ns = pick_counterfactuals(ex, neg["m"], seed)
-        elif strategy == "non_optimal":
-            ns = generate_nonoptimal(
-                sampler, ex, m=neg["m"], k=neg["k"], attempts=neg["attempts"],
-                seed=seed, max_len=config["decode"]["max_len"],
-                template_id=config["template_id"],
-            )
-        elif strategy in ("replace_zs", "replace_mcq"):
-            cfg = ReplaceConfig(
-                threshold=neg["threshold"], k=neg["k"],
-                mode=strategy.removeprefix("replace_"), seed=seed,
-            )
-            ns = token_replace(scorer, ex, cfg, m=neg["m"], template_id=config["template_id"])
-        else:
-            raise ConfigError(f"unknown strategy {strategy!r}")
-        records.append(ns.to_dict())
+    model = None
+    if strategy.needs_model and args.ckpt:
+        model = load_checkpoint(args.ckpt)
+    elif strategy.needs_model:
+        model = untrained_model(build_vocabulary(examples, tc.template_id), tc.d, seed)
+    records = [ns.to_dict() for ns in strategy.build(model, examples, tc, seed)]
     write_jsonl_artifact(args.out, records, _meta(digest, seed))
-    print(f"wrote {len(records)} negative sets ({strategy}) -> {args.out}")
+    print(f"wrote {len(records)} negative sets ({tc.negative_strategy}) -> {args.out}")
     return 0
 
 
@@ -422,6 +398,9 @@ def cmd_gradcheck(args) -> int:
 
 def _expand_sweep(config: dict) -> list[dict]:
     sweep = config["sweep"]
+    for key, values in sweep.items():
+        if values is not None and not isinstance(values, list):
+            raise ConfigError(f"sweep.{key} must be a list or null, got {values!r}")
     axes = {
         "lambda_b": sweep["lambda_b"] or [config["loss"]["lambda_b"]],
         "lambda_s": sweep["lambda_s"] or [config["loss"]["lambda_s"]],
@@ -447,6 +426,9 @@ def cmd_sweep(args) -> int:
     runs = _expand_sweep(config)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    if not args.dry_run:
+        train_set = load_dataset(args.train)
+        valid_set = load_dataset(args.valid)
     rows = []
     for run in runs:
         name = (
@@ -461,21 +443,11 @@ def cmd_sweep(args) -> int:
             "strategy": run["negatives"]["strategy"],
         }
         if not args.dry_run:
-            from .corpus import prepare_input_text
-            from .metrics import tokenize
-
-            tc = _train_config(run)
-            train_set = load_dataset(args.train)
-            valid_set = load_dataset(args.valid)
-            run_digest = config_digest(run)
-            result = train(tc, train_set, valid_set, out_dir=out_dir / name,
-                           config_digest=run_digest)
-            backend = result.best_backend
-            pairs = []
-            for ex in valid_set:
-                tokens = tokenize(prepare_input_text(ex, run["template_id"]))
-                gen = backend.generate(tokens, GreedyDecode(max_len=run["decode"]["max_len"]))
-                pairs.append((" ".join(gen), ex.answer))
+            result = train(_train_config(run), train_set, valid_set, out_dir=out_dir / name,
+                           config_digest=config_digest(run))
+            greedy = dict(run["decode"], method="greedy")
+            generated = _generate(result.best_backend, valid_set, greedy, run["template_id"])
+            pairs = [(text, ex.answer) for ex, text in zip(valid_set, generated)]
             scores = score_corpus(pairs, ids=[ex.id for ex in valid_set])
             row.update(
                 {
@@ -534,7 +506,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("perturb", help="emit negative samples with provenance")
-    p.add_argument("--strategy", choices=["counterfactual", "non_optimal", "replace_zs", "replace_mcq"])
+    p.add_argument("--strategy", choices=list(STRATEGIES))
     p.add_argument("--m", type=int)
     p.add_argument("--threshold", type=float)
     p.add_argument("--k", type=int)
@@ -548,7 +520,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("score", help="n-gram metric report, optionally stratified")
     p.add_argument("--hyp", required=True, help="generations (.jsonl with id/generated, or plain text)")
     p.add_argument("--ref", required=True, help="references (canonical .jsonl or plain text)")
-    p.add_argument("--stratify-by", choices=["difficulty", "question"])
+    p.add_argument("--stratify-by", choices=STRATA)
     p.add_argument("--per-example", action="store_true")
     p.add_argument("--out", required=True)
     _add_common(p)
@@ -567,7 +539,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ref", required=True)
     p.add_argument("--metric", default="rouge_l",
                    choices=["bleu_1", "bleu_2", "bleu_3", "bleu_4", "meteor", "rouge_l", "cider"])
-    p.add_argument("--stratify-by", choices=["difficulty", "question"])
+    p.add_argument("--stratify-by", choices=STRATA)
     p.add_argument("--out", required=True)
     _add_common(p)
     p.set_defaults(func=cmd_compare)

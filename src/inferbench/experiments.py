@@ -84,7 +84,6 @@ def contrastive_benefit_experiment(
             m=4,
             d=d,
             seed=seed,
-            negative_strategy="counterfactual",
         )
         cfg_cl = TrainConfig(
             loss=LossConfig(tau_b=0.1, tau_s=2.5, lambda_b=0.5, lambda_s=0.5), **common

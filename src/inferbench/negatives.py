@@ -1,14 +1,18 @@
 """Automatic negative-sample procedures with per-negative provenance.
 
-Four strategies feed the per-sample contrastive loss:
+Four strategies feed the per-sample contrastive loss, each a row of
+:data:`STRATEGIES`, the one table the trainer, ``perturb`` and the
+config check read:
 
 * ``counterfactual`` -- dataset-provided wrong-but-plausible candidates;
 * ``non_optimal``    -- top-k sampled generations from a model, with
   gold collisions resampled;
 * ``replace_zs`` / ``replace_mcq`` -- gold answers with the most
   context-sensitive tokens swapped using a masked scorer (zero-shot or
-  fine-tuned to separate gold from counterfactuals);
-* in-batch gold answers of the other examples.
+  fine-tuned to separate gold from counterfactuals).
+
+The in-batch term's negatives, the gold answers of the other examples,
+need no procedure (:func:`inbatch_negatives`).
 
 Every draw is seeded per (seed, example id, slot), so any emitted
 negative can be replayed from its provenance alone.
@@ -17,15 +21,14 @@ negative can be replayed from its provenance alone.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .backend import SPECIALS, TopKDecode, ToyBackend, Vocabulary, derive_seed
 from .corpus import InferenceExample, normalize_answer, prepare_input_text
 from .metrics import tokenize
-from .objective import LossConfig, encode_set, forward
-
-STRATEGIES = ("counterfactual", "non_optimal", "replace_zs", "replace_mcq", "in_batch")
+from .objective import LossConfig, build_vocabulary, encode_set, forward
 
 
 @dataclass(frozen=True)
@@ -257,12 +260,7 @@ def train_mcq_scorer(
     if not usable:
         raise ValueError("no examples with counterfactuals to train on")
     if vocab is None:
-        texts = []
-        for ex in usable:
-            texts.append(prepare_input_text(ex, template_id))
-            texts.append(ex.answer)
-            texts.extend(ex.counterfactuals)
-        vocab = Vocabulary.from_texts(texts)
+        vocab = build_vocabulary(usable, template_id)
     scorer = ToyBackend(vocab, d=d, seed=derive_seed(seed, "mcq_scorer"))
     encoded = encode_set(
         scorer, usable, [list(ex.counterfactuals) for ex in usable], template_id
@@ -272,3 +270,62 @@ def train_mcq_scorer(
     for _ in range(epochs):
         scorer.E -= lr * forward(scorer, encoded, config, nll=False).grads.E
     return scorer
+
+
+# --- strategy table --------------------------------------------------------------
+#
+# A builder takes (model, examples, config, seed) and returns one
+# NegativeSet per example, in order. ``config`` is a TrainConfig: m, k,
+# threshold, attempts, max_gen_len and template_id come from it. The
+# builders look the procedures up by module-level name at call time, so
+# a wrapper installed on those names sees every call.
+
+
+@dataclass(frozen=True)
+class Strategy:
+    build: Callable[..., list[NegativeSet]]
+    needs_model: bool  # samples or scores with ``model``
+    per_epoch: bool  # rebuilt from the live model every training epoch
+
+
+def _counterfactual(model, examples, config, seed):
+    return [pick_counterfactuals(ex, config.m, seed) for ex in examples]
+
+
+def _non_optimal(model, examples, config, seed):
+    return [
+        generate_nonoptimal(
+            model, ex, m=config.m, k=config.k, attempts=config.attempts, seed=seed,
+            max_len=config.max_gen_len, template_id=config.template_id,
+        )
+        for ex in examples
+    ]
+
+
+def _replace_zs(model, examples, config, seed, mode="zs"):
+    cfg = ReplaceConfig(threshold=config.threshold, k=config.k, mode=mode, seed=seed)
+    return [
+        token_replace(model, ex, cfg, m=config.m, template_id=config.template_id)
+        for ex in examples
+    ]
+
+
+def _replace_mcq(model, examples, config, seed):
+    scorer = train_mcq_scorer(
+        examples, vocab=model.vocab, d=model.d, seed=seed, template_id=config.template_id
+    )
+    return _replace_zs(scorer, examples, config, seed, mode="mcq")
+
+
+STRATEGIES = {
+    "counterfactual": Strategy(_counterfactual, needs_model=False, per_epoch=False),
+    "non_optimal": Strategy(_non_optimal, needs_model=True, per_epoch=True),
+    "replace_zs": Strategy(_replace_zs, needs_model=True, per_epoch=False),
+    "replace_mcq": Strategy(_replace_mcq, needs_model=True, per_epoch=False),
+}
+DEFAULT_STRATEGY = "counterfactual"
+
+
+def untrained_model(vocab: Vocabulary, d: int, seed: int) -> ToyBackend:
+    """The model a strategy samples or scores with when none is given."""
+    return ToyBackend(vocab, d=d, seed=derive_seed(seed, "zs_scorer"))

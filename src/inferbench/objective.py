@@ -24,13 +24,25 @@ pass ends in one scatter into E.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .backend import Gradients, ToyBackend, Vocabulary, derive_seed
 from .corpus import InferenceExample, prepare_input_text
 from .metrics import tokenize
+
+
+def check_number_fields(obj) -> None:
+    """Raise ValueError unless every ``int`` field of the dataclass
+    ``obj`` holds an integer and every ``float`` field a real number
+    (bools are neither)."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        kinds = {"int": numbers.Integral, "float": numbers.Real}.get(f.type)
+        if kinds and (isinstance(value, bool) or not isinstance(value, kinds)):
+            raise ValueError(f"{f.name} must be {f.type}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -41,6 +53,7 @@ class LossConfig:
     lambda_s: float = 0.5
 
     def __post_init__(self):
+        check_number_fields(self)
         if self.tau_b <= 0 or self.tau_s <= 0:
             raise ValueError("temperatures must be strictly positive")
         if self.lambda_b < 0 or self.lambda_s < 0:
@@ -63,6 +76,16 @@ def _answer_ids(backend: ToyBackend, answer: str) -> list[int]:
     if not tokens:
         raise ValueError("empty answer cannot be scored")
     return backend.vocab.encode(tokens) + [backend.vocab.eos_id]
+
+
+def build_vocabulary(examples: list[InferenceExample], template_id: str = "default") -> Vocabulary:
+    """Vocabulary over the input texts, gold answers and counterfactuals."""
+    texts = []
+    for ex in examples:
+        texts.append(prepare_input_text(ex, template_id))
+        texts.append(ex.answer)
+        texts.extend(ex.counterfactuals)
+    return Vocabulary.from_texts(texts)
 
 
 def encode_texts(vocab: Vocabulary, texts: list[str]) -> list[np.ndarray]:

@@ -6,26 +6,21 @@ ties)."""
 from __future__ import annotations
 
 import math
-import numbers
 import sys
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
-from .backend import ToyBackend, Vocabulary, derive_seed, save_checkpoint
-from .corpus import InferenceExample, prepare_input_text
-from .negatives import (
-    generate_nonoptimal,
-    pick_counterfactuals,
-    token_replace,
-    train_mcq_scorer,
-    ReplaceConfig,
-)
+from .backend import ToyBackend, derive_seed, save_checkpoint
+from .corpus import TEMPLATES, InferenceExample
+from .negatives import DEFAULT_STRATEGY, STRATEGIES, untrained_model
 from .objective import (
     EncodedSet,
     LossConfig,
     accumulated_total_loss,
+    build_vocabulary,
+    check_number_fields,
     encode_set,
     encode_texts,
     forward,
@@ -40,7 +35,7 @@ class TrainConfig:
     max_epochs: int = 10
     warmup_steps: int = 0
     loss: LossConfig = field(default_factory=LossConfig)
-    negative_strategy: str = "counterfactual"  # or non_optimal/replace_zs/replace_mcq/none
+    negative_strategy: str = DEFAULT_STRATEGY  # a key of negatives.STRATEGIES, or "none"
     m: int = 4
     k: int = 10
     threshold: float = 0.75
@@ -51,11 +46,7 @@ class TrainConfig:
     template_id: str = "default"
 
     def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            kinds = {"int": numbers.Integral, "float": numbers.Real}.get(f.type)
-            if kinds and (isinstance(value, bool) or not isinstance(value, kinds)):
-                raise ValueError(f"{f.name} must be {f.type}, got {value!r}")
+        check_number_fields(self)
         if self.d < 1:
             raise ValueError("d must be >= 1")
         if self.effective_batch < 1 or self.micro_batch < 1:
@@ -66,16 +57,12 @@ class TrainConfig:
             raise ValueError("lr0 must be non-negative")
         if self.max_epochs < 1:
             raise ValueError("max_epochs must be >= 1")
-        if self.negative_strategy not in (
-            "counterfactual",
-            "non_optimal",
-            "replace_zs",
-            "replace_mcq",
-            "none",
-        ):
+        if self.negative_strategy not in [*STRATEGIES, "none"]:
             raise ValueError(f"unknown negative strategy {self.negative_strategy!r}")
         if self.negative_strategy == "none" and self.loss.lambda_s > 0:
             raise ValueError("lambda_s > 0 needs a negative strategy")
+        if self.template_id not in [*TEMPLATES]:
+            raise ValueError(f"unknown template_id {self.template_id!r}")
 
 
 @dataclass
@@ -131,69 +118,6 @@ def perplexity(
     return math.exp(per_token)
 
 
-def build_vocabulary(examples: list[InferenceExample], template_id: str = "default") -> Vocabulary:
-    texts = []
-    for ex in examples:
-        texts.append(prepare_input_text(ex, template_id))
-        texts.append(ex.answer)
-        texts.extend(ex.counterfactuals)
-    return Vocabulary.from_texts(texts)
-
-
-def _static_negatives(
-    config: TrainConfig, train_set: list[InferenceExample], vocab: Vocabulary
-) -> list[list[str]] | None:
-    """Materialize negatives, in training-set order, for the strategies
-    that do not depend on the evolving model; non_optimal is regenerated
-    every epoch."""
-    strategy = config.negative_strategy
-    if strategy in ("none", "non_optimal") or config.loss.lambda_s == 0:
-        return None
-    if strategy == "counterfactual":
-        return [pick_counterfactuals(ex, config.m, config.seed).negatives for ex in train_set]
-    if strategy == "replace_zs":
-        scorer = ToyBackend(vocab, d=config.d, seed=derive_seed(config.seed, "zs_scorer"))
-    else:  # replace_mcq
-        scorer = train_mcq_scorer(
-            train_set, vocab=vocab, d=config.d, seed=config.seed,
-            template_id=config.template_id,
-        )
-    cfg = ReplaceConfig(
-        threshold=config.threshold,
-        k=config.k,
-        mode=strategy.removeprefix("replace_"),
-        seed=config.seed,
-    )
-    return [
-        token_replace(scorer, ex, cfg, m=config.m, template_id=config.template_id).negatives
-        for ex in train_set
-    ]
-
-
-def _nonoptimal_negatives(
-    config: TrainConfig, backend: ToyBackend, train_set: list[InferenceExample], epoch: int
-) -> list[list[np.ndarray]]:
-    """This epoch's non_optimal negatives, encoded, in training-set order."""
-    negatives = []
-    for ex in train_set:
-        ns = generate_nonoptimal(
-            backend,
-            ex,
-            m=config.m,
-            k=config.k,
-            attempts=config.attempts,
-            seed=derive_seed(config.seed, "non_optimal", epoch),
-            max_len=config.max_gen_len,
-            template_id=config.template_id,
-        )
-        if not ns.negatives:
-            raise ValueError(
-                f"example {ex.id}: non_optimal produced no usable negative"
-            )
-        negatives.append(encode_texts(backend.vocab, ns.negatives))
-    return negatives
-
-
 def train(
     config: TrainConfig,
     train_set: list[InferenceExample],
@@ -220,11 +144,14 @@ def train(
 
     vocab = build_vocabulary(train_set, config.template_id)
     backend = ToyBackend(vocab, d=config.d, seed=config.seed)
-    encoded = encode_set(
-        backend, train_set, _static_negatives(config, train_set, vocab), config.template_id
-    )
+    strategy = STRATEGIES.get(config.negative_strategy) if config.loss.lambda_s > 0 else None
+    resample = strategy is not None and strategy.per_epoch
+    static = None
+    if strategy is not None and not resample:
+        model = untrained_model(vocab, config.d, config.seed) if strategy.needs_model else None
+        static = [ns.negatives for ns in strategy.build(model, train_set, config, config.seed)]
+    encoded = encode_set(backend, train_set, static, config.template_id)
     valid_encoded = encode_set(backend, valid_set, template_id=config.template_id)
-    resample = config.negative_strategy == "non_optimal" and config.loss.lambda_s > 0
 
     steps_per_epoch = math.ceil(len(train_set) / config.effective_batch)
     total_steps = steps_per_epoch * config.max_epochs
@@ -236,9 +163,14 @@ def train(
 
     for epoch in range(1, config.max_epochs + 1):
         if resample:
-            encoded = replace(
-                encoded, negatives=_nonoptimal_negatives(config, backend, train_set, epoch)
-            )
+            seed = derive_seed(config.seed, config.negative_strategy, epoch)
+            sets = strategy.build(backend, train_set, config, seed)
+            for ns in sets:
+                if not ns.negatives:
+                    raise ValueError(
+                        f"example {ns.example_id}: {ns.strategy} produced no usable negative"
+                    )
+            encoded = replace(encoded, negatives=[encode_texts(vocab, ns.negatives) for ns in sets])
         rng = np.random.default_rng(derive_seed(config.seed, "shuffle", epoch))
         order = rng.permutation(len(train_set))
         for start in range(0, len(train_set), config.effective_batch):

@@ -5,9 +5,11 @@ from pathlib import Path
 
 import pytest
 
+import inferbench.trainer
 from inferbench.cli import build_parser, load_run_config, main
 from inferbench.corpus import load_dataset, save_dataset
 from inferbench.synth import build_judgments, build_split
+from inferbench.trainer import TrainConfig, train
 
 @pytest.fixture(scope="module")
 def small_data(tmp_path_factory):
@@ -167,6 +169,29 @@ def test_perturb_replace_strategies(tmp_path, small_data):
         assert all(len(r["negatives"]) == 2 for r in records)
 
 
+@pytest.mark.parametrize("strategy", ["counterfactual", "replace_zs", "replace_mcq"])
+def test_trainer_and_perturb_build_the_same_negatives(tmp_path, small_data, monkeypatch, strategy):
+    out = tmp_path / "negs.jsonl"
+    assert run(["perturb", "--strategy", strategy, "--m", "2", "--k", "5", "--seed", "3",
+                "--in", small_data / "valid.jsonl", "--out", out, "--set", "model.d=4"]) == 0
+    records = [json.loads(line) for line in out.read_text().splitlines()]
+
+    built = []
+    encode_set = inferbench.trainer.encode_set
+
+    def spy(backend, examples, negatives=None, template_id="default"):
+        if negatives is not None:
+            built.append(negatives)
+        return encode_set(backend, examples, negatives, template_id)
+
+    monkeypatch.setattr(inferbench.trainer, "encode_set", spy)
+    examples = load_dataset(small_data / "valid.jsonl")
+    config = TrainConfig(effective_batch=8, micro_batch=4, max_epochs=1, negative_strategy=strategy,
+                         m=2, k=5, d=4, seed=3)
+    train(config, examples, examples)
+    assert built == [[r["negatives"] for r in records]]
+
+
 def test_score_plain_text_mode(tmp_path):
     hyp = tmp_path / "hyp.txt"
     ref = tmp_path / "ref.txt"
@@ -304,3 +329,59 @@ def test_bad_train_config_is_json_error(tmp_path, small_data, capsys, override, 
                 "--set", override])
     assert code == 2
     assert message in json_error(capsys, "train")
+
+
+@pytest.fixture(scope="module")
+def small_checkpoint(tmp_path_factory, small_data):
+    model = tmp_path_factory.mktemp("cli_model")
+    assert run(["train", "--train", small_data / "train.jsonl",
+                "--valid", small_data / "valid.jsonl", "--out-dir", model, *FAST]) == 0
+    return model / "best.json"
+
+
+@pytest.mark.parametrize(
+    "command,overrides,message",
+    [
+        ("sweep --dry-run", ['sweep.strategy=["bogus"]'], "unknown negative strategy 'bogus'"),
+        ("sweep --dry-run", ['sweep.lambda_s=["x"]'], "lambda_s must be float"),
+        ("sweep --dry-run", ['sweep.strategy=["none"]'], "lambda_s > 0 needs a negative strategy"),
+        ("sweep --dry-run", ['sweep.m="12"'], "sweep.m must be a list or null"),
+        ("sweep", ["sweep.m=5"], "sweep.m must be a list or null"),
+        ("generate", ['decode.max_len="5"'], "max_gen_len must be int"),
+        ("perturb", ['negatives.m="2"'], "m must be int"),
+        ("generate", ["decode.method=top_k", 'decode.seed="x"'], "seed must be int"),
+        ("gradcheck", ["model.d=0"], "d must be >= 1"),
+        ("train", ['loss.tau_b="a"'], "tau_b must be float"),
+        ("gradcheck", ['loss.tau_b="a"'], "tau_b must be float"),
+        ("train", ["template_id=[1]"], "unknown template_id [1]"),
+    ],
+)
+def test_bad_config_is_json_error_at_load(
+    tmp_path, small_data, small_checkpoint, capsys, command, overrides, message
+):
+    name, *flags = command.split()
+    paths = {
+        "sweep": ["--train", small_data / "train.jsonl", "--valid", small_data / "valid.jsonl",
+                  "--out-dir", tmp_path / "sweep"],
+        "generate": ["--ckpt", small_checkpoint, "--in", small_data / "valid.jsonl",
+                     "--out", tmp_path / "gen.jsonl"],
+        "perturb": ["--in", small_data / "valid.jsonl", "--out", tmp_path / "negs.jsonl"],
+        "gradcheck": ["--out", tmp_path / "grad.json"],
+        "train": ["--train", small_data / "train.jsonl", "--valid", small_data / "valid.jsonl",
+                  "--out-dir", tmp_path / "model"],
+    }[name]
+    sets = [arg for override in overrides for arg in ("--set", override)]
+    capsys.readouterr()
+    assert run([name, *flags, *paths, *sets]) == 2
+    assert message in json_error(capsys, name)
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "override,message",
+    [('decode.method="beam"', "unknown decode method 'beam'"),
+     ('report.stratify_by="speaker"', "unknown report.stratify_by 'speaker'")],
+)
+def test_load_run_config_checks_every_section(override, message):
+    with pytest.raises(ValueError, match=message):
+        load_run_config(None, [override])
