@@ -8,8 +8,9 @@ from inferbench.corpus import (
     QuestionType,
     clip_dialogue,
     load_dataset,
-    serialize_input,
+    prepare_input_text,
 )
+from inferbench.metrics import tokenize
 
 DATA = Path(__file__).parent.parent / "data"
 
@@ -32,8 +33,8 @@ print(
 )
 
 # serialization is deterministic and versioned by template id
-flat = serialize_input(clipped, "default")
-print(f"\ndefault template ({flat.token_count} tokens):\n{flat.text}")
+flat = prepare_input_text(clipped, "default")
+print(f"\ndefault template ({len(tokenize(flat))} tokens):\n{flat}")
 
-anon = serialize_input(clipped, "speaker_ids")
-print(f"\nspeaker_ids template:\n{anon.text}")
+anon = prepare_input_text(clipped, "speaker_ids")
+print(f"\nspeaker_ids template:\n{anon}")

@@ -27,12 +27,11 @@ from .corpus import (
     Difficulty,
     InferenceExample,
     QuestionType,
-    SerializedInput,
     Utterance,
     clip_dialogue,
     load_dataset,
+    prepare_input_text,
     save_dataset,
-    serialize_input,
 )
 from .metrics import MetricReport, bleu, cider, meteor_lite, rouge_l, score_corpus, tokenize
 from .negatives import (
@@ -75,12 +74,11 @@ __all__ = [
     "Difficulty",
     "InferenceExample",
     "QuestionType",
-    "SerializedInput",
     "Utterance",
     "clip_dialogue",
     "load_dataset",
+    "prepare_input_text",
     "save_dataset",
-    "serialize_input",
     "MetricReport",
     "bleu",
     "cider",

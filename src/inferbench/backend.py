@@ -11,7 +11,10 @@ gradient-check yet rich enough to exercise every training objective:
                (the zero vector maps to itself)
 
 Masked scoring drops the masked position and mean-pools the remaining
-tokens of the conditioned window. All randomness flows through seeds
+tokens of the conditioned window. The model contract is id-level: the
+vocabulary ``vocab`` plus ``log_probs_ids``, ``masked_logits_ids``,
+``embed_ids`` and ``generate``, which all take token ids; text becomes
+ids only in :mod:`inferbench.objective`. All randomness flows through seeds
 derived with :func:`derive_seed`, so identical seeds give bit-identical
 parameters and samples.
 """
@@ -24,8 +27,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-
-from .metrics import tokenize
 
 PAD, BOS, EOS, UNK, MASK = "<pad>", "<bos>", "<eos>", "<unk>", "<mask>"
 SPECIALS = (PAD, BOS, EOS, UNK, MASK)
@@ -48,11 +49,6 @@ class Vocabulary:
                 seen.add(tok)
                 self._tokens.append(tok)
         self._ids = {tok: i for i, tok in enumerate(self._tokens)}
-
-    @classmethod
-    def from_texts(cls, texts: list[str]) -> "Vocabulary":
-        vocab_tokens = sorted({tok for text in texts for tok in tokenize(text)})
-        return cls(vocab_tokens)
 
     def __len__(self) -> int:
         return len(self._tokens)
@@ -131,10 +127,6 @@ class TopKDecode:
 class ToyBackend:
     """Trainable mean-pooled bag model over a fixed vocabulary."""
 
-    capabilities = frozenset(
-        {"next_token_log_probs", "embed_text", "masked_logits", "trainable"}
-    )
-
     def __init__(self, vocab: Vocabulary, d: int = 16, seed: int = 0):
         self.vocab = vocab
         self.d = d
@@ -145,10 +137,10 @@ class ToyBackend:
         self.U = rng.uniform(-0.1, 0.1, size=(v, d))
         self.b = rng.uniform(-0.1, 0.1, size=v)
 
-    # --- forward primitives (id level) ---
+    # --- forward primitives ---
 
-    def _mean_rows(self, ids: list[int]) -> np.ndarray:
-        if not ids:
+    def _mean_rows(self, ids: list[int] | np.ndarray) -> np.ndarray:
+        if len(ids) == 0:
             return np.zeros(self.d)
         return self.E[ids].mean(axis=0)
 
@@ -180,36 +172,15 @@ class ToyBackend:
     ) -> np.ndarray:
         if not 0 <= position < len(token_ids):
             raise IndexError(f"mask position {position} outside 0..{len(token_ids) - 1}")
-        window = list(context_ids or []) + [
-            t for i, t in enumerate(token_ids) if i != position
-        ]
+        rest = [t for i, t in enumerate(token_ids) if i != position]
+        window = rest if context_ids is None else [*context_ids, *rest]
         return self._log_softmax(self.U @ self._mean_rows(window) + self.b)
 
-    # --- contract surface (token strings; OOV maps to UNK) ---
-
-    def next_token_log_probs(
-        self, input_tokens: list[str], prefix_tokens: list[str]
-    ) -> np.ndarray:
-        return self.log_probs_ids(
-            self.vocab.encode(input_tokens), self.vocab.encode(prefix_tokens)
-        )
-
-    def embed_text(self, tokens: list[str]) -> np.ndarray:
-        return self.embed_ids(self.vocab.encode(tokens))
-
-    def masked_logits(
-        self,
-        tokens: list[str],
-        position: int,
-        context_tokens: list[str] | None = None,
-    ) -> np.ndarray:
-        ctx = self.vocab.encode(context_tokens) if context_tokens is not None else None
-        return self.masked_logits_ids(self.vocab.encode(tokens), position, ctx)
-
     def generate(
-        self, input_tokens: list[str], decode: GreedyDecode | TopKDecode
+        self, input_ids: list[int] | np.ndarray, decode: GreedyDecode | TopKDecode
     ) -> list[str]:
-        """Decode until EOS or max_len; greedy breaks ties on lowest id.
+        """Decode the tokens of an answer to the input ``input_ids``, until
+        EOS or max_len; greedy breaks ties on lowest id.
 
         PAD/BOS/UNK/MASK are suppressed so generations stay plain text;
         EOS remains a candidate and stops the sequence. k is bounded by
@@ -225,7 +196,6 @@ class ToyBackend:
             if not 1 <= decode.k <= n_decodable:
                 raise ValueError(f"k must be in 1..{n_decodable}")
             rng = np.random.default_rng(derive_seed(decode.seed, "topk"))
-        input_ids = self.vocab.encode(input_tokens)
         out: list[int] = []
         for _ in range(decode.max_len):
             log_probs = self.log_probs_ids(input_ids, out).copy()

@@ -14,9 +14,11 @@ from __future__ import annotations
 
 import argparse
 import copy
+import functools
 import itertools
 import json
 import logging
+import operator
 import os
 import sys
 from dataclasses import replace
@@ -32,11 +34,17 @@ from .analysis import (
     winning_rate,
 )
 from .backend import GreedyDecode, TopKDecode, ToyBackend, derive_seed, load_checkpoint
-from .corpus import DatasetError, load_dataset, prepare_input_text, save_dataset
+from .corpus import DatasetError, load_dataset, save_dataset
 from .jsonio import config_digest, read_jsonl, write_artifact, write_jsonl_artifact
-from .metrics import score_corpus, tokenize
+from .metrics import score_corpus
 from .negatives import DEFAULT_STRATEGY, STRATEGIES, untrained_model
-from .objective import LossConfig, build_vocabulary, check_number_fields, finite_diff_check
+from .objective import (
+    LossConfig,
+    build_vocabulary,
+    check_number_fields,
+    encode_inputs,
+    finite_diff_check,
+)
 from .synth import build_split
 from .trainer import TrainConfig, train
 
@@ -130,36 +138,65 @@ def load_run_config(path: str | None, overrides: list[str] | None = None) -> tup
 
 def _check_config(config: dict) -> None:
     """Reject any value a subcommand would misread, at every sweep grid
-    point; the dict itself is left as it is, because its digest stamps
-    the artifacts."""
+    point, naming the grid point when a sweep is set; the dict itself is
+    left as it is, because its digest stamps the artifacts."""
+    swept = any(values is not None for values in config["sweep"].values())
     for run in _expand_sweep(config):
-        _train_config(run)
+        try:
+            _train_config(run)
+        except ValueError as exc:
+            if not swept:
+                raise
+            raise ConfigError(f"sweep run {_run_name(run)}: {exc}") from exc
     decode = config["decode"]
     if decode["method"] not in ("greedy", "top_k"):
         raise ConfigError(f"unknown decode method {decode['method']!r}")
-    check_number_fields(TopKDecode(k=decode["k"], seed=decode["seed"], max_len=decode["max_len"]))
+    try:
+        check_number_fields(
+            TopKDecode(k=decode["k"], seed=decode["seed"], max_len=decode["max_len"])
+        )
+    except ValueError as exc:
+        raise ConfigError(f"decode.{exc}") from exc
+    if decode["k"] < 1:
+        raise ConfigError("decode.k must be >= 1")
     if config["report"]["stratify_by"] not in [None, *STRATA]:
         raise ConfigError(f"unknown report.stratify_by {config['report']['stratify_by']!r}")
 
 
+# the run-config key of each TrainConfig field but ``loss``
+_TRAIN_KEYS = {
+    "effective_batch": "train.effective_batch",
+    "micro_batch": "train.micro_batch",
+    "lr0": "train.lr0",
+    "max_epochs": "train.max_epochs",
+    "warmup_steps": "train.warmup_steps",
+    "negative_strategy": "negatives.strategy",
+    "m": "negatives.m",
+    "k": "negatives.k",
+    "threshold": "negatives.threshold",
+    "attempts": "negatives.attempts",
+    "max_gen_len": "decode.max_len",
+    "d": "model.d",
+    "seed": "seed",
+    "template_id": "template_id",
+}
+
+
 def _train_config(config: dict) -> TrainConfig:
-    return TrainConfig(
-        effective_batch=config["train"]["effective_batch"],
-        micro_batch=config["train"]["micro_batch"],
-        lr0=config["train"]["lr0"],
-        max_epochs=config["train"]["max_epochs"],
-        warmup_steps=config["train"]["warmup_steps"],
-        loss=LossConfig(**config["loss"]),
-        negative_strategy=config["negatives"]["strategy"],
-        m=config["negatives"]["m"],
-        k=config["negatives"]["k"],
-        threshold=config["negatives"]["threshold"],
-        attempts=config["negatives"]["attempts"],
-        max_gen_len=config["decode"]["max_len"],
-        d=config["model"]["d"],
-        seed=config["seed"],
-        template_id=config["template_id"],
-    )
+    """The config's TrainConfig; an error that begins with a field name
+    begins with its config key instead."""
+    values = {
+        name: functools.reduce(operator.getitem, key.split("."), config)
+        for name, key in _TRAIN_KEYS.items()
+    }
+    try:
+        return TrainConfig(loss=LossConfig(**config["loss"]), **values)
+    except ValueError as exc:
+        name, _, problem = str(exc).partition(" ")
+        keys = {**{field: f"loss.{field}" for field in config["loss"]}, **_TRAIN_KEYS}
+        if name not in keys:
+            raise
+        raise ConfigError(f"{keys[name]} {problem}") from exc
 
 
 def _meta(digest: str, seed: int) -> dict:
@@ -210,10 +247,8 @@ def _generate(backend: ToyBackend, examples, decode: dict, template_id: str) -> 
                        max_len=decode["max_len"])
             for ex in examples
         )
-    return [
-        " ".join(backend.generate(tokenize(prepare_input_text(ex, template_id)), how))
-        for ex, how in zip(examples, decodes)
-    ]
+    inputs = encode_inputs(backend.vocab, examples, template_id)
+    return [" ".join(backend.generate(ids, how)) for ids, how in zip(inputs, decodes)]
 
 
 def cmd_generate(args) -> int:
@@ -407,6 +442,10 @@ def _expand_sweep(config: dict) -> list[dict]:
         "m": sweep["m"] or [config["negatives"]["m"]],
         "strategy": sweep["strategy"] or [config["negatives"]["strategy"]],
     }
+    for key, values in axes.items():
+        repeated = [v for i, v in enumerate(values) if v in values[:i]]
+        if repeated:
+            raise ConfigError(f"sweep.{key} repeats the value {repeated[0]!r}")
     runs = []
     for lb, ls, m, strategy in itertools.product(
         axes["lambda_b"], axes["lambda_s"], axes["m"], axes["strategy"]
@@ -421,6 +460,13 @@ def _expand_sweep(config: dict) -> list[dict]:
     return runs
 
 
+def _run_name(run: dict) -> str:
+    return (
+        f"lb{run['loss']['lambda_b']}_ls{run['loss']['lambda_s']}"
+        f"_m{run['negatives']['m']}_{run['negatives']['strategy']}"
+    )
+
+
 def cmd_sweep(args) -> int:
     config, digest = load_run_config(args.config, args.set)
     runs = _expand_sweep(config)
@@ -431,10 +477,7 @@ def cmd_sweep(args) -> int:
         valid_set = load_dataset(args.valid)
     rows = []
     for run in runs:
-        name = (
-            f"lb{run['loss']['lambda_b']}_ls{run['loss']['lambda_s']}"
-            f"_m{run['negatives']['m']}_{run['negatives']['strategy']}"
-        )
+        name = _run_name(run)
         row = {
             "run": name,
             "lambda_b": run["loss"]["lambda_b"],

@@ -17,8 +17,6 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
 
-from .metrics import tokenize
-
 
 class QuestionType(Enum):
     CAUSE = "cause"
@@ -160,40 +158,14 @@ TEMPLATES = {
 }
 
 
-@dataclass(frozen=True)
-class SerializedInput:
-    text: str
-    token_count: int
-
-
-def serialize_input(
-    example: InferenceExample, template_id: str = "default"
-) -> SerializedInput:
-    """Flatten an example into backend input text, deterministically.
-
-    Clipped-subsequent-event examples must be pre-clipped (clip_dialogue
-    with target at the last turn is the identity, so an already-clipped
-    example always passes).
-    """
+def prepare_input_text(example: InferenceExample, template_id: str = "default") -> str:
+    """Flatten an example into model input text, deterministically;
+    clipped-subsequent-event examples are clipped at the target first."""
     if template_id not in TEMPLATES:
         raise ValueError(f"unknown template_id {template_id!r}")
-    if (
-        example.question is QuestionType.SUBSEQUENT_EVENT_CLIPPED
-        and len(example.dialogue) > example.target_index
-    ):
-        raise ValueError(
-            f"example {example.id}: subsequent_event_clipped input must be "
-            "clipped before serialization"
-        )
-    text = TEMPLATES[template_id](example)
-    return SerializedInput(text=text, token_count=len(tokenize(text)))
-
-
-def prepare_input_text(example: InferenceExample, template_id: str = "default") -> str:
-    """Clip when the question type demands it, then serialize."""
     if example.question is QuestionType.SUBSEQUENT_EVENT_CLIPPED:
         example = clip_dialogue(example)
-    return serialize_input(example, template_id).text
+    return TEMPLATES[template_id](example)
 
 
 # --- loading / saving ------------------------------------------------------

@@ -16,9 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .backend import ToyBackend
-from .corpus import InferenceExample, prepare_input_text
-from .metrics import tokenize
-from .objective import LossConfig
+from .corpus import InferenceExample
+from .objective import LossConfig, encode_set
 from .synth import build_corpus
 from .trainer import TrainConfig, train
 
@@ -29,14 +28,12 @@ def validation_margin(
     template_id: str = "default",
 ) -> float:
     """Mean gold-vs-hardest-negative cosine margin of input embeddings."""
+    enc = encode_set(backend, examples, [list(ex.counterfactuals) for ex in examples], template_id)
     total = 0.0
-    for ex in examples:
-        h_x = backend.embed_text(tokenize(prepare_input_text(ex, template_id)))
-        h_gold = backend.embed_text(tokenize(ex.answer))
-        neg_sims = [
-            float(h_x @ backend.embed_text(tokenize(neg)))
-            for neg in ex.counterfactuals
-        ]
+    for input_ids, answer_ids, negatives in zip(enc.inputs, enc.answers, enc.negatives):
+        h_x = backend.embed_ids(input_ids)
+        h_gold = backend.embed_ids(answer_ids[:-1])  # the answer without EOS
+        neg_sims = [float(h_x @ backend.embed_ids(ids)) for ids in negatives]
         total += float(h_x @ h_gold) - max(neg_sims)
     return total / len(examples)
 

@@ -26,9 +26,9 @@ from typing import Callable
 import numpy as np
 
 from .backend import SPECIALS, TopKDecode, ToyBackend, Vocabulary, derive_seed
-from .corpus import InferenceExample, normalize_answer, prepare_input_text
+from .corpus import InferenceExample, normalize_answer
 from .metrics import tokenize
-from .objective import LossConfig, build_vocabulary, encode_set, forward
+from .objective import LossConfig, build_vocabulary, encode_inputs, encode_set, forward
 
 
 @dataclass(frozen=True)
@@ -103,7 +103,7 @@ def generate_nonoptimal(
     all collide is dropped and recorded in provenance.
     """
     gold = normalize_answer(example.answer)
-    input_tokens = tokenize(prepare_input_text(example, template_id))
+    input_ids = encode_inputs(backend.vocab, [example], template_id)[0]
     negatives: list[str] = []
     provenance: list[dict] = []
     for slot in range(m):
@@ -113,7 +113,7 @@ def generate_nonoptimal(
             used_attempts = attempt + 1
             slot_seed = derive_seed(seed, example.id, "non_optimal", slot, attempt)
             sample_tokens = backend.generate(
-                input_tokens, TopKDecode(k=k, seed=slot_seed, max_len=max_len)
+                input_ids, TopKDecode(k=k, seed=slot_seed, max_len=max_len)
             )
             text = " ".join(sample_tokens)
             if text and normalize_answer(text) != gold:
@@ -145,10 +145,12 @@ def replacement_deltas(
 ) -> np.ndarray:
     """|log p(a_j | context + answer\\j) - log p(a_j | answer\\j)| per
     gold-answer position, from the masked scorer."""
-    answer_ids = scorer.vocab.encode(tokenize(example.answer))
-    if not answer_ids:
-        raise ValueError(f"example {example.id}: empty answer")
-    context_ids = scorer.vocab.encode(tokenize(prepare_input_text(example, template_id)))
+    enc = encode_set(scorer, [example], template_id=template_id)
+    return _deltas(scorer, enc.answers[0][:-1], enc.inputs[0])
+
+
+def _deltas(scorer: ToyBackend, answer_ids, context_ids) -> np.ndarray:
+    """:func:`replacement_deltas` of an answer and an input already encoded."""
     deltas = np.empty(len(answer_ids))
     for j, gold_id in enumerate(answer_ids):
         with_ctx = scorer.masked_logits_ids(answer_ids, j, context_ids)[gold_id]
@@ -182,13 +184,11 @@ def token_replace(
     top-k, the (k+1)-th ranked token steps in. Output token count always
     equals the gold token count.
     """
-    if "masked_logits" not in getattr(scorer, "capabilities", ()):
-        raise ValueError("scorer does not support masked_logits")
-    answer_tokens = tokenize(example.answer)
+    answer_tokens = tokenize(example.answer)  # an out-of-vocabulary token keeps its surface form
     if not answer_tokens:
         raise ValueError(f"example {example.id}: empty answer")
     answer_ids = scorer.vocab.encode(answer_tokens)
-    deltas = replacement_deltas(scorer, example, template_id)
+    deltas = _deltas(scorer, answer_ids, encode_inputs(scorer.vocab, [example], template_id)[0])
     positions, fallback = select_positions(deltas, cfg.threshold)
 
     special_ids = {scorer.vocab.id_of(t) for t in SPECIALS}

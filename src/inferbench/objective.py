@@ -79,18 +79,25 @@ def _answer_ids(backend: ToyBackend, answer: str) -> list[int]:
 
 
 def build_vocabulary(examples: list[InferenceExample], template_id: str = "default") -> Vocabulary:
-    """Vocabulary over the input texts, gold answers and counterfactuals."""
-    texts = []
+    """Vocabulary over the sorted tokens of the input texts, gold answers
+    and counterfactuals."""
+    tokens = set()
     for ex in examples:
-        texts.append(prepare_input_text(ex, template_id))
-        texts.append(ex.answer)
-        texts.extend(ex.counterfactuals)
-    return Vocabulary.from_texts(texts)
+        for text in (prepare_input_text(ex, template_id), ex.answer, *ex.counterfactuals):
+            tokens.update(tokenize(text))
+    return Vocabulary(sorted(tokens))
 
 
 def encode_texts(vocab: Vocabulary, texts: list[str]) -> list[np.ndarray]:
     """Token ids of each text; out-of-vocabulary tokens map to UNK."""
     return [np.array(vocab.encode(tokenize(text)), dtype=np.intp) for text in texts]
+
+
+def encode_inputs(
+    vocab: Vocabulary, examples: list[InferenceExample], template_id: str = "default"
+) -> list[np.ndarray]:
+    """Token ids of each example's input text under ``template_id``."""
+    return encode_texts(vocab, [prepare_input_text(ex, template_id) for ex in examples])
 
 
 @dataclass(frozen=True)
@@ -129,7 +136,7 @@ def encode_set(
     vocab = backend.vocab
     return EncodedSet(
         example_ids=[ex.id for ex in examples],
-        inputs=encode_texts(vocab, [prepare_input_text(ex, template_id) for ex in examples]),
+        inputs=encode_inputs(vocab, examples, template_id),
         answers=[np.array(_answer_ids(backend, ex.answer), dtype=np.intp) for ex in examples],
         negatives=None if negatives is None else [encode_texts(vocab, negs) for negs in negatives],
     )

@@ -57,6 +57,13 @@ class TrainConfig:
             raise ValueError("lr0 must be non-negative")
         if self.max_epochs < 1:
             raise ValueError("max_epochs must be >= 1")
+        if self.warmup_steps < 0:
+            raise ValueError("warmup_steps must be >= 0")
+        for name in ("m", "k", "attempts", "max_gen_len"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
+        if self.threshold <= 0:
+            raise ValueError("threshold must be > 0")
         if self.negative_strategy not in [*STRATEGIES, "none"]:
             raise ValueError(f"unknown negative strategy {self.negative_strategy!r}")
         if self.negative_strategy == "none" and self.loss.lambda_s > 0:

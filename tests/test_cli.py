@@ -347,13 +347,25 @@ def small_checkpoint(tmp_path_factory, small_data):
         ("sweep --dry-run", ['sweep.strategy=["none"]'], "lambda_s > 0 needs a negative strategy"),
         ("sweep --dry-run", ['sweep.m="12"'], "sweep.m must be a list or null"),
         ("sweep", ["sweep.m=5"], "sweep.m must be a list or null"),
-        ("generate", ['decode.max_len="5"'], "max_gen_len must be int"),
+        ("generate", ['decode.max_len="5"'], "decode.max_len must be int"),
         ("perturb", ['negatives.m="2"'], "m must be int"),
         ("generate", ["decode.method=top_k", 'decode.seed="x"'], "seed must be int"),
         ("gradcheck", ["model.d=0"], "d must be >= 1"),
         ("train", ['loss.tau_b="a"'], "tau_b must be float"),
         ("gradcheck", ['loss.tau_b="a"'], "tau_b must be float"),
         ("train", ["template_id=[1]"], "unknown template_id [1]"),
+        ("sweep --dry-run", ["sweep.m=[2,2]"], "sweep.m repeats the value 2"),
+        ("train", ["negatives.strategy=non_optimal", "negatives.k=0"], "negatives.k must be >= 1"),
+        ("train", ["negatives.strategy=non_optimal", "negatives.attempts=0"],
+         "negatives.attempts must be >= 1"),
+        ("train", ["negatives.strategy=non_optimal", "negatives.m=0"], "negatives.m must be >= 1"),
+        ("train", ["negatives.strategy=non_optimal", "decode.max_len=0"],
+         "decode.max_len must be >= 1"),
+        ("train", ["negatives.threshold=0"], "negatives.threshold must be > 0"),
+        ("train", ["train.warmup_steps=-3"], "train.warmup_steps must be >= 0"),
+        ("generate", ["decode.method=top_k", "decode.k=0"], "decode.k must be >= 1"),
+        ("sweep --dry-run", ["sweep.lambda_s=[0.5,-1]"],
+         "sweep run lb0.5_ls-1_m4_counterfactual: loss coefficients must be non-negative"),
     ],
 )
 def test_bad_config_is_json_error_at_load(

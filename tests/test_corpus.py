@@ -12,7 +12,6 @@ from inferbench.corpus import (
     normalize_answer,
     prepare_input_text,
     save_dataset,
-    serialize_input,
 )
 
 from conftest import make_example
@@ -105,27 +104,24 @@ def test_serialize_default_template_exact():
         answer="they want to leave .",
         counterfactuals=(),
     )
-    out = serialize_input(ex, "default")
-    assert out.text == (
+    out = prepare_input_text(ex, "default")
+    assert out == (
         "What is or could be the motivation of target?\n"
         "target: yes let us go .\n"
         "context: A: shall we go ?\n"
         "B: yes let us go ."
     )
-    from inferbench.metrics import tokenize
-
-    assert out.token_count == len(tokenize(out.text))
 
 
 def test_serialize_deterministic(example):
-    a = serialize_input(example)
-    b = serialize_input(example)
+    a = prepare_input_text(example)
+    b = prepare_input_text(example)
     assert a == b
 
 
 def test_serialize_unknown_template(example):
     with pytest.raises(ValueError, match="template_id"):
-        serialize_input(example, "nope")
+        prepare_input_text(example, "nope")
 
 
 def test_serialize_requires_pre_clipped():
@@ -135,10 +131,8 @@ def test_serialize_requires_pre_clipped():
         question=QuestionType.SUBSEQUENT_EVENT_CLIPPED,
         counterfactuals=(),
     )
-    with pytest.raises(ValueError, match="clipped"):
-        serialize_input(ex)
     clipped = clip_dialogue(ex)
-    text = serialize_input(clipped).text
+    text = prepare_input_text(clipped)
     assert "three" not in text
     assert "two" in text
 
@@ -159,7 +153,7 @@ def test_speaker_ids_template():
         target_index=2,
         counterfactuals=(),
     )
-    text = serialize_input(ex, "speaker_ids").text
+    text = prepare_input_text(ex, "speaker_ids")
     assert "speaker_1: hello there ." in text
     assert "speaker_2: hi alice ." in text
     assert "alice:" not in text
