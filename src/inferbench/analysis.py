@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .metrics import tokenize
+from .metrics import stratify, tokenize
 from .porter import stem
 
 CHOICES = ("option_1", "option_2", "both", "neither")
@@ -60,32 +60,62 @@ def _group_items(judgments: list[Judgment]) -> dict[str, list[Judgment]]:
     return items
 
 
-def _other(side: str) -> str:
-    return "option_2" if side == "option_1" else "option_1"
+@dataclass(frozen=True)
+class _Item:
+    """One row of the per-item table every comparison report is built from.
+
+    For a judged item, ``votes`` counts its judgments per ``CHOICES``
+    entry. A pair of automatic scores counts as one vote: its credits
+    are the two scores and its outcome is their order.
+    """
+
+    id: str
+    outcome: int  # 1: option_1 wins, -1: option_2 wins, 0: tie
+    credit: tuple[float, float]  # winning-rate credit per option: its votes plus "both"
+    n_votes: int
+    votes: tuple[int, ...] | None = None  # the item's row of the kappa table
+
+
+def _judged_items(judgments: list[Judgment]) -> list[_Item]:
+    """One row per item, in order of first appearance."""
+    rows = []
+    for item_id, js in _group_items(judgments).items():
+        votes = [0] * len(CHOICES)
+        for j in js:
+            votes[CHOICES.index(j.choice)] += 1
+        v1, v2, both, _ = votes
+        # strict majority: more than half of the item's judgments
+        outcome = 1 if v1 > len(js) / 2 else -1 if v2 > len(js) / 2 else 0
+        rows.append(_Item(item_id, outcome, (v1 + both, v2 + both), len(js), tuple(votes)))
+    return rows
+
+
+def _side_index(side: str) -> int:
+    if side not in ("option_1", "option_2"):
+        raise ValueError("side must be option_1 or option_2")
+    return CHOICES.index(side)
+
+
+def _ratios(outcomes: list[int]) -> dict[str, float]:
+    n = len(outcomes)
+    return {
+        "win": 100.0 * outcomes.count(1) / n,
+        "tie": 100.0 * outcomes.count(0) / n,
+        "lose": 100.0 * outcomes.count(-1) / n,
+    }
+
+
+def _rate(items: list[_Item], side: int) -> tuple[float, list[float]]:
+    """Winning rate of option ``side`` (0 or 1): its credit per vote over
+    all items, plus each item's own credit per vote."""
+    rate = sum(it.credit[side] for it in items) / sum(it.n_votes for it in items)
+    return rate, [it.credit[side] / it.n_votes for it in items]
 
 
 def win_tie_lose(judgments: list[Judgment], side: str = "option_1") -> dict[str, float]:
     """Percentage of items won/tied/lost for ``side`` under strict majority."""
-    if side not in ("option_1", "option_2"):
-        raise ValueError("side must be option_1 or option_2")
-    items = _group_items(judgments)
-    win = tie = lose = 0
-    for js in items.values():
-        n = len(js)
-        votes_side = sum(1 for j in js if j.choice == side)
-        votes_other = sum(1 for j in js if j.choice == _other(side))
-        if votes_side > n / 2:
-            win += 1
-        elif votes_other > n / 2:
-            lose += 1
-        else:
-            tie += 1
-    total = len(items)
-    return {
-        "win": 100.0 * win / total,
-        "tie": 100.0 * tie / total,
-        "lose": 100.0 * lose / total,
-    }
+    sign = 1 if _side_index(side) == 0 else -1
+    return _ratios([sign * it.outcome for it in _judged_items(judgments)])
 
 
 def winning_rate(
@@ -93,18 +123,10 @@ def winning_rate(
 ) -> tuple[float, dict[str, float]]:
     """Mean per-judgment score (1 when the side or "both" is chosen)
     plus the per-item mean series used by the paired t-test."""
-    if side not in ("option_1", "option_2"):
-        raise ValueError("side must be option_1 or option_2")
-    items = _group_items(judgments)
-    per_item = {}
-    total = 0.0
-    count = 0
-    for item_id, js in items.items():
-        scores = [1.0 if j.choice in (side, "both") else 0.0 for j in js]
-        per_item[item_id] = sum(scores) / len(scores)
-        total += sum(scores)
-        count += len(scores)
-    return total / count, per_item
+    side_index = _side_index(side)
+    items = _judged_items(judgments)
+    rate, per_item = _rate(items, side_index)
+    return rate, {it.id: r for it, r in zip(items, per_item)}
 
 
 def fleiss_kappa_table(table: list[list[int]]) -> float:
@@ -135,14 +157,7 @@ def fleiss_kappa_table(table: list[list[int]]) -> float:
 
 def fleiss_kappa(judgments: list[Judgment]) -> float:
     """Fleiss kappa over the four canonical choice categories."""
-    items = _group_items(judgments)
-    table = []
-    for js in items.values():
-        row = [0] * len(CHOICES)
-        for j in js:
-            row[CHOICES.index(j.choice)] += 1
-        table.append(row)
-    return fleiss_kappa_table(table)
+    return fleiss_kappa_table([it.votes for it in _judged_items(judgments)])
 
 
 # --- Student t machinery -----------------------------------------------------
@@ -319,71 +334,56 @@ class ComparisonReport:
         }
 
 
-def _stats_for(judgments: list[Judgment], side: str) -> ComparisonStats:
-    items = _group_items(judgments)
-    n_items = len(items)
-    ratios = win_tie_lose(judgments, side)
-    rate_1, per_item_1 = winning_rate(judgments, "option_1")
-    rate_2, per_item_2 = winning_rate(judgments, "option_2")
+def _stats(items: list[_Item]) -> ComparisonStats:
+    """Ratios and winning rates of a set of table rows; from 2 items on,
+    kappa (judged items only) and the option_1-vs-option_2 paired
+    t-test over the items in id order."""
+    rate_1, per_item_1 = _rate(items, 0)
+    rate_2, per_item_2 = _rate(items, 1)
     stats = ComparisonStats(
-        n_items=n_items,
-        win=ratios["win"],
-        tie=ratios["tie"],
-        lose=ratios["lose"],
+        n_items=len(items),
+        **_ratios([it.outcome for it in items]),
         winning_rate_1=rate_1,
         winning_rate_2=rate_2,
     )
-    if n_items >= 2:
+    if len(items) < 2:
+        return stats
+    if items[0].votes is not None:
         try:
-            stats.kappa = fleiss_kappa(judgments)
+            stats.kappa = fleiss_kappa_table([it.votes for it in items])
         except DegenerateAgreementError:
-            stats.kappa = None
             stats.degenerate = True
-        ordered = sorted(items)
-        test = paired_ttest(
-            [per_item_1[i] for i in ordered], [per_item_2[i] for i in ordered]
-        )
-        stats.t_statistic = None if math.isinf(test.t) else test.t
-        stats.df = test.df
-        stats.p_value = test.p_value
-        stats.significant_at_005 = test.p_value < 0.05
-        stats.degenerate = stats.degenerate or test.degenerate
+    order = sorted(range(len(items)), key=lambda k: items[k].id)
+    test = paired_ttest([per_item_1[k] for k in order], [per_item_2[k] for k in order])
+    stats.t_statistic = None if math.isinf(test.t) else test.t
+    stats.df = test.df
+    stats.p_value = test.p_value
+    stats.significant_at_005 = test.p_value < 0.05
+    stats.degenerate = stats.degenerate or test.degenerate
     return stats
 
 
+def _report(items: list[_Item], labels: dict[str, str] | None, rule: str) -> ComparisonReport:
+    """Overall statistics plus, when ``labels`` is given, those of each
+    stratum's rows of the same table."""
+    report = ComparisonReport(overall=_stats(items), aggregation_rule=rule)
+    if labels is not None:
+        for label, idxs in stratify([it.id for it in items], labels):
+            report.strata[label] = _stats([items[k] for k in idxs])
+    return report
+
+
 def stratified_compare(
-    judgments: list[Judgment],
-    labels: dict[str, str] | None = None,
-    side: str = "option_1",
-    expected_labels: list[str] | None = None,
+    judgments: list[Judgment], labels: dict[str, str] | None = None
 ) -> ComparisonReport:
     """Win/tie/lose, winning rates, kappa and the option_1-vs-option_2
     paired t-test, overall and per stratum.
 
-    Every item must be labeled when ``labels`` is given. Strata with
-    fewer than 2 items keep their ratios but report the inferential
-    statistics as None; ``expected_labels`` may name strata that must
-    appear in the report even when empty.
+    Every item must be labeled when ``labels`` is given, and every label
+    must name an item. Strata with fewer than 2 items keep their ratios
+    but report the inferential statistics as None.
     """
-    items = _group_items(judgments)
-    report = ComparisonReport(overall=_stats_for(judgments, side))
-    if labels is None and expected_labels is None:
-        return report
-    labels = labels or {}
-    unlabeled = [i for i in items if i not in labels]
-    if unlabeled:
-        raise ValueError(f"items without a stratum label: {unlabeled[:5]}")
-    by_label: dict[str, list[Judgment]] = {}
-    for j in judgments:
-        by_label.setdefault(labels[j.item_id], []).append(j)
-    for label in expected_labels or []:
-        by_label.setdefault(label, [])
-    for label, js in sorted(by_label.items()):
-        if not js:
-            report.strata[label] = ComparisonStats(n_items=0)
-        else:
-            report.strata[label] = _stats_for(js, side)
-    return report
+    return _report(_judged_items(judgments), labels, "strict_majority")
 
 
 def compare_metric_scores(
@@ -397,40 +397,8 @@ def compare_metric_scores(
         raise ValueError("score maps must cover the same item ids")
     if not scores_a:
         raise ValueError("no items to compare")
-
-    def stats_for(ids: list[str]) -> ComparisonStats:
-        n = len(ids)
-        win = sum(1 for i in ids if scores_a[i] > scores_b[i])
-        lose = sum(1 for i in ids if scores_a[i] < scores_b[i])
-        tie = n - win - lose
-        stats = ComparisonStats(
-            n_items=n,
-            win=100.0 * win / n,
-            tie=100.0 * tie / n,
-            lose=100.0 * lose / n,
-            winning_rate_1=sum(scores_a[i] for i in ids) / n,
-            winning_rate_2=sum(scores_b[i] for i in ids) / n,
-        )
-        if n >= 2:
-            test = paired_ttest([scores_a[i] for i in ids], [scores_b[i] for i in ids])
-            stats.t_statistic = None if math.isinf(test.t) else test.t
-            stats.df = test.df
-            stats.p_value = test.p_value
-            stats.significant_at_005 = test.p_value < 0.05
-            stats.degenerate = test.degenerate
-        return stats
-
-    all_ids = sorted(scores_a)
-    report = ComparisonReport(
-        overall=stats_for(all_ids), aggregation_rule="score_order"
-    )
-    if labels is not None:
-        unlabeled = [i for i in all_ids if i not in labels]
-        if unlabeled:
-            raise ValueError(f"items without a stratum label: {unlabeled[:5]}")
-        by_label: dict[str, list[str]] = {}
-        for i in all_ids:
-            by_label.setdefault(labels[i], []).append(i)
-        for label, ids in sorted(by_label.items()):
-            report.strata[label] = stats_for(ids)
-    return report
+    items = []
+    for i in sorted(scores_a):
+        a, b = scores_a[i], scores_b[i]
+        items.append(_Item(i, (a > b) - (a < b), (a, b), 1))
+    return _report(items, labels, "score_order")

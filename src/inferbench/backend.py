@@ -106,11 +106,6 @@ class Gradients:
             b=np.zeros_like(backend.b),
         )
 
-    def add_scaled(self, other: "Gradients", scale: float = 1.0) -> None:
-        self.E += scale * other.E
-        self.U += scale * other.U
-        self.b += scale * other.b
-
 
 @dataclass(frozen=True)
 class GreedyDecode:

@@ -18,6 +18,10 @@ from enum import Enum
 from pathlib import Path
 
 
+# dataset counterfactuals an example may carry (CICERO has four wrong choices)
+MAX_COUNTERFACTUALS = 4
+
+
 class QuestionType(Enum):
     CAUSE = "cause"
     SUBSEQUENT_EVENT = "subsequent_event"
@@ -101,8 +105,8 @@ class InferenceExample:
             )
         if not self.answer.strip():
             raise DatasetError(f"example {self.id}: empty answer")
-        if len(self.counterfactuals) > 4:
-            raise DatasetError(f"example {self.id}: more than 4 counterfactuals")
+        if len(self.counterfactuals) > MAX_COUNTERFACTUALS:
+            raise DatasetError(f"example {self.id}: more than {MAX_COUNTERFACTUALS} counterfactuals")
         gold = normalize_answer(self.answer)
         seen = set()
         for cf in self.counterfactuals:
@@ -250,7 +254,7 @@ def _example_from_cicero(obj: dict, where: str) -> InferenceExample:
             target_index=target_index,
             question=question,
             answer=answer,
-            counterfactuals=tuple(counterfactuals[:4]),
+            counterfactuals=tuple(counterfactuals[:MAX_COUNTERFACTUALS]),
             difficulty=(
                 Difficulty(str(obj["Difficulty"]).lower())
                 if obj.get("Difficulty")

@@ -311,6 +311,23 @@ class MetricReport:
         return out
 
 
+def stratify(ids: list[str], labels: dict[str, str]) -> list[tuple[str, list[int]]]:
+    """Positions in ``ids`` of each stratum's items, strata sorted by
+    label and items kept in order; every id needs a label and every
+    label an id."""
+    known = set(ids)
+    for ex_id in labels:
+        if ex_id not in known:
+            raise ValueError(f"strata label references unknown id {ex_id!r}")
+    missing = [ex_id for ex_id in ids if ex_id not in labels]
+    if missing:
+        raise ValueError(f"ids without a stratum label: {missing[:5]}")
+    by_label: dict[str, list[int]] = {}
+    for i, ex_id in enumerate(ids):
+        by_label.setdefault(labels[ex_id], []).append(i)
+    return sorted(by_label.items())
+
+
 def score_corpus(
     pairs: list[tuple[str, str]],
     ids: list[str] | None = None,
@@ -321,10 +338,12 @@ def score_corpus(
 
     BLEU is corpus-aggregated; METEOR-lite, ROUGE-L and CIDEr corpus
     values are means over pairs, CIDEr with document frequencies from
-    the full reference set. When ``strata_labels`` maps every id to a
-    label, each stratum gets a sub-report computed on that subset alone
-    (its own idf corpus included). CIDEr degrades to None with a warning
-    when the reference set has fewer than 2 distinct documents.
+    the full reference set. Each pair is tokenized and scored once.
+    When ``strata_labels`` maps every id to a label, each stratum's
+    sub-report equals the report of that subset alone: only its corpus
+    BLEU and its CIDEr (own idf corpus) are recomputed. CIDEr degrades
+    to None with a warning when the reference set has fewer than 2
+    distinct documents.
     """
     if not pairs:
         raise ValueError("empty corpus")
@@ -335,53 +354,42 @@ def score_corpus(
 
     hyps = [tokenize(h) for h, _ in pairs]
     refs = [tokenize(r) for _, r in pairs]
-    bleu_scores = bleu(hyps, refs)
     meteor_scores = [meteor_lite(h, r) for h, r in zip(hyps, refs)]
     rouge_scores = [rouge_l(h, r) for h, r in zip(hyps, refs)]
-    try:
-        cider_corpus, cider_scores = cider(hyps, refs)
-    except ValueError:
-        warnings.warn(
-            "cider skipped: fewer than 2 distinct reference documents", stacklevel=2
-        )
-        cider_corpus, cider_scores = None, [None] * len(pairs)
+    sentence_bleu = [bleu([h], [r]) for h, r in zip(hyps, refs)] if with_per_example else None
 
-    per_example = None
-    if with_per_example:
-        per_example = {}
-        for i, ex_id in enumerate(ids):
-            sent_bleu = bleu([hyps[i]], [refs[i]])
-            per_example[ex_id] = {
-                **{f"bleu_{n}": v for n, v in sent_bleu.items()},
-                "meteor": meteor_scores[i],
-                "rouge_l": rouge_scores[i],
-                "cider": cider_scores[i],
-            }
-
-    report = MetricReport(
-        bleu=bleu_scores,
-        meteor=sum(meteor_scores) / len(pairs),
-        rouge_l=sum(rouge_scores) / len(pairs),
-        cider=cider_corpus,
-        n_examples=len(pairs),
-        per_example=per_example,
-    )
-
-    if strata_labels is not None:
-        known = set(ids)
-        for ex_id in strata_labels:
-            if ex_id not in known:
-                raise ValueError(f"strata label references unknown id {ex_id!r}")
-        missing = [ex_id for ex_id in ids if ex_id not in strata_labels]
-        if missing:
-            raise ValueError(f"ids without a stratum label: {missing[:5]}")
-        by_label: dict[str, list[int]] = {}
-        for i, ex_id in enumerate(ids):
-            by_label.setdefault(strata_labels[ex_id], []).append(i)
-        for label, idxs in sorted(by_label.items()):
-            report.strata[label] = score_corpus(
-                [pairs[i] for i in idxs],
-                ids=[ids[i] for i in idxs],
-                with_per_example=with_per_example,
+    def report_for(idxs) -> MetricReport:
+        sub_hyps = [hyps[i] for i in idxs]
+        sub_refs = [refs[i] for i in idxs]
+        try:
+            cider_corpus, cider_scores = cider(sub_hyps, sub_refs)
+        except ValueError:
+            warnings.warn(
+                "cider skipped: fewer than 2 distinct reference documents", stacklevel=3
             )
+            cider_corpus, cider_scores = None, [None] * len(idxs)
+        per_example = None
+        if with_per_example:
+            per_example = {
+                ids[i]: {
+                    **{f"bleu_{n}": v for n, v in sentence_bleu[i].items()},
+                    "meteor": meteor_scores[i],
+                    "rouge_l": rouge_scores[i],
+                    "cider": pair_cider,
+                }
+                for i, pair_cider in zip(idxs, cider_scores)
+            }
+        return MetricReport(
+            bleu=bleu(sub_hyps, sub_refs),
+            meteor=sum(meteor_scores[i] for i in idxs) / len(idxs),
+            rouge_l=sum(rouge_scores[i] for i in idxs) / len(idxs),
+            cider=cider_corpus,
+            n_examples=len(idxs),
+            per_example=per_example,
+        )
+
+    report = report_for(range(len(pairs)))
+    if strata_labels is not None:
+        for label, idxs in stratify(ids, strata_labels):
+            report.strata[label] = report_for(idxs)
     return report

@@ -26,7 +26,7 @@ from typing import Callable
 import numpy as np
 
 from .backend import SPECIALS, TopKDecode, ToyBackend, Vocabulary, derive_seed
-from .corpus import InferenceExample, normalize_answer
+from .corpus import MAX_COUNTERFACTUALS, InferenceExample, normalize_answer
 from .metrics import tokenize
 from .objective import LossConfig, build_vocabulary, encode_inputs, encode_set, forward
 
@@ -66,8 +66,8 @@ class NegativeSet:
 def pick_counterfactuals(example: InferenceExample, m: int, seed: int = 0) -> NegativeSet:
     """m dataset counterfactuals; the full set keeps stored order, a
     strict subset is a seeded uniform draw without replacement."""
-    if not 1 <= m <= 4:
-        raise ValueError("m must be in 1..4")
+    if not 1 <= m <= MAX_COUNTERFACTUALS:
+        raise ValueError(f"m must be in 1..{MAX_COUNTERFACTUALS}")
     if len(example.counterfactuals) < m:
         raise ValueError(
             f"example {example.id}: {m} counterfactuals requested, "
@@ -286,6 +286,7 @@ class Strategy:
     build: Callable[..., list[NegativeSet]]
     needs_model: bool  # samples or scores with ``model``
     per_epoch: bool  # rebuilt from the live model every training epoch
+    max_m: int | None = None  # the most negatives per example it can give
 
 
 def _counterfactual(model, examples, config, seed):
@@ -318,7 +319,9 @@ def _replace_mcq(model, examples, config, seed):
 
 
 STRATEGIES = {
-    "counterfactual": Strategy(_counterfactual, needs_model=False, per_epoch=False),
+    "counterfactual": Strategy(
+        _counterfactual, needs_model=False, per_epoch=False, max_m=MAX_COUNTERFACTUALS
+    ),
     "non_optimal": Strategy(_non_optimal, needs_model=True, per_epoch=True),
     "replace_zs": Strategy(_replace_zs, needs_model=True, per_epoch=False),
     "replace_mcq": Strategy(_replace_mcq, needs_model=True, per_epoch=False),

@@ -66,6 +66,9 @@ class TrainConfig:
             raise ValueError("threshold must be > 0")
         if self.negative_strategy not in [*STRATEGIES, "none"]:
             raise ValueError(f"unknown negative strategy {self.negative_strategy!r}")
+        strategy = STRATEGIES.get(self.negative_strategy)
+        if strategy and strategy.max_m is not None and self.m > strategy.max_m:
+            raise ValueError(f"m must be <= {strategy.max_m}")
         if self.negative_strategy == "none" and self.loss.lambda_s > 0:
             raise ValueError("lambda_s > 0 needs a negative strategy")
         if self.template_id not in [*TEMPLATES]:

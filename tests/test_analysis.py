@@ -261,15 +261,6 @@ def test_strata_equal_subset_runs():
     assert report.strata["easy"].to_dict() == sub_report.overall.to_dict()
 
 
-def test_empty_stratum_marked_undefined():
-    js = mixed_judgments()
-    labels = {f"i{k}": "present" for k in range(1, 7)}
-    report = stratified_compare(js, labels, expected_labels=["present", "missing"])
-    assert report.strata["missing"].n_items == 0
-    assert report.strata["missing"].kappa is None
-    assert report.strata["missing"].p_value is None
-
-
 def test_small_stratum_statistics_undefined():
     js = mixed_judgments()
     labels = {f"i{k}": ("solo" if k == 1 else "rest") for k in range(1, 7)}
@@ -284,6 +275,14 @@ def test_unlabeled_item_rejected():
     js = mixed_judgments()
     with pytest.raises(ValueError, match="label"):
         stratified_compare(js, {"i1": "x"})
+
+
+def test_label_for_unknown_item_rejected():
+    labels = {f"i{k}": "x" for k in range(1, 8)}
+    with pytest.raises(ValueError, match="unknown id 'i7'"):
+        stratified_compare(mixed_judgments(), labels)
+    with pytest.raises(ValueError, match="unknown id 'w'"):
+        compare_metric_scores({"x": 1.0}, {"x": 0.5}, labels={"x": "s1", "w": "s1"})
 
 
 def test_report_serializes():

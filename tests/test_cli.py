@@ -366,6 +366,9 @@ def small_checkpoint(tmp_path_factory, small_data):
         ("generate", ["decode.method=top_k", "decode.k=0"], "decode.k must be >= 1"),
         ("sweep --dry-run", ["sweep.lambda_s=[0.5,-1]"],
          "sweep run lb0.5_ls-1_m4_counterfactual: loss coefficients must be non-negative"),
+        ("train", ["negatives.m=5"], "negatives.m must be <= 4"),
+        ("sweep --dry-run", ["sweep.m=[1,5]"],
+         "sweep run lb0.5_ls0.5_m5_counterfactual: negatives.m must be <= 4"),
     ],
 )
 def test_bad_config_is_json_error_at_load(

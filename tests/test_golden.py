@@ -1,4 +1,5 @@
-"""Golden pins: exact decodes and negatives on a fixed tiny split.
+"""Golden pins: exact decodes, negatives and evaluation reports on fixed
+tiny splits.
 
 The other tests check that reruns agree with each other; these check
 that the strings themselves stay the same from one version to the next.
@@ -6,10 +7,17 @@ The model is untrained with its parameters scaled up, so that decodes
 vary and replacement deltas clear the threshold. Its vocabulary covers
 only the first four examples, so the last two carry out-of-vocabulary
 answer tokens, which token replacement must keep in their surface form.
+The reports are pinned by the sha256 of their canonical JSON plus a few
+of their fields.
 """
+
+import hashlib
+import json
+import warnings
 
 import pytest
 
+from inferbench.analysis import compare_metric_scores, stratified_compare
 from inferbench.backend import GreedyDecode, TopKDecode, ToyBackend, derive_seed
 from inferbench.negatives import (
     ReplaceConfig,
@@ -17,8 +25,10 @@ from inferbench.negatives import (
     token_replace,
     train_mcq_scorer,
 )
+from inferbench.jsonio import canonical_dumps
+from inferbench.metrics import score_corpus
 from inferbench.objective import build_vocabulary, encode_inputs
-from inferbench.synth import build_split
+from inferbench.synth import build_judgments, build_split
 
 GREEDY = [
     "sure b about announced announced announced announced announced",
@@ -117,3 +127,74 @@ def test_token_replace_negatives(split, model, mode):
         scorer, threshold = train_mcq_scorer(split[:4], d=8, seed=11, lr=20.0), 0.3
     cfg = ReplaceConfig(threshold=threshold, k=5, mode=mode, seed=11)
     assert [token_replace(scorer, ex, cfg, m=2).negatives for ex in split] == REPLACE[mode]
+
+
+# --- evaluation reports -------------------------------------------------------
+# build_split("golden", 8, 7) stratified by question type: two strata of
+# two items and four of one, where CIDEr is skipped and no t-test runs.
+
+@pytest.fixture(scope="module")
+def report_split():
+    split = build_split("golden", 8, 7)
+    ids = [ex.id for ex in split]
+    labels = {ex.id: ex.question.value for ex in split}
+    pairs_a = [(ex.counterfactuals[0], ex.answer) for ex in split]
+    # B is the gold answer, A's hypothesis or a truncated answer in turn,
+    # so that the comparison has wins, ties and losses
+    pairs_b = [
+        ([ex.answer, ex.counterfactuals[0], " ".join(ex.answer.split()[:4])][i % 3], ex.answer)
+        for i, ex in enumerate(split)
+    ]
+    return ids, labels, pairs_a, pairs_b
+
+
+def _canonical(report) -> tuple[str, dict]:
+    text = canonical_dumps(report.to_dict())
+    return hashlib.sha256(text.encode("utf-8")).hexdigest(), json.loads(text)
+
+
+def test_stratified_score_report(report_split):
+    ids, labels, pairs_a, _ = report_split
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        report = score_corpus(pairs_a, ids=ids, strata_labels=labels, with_per_example=True)
+    digest, payload = _canonical(report)
+    assert digest == "6c26e500fb5161758cd49de854863147ac6ecd052184a00f6bda5bdab4b4a29d"
+    assert payload["cider"] == 5.38319613583
+    assert payload["bleu"]["bleu_2"] == 0.782881361259
+    strata = payload["strata"]
+    assert {k: v["n_examples"] for k, v in strata.items()} == {
+        "cause": 2, "motivation": 1, "prerequisite": 1, "reaction": 1,
+        "subsequent_event": 2, "subsequent_event_clipped": 1,
+    }
+    assert strata["motivation"]["cider"] is None
+    assert strata["motivation"]["per_example"]["golden-0004"]["cider"] is None
+    assert strata["cause"]["cider"] == 0.0
+    assert payload["per_example"]["golden-0000"]["cider"] == 3.65234765235
+
+
+def test_metric_comparison_report(report_split):
+    ids, labels, pairs_a, pairs_b = report_split
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        a = score_corpus(pairs_a, ids=ids, with_per_example=True).per_example
+        b = score_corpus(pairs_b, ids=ids, with_per_example=True).per_example
+    report = compare_metric_scores(
+        {i: a[i]["meteor"] for i in ids}, {i: b[i]["meteor"] for i in ids}, labels
+    )
+    digest, payload = _canonical(report)
+    assert digest == "af0761d15adaee4f08a83d3074818515bd53d47a54173599de2a15fcbf41a222"
+    overall = payload["overall"]
+    assert (overall["win"], overall["tie"], overall["lose"]) == (25.0, 37.5, 37.5)
+    assert overall["t_statistic"] == 0.278384057157
+    assert payload["strata"]["cause"]["degenerate"] is True
+
+
+def test_judgment_comparison_report(report_split):
+    ids, labels, _, _ = report_split
+    report = stratified_compare(build_judgments(ids), labels)
+    digest, payload = _canonical(report)
+    assert digest == "a73af5f2008f4044d424eac2328052c9d66eb1c6a53aa0a9455d1a5691f2ce11"
+    assert payload["overall"]["kappa"] == 0.626943005181
+    assert payload["strata"]["subsequent_event"]["kappa"] == -0.2
+    assert payload["strata"]["motivation"]["p_value"] is None
