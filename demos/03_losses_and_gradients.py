@@ -5,16 +5,17 @@ finite-difference gradient gate."""
 
 from inferbench.backend import ToyBackend
 from inferbench.negatives import pick_counterfactuals
-from inferbench.objective import LossConfig, finite_diff_check, total_loss
+from inferbench.objective import LossConfig, encode_set, finite_diff_check, forward
 from inferbench.synth import build_split
 from inferbench.trainer import build_vocabulary
 
 batch = build_split("demo", 4, seed=3)
 negatives = [pick_counterfactuals(ex, m=4, seed=0).negatives for ex in batch]
 backend = ToyBackend(build_vocabulary(batch), d=8, seed=1)
+enc = encode_set(backend, batch, negatives)  # token ids, encoded once
 
 config = LossConfig()  # tau_b=0.1, tau_s=2.5, lambda_b=lambda_s=0.5
-breakdown = total_loss(backend, batch, negatives, config)
+breakdown = forward(backend, enc, config)
 print(f"nll   = {breakdown.nll:.6f}")
 print(f"cl_b  = {breakdown.cl_b:.6f}")
 print(f"cl_s  = {breakdown.cl_s:.6f}")
@@ -22,10 +23,10 @@ print(f"total = {breakdown.total:.6f}")
 recomposed = breakdown.nll + 0.5 * breakdown.cl_b + 0.5 * breakdown.cl_s
 print(f"identity residual = {abs(breakdown.total - recomposed):.2e}")
 
-ablation = total_loss(backend, batch, None, LossConfig(lambda_b=0.0, lambda_s=0.0))
+ablation = forward(backend, enc, LossConfig(lambda_b=0.0, lambda_s=0.0))
 print(f"\nwithout contrastive terms the total collapses to the nll: "
       f"{ablation.total:.6f} == {ablation.nll:.6f}")
 
-report = finite_diff_check(backend, batch, negatives, config, tol=1e-4)
+report = finite_diff_check(backend, enc, config, tol=1e-4)
 print(f"\ngradient gate: passed={report.passed} "
       f"checked={report.n_checked} max_error={report.max_error:.3e}")

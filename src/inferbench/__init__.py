@@ -43,13 +43,12 @@ from .negatives import (
     token_replace,
 )
 from .objective import (
+    EncodedSet,
     LossBreakdown,
     LossConfig,
-    cl_batch_loss,
-    cl_sample_loss,
+    encode_set,
     finite_diff_check,
-    nll_loss,
-    total_loss,
+    forward,
 )
 from .porter import stem
 from .trainer import CheckpointInfo, TrainConfig, lr_at, perplexity, train
@@ -92,13 +91,12 @@ __all__ = [
     "inbatch_negatives",
     "pick_counterfactuals",
     "token_replace",
+    "EncodedSet",
     "LossBreakdown",
     "LossConfig",
-    "cl_batch_loss",
-    "cl_sample_loss",
+    "encode_set",
     "finite_diff_check",
-    "nll_loss",
-    "total_loss",
+    "forward",
     "stem",
     "CheckpointInfo",
     "TrainConfig",

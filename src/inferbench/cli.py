@@ -21,6 +21,7 @@ import logging
 import operator
 import os
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -35,7 +36,7 @@ from .analysis import (
 )
 from .backend import GreedyDecode, TopKDecode, ToyBackend, derive_seed, load_checkpoint
 from .corpus import DatasetError, load_dataset, save_dataset
-from .jsonio import config_digest, read_jsonl, write_artifact, write_jsonl_artifact
+from .jsonio import config_digest, write_artifact, write_jsonl_artifact
 from .metrics import score_corpus
 from .negatives import DEFAULT_STRATEGY, STRATEGIES, untrained_model
 from .objective import (
@@ -43,6 +44,7 @@ from .objective import (
     build_vocabulary,
     check_number_fields,
     encode_inputs,
+    encode_set,
     finite_diff_check,
 )
 from .synth import build_split
@@ -283,14 +285,35 @@ def cmd_perturb(args) -> int:
     return 0
 
 
+def _jsonl_objects(path: str):
+    """Line number and record of each non-blank line of a JSONL file; a
+    line that holds anything but a JSON object raises DatasetError."""
+    with open(path, encoding="utf-8") as fh:
+        for line_no, line in enumerate(fh, 1):
+            if line.strip():
+                try:
+                    record = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise DatasetError(f"{path}: line {line_no}: invalid JSON: {exc.msg}") from None
+                if not isinstance(record, dict):
+                    raise DatasetError(f"{path}: line {line_no}: not a JSON object: {record!r}")
+                yield line_no, record
+
+
 def _load_generations(path: str) -> dict[str, str]:
     p = Path(path)
     if p.suffix == ".jsonl":
         out = {}
-        for rec in read_jsonl(p):
+        for line_no, rec in _jsonl_objects(path):
             if "generated" not in rec or "id" not in rec:
-                raise DatasetError(f"{path}: generation records need id and generated fields")
-            out[str(rec["id"])] = str(rec["generated"])
+                raise DatasetError(
+                    f"{path}: line {line_no}: generation records need id and generated fields"
+                )
+            if not isinstance(rec["generated"], str):
+                raise DatasetError(
+                    f"{path}: line {line_no}: generated must be a string, got {rec['generated']!r}"
+                )
+            out[str(rec["id"])] = rec["generated"]
         return out
     lines = p.read_text(encoding="utf-8").splitlines()
     return {str(i): line for i, line in enumerate(lines)}
@@ -319,6 +342,11 @@ def _aligned_pairs(hyps: dict[str, str], refs: dict[str, str]):
     if missing:
         raise DatasetError(f"hypotheses without references: {missing[:5]}")
     ids = [i for i in refs if i in hyps]
+    if len(ids) < len(refs):
+        warnings.warn(
+            f"{len(refs) - len(ids)} of {len(refs)} reference ids have no hypothesis",
+            stacklevel=2,
+        )
     return ids, [(hyps[i], refs[i]) for i in ids]
 
 
@@ -348,18 +376,14 @@ def cmd_score(args) -> int:
 
 def _read_judgments(path: str) -> list[Judgment]:
     judgments = []
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            record = json.loads(line)
-            for key in ("item_id", "rater_id", "choice"):
-                if not isinstance(record, dict) or key not in record:
-                    raise DatasetError(f"{path}: line {line_no}: judgment has no {key!r}")
-            judgments.append(Judgment(
-                item_id=str(record["item_id"]), rater_id=str(record["rater_id"]),
-                choice=str(record["choice"]),
-            ))
+    for line_no, record in _jsonl_objects(path):
+        for key in ("item_id", "rater_id", "choice"):
+            if key not in record:
+                raise DatasetError(f"{path}: line {line_no}: judgment has no {key!r}")
+        judgments.append(Judgment(
+            item_id=str(record["item_id"]), rater_id=str(record["rater_id"]),
+            choice=str(record["choice"]),
+        ))
     return judgments
 
 
@@ -420,10 +444,8 @@ def cmd_gradcheck(args) -> int:
     negatives = [list(ex.counterfactuals) for ex in batch]
     vocab = build_vocabulary(batch, config["template_id"])
     backend = ToyBackend(vocab, d=config["model"]["d"], seed=seed)
-    report = finite_diff_check(
-        backend, batch, negatives, LossConfig(**config["loss"]),
-        tol=args.tol, seed=seed, template_id=config["template_id"],
-    )
+    enc = encode_set(backend, batch, negatives, config["template_id"])
+    report = finite_diff_check(backend, enc, LossConfig(**config["loss"]), tol=args.tol, seed=seed)
     write_artifact(args.out, report.to_dict(), _meta(digest, seed))
     status = "PASS" if report.passed else "FAIL"
     print(f"gradcheck {status}: max_error={report.max_error:.3e} over "

@@ -12,14 +12,15 @@ Conventions fixed here and relied on by the trainer and tests:
 * the positive representation is the embedding of the gold answer;
 * the in-batch InfoNCE denominator includes the positive pair.
 
-Text is encoded once into an :class:`EncodedSet`, and :func:`forward`
-evaluates the whole objective on it in matrix form: every pooled
-embedding (inputs, answers, negatives) comes from one segment sum, the
-NLL scores all answers of a block with one product with U, and both
-InfoNCE terms are row-wise softmax cross-entropies over a logit matrix,
-n x n for the in-batch term and n x (1 + m) for the per-sample one
-(padded with -inf where an example has fewer negatives). The backward
-pass ends in one scatter into E.
+Text is encoded once into an :class:`EncodedSet` (:func:`encode_set`),
+and :func:`forward`, the one entry point to the objective, evaluates it
+on that set in matrix form: every pooled embedding (inputs, answers,
+negatives) comes from one segment sum, the NLL scores all answers of a
+block with one product with U, and both InfoNCE terms are row-wise
+softmax cross-entropies over a logit matrix, n x n for the in-batch term
+and n x (1 + m) for the per-sample one (padded with -inf where an
+example has fewer negatives). The backward pass ends in one scatter
+into E.
 """
 
 from __future__ import annotations
@@ -140,16 +141,6 @@ def encode_set(
         answers=[np.array(_answer_ids(backend, ex.answer), dtype=np.intp) for ex in examples],
         negatives=None if negatives is None else [encode_texts(vocab, negs) for negs in negatives],
     )
-
-
-def _encoded(backend, batch, negatives, template_id) -> EncodedSet:
-    """The public entry points take examples plus negative strings, or a
-    set the caller encoded once (negatives included)."""
-    if not isinstance(batch, EncodedSet):
-        return encode_set(backend, batch, negatives, template_id)
-    if negatives is not None:
-        raise ValueError("an encoded set carries its own negatives")
-    return batch
 
 
 # --- matrix kernels -------------------------------------------------------------
@@ -364,103 +355,6 @@ def forward(
     return LossBreakdown(nll=nll_mean, cl_b=cl_b, cl_s=cl_s, total=total, grads=g)
 
 
-# --- public entry points ------------------------------------------------------------
-
-def nll_loss(
-    backend: ToyBackend, example: InferenceExample, template_id: str = "default"
-) -> tuple[float, Gradients]:
-    """Summed NLL of the answer (EOS included) with its gradients."""
-    result = forward(
-        backend, encode_set(backend, [example], template_id=template_id),
-        LossConfig(lambda_b=0.0, lambda_s=0.0),
-    )
-    return result.nll, result.grads
-
-
-def cl_sample_loss(
-    h_x: np.ndarray,
-    h_pos: np.ndarray,
-    h_negs: list[np.ndarray],
-    tau_s: float,
-) -> tuple[float, dict]:
-    """InfoNCE over one positive and m negatives, cosine similarity.
-
-    value = -ln exp(sim(x,pos)/tau) / (exp(sim(x,pos)/tau)
-            + sum_neg exp(sim(x,neg)/tau))
-
-    Returns (value, grads) with grads holding d/dh_x, d/dh_pos and a
-    list of d/dh_neg arrays.
-    """
-    if len(h_negs) < 1:
-        raise ValueError("cl_sample_loss needs at least one negative")
-    names = ["h_x", "h_pos"] + [f"h_negs[{i}]" for i in range(len(h_negs))]
-    H, norms = _unit(
-        np.array([h_x, h_pos, *h_negs], dtype=float),
-        lambda row: f"zero vector passed to contrastive loss: {names[row]}",
-    )
-    values, back = _sample_nce(H[:1], H[1:2], H[2:], np.array([len(h_negs)]), tau_s, True)
-    d = _unit_backward(H, norms, back)
-    return float(values[0]), {"h_x": d[0], "h_pos": d[1], "h_negs": list(d[2:])}
-
-
-def cl_batch_loss(
-    pairs: list[tuple[np.ndarray, np.ndarray]], tau_b: float
-) -> tuple[float, dict]:
-    """In-batch InfoNCE summed over rows; denominator spans the whole
-    batch including the positive. Returns (value, grads) with grads
-    holding lists d/dh_x_i and d/dh_a_j."""
-    n = len(pairs)
-    if n < 2:
-        raise ValueError("cl_batch_loss needs batch size >= 2")
-    names = [f"h_x[{i}]" for i in range(n)] + [f"h_a[{j}]" for j in range(n)]
-    H, norms = _unit(
-        np.array([p[0] for p in pairs] + [p[1] for p in pairs], dtype=float),
-        lambda row: f"zero vector passed to contrastive loss: {names[row]}",
-    )
-    values, back = _batch_nce(H[:n], H[n:], tau_b, True)
-    d = _unit_backward(H, norms, back)
-    return float(values.sum()), {"h_x": list(d[:n]), "h_a": list(d[n:])}
-
-
-def total_loss(
-    backend: ToyBackend,
-    batch: list[InferenceExample] | EncodedSet,
-    negatives: list[list[str]] | None,
-    config: LossConfig,
-    template_id: str = "default",
-) -> LossBreakdown:
-    """Mean NLL + lambda_b * in-batch InfoNCE + lambda_s * per-sample
-    InfoNCE over a batch, with gradients of the weighted total.
-
-    ``negatives[i]`` are the negative answer strings for ``batch[i]``;
-    required whenever lambda_s > 0. ``batch`` may instead be an
-    :class:`EncodedSet`, which carries its negatives. Batches of size 1
-    contribute no in-batch term.
-    """
-    return forward(backend, _encoded(backend, batch, negatives, template_id), config)
-
-
-def accumulated_total_loss(
-    backend: ToyBackend,
-    batch: list[InferenceExample] | EncodedSet,
-    negatives: list[list[str]] | None,
-    config: LossConfig,
-    micro_batch: int | None = None,
-    template_id: str = "default",
-) -> LossBreakdown:
-    """Micro-batched evaluation of :func:`total_loss`.
-
-    NLL gradients accumulate over blocks of ``micro_batch`` examples;
-    both InfoNCE terms are computed once over the whole batch, so any
-    micro_batch divisor reproduces the full-batch loss and gradients up
-    to float summation order.
-    """
-    return forward(
-        backend, _encoded(backend, batch, negatives, template_id), config,
-        micro_batch=micro_batch,
-    )
-
-
 # --- finite-difference gate -------------------------------------------------
 
 @dataclass
@@ -503,18 +397,17 @@ class FiniteDiffReport:
 
 def finite_diff_check(
     backend: ToyBackend,
-    batch: list[InferenceExample] | EncodedSet,
-    negatives: list[list[str]] | None,
+    enc: EncodedSet,
     config: LossConfig,
     step: float = 1e-5,
     tol: float = 1e-4,
-    template_id: str = "default",
     seed: int = 0,
     full_check_limit: int = 10_000,
     sample_size: int = 1_000,
     analytic: Gradients | None = None,
 ) -> FiniteDiffReport:
-    """Central-difference check of the total-loss gradients.
+    """Central-difference check of the gradients of :func:`forward`'s
+    total on the encoded batch ``enc``.
 
     Every parameter is checked when the model has at most
     ``full_check_limit`` of them, otherwise a seeded sample of
@@ -523,7 +416,6 @@ def finite_diff_check(
     gradients are near zero. Failure is reported, never raised.
     """
     work = backend.copy()
-    enc = _encoded(work, batch, negatives, template_id)
     if analytic is None:
         analytic = forward(work, enc, config).grads
     flat_analytic = np.concatenate(

@@ -18,7 +18,6 @@ from .negatives import DEFAULT_STRATEGY, STRATEGIES, untrained_model
 from .objective import (
     EncodedSet,
     LossConfig,
-    accumulated_total_loss,
     build_vocabulary,
     check_number_fields,
     encode_set,
@@ -161,7 +160,7 @@ def train(
         model = untrained_model(vocab, config.d, config.seed) if strategy.needs_model else None
         static = [ns.negatives for ns in strategy.build(model, train_set, config, config.seed)]
     encoded = encode_set(backend, train_set, static, config.template_id)
-    valid_encoded = encode_set(backend, valid_set, template_id=config.template_id)
+    valid_enc = encode_set(backend, valid_set, template_id=config.template_id)
 
     steps_per_epoch = math.ceil(len(train_set) / config.effective_batch)
     total_steps = steps_per_epoch * config.max_epochs
@@ -185,9 +184,7 @@ def train(
         order = rng.permutation(len(train_set))
         for start in range(0, len(train_set), config.effective_batch):
             batch = encoded.take(order[start : start + config.effective_batch])
-            breakdown = accumulated_total_loss(
-                backend, batch, None, config.loss, config.micro_batch
-            )
+            breakdown = forward(backend, batch, config.loss, micro_batch=config.micro_batch)
             if not math.isfinite(breakdown.total):
                 raise RuntimeError(
                     f"non-finite loss {breakdown.total} at step {global_step} "
@@ -210,7 +207,7 @@ def train(
                 }
             )
 
-        val_ppl = perplexity(backend, valid_encoded)
+        val_ppl = perplexity(backend, valid_enc)
         ckpt_path = None
         if out_path is not None:
             ckpt_path = str(out_path / f"epoch_{epoch:03d}.json")

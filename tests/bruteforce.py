@@ -237,3 +237,100 @@ def bf_replace_positions(scorer, example, threshold, template_id="default"):
     if not selected:
         selected = [max(range(len(deltas)), key=lambda j: (deltas[j], -j))]
     return selected
+
+
+def _bf_mean_row(E, ids, d):
+    """Mean of the E rows of ``ids``, the zero vector for no ids."""
+    total = [0.0] * d
+    for t in ids:
+        for k in range(d):
+            total[k] += E[t][k]
+    return [x / max(len(ids), 1) for x in total]
+
+
+def _bf_cosine(u, v):
+    dot = sum(a * b for a, b in zip(u, v))
+    return dot / (math.sqrt(sum(a * a for a in u)) * math.sqrt(sum(b * b for b in v)))
+
+
+def _bf_xent(logits, target):
+    """-log softmax(logits)[target], shifted by the largest logit."""
+    top = max(logits)
+    return top + math.log(sum(math.exp(z - top) for z in logits)) - logits[target]
+
+
+def bf_total_loss(backend, enc, config):
+    """The composite objective (nll, cl_b, cl_s, total) of an encoded
+    batch by its definition, one example and one token at a time.
+
+    ``enc`` holds per example the input ids, the answer ids ending in
+    EOS and the ids of each negative (``None`` without negatives);
+    ``config`` the temperatures and weights. With pooled means
+    c = mean E[input], a = mean E[answer without EOS], n_k = mean
+    E[negative k] (zero for no ids):
+
+    * nll: for each answer token j (EOS included), -log softmax of
+      U s + b at the token, s = (c + mean E[BOS, answer[:j]]) / 2;
+      summed over the tokens, averaged over the batch;
+    * cl_b (lambda_b > 0 and at least two examples): for each example i,
+      -log of exp(cos(c_i, a_i) / tau_b) over the sum of
+      exp(cos(c_i, a_j) / tau_b) for every j, i included; summed, then
+      divided by the batch size;
+    * cl_s (lambda_s > 0): for each example, -log of
+      exp(cos(c, a) / tau_s) over the same plus the sum of
+      exp(cos(c, n_k) / tau_s); averaged over the batch.
+
+    A zero vector that enters a cosine raises ValueError naming it, as
+    does lambda_s > 0 with an example that has no negative.
+    """
+    E, U, b = backend.E.tolist(), backend.U.tolist(), backend.b.tolist()
+    d, bos = backend.d, backend.vocab.bos_id
+    ids_of = enc.example_ids
+    n = len(ids_of)
+    if n == 0:
+        raise ValueError("empty batch")
+    inputs = [[int(t) for t in ids] for ids in enc.inputs]
+    answers = [[int(t) for t in ids] for ids in enc.answers]
+    negatives = enc.negatives and [[[int(t) for t in ids] for ids in row] for row in enc.negatives]
+    sample = config.lambda_s > 0
+    in_batch = config.lambda_b > 0 and n >= 2
+    if sample and (negatives is None or any(len(row) == 0 for row in negatives)):
+        raise ValueError("lambda_s > 0 requires >= 1 negative per example")
+
+    nll = 0.0
+    for input_ids, answer in zip(inputs, answers):
+        c = _bf_mean_row(E, input_ids, d)
+        for j, gold in enumerate(answer):
+            p = _bf_mean_row(E, [bos] + answer[:j], d)
+            s = [0.5 * (c[k] + p[k]) for k in range(d)]
+            logits = [sum(U[v][k] * s[k] for k in range(d)) + b[v] for v in range(len(b))]
+            nll += _bf_xent(logits, gold)
+    nll /= n
+
+    cl_b = cl_s = 0.0
+    if sample or in_batch:
+        pooled = [(f"input of {i}", _bf_mean_row(E, ids, d)) for i, ids in zip(ids_of, inputs)]
+        for i, ids in zip(ids_of, answers):
+            pooled.append((f"answer of {i}", _bf_mean_row(E, ids[:-1], d)))
+        if sample:
+            for i, row in zip(ids_of, negatives):
+                for k, ids in enumerate(row):
+                    pooled.append((f"negative {k} of {i}", _bf_mean_row(E, ids, d)))
+        for name, v in pooled:
+            if not any(v):
+                raise ValueError(f"zero embedding for {name}")
+        h_x = [v for _, v in pooled[:n]]
+        h_a = [v for _, v in pooled[n : 2 * n]]
+        if in_batch:
+            for i in range(n):
+                row = [_bf_cosine(h_x[i], h_a[j]) / config.tau_b for j in range(n)]
+                cl_b += _bf_xent(row, i)
+            cl_b /= n
+        if sample:
+            h_n = iter(v for _, v in pooled[2 * n :])
+            for i in range(n):
+                row = [_bf_cosine(h_x[i], h_a[i]) / config.tau_s]
+                row += [_bf_cosine(h_x[i], next(h_n)) / config.tau_s for _ in negatives[i]]
+                cl_s += _bf_xent(row, 0)
+            cl_s /= n
+    return nll, cl_b, cl_s, nll + config.lambda_b * cl_b + config.lambda_s * cl_s

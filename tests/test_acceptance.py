@@ -27,14 +27,7 @@ from inferbench.cli import main as cli_main
 from inferbench.experiments import contrastive_benefit_experiment
 from inferbench.metrics import bleu, cider, meteor_lite, rouge_l, tokenize
 from inferbench.negatives import ReplaceConfig, pick_counterfactuals, select_positions, replacement_deltas, token_replace
-from inferbench.objective import (
-    LossConfig,
-    cl_batch_loss,
-    cl_sample_loss,
-    finite_diff_check,
-    nll_loss,
-    total_loss,
-)
+from inferbench.objective import LossConfig, encode_set, finite_diff_check, forward
 from bruteforce import (
     bf_bleu,
     bf_cider,
@@ -45,7 +38,14 @@ from bruteforce import (
 )
 from conftest import DATA_DIR, make_example
 from test_metrics import random_pairs
-from test_objective import batch_backend, batch_negatives, small_batch
+from test_objective import (
+    NLL_ONLY,
+    batch_backend,
+    batch_negatives,
+    batch_term,
+    sample_term,
+    small_batch,
+)
 from test_negatives import context_sensitive_scorer
 
 
@@ -153,24 +153,23 @@ def test_criterion_3_analytic_loss_values():
             turns=(("A", "alpha beta"),), target_index=1, answer="alpha beta",
             counterfactuals=(),
         )
-        value, _ = nll_loss(be, ex)
+        value = forward(be, encode_set(be, [ex]), NLL_ONLY).nll
         assert value == pytest.approx(3 * math.log(8), abs=1e-9)
 
         h_x = np.array([1.0, 0.0])
-        sym, _ = cl_sample_loss(h_x, np.array([0.0, 1.0]),
-                                [np.array([0.0, 1.0])] * 4, tau_s=2.5)
+        sym = sample_term(h_x, np.array([0.0, 1.0]), [np.array([0.0, 1.0])] * 4, tau_s=2.5)
         assert sym == pytest.approx(math.log(5), abs=1e-12)
-        worked, _ = cl_sample_loss(h_x, np.array([2.0, 0.0]),
-                                   [np.array([-1.0, 0.0])] * 4, tau_s=2.5)
+        worked = sample_term(h_x, np.array([2.0, 0.0]), [np.array([-1.0, 0.0])] * 4, tau_s=2.5)
         assert worked == pytest.approx(math.log(1 + 4 * math.exp(-0.8)), abs=1e-6)
 
         vec = np.array([1.0, 2.0])
         for b_size in (2, 4):
-            val, _ = cl_batch_loss([(vec, vec)] * b_size, tau_b=0.1)
+            val = batch_term([(vec, vec)] * b_size, tau_b=0.1)
             assert val == pytest.approx(b_size * math.log(b_size), abs=1e-9)
 
         batch = small_batch()
-        breakdown = total_loss(batch_backend(seed=5), batch, batch_negatives(batch), LossConfig())
+        be = batch_backend(seed=5)
+        breakdown = forward(be, encode_set(be, batch, batch_negatives(batch)), LossConfig())
         assert breakdown.total == pytest.approx(
             breakdown.nll + 0.5 * breakdown.cl_b + 0.5 * breakdown.cl_s, abs=1e-12
         )
@@ -186,17 +185,18 @@ def test_criterion_4_gradient_gate():
         for seed in range(5):
             be = batch_backend(seed=seed)
             report = finite_diff_check(
-                be, batch, negs, cfg, step=1e-5, tol=1e-4, seed=seed
+                be, encode_set(be, batch, negs), cfg, step=1e-5, tol=1e-4, seed=seed
             )
             assert report.passed, report.worst[:3]
             assert report.n_checked == be.flat_parameters().size
 
         be = batch_backend(seed=0)
-        corrupted = total_loss(be, batch, negs, cfg).grads
+        enc = encode_set(be, batch, negs)
+        corrupted = forward(be, enc, cfg).grads
         idx = int(np.argmax(np.abs(corrupted.E)))
         r, c = divmod(idx, corrupted.E.shape[1])
         corrupted.E[r, c] = -corrupted.E[r, c]
-        report = finite_diff_check(be, batch, negs, cfg, analytic=corrupted)
+        report = finite_diff_check(be, enc, cfg, analytic=corrupted)
         assert not report.passed
         assert any(w.parameter == f"E[{r},{c}]" for w in report.worst)
         assert time.monotonic() - start < 30.0

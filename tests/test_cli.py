@@ -11,6 +11,9 @@ from inferbench.corpus import load_dataset, save_dataset
 from inferbench.synth import build_judgments, build_split
 from inferbench.trainer import TrainConfig, train
 
+from conftest import DATA_DIR
+
+
 @pytest.fixture(scope="module")
 def small_data(tmp_path_factory):
     root = tmp_path_factory.mktemp("cli_data")
@@ -400,3 +403,33 @@ def test_bad_config_is_json_error_at_load(
 def test_load_run_config_checks_every_section(override, message):
     with pytest.raises(ValueError, match=message):
         load_run_config(None, [override])
+
+
+@pytest.mark.parametrize("lines, message", [
+    (['{"id": "test-0000", "generated": 5}', '{"id": "test-0001", "generated": null}'],
+     "line 1: generated must be a string, got 5"),
+    (['{"id": "test-0000", "generated": "a b"}', "5"], "line 2: not a JSON object: 5"),
+    (['{"id": "test-0000", "generated": "a b"}', "", '{"id": "test-0001", "generated": '],
+     "line 3: invalid JSON: Expecting value"),
+], ids=["non_string_generated", "non_object_line", "truncated_line"])
+def test_bad_generation_record_is_json_error(tmp_path, capsys, lines, message):
+    hyp = tmp_path / "gen.jsonl"
+    hyp.write_text("\n".join(lines) + "\n")
+    code = run(["score", "--hyp", hyp, "--ref", DATA_DIR / "test.jsonl",
+                "--out", tmp_path / "r.json"])
+    assert code == 2
+    assert message in json_error(capsys, "score")
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_score_warns_about_references_without_hypothesis(tmp_path):
+    refs = load_dataset(DATA_DIR / "test.jsonl")
+    hyp = tmp_path / "gen.jsonl"
+    hyp.write_text("".join(
+        json.dumps({"id": ex.id, "generated": ex.answer}) + "\n" for ex in refs[:2]
+    ))
+    with pytest.warns(UserWarning, match=f"{len(refs) - 2} of {len(refs)} reference ids"):
+        code = run(["score", "--hyp", hyp, "--ref", DATA_DIR / "test.jsonl",
+                    "--out", tmp_path / "r.json"])
+    assert code == 0
+    assert json.loads((tmp_path / "r.json").read_text())["n_examples"] == 2

@@ -5,15 +5,7 @@ import pytest
 
 from inferbench.backend import ToyBackend, Vocabulary
 from inferbench.corpus import QuestionType
-from inferbench.objective import (
-    LossConfig,
-    accumulated_total_loss,
-    cl_batch_loss,
-    cl_sample_loss,
-    finite_diff_check,
-    nll_loss,
-    total_loss,
-)
+from inferbench.objective import EncodedSet, LossConfig, encode_set, finite_diff_check, forward
 
 from conftest import make_example
 
@@ -79,6 +71,45 @@ def batch_negatives(batch):
     return [list(ex.counterfactuals) for ex in batch]
 
 
+NLL_ONLY = LossConfig(lambda_b=0.0, lambda_s=0.0)
+
+
+def vector_set(inputs, answers, negatives=None):
+    """A backend and an encoded batch in which every vector is a token of
+    its own whose E row is that vector, so example i pools ``inputs[i]``
+    as its input, ``answers[i]`` as its answer and ``negatives[i]`` as
+    its negatives."""
+    vectors = [*inputs, *answers, *(v for row in negatives or [] for v in row)]
+    vocab = Vocabulary([f"v{k}" for k in range(len(vectors))])
+    be = ToyBackend(vocab, d=len(vectors[0]), seed=0)
+    tokens = [vocab.id_of(f"v{k}") for k in range(len(vectors))]
+    be.E[tokens] = vectors
+    ids = iter(tokens)
+    enc = EncodedSet(
+        example_ids=[f"e{i}" for i in range(len(inputs))],
+        inputs=[np.array([next(ids)]) for _ in inputs],
+        answers=[np.array([next(ids), vocab.eos_id]) for _ in answers],
+        negatives=None if negatives is None else [
+            [np.array([next(ids)]) for _ in row] for row in negatives
+        ],
+    )
+    return be, enc
+
+
+def sample_term(h_x, pos, negs, tau_s):
+    """Per-sample InfoNCE of one example with these pooled vectors."""
+    be, enc = vector_set([h_x], [pos], [negs])
+    cfg = LossConfig(tau_s=tau_s, lambda_b=0.0, lambda_s=1.0)
+    return forward(be, enc, cfg, grads=False, nll=False).cl_s
+
+
+def batch_term(pairs, tau_b):
+    """In-batch InfoNCE summed over the rows of (input, answer) pairs."""
+    be, enc = vector_set([x for x, _ in pairs], [a for _, a in pairs])
+    cfg = LossConfig(tau_b=tau_b, lambda_b=1.0, lambda_s=0.0)
+    return len(pairs) * forward(be, enc, cfg, grads=False, nll=False).cl_b
+
+
 # --- config ------------------------------------------------------------------
 
 def test_loss_config_defaults_match_training_recipe():
@@ -104,7 +135,7 @@ def test_nll_uniform_backend(vocab):
         answer="alpha beta",  # 2 tokens + EOS = 3 scored
         counterfactuals=(),
     )
-    value, _ = nll_loss(be, ex)
+    value = forward(be, encode_set(be, [ex]), NLL_ONLY).nll
     assert value == pytest.approx(3 * math.log(8), abs=1e-9)
 
 
@@ -122,14 +153,14 @@ def test_nll_perfect_model_is_zero():
     ex = make_example(
         turns=(("A", "zzz zzz"),), target_index=1, answer="alpha", counterfactuals=()
     )
-    value, _ = nll_loss(be, ex)
+    value = forward(be, encode_set(be, [ex]), NLL_ONLY).nll
     assert value == pytest.approx(0.0, abs=1e-9)
 
 
 def test_nll_empty_answer_errors(vocab):
     be = ToyBackend(vocab, d=4, seed=0)
     ex = make_example(answer="...", counterfactuals=())
-    value, _ = nll_loss(be, ex)  # punctuation still tokenizes
+    value = forward(be, encode_set(be, [ex]), NLL_ONLY).nll  # punctuation still tokenizes
     assert value > 0
     with pytest.raises(ValueError):
         from inferbench.objective import _answer_ids
@@ -143,7 +174,7 @@ def test_cl_sample_symmetric():
     h_x = np.array([1.0, 0.0])
     pos = np.array([0.0, 1.0])
     negs = [np.array([0.0, 2.0]) for _ in range(4)]
-    value, _ = cl_sample_loss(h_x, pos, negs, tau_s=2.5)
+    value = sample_term(h_x, pos, negs, tau_s=2.5)
     assert value == pytest.approx(math.log(5), abs=1e-12)
 
 
@@ -151,7 +182,7 @@ def test_cl_sample_worked_case():
     h_x = np.array([1.0, 0.0])
     pos = np.array([3.0, 0.0])        # sim +1
     negs = [np.array([-2.0, 0.0])] * 4  # sim -1
-    value, _ = cl_sample_loss(h_x, pos, negs, tau_s=2.5)
+    value = sample_term(h_x, pos, negs, tau_s=2.5)
     assert value == pytest.approx(math.log(1 + 4 * math.exp(-0.8)), abs=1e-6)
 
 
@@ -161,15 +192,15 @@ def test_cl_sample_monotone_in_positive_similarity():
     previous = None
     for theta in np.linspace(1.2, 0.0, 7):
         pos = np.array([math.cos(theta), math.sin(theta)])
-        value, _ = cl_sample_loss(h_x, pos, negs, tau_s=0.7)
+        value = sample_term(h_x, pos, negs, tau_s=0.7)
         if previous is not None:
             assert value < previous
         previous = value
 
 
 def test_cl_sample_zero_vector_named():
-    with pytest.raises(ValueError, match="h_negs\\[1\\]"):
-        cl_sample_loss(
+    with pytest.raises(ValueError, match="zero embedding for negative 1 of e0"):
+        sample_term(
             np.array([1.0, 0.0]),
             np.array([0.0, 1.0]),
             [np.array([1.0, 1.0]), np.zeros(2)],
@@ -178,8 +209,8 @@ def test_cl_sample_zero_vector_named():
 
 
 def test_cl_sample_needs_negatives():
-    with pytest.raises(ValueError):
-        cl_sample_loss(np.ones(2), np.ones(2), [], tau_s=1.0)
+    with pytest.raises(ValueError, match="requires >= 1 negative"):
+        sample_term(np.ones(2), np.ones(2), [], tau_s=1.0)
 
 
 def test_cl_sample_bound_and_nonnegative():
@@ -190,7 +221,7 @@ def test_cl_sample_bound_and_nonnegative():
         h_x = rng.normal(size=3)
         pos = rng.normal(size=3)
         negs = [rng.normal(size=3) for _ in range(m)]
-        value, _ = cl_sample_loss(h_x, pos, negs, tau)
+        value = sample_term(h_x, pos, negs, tau)
         sims = [float(h_x @ v / np.linalg.norm(h_x) / np.linalg.norm(v)) for v in [pos] + negs]
         bound = math.log(m + 1) + (max(sims) - min(sims)) / tau
         assert 0.0 <= value <= bound + 1e-12
@@ -201,9 +232,9 @@ def test_cl_sample_rescaling_invariance():
     h_x = rng.normal(size=4)
     pos = rng.normal(size=4)
     negs = [rng.normal(size=4) for _ in range(3)]
-    base, _ = cl_sample_loss(h_x, pos, negs, tau_s=0.9)
+    base = sample_term(h_x, pos, negs, tau_s=0.9)
     for c in (0.01, 3.5, 1200.0):
-        scaled, _ = cl_sample_loss(c * h_x, c * pos, [c * n for n in negs], tau_s=0.9)
+        scaled = sample_term(c * h_x, c * pos, [c * n for n in negs], tau_s=0.9)
         assert scaled == pytest.approx(base, abs=1e-12)
 
 
@@ -211,8 +242,8 @@ def test_cl_sample_negative_order_invariance():
     rng = np.random.default_rng(21)
     h_x, pos = rng.normal(size=3), rng.normal(size=3)
     negs = [rng.normal(size=3) for _ in range(4)]
-    base, _ = cl_sample_loss(h_x, pos, negs, tau_s=1.3)
-    perm, _ = cl_sample_loss(h_x, pos, [negs[2], negs[0], negs[3], negs[1]], tau_s=1.3)
+    base = sample_term(h_x, pos, negs, tau_s=1.3)
+    perm = sample_term(h_x, pos, [negs[2], negs[0], negs[3], negs[1]], tau_s=1.3)
     assert perm == pytest.approx(base, abs=1e-12)
 
 
@@ -226,34 +257,35 @@ def orthogonal_pairs():
 
 
 def test_cl_batch_worked_case():
-    value, _ = cl_batch_loss(orthogonal_pairs(), tau_b=0.1)
+    value = batch_term(orthogonal_pairs(), tau_b=0.1)
     assert value == pytest.approx(2 * math.log(1 + math.exp(-10)), abs=1e-6)
 
 
 def test_cl_batch_symmetric_case():
     vec = np.array([1.0, 1.0])
     for n in (2, 3, 5):
-        value, _ = cl_batch_loss([(vec, vec)] * n, tau_b=0.7)
+        value = batch_term([(vec, vec)] * n, tau_b=0.7)
         assert value == pytest.approx(n * math.log(n), abs=1e-9)
 
 
 def test_cl_batch_duplicating_batch_changes_value():
     pairs = orthogonal_pairs()
-    base, _ = cl_batch_loss(pairs, tau_b=0.1)
-    doubled, _ = cl_batch_loss(pairs + pairs, tau_b=0.1)
+    base = batch_term(pairs, tau_b=0.1)
+    doubled = batch_term(pairs + pairs, tau_b=0.1)
     assert abs(doubled - 2 * base) > 0.1
 
 
-def test_cl_batch_requires_two(vocab):
-    with pytest.raises(ValueError):
-        cl_batch_loss([(np.ones(2), np.ones(2))], tau_b=0.1)
+def test_cl_batch_requires_two():
+    be, enc = vector_set([np.ones(2)], [np.ones(2)])
+    breakdown = forward(be, enc, LossConfig(lambda_s=0.0), nll=False)
+    assert breakdown.cl_b == 0.0 and breakdown.total == 0.0
 
 
 def test_cl_batch_order_invariance():
     rng = np.random.default_rng(31)
     pairs = [(rng.normal(size=3), rng.normal(size=3)) for _ in range(4)]
-    base, _ = cl_batch_loss(pairs, tau_b=0.5)
-    perm, _ = cl_batch_loss([pairs[i] for i in (2, 0, 3, 1)], tau_b=0.5)
+    base = batch_term(pairs, tau_b=0.5)
+    perm = batch_term([pairs[i] for i in (2, 0, 3, 1)], tau_b=0.5)
     assert perm == pytest.approx(base, abs=1e-10)
 
 
@@ -263,7 +295,7 @@ def test_total_equals_nll_when_lambdas_zero():
     batch = small_batch()
     be = batch_backend(seed=3)
     cfg = LossConfig(lambda_b=0.0, lambda_s=0.0)
-    breakdown = total_loss(be, batch, None, cfg)
+    breakdown = forward(be, encode_set(be, batch), cfg)
     assert breakdown.total == breakdown.nll
     assert breakdown.cl_b == 0.0 and breakdown.cl_s == 0.0
 
@@ -272,7 +304,7 @@ def test_total_arithmetic_identity():
     batch = small_batch()
     be = batch_backend(seed=5)
     cfg = LossConfig()
-    breakdown = total_loss(be, batch, batch_negatives(batch), cfg)
+    breakdown = forward(be, encode_set(be, batch, batch_negatives(batch)), cfg)
     expected = breakdown.nll + 0.5 * breakdown.cl_b + 0.5 * breakdown.cl_s
     assert breakdown.total == pytest.approx(expected, abs=1e-12)
     assert breakdown.nll >= 0 and breakdown.cl_b >= 0 and breakdown.cl_s >= 0
@@ -282,17 +314,17 @@ def test_total_missing_negatives_errors():
     batch = small_batch()
     be = batch_backend()
     with pytest.raises(ValueError, match="negative"):
-        total_loss(be, batch, None, LossConfig())
+        forward(be, encode_set(be, batch), LossConfig())
 
 
 def test_total_batch_order_invariance():
     batch = small_batch()
     negs = batch_negatives(batch)
     be = batch_backend(seed=8)
-    base = total_loss(be, batch, negs, LossConfig())
+    base = forward(be, encode_set(be, batch, negs), LossConfig())
     perm = [2, 0, 3, 1]
-    shuffled = total_loss(
-        be, [batch[i] for i in perm], [negs[i] for i in perm], LossConfig()
+    shuffled = forward(
+        be, encode_set(be, [batch[i] for i in perm], [negs[i] for i in perm]), LossConfig()
     )
     assert shuffled.total == pytest.approx(base.total, abs=1e-9)
     assert shuffled.cl_b == pytest.approx(base.cl_b, abs=1e-9)
@@ -303,9 +335,10 @@ def test_accumulation_equivalence_over_divisors():
     negs = batch_negatives(batch)
     be = batch_backend(seed=13)
     cfg = LossConfig()
-    full = total_loss(be, batch, negs, cfg)
+    enc = encode_set(be, batch, negs)
+    full = forward(be, enc, cfg)
     for micro in (1, 2, 4):
-        acc = accumulated_total_loss(be, batch, negs, cfg, micro_batch=micro)
+        acc = forward(be, enc, cfg, micro_batch=micro)
         assert acc.total == pytest.approx(full.total, abs=1e-9)
         assert acc.nll == pytest.approx(full.nll, abs=1e-9)
         assert acc.cl_b == pytest.approx(full.cl_b, abs=1e-9)
@@ -323,7 +356,9 @@ def test_finite_diff_passes_on_seeds():
     negs = batch_negatives(batch)
     for seed in (0, 1):
         be = batch_backend(seed=seed)
-        report = finite_diff_check(be, batch, negs, LossConfig(), tol=1e-4, seed=seed)
+        report = finite_diff_check(
+            be, encode_set(be, batch, negs), LossConfig(), tol=1e-4, seed=seed
+        )
         assert report.passed, report.worst[:3]
         assert report.n_checked == be.flat_parameters().size
 
@@ -336,7 +371,7 @@ def test_finite_diff_all_zero_backend_passes(vocab):
     ex = make_example(
         turns=(("A", "alpha beta"),), target_index=1, answer="alpha", counterfactuals=()
     )
-    report = finite_diff_check(be, [ex], None, LossConfig(lambda_b=0, lambda_s=0))
+    report = finite_diff_check(be, encode_set(be, [ex]), LossConfig(lambda_b=0, lambda_s=0))
     assert report.passed
 
 
@@ -345,11 +380,12 @@ def test_finite_diff_detects_injected_fault():
     negs = batch_negatives(batch)
     be = batch_backend(seed=2)
     cfg = LossConfig()
-    corrupted = total_loss(be, batch, negs, cfg).grads
+    enc = encode_set(be, batch, negs)
+    corrupted = forward(be, enc, cfg).grads
     flat_index = int(np.argmax(np.abs(corrupted.U)))
     r, c = divmod(flat_index, corrupted.U.shape[1])
     corrupted.U[r, c] = -corrupted.U[r, c]
-    report = finite_diff_check(be, batch, negs, cfg, analytic=corrupted)
+    report = finite_diff_check(be, enc, cfg, analytic=corrupted)
     assert not report.passed
     expected_name = f"U[{r},{c}]"
     assert any(w.parameter == expected_name for w in report.worst)
@@ -365,31 +401,9 @@ def test_ragged_negatives_pass_finite_differences():
     batch = small_batch()
     negs = ragged_negatives(batch)
     be = batch_backend(seed=4)
-    report = finite_diff_check(be, batch, negs, LossConfig(), tol=1e-4, seed=4)
+    report = finite_diff_check(be, encode_set(be, batch, negs), LossConfig(), tol=1e-4, seed=4)
     assert report.passed, report.worst[:3]
     assert report.n_checked == be.flat_parameters().size
-
-
-def test_ragged_rows_match_single_sample_loss():
-    from inferbench.objective import _sample_nce, encode_set
-
-    batch = small_batch()
-    negs = ragged_negatives(batch)
-    be = batch_backend(seed=6)
-    enc = encode_set(be, batch, negs)
-    h_x = np.array([be.embed_ids(list(ids)) for ids in enc.inputs])
-    h_a = np.array([be.embed_ids(list(ids[:-1])) for ids in enc.answers])
-    h_n = np.array([be.embed_ids(list(ids)) for row in enc.negatives for ids in row])
-    counts = np.array([len(row) for row in enc.negatives])
-    rows, _ = _sample_nce(h_x, h_a, h_n, counts, 2.5, grads=False)
-    singles = []
-    for i, row in enumerate(enc.negatives):
-        value, _ = cl_sample_loss(h_x[i], h_a[i], [be.embed_ids(list(ids)) for ids in row], 2.5)
-        assert rows[i] == pytest.approx(value, abs=1e-12)
-        singles.append(value)
-    batched = total_loss(be, enc, None, LossConfig())
-    assert batched.cl_s == pytest.approx(np.mean(singles), abs=1e-12)
-    assert batched.total == total_loss(be, batch, negs, LossConfig()).total
 
 
 def test_perplexity_is_exp_of_summed_nll_per_token():
@@ -398,6 +412,6 @@ def test_perplexity_is_exp_of_summed_nll_per_token():
 
     batch = small_batch()
     be = batch_backend(seed=9)
-    nll = sum(nll_loss(be, ex)[0] for ex in batch)
+    nll = sum(forward(be, encode_set(be, [ex]), NLL_ONLY).nll for ex in batch)
     tokens = sum(len(tokenize(ex.answer)) + 1 for ex in batch)
     assert perplexity(be, batch) == pytest.approx(math.exp(nll / tokens), abs=1e-12)

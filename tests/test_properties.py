@@ -1,13 +1,24 @@
-"""Property-based tests of the stratum contract: a stratum of a report
-equals the same report run on that stratum's items alone, exactly.
+"""Property-based tests.
+
+* The stratum contract: a stratum of a report equals the same report run
+  on that stratum's items alone, exactly.
+* The objective: :func:`forward` agrees with the loop oracle
+  ``bf_total_loss`` on random encoded batches, errors included.
+* Invariants of decoding, token replacement, checkpoints and canonical
+  JSON.
 
 Token lists are 1-8 tokens over a small alphabet, so that repeats occur
 (and stems collide) while METEOR's alignment stays far from its node
 budget. Generation is derandomized and keeps no example database.
 """
 
+import json
+import math
+import tempfile
 import warnings
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
@@ -16,7 +27,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from inferbench.analysis import CHOICES, Judgment, compare_metric_scores, stratified_compare
-from inferbench.metrics import score_corpus
+from inferbench.backend import (
+    SPECIALS,
+    GreedyDecode,
+    TopKDecode,
+    ToyBackend,
+    Vocabulary,
+    load_checkpoint,
+    save_checkpoint,
+)
+from inferbench.jsonio import canonical_dumps
+from inferbench.metrics import score_corpus, tokenize
+from inferbench.negatives import ReplaceConfig, token_replace
+from inferbench.objective import EncodedSet, LossConfig, forward
+
+from bruteforce import bf_total_loss
+from conftest import make_example
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=60)
 
@@ -90,3 +116,145 @@ def test_judgment_comparison_strata_equal_subset_runs(items):
         members = {ids[k] for k in ks}
         alone = stratified_compare([j for j in judgments if j.item_id in members])
         assert report.strata[label].to_dict() == alone.overall.to_dict()
+
+
+# --- the objective against its loop oracle ------------------------------------------
+
+@st.composite
+def random_backends(draw):
+    """A backend over ``WORDS`` with d 1-4 and random normal parameters
+    of a drawn scale."""
+    be = ToyBackend(Vocabulary(list(WORDS)), d=draw(st.integers(1, 4)), seed=0)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = draw(st.sampled_from([0.1, 1.0, 4.0]))
+    be.set_flat_parameters(scale * rng.normal(size=be.flat_parameters().size))
+    return be
+
+
+@st.composite
+def encoded_batches(draw):
+    """A backend, an encoded batch of 1-6 examples with 1-4 negatives
+    each (or none, when lambda_s is 0), a loss config and a micro-batch
+    size. A quarter of the draws may also hold empty inputs, answers or
+    negative lists and a zero E row, which the cosine terms reject."""
+    be = draw(random_backends())
+    lambda_b, lambda_s = draw(st.sampled_from([(0.5, 0.5), (0.5, 0.0), (0.0, 0.5), (0.0, 0.0)]))
+    degenerate = draw(st.integers(0, 3)) == 0
+    least = 0 if degenerate else 1
+    if degenerate and draw(st.booleans()):
+        be.E[be.vocab.id_of(WORDS[0])] = 0.0
+    token_ids = st.lists(st.integers(0, len(be.vocab) - 1), min_size=least, max_size=4)
+    n = draw(st.integers(1, 6))
+    negatives = None
+    if lambda_s > 0 or draw(st.booleans()):
+        rows = [draw(st.lists(token_ids, min_size=least, max_size=4)) for _ in range(n)]
+        negatives = [[np.array(ids, dtype=np.intp) for ids in row] for row in rows]
+    enc = EncodedSet(
+        example_ids=[f"e{i}" for i in range(n)],
+        inputs=[np.array(draw(token_ids), dtype=np.intp) for _ in range(n)],
+        answers=[np.array(draw(token_ids) + [be.vocab.eos_id], dtype=np.intp) for _ in range(n)],
+        negatives=negatives,
+    )
+    config = LossConfig(
+        tau_b=draw(st.sampled_from([0.1, 1.0])),
+        tau_s=draw(st.sampled_from([0.5, 2.5])),
+        lambda_b=lambda_b,
+        lambda_s=lambda_s,
+    )
+    micro_batch = draw(st.none() | st.integers(1, n))
+    return be, enc, config, micro_batch
+
+
+@settings(PROPERTY, max_examples=150)
+@given(encoded_batches(), st.booleans())
+def test_forward_matches_loop_oracle(batch, grads):
+    be, enc, config, micro_batch = batch
+    try:
+        expected = bf_total_loss(be, enc, config)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as raised:
+            forward(be, enc, config, grads=grads, micro_batch=micro_batch)
+        assert str(raised.value) == str(exc)
+        return
+    got = forward(be, enc, config, grads=grads, micro_batch=micro_batch)
+    for name, value in zip(("nll", "cl_b", "cl_s", "total"), expected):
+        assert math.isclose(getattr(got, name), value, rel_tol=1e-10), (name, got, value)
+
+
+# --- decoding, token replacement, checkpoints, canonical JSON -----------------------
+
+@PROPERTY
+@given(
+    random_backends(),
+    st.lists(st.integers(0, len(SPECIALS) + len(WORDS) - 1), max_size=6),
+    st.sampled_from(SPECIALS[:2] + SPECIALS[3:]),
+    st.one_of(
+        st.builds(GreedyDecode, max_len=st.integers(1, 8)),
+        st.builds(TopKDecode, k=st.integers(1, len(WORDS) + 1), seed=st.integers(0, 99),
+                  max_len=st.integers(1, 8)),
+    ),
+)
+def test_generate_never_emits_suppressed_tokens(be, input_ids, favoured, decode):
+    be.b[be.vocab.id_of(favoured)] += 50.0  # the suppressed token would win every step
+    tokens = be.generate(input_ids, decode)
+    assert len(tokens) <= decode.max_len
+    assert not set(tokens) & set(SPECIALS)
+
+
+@PROPERTY
+@given(
+    random_backends(),
+    sentence,
+    sentence,
+    st.sampled_from([0.01, 0.75, 5.0]),
+    st.integers(1, 5),
+    st.integers(1, 3),
+    st.integers(0, 99),
+)
+def test_token_replace_keeps_the_token_count(scorer, context, answer, threshold, k, m, seed):
+    example = make_example(
+        turns=(("A", context),), target_index=1, answer=answer, counterfactuals=()
+    )
+    cfg = ReplaceConfig(threshold=threshold, k=k, seed=seed)
+    result = token_replace(scorer, example, cfg, m=m)
+    assert len(result.negatives) == m
+    for negative in result.negatives:
+        assert len(tokenize(negative)) == len(tokenize(answer))
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@PROPERTY
+@given(
+    st.lists(st.sampled_from(WORDS), min_size=1, max_size=4, unique=True),
+    st.integers(1, 3),
+    st.integers(0, 2**31),
+    st.data(),
+)
+def test_checkpoint_round_trip_is_bit_exact(words, d, seed, data):
+    be = ToyBackend(Vocabulary(words), d=d, seed=seed)
+    size = be.flat_parameters().size
+    be.set_flat_parameters(np.array(data.draw(st.lists(finite, min_size=size, max_size=size))))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "ckpt.json"
+        save_checkpoint(be, path, config_digest="digest")
+        loaded = load_checkpoint(path)
+    assert loaded.vocab.tokens == be.vocab.tokens
+    assert (loaded.d, loaded.seed) == (be.d, be.seed)
+    for name in ("E", "U", "b"):
+        assert getattr(loaded, name).tobytes() == getattr(be, name).tobytes()
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | finite | st.text(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+@PROPERTY
+@given(json_values)
+def test_canonical_json_is_idempotent(value):
+    once = canonical_dumps(value)
+    assert canonical_dumps(json.loads(once)) == once

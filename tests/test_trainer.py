@@ -100,7 +100,7 @@ def test_perplexity_empty_dataset():
 # --- training loop ----------------------------------------------------------------
 
 def test_nll_only_loss_decreases(corpus):
-    from inferbench.objective import total_loss
+    from inferbench.objective import encode_set, forward
 
     train_set, valid_set = corpus
     for seed in range(5):
@@ -110,9 +110,9 @@ def test_nll_only_loss_decreases(corpus):
             negative_strategy="none",
         )
         fresh = ToyBackend(build_vocabulary(train_set), d=cfg.d, seed=seed)
-        before = total_loss(fresh, train_set, None, cfg.loss).total
+        before = forward(fresh, encode_set(fresh, train_set), cfg.loss).total
         result = train(cfg, train_set, valid_set)
-        after = total_loss(result.backend, train_set, None, cfg.loss).total
+        after = forward(result.backend, encode_set(result.backend, train_set), cfg.loss).total
         assert after < before
 
 
@@ -213,3 +213,16 @@ def test_config_validation():
         tiny_config(negative_strategy="magic")
     with pytest.raises(ValueError, match="lambda_s"):
         tiny_config(negative_strategy="none")
+
+
+def test_benchmark_calls_into_the_package(data_dir):
+    # besides the CLI, the benchmark harness (perfbench/) reads JSONL with
+    # read_jsonl and measures the untrained model's perplexity with these
+    # two trainer names, on a list of examples
+    from inferbench.corpus import load_dataset
+    from inferbench.jsonio import read_jsonl
+
+    valid = load_dataset(data_dir / "valid.jsonl")
+    assert [r["id"] for r in read_jsonl(data_dir / "valid.jsonl")] == [ex.id for ex in valid]
+    be = ToyBackend(build_vocabulary(valid), d=16, seed=0)
+    assert perplexity(be, valid) == pytest.approx(bf_perplexity(be, valid), rel=1e-9)
