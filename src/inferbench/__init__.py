@@ -39,6 +39,7 @@ from .negatives import (
     ReplaceConfig,
     generate_nonoptimal,
     inbatch_negatives,
+    nonoptimal_sets,
     pick_counterfactuals,
     token_replace,
 )
@@ -89,6 +90,7 @@ __all__ = [
     "ReplaceConfig",
     "generate_nonoptimal",
     "inbatch_negatives",
+    "nonoptimal_sets",
     "pick_counterfactuals",
     "token_replace",
     "EncodedSet",

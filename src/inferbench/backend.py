@@ -13,8 +13,9 @@ gradient-check yet rich enough to exercise every training objective:
 Masked scoring drops the masked position and mean-pools the remaining
 tokens of the conditioned window. The model contract is id-level: the
 vocabulary ``vocab`` plus ``log_probs_ids``, ``masked_logits_ids``,
-``embed_ids`` and ``generate``, which all take token ids; text becomes
-ids only in :mod:`inferbench.objective`. All randomness flows through seeds
+``embed_ids`` and ``generate_batch`` (``generate`` is its one-row call),
+which all take token ids; text becomes ids only in
+:mod:`inferbench.objective`. All randomness flows through seeds
 derived with :func:`derive_seed`, so identical seeds give bit-identical
 parameters and samples.
 """
@@ -30,6 +31,11 @@ import numpy as np
 
 PAD, BOS, EOS, UNK, MASK = "<pad>", "<bos>", "<eos>", "<unk>", "<mask>"
 SPECIALS = (PAD, BOS, EOS, UNK, MASK)
+
+# most rows one decode step holds; bounds the rows x vocabulary step arrays
+DECODE_BLOCK = 128
+# uniforms a top-k row draws ahead, so a block holds no generator per row
+DRAW_STEPS = 16
 
 
 def derive_seed(seed: int, *parts) -> int:
@@ -107,6 +113,29 @@ class Gradients:
         )
 
 
+def draw_index(weights: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Index drawn in each row of ``weights`` by its uniform ``u``, as
+    ``Generator.choice(top, p=row)`` draws with ``u = rng.random()``:
+    the count of the normalized cumulative sum at or below ``u``."""
+    if not np.isfinite(weights).all():
+        raise ValueError("probabilities are not finite")
+    cdf = weights.cumsum(axis=1)
+    cdf /= cdf[:, -1:]
+    return (cdf <= u[:, None]).sum(axis=1)
+
+
+def _uniforms(seeds: list[int], start: int, count: int) -> np.ndarray:
+    """Draws ``start`` .. ``start + count - 1`` of each seed's
+    ``default_rng`` stream, one row per seed: what ``count`` further
+    ``rng.random()`` calls return after ``start`` of them."""
+    out = np.empty((len(seeds), count))
+    for row, seed in zip(out, seeds):
+        bits = np.random.PCG64(seed)
+        bits.advance(start)
+        np.random.Generator(bits).random(out=row)
+    return out
+
+
 @dataclass(frozen=True)
 class GreedyDecode:
     max_len: int = 16
@@ -152,6 +181,16 @@ class ToyBackend:
         s = self._state(input_ids, prefix_ids)
         return self._log_softmax(self.U @ s + self.b)
 
+    def _log_probs_rows(self, states: np.ndarray) -> np.ndarray:
+        """:meth:`log_probs_ids` of each row of ``states``, bit for bit:
+        a stacked matmul makes one BLAS gemv per row, as ``U @ s`` does
+        (one gemm over the rows would round differently)."""
+        log_probs = np.matmul(self.U, states[:, :, None])[:, :, 0]
+        log_probs += self.b
+        log_probs -= log_probs.max(axis=1, keepdims=True)
+        log_probs -= np.log(np.exp(log_probs).sum(axis=1, keepdims=True))
+        return log_probs
+
     def embed_ids(self, ids: list[int]) -> np.ndarray:
         v = self._mean_rows(ids)
         norm = np.linalg.norm(v)
@@ -175,39 +214,96 @@ class ToyBackend:
         self, input_ids: list[int] | np.ndarray, decode: GreedyDecode | TopKDecode
     ) -> list[str]:
         """Decode the tokens of an answer to the input ``input_ids``, until
-        EOS or max_len; greedy breaks ties on lowest id.
+        EOS or max_len: the one-row call of :meth:`generate_batch`."""
+        return self.generate_batch([input_ids], [decode])[0]
 
+    def generate_batch(
+        self,
+        inputs: list[list[int] | np.ndarray],
+        decodes: list[GreedyDecode] | list[TopKDecode],
+    ) -> list[list[str]]:
+        """Decode one answer per row: ``inputs[r]`` under ``decodes[r]``.
+
+        The rows share the method, k and max_len; a top-k row draws from
+        its own seed's stream. Greedy breaks ties on lowest id.
         PAD/BOS/UNK/MASK are suppressed so generations stay plain text;
-        EOS remains a candidate and stops the sequence. k is bounded by
-        the number of decodable tokens.
+        EOS remains a candidate and stops its row. k is bounded by the
+        number of decodable tokens.
+
+        Batch-invariant: a row's tokens do not depend on the other rows,
+        because each row's logits are its own matrix-vector product.
         """
-        if decode.max_len < 1:
+        if len(inputs) != len(decodes):
+            raise ValueError(f"{len(inputs)} inputs for {len(decodes)} decodes")
+        if not decodes:
+            return []
+        first = decodes[0]
+        if any(
+            type(how) is not type(first) or how.max_len != first.max_len
+            or getattr(how, "k", None) != getattr(first, "k", None)
+            for how in decodes
+        ):
+            raise ValueError("batched rows must share the decode method, k and max_len")
+        if first.max_len < 1:
             raise ValueError("max_len must be >= 1")
-        suppressed = [
-            self.vocab.pad_id, self.vocab.bos_id, self.vocab.unk_id, self.vocab.mask_id,
-        ]
-        n_decodable = len(self.vocab) - len(suppressed)
-        if isinstance(decode, TopKDecode):
-            if not 1 <= decode.k <= n_decodable:
-                raise ValueError(f"k must be in 1..{n_decodable}")
-            rng = np.random.default_rng(derive_seed(decode.seed, "topk"))
-        out: list[int] = []
-        for _ in range(decode.max_len):
-            log_probs = self.log_probs_ids(input_ids, out).copy()
-            log_probs[suppressed] = -np.inf
-            if isinstance(decode, GreedyDecode):
-                nxt = int(np.argmax(log_probs))
+        n_decodable = len(self.vocab) - len(self._suppressed)
+        if isinstance(first, TopKDecode) and not 1 <= first.k <= n_decodable:
+            raise ValueError(f"k must be in 1..{n_decodable}")
+        out: list[list[str]] = []
+        for start in range(0, len(decodes), DECODE_BLOCK):
+            rows = slice(start, start + DECODE_BLOCK)
+            out.extend(map(self.vocab.decode, self._decode_block(inputs[rows], decodes[rows])))
+        return out
+
+    @property
+    def _suppressed(self) -> list[int]:
+        v = self.vocab
+        return [v.pad_id, v.bos_id, v.unk_id, v.mask_id]
+
+    def _decode_block(self, inputs, decodes) -> list[list[int]]:
+        """Token ids of each row, one vectorized step per position for the
+        rows not yet stopped. Each step repeats :meth:`log_probs_ids` and
+        the top-k draw of ``Generator.choice`` bit for bit."""
+        first = decodes[0]
+        k = first.k if isinstance(first, TopKDecode) else None
+        seeds = [derive_seed(how.seed, "topk") for how in decodes] if k is not None else []
+        suppressed = self._suppressed
+        out: list[list[int]] = [[] for _ in inputs]
+        live = np.arange(len(inputs))  # rows of ``out`` still decoding
+        context = np.array([self._mean_rows(ids) for ids in inputs])
+        # E[BOS] + E[prefix], summed in order as an axis-0 mean sums its rows
+        prefix_sum = np.tile(self.E[self.vocab.bos_id], (len(inputs), 1))
+        for step in range(first.max_len):
+            if k is not None and step % DRAW_STEPS == 0:
+                count = min(DRAW_STEPS, first.max_len - step)
+                uniforms = _uniforms([seeds[r] for r in live], step, count)
+            log_probs = self._log_probs_rows(0.5 * (context + prefix_sum / (step + 1)))
+            log_probs[:, suppressed] = -np.inf
+            if k is None:
+                nxt = log_probs.argmax(axis=1)
             else:
-                # stable top-k: probability descending, id ascending
-                order = np.lexsort((np.arange(len(log_probs)), -log_probs))
-                top = order[: decode.k]
-                weights = np.exp(log_probs[top] - log_probs[top].max())
-                weights /= weights.sum()
-                nxt = int(rng.choice(top, p=weights))
-            if nxt == self.vocab.eos_id:
+                # stable top-k: probability descending, id ascending, as
+                # argmax takes the lowest id of a tie
+                rows = np.arange(len(live))
+                top = np.empty((len(live), k), dtype=np.intp)
+                rest = log_probs.copy()
+                for j in range(k):
+                    top[:, j] = rest.argmax(axis=1)
+                    rest[rows, top[:, j]] = -np.inf
+                top_lp = log_probs[rows[:, None], top]
+                weights = np.exp(top_lp - top_lp[:, :1])
+                weights /= weights.sum(axis=1, keepdims=True)
+                nxt = top[rows, draw_index(weights, uniforms[:, step % DRAW_STEPS])]
+            going = nxt != self.vocab.eos_id
+            live, nxt = live[going], nxt[going]
+            for r, t in zip(live.tolist(), nxt.tolist()):
+                out[r].append(t)
+            if not live.size:
                 break
-            out.append(nxt)
-        return self.vocab.decode(out)
+            context, prefix_sum = context[going], prefix_sum[going] + self.E[nxt]
+            if k is not None:
+                uniforms = uniforms[going]
+        return out
 
     def apply_gradients(self, grads: Gradients, lr: float) -> "ToyBackend":
         """Plain SGD step in place: theta <- theta - lr * grad."""

@@ -37,7 +37,7 @@ from .analysis import (
 from .backend import GreedyDecode, TopKDecode, ToyBackend, derive_seed, load_checkpoint
 from .corpus import DatasetError, load_dataset, save_dataset
 from .jsonio import config_digest, write_artifact, write_jsonl_artifact
-from .metrics import score_corpus
+from .metrics import PAIR_METRICS, pair_scores, score_corpus
 from .negatives import DEFAULT_STRATEGY, STRATEGIES, untrained_model
 from .objective import (
     LossConfig,
@@ -242,15 +242,15 @@ def cmd_train(args) -> int:
 def _generate(backend: ToyBackend, examples, decode: dict, template_id: str) -> list[str]:
     """One decoded answer per example; top-k draws are seeded per example id."""
     if decode["method"] == "greedy":
-        decodes = itertools.repeat(GreedyDecode(max_len=decode["max_len"]))
+        decodes = [GreedyDecode(max_len=decode["max_len"])] * len(examples)
     else:
-        decodes = (
+        decodes = [
             TopKDecode(k=decode["k"], seed=derive_seed(decode["seed"], ex.id, "decode"),
                        max_len=decode["max_len"])
             for ex in examples
-        )
+        ]
     inputs = encode_inputs(backend.vocab, examples, template_id)
-    return [" ".join(backend.generate(ids, how)) for ids, how in zip(inputs, decodes)]
+    return [" ".join(tokens) for tokens in backend.generate_batch(inputs, decodes)]
 
 
 def cmd_generate(args) -> int:
@@ -424,11 +424,8 @@ def cmd_compare(args) -> int:
         ids_b, pairs_b = _aligned_pairs(hyp_b, refs)
         if ids_a != ids_b:
             raise DatasetError("generation files do not cover the same ids")
-        report_a = score_corpus(pairs_a, ids=ids_a, with_per_example=True)
-        report_b = score_corpus(pairs_b, ids=ids_b, with_per_example=True)
-        metric = args.metric
-        scores_a = {i: report_a.per_example[i][metric] for i in ids_a}
-        scores_b = {i: report_b.per_example[i][metric] for i in ids_b}
+        scores_a = dict(zip(ids_a, pair_scores(pairs_a, args.metric)))
+        scores_b = dict(zip(ids_b, pair_scores(pairs_b, args.metric)))
         labels = _strata_for(ids_a, ref_labels, stratify) if stratify else None
         report = compare_metric_scores(scores_a, scores_b, labels)
     write_artifact(args.out, report.to_dict(), _meta(digest, config["seed"]))
@@ -602,8 +599,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b", help="generation file for option_2")
     p.add_argument("--judgments", help="human judgments JSONL")
     p.add_argument("--ref", required=True)
-    p.add_argument("--metric", default="rouge_l",
-                   choices=["bleu_1", "bleu_2", "bleu_3", "bleu_4", "meteor", "rouge_l", "cider"])
+    p.add_argument("--metric", default="rouge_l", choices=PAIR_METRICS)
     p.add_argument("--stratify-by", choices=STRATA)
     p.add_argument("--out", required=True)
     _add_common(p)

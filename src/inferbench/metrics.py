@@ -23,6 +23,9 @@ METEOR_GAMMA = 0.5
 METEOR_BETA = 3.0
 CIDER_MAX_N = 4
 
+# the per-example columns of a report, each one score per pair
+PAIR_METRICS = ("bleu_1", "bleu_2", "bleu_3", "bleu_4", "meteor", "rouge_l", "cider")
+
 # exact min-chunk search gives up past this many nodes and uses the
 # greedy in-order alignment; sentence-scale inputs never get near it
 _ALIGN_NODE_BUDGET = 500_000
@@ -361,13 +364,7 @@ def score_corpus(
     def report_for(idxs) -> MetricReport:
         sub_hyps = [hyps[i] for i in idxs]
         sub_refs = [refs[i] for i in idxs]
-        try:
-            cider_corpus, cider_scores = cider(sub_hyps, sub_refs)
-        except ValueError:
-            warnings.warn(
-                "cider skipped: fewer than 2 distinct reference documents", stacklevel=3
-            )
-            cider_corpus, cider_scores = None, [None] * len(idxs)
+        cider_corpus, cider_scores = _cider_or_skip(sub_hyps, sub_refs, stacklevel=4)
         per_example = None
         if with_per_example:
             per_example = {
@@ -393,3 +390,37 @@ def score_corpus(
         for label, idxs in stratify(ids, strata_labels):
             report.strata[label] = report_for(idxs)
     return report
+
+
+def pair_scores(pairs: list[tuple[str, str]], metric: str) -> list[float | None]:
+    """One column of :func:`score_corpus`'s per-example table, scored by
+    the same functions for each (hypothesis, reference) raw-text pair:
+    ``bleu_1``..``bleu_4`` (sentence BLEU), ``meteor``, ``rouge_l`` or
+    ``cider``, whose document frequencies come from all the pairs'
+    references (None for every pair when CIDEr is skipped)."""
+    if metric not in PAIR_METRICS:
+        raise ValueError(f"unknown metric {metric!r}")
+    if not pairs:
+        raise ValueError("empty corpus")
+    hyps = [tokenize(h) for h, _ in pairs]
+    refs = [tokenize(r) for _, r in pairs]
+    if metric == "meteor":
+        return [meteor_lite(h, r) for h, r in zip(hyps, refs)]
+    if metric == "rouge_l":
+        return [rouge_l(h, r) for h, r in zip(hyps, refs)]
+    if metric == "cider":
+        return _cider_or_skip(hyps, refs, stacklevel=3)[1]
+    n = int(metric.removeprefix("bleu_"))
+    return [bleu([h], [r], max_n=n)[n] for h, r in zip(hyps, refs)]
+
+
+def _cider_or_skip(hyps, refs, stacklevel: int) -> tuple[float | None, list[float | None]]:
+    """:func:`cider`, or None for the corpus and every pair, with a
+    warning, when the references have fewer than 2 distinct documents."""
+    try:
+        return cider(hyps, refs)
+    except ValueError:
+        warnings.warn(
+            "cider skipped: fewer than 2 distinct reference documents", stacklevel=stacklevel
+        )
+        return None, [None] * len(hyps)

@@ -96,48 +96,70 @@ def generate_nonoptimal(
     max_len: int = 16,
     template_id: str = "default",
 ) -> NegativeSet:
-    """Sample m negatives by top-k generation from the current model.
+    """:func:`nonoptimal_sets` of one example."""
+    return nonoptimal_sets(backend, [example], m, k, attempts, seed, max_len, template_id)[0]
+
+
+def nonoptimal_sets(
+    backend: ToyBackend,
+    examples: list[InferenceExample],
+    m: int = 4,
+    k: int = 10,
+    attempts: int = 5,
+    seed: int = 0,
+    max_len: int = 16,
+    template_id: str = "default",
+) -> list[NegativeSet]:
+    """Sample m negatives per example by top-k generation from the
+    current model.
 
     A sample that normalizes to the gold answer (or to nothing) is
     rejected and redrawn up to ``attempts`` times; a slot whose draws
-    all collide is dropped and recorded in provenance.
+    all collide is dropped and recorded in provenance. Attempts run in
+    rounds, each decoding every pending (example, slot) in one batch;
+    every attempt has its own seed, so a sample does not depend on the
+    other rows of its round.
     """
-    gold = normalize_answer(example.answer)
-    input_ids = encode_inputs(backend.vocab, [example], template_id)[0]
-    negatives: list[str] = []
-    provenance: list[dict] = []
-    for slot in range(m):
-        accepted = None
-        used_attempts = 0
-        for attempt in range(attempts):
-            used_attempts = attempt + 1
-            slot_seed = derive_seed(seed, example.id, "non_optimal", slot, attempt)
-            sample_tokens = backend.generate(
-                input_ids, TopKDecode(k=k, seed=slot_seed, max_len=max_len)
-            )
-            text = " ".join(sample_tokens)
-            if text and normalize_answer(text) != gold:
-                accepted = (text, slot_seed)
-                break
-        if accepted is None:
-            provenance.append({"slot": slot, "dropped": True, "attempts": used_attempts})
-        else:
-            negatives.append(accepted[0])
-            provenance.append(
-                {
-                    "slot": slot,
-                    "dropped": False,
-                    "attempts": used_attempts,
-                    "sample_seed": accepted[1],
-                    "k": k,
+    golds = [normalize_answer(ex.answer) for ex in examples]
+    inputs = encode_inputs(backend.vocab, examples, template_id)
+    texts: dict[tuple[int, int], str] = {}
+    provenance: dict[tuple[int, int], dict] = {}
+    pending = [(i, slot) for i in range(len(examples)) for slot in range(m)]
+    rounds = 0
+    for attempt in range(attempts):
+        if not pending:
+            break
+        rounds = attempt + 1
+        seeds = [
+            derive_seed(seed, examples[i].id, "non_optimal", slot, attempt) for i, slot in pending
+        ]
+        samples = backend.generate_batch(
+            [inputs[i] for i, _ in pending],
+            [TopKDecode(k=k, seed=s, max_len=max_len) for s in seeds],
+        )
+        rejected = []
+        for (i, slot), slot_seed, tokens in zip(pending, seeds, samples):
+            text = " ".join(tokens)
+            if text and normalize_answer(text) != golds[i]:
+                texts[i, slot] = text
+                provenance[i, slot] = {
+                    "slot": slot, "dropped": False, "attempts": rounds,
+                    "sample_seed": slot_seed, "k": k,
                 }
-            )
-    return NegativeSet(
-        example_id=example.id,
-        strategy="non_optimal",
-        negatives=negatives,
-        provenance=provenance,
-    )
+            else:
+                rejected.append((i, slot))
+        pending = rejected
+    for i, slot in pending:
+        provenance[i, slot] = {"slot": slot, "dropped": True, "attempts": rounds}
+    return [
+        NegativeSet(
+            example_id=ex.id,
+            strategy="non_optimal",
+            negatives=[texts[i, slot] for slot in range(m) if (i, slot) in texts],
+            provenance=[provenance[i, slot] for slot in range(m)],
+        )
+        for i, ex in enumerate(examples)
+    ]
 
 
 def replacement_deltas(
@@ -294,13 +316,10 @@ def _counterfactual(model, examples, config, seed):
 
 
 def _non_optimal(model, examples, config, seed):
-    return [
-        generate_nonoptimal(
-            model, ex, m=config.m, k=config.k, attempts=config.attempts, seed=seed,
-            max_len=config.max_gen_len, template_id=config.template_id,
-        )
-        for ex in examples
-    ]
+    return nonoptimal_sets(
+        model, examples, m=config.m, k=config.k, attempts=config.attempts, seed=seed,
+        max_len=config.max_gen_len, template_id=config.template_id,
+    )
 
 
 def _replace_zs(model, examples, config, seed, mode="zs"):

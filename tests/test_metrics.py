@@ -8,6 +8,7 @@ from inferbench.metrics import (
     bleu,
     cider,
     meteor_lite,
+    pair_scores,
     rouge_l,
     score_corpus,
     tokenize,
@@ -300,6 +301,18 @@ def test_score_corpus_tolerates_empty_hypotheses():
         report = score_corpus(pairs, with_per_example=True)
     assert report.bleu[1] > 0.0
     assert report.per_example["0"]["rouge_l"] == 0.0
+
+
+def test_pair_scores_rejects_an_unknown_metric_and_an_empty_corpus():
+    with pytest.raises(ValueError, match="unknown metric 'bleu_5'"):
+        pair_scores([("a", "a")], "bleu_5")
+    with pytest.raises(ValueError, match="empty corpus"):
+        pair_scores([], "meteor")
+
+
+def test_pair_scores_skip_cider_on_one_reference_document():
+    with pytest.warns(UserWarning, match="cider skipped"):
+        assert pair_scores([("a cat", "the cat"), ("cat", "the cat")], "cider") == [None, None]
 
 
 def test_report_ranges():

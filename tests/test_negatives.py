@@ -1,20 +1,22 @@
 import numpy as np
 import pytest
 
-from inferbench.backend import ToyBackend, Vocabulary
-from inferbench.corpus import normalize_answer
+from inferbench.backend import TopKDecode, ToyBackend, Vocabulary, derive_seed
+from inferbench.corpus import load_dataset, normalize_answer
 from inferbench.metrics import tokenize
 from inferbench.negatives import (
     NegativeSet,
     ReplaceConfig,
     generate_nonoptimal,
     inbatch_negatives,
+    nonoptimal_sets,
     pick_counterfactuals,
     replacement_deltas,
     select_positions,
     token_replace,
     train_mcq_scorer,
 )
+from inferbench.objective import encode_inputs
 from inferbench.trainer import build_vocabulary
 
 from bruteforce import bf_replace_positions
@@ -84,6 +86,57 @@ def test_total_collision_drops_slots():
     assert ns.negatives == []
     assert all(p["dropped"] and p["attempts"] == 5 for p in ns.provenance)
     assert len(ns.provenance) == 3
+
+
+def loop_nonoptimal(backend, example, m, k, attempts, seed, max_len):
+    """non_optimal sampling as a loop over slots, then attempts, one
+    ``generate`` call each: the reference for the batched rounds."""
+    gold = normalize_answer(example.answer)
+    input_ids = encode_inputs(backend.vocab, [example])[0]
+    negatives, provenance = [], []
+    for slot in range(m):
+        for attempt in range(attempts):
+            sample_seed = derive_seed(seed, example.id, "non_optimal", slot, attempt)
+            text = " ".join(
+                backend.generate(input_ids, TopKDecode(k=k, seed=sample_seed, max_len=max_len))
+            )
+            if text and normalize_answer(text) != gold:
+                negatives.append(text)
+                provenance.append({"slot": slot, "dropped": False, "attempts": attempt + 1,
+                                   "sample_seed": sample_seed, "k": k})
+                break
+        else:
+            provenance.append({"slot": slot, "dropped": True, "attempts": attempts})
+    return NegativeSet(example.id, "non_optimal", negatives, provenance)
+
+
+def test_rounds_retry_and_drop_like_the_slot_loop(data_dir):
+    examples = load_dataset(data_dir / "train.jsonl")[:20]
+    be = ToyBackend(build_vocabulary(examples), d=4, seed=1)
+    be.b[be.vocab.eos_id] += 2.2  # about half the first draws are EOS-first, hence empty
+    args = dict(m=4, k=10, attempts=3, seed=0, max_len=16)
+    got = nonoptimal_sets(be, examples, **args)
+    expected = [loop_nonoptimal(be, ex, **args) for ex in examples]
+    assert [ns.to_dict() for ns in got] == [ns.to_dict() for ns in expected]
+    rows = [p for ns in got for p in ns.provenance]
+    retried = sum(p["attempts"] > 1 for p in rows)
+    assert 0.3 * len(rows) <= retried <= 0.7 * len(rows)
+    assert any(p["dropped"] for p in rows)
+    assert any(not p["dropped"] and p["attempts"] == 3 for p in rows)
+
+
+def test_total_collision_drops_every_slot_of_every_example():
+    be = gold_only_backend()
+    examples = [
+        make_example(ex_id=f"ex-{i}", turns=(("A", "zzz " * (i + 1)),), target_index=1,
+                     answer="alpha", counterfactuals=())
+        for i in range(4)
+    ]
+    sets = nonoptimal_sets(be, examples, m=3, k=2, attempts=5, seed=0)
+    assert [ns.example_id for ns in sets] == [ex.id for ex in examples]
+    for ns in sets:
+        assert ns.negatives == []
+        assert ns.provenance == [{"slot": s, "dropped": True, "attempts": 5} for s in range(3)]
 
 
 def test_uniform_backend_yields_m_samples(example):

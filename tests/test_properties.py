@@ -4,6 +4,10 @@
   on that stratum's items alone, exactly.
 * The objective: :func:`forward` agrees with the loop oracle
   ``bf_total_loss`` on random encoded batches, errors included.
+* Decoding: the batched kernel agrees with a one-step-at-a-time loop
+  over ``log_probs_ids`` and ``Generator.choice``, and a row's tokens do
+  not depend on the rows batched with it.
+* The n-gram metrics agree with the oracles of ``tests/bruteforce.py``.
 * Invariants of decoding, token replacement, checkpoints and canonical
   JSON.
 
@@ -28,20 +32,33 @@ from hypothesis import strategies as st
 
 from inferbench.analysis import CHOICES, Judgment, compare_metric_scores, stratified_compare
 from inferbench.backend import (
+    DECODE_BLOCK,
+    DRAW_STEPS,
     SPECIALS,
     GreedyDecode,
     TopKDecode,
     ToyBackend,
     Vocabulary,
+    derive_seed,
+    draw_index,
     load_checkpoint,
     save_checkpoint,
 )
 from inferbench.jsonio import canonical_dumps
-from inferbench.metrics import score_corpus, tokenize
+from inferbench.metrics import (
+    PAIR_METRICS,
+    bleu,
+    cider,
+    pair_scores,
+    rouge_l,
+    score_corpus,
+    tokenize,
+)
 from inferbench.negatives import ReplaceConfig, token_replace
 from inferbench.objective import EncodedSet, LossConfig, forward
+from inferbench.porter import stem
 
-from bruteforce import bf_total_loss
+from bruteforce import bf_bleu, bf_cider, bf_rouge_l, bf_total_loss
 from conftest import make_example
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=60)
@@ -80,6 +97,19 @@ def test_score_strata_equal_subset_runs(items, with_per_example):
             )
             assert report.strata[label].to_dict() == alone.to_dict()
     assert list(report.strata) == sorted(report.strata)
+
+
+@PROPERTY
+@given(
+    st.lists(st.tuples(sentence, sentence), min_size=1, max_size=6),
+    st.sampled_from(PAIR_METRICS),
+)
+def test_pair_scores_equal_the_per_example_column(pairs, metric):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        report = score_corpus(pairs, with_per_example=True)
+        got = pair_scores(pairs, metric)
+    assert got == [row[metric] for row in report.per_example.values()]
 
 
 @PROPERTY
@@ -179,6 +209,140 @@ def test_forward_matches_loop_oracle(batch, grads):
     got = forward(be, enc, config, grads=grads, micro_batch=micro_batch)
     for name, value in zip(("nll", "cl_b", "cl_s", "total"), expected):
         assert math.isclose(getattr(got, name), value, rel_tol=1e-10), (name, got, value)
+
+
+# --- the batched decoder -------------------------------------------------------------
+
+def step_loop_generate(be, input_ids, decode):
+    """Decoding one step at a time: a ``log_probs_ids`` call per position
+    and a ``Generator.choice`` per top-k draw, with PAD/BOS/UNK/MASK
+    suppressed and ties in the top k broken on the lowest id."""
+    v = be.vocab
+    suppressed = [v.pad_id, v.bos_id, v.unk_id, v.mask_id]
+    if isinstance(decode, TopKDecode):
+        rng = np.random.default_rng(derive_seed(decode.seed, "topk"))
+    out = []
+    for _ in range(decode.max_len):
+        log_probs = be.log_probs_ids(input_ids, out).copy()
+        log_probs[suppressed] = -np.inf
+        if isinstance(decode, GreedyDecode):
+            nxt = int(np.argmax(log_probs))
+        else:
+            top = np.lexsort((np.arange(len(log_probs)), -log_probs))[: decode.k]
+            weights = np.exp(log_probs[top] - log_probs[top].max())
+            weights /= weights.sum()
+            nxt = int(rng.choice(top, p=weights))
+        if nxt == v.eos_id:
+            break
+        out.append(nxt)
+    return v.decode(out)
+
+
+@st.composite
+def decode_batches(draw, rows):
+    """A random backend whose EOS bias makes rows stop at different steps,
+    ragged (possibly empty) inputs, and one decode per row: greedy, or
+    top-k with k 1-5 and a seed per row."""
+    be = draw(random_backends())
+    be.b[be.vocab.eos_id] += draw(st.sampled_from([-4.0, 0.0, 1.0, 3.0]))
+    n = draw(rows)
+    token_ids = st.lists(st.integers(0, len(be.vocab) - 1), max_size=6)
+    inputs = [draw(token_ids) for _ in range(n)]
+    max_len = draw(st.integers(1, 2 * DRAW_STEPS + 2))
+    if draw(st.booleans()):
+        return be, inputs, [GreedyDecode(max_len=max_len)] * n
+    k = draw(st.integers(1, 5))
+    seed = draw(st.integers(0, 2**40))
+    return be, inputs, [TopKDecode(k=k, seed=seed + r, max_len=max_len) for r in range(n)]
+
+
+@PROPERTY
+@given(
+    random_backends(),
+    st.lists(
+        st.tuples(*[st.lists(st.integers(0, len(SPECIALS) + len(WORDS) - 1), max_size=6)] * 2),
+        min_size=1, max_size=6,
+    ),
+)
+def test_batched_log_probs_equal_log_probs_ids_bitwise(be, rows):
+    states = np.array([be._state(input_ids, prefix_ids) for input_ids, prefix_ids in rows])
+    for got, (input_ids, prefix_ids) in zip(be._log_probs_rows(states), rows):
+        assert got.tobytes() == be.log_probs_ids(input_ids, prefix_ids).tobytes()
+
+
+@PROPERTY
+@given(decode_batches(st.integers(1, 3)))
+def test_generate_batch_matches_step_loop(batch):
+    be, inputs, decodes = batch
+    expected = [step_loop_generate(be, ids, how) for ids, how in zip(inputs, decodes)]
+    assert be.generate_batch(inputs, decodes) == expected
+
+
+@settings(PROPERTY, max_examples=25)
+@given(decode_batches(st.integers(1, 4) | st.integers(DECODE_BLOCK - 1, DECODE_BLOCK + 3)))
+def test_generate_batch_rows_equal_one_row_calls(batch):
+    be, inputs, decodes = batch
+    got = be.generate_batch(inputs, decodes)
+    assert got == [be.generate(ids, how) for ids, how in zip(inputs, decodes)]
+
+
+@PROPERTY
+@given(
+    st.lists(st.floats(-30.0, 0.0), min_size=1, max_size=10),
+    st.integers(0, 2**63 - 1),
+)
+def test_inline_draw_equals_generator_choice(log_probs, seed):
+    log_probs = np.array(log_probs)
+    weights = np.exp(log_probs - log_probs.max())
+    weights /= weights.sum()
+    top = np.arange(len(weights)) + 3
+    expected = np.random.default_rng(seed).choice(top, p=weights)
+    u = np.random.default_rng(seed).random()
+    assert top[draw_index(weights[None, :], np.array([u]))[0]] == expected
+
+
+def test_non_finite_weights_raise():
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="not finite"):
+            draw_index(np.array([[0.5, bad]]), np.array([0.25]))
+    be = ToyBackend(Vocabulary(list(WORDS)), d=2, seed=0)
+    be.b[be.vocab.id_of("cat")] = np.nan
+    with pytest.raises(ValueError, match="not finite"):
+        be.generate([be.vocab.id_of("the")], TopKDecode(k=2, seed=0, max_len=4))
+
+
+# --- the n-gram metrics against their oracles -----------------------------------------
+
+@st.composite
+def token_pairs(draw):
+    """1-4 (hypothesis, reference) token lists of 0-7 tokens over an
+    alphabet of 3-5 words, so that n-grams and stems repeat."""
+    alphabet = WORDS[: draw(st.integers(3, 5))]
+    tokens = st.lists(st.sampled_from(alphabet), max_size=7)
+    return [(draw(tokens), draw(tokens)) for _ in range(draw(st.integers(1, 4)))]
+
+
+@PROPERTY
+@given(token_pairs())
+def test_ngram_metrics_match_brute_force(pairs):
+    hyps = [h for h, _ in pairs]
+    refs = [r for _, r in pairs]
+    got, expected = bleu(hyps, refs), bf_bleu(hyps, refs)
+    for n in range(1, 5):
+        assert math.isclose(got[n], expected[n], rel_tol=0, abs_tol=1e-9), n
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # rouge_l warns on an empty list
+        for hyp, ref in pairs:
+            assert math.isclose(rouge_l(hyp, ref), bf_rouge_l(hyp, ref), abs_tol=1e-9)
+    if len({tuple(map(stem, ref)) for ref in refs}) < 2:
+        with pytest.raises(ValueError):
+            cider(hyps, refs)
+        return
+    corpus, per_pair = cider(hyps, refs)
+    bf_corpus, bf_per_pair = bf_cider(hyps, refs)
+    assert math.isclose(corpus, bf_corpus, abs_tol=1e-9)
+    for value, bf_value in zip(per_pair, bf_per_pair, strict=True):
+        assert math.isclose(value, bf_value, abs_tol=1e-9)
 
 
 # --- decoding, token replacement, checkpoints, canonical JSON -----------------------
