@@ -20,7 +20,7 @@ negative can be replayed from its provenance alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -53,6 +53,9 @@ class NegativeSet:
     strategy: str
     negatives: list[str]
     provenance: list[dict]
+    # the token ids of ``negatives`` under the model's vocabulary, where
+    # the procedure made them as ids (non_optimal); not serialized
+    ids: list[np.ndarray] | None = field(default=None, repr=False, compare=False)
 
     def to_dict(self) -> dict:
         return {
@@ -109,20 +112,27 @@ def nonoptimal_sets(
     seed: int = 0,
     max_len: int = 16,
     template_id: str = "default",
+    inputs: list[np.ndarray] | None = None,
 ) -> list[NegativeSet]:
     """Sample m negatives per example by top-k generation from the
-    current model.
+    current model; ``inputs`` are the examples' input ids under the
+    model's vocabulary and ``template_id``, when the caller holds them.
 
     A sample that normalizes to the gold answer (or to nothing) is
     rejected and redrawn up to ``attempts`` times; a slot whose draws
     all collide is dropped and recorded in provenance. Attempts run in
     rounds, each decoding every pending (example, slot) in one batch;
     every attempt has its own seed, so a sample does not depend on the
-    other rows of its round.
+    other rows of its round. Each set keeps its samples' decoded ids
+    (``NegativeSet.ids``): the decoder emits no PAD/BOS/UNK/MASK and
+    :func:`tokenize` is idempotent on space-joined tokens, so they are
+    the ids of the sample texts.
     """
     golds = [normalize_answer(ex.answer) for ex in examples]
-    inputs = encode_inputs(backend.vocab, examples, template_id)
+    if inputs is None:
+        inputs = encode_inputs(backend.vocab, examples, template_id)
     texts: dict[tuple[int, int], str] = {}
+    sample_ids: dict[tuple[int, int], np.ndarray] = {}
     provenance: dict[tuple[int, int], dict] = {}
     pending = [(i, slot) for i in range(len(examples)) for slot in range(m)]
     rounds = 0
@@ -133,15 +143,16 @@ def nonoptimal_sets(
         seeds = [
             derive_seed(seed, examples[i].id, "non_optimal", slot, attempt) for i, slot in pending
         ]
-        samples = backend.generate_batch(
+        samples = backend.generate_batch_ids(
             [inputs[i] for i, _ in pending],
             [TopKDecode(k=k, seed=s, max_len=max_len) for s in seeds],
         )
         rejected = []
-        for (i, slot), slot_seed, tokens in zip(pending, seeds, samples):
-            text = " ".join(tokens)
+        for (i, slot), slot_seed, ids in zip(pending, seeds, samples):
+            text = " ".join(backend.vocab.decode(ids))
             if text and normalize_answer(text) != golds[i]:
                 texts[i, slot] = text
+                sample_ids[i, slot] = np.array(ids, dtype=np.intp)
                 provenance[i, slot] = {
                     "slot": slot, "dropped": False, "attempts": rounds,
                     "sample_seed": slot_seed, "k": k,
@@ -151,12 +162,14 @@ def nonoptimal_sets(
         pending = rejected
     for i, slot in pending:
         provenance[i, slot] = {"slot": slot, "dropped": True, "attempts": rounds}
+    kept = [[slot for slot in range(m) if (i, slot) in texts] for i in range(len(examples))]
     return [
         NegativeSet(
             example_id=ex.id,
             strategy="non_optimal",
-            negatives=[texts[i, slot] for slot in range(m) if (i, slot) in texts],
+            negatives=[texts[i, slot] for slot in kept[i]],
             provenance=[provenance[i, slot] for slot in range(m)],
+            ids=[sample_ids[i, slot] for slot in kept[i]],
         )
         for i, ex in enumerate(examples)
     ]
@@ -168,17 +181,19 @@ def replacement_deltas(
     """|log p(a_j | context + answer\\j) - log p(a_j | answer\\j)| per
     gold-answer position, from the masked scorer."""
     enc = encode_set(scorer, [example], template_id=template_id)
-    return _deltas(scorer, enc.answers[0][:-1], enc.inputs[0])
+    return _deltas(scorer, enc.answers[0][:-1], enc.inputs[0])[0]
 
 
-def _deltas(scorer: ToyBackend, answer_ids, context_ids) -> np.ndarray:
-    """:func:`replacement_deltas` of an answer and an input already encoded."""
+def _deltas(scorer: ToyBackend, answer_ids, context_ids) -> tuple[np.ndarray, list[np.ndarray]]:
+    """:func:`replacement_deltas` of an answer and an input already
+    encoded, and the answer-only masked distribution at each position."""
     deltas = np.empty(len(answer_ids))
+    answer_only = []
     for j, gold_id in enumerate(answer_ids):
         with_ctx = scorer.masked_logits_ids(answer_ids, j, context_ids)[gold_id]
-        answer_only = scorer.masked_logits_ids(answer_ids, j, None)[gold_id]
-        deltas[j] = abs(with_ctx - answer_only)
-    return deltas
+        answer_only.append(scorer.masked_logits_ids(answer_ids, j, None))
+        deltas[j] = abs(with_ctx - answer_only[j][gold_id])
+    return deltas, answer_only
 
 
 def select_positions(deltas: np.ndarray, threshold: float) -> tuple[list[int], bool]:
@@ -210,13 +225,15 @@ def token_replace(
     if not answer_tokens:
         raise ValueError(f"example {example.id}: empty answer")
     answer_ids = scorer.vocab.encode(answer_tokens)
-    deltas = _deltas(scorer, answer_ids, encode_inputs(scorer.vocab, [example], template_id)[0])
+    deltas, answer_only = _deltas(
+        scorer, answer_ids, encode_inputs(scorer.vocab, [example], template_id)[0]
+    )
     positions, fallback = select_positions(deltas, cfg.threshold)
 
     special_ids = {scorer.vocab.id_of(t) for t in SPECIALS}
     candidates_at: dict[int, list[int]] = {}
     for j in positions:
-        dist = scorer.masked_logits_ids(answer_ids, j, None)
+        dist = answer_only[j]
         order = np.lexsort((np.arange(len(dist)), -dist))
         ranked = [int(t) for t in order if int(t) not in special_ids]
         top = [t for t in ranked[: cfg.k] if t != answer_ids[j]]
@@ -296,11 +313,14 @@ def train_mcq_scorer(
 
 # --- strategy table --------------------------------------------------------------
 #
-# A builder takes (model, examples, config, seed) and returns one
-# NegativeSet per example, in order. ``config`` is a TrainConfig: m, k,
-# threshold, attempts, max_gen_len and template_id come from it. The
-# builders look the procedures up by module-level name at call time, so
-# a wrapper installed on those names sees every call.
+# A builder takes (model, examples, config, seed, inputs=None) and returns
+# one NegativeSet per example, in order. ``config`` is a TrainConfig: m,
+# k, threshold, attempts, max_gen_len and template_id come from it.
+# ``inputs`` are the examples' input ids under the model's vocabulary,
+# when the caller holds them; non_optimal then decodes from them without
+# encoding the inputs again. The builders look the procedures up by
+# module-level name at call time, so a wrapper installed on those names
+# sees every call.
 
 
 @dataclass(frozen=True)
@@ -311,18 +331,18 @@ class Strategy:
     max_m: int | None = None  # the most negatives per example it can give
 
 
-def _counterfactual(model, examples, config, seed):
+def _counterfactual(model, examples, config, seed, inputs=None):
     return [pick_counterfactuals(ex, config.m, seed) for ex in examples]
 
 
-def _non_optimal(model, examples, config, seed):
+def _non_optimal(model, examples, config, seed, inputs=None):
     return nonoptimal_sets(
         model, examples, m=config.m, k=config.k, attempts=config.attempts, seed=seed,
-        max_len=config.max_gen_len, template_id=config.template_id,
+        max_len=config.max_gen_len, template_id=config.template_id, inputs=inputs,
     )
 
 
-def _replace_zs(model, examples, config, seed, mode="zs"):
+def _replace_zs(model, examples, config, seed, inputs=None, mode="zs"):
     cfg = ReplaceConfig(threshold=config.threshold, k=config.k, mode=mode, seed=seed)
     return [
         token_replace(model, ex, cfg, m=config.m, template_id=config.template_id)
@@ -330,7 +350,7 @@ def _replace_zs(model, examples, config, seed, mode="zs"):
     ]
 
 
-def _replace_mcq(model, examples, config, seed):
+def _replace_mcq(model, examples, config, seed, inputs=None):
     scorer = train_mcq_scorer(
         examples, vocab=model.vocab, d=model.d, seed=seed, template_id=config.template_id
     )

@@ -12,15 +12,16 @@ Conventions fixed here and relied on by the trainer and tests:
 * the positive representation is the embedding of the gold answer;
 * the in-batch InfoNCE denominator includes the positive pair.
 
-Text is encoded once into an :class:`EncodedSet` (:func:`encode_set`),
-and :func:`forward`, the one entry point to the objective, evaluates it
-on that set in matrix form: every pooled embedding (inputs, answers,
-negatives) comes from one segment sum, the NLL scores all answers of a
-block with one product with U, and both InfoNCE terms are row-wise
-softmax cross-entropies over a logit matrix, n x n for the in-batch term
-and n x (1 + m) for the per-sample one (padded with -inf where an
-example has fewer negatives). The backward pass ends in one scatter
-into E.
+Text is encoded once into an :class:`EncodedSet` (:func:`encode_set`;
+a training set's vocabulary and ids come from one tokenization pass,
+:func:`encode_training_set`), and :func:`forward`, the one entry point
+to the objective, evaluates it on that set in matrix form: every
+pooled embedding (inputs, answers, negatives) comes from one segment
+sum, the NLL scores all answers of a block with one product with U, and
+both InfoNCE terms are row-wise softmax cross-entropies over a logit
+matrix, n x n for the in-batch term and n x (1 + m) for the per-sample
+one (padded with -inf where an example has fewer negatives). The
+backward pass ends in one scatter into E.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .backend import Gradients, ToyBackend, Vocabulary, derive_seed
+from .backend import EOS, Gradients, ToyBackend, Vocabulary, derive_seed
 from .corpus import InferenceExample, prepare_input_text
 from .metrics import tokenize
 
@@ -79,14 +80,45 @@ def _answer_ids(backend: ToyBackend, answer: str) -> list[int]:
     return backend.vocab.encode(tokens) + [backend.vocab.eos_id]
 
 
+def encode_training_set(
+    examples: list[InferenceExample], template_id: str = "default"
+) -> tuple[Vocabulary, EncodedSet, list[list[np.ndarray]]]:
+    """One tokenization pass over each example's input text, gold answer
+    and counterfactuals. Returns the vocabulary over their sorted tokens,
+    the set's input and answer ids under it (no negatives), and the ids
+    of each counterfactual of each example.
+
+    Tokens get provisional ids in first-seen order as the pass goes; one
+    permutation then maps every array, in place, onto the sorted
+    vocabulary.
+    """
+    provisional: dict[str, int] = {EOS: 0}  # every answer ends with EOS
+
+    def ids(text: str, eos: bool = False) -> np.ndarray:
+        row = [provisional.setdefault(t, len(provisional)) for t in tokenize(text)]
+        if eos:
+            row.append(provisional[EOS])
+        return np.array(row, dtype=np.intp)
+
+    inputs, answers, counterfactuals = [], [], []
+    for ex in examples:
+        inputs.append(ids(prepare_input_text(ex, template_id)))
+        answers.append(ids(ex.answer, eos=True))
+        if len(answers[-1]) == 1:
+            raise ValueError("empty answer cannot be scored")
+        counterfactuals.append([ids(text) for text in ex.counterfactuals])
+    vocab = Vocabulary(sorted(provisional))  # Vocabulary places EOS with the specials
+    perm = np.array([vocab.id_of(t) for t in provisional], dtype=np.intp)
+    for arrays in (inputs, answers, *counterfactuals):
+        for a in arrays:
+            a[:] = perm[a]
+    return vocab, EncodedSet([ex.id for ex in examples], inputs, answers), counterfactuals
+
+
 def build_vocabulary(examples: list[InferenceExample], template_id: str = "default") -> Vocabulary:
     """Vocabulary over the sorted tokens of the input texts, gold answers
     and counterfactuals."""
-    tokens = set()
-    for ex in examples:
-        for text in (prepare_input_text(ex, template_id), ex.answer, *ex.counterfactuals):
-            tokens.update(tokenize(text))
-    return Vocabulary(sorted(tokens))
+    return encode_training_set(examples, template_id)[0]
 
 
 def encode_texts(vocab: Vocabulary, texts: list[str]) -> list[np.ndarray]:

@@ -6,22 +6,24 @@ ties)."""
 from __future__ import annotations
 
 import math
+import shutil
 import sys
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
-from .backend import ToyBackend, derive_seed, save_checkpoint
+from .backend import ToyBackend, Vocabulary, derive_seed, save_checkpoint
 from .corpus import TEMPLATES, InferenceExample
-from .negatives import DEFAULT_STRATEGY, STRATEGIES, untrained_model
-from .objective import (
+from .negatives import DEFAULT_STRATEGY, STRATEGIES, NegativeSet, untrained_model
+from .objective import (  # noqa: F401  callers import build_vocabulary from here
     EncodedSet,
     LossConfig,
     build_vocabulary,
     check_number_fields,
     encode_set,
     encode_texts,
+    encode_training_set,
     forward,
 )
 
@@ -112,19 +114,42 @@ def perplexity(
     backend: ToyBackend,
     dataset: list[InferenceExample] | EncodedSet,
     template_id: str = "default",
+    micro_batch: int | None = None,
 ) -> float:
     """exp(total answer NLL / total answer token count), EOS included,
     forward only; ``dataset`` may be a set encoded once by the caller.
+    ``micro_batch`` caps the examples per NLL logit block, as in
+    :func:`forward`, which bounds memory and leaves the value as it is.
     A perplexity that is not finite raises RuntimeError."""
     if not dataset:
         raise ValueError("perplexity of an empty dataset")
     if not isinstance(dataset, EncodedSet):
         dataset = encode_set(backend, dataset, template_id=template_id)
-    nll = forward(backend, dataset, LossConfig(lambda_b=0.0, lambda_s=0.0), grads=False).nll
+    config = LossConfig(lambda_b=0.0, lambda_s=0.0)
+    nll = forward(backend, dataset, config, grads=False, micro_batch=micro_batch).nll
     per_token = nll * len(dataset) / sum(len(a) for a in dataset.answers)
     if not per_token < math.log(sys.float_info.max):  # also catches nan
         raise RuntimeError(f"non-finite perplexity: mean answer NLL per token {per_token}")
     return math.exp(per_token)
+
+
+def _static_negative_ids(
+    vocab: Vocabulary,
+    sets: list[NegativeSet],
+    examples: list[InferenceExample],
+    counterfactual_ids: list[list[np.ndarray]],
+) -> list[list[np.ndarray]]:
+    """Token ids of each set's negatives: a dataset counterfactual keeps
+    its ids from the training set's one tokenization pass, any other
+    text is encoded."""
+    out = []
+    for ns, ex, known_ids in zip(sets, examples, counterfactual_ids):
+        known = dict(zip(ex.counterfactuals, known_ids))
+        out.append([
+            known[text] if text in known else encode_texts(vocab, [text])[0]
+            for text in ns.negatives
+        ])
+    return out
 
 
 def train(
@@ -151,15 +176,16 @@ def train(
     if out_path is not None:
         out_path.mkdir(parents=True, exist_ok=True)
 
-    vocab = build_vocabulary(train_set, config.template_id)
+    vocab, encoded, counterfactual_ids = encode_training_set(train_set, config.template_id)
     backend = ToyBackend(vocab, d=config.d, seed=config.seed)
     strategy = STRATEGIES.get(config.negative_strategy) if config.loss.lambda_s > 0 else None
     resample = strategy is not None and strategy.per_epoch
-    static = None
     if strategy is not None and not resample:
         model = untrained_model(vocab, config.d, config.seed) if strategy.needs_model else None
-        static = [ns.negatives for ns in strategy.build(model, train_set, config, config.seed)]
-    encoded = encode_set(backend, train_set, static, config.template_id)
+        sets = strategy.build(model, train_set, config, config.seed)
+        negatives = _static_negative_ids(vocab, sets, train_set, counterfactual_ids)
+        encoded = replace(encoded, negatives=negatives)
+    del counterfactual_ids  # only static negatives reuse them
     valid_enc = encode_set(backend, valid_set, template_id=config.template_id)
 
     steps_per_epoch = math.ceil(len(train_set) / config.effective_batch)
@@ -173,13 +199,14 @@ def train(
     for epoch in range(1, config.max_epochs + 1):
         if resample:
             seed = derive_seed(config.seed, config.negative_strategy, epoch)
-            sets = strategy.build(backend, train_set, config, seed)
+            sets = strategy.build(backend, train_set, config, seed, inputs=encoded.inputs)
             for ns in sets:
                 if not ns.negatives:
                     raise ValueError(
                         f"example {ns.example_id}: {ns.strategy} produced no usable negative"
                     )
-            encoded = replace(encoded, negatives=[encode_texts(vocab, ns.negatives) for ns in sets])
+            # the ids the decoder made, kept by the builder
+            encoded = replace(encoded, negatives=[ns.ids for ns in sets])
         rng = np.random.default_rng(derive_seed(config.seed, "shuffle", epoch))
         order = rng.permutation(len(train_set))
         for start in range(0, len(train_set), config.effective_batch):
@@ -207,7 +234,7 @@ def train(
                 }
             )
 
-        val_ppl = perplexity(backend, valid_enc)
+        val_ppl = perplexity(backend, valid_enc, micro_batch=config.micro_batch)
         ckpt_path = None
         if out_path is not None:
             ckpt_path = str(out_path / f"epoch_{epoch:03d}.json")
@@ -223,8 +250,9 @@ def train(
             best_backend = backend.copy()
 
     if out_path is not None:
+        # the best epoch's file holds best_backend's parameters and digest
         best_path = str(out_path / "best.json")
-        save_checkpoint(best_backend, best_path, config_digest)
+        shutil.copyfile(best.path, best_path)
         best.path = best_path
     return TrainResult(
         backend=backend,

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -250,3 +251,19 @@ def test_checkpoint_round_trip_bit_exact(tmp_path, backend):
     assert np.array_equal(loaded.b, backend.b)
     assert loaded.vocab.tokens == backend.vocab.tokens
     assert loaded.d == backend.d and loaded.seed == backend.seed
+
+
+# sha256 of save_checkpoint's bytes for a fixed seeded backend, captured
+# from the json.dump encoder; the bytes are the file format
+CHECKPOINT_SHA256 = {
+    None: "64c1522d5975096e0066ed3966c5a24ca1f7649d1efe690db0dfbade11cddb7f",
+    "ab" * 32: "104a3443c4ffd7c04c981e58ae44decd7eaf3629e91b33208e3208000cb99b81",
+}
+
+
+@pytest.mark.parametrize("digest", list(CHECKPOINT_SHA256))
+def test_checkpoint_bytes_pinned(tmp_path, digest):
+    backend = ToyBackend(Vocabulary(["the", "rain", "'s", "."]), d=4, seed=3)
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(backend, path, digest)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == CHECKPOINT_SHA256[digest]

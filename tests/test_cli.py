@@ -9,7 +9,8 @@ import inferbench.trainer
 from inferbench.cli import build_parser, load_run_config, main
 from inferbench.corpus import load_dataset, save_dataset
 from inferbench.synth import build_judgments, build_split
-from inferbench.trainer import TrainConfig, train
+from inferbench.objective import encode_texts
+from inferbench.trainer import TrainConfig, build_vocabulary, train
 
 from conftest import DATA_DIR
 
@@ -179,20 +180,25 @@ def test_trainer_and_perturb_build_the_same_negatives(tmp_path, small_data, monk
                 "--in", small_data / "valid.jsonl", "--out", out, "--set", "model.d=4"]) == 0
     records = [json.loads(line) for line in out.read_text().splitlines()]
 
-    built = []
-    encode_set = inferbench.trainer.encode_set
+    # the negative ids of every batch the trainer's objective sees
+    seen = {}
+    forward = inferbench.trainer.forward
 
-    def spy(backend, examples, negatives=None, template_id="default"):
-        if negatives is not None:
-            built.append(negatives)
-        return encode_set(backend, examples, negatives, template_id)
+    def spy(backend, batch, *args, **kwargs):
+        if batch.negatives is not None:
+            seen.update(zip(batch.example_ids, batch.negatives))
+        return forward(backend, batch, *args, **kwargs)
 
-    monkeypatch.setattr(inferbench.trainer, "encode_set", spy)
+    monkeypatch.setattr(inferbench.trainer, "forward", spy)
     examples = load_dataset(small_data / "valid.jsonl")
     config = TrainConfig(effective_batch=8, micro_batch=4, max_epochs=1, negative_strategy=strategy,
                          m=2, k=5, d=4, seed=3)
     train(config, examples, examples)
-    assert built == [[r["negatives"] for r in records]]
+    vocab = build_vocabulary(examples)
+    assert sorted(seen) == sorted(r["example_id"] for r in records)
+    for r in records:
+        expected = encode_texts(vocab, r["negatives"])
+        assert [ids.tolist() for ids in seen[r["example_id"]]] == [e.tolist() for e in expected]
 
 
 def test_score_plain_text_mode(tmp_path):

@@ -415,3 +415,27 @@ def test_perplexity_is_exp_of_summed_nll_per_token():
     nll = sum(forward(be, encode_set(be, [ex]), NLL_ONLY).nll for ex in batch)
     tokens = sum(len(tokenize(ex.answer)) + 1 for ex in batch)
     assert perplexity(be, batch) == pytest.approx(math.exp(nll / tokens), abs=1e-12)
+
+
+def test_one_pass_matches_the_vocabulary_and_encode_set(data_dir):
+    from inferbench.corpus import load_dataset, prepare_input_text
+    from inferbench.metrics import tokenize
+    from inferbench.objective import encode_training_set
+
+    examples = load_dataset(data_dir / "train.jsonl")[:40]
+    for template_id in ("default", "speaker_ids"):
+        vocab, enc, counterfactual_ids = encode_training_set(examples, template_id)
+        tokens = set()
+        for ex in examples:
+            for text in (prepare_input_text(ex, template_id), ex.answer, *ex.counterfactuals):
+                tokens.update(tokenize(text))
+        assert vocab.tokens == Vocabulary(sorted(tokens)).tokens
+        backend = ToyBackend(vocab, d=4)
+        expected = encode_set(backend, examples, [list(ex.counterfactuals) for ex in examples],
+                              template_id)
+        assert enc.example_ids == expected.example_ids and enc.negatives is None
+        for got, want in ((enc.inputs, expected.inputs), (enc.answers, expected.answers)):
+            assert all(g.dtype == np.intp and g.tolist() == w.tolist() for g, w in zip(got, want))
+        assert [[a.tolist() for a in row] for row in counterfactual_ids] == [
+            [a.tolist() for a in row] for row in expected.negatives
+        ]

@@ -55,7 +55,7 @@ from inferbench.metrics import (
     tokenize,
 )
 from inferbench.negatives import ReplaceConfig, token_replace
-from inferbench.objective import EncodedSet, LossConfig, forward
+from inferbench.objective import EncodedSet, LossConfig, build_vocabulary, forward
 from inferbench.porter import stem
 
 from bruteforce import bf_bleu, bf_cider, bf_rouge_l, bf_total_loss
@@ -422,3 +422,18 @@ json_values = st.recursive(
 def test_canonical_json_is_idempotent(value):
     once = canonical_dumps(value)
     assert canonical_dumps(json.loads(once)) == once
+
+
+nonblank_text = st.text(min_size=1).filter(str.strip)
+
+
+@PROPERTY
+@given(nonblank_text, nonblank_text, st.data())
+def test_tokenize_is_idempotent_on_vocabulary_tokens(turn, answer, data):
+    # non_optimal negatives keep the decoder's ids in place of re-tokenizing
+    # the space-joined tokens; that is exact because of this identity
+    example = make_example(turns=(("A", turn),), target_index=1, answer=answer,
+                           counterfactuals=())
+    words = [t for t in build_vocabulary([example]).tokens if t not in SPECIALS]
+    seq = data.draw(st.lists(st.sampled_from(words), max_size=12))
+    assert tokenize(" ".join(seq)) == seq

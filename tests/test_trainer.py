@@ -1,9 +1,17 @@
+import sys
+import tracemalloc
+from collections import Counter
+
 import numpy as np
 import pytest
 
+import inferbench.metrics
+import inferbench.negatives
+import inferbench.trainer
 from inferbench.backend import ToyBackend, Vocabulary, load_checkpoint
-from inferbench.objective import LossConfig
-from inferbench.synth import build_split
+from inferbench.corpus import load_dataset, prepare_input_text
+from inferbench.objective import LossConfig, encode_set, encode_texts
+from inferbench.synth import build_corpus, build_split
 from inferbench.trainer import (
     CheckpointInfo,
     TrainConfig,
@@ -226,3 +234,114 @@ def test_benchmark_calls_into_the_package(data_dir):
     assert [r["id"] for r in read_jsonl(data_dir / "valid.jsonl")] == [ex.id for ex in valid]
     be = ToyBackend(build_vocabulary(valid), d=16, seed=0)
     assert perplexity(be, valid) == pytest.approx(bf_perplexity(be, valid), rel=1e-9)
+
+
+# --- conversions made once ----------------------------------------------------
+
+
+def test_blocked_perplexity_equals_whole_set():
+    for seed in range(5):
+        train_set, valid_set, _ = build_corpus(seed=seed)
+        be = ToyBackend(build_vocabulary(train_set), d=16, seed=seed)
+        for examples in (valid_set, train_set):
+            enc = encode_set(be, examples)
+            assert perplexity(be, enc, micro_batch=8) == perplexity(be, enc)
+
+
+def test_blocked_perplexity_peaks_below_one_block():
+    valid = build_split("va", 200, seed=2)
+    be = ToyBackend(build_vocabulary(valid), d=16, seed=0)
+    enc = encode_set(be, valid)
+
+    def peak(micro_batch):
+        tracemalloc.start()
+        try:
+            perplexity(be, enc, micro_batch=micro_batch)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(8) < peak(None) / 2
+
+
+def test_trainer_scores_validation_in_its_micro_batches(monkeypatch, corpus):
+    blocks = []
+    forward = inferbench.trainer.forward
+
+    def spy(backend, batch, config, grads=True, micro_batch=None, nll=True):
+        if not grads:
+            blocks.append(micro_batch)
+        return forward(backend, batch, config, grads, micro_batch, nll)
+
+    monkeypatch.setattr(inferbench.trainer, "forward", spy)
+    train(tiny_config(), *corpus)
+    assert blocks == [4, 4]
+
+
+def test_best_checkpoint_is_the_best_epochs_file(tmp_path, corpus):
+    # lr0 2.0 diverges after epoch 1, so the best epoch is not the last
+    result = train(tiny_config(lr0=2.0, max_epochs=3), *corpus, out_dir=tmp_path,
+                   config_digest="d" * 64)
+    assert result.checkpoint.epoch == 1
+    best = (tmp_path / "best.json").read_bytes()
+    assert best == (tmp_path / "epoch_001.json").read_bytes()
+    assert best != (tmp_path / "epoch_003.json").read_bytes()
+    loaded = load_checkpoint(tmp_path / "best.json")
+    assert np.array_equal(loaded.flat_parameters(), result.best_backend.flat_parameters())
+
+
+def test_nonoptimal_negative_ids_are_the_encoded_texts(monkeypatch, corpus):
+    built = []  # the NegativeSets of each epoch
+    seen = []  # (epoch, example id -> negative ids) of each training batch
+    nonoptimal_sets = inferbench.negatives.nonoptimal_sets
+    forward = inferbench.trainer.forward
+
+    def spy_sets(*args, **kwargs):
+        built.append(nonoptimal_sets(*args, **kwargs))
+        return built[-1]
+
+    def spy_forward(backend, batch, *args, **kwargs):
+        if batch.negatives is not None:
+            seen.append((len(built), dict(zip(batch.example_ids, batch.negatives))))
+        return forward(backend, batch, *args, **kwargs)
+
+    monkeypatch.setattr(inferbench.negatives, "nonoptimal_sets", spy_sets)
+    monkeypatch.setattr(inferbench.trainer, "forward", spy_forward)
+    result = train(tiny_config(negative_strategy="non_optimal", m=2, k=5), *corpus)
+    assert len(built) == 2
+    for epoch, sets in enumerate(built, 1):
+        got = {}
+        for batch_epoch, negatives in seen:
+            if batch_epoch == epoch:
+                got.update(negatives)
+        assert sorted(got) == sorted(ns.example_id for ns in sets)
+        for ns in sets:
+            expected = encode_texts(result.backend.vocab, ns.negatives)
+            assert [ids.tolist() for ids in got[ns.example_id]] == [e.tolist() for e in expected]
+
+
+@pytest.mark.parametrize("strategy", ["counterfactual", "non_optimal", "none"])
+def test_train_tokenizes_each_text_once(monkeypatch, data_dir, strategy):
+    train_set = load_dataset(data_dir / "train.jsonl")
+    valid_set = load_dataset(data_dir / "valid.jsonl")
+    calls = Counter()
+    tokenize = inferbench.metrics.tokenize
+
+    def counting(text):
+        calls[text] += 1
+        return tokenize(text)
+
+    # every module-level binding, as the package imports it by name
+    for name, module in list(sys.modules.items()):
+        if name.startswith("inferbench") and module is not None:
+            for attr, value in list(vars(module).items()):
+                if value is tokenize:
+                    monkeypatch.setattr(module, attr, counting)
+    loss = LossConfig(lambda_s=0.0) if strategy == "none" else LossConfig()
+    train(TrainConfig(max_epochs=2, negative_strategy=strategy, loss=loss), train_set, valid_set)
+    expected = Counter()
+    for ex in train_set:
+        expected.update([prepare_input_text(ex), ex.answer, *ex.counterfactuals])
+    for ex in valid_set:
+        expected.update([prepare_input_text(ex), ex.answer])
+    assert calls == expected
