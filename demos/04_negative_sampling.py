@@ -12,6 +12,7 @@ from inferbench.negatives import (
     pick_counterfactuals,
     token_replace,
 )
+from inferbench.objective import encode_inputs
 from inferbench.synth import build_split
 from inferbench.trainer import build_vocabulary
 
@@ -34,7 +35,8 @@ for neg, prov in zip(ns.negatives, ns.provenance):
 scorer = ToyBackend(build_vocabulary(batch), d=8, seed=5)
 scorer.E *= 20.0
 scorer.U *= 20.0  # wider logit range makes the 0.75 threshold meaningful
-ns = token_replace(scorer, ex, ReplaceConfig(threshold=0.75, k=10, mode="zs", seed=7), m=2)
+cfg = ReplaceConfig(threshold=0.75, k=10, mode="zs", seed=7)
+ns = token_replace(scorer, ex, encode_inputs(scorer.vocab, [ex])[0], cfg, m=2)
 print("\nreplace_zs (context-sensitive tokens swapped):")
 for neg, prov in zip(ns.negatives, ns.provenance):
     print(f"  {neg}   <- positions {prov['replaced_positions']} fallback={prov['fallback']}")

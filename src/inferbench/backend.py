@@ -13,11 +13,12 @@ gradient-check yet rich enough to exercise every training objective:
 Masked scoring drops the masked position and mean-pools the remaining
 tokens of the conditioned window. The model contract is id-level: the
 vocabulary ``vocab`` plus ``log_probs_ids``, ``masked_logits_ids``,
-``embed_ids`` and ``generate_batch`` (``generate`` is its one-row call,
-``generate_batch_ids`` its form that returns ids), which all take token
-ids; text becomes ids only in :mod:`inferbench.objective`. All
-randomness flows through seeds derived with :func:`derive_seed`, so
-identical seeds give bit-identical parameters and samples.
+``embed_ids`` and ``generate_batch``, which all take token ids;
+``generate_batch`` returns the decoded ids and ``generate``, its one-row
+call, the decoded tokens. Text becomes ids only in
+:mod:`inferbench.objective`. All randomness flows through seeds derived
+with :func:`derive_seed`, so identical seeds give bit-identical
+parameters and samples.
 """
 
 from __future__ import annotations
@@ -216,17 +217,9 @@ class ToyBackend:
     ) -> list[str]:
         """Decode the tokens of an answer to the input ``input_ids``, until
         EOS or max_len: the one-row call of :meth:`generate_batch`."""
-        return self.generate_batch([input_ids], [decode])[0]
+        return self.vocab.decode(self.generate_batch([input_ids], [decode])[0])
 
     def generate_batch(
-        self,
-        inputs: list[list[int] | np.ndarray],
-        decodes: list[GreedyDecode] | list[TopKDecode],
-    ) -> list[list[str]]:
-        """The tokens of :meth:`generate_batch_ids`."""
-        return [self.vocab.decode(ids) for ids in self.generate_batch_ids(inputs, decodes)]
-
-    def generate_batch_ids(
         self,
         inputs: list[list[int] | np.ndarray],
         decodes: list[GreedyDecode] | list[TopKDecode],

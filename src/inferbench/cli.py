@@ -41,10 +41,10 @@ from .metrics import PAIR_METRICS, pair_scores, score_corpus
 from .negatives import DEFAULT_STRATEGY, STRATEGIES, untrained_model
 from .objective import (
     LossConfig,
-    build_vocabulary,
     check_number_fields,
     encode_inputs,
     encode_set,
+    encode_training_set,
     finite_diff_check,
 )
 from .synth import build_split
@@ -250,7 +250,7 @@ def _generate(backend: ToyBackend, examples, decode: dict, template_id: str) -> 
             for ex in examples
         ]
     inputs = encode_inputs(backend.vocab, examples, template_id)
-    return [" ".join(tokens) for tokens in backend.generate_batch(inputs, decodes)]
+    return [" ".join(backend.vocab.decode(ids)) for ids in backend.generate_batch(inputs, decodes)]
 
 
 def cmd_generate(args) -> int:
@@ -274,12 +274,14 @@ def cmd_perturb(args) -> int:
         raise ConfigError(f"unknown strategy {tc.negative_strategy!r}")
     strategy = STRATEGIES[tc.negative_strategy]
     examples = load_dataset(args.input)
-    model = None
     if strategy.needs_model and args.ckpt:
         model = load_checkpoint(args.ckpt)
-    elif strategy.needs_model:
-        model = untrained_model(build_vocabulary(examples, tc.template_id), tc.d, seed)
-    records = [ns.to_dict() for ns in strategy.build(model, examples, tc, seed)]
+        counterfactuals = [list(ex.counterfactuals) for ex in examples]
+        enc = encode_set(model, examples, counterfactuals, tc.template_id)
+    else:
+        vocab, enc = encode_training_set(examples, tc.template_id)
+        model = untrained_model(vocab, tc.d, seed) if strategy.needs_model else None
+    records = [ns.to_dict() for ns in strategy.build(model, examples, enc, tc, seed)]
     write_jsonl_artifact(args.out, records, _meta(digest, seed))
     print(f"wrote {len(records)} negative sets ({tc.negative_strategy}) -> {args.out}")
     return 0
@@ -313,7 +315,10 @@ def _load_generations(path: str) -> dict[str, str]:
                 raise DatasetError(
                     f"{path}: line {line_no}: generated must be a string, got {rec['generated']!r}"
                 )
-            out[str(rec["id"])] = rec["generated"]
+            rec_id = str(rec["id"])
+            if rec_id in out:
+                raise DatasetError(f"{path}: line {line_no}: duplicate id {rec_id!r}")
+            out[rec_id] = rec["generated"]
         return out
     lines = p.read_text(encoding="utf-8").splitlines()
     return {str(i): line for i, line in enumerate(lines)}
@@ -437,11 +442,8 @@ def cmd_compare(args) -> int:
 def cmd_gradcheck(args) -> int:
     config, digest = load_run_config(args.config, args.set)
     seed = args.seed if args.seed is not None else config["seed"]
-    batch = build_split("gradcheck", 4, seed)
-    negatives = [list(ex.counterfactuals) for ex in batch]
-    vocab = build_vocabulary(batch, config["template_id"])
+    vocab, enc = encode_training_set(build_split("gradcheck", 4, seed), config["template_id"])
     backend = ToyBackend(vocab, d=config["model"]["d"], seed=seed)
-    enc = encode_set(backend, batch, negatives, config["template_id"])
     report = finite_diff_check(backend, enc, LossConfig(**config["loss"]), tol=args.tol, seed=seed)
     write_artifact(args.out, report.to_dict(), _meta(digest, seed))
     status = "PASS" if report.passed else "FAIL"

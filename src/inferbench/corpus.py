@@ -270,9 +270,18 @@ def _example_from_cicero(obj: dict, where: str) -> InferenceExample:
 
 
 def load_dataset(path: str | Path, format: str = "canonical_jsonl") -> list[InferenceExample]:
-    """Load and validate a dataset; order and count match the file."""
+    """Load and validate a dataset; order and count match the file. A
+    repeated example id raises DatasetError."""
     path = Path(path)
     examples: list[InferenceExample] = []
+    seen: set[str] = set()
+
+    def add(example: InferenceExample, where: str) -> None:
+        if example.id in seen:
+            raise DatasetError(f"{where}: duplicate example id {example.id!r}")
+        seen.add(example.id)
+        examples.append(example)
+
     if format == "canonical_jsonl":
         with open(path, encoding="utf-8") as fh:
             for line_no, line in enumerate(fh, start=1):
@@ -282,7 +291,8 @@ def load_dataset(path: str | Path, format: str = "canonical_jsonl") -> list[Infe
                     obj = json.loads(line)
                 except json.JSONDecodeError as exc:
                     raise DatasetError(f"{path}:{line_no}: invalid JSON ({exc})") from exc
-                examples.append(_example_from_canonical(obj, f"{path}:{line_no}"))
+                where = f"{path}:{line_no}"
+                add(_example_from_canonical(obj, where), where)
     elif format == "cicero_json":
         with open(path, encoding="utf-8") as fh:
             try:
@@ -292,7 +302,8 @@ def load_dataset(path: str | Path, format: str = "canonical_jsonl") -> list[Infe
         if not isinstance(records, list):
             raise DatasetError(f"{path}: expected a JSON array of records")
         for i, obj in enumerate(records):
-            examples.append(_example_from_cicero(obj, f"{path}[{i}]"))
+            where = f"{path}[{i}]"
+            add(_example_from_cicero(obj, where), where)
     else:
         raise ValueError(f"unknown dataset format {format!r}")
     return examples

@@ -28,7 +28,7 @@ import numpy as np
 from .backend import SPECIALS, TopKDecode, ToyBackend, Vocabulary, derive_seed
 from .corpus import MAX_COUNTERFACTUALS, InferenceExample, normalize_answer
 from .metrics import tokenize
-from .objective import LossConfig, build_vocabulary, encode_inputs, encode_set, forward
+from .objective import EncodedSet, LossConfig, encode_inputs, encode_set, forward
 
 
 @dataclass(frozen=True)
@@ -53,8 +53,8 @@ class NegativeSet:
     strategy: str
     negatives: list[str]
     provenance: list[dict]
-    # the token ids of ``negatives`` under the model's vocabulary, where
-    # the procedure made them as ids (non_optimal); not serialized
+    # the token ids of ``negatives`` under the model's vocabulary, as a
+    # strategy builder returns them; not serialized
     ids: list[np.ndarray] | None = field(default=None, repr=False, compare=False)
 
     def to_dict(self) -> dict:
@@ -99,24 +99,25 @@ def generate_nonoptimal(
     max_len: int = 16,
     template_id: str = "default",
 ) -> NegativeSet:
-    """:func:`nonoptimal_sets` of one example."""
-    return nonoptimal_sets(backend, [example], m, k, attempts, seed, max_len, template_id)[0]
+    """:func:`nonoptimal_sets` of one example, its input text encoded
+    under ``template_id``."""
+    inputs = encode_inputs(backend.vocab, [example], template_id)
+    return nonoptimal_sets(backend, [example], inputs, m, k, attempts, seed, max_len)[0]
 
 
 def nonoptimal_sets(
     backend: ToyBackend,
     examples: list[InferenceExample],
+    inputs: list[np.ndarray],
     m: int = 4,
     k: int = 10,
     attempts: int = 5,
     seed: int = 0,
     max_len: int = 16,
-    template_id: str = "default",
-    inputs: list[np.ndarray] | None = None,
 ) -> list[NegativeSet]:
     """Sample m negatives per example by top-k generation from the
     current model; ``inputs`` are the examples' input ids under the
-    model's vocabulary and ``template_id``, when the caller holds them.
+    model's vocabulary.
 
     A sample that normalizes to the gold answer (or to nothing) is
     rejected and redrawn up to ``attempts`` times; a slot whose draws
@@ -129,8 +130,6 @@ def nonoptimal_sets(
     the ids of the sample texts.
     """
     golds = [normalize_answer(ex.answer) for ex in examples]
-    if inputs is None:
-        inputs = encode_inputs(backend.vocab, examples, template_id)
     texts: dict[tuple[int, int], str] = {}
     sample_ids: dict[tuple[int, int], np.ndarray] = {}
     provenance: dict[tuple[int, int], dict] = {}
@@ -143,7 +142,7 @@ def nonoptimal_sets(
         seeds = [
             derive_seed(seed, examples[i].id, "non_optimal", slot, attempt) for i, slot in pending
         ]
-        samples = backend.generate_batch_ids(
+        samples = backend.generate_batch(
             [inputs[i] for i, _ in pending],
             [TopKDecode(k=k, seed=s, max_len=max_len) for s in seeds],
         )
@@ -208,26 +207,26 @@ def select_positions(deltas: np.ndarray, threshold: float) -> tuple[list[int], b
 def token_replace(
     scorer: ToyBackend,
     example: InferenceExample,
+    input_ids: np.ndarray,
     cfg: ReplaceConfig,
     m: int = 1,
-    template_id: str = "default",
 ) -> NegativeSet:
     """Swap the most context-sensitive gold tokens using the scorer's
-    masked distributions.
+    masked distributions; ``input_ids`` are the example's input ids
+    under the scorer's vocabulary.
 
     Replacements are seeded-uniform draws from the top-k tokens of the
     answer-only masked distribution at each selected position, excluding
     the gold token and the special tokens; when gold fills the whole
     top-k, the (k+1)-th ranked token steps in. Output token count always
-    equals the gold token count.
+    equals the gold token count, and each negative's ids are the gold
+    answer's ids with the replacements swapped in.
     """
     answer_tokens = tokenize(example.answer)  # an out-of-vocabulary token keeps its surface form
     if not answer_tokens:
         raise ValueError(f"example {example.id}: empty answer")
     answer_ids = scorer.vocab.encode(answer_tokens)
-    deltas, answer_only = _deltas(
-        scorer, answer_ids, encode_inputs(scorer.vocab, [example], template_id)[0]
-    )
+    deltas, answer_only = _deltas(scorer, answer_ids, input_ids)
     positions, fallback = select_positions(deltas, cfg.threshold)
 
     special_ids = {scorer.vocab.id_of(t) for t in SPECIALS}
@@ -244,15 +243,19 @@ def token_replace(
         candidates_at[j] = top
 
     strategy = f"replace_{cfg.mode}"
+    tokens = scorer.vocab.tokens
     negatives: list[str] = []
+    ids: list[np.ndarray] = []
     provenance: list[dict] = []
     for slot in range(m):
         slot_seed = derive_seed(cfg.seed, example.id, strategy, slot)
         rng = np.random.default_rng(slot_seed)
-        out_tokens = list(answer_tokens)
+        out_tokens, out_ids = list(answer_tokens), list(answer_ids)
         for j in positions:
-            out_tokens[j] = scorer.vocab.tokens[int(rng.choice(candidates_at[j]))]
+            out_ids[j] = int(rng.choice(candidates_at[j]))
+            out_tokens[j] = tokens[out_ids[j]]
         negatives.append(" ".join(out_tokens))
+        ids.append(np.array(out_ids, dtype=np.intp))
         provenance.append(
             {
                 "slot": slot,
@@ -269,6 +272,7 @@ def token_replace(
         strategy=strategy,
         negatives=negatives,
         provenance=provenance,
+        ids=ids,
     )
 
 
@@ -283,27 +287,24 @@ def inbatch_negatives(batch: list[InferenceExample], i: int) -> list[str]:
 
 
 def train_mcq_scorer(
-    examples: list[InferenceExample],
-    vocab: Vocabulary | None = None,
+    vocab: Vocabulary,
+    enc: EncodedSet,
     d: int = 16,
     seed: int = 0,
     epochs: int = 5,
     lr: float = 1.0,
     tau: float = 0.5,
-    template_id: str = "default",
 ) -> ToyBackend:
     """Stand-in for a scorer fine-tuned on the multiple-choice task:
     contrastive updates pull input embeddings toward gold answers and
-    away from the dataset counterfactuals."""
-    usable = [ex for ex in examples if ex.counterfactuals]
+    away from the dataset counterfactuals. ``enc`` holds the examples'
+    ids under ``vocab`` with their counterfactuals as negatives; the
+    rows that have any are trained on."""
+    usable = [i for i, negs in enumerate(enc.negatives or []) if negs]
     if not usable:
         raise ValueError("no examples with counterfactuals to train on")
-    if vocab is None:
-        vocab = build_vocabulary(usable, template_id)
     scorer = ToyBackend(vocab, d=d, seed=derive_seed(seed, "mcq_scorer"))
-    encoded = encode_set(
-        scorer, usable, [list(ex.counterfactuals) for ex in usable], template_id
-    )
+    encoded = enc.take(usable)
     # the per-sample term alone, its gradient a mean over the examples
     config = LossConfig(tau_s=tau, lambda_b=0.0, lambda_s=1.0)
     for _ in range(epochs):
@@ -313,14 +314,15 @@ def train_mcq_scorer(
 
 # --- strategy table --------------------------------------------------------------
 #
-# A builder takes (model, examples, config, seed, inputs=None) and returns
-# one NegativeSet per example, in order. ``config`` is a TrainConfig: m,
-# k, threshold, attempts, max_gen_len and template_id come from it.
-# ``inputs`` are the examples' input ids under the model's vocabulary,
-# when the caller holds them; non_optimal then decodes from them without
-# encoding the inputs again. The builders look the procedures up by
-# module-level name at call time, so a wrapper installed on those names
-# sees every call.
+# A builder takes (model, examples, enc, config, seed) and returns one
+# NegativeSet per example, in order, each with the ids of its negatives.
+# ``enc`` is the examples' EncodedSet under the model's vocabulary (for
+# counterfactual, which has no model, the training vocabulary) with each
+# example's dataset counterfactuals, in stored order, as its negatives;
+# no builder tokenizes an input or a counterfactual again. ``config`` is
+# a TrainConfig: m, k, threshold, attempts and max_gen_len come from it.
+# The builders look the procedures up by module-level name at call time,
+# so a wrapper installed on those names sees every call.
 
 
 @dataclass(frozen=True)
@@ -331,30 +333,31 @@ class Strategy:
     max_m: int | None = None  # the most negatives per example it can give
 
 
-def _counterfactual(model, examples, config, seed, inputs=None):
-    return [pick_counterfactuals(ex, config.m, seed) for ex in examples]
+def _counterfactual(model, examples, enc, config, seed):
+    sets = [pick_counterfactuals(ex, config.m, seed) for ex in examples]
+    for ns, counterfactual_ids in zip(sets, enc.negatives):
+        ns.ids = [counterfactual_ids[p["source_index"]] for p in ns.provenance]
+    return sets
 
 
-def _non_optimal(model, examples, config, seed, inputs=None):
+def _non_optimal(model, examples, enc, config, seed):
     return nonoptimal_sets(
-        model, examples, m=config.m, k=config.k, attempts=config.attempts, seed=seed,
-        max_len=config.max_gen_len, template_id=config.template_id, inputs=inputs,
+        model, examples, enc.inputs, m=config.m, k=config.k, attempts=config.attempts,
+        seed=seed, max_len=config.max_gen_len,
     )
 
 
-def _replace_zs(model, examples, config, seed, inputs=None, mode="zs"):
+def _replace_zs(model, examples, enc, config, seed, mode="zs"):
     cfg = ReplaceConfig(threshold=config.threshold, k=config.k, mode=mode, seed=seed)
     return [
-        token_replace(model, ex, cfg, m=config.m, template_id=config.template_id)
-        for ex in examples
+        token_replace(model, ex, input_ids, cfg, m=config.m)
+        for ex, input_ids in zip(examples, enc.inputs)
     ]
 
 
-def _replace_mcq(model, examples, config, seed, inputs=None):
-    scorer = train_mcq_scorer(
-        examples, vocab=model.vocab, d=model.d, seed=seed, template_id=config.template_id
-    )
-    return _replace_zs(scorer, examples, config, seed, mode="mcq")
+def _replace_mcq(model, examples, enc, config, seed):
+    scorer = train_mcq_scorer(model.vocab, enc, d=model.d, seed=seed)
+    return _replace_zs(scorer, examples, enc, config, seed, mode="mcq")
 
 
 STRATEGIES = {

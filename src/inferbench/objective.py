@@ -82,11 +82,11 @@ def _answer_ids(backend: ToyBackend, answer: str) -> list[int]:
 
 def encode_training_set(
     examples: list[InferenceExample], template_id: str = "default"
-) -> tuple[Vocabulary, EncodedSet, list[list[np.ndarray]]]:
+) -> tuple[Vocabulary, EncodedSet]:
     """One tokenization pass over each example's input text, gold answer
-    and counterfactuals. Returns the vocabulary over their sorted tokens,
-    the set's input and answer ids under it (no negatives), and the ids
-    of each counterfactual of each example.
+    and counterfactuals. Returns the vocabulary over their sorted tokens
+    and the set's ids under it, with each example's counterfactuals, in
+    stored order, as its negatives.
 
     Tokens get provisional ids in first-seen order as the pass goes; one
     permutation then maps every array, in place, onto the sorted
@@ -112,7 +112,7 @@ def encode_training_set(
     for arrays in (inputs, answers, *counterfactuals):
         for a in arrays:
             a[:] = perm[a]
-    return vocab, EncodedSet([ex.id for ex in examples], inputs, answers), counterfactuals
+    return vocab, EncodedSet([ex.id for ex in examples], inputs, answers, counterfactuals)
 
 
 def build_vocabulary(examples: list[InferenceExample], template_id: str = "default") -> Vocabulary:

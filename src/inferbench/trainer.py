@@ -13,16 +13,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .backend import ToyBackend, Vocabulary, derive_seed, save_checkpoint
+from .backend import ToyBackend, derive_seed, save_checkpoint
 from .corpus import TEMPLATES, InferenceExample
-from .negatives import DEFAULT_STRATEGY, STRATEGIES, NegativeSet, untrained_model
+from .negatives import DEFAULT_STRATEGY, STRATEGIES, Strategy, untrained_model
 from .objective import (  # noqa: F401  callers import build_vocabulary from here
     EncodedSet,
     LossConfig,
     build_vocabulary,
     check_number_fields,
     encode_set,
-    encode_texts,
     encode_training_set,
     forward,
 )
@@ -133,23 +132,21 @@ def perplexity(
     return math.exp(per_token)
 
 
-def _static_negative_ids(
-    vocab: Vocabulary,
-    sets: list[NegativeSet],
+def _with_negatives(
+    strategy: Strategy,
+    model: ToyBackend | None,
     examples: list[InferenceExample],
-    counterfactual_ids: list[list[np.ndarray]],
-) -> list[list[np.ndarray]]:
-    """Token ids of each set's negatives: a dataset counterfactual keeps
-    its ids from the training set's one tokenization pass, any other
-    text is encoded."""
-    out = []
-    for ns, ex, known_ids in zip(sets, examples, counterfactual_ids):
-        known = dict(zip(ex.counterfactuals, known_ids))
-        out.append([
-            known[text] if text in known else encode_texts(vocab, [text])[0]
-            for text in ns.negatives
-        ])
-    return out
+    enc: EncodedSet,
+    config: TrainConfig,
+    seed: int,
+) -> EncodedSet:
+    """``enc`` with the ids of the negatives ``strategy`` builds in place
+    of its counterfactuals; an example left without one raises."""
+    sets = strategy.build(model, examples, enc, config, seed)
+    for ns in sets:
+        if not ns.negatives:
+            raise ValueError(f"example {ns.example_id}: {ns.strategy} produced no usable negative")
+    return replace(enc, negatives=[ns.ids for ns in sets])
 
 
 def train(
@@ -176,16 +173,16 @@ def train(
     if out_path is not None:
         out_path.mkdir(parents=True, exist_ok=True)
 
-    vocab, encoded, counterfactual_ids = encode_training_set(train_set, config.template_id)
+    # every build starts from the dataset's own encoding, never from the
+    # negatives of an earlier epoch
+    vocab, dataset_enc = encode_training_set(train_set, config.template_id)
     backend = ToyBackend(vocab, d=config.d, seed=config.seed)
     strategy = STRATEGIES.get(config.negative_strategy) if config.loss.lambda_s > 0 else None
     resample = strategy is not None and strategy.per_epoch
+    encoded = dataset_enc
     if strategy is not None and not resample:
         model = untrained_model(vocab, config.d, config.seed) if strategy.needs_model else None
-        sets = strategy.build(model, train_set, config, config.seed)
-        negatives = _static_negative_ids(vocab, sets, train_set, counterfactual_ids)
-        encoded = replace(encoded, negatives=negatives)
-    del counterfactual_ids  # only static negatives reuse them
+        encoded = _with_negatives(strategy, model, train_set, dataset_enc, config, config.seed)
     valid_enc = encode_set(backend, valid_set, template_id=config.template_id)
 
     steps_per_epoch = math.ceil(len(train_set) / config.effective_batch)
@@ -199,14 +196,7 @@ def train(
     for epoch in range(1, config.max_epochs + 1):
         if resample:
             seed = derive_seed(config.seed, config.negative_strategy, epoch)
-            sets = strategy.build(backend, train_set, config, seed, inputs=encoded.inputs)
-            for ns in sets:
-                if not ns.negatives:
-                    raise ValueError(
-                        f"example {ns.example_id}: {ns.strategy} produced no usable negative"
-                    )
-            # the ids the decoder made, kept by the builder
-            encoded = replace(encoded, negatives=[ns.ids for ns in sets])
+            encoded = _with_negatives(strategy, backend, train_set, dataset_enc, config, seed)
         rng = np.random.default_rng(derive_seed(config.seed, "shuffle", epoch))
         order = rng.permutation(len(train_set))
         for start in range(0, len(train_set), config.effective_batch):

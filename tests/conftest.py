@@ -11,6 +11,7 @@ from inferbench.corpus import (
     QuestionType,
     Utterance,
 )
+from inferbench.objective import encode_inputs
 
 DATA_DIR = Path(__file__).parent.parent / "data"
 
@@ -42,6 +43,11 @@ def make_example(
     )
     example.validate()
     return example
+
+
+def input_ids(model, example):
+    """The example's input ids under the model's vocabulary."""
+    return encode_inputs(model.vocab, [example])[0]
 
 
 @pytest.fixture

@@ -36,7 +36,7 @@ from bruteforce import (
     bf_rouge_l,
     bf_t_two_sided_p,
 )
-from conftest import DATA_DIR, make_example
+from conftest import DATA_DIR, input_ids, make_example
 from test_metrics import random_pairs
 from test_objective import (
     NLL_ONLY,
@@ -247,7 +247,7 @@ def test_criterion_7_negative_procedure_contracts():
         previous = None
         for threshold in (0.25, 0.5, 0.75, 1.0):
             cfg = ReplaceConfig(threshold=threshold, k=10, mode="zs", seed=1)
-            ns = token_replace(scorer, example, cfg)
+            ns = token_replace(scorer, example, input_ids(scorer, example), cfg)
             out_tokens = tokenize(ns.negatives[0])
             assert len(out_tokens) == len(gold_tokens)
             positions = ns.provenance[0]["replaced_positions"]

@@ -126,6 +126,18 @@ def test_ingest_invalid_record_fails(tmp_path, capsys):
     assert json.loads(err)["command"] == "ingest"
 
 
+def test_ingest_duplicate_id_is_json_error(tmp_path, small_data, capsys):
+    lines = (small_data / "train.jsonl").read_text().splitlines(keepends=True)
+    bad = tmp_path / "dup.jsonl"
+    bad.write_text(lines[0] + lines[1] + lines[0])
+    out = tmp_path / "out.jsonl"
+    assert run(["ingest", "--in", bad, "--out", out]) == 2
+    ex_id = json.loads(lines[0])["id"]
+    assert f"dup.jsonl:3: duplicate example id {ex_id!r}" in json_error(capsys, "ingest")
+    assert not out.exists()
+    assert not out.with_suffix(".jsonl.meta.json").exists()
+
+
 # --- pipeline ---------------------------------------------------------------------
 
 def test_full_pipeline_and_determinism(tmp_path, small_data):
@@ -417,7 +429,9 @@ def test_load_run_config_checks_every_section(override, message):
     (['{"id": "test-0000", "generated": "a b"}', "5"], "line 2: not a JSON object: 5"),
     (['{"id": "test-0000", "generated": "a b"}', "", '{"id": "test-0001", "generated": '],
      "line 3: invalid JSON: Expecting value"),
-], ids=["non_string_generated", "non_object_line", "truncated_line"])
+    (['{"id": "test-0000", "generated": "a"}', '{"id": "test-0001", "generated": "b"}',
+      '{"id": "test-0000", "generated": "z"}'], "line 3: duplicate id 'test-0000'"),
+], ids=["non_string_generated", "non_object_line", "truncated_line", "duplicate_id"])
 def test_bad_generation_record_is_json_error(tmp_path, capsys, lines, message):
     hyp = tmp_path / "gen.jsonl"
     hyp.write_text("\n".join(lines) + "\n")

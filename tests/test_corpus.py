@@ -263,6 +263,13 @@ def test_cicero_converter_extra_negatives(tmp_path):
     assert "the train was announced earlier ." in ex.counterfactuals
 
 
+def test_cicero_duplicate_id_rejected(tmp_path):
+    path = tmp_path / "cic3.json"
+    path.write_text(json.dumps([CICERO_RECORD, CICERO_RECORD]))
+    with pytest.raises(DatasetError, match=r"\[1\]: duplicate example id 'cic-1'"):
+        load_dataset(path, format="cicero_json")
+
+
 def test_unknown_format(tmp_path):
     path = tmp_path / "x.jsonl"
     path.write_text("{}")

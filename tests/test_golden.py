@@ -27,7 +27,7 @@ from inferbench.negatives import (
 )
 from inferbench.jsonio import canonical_dumps
 from inferbench.metrics import score_corpus
-from inferbench.objective import build_vocabulary, encode_inputs
+from inferbench.objective import build_vocabulary, encode_inputs, encode_training_set
 from inferbench.synth import build_judgments, build_split
 
 GREEDY = [
@@ -124,9 +124,12 @@ def test_token_replace_negatives(split, model, mode):
     if mode == "zs":
         scorer, threshold = model, 0.75
     else:
-        scorer, threshold = train_mcq_scorer(split[:4], d=8, seed=11, lr=20.0), 0.3
+        scorer = train_mcq_scorer(*encode_training_set(split[:4]), d=8, seed=11, lr=20.0)
+        threshold = 0.3
     cfg = ReplaceConfig(threshold=threshold, k=5, mode=mode, seed=11)
-    assert [token_replace(scorer, ex, cfg, m=2).negatives for ex in split] == REPLACE[mode]
+    inputs = encode_inputs(scorer.vocab, split)
+    got = [token_replace(scorer, ex, ids, cfg, m=2).negatives for ex, ids in zip(split, inputs)]
+    assert got == REPLACE[mode]
 
 
 # --- evaluation reports -------------------------------------------------------

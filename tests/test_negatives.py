@@ -16,11 +16,11 @@ from inferbench.negatives import (
     token_replace,
     train_mcq_scorer,
 )
-from inferbench.objective import encode_inputs
+from inferbench.objective import encode_inputs, encode_training_set
 from inferbench.trainer import build_vocabulary
 
 from bruteforce import bf_replace_positions
-from conftest import make_example
+from conftest import input_ids, make_example
 
 
 def context_sensitive_scorer(example, scale=20.0, seed=5, d=8):
@@ -115,7 +115,7 @@ def test_rounds_retry_and_drop_like_the_slot_loop(data_dir):
     be = ToyBackend(build_vocabulary(examples), d=4, seed=1)
     be.b[be.vocab.eos_id] += 2.2  # about half the first draws are EOS-first, hence empty
     args = dict(m=4, k=10, attempts=3, seed=0, max_len=16)
-    got = nonoptimal_sets(be, examples, **args)
+    got = nonoptimal_sets(be, examples, encode_inputs(be.vocab, examples), **args)
     expected = [loop_nonoptimal(be, ex, **args) for ex in examples]
     assert [ns.to_dict() for ns in got] == [ns.to_dict() for ns in expected]
     rows = [p for ns in got for p in ns.provenance]
@@ -132,7 +132,8 @@ def test_total_collision_drops_every_slot_of_every_example():
                      answer="alpha", counterfactuals=())
         for i in range(4)
     ]
-    sets = nonoptimal_sets(be, examples, m=3, k=2, attempts=5, seed=0)
+    inputs = encode_inputs(be.vocab, examples)
+    sets = nonoptimal_sets(be, examples, inputs, m=3, k=2, attempts=5, seed=0)
     assert [ns.example_id for ns in sets] == [ex.id for ex in examples]
     for ns in sets:
         assert ns.negatives == []
@@ -180,7 +181,7 @@ def test_nonoptimal_provenance_replays(example):
 def test_forced_fallback_single_replacement(example):
     scorer = context_sensitive_scorer(example)
     cfg = ReplaceConfig(threshold=1e9, k=10, mode="zs", seed=4)
-    ns = token_replace(scorer, example, cfg)
+    ns = token_replace(scorer, example, input_ids(scorer, example), cfg)
     gold_tokens = tokenize(example.answer)
     out_tokens = tokenize(ns.negatives[0])
     assert len(out_tokens) == len(gold_tokens)
@@ -206,7 +207,7 @@ def test_positions_match_bruteforce(example):
     scorer = context_sensitive_scorer(example)
     for threshold in (0.25, 0.5, 0.75, 1.0):
         cfg = ReplaceConfig(threshold=threshold, k=10, mode="zs", seed=1)
-        ns = token_replace(scorer, example, cfg)
+        ns = token_replace(scorer, example, input_ids(scorer, example), cfg)
         expected = bf_replace_positions(scorer, example, threshold)
         assert ns.provenance[0]["replaced_positions"] == expected
 
@@ -228,7 +229,7 @@ def test_threshold_monotonicity(example):
 def test_replaced_positions_differ_and_count_preserved(example):
     scorer = context_sensitive_scorer(example)
     cfg = ReplaceConfig(threshold=0.75, k=10, mode="zs", seed=2)
-    ns = token_replace(scorer, example, cfg, m=3)
+    ns = token_replace(scorer, example, input_ids(scorer, example), cfg, m=3)
     gold_tokens = tokenize(example.answer)
     positions = set(ns.provenance[0]["replaced_positions"])
     for neg, prov in zip(ns.negatives, ns.provenance):
@@ -243,10 +244,11 @@ def test_replaced_positions_differ_and_count_preserved(example):
 def test_replace_deterministic_and_seed_sensitive(example):
     scorer = context_sensitive_scorer(example)
     cfg = ReplaceConfig(threshold=0.5, k=10, mode="zs", seed=3)
-    a = token_replace(scorer, example, cfg, m=2)
-    b = token_replace(scorer, example, cfg, m=2)
+    ids = input_ids(scorer, example)
+    a = token_replace(scorer, example, ids, cfg, m=2)
+    b = token_replace(scorer, example, ids, cfg, m=2)
     assert a.negatives == b.negatives
-    c = token_replace(scorer, example, ReplaceConfig(threshold=0.5, k=10, mode="zs", seed=4), m=2)
+    c = token_replace(scorer, example, ids, ReplaceConfig(threshold=0.5, k=10, mode="zs", seed=4), m=2)
     assert a.negatives != c.negatives
 
 
@@ -254,7 +256,7 @@ def test_replacement_never_emits_specials_or_gold(example):
     scorer = context_sensitive_scorer(example)
     cfg = ReplaceConfig(threshold=0.25, k=3, mode="zs", seed=6)
     gold_tokens = tokenize(example.answer)
-    ns = token_replace(scorer, example, cfg, m=4)
+    ns = token_replace(scorer, example, input_ids(scorer, example), cfg, m=4)
     for neg in ns.negatives:
         for i, tok in enumerate(tokenize(neg)):
             assert not tok.startswith("<")
@@ -271,9 +273,9 @@ def test_replace_mcq_scorer_stands_in(example):
                      )[:4])
         for i, fact in enumerate(("rain", "exam", "garden"))
     ]
-    scorer = train_mcq_scorer(others, d=8, seed=0)
+    scorer = train_mcq_scorer(*encode_training_set(others), d=8, seed=0)
     cfg = ReplaceConfig(threshold=0.75, k=10, mode="mcq", seed=1)
-    ns = token_replace(scorer, example, cfg)
+    ns = token_replace(scorer, example, input_ids(scorer, example), cfg)
     assert ns.strategy == "replace_mcq"
     assert len(ns.negatives) == 1
 
@@ -311,7 +313,7 @@ def test_all_strategies_emit_distinct_from_gold(example):
     sets = [
         pick_counterfactuals(example, m=4, seed=0),
         generate_nonoptimal(sampler, example, m=2, seed=0),
-        token_replace(scorer, example, ReplaceConfig(seed=0), m=2),
+        token_replace(scorer, example, input_ids(scorer, example), ReplaceConfig(seed=0), m=2),
     ]
     gold = normalize_answer(example.answer)
     for ns in sets:

@@ -424,7 +424,7 @@ def test_one_pass_matches_the_vocabulary_and_encode_set(data_dir):
 
     examples = load_dataset(data_dir / "train.jsonl")[:40]
     for template_id in ("default", "speaker_ids"):
-        vocab, enc, counterfactual_ids = encode_training_set(examples, template_id)
+        vocab, enc = encode_training_set(examples, template_id)
         tokens = set()
         for ex in examples:
             for text in (prepare_input_text(ex, template_id), ex.answer, *ex.counterfactuals):
@@ -433,9 +433,9 @@ def test_one_pass_matches_the_vocabulary_and_encode_set(data_dir):
         backend = ToyBackend(vocab, d=4)
         expected = encode_set(backend, examples, [list(ex.counterfactuals) for ex in examples],
                               template_id)
-        assert enc.example_ids == expected.example_ids and enc.negatives is None
+        assert enc.example_ids == expected.example_ids
         for got, want in ((enc.inputs, expected.inputs), (enc.answers, expected.answers)):
             assert all(g.dtype == np.intp and g.tolist() == w.tolist() for g, w in zip(got, want))
-        assert [[a.tolist() for a in row] for row in counterfactual_ids] == [
+        assert [[a.tolist() for a in row] for row in enc.negatives] == [
             [a.tolist() for a in row] for row in expected.negatives
         ]

@@ -27,7 +27,7 @@ import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from inferbench.analysis import CHOICES, Judgment, compare_metric_scores, stratified_compare
@@ -59,7 +59,7 @@ from inferbench.objective import EncodedSet, LossConfig, build_vocabulary, forwa
 from inferbench.porter import stem
 
 from bruteforce import bf_bleu, bf_cider, bf_rouge_l, bf_total_loss
-from conftest import make_example
+from conftest import input_ids, make_example
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=60)
 
@@ -211,12 +211,70 @@ def test_forward_matches_loop_oracle(batch, grads):
         assert math.isclose(getattr(got, name), value, rel_tol=1e-10), (name, got, value)
 
 
+def forward_or_reject(be, enc, config, **kwargs):
+    """:func:`forward`, rejecting the draw where it raises (empty negative
+    lists, zero embeddings): the invariances hold where it is defined."""
+    try:
+        return forward(be, enc, config, **kwargs)
+    except ValueError:
+        reject()
+
+
+def assert_same_loss(got, expected):
+    for name in ("nll", "cl_b", "cl_s", "total"):
+        a, b = getattr(got, name), getattr(expected, name)
+        assert math.isclose(a, b, rel_tol=1e-9, abs_tol=1e-12), (name, a, b)
+
+
+def assert_same_grads(got, expected, scale=1.0):
+    for name in ("E", "U", "b"):
+        a, b = scale * getattr(got, name), getattr(expected, name)
+        assert np.allclose(a, b, rtol=1e-9, atol=1e-11), name
+
+
+@PROPERTY
+@given(encoded_batches(), st.sampled_from([0.01, 0.5, 3.5, 1200.0]))
+def test_cosine_terms_ignore_a_positive_rescaling(batch, c):
+    # every vector the two InfoNCE terms see is a mean of E rows, so E -> cE
+    # scales them all by c: the cosines stay, and dL/dE scales by 1/c
+    be, enc, config, _ = batch
+    base = forward_or_reject(be, enc, config, nll=False)
+    scaled_be = be.copy()
+    scaled_be.E *= c
+    scaled = forward(scaled_be, enc, config, nll=False)
+    assert_same_loss(scaled, base)
+    assert_same_grads(scaled.grads, base.grads, scale=c)
+
+
+@PROPERTY
+@given(encoded_batches(), st.data())
+def test_forward_ignores_the_batch_order(batch, data):
+    be, enc, config, micro_batch = batch
+    base = forward_or_reject(be, enc, config, micro_batch=micro_batch)
+    perm = data.draw(st.permutations(range(len(enc))))
+    shuffled = forward(be, enc.take(perm), config, micro_batch=micro_batch)
+    assert_same_loss(shuffled, base)
+    assert_same_grads(shuffled.grads, base.grads)
+
+
+@PROPERTY
+@given(encoded_batches())
+def test_forward_ignores_the_micro_batch_divisor(batch):
+    be, enc, config, _ = batch
+    full = forward_or_reject(be, enc, config)
+    for micro_batch in range(1, len(enc) + 1):
+        blocked = forward(be, enc, config, micro_batch=micro_batch)
+        assert_same_loss(blocked, full)
+        assert_same_grads(blocked.grads, full.grads)
+
+
 # --- the batched decoder -------------------------------------------------------------
 
 def step_loop_generate(be, input_ids, decode):
-    """Decoding one step at a time: a ``log_probs_ids`` call per position
-    and a ``Generator.choice`` per top-k draw, with PAD/BOS/UNK/MASK
-    suppressed and ties in the top k broken on the lowest id."""
+    """The ids of decoding one step at a time: a ``log_probs_ids`` call
+    per position and a ``Generator.choice`` per top-k draw, with
+    PAD/BOS/UNK/MASK suppressed and ties in the top k broken on the
+    lowest id."""
     v = be.vocab
     suppressed = [v.pad_id, v.bos_id, v.unk_id, v.mask_id]
     if isinstance(decode, TopKDecode):
@@ -235,7 +293,7 @@ def step_loop_generate(be, input_ids, decode):
         if nxt == v.eos_id:
             break
         out.append(nxt)
-    return v.decode(out)
+    return out
 
 
 @st.composite
@@ -282,7 +340,7 @@ def test_generate_batch_matches_step_loop(batch):
 @given(decode_batches(st.integers(1, 4) | st.integers(DECODE_BLOCK - 1, DECODE_BLOCK + 3)))
 def test_generate_batch_rows_equal_one_row_calls(batch):
     be, inputs, decodes = batch
-    got = be.generate_batch(inputs, decodes)
+    got = [be.vocab.decode(ids) for ids in be.generate_batch(inputs, decodes)]
     assert got == [be.generate(ids, how) for ids, how in zip(inputs, decodes)]
 
 
@@ -380,7 +438,7 @@ def test_token_replace_keeps_the_token_count(scorer, context, answer, threshold,
         turns=(("A", context),), target_index=1, answer=answer, counterfactuals=()
     )
     cfg = ReplaceConfig(threshold=threshold, k=k, seed=seed)
-    result = token_replace(scorer, example, cfg, m=m)
+    result = token_replace(scorer, example, input_ids(scorer, example), cfg, m=m)
     assert len(result.negatives) == m
     for negative in result.negatives:
         assert len(tokenize(negative)) == len(tokenize(answer))

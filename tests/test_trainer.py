@@ -1,3 +1,4 @@
+import dataclasses
 import sys
 import tracemalloc
 from collections import Counter
@@ -6,10 +7,11 @@ import numpy as np
 import pytest
 
 import inferbench.metrics
-import inferbench.negatives
 import inferbench.trainer
 from inferbench.backend import ToyBackend, Vocabulary, load_checkpoint
+from inferbench.cli import main
 from inferbench.corpus import load_dataset, prepare_input_text
+from inferbench.negatives import STRATEGIES
 from inferbench.objective import LossConfig, encode_set, encode_texts
 from inferbench.synth import build_corpus, build_split
 from inferbench.trainer import (
@@ -290,14 +292,15 @@ def test_best_checkpoint_is_the_best_epochs_file(tmp_path, corpus):
     assert np.array_equal(loaded.flat_parameters(), result.best_backend.flat_parameters())
 
 
-def test_nonoptimal_negative_ids_are_the_encoded_texts(monkeypatch, corpus):
-    built = []  # the NegativeSets of each epoch
-    seen = []  # (epoch, example id -> negative ids) of each training batch
-    nonoptimal_sets = inferbench.negatives.nonoptimal_sets
+@pytest.mark.parametrize("strategy", list(STRATEGIES))
+def test_negative_ids_are_the_encoded_texts(monkeypatch, corpus, strategy):
+    built = []  # the NegativeSets of each build
+    seen = []  # (builds so far, example id -> negative ids) of each training batch
+    original = STRATEGIES[strategy]
     forward = inferbench.trainer.forward
 
-    def spy_sets(*args, **kwargs):
-        built.append(nonoptimal_sets(*args, **kwargs))
+    def spy_build(*args):
+        built.append(original.build(*args))
         return built[-1]
 
     def spy_forward(backend, batch, *args, **kwargs):
@@ -305,25 +308,25 @@ def test_nonoptimal_negative_ids_are_the_encoded_texts(monkeypatch, corpus):
             seen.append((len(built), dict(zip(batch.example_ids, batch.negatives))))
         return forward(backend, batch, *args, **kwargs)
 
-    monkeypatch.setattr(inferbench.negatives, "nonoptimal_sets", spy_sets)
+    monkeypatch.setitem(STRATEGIES, strategy, dataclasses.replace(original, build=spy_build))
     monkeypatch.setattr(inferbench.trainer, "forward", spy_forward)
-    result = train(tiny_config(negative_strategy="non_optimal", m=2, k=5), *corpus)
-    assert len(built) == 2
-    for epoch, sets in enumerate(built, 1):
+    result = train(tiny_config(negative_strategy=strategy, m=2, k=5), *corpus)
+    assert len(built) == (2 if original.per_epoch else 1)
+    for n, sets in enumerate(built, 1):
         got = {}
-        for batch_epoch, negatives in seen:
-            if batch_epoch == epoch:
+        for builds, negatives in seen:
+            if builds == n:
                 got.update(negatives)
         assert sorted(got) == sorted(ns.example_id for ns in sets)
         for ns in sets:
-            expected = encode_texts(result.backend.vocab, ns.negatives)
-            assert [ids.tolist() for ids in got[ns.example_id]] == [e.tolist() for e in expected]
+            expected = [e.tolist() for e in encode_texts(result.backend.vocab, ns.negatives)]
+            assert [ids.tolist() for ids in ns.ids] == expected
+            assert [ids.tolist() for ids in got[ns.example_id]] == expected
 
 
-@pytest.mark.parametrize("strategy", ["counterfactual", "non_optimal", "none"])
-def test_train_tokenizes_each_text_once(monkeypatch, data_dir, strategy):
-    train_set = load_dataset(data_dir / "train.jsonl")
-    valid_set = load_dataset(data_dir / "valid.jsonl")
+def count_tokenize(monkeypatch) -> Counter:
+    """Count the texts ``metrics.tokenize`` is called on, through every
+    module-level binding, as the package imports it by name."""
     calls = Counter()
     tokenize = inferbench.metrics.tokenize
 
@@ -331,17 +334,39 @@ def test_train_tokenizes_each_text_once(monkeypatch, data_dir, strategy):
         calls[text] += 1
         return tokenize(text)
 
-    # every module-level binding, as the package imports it by name
     for name, module in list(sys.modules.items()):
         if name.startswith("inferbench") and module is not None:
             for attr, value in list(vars(module).items()):
                 if value is tokenize:
                     monkeypatch.setattr(module, attr, counting)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "strategy", ["counterfactual", "non_optimal", "replace_zs", "replace_mcq", "none"]
+)
+def test_train_tokenizes_each_text_once(monkeypatch, data_dir, strategy):
+    train_set = load_dataset(data_dir / "train.jsonl")
+    valid_set = load_dataset(data_dir / "valid.jsonl")
+    calls = count_tokenize(monkeypatch)
     loss = LossConfig(lambda_s=0.0) if strategy == "none" else LossConfig()
     train(TrainConfig(max_epochs=2, negative_strategy=strategy, loss=loss), train_set, valid_set)
     expected = Counter()
     for ex in train_set:
         expected.update([prepare_input_text(ex), ex.answer, *ex.counterfactuals])
+        if strategy.startswith("replace_"):
+            expected[ex.answer] += 1  # token replacement keeps out-of-vocabulary surface forms
     for ex in valid_set:
         expected.update([prepare_input_text(ex), ex.answer])
+    assert calls == expected
+
+
+def test_gradcheck_tokenizes_each_text_once(monkeypatch, tmp_path):
+    calls = count_tokenize(monkeypatch)
+    code = main(["gradcheck", "--seed", "3", "--set", "model.d=2",
+                 "--out", str(tmp_path / "gradcheck.json")])
+    assert code in (0, 1)  # a PASS or FAIL verdict, not an error
+    expected = Counter()
+    for ex in build_split("gradcheck", 4, 3):
+        expected.update([prepare_input_text(ex), ex.answer, *ex.counterfactuals])
     assert calls == expected
