@@ -13,12 +13,13 @@ gradient-check yet rich enough to exercise every training objective:
 Masked scoring drops the masked position and mean-pools the remaining
 tokens of the conditioned window. The model contract is id-level: the
 vocabulary ``vocab`` plus ``log_probs_ids``, ``masked_logits_ids``,
-``embed_ids`` and ``generate_batch``, which all take token ids;
-``generate_batch`` returns the decoded ids and ``generate``, its one-row
-call, the decoded tokens. Text becomes ids only in
-:mod:`inferbench.objective`. All randomness flows through seeds derived
-with :func:`derive_seed`, so identical seeds give bit-identical
-parameters and samples.
+``masked_logits_per_position``, ``embed_ids`` and ``generate_batch``,
+which all take token ids; ``masked_logits_per_position`` scores every
+position of an answer in one call, ``generate_batch`` returns the
+decoded ids and ``generate``, its one-row call, the decoded tokens.
+Text becomes ids only in :mod:`inferbench.objective`. All randomness
+flows through seeds derived with :func:`derive_seed`, so identical
+seeds give bit-identical parameters and samples.
 """
 
 from __future__ import annotations
@@ -211,6 +212,42 @@ class ToyBackend:
         rest = [t for i, t in enumerate(token_ids) if i != position]
         window = rest if context_ids is None else [*context_ids, *rest]
         return self._log_softmax(self.U @ self._mean_rows(window) + self.b)
+
+    def masked_logits_per_position(
+        self, token_ids: list[int], context_ids: list[int]
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`masked_logits_ids` at every position of ``token_ids``,
+        with ``context_ids`` and without, as two arrays of one row per
+        position, equal to the one-position calls bit for bit.
+
+        The 2L windows are pooled as :meth:`_mean_rows` pools them and
+        scored in one :meth:`_log_probs_rows` call."""
+        n, d = len(token_ids), self.d
+        if d == 1:
+            # numpy sums a single column pairwise, not row by row: pool
+            # each window with _mean_rows itself
+            rests = [[*token_ids[:j], *token_ids[j + 1 :]] for j in range(n)]
+            windows = [[*context_ids, *rest] for rest in rests] + rests
+            states = np.array([self._mean_rows(w) for w in windows])
+        else:
+            # an axis-0 mean adds rows in order, then divides by the count.
+            # Each window's sum up to position j is the context, summed
+            # once, or nothing (-0.0, the exact identity of float
+            # addition), then the first j rows; the rows after j follow in
+            # L - 1 vector adds
+            rows = self.E[token_ids]
+            starts = np.full((2, 1, d), -0.0)
+            if len(context_ids):
+                starts[0, 0] = self.E[context_ids].sum(axis=0)
+            head = np.broadcast_to(rows[:-1], (2, n - 1, d))
+            sums = np.cumsum(np.concatenate([starts, head], axis=1), axis=1)
+            for t in range(1, n):
+                sums[:, : n - t] += rows[t:]
+            sizes = np.array([len(context_ids) + n - 1, n - 1])[:, None, None]
+            # an empty window pools to zeros
+            states = np.divide(sums, sizes, out=np.zeros_like(sums), where=sizes > 0)
+        log_probs = self._log_probs_rows(states.reshape(2 * n, d)).reshape(2, n, -1)
+        return log_probs[0], log_probs[1]
 
     def generate(
         self, input_ids: list[int] | np.ndarray, decode: GreedyDecode | TopKDecode

@@ -26,9 +26,13 @@ CIDER_MAX_N = 4
 # the per-example columns of a report, each one score per pair
 PAIR_METRICS = ("bleu_1", "bleu_2", "bleu_3", "bleu_4", "meteor", "rouge_l", "cider")
 
-# exact min-chunk search gives up past this many nodes and uses the
-# greedy in-order alignment; sentence-scale inputs never get near it
+# the min-chunk search stops after this many nodes and keeps the best
+# alignment found (the greedy one at worst); pairs of 20-odd tokens over
+# a handful of words can reach it, and meteor_lite then warns
 _ALIGN_NODE_BUDGET = 500_000
+# states the search remembers (about 8 MiB at most); past this many it
+# only lowers known ones: it prunes less, but what it certifies is minimal
+_ALIGN_SEEN_CAP = 65_536
 
 
 def tokenize(text: str) -> list[str]:
@@ -114,15 +118,22 @@ def rouge_l(hyp: list[str], ref: list[str], beta: float = ROUGE_BETA) -> float:
     return (1 + beta**2) * p * r / (r + beta**2 * p)
 
 
-def _align(hyp_stems: list[str], ref_stems: list[str]) -> tuple[int, int]:
+def _align(hyp_stems: list[str], ref_stems: list[str]) -> tuple[int, int, bool]:
     """Unigram alignment: maximal matches, then minimal chunks.
 
     Tokens match when their stems are equal (covers both the exact and
     the stem stage: equal surfaces have equal stems). The match count
     per stem class is min of the class counts on either side; among
-    assignments achieving that cardinality, a pruned exhaustive search
-    picks one with the fewest chunks (runs of pairs consecutive in both
-    sentences). Returns (matches, chunks).
+    assignments achieving that cardinality, a depth-first branch and
+    bound picks one with the fewest chunks (runs of pairs consecutive
+    in both sentences). The incumbent starts at the greedy in-order
+    alignment's chunk count; a node is pruned when the chunks it has
+    opened, plus one unless its next match can extend the current
+    chunk, already reach the incumbent, or when the same state was
+    reached before with no more chunks. Returns (matches, chunks,
+    exact); ``exact`` is False when the search ran out of its node
+    budget, and the chunk count is then the best found, not certified
+    minimal.
     """
     hyp_counter = Counter(hyp_stems)
     ref_counter = Counter(ref_stems)
@@ -131,8 +142,9 @@ def _align(hyp_stems: list[str], ref_stems: list[str]) -> tuple[int, int]:
     }
     m = sum(quota.values())
     if m == 0:
-        return 0, 0
+        return 0, 0, True
 
+    n_ref = len(ref_stems)
     ref_by_stem: dict[str, list[int]] = {}
     for j, s in enumerate(ref_stems):
         if s in quota:
@@ -144,36 +156,45 @@ def _align(hyp_stems: list[str], ref_stems: list[str]) -> tuple[int, int]:
         if hyp_stems[i] in quota:
             remaining[i][hyp_stems[i]] += 1
 
-    best_chunks = m + 1
+    best_chunks = _greedy_chunks(hyp_stems, ref_stems, quota)
     nodes = 0
+    need = dict(quota)  # matches each stem still has to place
+    # fewest chunks seen per state (i, used ref positions, ref position
+    # matched at i - 1 or -1); ``need`` follows from ``used``
+    seen: dict[tuple[int, int, int], int] = {}
 
-    def dfs(i: int, need: Counter, used: int, chunks: int, last: tuple[int, int] | None):
+    def dfs(i: int, left: int, used: int, chunks: int, last_j: int):
         nonlocal best_chunks, nodes
         nodes += 1
-        if chunks >= best_chunks or nodes > _ALIGN_NODE_BUDGET:
+        if nodes > _ALIGN_NODE_BUDGET:
             return
-        if not need or all(v == 0 for v in need.values()):
+        if left == 0:
             best_chunks = min(best_chunks, chunks)
             return
-        if i >= len(hyp_stems):
-            return
         s = hyp_stems[i]
-        if s in quota and need.get(s, 0) > 0:
+        n_s = need.get(s, 0)
+        nxt = last_j + 1 if last_j >= 0 else -1  # the ref position that extends the chunk
+        extends = 0 <= nxt < n_ref and n_s > 0 and ref_stems[nxt] == s and not used >> nxt & 1
+        if chunks + (0 if extends else 1) >= best_chunks:
+            return
+        key = (i, used, last_j)
+        prev = seen.get(key)
+        if prev is not None and prev <= chunks:
+            return
+        if prev is not None or len(seen) < _ALIGN_SEEN_CAP:
+            seen[key] = chunks
+        if n_s > 0:
+            need[s] = n_s - 1
             for j in ref_by_stem[s]:
-                if used & (1 << j):
-                    continue
-                contiguous = last is not None and last[0] == i - 1 and last[1] == j - 1
-                need[s] -= 1
-                dfs(i + 1, need, used | (1 << j), chunks + (0 if contiguous else 1), (i, j))
-                need[s] += 1
+                if not used >> j & 1:
+                    dfs(i + 1, left - 1, used | 1 << j, chunks + (0 if j == nxt else 1), j)
+            need[s] = n_s
         # skipping position i is allowed only if later occurrences still cover the quota
-        if s not in quota or remaining[i + 1].get(s, 0) >= need.get(s, 0):
-            dfs(i + 1, need, used, chunks, last)
+        if remaining[i + 1].get(s, 0) >= n_s:
+            dfs(i + 1, left, used, chunks, -1)
 
-    dfs(0, Counter(quota), 0, 0, None)
-    if best_chunks > m:
-        best_chunks = _greedy_chunks(hyp_stems, ref_stems, quota)
-    return m, best_chunks
+    dfs(0, m, 0, 0, -1)
+    return m, best_chunks, nodes <= _ALIGN_NODE_BUDGET
 
 
 def _greedy_chunks(hyp_stems, ref_stems, quota) -> int:
@@ -213,7 +234,13 @@ def meteor_lite(
     if not hyp or not ref:
         warnings.warn("meteor_lite on empty sequence, scoring 0", stacklevel=2)
         return 0.0
-    m, chunks = _align([stem(t) for t in hyp], [stem(t) for t in ref])
+    m, chunks, exact = _align([stem(t) for t in hyp], [stem(t) for t in ref])
+    if not exact:
+        warnings.warn(
+            "meteor_lite alignment search hit its node budget; "
+            "the chunk count is not certified minimal",
+            stacklevel=2,
+        )
     if m == 0:
         return 0.0
     p = m / len(hyp)

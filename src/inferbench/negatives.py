@@ -183,16 +183,13 @@ def replacement_deltas(
     return _deltas(scorer, enc.answers[0][:-1], enc.inputs[0])[0]
 
 
-def _deltas(scorer: ToyBackend, answer_ids, context_ids) -> tuple[np.ndarray, list[np.ndarray]]:
+def _deltas(scorer: ToyBackend, answer_ids, context_ids) -> tuple[np.ndarray, np.ndarray]:
     """:func:`replacement_deltas` of an answer and an input already
-    encoded, and the answer-only masked distribution at each position."""
-    deltas = np.empty(len(answer_ids))
-    answer_only = []
-    for j, gold_id in enumerate(answer_ids):
-        with_ctx = scorer.masked_logits_ids(answer_ids, j, context_ids)[gold_id]
-        answer_only.append(scorer.masked_logits_ids(answer_ids, j, None))
-        deltas[j] = abs(with_ctx - answer_only[j][gold_id])
-    return deltas, answer_only
+    encoded, and the answer-only masked distribution at each position
+    (one row each)."""
+    with_ctx, answer_only = scorer.masked_logits_per_position(answer_ids, context_ids)
+    at_gold = (np.arange(len(answer_ids)), answer_ids)
+    return np.abs(with_ctx[at_gold] - answer_only[at_gold]), answer_only
 
 
 def select_positions(deltas: np.ndarray, threshold: float) -> tuple[list[int], bool]:

@@ -1,10 +1,15 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from inferbench import metrics
 from inferbench.metrics import (
     MetricReport,
+    _align,
     bleu,
     cider,
     meteor_lite,
@@ -13,6 +18,7 @@ from inferbench.metrics import (
     score_corpus,
     tokenize,
 )
+from inferbench.porter import stem
 
 from bruteforce import bf_bleu, bf_cider, bf_meteor, bf_rouge_l
 
@@ -189,6 +195,71 @@ def test_meteor_alignment_matches_exhaustive_on_duplicates():
             hyp = [vocab[int(i)] for i in rng.integers(0, len(vocab), size=rng.integers(1, 8))]
             ref = [vocab[int(i)] for i in rng.integers(0, len(vocab), size=rng.integers(1, 8))]
             assert meteor_lite(hyp, ref) == pytest.approx(bf_meteor(hyp, ref), abs=1e-12)
+
+
+def _stems(tokens):
+    return [stem(t) for t in tokens]
+
+
+# one word repeated against a reference that holds it 6 times, never adjacent
+THE_X16 = (["the"] * 16, "the man saw the dog near the river while the sun lit the hills by the sea".split())
+
+
+def test_meteor_repeated_token_is_certified_within_the_budget(monkeypatch):
+    hyp, ref = THE_X16
+    assert len(ref) == 17
+    assert _align(_stems(hyp), _stems(ref)) == (6, 6, True)
+    # the unpruned search spent all 500 000 nodes here; the pruned one
+    # certifies the minimum within a fiftieth of that
+    monkeypatch.setattr(metrics, "_ALIGN_NODE_BUDGET", 10_000)
+    assert _align(_stems(hyp), _stems(ref)) == (6, 6, True)
+    monkeypatch.undo()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        meteor_lite(hyp, ref)
+
+
+def test_meteor_warns_when_the_search_budget_runs_out(monkeypatch):
+    # greedy aligns a->1, b->0 (2 chunks); proving 1 chunk needs more than 2 nodes
+    hyp, ref = ["a", "b", "a"], ["b", "a"]
+    monkeypatch.setattr(metrics, "_ALIGN_NODE_BUDGET", 2)
+    assert _align(hyp, ref) == (2, 2, False)
+    with pytest.warns(UserWarning, match="not certified minimal"):
+        meteor_lite(hyp, ref)
+    monkeypatch.undo()
+    assert _align(hyp, ref) == (2, 1, True)
+
+
+# (length, generator seed, matches, chunks of the unpruned search), the
+# latter after that search spent its budget on the pair
+BUDGET_PAIRS = [(22, 3, 16, 12), (26, 1, 22, 18)]
+
+
+@pytest.mark.parametrize("length, seed, matches, old_chunks", BUDGET_PAIRS)
+def test_meteor_search_never_does_worse_than_the_unpruned_search(length, seed, matches, old_chunks):
+    rng = np.random.default_rng(seed)
+    alphabet = ["a", "b", "c", "d", "e"]
+    hyp = [alphabet[i] for i in rng.integers(0, 5, size=length)]
+    ref = [alphabet[i] for i in rng.integers(0, 5, size=length)]
+    m, chunks, _ = _align(hyp, ref)
+    assert m == matches
+    assert chunks <= old_chunks
+
+
+@st.composite
+def repeated_token_pairs(draw):
+    """A (hypothesis, reference) pair of 1-7 tokens each over an alphabet
+    of 3-5 words, two of which share a stem."""
+    alphabet = ["cat", "cats", "the", "sat", "mat"][: draw(st.integers(3, 5))]
+    tokens = st.lists(st.sampled_from(alphabet), min_size=1, max_size=7)
+    return draw(tokens), draw(tokens)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=80)
+@given(repeated_token_pairs())
+def test_meteor_matches_bruteforce_on_repeated_tokens(pair):
+    hyp, ref = pair
+    assert math.isclose(meteor_lite(hyp, ref), bf_meteor(hyp, ref), rel_tol=0, abs_tol=1e-9)
 
 
 # --- CIDEr -------------------------------------------------------------------

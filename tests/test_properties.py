@@ -54,8 +54,8 @@ from inferbench.metrics import (
     score_corpus,
     tokenize,
 )
-from inferbench.negatives import ReplaceConfig, token_replace
-from inferbench.objective import EncodedSet, LossConfig, build_vocabulary, forward
+from inferbench.negatives import ReplaceConfig, _deltas, replacement_deltas, token_replace
+from inferbench.objective import EncodedSet, LossConfig, build_vocabulary, encode_set, forward
 from inferbench.porter import stem
 
 from bruteforce import bf_bleu, bf_cider, bf_rouge_l, bf_total_loss
@@ -442,6 +442,62 @@ def test_token_replace_keeps_the_token_count(scorer, context, answer, threshold,
     assert len(result.negatives) == m
     for negative in result.negatives:
         assert len(tokenize(negative)) == len(tokenize(answer))
+
+
+@st.composite
+def masked_scoring_cases(draw):
+    """A backend of d 1-24 over 8-100 tokens with random parameters, an
+    answer of 1-12 ids and a context of 0-40 ids. Ids repeat (a draw may
+    keep to a handful) and UNK is among them."""
+    be = ToyBackend(
+        Vocabulary([f"w{k}" for k in range(draw(st.integers(3, 95)))]),
+        d=draw(st.integers(1, 24)),
+        seed=0,
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = draw(st.sampled_from([0.1, 1.0, 4.0]))
+    be.set_flat_parameters(scale * rng.normal(size=be.flat_parameters().size))
+    top = draw(st.sampled_from([len(SPECIALS) + 2, len(be.vocab)]))
+    token = st.integers(0, top - 1) | st.just(be.vocab.unk_id)
+    answer = draw(st.lists(token, min_size=1, max_size=12))
+    context = draw(st.lists(token, max_size=40))
+    return be, answer, context
+
+
+def per_position_deltas(be, answer, context):
+    """:func:`replacement_deltas` from ``masked_logits_ids``, one call
+    per position and window."""
+    return np.array(
+        [
+            abs(be.masked_logits_ids(answer, j, context)[a] - be.masked_logits_ids(answer, j)[a])
+            for j, a in enumerate(answer)
+        ]
+    )
+
+
+@settings(PROPERTY, max_examples=150)
+@given(masked_scoring_cases())
+def test_batched_masked_scoring_equals_per_position_calls_bitwise(case):
+    be, answer, context = case
+    with_ctx, alone = be.masked_logits_per_position(answer, context)
+    assert with_ctx.shape == alone.shape == (len(answer), len(be.vocab))
+    for j in range(len(answer)):
+        assert with_ctx[j].tobytes() == be.masked_logits_ids(answer, j, context).tobytes()
+        assert alone[j].tobytes() == be.masked_logits_ids(answer, j).tobytes()
+    deltas, answer_only = _deltas(be, answer, context)
+    assert deltas.tobytes() == per_position_deltas(be, answer, context).tobytes()
+    assert answer_only.tobytes() == alone.tobytes()
+
+
+@PROPERTY
+@given(random_backends(), sentence, st.lists(st.sampled_from([*WORDS, "zebra"]), min_size=1, max_size=12))
+def test_replacement_deltas_equal_per_position_calls_bitwise(be, context, answer):
+    example = make_example(
+        turns=(("A", context),), target_index=1, answer=" ".join(answer), counterfactuals=()
+    )
+    enc = encode_set(be, [example])
+    expected = per_position_deltas(be, list(enc.answers[0][:-1]), enc.inputs[0])
+    assert replacement_deltas(be, example).tobytes() == expected.tobytes()
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
