@@ -7,8 +7,8 @@ import json
 from inferbench.backend import ToyBackend
 from inferbench.negatives import (
     ReplaceConfig,
-    generate_nonoptimal,
     inbatch_negatives,
+    nonoptimal_sets,
     pick_counterfactuals,
     token_replace,
 )
@@ -27,7 +27,8 @@ for neg, prov in zip(ns.negatives, ns.provenance):
     print(f"  {neg}   <- stored index {prov['source_index']}")
 
 sampler = ToyBackend(build_vocabulary(batch), d=8, seed=5)
-ns = generate_nonoptimal(sampler, ex, m=2, k=10, seed=7, max_len=10)
+inputs = encode_inputs(sampler.vocab, [ex])
+ns = nonoptimal_sets(sampler, [ex], inputs, m=2, k=10, seed=7, max_len=10)[0]
 print("\nnon_optimal (top-k sampled from the model, gold collisions resampled):")
 for neg, prov in zip(ns.negatives, ns.provenance):
     print(f"  {neg}   <- attempts={prov['attempts']}")

@@ -21,6 +21,7 @@ from .backend import (
     ToyBackend,
     Vocabulary,
     load_checkpoint,
+    pool,
     save_checkpoint,
 )
 from .corpus import (
@@ -37,7 +38,6 @@ from .metrics import MetricReport, bleu, cider, meteor_lite, rouge_l, score_corp
 from .negatives import (
     NegativeSet,
     ReplaceConfig,
-    generate_nonoptimal,
     inbatch_negatives,
     nonoptimal_sets,
     pick_counterfactuals,
@@ -70,6 +70,7 @@ __all__ = [
     "ToyBackend",
     "Vocabulary",
     "load_checkpoint",
+    "pool",
     "save_checkpoint",
     "Difficulty",
     "InferenceExample",
@@ -88,7 +89,6 @@ __all__ = [
     "tokenize",
     "NegativeSet",
     "ReplaceConfig",
-    "generate_nonoptimal",
     "inbatch_negatives",
     "nonoptimal_sets",
     "pick_counterfactuals",

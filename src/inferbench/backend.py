@@ -3,20 +3,20 @@
 ToyBackend is a mean-pooled bag-of-tokens model small enough to
 gradient-check yet rich enough to exercise every training objective:
 
-    c(X)     = mean of embedding rows over input tokens (zero if empty)
-    p(a_<j)  = mean of embedding rows over BOS + previous answer tokens
+    c(X)     = pool of the input tokens
+    p(a_<j)  = pool of BOS + previous answer tokens
     s_j      = (c + p) / 2
     logits_j = U @ s_j + b, log-normalized
-    embed(T) = mean of embedding rows over T, L2-normalized
-               (the zero vector maps to itself)
+    embed(T) = pool of T, L2-normalized (the zero vector maps to itself)
 
-Masked scoring drops the masked position and mean-pools the remaining
-tokens of the conditioned window. The model contract is id-level: the
-vocabulary ``vocab`` plus ``log_probs_ids``, ``masked_logits_ids``,
-``masked_logits_per_position``, ``embed_ids`` and ``generate_batch``,
-which all take token ids; ``masked_logits_per_position`` scores every
-position of an answer in one call, ``generate_batch`` returns the
-decoded ids and ``generate``, its one-row call, the decoded tokens.
+:func:`pool` is the one pooling rule: a segment's embedding rows added
+in order, divided by the count, zeros for an empty segment. Masked
+scoring drops the masked position and pools the remaining tokens of the
+conditioned window. The model contract is id-level: the vocabulary
+``vocab`` plus ``generate_batch`` (the decoded ids of each row),
+``masked_logits_per_position`` (every position of an answer masked in
+turn, with the context and without, in one call) and ``embed_ids``, all
+on token ids, and :func:`pool`, which the objective's forward shares.
 Text becomes ids only in :mod:`inferbench.objective`. All randomness
 flows through seeds derived with :func:`derive_seed`, so identical
 seeds give bit-identical parameters and samples.
@@ -139,6 +139,41 @@ def _uniforms(seeds: list[int], start: int, count: int) -> np.ndarray:
     return out
 
 
+def _segment_sums(E: np.ndarray, segments) -> np.ndarray:
+    """In-order sum of each id segment's E rows, one row per segment, from
+    -0.0 (the exact identity of float addition). One segment takes a
+    running sum; many take one vector add per token position, over the
+    segments sorted longest first so that those reaching a position lead.
+    Both add in order at every d; numpy's sum over an axis adds a single
+    column pairwise at d = 1."""
+    d = E.shape[1]
+    if len(segments) == 1:
+        rows = E[segments[0]]
+        return np.add.accumulate(rows, axis=0)[-1:] if len(rows) else np.full((1, d), -0.0)
+    lengths = np.array([len(s) for s in segments])
+    order = np.argsort(-lengths, kind="stable")
+    # placed[i, j]: the i-th longest segment has a token at position j
+    placed = np.arange(lengths.max(initial=0)) < lengths[order, None]
+    ids = np.zeros(placed.shape, dtype=np.intp)
+    ids[placed] = np.concatenate([segments[i] for i in order])
+    rows = E[ids.T[placed.T]]  # position by position, longest segment first
+    sums = np.full((len(segments), d), -0.0)
+    start = 0
+    for k in placed.sum(axis=0).tolist():
+        sums[:k] += rows[start : start + k]
+        start += k
+    return sums[np.argsort(order)]
+
+
+def pool(E: np.ndarray, segments) -> np.ndarray:
+    """Mean E row of each id segment, one row per segment: its rows added
+    in order, divided by the count; zeros for an empty segment. A
+    segment pools to the same bits alone or among other segments."""
+    counts = np.array([len(s) for s in segments])[:, None]
+    sums = _segment_sums(E, segments)
+    return np.divide(sums, counts, out=np.zeros_like(sums), where=counts > 0)
+
+
 @dataclass(frozen=True)
 class GreedyDecode:
     max_len: int = 16
@@ -166,28 +201,11 @@ class ToyBackend:
 
     # --- forward primitives ---
 
-    def _mean_rows(self, ids: list[int] | np.ndarray) -> np.ndarray:
-        if len(ids) == 0:
-            return np.zeros(self.d)
-        return self.E[ids].mean(axis=0)
-
-    def _log_softmax(self, logits: np.ndarray) -> np.ndarray:
-        shifted = logits - logits.max()
-        return shifted - np.log(np.exp(shifted).sum())
-
-    def _state(self, input_ids: list[int], prefix_ids: list[int]) -> np.ndarray:
-        c = self._mean_rows(input_ids)
-        p = self._mean_rows([self.vocab.bos_id, *prefix_ids])
-        return 0.5 * (c + p)
-
-    def log_probs_ids(self, input_ids: list[int], prefix_ids: list[int]) -> np.ndarray:
-        s = self._state(input_ids, prefix_ids)
-        return self._log_softmax(self.U @ s + self.b)
-
     def _log_probs_rows(self, states: np.ndarray) -> np.ndarray:
-        """:meth:`log_probs_ids` of each row of ``states``, bit for bit:
-        a stacked matmul makes one BLAS gemv per row, as ``U @ s`` does
-        (one gemm over the rows would round differently)."""
+        """log softmax(U s + b) of each row s of ``states``: a stacked
+        matmul makes one BLAS gemv per row, so a row's values do not
+        depend on the other rows (one gemm over the rows would round
+        differently)."""
         log_probs = np.matmul(self.U, states[:, :, None])[:, :, 0]
         log_probs += self.b
         log_probs -= log_probs.max(axis=1, keepdims=True)
@@ -195,66 +213,38 @@ class ToyBackend:
         return log_probs
 
     def embed_ids(self, ids: list[int]) -> np.ndarray:
-        v = self._mean_rows(ids)
+        v = pool(self.E, [ids])[0]
         norm = np.linalg.norm(v)
         if norm == 0.0:
             return v
         return v / norm
 
-    def masked_logits_ids(
-        self,
-        token_ids: list[int],
-        position: int,
-        context_ids: list[int] | None = None,
-    ) -> np.ndarray:
-        if not 0 <= position < len(token_ids):
-            raise IndexError(f"mask position {position} outside 0..{len(token_ids) - 1}")
-        rest = [t for i, t in enumerate(token_ids) if i != position]
-        window = rest if context_ids is None else [*context_ids, *rest]
-        return self._log_softmax(self.U @ self._mean_rows(window) + self.b)
-
     def masked_logits_per_position(
         self, token_ids: list[int], context_ids: list[int]
     ) -> tuple[np.ndarray, np.ndarray]:
-        """:meth:`masked_logits_ids` at every position of ``token_ids``,
-        with ``context_ids`` and without, as two arrays of one row per
-        position, equal to the one-position calls bit for bit.
+        """The log-probabilities at every masked position of ``token_ids``,
+        one row per position, with ``context_ids`` and without: row j
+        scores the window ``context_ids`` + ``token_ids`` without
+        position j, and the window ``token_ids`` without position j,
+        each pooled as :func:`pool` pools it, bit for bit.
 
-        The 2L windows are pooled as :meth:`_mean_rows` pools them and
-        scored in one :meth:`_log_probs_rows` call."""
+        The 2L windows are scored in one :meth:`_log_probs_rows` call."""
         n, d = len(token_ids), self.d
-        if d == 1:
-            # numpy sums a single column pairwise, not row by row: pool
-            # each window with _mean_rows itself
-            rests = [[*token_ids[:j], *token_ids[j + 1 :]] for j in range(n)]
-            windows = [[*context_ids, *rest] for rest in rests] + rests
-            states = np.array([self._mean_rows(w) for w in windows])
-        else:
-            # an axis-0 mean adds rows in order, then divides by the count.
-            # Each window's sum up to position j is the context, summed
-            # once, or nothing (-0.0, the exact identity of float
-            # addition), then the first j rows; the rows after j follow in
-            # L - 1 vector adds
-            rows = self.E[token_ids]
-            starts = np.full((2, 1, d), -0.0)
-            if len(context_ids):
-                starts[0, 0] = self.E[context_ids].sum(axis=0)
-            head = np.broadcast_to(rows[:-1], (2, n - 1, d))
-            sums = np.cumsum(np.concatenate([starts, head], axis=1), axis=1)
-            for t in range(1, n):
-                sums[:, : n - t] += rows[t:]
-            sizes = np.array([len(context_ids) + n - 1, n - 1])[:, None, None]
-            # an empty window pools to zeros
-            states = np.divide(sums, sizes, out=np.zeros_like(sums), where=sizes > 0)
+        # each window's sum up to position j is the context's sum, or -0.0,
+        # then the first j rows, in one cumsum; the rows after j follow in
+        # L - 1 vector adds
+        rows = self.E[token_ids]
+        starts = np.full((2, 1, d), -0.0)
+        starts[0] = _segment_sums(self.E, [context_ids])
+        head = np.broadcast_to(rows[:-1], (2, n - 1, d))
+        sums = np.cumsum(np.concatenate([starts, head], axis=1), axis=1)
+        for t in range(1, n):
+            sums[:, : n - t] += rows[t:]
+        sizes = np.array([len(context_ids) + n - 1, n - 1])[:, None, None]
+        # an empty window pools to zeros
+        states = np.divide(sums, sizes, out=np.zeros_like(sums), where=sizes > 0)
         log_probs = self._log_probs_rows(states.reshape(2 * n, d)).reshape(2, n, -1)
         return log_probs[0], log_probs[1]
-
-    def generate(
-        self, input_ids: list[int] | np.ndarray, decode: GreedyDecode | TopKDecode
-    ) -> list[str]:
-        """Decode the tokens of an answer to the input ``input_ids``, until
-        EOS or max_len: the one-row call of :meth:`generate_batch`."""
-        return self.vocab.decode(self.generate_batch([input_ids], [decode])[0])
 
     def generate_batch(
         self,
@@ -302,16 +292,19 @@ class ToyBackend:
 
     def _decode_block(self, inputs, decodes) -> list[list[int]]:
         """Token ids of each row, one vectorized step per position for the
-        rows not yet stopped. Each step repeats :meth:`log_probs_ids` and
-        the top-k draw of ``Generator.choice`` bit for bit."""
+        rows not yet stopped. A row's state at step j is half the sum of
+        the :func:`pool` of its input and the pool of BOS and its j
+        decoded tokens, bit for bit: the prefix sum adds one row per step,
+        in order. The top-k draw repeats ``Generator.choice`` bit for
+        bit."""
         first = decodes[0]
         k = first.k if isinstance(first, TopKDecode) else None
         seeds = [derive_seed(how.seed, "topk") for how in decodes] if k is not None else []
         suppressed = self._suppressed
         out: list[list[int]] = [[] for _ in inputs]
         live = np.arange(len(inputs))  # rows of ``out`` still decoding
-        context = np.array([self._mean_rows(ids) for ids in inputs])
-        # E[BOS] + E[prefix], summed in order as an axis-0 mean sums its rows
+        context = pool(self.E, inputs)
+        # E[BOS] + E[prefix], summed in order as pool sums its rows
         prefix_sum = np.tile(self.E[self.vocab.bos_id], (len(inputs), 1))
         for step in range(first.max_len):
             if k is not None and step % DRAW_STEPS == 0:

@@ -28,7 +28,7 @@ import numpy as np
 from .backend import SPECIALS, TopKDecode, ToyBackend, Vocabulary, derive_seed
 from .corpus import MAX_COUNTERFACTUALS, InferenceExample, normalize_answer
 from .metrics import tokenize
-from .objective import EncodedSet, LossConfig, encode_inputs, encode_set, forward
+from .objective import EncodedSet, LossConfig, forward
 
 
 @dataclass(frozen=True)
@@ -87,22 +87,6 @@ def pick_counterfactuals(example: InferenceExample, m: int, seed: int = 0) -> Ne
         negatives=[example.counterfactuals[i] for i in chosen],
         provenance=[{"slot": s, "source_index": int(i), "seed": seed} for s, i in enumerate(chosen)],
     )
-
-
-def generate_nonoptimal(
-    backend: ToyBackend,
-    example: InferenceExample,
-    m: int = 4,
-    k: int = 10,
-    attempts: int = 5,
-    seed: int = 0,
-    max_len: int = 16,
-    template_id: str = "default",
-) -> NegativeSet:
-    """:func:`nonoptimal_sets` of one example, its input text encoded
-    under ``template_id``."""
-    inputs = encode_inputs(backend.vocab, [example], template_id)
-    return nonoptimal_sets(backend, [example], inputs, m, k, attempts, seed, max_len)[0]
 
 
 def nonoptimal_sets(
@@ -174,19 +158,10 @@ def nonoptimal_sets(
     ]
 
 
-def replacement_deltas(
-    scorer: ToyBackend, example: InferenceExample, template_id: str = "default"
-) -> np.ndarray:
-    """|log p(a_j | context + answer\\j) - log p(a_j | answer\\j)| per
-    gold-answer position, from the masked scorer."""
-    enc = encode_set(scorer, [example], template_id=template_id)
-    return _deltas(scorer, enc.answers[0][:-1], enc.inputs[0])[0]
-
-
 def _deltas(scorer: ToyBackend, answer_ids, context_ids) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`replacement_deltas` of an answer and an input already
-    encoded, and the answer-only masked distribution at each position
-    (one row each)."""
+    """|log p(a_j | context + answer\\j) - log p(a_j | answer\\j)| at each
+    position j of the answer ids, from the masked scorer, and the
+    answer-only masked distribution at each position (one row each)."""
     with_ctx, answer_only = scorer.masked_logits_per_position(answer_ids, context_ids)
     at_gold = (np.arange(len(answer_ids)), answer_ids)
     return np.abs(with_ctx[at_gold] - answer_only[at_gold]), answer_only

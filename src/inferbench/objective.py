@@ -16,12 +16,13 @@ Text is encoded once into an :class:`EncodedSet` (:func:`encode_set`;
 a training set's vocabulary and ids come from one tokenization pass,
 :func:`encode_training_set`), and :func:`forward`, the one entry point
 to the objective, evaluates it on that set in matrix form: every
-pooled embedding (inputs, answers, negatives) comes from one segment
-sum, the NLL scores all answers of a block with one product with U, and
-both InfoNCE terms are row-wise softmax cross-entropies over a logit
-matrix, n x n for the in-batch term and n x (1 + m) for the per-sample
-one (padded with -inf where an example has fewer negatives). The
-backward pass ends in one scatter into E.
+pooled embedding (inputs, answers, negatives) comes from one
+:func:`~inferbench.backend.pool` call, the NLL scores all answers of a
+block with one product with U, and both InfoNCE terms are row-wise
+softmax cross-entropies over a logit matrix, n x n for the in-batch
+term and n x (1 + m) for the per-sample one (padded with -inf where an
+example has fewer negatives). The backward pass ends in one scatter
+into E.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .backend import EOS, Gradients, ToyBackend, Vocabulary, derive_seed
+from .backend import EOS, Gradients, ToyBackend, Vocabulary, derive_seed, pool
 from .corpus import InferenceExample, prepare_input_text
 from .metrics import tokenize
 
@@ -193,19 +194,6 @@ def _xent(logits: np.ndarray, target: np.ndarray, grads: bool):
     return values, d
 
 
-def _pool(E: np.ndarray, segments: list[np.ndarray]):
-    """Mean E row of each id segment (zero for an empty one) from one
-    segment sum; also the flat ids and the lengths, for the backward."""
-    lengths = np.array([len(s) for s in segments])
-    flat = np.concatenate(segments)
-    sums = np.zeros((len(segments), E.shape[1]))
-    full = lengths > 0
-    if flat.size:
-        starts = np.cumsum(lengths) - lengths
-        sums[full] = np.add.reduceat(E[flat], starts[full], axis=0)
-    return sums / np.maximum(lengths, 1)[:, None], flat, lengths
-
-
 def _unit(V: np.ndarray, zero_message):
     """Unit rows of V and their norms; a zero row raises
     ``zero_message(row)``."""
@@ -256,10 +244,11 @@ def _nll(backend: ToyBackend, c: np.ndarray, answers: list[np.ndarray], scale: f
     """Summed NLL of each answer (EOS included) given its pooled input c.
 
     Prefix means come from one cumsum over the answers padded to a
-    common length, logits from one product with U. With gradient
-    container ``g``, adds ``scale`` times the U and b gradients to it
-    and returns (d/dc, prefix ids, their E rows) for the caller's
-    scatter; otherwise returns None in their place.
+    common length, which adds the rows in order as
+    :func:`~inferbench.backend.pool` does, logits from one product with
+    U. With gradient container ``g``, adds ``scale`` times the U and b
+    gradients to it and returns (d/dc, prefix ids, their E rows) for the
+    caller's scatter; otherwise returns None in their place.
     """
     k = np.array([len(a) for a in answers])
     steps = np.arange(1, k.max() + 1)
@@ -334,7 +323,7 @@ def forward(
     if sample:
         counts = np.array([len(negs) for negs in enc.negatives])
         segments += [ids for negs in enc.negatives for ids in negs]
-    V, flat, lengths = _pool(backend.E, segments)
+    V = pool(backend.E, segments)
     g = Gradients.zeros_like(backend) if grads else None
     dV = np.zeros_like(V)
     prefix_ids, prefix_rows = [], []
@@ -375,7 +364,8 @@ def forward(
         # one scatter into E as a bincount per column, which adds in order
         # like np.add.at but faster; gathering each pooled segment's row per
         # column keeps no (ids x d) copy alive
-        ids = np.concatenate([flat, *prefix_ids])
+        lengths = np.array([len(s) for s in segments])
+        ids = np.concatenate([*segments, *prefix_ids])
         owner = np.repeat(np.arange(len(lengths)), lengths)
         pooled = dV / np.maximum(lengths, 1)[:, None]
         rows = np.concatenate([np.zeros((0, backend.d)), *prefix_rows])

@@ -1,0 +1,65 @@
+"""One-row references for the model's batched kernels.
+
+The package runs only batched kernels: ``ToyBackend.generate_batch``
+decodes blocks of rows, ``masked_logits_per_position`` scores every
+position of an answer in one call, and ``nonoptimal_sets`` and
+``token_replace`` work on encoded sets. The functions here state the
+same model one row, one position or one example at a time, on
+:func:`inferbench.backend.pool`, so that the tests can compare the
+batched kernels with them bit for bit.
+"""
+
+import numpy as np
+
+from inferbench.backend import pool
+from inferbench.negatives import _deltas, nonoptimal_sets
+from inferbench.objective import encode_inputs, encode_set
+
+
+def log_softmax(logits: np.ndarray) -> np.ndarray:
+    shifted = logits - logits.max()
+    return shifted - np.log(np.exp(shifted).sum())
+
+
+def state(be, input_ids, prefix_ids) -> np.ndarray:
+    """The decoder state after ``prefix_ids``: half the sum of the pooled
+    input and the pooled BOS + prefix."""
+    c = pool(be.E, [input_ids])[0]
+    p = pool(be.E, [[be.vocab.bos_id, *prefix_ids]])[0]
+    return 0.5 * (c + p)
+
+
+def log_probs_ids(be, input_ids, prefix_ids) -> np.ndarray:
+    """Next-token log-probabilities after ``prefix_ids``."""
+    return log_softmax(be.U @ state(be, input_ids, prefix_ids) + be.b)
+
+
+def masked_logits_ids(be, token_ids, position, context_ids=None) -> np.ndarray:
+    """Log-probabilities at ``position`` of ``token_ids`` masked: the
+    pooled window of the other tokens, after ``context_ids`` if given."""
+    if not 0 <= position < len(token_ids):
+        raise IndexError(f"mask position {position} outside 0..{len(token_ids) - 1}")
+    rest = [t for i, t in enumerate(token_ids) if i != position]
+    window = rest if context_ids is None else [*context_ids, *rest]
+    return log_softmax(be.U @ pool(be.E, [window])[0] + be.b)
+
+
+def generate(be, input_ids, decode) -> list[str]:
+    """The tokens ``generate_batch`` decodes for one row."""
+    return be.vocab.decode(be.generate_batch([input_ids], [decode])[0])
+
+
+def generate_nonoptimal(
+    be, example, m=4, k=10, attempts=5, seed=0, max_len=16, template_id="default"
+):
+    """``nonoptimal_sets`` of one example, its input text encoded under
+    ``template_id``."""
+    inputs = encode_inputs(be.vocab, [example], template_id)
+    return nonoptimal_sets(be, [example], inputs, m, k, attempts, seed, max_len)[0]
+
+
+def replacement_deltas(scorer, example, template_id="default") -> np.ndarray:
+    """The masked scorer's |log p(a_j | context + answer\\j) -
+    log p(a_j | answer\\j)| at each gold-answer position of one example."""
+    enc = encode_set(scorer, [example], template_id=template_id)
+    return _deltas(scorer, enc.answers[0][:-1], enc.inputs[0])[0]

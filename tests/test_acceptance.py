@@ -26,7 +26,7 @@ from inferbench.backend import ToyBackend, Vocabulary
 from inferbench.cli import main as cli_main
 from inferbench.experiments import contrastive_benefit_experiment
 from inferbench.metrics import bleu, cider, meteor_lite, rouge_l, tokenize
-from inferbench.negatives import ReplaceConfig, pick_counterfactuals, select_positions, replacement_deltas, token_replace
+from inferbench.negatives import ReplaceConfig, pick_counterfactuals, select_positions, token_replace
 from inferbench.objective import LossConfig, encode_set, finite_diff_check, forward
 from bruteforce import (
     bf_bleu,
@@ -37,6 +37,7 @@ from bruteforce import (
     bf_t_two_sided_p,
 )
 from conftest import DATA_DIR, input_ids, make_example
+from reference_model import replacement_deltas
 from test_metrics import random_pairs
 from test_objective import (
     NLL_ONLY,

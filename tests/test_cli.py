@@ -6,12 +6,14 @@ from pathlib import Path
 import pytest
 
 import inferbench.trainer
+from inferbench.backend import ToyBackend, save_checkpoint
 from inferbench.cli import build_parser, load_run_config, main
 from inferbench.corpus import load_dataset, save_dataset
 from inferbench.synth import build_judgments, build_split
 from inferbench.objective import encode_texts
 from inferbench.trainer import TrainConfig, build_vocabulary, train
 
+from bruteforce import bf_replace_positions
 from conftest import DATA_DIR
 
 
@@ -183,6 +185,30 @@ def test_perturb_replace_strategies(tmp_path, small_data):
         assert len(records) == 8
         assert all(r["strategy"] == strategy for r in records)
         assert all(len(r["negatives"]) == 2 for r in records)
+
+
+def test_perturb_replace_zs_selects_by_the_threshold(tmp_path, small_data):
+    # an untrained model with E and U widened 20x, as demo 04 builds one:
+    # its masked deltas clear the recipe's 0.75 threshold, which a trained
+    # toy checkpoint's never do
+    examples = load_dataset(small_data / "valid.jsonl")
+    model = ToyBackend(build_vocabulary(examples), d=8, seed=5)
+    model.E *= 20.0
+    model.U *= 20.0
+    save_checkpoint(model, tmp_path / "wide.json")
+    out = tmp_path / "negs.jsonl"
+    assert run(["perturb", "--strategy", "replace_zs", "--ckpt", tmp_path / "wide.json",
+                "--m", "2", "--k", "5", "--seed", "3", "--in", small_data / "valid.jsonl",
+                "--out", out]) == 0
+    records = {r["example_id"]: r for r in map(json.loads, out.read_text().splitlines())}
+    fallbacks = []
+    for ex in examples:
+        expected = bf_replace_positions(model, ex, 0.75)
+        for prov in records[ex.id]["provenance"]:
+            assert prov["threshold"] == 0.75
+            assert prov["replaced_positions"] == expected
+            fallbacks.append(prov["fallback"])
+    assert not all(fallbacks)
 
 
 @pytest.mark.parametrize("strategy", ["counterfactual", "replace_zs", "replace_mcq"])

@@ -21,7 +21,6 @@ from inferbench.analysis import compare_metric_scores, stratified_compare
 from inferbench.backend import GreedyDecode, TopKDecode, ToyBackend, derive_seed
 from inferbench.negatives import (
     ReplaceConfig,
-    generate_nonoptimal,
     token_replace,
     train_mcq_scorer,
 )
@@ -29,6 +28,8 @@ from inferbench.jsonio import canonical_dumps
 from inferbench.metrics import score_corpus
 from inferbench.objective import build_vocabulary, encode_inputs, encode_training_set
 from inferbench.synth import build_judgments, build_split
+
+from reference_model import generate, generate_nonoptimal
 
 GREEDY = [
     "sure b about announced announced announced announced announced",
@@ -99,9 +100,9 @@ def model(split):
 
 def test_greedy_and_top_k_decodes(split, model):
     inputs = encode_inputs(model.vocab, split)
-    greedy = [" ".join(model.generate(ids, GreedyDecode(max_len=8))) for ids in inputs]
+    greedy = [" ".join(generate(model, ids, GreedyDecode(max_len=8))) for ids in inputs]
     top_k = [
-        " ".join(model.generate(ids, TopKDecode(k=5, seed=seed, max_len=8)))
+        " ".join(generate(model, ids, TopKDecode(k=5, seed=seed, max_len=8)))
         for seed, ids in zip([derive_seed(3, ex.id, "decode") for ex in split], inputs)
     ]
     assert greedy == GREEDY

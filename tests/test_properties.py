@@ -4,9 +4,13 @@
   on that stratum's items alone, exactly.
 * The objective: :func:`forward` agrees with the loop oracle
   ``bf_total_loss`` on random encoded batches, errors included.
+* Pooling: a segment pools to its rows added in order, divided by the
+  count, alone or among other segments; the decoder's states, masked
+  scoring's windows and ``forward``'s pooled vectors and NLL states are
+  that pool, bit for bit.
 * Decoding: the batched kernel agrees with a one-step-at-a-time loop
-  over ``log_probs_ids`` and ``Generator.choice``, and a row's tokens do
-  not depend on the rows batched with it.
+  over the reference ``log_probs_ids`` and ``Generator.choice``, and a
+  row's tokens do not depend on the rows batched with it.
 * The n-gram metrics agree with the oracles of ``tests/bruteforce.py``.
 * Invariants of decoding, token replacement, checkpoints and canonical
   JSON.
@@ -21,6 +25,7 @@ import math
 import tempfile
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -30,6 +35,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
+from inferbench import objective
 from inferbench.analysis import CHOICES, Judgment, compare_metric_scores, stratified_compare
 from inferbench.backend import (
     DECODE_BLOCK,
@@ -42,6 +48,7 @@ from inferbench.backend import (
     derive_seed,
     draw_index,
     load_checkpoint,
+    pool,
     save_checkpoint,
 )
 from inferbench.jsonio import canonical_dumps
@@ -54,12 +61,19 @@ from inferbench.metrics import (
     score_corpus,
     tokenize,
 )
-from inferbench.negatives import ReplaceConfig, _deltas, replacement_deltas, token_replace
+from inferbench.negatives import ReplaceConfig, _deltas, token_replace
 from inferbench.objective import EncodedSet, LossConfig, build_vocabulary, encode_set, forward
 from inferbench.porter import stem
 
 from bruteforce import bf_bleu, bf_cider, bf_rouge_l, bf_total_loss
 from conftest import input_ids, make_example
+from reference_model import (
+    generate,
+    log_probs_ids,
+    masked_logits_ids,
+    replacement_deltas,
+    state,
+)
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=60)
 
@@ -148,13 +162,93 @@ def test_judgment_comparison_strata_equal_subset_runs(items):
         assert report.strata[label].to_dict() == alone.overall.to_dict()
 
 
+# --- the pooling rule -----------------------------------------------------------------
+
+@st.composite
+def pool_cases(draw):
+    """An E of d 1-24 over 3-40 rows of random normal entries of a drawn
+    scale, and 1-6 id segments of 0-30 ids. Ids repeat, and a draw may
+    keep to two of them."""
+    d, rows = draw(st.integers(1, 24)), draw(st.integers(3, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    E = draw(st.sampled_from([0.1, 1.0, 4.0])) * rng.normal(size=(rows, d))
+    ids = st.integers(0, draw(st.sampled_from([2, rows])) - 1)
+    return E, draw(st.lists(st.lists(ids, max_size=30), min_size=1, max_size=6))
+
+
+def in_order_mean(E, ids):
+    """Each column's entries at ``ids`` added left to right in Python
+    floats, divided by the count; zeros for no ids."""
+    if not ids:
+        return [0.0] * E.shape[1]
+    means = []
+    for column in E.T.tolist():
+        total = column[ids[0]]
+        for t in ids[1:]:
+            total += column[t]
+        means.append(total / len(ids))
+    return means
+
+
+@PROPERTY
+@given(pool_cases())
+def test_pool_rows_are_in_order_means_alone_or_batched(case):
+    E, segments = case
+    pooled = pool(E, segments)
+    assert pooled.shape == (len(segments), E.shape[1])
+    for row, ids in zip(pooled, segments):
+        assert row.tobytes() == pool(E, [ids])[0].tobytes()
+        assert row.tobytes() == np.array(in_order_mean(E, ids)).tobytes()
+
+
+@PROPERTY
+@given(st.integers(1, 24), st.integers(0, 2**32 - 1), st.data())
+def test_forward_pools_as_pool_does(d, seed, data):
+    # the InfoNCE terms see the vectors embed_ids normalizes; with U's
+    # first d rows the unit vectors and b zero, the NLL's logits hold its
+    # states, each half the sum of two pools
+    be = ToyBackend(Vocabulary([f"w{k}" for k in range(30)]), d=d)
+    be.E = np.random.default_rng(seed).normal(size=be.E.shape)
+    be.U = np.eye(*be.U.shape)
+    be.b = np.zeros_like(be.b)
+    segment = st.lists(st.integers(0, len(be.vocab) - 1), min_size=1, max_size=30)
+    n = data.draw(st.integers(1, 4))
+    inputs, answers, negatives = ([data.draw(segment) for _ in range(n)] for _ in range(3))
+    enc = EncodedSet(
+        example_ids=[f"e{i}" for i in range(n)],
+        inputs=[np.array(ids, dtype=np.intp) for ids in inputs],
+        answers=[np.array([*ids, be.vocab.eos_id], dtype=np.intp) for ids in answers],
+        negatives=[[np.array(ids, dtype=np.intp)] for ids in negatives],
+    )
+    seen = []
+
+    def spy(fn):
+        def wrapper(*args, **kwargs):
+            seen.append(args[0])
+            return fn(*args, **kwargs)
+        return wrapper
+
+    with mock.patch.object(objective, "_xent", spy(objective._xent)), \
+            mock.patch.object(objective, "_unit", spy(objective._unit)):
+        forward(be, enc, LossConfig(), grads=False)
+    nll_logits, pooled = seen[:2]  # the NLL runs before the InfoNCE terms
+    for row, ids in zip(pooled, [*inputs, *answers, *negatives]):
+        assert row.tobytes() == pool(be.E, [ids])[0].tobytes()
+    states = [
+        0.5 * (pool(be.E, [ids])[0] + pool(be.E, [[be.vocab.bos_id, *answer[:j]]])[0])
+        for ids, answer in zip(inputs, enc.answers)
+        for j in range(len(answer))
+    ]
+    assert nll_logits[:, :d].tobytes() == np.array(states).tobytes()
+
+
 # --- the objective against its loop oracle ------------------------------------------
 
 @st.composite
-def random_backends(draw):
-    """A backend over ``WORDS`` with d 1-4 and random normal parameters
-    of a drawn scale."""
-    be = ToyBackend(Vocabulary(list(WORDS)), d=draw(st.integers(1, 4)), seed=0)
+def random_backends(draw, dims=st.integers(1, 4)):
+    """A backend over ``WORDS`` with d from ``dims`` and random normal
+    parameters of a drawn scale."""
+    be = ToyBackend(Vocabulary(list(WORDS)), d=draw(dims), seed=0)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     scale = draw(st.sampled_from([0.1, 1.0, 4.0]))
     be.set_flat_parameters(scale * rng.normal(size=be.flat_parameters().size))
@@ -281,7 +375,7 @@ def step_loop_generate(be, input_ids, decode):
         rng = np.random.default_rng(derive_seed(decode.seed, "topk"))
     out = []
     for _ in range(decode.max_len):
-        log_probs = be.log_probs_ids(input_ids, out).copy()
+        log_probs = log_probs_ids(be, input_ids, out).copy()
         log_probs[suppressed] = -np.inf
         if isinstance(decode, GreedyDecode):
             nxt = int(np.argmax(log_probs))
@@ -297,14 +391,14 @@ def step_loop_generate(be, input_ids, decode):
 
 
 @st.composite
-def decode_batches(draw, rows):
+def decode_batches(draw, rows, dims=st.integers(1, 4), input_len=6):
     """A random backend whose EOS bias makes rows stop at different steps,
-    ragged (possibly empty) inputs, and one decode per row: greedy, or
-    top-k with k 1-5 and a seed per row."""
-    be = draw(random_backends())
+    ragged (possibly empty) inputs of at most ``input_len`` ids, and one
+    decode per row: greedy, or top-k with k 1-5 and a seed per row."""
+    be = draw(random_backends(dims))
     be.b[be.vocab.eos_id] += draw(st.sampled_from([-4.0, 0.0, 1.0, 3.0]))
     n = draw(rows)
-    token_ids = st.lists(st.integers(0, len(be.vocab) - 1), max_size=6)
+    token_ids = st.lists(st.integers(0, len(be.vocab) - 1), max_size=input_len)
     inputs = [draw(token_ids) for _ in range(n)]
     max_len = draw(st.integers(1, 2 * DRAW_STEPS + 2))
     if draw(st.booleans()):
@@ -323,9 +417,9 @@ def decode_batches(draw, rows):
     ),
 )
 def test_batched_log_probs_equal_log_probs_ids_bitwise(be, rows):
-    states = np.array([be._state(input_ids, prefix_ids) for input_ids, prefix_ids in rows])
+    states = np.array([state(be, input_ids, prefix_ids) for input_ids, prefix_ids in rows])
     for got, (input_ids, prefix_ids) in zip(be._log_probs_rows(states), rows):
-        assert got.tobytes() == be.log_probs_ids(input_ids, prefix_ids).tobytes()
+        assert got.tobytes() == log_probs_ids(be, input_ids, prefix_ids).tobytes()
 
 
 @PROPERTY
@@ -336,12 +430,35 @@ def test_generate_batch_matches_step_loop(batch):
     assert be.generate_batch(inputs, decodes) == expected
 
 
+@pytest.mark.parametrize("d", range(1, 25))
+@settings(PROPERTY, max_examples=8)
+@given(data=st.data())
+def test_decoder_states_equal_the_pooled_state_bitwise(d, data):
+    # a row's state at step j: the pool of its input and the pool of BOS
+    # and its first j tokens, which the decoder sums one row per step
+    be, inputs, decodes = data.draw(decode_batches(st.integers(1, 4), st.just(d), input_len=30))
+    steps = []
+    log_probs_rows = be._log_probs_rows
+
+    def record(states):
+        steps.append(states.copy())
+        return log_probs_rows(states)
+
+    be._log_probs_rows = record
+    out = be.generate_batch(inputs, decodes)
+    for step, states in enumerate(steps):
+        live = [r for r in range(len(inputs)) if len(out[r]) >= step]
+        assert len(states) == len(live)
+        for got, r in zip(states, live):
+            assert got.tobytes() == state(be, inputs[r], out[r][:step]).tobytes()
+
+
 @settings(PROPERTY, max_examples=25)
 @given(decode_batches(st.integers(1, 4) | st.integers(DECODE_BLOCK - 1, DECODE_BLOCK + 3)))
 def test_generate_batch_rows_equal_one_row_calls(batch):
     be, inputs, decodes = batch
     got = [be.vocab.decode(ids) for ids in be.generate_batch(inputs, decodes)]
-    assert got == [be.generate(ids, how) for ids, how in zip(inputs, decodes)]
+    assert got == [generate(be, ids, how) for ids, how in zip(inputs, decodes)]
 
 
 @PROPERTY
@@ -366,7 +483,7 @@ def test_non_finite_weights_raise():
     be = ToyBackend(Vocabulary(list(WORDS)), d=2, seed=0)
     be.b[be.vocab.id_of("cat")] = np.nan
     with pytest.raises(ValueError, match="not finite"):
-        be.generate([be.vocab.id_of("the")], TopKDecode(k=2, seed=0, max_len=4))
+        generate(be, [be.vocab.id_of("the")], TopKDecode(k=2, seed=0, max_len=4))
 
 
 # --- the n-gram metrics against their oracles -----------------------------------------
@@ -418,7 +535,7 @@ def test_ngram_metrics_match_brute_force(pairs):
 )
 def test_generate_never_emits_suppressed_tokens(be, input_ids, favoured, decode):
     be.b[be.vocab.id_of(favoured)] += 50.0  # the suppressed token would win every step
-    tokens = be.generate(input_ids, decode)
+    tokens = generate(be, input_ids, decode)
     assert len(tokens) <= decode.max_len
     assert not set(tokens) & set(SPECIALS)
 
@@ -469,7 +586,7 @@ def per_position_deltas(be, answer, context):
     per position and window."""
     return np.array(
         [
-            abs(be.masked_logits_ids(answer, j, context)[a] - be.masked_logits_ids(answer, j)[a])
+            abs(masked_logits_ids(be, answer, j, context)[a] - masked_logits_ids(be, answer, j)[a])
             for j, a in enumerate(answer)
         ]
     )
@@ -482,8 +599,8 @@ def test_batched_masked_scoring_equals_per_position_calls_bitwise(case):
     with_ctx, alone = be.masked_logits_per_position(answer, context)
     assert with_ctx.shape == alone.shape == (len(answer), len(be.vocab))
     for j in range(len(answer)):
-        assert with_ctx[j].tobytes() == be.masked_logits_ids(answer, j, context).tobytes()
-        assert alone[j].tobytes() == be.masked_logits_ids(answer, j).tobytes()
+        assert with_ctx[j].tobytes() == masked_logits_ids(be, answer, j, context).tobytes()
+        assert alone[j].tobytes() == masked_logits_ids(be, answer, j).tobytes()
     deltas, answer_only = _deltas(be, answer, context)
     assert deltas.tobytes() == per_position_deltas(be, answer, context).tobytes()
     assert answer_only.tobytes() == alone.tobytes()
