@@ -625,10 +625,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser: each parse starts from a fresh namespace
+    (``--set`` from None), so no call's values reach the next."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(level=os.environ.get("INFERBENCH_LOG", "WARNING").upper())
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (ConfigError, DatasetError, ValueError, OSError, RuntimeError) as exc:

@@ -12,7 +12,6 @@ plus a correct-answer index).
 from __future__ import annotations
 
 import json
-import re
 from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
@@ -75,8 +74,9 @@ class Utterance:
 
 
 def normalize_answer(text: str) -> str:
-    """Lowercase + whitespace collapse; the distinct-from-gold relation."""
-    return re.sub(r"\s+", " ", text.strip().lower())
+    """Lowercase + whitespace collapse; the distinct-from-gold relation.
+    ``str.split`` breaks on the characters ``re``'s ``\\s`` matches."""
+    return " ".join(text.lower().split())
 
 
 @dataclass(frozen=True)
@@ -174,21 +174,52 @@ def prepare_input_text(example: InferenceExample, template_id: str = "default") 
 
 # --- loading / saving ------------------------------------------------------
 
+# the scalar fields a canonical record must give in one JSON type (a bool
+# is not an integer here)
+_FIELD_TYPES = {"id": str, "target_index": int, "answer": str}
+
+
+def _check_types(obj: dict, where: str) -> None:
+    """Reject the field types that converting would silently change: a
+    number read as id, answer, speaker or turn text, a float or bool
+    target index truncated, a string of counterfactuals read as its
+    characters."""
+    for key, kind in _FIELD_TYPES.items():
+        if key in obj and type(obj[key]) is not kind:
+            name = "an integer" if kind is int else "a string"
+            raise DatasetError(f"{where}: {key} must be {name}, got {obj[key]!r}")
+    counterfactuals = obj.get("counterfactuals")
+    if counterfactuals is not None and not (
+        isinstance(counterfactuals, list) and all(isinstance(c, str) for c in counterfactuals)
+    ):
+        raise DatasetError(
+            f"{where}: counterfactuals must be a list of strings, got {counterfactuals!r}"
+        )
+    dialogue = obj.get("dialogue")
+    for i, turn in enumerate(dialogue if isinstance(dialogue, list) else [], start=1):
+        if isinstance(turn, dict) and not all(
+            isinstance(turn.get(key, ""), str) for key in ("speaker", "text")
+        ):
+            raise DatasetError(f"{where}: turn {i} speaker and text must be strings, got {turn!r}")
+
+
 def _example_from_canonical(obj: dict, where: str) -> InferenceExample:
+    if isinstance(obj, dict):
+        _check_types(obj, where)
     try:
         dialogue = tuple(
-            Utterance(speaker=str(t["speaker"]), text=str(t["text"]), index=i)
+            Utterance(speaker=t["speaker"], text=t["text"], index=i)
             for i, t in enumerate(obj["dialogue"], start=1)
         )
         example = InferenceExample(
-            id=str(obj["id"]),
+            id=obj["id"],
             dialogue=dialogue,
-            target_index=int(obj["target_index"]),
+            target_index=obj["target_index"],
             question=QuestionType(obj["question"]),
-            answer=str(obj["answer"]),
-            counterfactuals=tuple(str(c) for c in obj.get("counterfactuals") or ()),
+            answer=obj["answer"],
+            counterfactuals=tuple(obj.get("counterfactuals") or ()),
             difficulty=(
-                Difficulty(obj["difficulty"]) if obj.get("difficulty") else None
+                Difficulty(obj["difficulty"]) if obj.get("difficulty") is not None else None
             ),
         )
     except (KeyError, TypeError, ValueError) as exc:

@@ -3,6 +3,13 @@
 All scorers consume lowercase token lists produced by :func:`tokenize`.
 CIDEr operates on Porter stems; METEOR-lite matches on exact surface
 forms first and stems second, with no synonym or paraphrase stage.
+
+Each (hypothesis, reference) pair's n-grams are counted once, into one
+per-pair table (:class:`PairTable`): BLEU's clipped token n-gram
+matches and totals, and each side's Porter-stem n-gram counts, for
+n = 1..4. Corpus BLEU of any subset, sentence BLEU and CIDEr (document
+frequencies and tf-idf vectors) all read those tables; :func:`bleu`
+and :func:`cider` build them for their arguments.
 """
 
 from __future__ import annotations
@@ -12,6 +19,7 @@ import re
 import warnings
 from collections import Counter
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .porter import stem
 
@@ -45,7 +53,52 @@ def tokenize(text: str) -> list[str]:
 
 
 def ngram_counts(tokens: list[str], n: int) -> Counter:
-    return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
+    """Counts of each n-gram (a tuple), in order of first occurrence."""
+    return Counter(zip(*(tokens[i:] for i in range(n))))
+
+
+class _BleuCounts(NamedTuple):
+    """One pair's BLEU statistics: lengths and, for n = 1..4, the
+    hypothesis n-grams clipped by the reference counts and their total."""
+
+    hyp_len: int
+    ref_len: int
+    matched: tuple[int, ...]
+    total: tuple[int, ...]
+
+
+def _bleu_counts(hyp: list[str], ref: list[str]) -> _BleuCounts:
+    matched, total = [], []
+    for n in range(1, 5):
+        hyp_counts = ngram_counts(hyp, n)
+        ref_counts = ngram_counts(ref, n)
+        total.append(sum(hyp_counts.values()))
+        matched.append(sum(min(c, ref_counts.get(g, 0)) for g, c in hyp_counts.items()))
+    return _BleuCounts(len(hyp), len(ref), tuple(matched), tuple(total))
+
+
+class _StemGrams(NamedTuple):
+    """A token list's Porter stems and their n-gram counts, n = 1..4:
+    one CIDEr document and its term frequencies."""
+
+    stems: tuple[str, ...]
+    grams: tuple[Counter, ...]
+
+
+def _stem_grams(tokens: list[str]) -> _StemGrams:
+    stems = [stem(t) for t in tokens]
+    return _StemGrams(
+        tuple(stems), tuple(ngram_counts(stems, n) for n in range(1, CIDER_MAX_N + 1))
+    )
+
+
+class PairTable(NamedTuple):
+    """One (hypothesis, reference) pair's n-grams, counted once: the
+    BLEU statistics of its token n-grams and each side's stem n-grams."""
+
+    bleu: _BleuCounts
+    hyp: _StemGrams
+    ref: _StemGrams
 
 
 def bleu(
@@ -66,22 +119,15 @@ def bleu(
         raise ValueError("empty corpus")
     if not 1 <= max_n <= 4:
         raise ValueError("max_n must be in 1..4")
+    return _corpus_bleu([_bleu_counts(h, r) for h, r in zip(hypotheses, references)], max_n)
 
-    matched = [0] * max_n
-    total = [0] * max_n
-    hyp_len = 0
-    ref_len = 0
-    for hyp, ref in zip(hypotheses, references):
-        hyp_len += len(hyp)
-        ref_len += len(ref)
-        for n in range(1, max_n + 1):
-            hyp_counts = ngram_counts(hyp, n)
-            ref_counts = ngram_counts(ref, n)
-            total[n - 1] += sum(hyp_counts.values())
-            matched[n - 1] += sum(
-                min(c, ref_counts.get(g, 0)) for g, c in hyp_counts.items()
-            )
 
+def _corpus_bleu(counts: list[_BleuCounts], max_n: int) -> dict[int, float]:
+    """:func:`bleu` of the pairs whose statistics ``counts`` holds."""
+    matched = [sum(c.matched[n] for c in counts) for n in range(max_n)]
+    total = [sum(c.total[n] for c in counts) for n in range(max_n)]
+    hyp_len = sum(c.hyp_len for c in counts)
+    ref_len = sum(c.ref_len for c in counts)
     bp = 1.0 if hyp_len >= ref_len or hyp_len == 0 else math.exp(1.0 - ref_len / hyp_len)
     precisions = [m / t if t > 0 else 0.0 for m, t in zip(matched, total)]
     scores = {}
@@ -250,16 +296,8 @@ def meteor_lite(
     return f_mean * (1 - penalty)
 
 
-def _stem_doc(tokens: list[str]) -> list[str]:
-    return [stem(t) for t in tokens]
-
-
-def _tfidf_vec(stems: list[str], n: int, idf: dict, n_docs: int) -> dict:
-    counts = ngram_counts(stems, n)
-    return {
-        g: c * idf.get(g, math.log(n_docs))  # unseen gram: df floored at 1
-        for g, c in counts.items()
-    }
+def _tfidf_vec(counts: Counter, idf: dict, unseen: float) -> dict:
+    return {g: c * idf.get(g, unseen) for g, c in counts.items()}
 
 
 def _cosine(u: dict, v: dict) -> float:
@@ -287,28 +325,34 @@ def cider(
     """
     if len(hypotheses) != len(references):
         raise ValueError("hypothesis and reference lists must have equal length")
-    docs = idf_corpus if idf_corpus is not None else references
-    stemmed_docs = [_stem_doc(d) for d in docs]
-    if len({tuple(d) for d in stemmed_docs}) < 2:
+    refs = [_stem_grams(r) for r in references]
+    docs = refs if idf_corpus is None else [_stem_grams(d) for d in idf_corpus]
+    return _cider([_stem_grams(h) for h in hypotheses], refs, docs)
+
+
+def _cider(hyps: list[_StemGrams], refs: list[_StemGrams], docs: list[_StemGrams]):
+    """:func:`cider` of the pairs (hyps[i], refs[i]) with document
+    frequencies from ``docs``."""
+    if len({d.stems for d in docs}) < 2:
         raise ValueError(
             "cider needs an idf corpus with at least 2 distinct reference "
             "documents; pass idf_corpus covering the evaluation set"
         )
-    n_docs = len(stemmed_docs)
+    n_docs = len(docs)
+    unseen = math.log(n_docs)  # an unseen gram's df is floored at 1
     idf_by_n = []
-    for n in range(1, CIDER_MAX_N + 1):
+    for n in range(CIDER_MAX_N):
         df = Counter()
-        for d in stemmed_docs:
-            df.update(set(ngram_counts(d, n)))
+        for d in docs:
+            df.update(d.grams[n].keys())
         idf_by_n.append({g: math.log(n_docs / max(c, 1)) for g, c in df.items()})
 
     per_pair = []
-    for hyp, ref in zip(hypotheses, references):
-        hs, rs = _stem_doc(hyp), _stem_doc(ref)
+    for hyp, ref in zip(hyps, refs):
         total = 0.0
-        for n in range(1, CIDER_MAX_N + 1):
-            hv = _tfidf_vec(hs, n, idf_by_n[n - 1], n_docs)
-            rv = _tfidf_vec(rs, n, idf_by_n[n - 1], n_docs)
+        for n, idf in enumerate(idf_by_n):
+            hv = _tfidf_vec(hyp.grams[n], idf, unseen)
+            rv = _tfidf_vec(ref.grams[n], idf, unseen)
             total += 10.0 * _cosine(hv, rv)
         per_pair.append(total / CIDER_MAX_N)
     return sum(per_pair) / len(per_pair), per_pair
@@ -368,12 +412,14 @@ def score_corpus(
 
     BLEU is corpus-aggregated; METEOR-lite, ROUGE-L and CIDEr corpus
     values are means over pairs, CIDEr with document frequencies from
-    the full reference set. Each pair is tokenized and scored once.
-    When ``strata_labels`` maps every id to a label, each stratum's
-    sub-report equals the report of that subset alone: only its corpus
-    BLEU and its CIDEr (own idf corpus) are recomputed. CIDEr degrades
-    to None with a warning when the reference set has fewer than 2
-    distinct documents.
+    the full reference set. Each pair is tokenized and scored once, and
+    its n-grams are counted once into its :class:`PairTable`, which the
+    corpus BLEU, the sentence BLEU and the CIDEr of every (sub-)report
+    read. When ``strata_labels`` maps every id to a label, each
+    stratum's sub-report equals the report of that subset alone: only
+    its corpus BLEU and its CIDEr (own idf corpus) are recomputed, from
+    the tables. CIDEr degrades to None with a warning when the
+    reference set has fewer than 2 distinct documents.
     """
     if not pairs:
         raise ValueError("empty corpus")
@@ -386,12 +432,16 @@ def score_corpus(
     refs = [tokenize(r) for _, r in pairs]
     meteor_scores = [meteor_lite(h, r) for h, r in zip(hyps, refs)]
     rouge_scores = [rouge_l(h, r) for h, r in zip(hyps, refs)]
-    sentence_bleu = [bleu([h], [r]) for h, r in zip(hyps, refs)] if with_per_example else None
+    tables = [
+        PairTable(_bleu_counts(h, r), _stem_grams(h), _stem_grams(r)) for h, r in zip(hyps, refs)
+    ]
+    sentence_bleu = [_corpus_bleu([t.bleu], 4) for t in tables] if with_per_example else None
 
     def report_for(idxs) -> MetricReport:
-        sub_hyps = [hyps[i] for i in idxs]
-        sub_refs = [refs[i] for i in idxs]
-        cider_corpus, cider_scores = _cider_or_skip(sub_hyps, sub_refs, stacklevel=4)
+        sub = [tables[i] for i in idxs]
+        cider_corpus, cider_scores = _cider_or_skip(
+            [t.hyp for t in sub], [t.ref for t in sub], stacklevel=4
+        )
         per_example = None
         if with_per_example:
             per_example = {
@@ -404,7 +454,7 @@ def score_corpus(
                 for i, pair_cider in zip(idxs, cider_scores)
             }
         return MetricReport(
-            bleu=bleu(sub_hyps, sub_refs),
+            bleu=_corpus_bleu([t.bleu for t in sub], 4),
             meteor=sum(meteor_scores[i] for i in idxs) / len(idxs),
             rouge_l=sum(rouge_scores[i] for i in idxs) / len(idxs),
             cider=cider_corpus,
@@ -436,16 +486,19 @@ def pair_scores(pairs: list[tuple[str, str]], metric: str) -> list[float | None]
     if metric == "rouge_l":
         return [rouge_l(h, r) for h, r in zip(hyps, refs)]
     if metric == "cider":
-        return _cider_or_skip(hyps, refs, stacklevel=3)[1]
+        return _cider_or_skip(
+            [_stem_grams(h) for h in hyps], [_stem_grams(r) for r in refs], stacklevel=3
+        )[1]
     n = int(metric.removeprefix("bleu_"))
     return [bleu([h], [r], max_n=n)[n] for h, r in zip(hyps, refs)]
 
 
 def _cider_or_skip(hyps, refs, stacklevel: int) -> tuple[float | None, list[float | None]]:
-    """:func:`cider`, or None for the corpus and every pair, with a
-    warning, when the references have fewer than 2 distinct documents."""
+    """:func:`_cider` with the references as its documents, or None for
+    the corpus and every pair, with a warning, when the references have
+    fewer than 2 distinct documents."""
     try:
-        return cider(hyps, refs)
+        return _cider(hyps, refs, refs)
     except ValueError:
         warnings.warn(
             "cider skipped: fewer than 2 distinct reference documents", stacklevel=stacklevel

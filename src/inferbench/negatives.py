@@ -176,6 +176,18 @@ def select_positions(deltas: np.ndarray, threshold: float) -> tuple[list[int], b
     return [int(np.argmax(deltas))], True
 
 
+def replacement_candidates(
+    dist: np.ndarray, gold: int, k: int, special_ids: set[int]
+) -> list[int]:
+    """The non-special tokens among the top k of ``dist`` (ranked by
+    descending value, ties by lower id), gold left out; the (k+1)-th
+    when gold fills the whole top k. Only the first k + 1 + |specials|
+    ranks are read: they hold the first k + 1 non-special tokens."""
+    order = np.lexsort((np.arange(len(dist)), -dist))[: k + 1 + len(special_ids)]
+    ranked = [int(t) for t in order if int(t) not in special_ids]
+    return [t for t in ranked[:k] if t != gold] or [t for t in ranked[k : k + 1] if t != gold]
+
+
 def token_replace(
     scorer: ToyBackend,
     example: InferenceExample,
@@ -204,12 +216,7 @@ def token_replace(
     special_ids = {scorer.vocab.id_of(t) for t in SPECIALS}
     candidates_at: dict[int, list[int]] = {}
     for j in positions:
-        dist = answer_only[j]
-        order = np.lexsort((np.arange(len(dist)), -dist))
-        ranked = [int(t) for t in order if int(t) not in special_ids]
-        top = [t for t in ranked[: cfg.k] if t != answer_ids[j]]
-        if not top:
-            top = [t for t in ranked[cfg.k : cfg.k + 1] if t != answer_ids[j]]
+        top = replacement_candidates(answer_only[j], answer_ids[j], cfg.k, special_ids)
         if not top:
             raise ValueError(f"example {example.id}: no replacement candidates at {j}")
         candidates_at[j] = top

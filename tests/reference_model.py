@@ -6,8 +6,12 @@ position of an answer in one call, and ``nonoptimal_sets`` and
 ``token_replace`` work on encoded sets. The functions here state the
 same model one row, one position or one example at a time, on
 :func:`inferbench.backend.pool`, so that the tests can compare the
-batched kernels with them bit for bit.
+batched kernels with them bit for bit. The last two state the answer
+normalization and the replacement ranking in their direct forms: a
+regex collapse, and a ranking of the whole vocabulary.
 """
+
+import re
 
 import numpy as np
 
@@ -63,3 +67,20 @@ def replacement_deltas(scorer, example, template_id="default") -> np.ndarray:
     log p(a_j | answer\\j)| at each gold-answer position of one example."""
     enc = encode_set(scorer, [example], template_id=template_id)
     return _deltas(scorer, enc.answers[0][:-1], enc.inputs[0])[0]
+
+
+def normalize_answer(text: str) -> str:
+    """Strip, lowercase, and collapse each run of ``\\s`` to one space."""
+    return re.sub(r"\s+", " ", text.strip().lower())
+
+
+def replacement_candidates(dist, gold, k, special_ids) -> list[int]:
+    """``token_replace``'s candidates at one position from the whole
+    vocabulary ranked (descending value, ties by lower id) with the
+    specials removed: its top k without gold, else the (k+1)-th."""
+    order = np.lexsort((np.arange(len(dist)), -dist))
+    ranked = [int(t) for t in order if int(t) not in special_ids]
+    top = [t for t in ranked[:k] if t != gold]
+    if not top:
+        top = [t for t in ranked[k : k + 1] if t != gold]
+    return top

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 import inferbench.trainer
+from inferbench import cli
 from inferbench.backend import ToyBackend, save_checkpoint
 from inferbench.cli import build_parser, load_run_config, main
 from inferbench.corpus import load_dataset, save_dataset
@@ -110,6 +111,61 @@ def test_help_enumerates_flags(capsys, cmd, flags):
         assert flag in out
 
 
+def test_one_parser_serves_every_call_of_a_process(tmp_path, small_data, capsys):
+    """Calls sharing the process's parser write what calls with a fresh
+    parser write: no ``--set`` value, help request or failed call reaches
+    the next call."""
+    valid = small_data / "valid.jsonl"
+    judgments = small_data / "judgments.jsonl"
+    hyp = tmp_path / "hyp.jsonl"
+    hyp.write_text("".join(
+        json.dumps({"id": ex.id, "generated": ex.counterfactuals[0]}) + "\n"
+        for ex in load_dataset(valid)
+    ))
+
+    def calls(out):
+        score = ["score", "--hyp", hyp, "--ref", valid]
+        return [
+            [*score, "--out", out / "strata.json", "--set", "report.stratify_by=difficulty",
+             "--set", "seed=3"],
+            [*score, "--out", out / "failed.json", "--set", "train.max_epoch=3"],
+            [*score, "--out", out / "plain.json"],
+            ["score", "--help"],
+            ["agree", "--judgments", judgments, "--out", out / "agree_seed.json", "--set", "seed=5"],
+            ["score", "--hyp", hyp, "--out", out / "no_ref.json"],
+            ["agree", "--judgments", judgments, "--out", out / "agree.json"],
+        ]
+
+    def call(argv):
+        try:
+            return run(argv)
+        except SystemExit as exc:
+            return exc.code
+
+    fresh, shared = tmp_path / "fresh", tmp_path / "shared"
+    fresh.mkdir()
+    shared.mkdir()
+    fresh_codes = []
+    for argv in calls(fresh):
+        cli._parser.cache_clear()
+        fresh_codes.append(call(argv))
+    cli._parser.cache_clear()
+    assert [call(argv) for argv in calls(shared)] == fresh_codes == [0, 2, 0, 0, 0, 2, 0]
+    assert cli._parser.cache_info().misses == 1
+    capsys.readouterr()
+
+    names = sorted(p.name for p in fresh.iterdir())
+    assert names == sorted(p.name for p in shared.iterdir())
+    assert names == ["agree.json", "agree_seed.json", "plain.json", "strata.json"]
+    for name in names:
+        assert (shared / name).read_bytes() == (fresh / name).read_bytes(), name
+    _, default_digest = load_run_config(None)
+    plain = json.loads((shared / "plain.json").read_text())
+    assert "strata" not in plain
+    assert plain["meta"]["config_digest"] == default_digest
+    assert json.loads((shared / "agree.json").read_text())["meta"]["seed"] == 0
+
+
 # --- ingest -----------------------------------------------------------------------
 
 def test_ingest_round_trip(tmp_path, small_data):
@@ -126,6 +182,20 @@ def test_ingest_invalid_record_fails(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert json.loads(err)["command"] == "ingest"
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [("counterfactuals", "abc"), ("target_index", 1.5), ("target_index", True), ("answer", 5)],
+)
+def test_ingest_wrong_field_type_is_json_error(tmp_path, capsys, field, value):
+    record = json.loads((DATA_DIR / "test.jsonl").read_text().splitlines()[0])
+    bad = tmp_path / "typed.jsonl"
+    bad.write_text(json.dumps({**record, field: value}) + "\n")
+    out = tmp_path / "out.jsonl"
+    assert run(["ingest", "--in", bad, "--out", out]) == 2
+    assert f"typed.jsonl:1: {field} must be" in json_error(capsys, "ingest")
+    assert not out.exists()
 
 
 def test_ingest_duplicate_id_is_json_error(tmp_path, small_data, capsys):

@@ -198,6 +198,42 @@ def test_load_validation_error_names_id(tmp_path, example):
         load_dataset(path)
 
 
+@pytest.mark.parametrize(
+    "field,value,message",
+    [
+        ("counterfactuals", "abc", "counterfactuals must be a list of strings"),
+        ("counterfactuals", ["a", 5], "counterfactuals must be a list of strings"),
+        ("target_index", 1.5, "target_index must be an integer"),
+        ("target_index", True, "target_index must be an integer"),
+        ("target_index", None, "target_index must be an integer"),
+        ("answer", 5, "answer must be a string"),
+        ("answer", None, "answer must be a string"),
+        ("id", 5, "id must be a string"),
+        ("dialogue", [{"speaker": "A", "text": 7}], "turn 1 speaker and text must be strings"),
+        ("difficulty", False, "malformed record"),
+        ("difficulty", "", "malformed record"),
+    ],
+)
+def test_canonical_field_types_rejected(tmp_path, example, field, value, message):
+    record = example_to_dict(example)
+    record[field] = value
+    path = tmp_path / "typed.jsonl"
+    path.write_text(json.dumps(record) + "\n")
+    with pytest.raises(DatasetError, match=rf"typed.jsonl:1: {message}"):
+        load_dataset(path)
+
+
+def test_canonical_counterfactuals_may_be_null_or_absent(tmp_path, example):
+    record = example_to_dict(example)
+    record["counterfactuals"] = None
+    path = tmp_path / "nocf.jsonl"
+    path.write_text(json.dumps(record) + "\n")
+    del record["counterfactuals"]
+    with open(path, "a") as fh:
+        fh.write(json.dumps({**record, "id": "ex-2"}) + "\n")
+    assert [ex.counterfactuals for ex in load_dataset(path)] == [(), ()]
+
+
 CICERO_RECORD = {
     "ID": "cic-1",
     "Dialogue": [
@@ -295,6 +331,7 @@ def test_shipped_fixtures_match_generator(data_dir, tmp_path):
     for name, examples in [("train.jsonl", train), ("valid.jsonl", valid), ("test.jsonl", test)]:
         save_dataset(examples, tmp_path / name)
         assert (tmp_path / name).read_bytes() == (data_dir / name).read_bytes(), name
+        assert load_dataset(data_dir / name) == examples, name
     regenerated = [
         json.dumps({"item_id": j.item_id, "rater_id": j.rater_id, "choice": j.choice})
         for j in build_judgments([ex.id for ex in test])

@@ -11,7 +11,12 @@
 * Decoding: the batched kernel agrees with a one-step-at-a-time loop
   over the reference ``log_probs_ids`` and ``Generator.choice``, and a
   row's tokens do not depend on the rows batched with it.
-* The n-gram metrics agree with the oracles of ``tests/bruteforce.py``.
+* The n-gram metrics agree with the oracles of ``tests/bruteforce.py``,
+  and a report's corpus BLEU, sentence BLEU and CIDEr, read from the
+  per-pair n-gram tables, equal ``bleu`` and ``cider`` called on each
+  stratum's pairs, bit for bit.
+* The answer normalization equals its regex form, and the replacement
+  candidates the ranking of the whole vocabulary.
 * Invariants of decoding, token replacement, checkpoints and canonical
   JSON.
 
@@ -22,6 +27,7 @@ budget. Generation is derandomized and keeps no example database.
 
 import json
 import math
+import re
 import tempfile
 import warnings
 from pathlib import Path
@@ -32,7 +38,7 @@ import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import given, reject, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from inferbench import objective
@@ -51,6 +57,7 @@ from inferbench.backend import (
     pool,
     save_checkpoint,
 )
+from inferbench.corpus import normalize_answer
 from inferbench.jsonio import canonical_dumps
 from inferbench.metrics import (
     PAIR_METRICS,
@@ -61,12 +68,13 @@ from inferbench.metrics import (
     score_corpus,
     tokenize,
 )
-from inferbench.negatives import ReplaceConfig, _deltas, token_replace
+from inferbench.negatives import ReplaceConfig, _deltas, replacement_candidates, token_replace
 from inferbench.objective import EncodedSet, LossConfig, build_vocabulary, encode_set, forward
 from inferbench.porter import stem
 
 from bruteforce import bf_bleu, bf_cider, bf_rouge_l, bf_total_loss
 from conftest import input_ids, make_example
+import reference_model
 from reference_model import (
     generate,
     log_probs_ids,
@@ -520,6 +528,31 @@ def test_ngram_metrics_match_brute_force(pairs):
         assert math.isclose(value, bf_value, abs_tol=1e-9)
 
 
+@PROPERTY
+@given(labeled_items(st.tuples(sentence, sentence)))
+def test_report_from_pair_tables_equals_bleu_and_cider_per_stratum(items):
+    ids, pairs, labels = items
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        report = score_corpus(pairs, ids, labels, with_per_example=True)
+    parts = [(report, list(range(len(ids))))]
+    parts += [(report.strata[label], ks) for label, ks in _subsets(ids, labels)]
+    for part, ks in parts:
+        hyps = [tokenize(pairs[k][0]) for k in ks]
+        refs = [tokenize(pairs[k][1]) for k in ks]
+        assert part.bleu == bleu(hyps, refs)
+        try:
+            corpus, per_pair = cider(hyps, refs)
+        except ValueError:
+            corpus, per_pair = None, [None] * len(ks)
+        assert part.cider == corpus
+        for k, pair_cider in zip(ks, per_pair, strict=True):
+            row = part.per_example[ids[k]]
+            assert row["cider"] == pair_cider
+            sentence_bleu = bleu([tokenize(pairs[k][0])], [tokenize(pairs[k][1])])
+            assert [row[f"bleu_{n}"] for n in range(1, 5)] == list(sentence_bleu.values())
+
+
 # --- decoding, token replacement, checkpoints, canonical JSON -----------------------
 
 @PROPERTY
@@ -581,6 +614,18 @@ def masked_scoring_cases(draw):
     return be, answer, context
 
 
+def long_window_d1_case(seed):
+    """A d = 1 case with a 30-id context and a 12-id answer: both windows
+    have 8 or more rows, where numpy sums a single column pairwise and
+    so apart from an in-order sum."""
+    be = ToyBackend(Vocabulary([f"w{k}" for k in range(20)]), d=1, seed=0)
+    rng = np.random.default_rng(seed)
+    be.set_flat_parameters(rng.normal(size=be.flat_parameters().size))
+    answer = rng.integers(0, len(be.vocab), size=12).tolist()
+    context = rng.integers(0, len(be.vocab), size=30).tolist()
+    return be, answer, context
+
+
 def per_position_deltas(be, answer, context):
     """:func:`replacement_deltas` from ``masked_logits_ids``, one call
     per position and window."""
@@ -594,6 +639,9 @@ def per_position_deltas(be, answer, context):
 
 @settings(PROPERTY, max_examples=150)
 @given(masked_scoring_cases())
+@example(long_window_d1_case(0))
+@example(long_window_d1_case(1))
+@example(long_window_d1_case(2))
 def test_batched_masked_scoring_equals_per_position_calls_bitwise(case):
     be, answer, context = case
     with_ctx, alone = be.masked_logits_per_position(answer, context)
@@ -641,6 +689,22 @@ def test_checkpoint_round_trip_is_bit_exact(words, d, seed, data):
         assert getattr(loaded, name).tobytes() == getattr(be, name).tobytes()
 
 
+@PROPERTY
+@given(
+    st.integers(len(SPECIALS) + 1, 60).flatmap(
+        lambda v: st.lists(st.sampled_from([0.0, 0.1, 0.25, 0.5, 1.0]), min_size=v, max_size=v)
+    ),
+    st.integers(0, 70),
+    st.integers(1, 20),
+    st.sampled_from([set(range(len(SPECIALS))), {0, 3}, set()]),
+)
+def test_replacement_candidates_equal_the_full_vocabulary_ranking(dist, gold, k, special_ids):
+    # few distinct values, so that ties reach across the k-th rank
+    dist = np.array(dist)
+    expected = reference_model.replacement_candidates(dist, gold, k, special_ids)
+    assert replacement_candidates(dist, gold, k, special_ids) == expected
+
+
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers() | finite | st.text(),
     lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
@@ -668,3 +732,29 @@ def test_tokenize_is_idempotent_on_vocabulary_tokens(turn, answer, data):
     words = [t for t in build_vocabulary([example]).tokens if t not in SPECIALS]
     seq = data.draw(st.lists(st.sampled_from(words), max_size=12))
     assert tokenize(" ".join(seq)) == seq
+
+
+# Unicode whitespace past ASCII's, and characters that are not whitespace
+# but look like it or change length when lowercased
+WHITESPACE = (
+    " \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f\x85\xa0"
+    "\u1680\u2000\u200a\u2028\u2029\u202f\u205f\u3000"
+)
+NOT_WHITESPACE = "aZ\u0130\u1e9e\u03a3\u200b\ufeff\x00_."
+
+
+@PROPERTY
+@given(st.text(st.sampled_from(WHITESPACE + NOT_WHITESPACE) | st.characters()))
+def test_normalize_answer_equals_the_regex_collapse(text):
+    assert normalize_answer(text) == reference_model.normalize_answer(text)
+
+
+def test_split_and_regex_agree_on_every_whitespace_character():
+    every = "".join(map(chr, range(0x110000)))
+    regex = set(re.findall(r"\s", every))
+    assert regex == {c for c in every if c.isspace()}
+    assert set(WHITESPACE) <= regex
+    # lowercasing neither makes nor unmakes whitespace, so it commutes
+    # with the strip and the collapse
+    assert all(c.lower() == c for c in regex)
+    assert len(re.findall(r"\s", every.lower())) == len(regex)
