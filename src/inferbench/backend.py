@@ -401,20 +401,35 @@ def save_checkpoint(
 
 
 def load_checkpoint(path: str | Path) -> ToyBackend:
+    """The backend :func:`save_checkpoint` wrote; ValueError names the
+    first field that is missing or of the wrong type or shape."""
     with open(path, encoding="utf-8") as fh:
         payload = json.load(fh)
+    if not isinstance(payload, dict):
+        raise ValueError(f"checkpoint must be a JSON object, got {type(payload).__name__}")
     if payload.get("format_version") != 1:
         raise ValueError(f"unsupported checkpoint version {payload.get('format_version')}")
-    vocab = Vocabulary([t for t in payload["vocab"] if t not in SPECIALS])
-    if vocab.tokens != payload["vocab"]:
+    for name in ("vocab", "d", "seed", "E", "U", "b"):
+        if name not in payload:
+            raise ValueError(f"checkpoint has no {name!r} field")
+    tokens = payload["vocab"]
+    if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
+        raise ValueError(f"checkpoint vocab must be a list of strings, got {tokens!r:.80}")
+    vocab = Vocabulary([t for t in tokens if t not in SPECIALS])
+    if vocab.tokens != tokens:
         raise ValueError("checkpoint vocabulary is not in canonical order")
     backend = ToyBackend.__new__(ToyBackend)
     backend.vocab = vocab
-    backend.d = int(payload["d"])
-    backend.seed = int(payload["seed"])
-    backend.E = np.array(payload["E"], dtype=float)
-    backend.U = np.array(payload["U"], dtype=float)
-    backend.b = np.array(payload["b"], dtype=float)
+    for name in ("d", "seed"):
+        value = payload[name]
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ValueError(f"checkpoint {name} must be an integer, got {value!r:.80}")
+        setattr(backend, name, value)
+    for name in ("E", "U", "b"):
+        try:
+            setattr(backend, name, np.array(payload[name], dtype=float))
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"checkpoint {name} is not a numeric array ({exc})") from exc
     if backend.d < 1:
         raise ValueError(f"checkpoint dimension d={backend.d} must be >= 1")
     v = len(vocab)

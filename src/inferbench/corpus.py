@@ -197,29 +197,49 @@ def _check_types(obj: dict, where: str) -> None:
         )
     dialogue = obj.get("dialogue")
     for i, turn in enumerate(dialogue if isinstance(dialogue, list) else [], start=1):
-        if isinstance(turn, dict) and not all(
-            isinstance(turn.get(key, ""), str) for key in ("speaker", "text")
+        if isinstance(turn, dict) and not (
+            isinstance(turn.get("speaker", ""), str) and isinstance(turn.get("text", ""), str)
         ):
             raise DatasetError(f"{where}: turn {i} speaker and text must be strings, got {turn!r}")
 
 
-def _example_from_canonical(obj: dict, where: str) -> InferenceExample:
+_QUESTION_BY_VALUE = {q.value: q for q in QuestionType}
+_DIFFICULTY_BY_VALUE = {d.value: d for d in Difficulty}
+
+
+def _member(enum: type[Enum], by_value: dict, value) -> Enum:
+    """``enum(value)`` through a value -> member dict; a miss (or an
+    unhashable value) takes the Enum call, so its error text is kept."""
+    try:
+        return by_value[value]
+    except (KeyError, TypeError):
+        return enum(value)
+
+
+def _example_from_canonical(obj: dict, where: str, utterances: dict) -> InferenceExample:
+    """One canonical record; ``utterances`` holds the load's distinct
+    utterances by (speaker, text, index), shared between examples."""
     if isinstance(obj, dict):
         _check_types(obj, where)
     try:
-        dialogue = tuple(
-            Utterance(speaker=t["speaker"], text=t["text"], index=i)
-            for i, t in enumerate(obj["dialogue"], start=1)
-        )
+        dialogue = []
+        for i, t in enumerate(obj["dialogue"], start=1):
+            key = (t["speaker"], t["text"], i)
+            utt = utterances.get(key)
+            if utt is None:
+                utt = utterances[key] = Utterance(*key)
+            dialogue.append(utt)
+        difficulty = obj.get("difficulty")
         example = InferenceExample(
             id=obj["id"],
-            dialogue=dialogue,
+            dialogue=tuple(dialogue),
             target_index=obj["target_index"],
-            question=QuestionType(obj["question"]),
+            question=_member(QuestionType, _QUESTION_BY_VALUE, obj["question"]),
             answer=obj["answer"],
             counterfactuals=tuple(obj.get("counterfactuals") or ()),
             difficulty=(
-                Difficulty(obj["difficulty"]) if obj.get("difficulty") is not None else None
+                None if difficulty is None
+                else _member(Difficulty, _DIFFICULTY_BY_VALUE, difficulty)
             ),
         )
     except (KeyError, TypeError, ValueError) as exc:
@@ -306,6 +326,7 @@ def load_dataset(path: str | Path, format: str = "canonical_jsonl") -> list[Infe
     path = Path(path)
     examples: list[InferenceExample] = []
     seen: set[str] = set()
+    utterances: dict[tuple[str, str, int], Utterance] = {}
 
     def add(example: InferenceExample, where: str) -> None:
         if example.id in seen:
@@ -323,7 +344,7 @@ def load_dataset(path: str | Path, format: str = "canonical_jsonl") -> list[Infe
                 except json.JSONDecodeError as exc:
                     raise DatasetError(f"{path}:{line_no}: invalid JSON ({exc})") from exc
                 where = f"{path}:{line_no}"
-                add(_example_from_canonical(obj, where), where)
+                add(_example_from_canonical(obj, where, utterances), where)
     elif format == "cicero_json":
         with open(path, encoding="utf-8") as fh:
             try:

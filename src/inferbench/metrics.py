@@ -277,20 +277,33 @@ def meteor_lite(
     F_mean = PR / (alpha*P + (1-alpha)*R), penalty = gamma*(chunks/m)^beta,
     score = F_mean * (1 - penalty); 0 when no unigram matches.
     """
-    if not hyp or not ref:
-        warnings.warn("meteor_lite on empty sequence, scoring 0", stacklevel=2)
+    return _meteor([stem(t) for t in hyp], [stem(t) for t in ref], alpha, gamma, beta, stacklevel=3)
+
+
+def _meteor(
+    hyp_stems,
+    ref_stems,
+    alpha: float = METEOR_ALPHA,
+    gamma: float = METEOR_GAMMA,
+    beta: float = METEOR_BETA,
+    stacklevel: int = 2,
+) -> float:
+    """:func:`meteor_lite` on the Porter stems of the two token lists;
+    its warnings point ``stacklevel`` frames up."""
+    if not hyp_stems or not ref_stems:
+        warnings.warn("meteor_lite on empty sequence, scoring 0", stacklevel=stacklevel)
         return 0.0
-    m, chunks, exact = _align([stem(t) for t in hyp], [stem(t) for t in ref])
+    m, chunks, exact = _align(hyp_stems, ref_stems)
     if not exact:
         warnings.warn(
             "meteor_lite alignment search hit its node budget; "
             "the chunk count is not certified minimal",
-            stacklevel=2,
+            stacklevel=stacklevel,
         )
     if m == 0:
         return 0.0
-    p = m / len(hyp)
-    r = m / len(ref)
+    p = m / len(hyp_stems)
+    r = m / len(ref_stems)
     f_mean = p * r / (alpha * p + (1 - alpha) * r)
     penalty = gamma * (chunks / m) ** beta
     return f_mean * (1 - penalty)
@@ -430,11 +443,11 @@ def score_corpus(
 
     hyps = [tokenize(h) for h, _ in pairs]
     refs = [tokenize(r) for _, r in pairs]
-    meteor_scores = [meteor_lite(h, r) for h, r in zip(hyps, refs)]
-    rouge_scores = [rouge_l(h, r) for h, r in zip(hyps, refs)]
     tables = [
         PairTable(_bleu_counts(h, r), _stem_grams(h), _stem_grams(r)) for h, r in zip(hyps, refs)
     ]
+    meteor_scores = [_meteor(t.hyp.stems, t.ref.stems) for t in tables]
+    rouge_scores = [rouge_l(h, r) for h, r in zip(hyps, refs)]
     sentence_bleu = [_corpus_bleu([t.bleu], 4) for t in tables] if with_per_example else None
 
     def report_for(idxs) -> MetricReport:

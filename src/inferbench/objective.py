@@ -12,27 +12,30 @@ Conventions fixed here and relied on by the trainer and tests:
 * the positive representation is the embedding of the gold answer;
 * the in-batch InfoNCE denominator includes the positive pair.
 
-Text is encoded once into an :class:`EncodedSet` (:func:`encode_set`;
-a training set's vocabulary and ids come from one tokenization pass,
-:func:`encode_training_set`), and :func:`forward`, the one entry point
-to the objective, evaluates it on that set in matrix form: every
-pooled embedding (inputs, answers, negatives) comes from one
-:func:`~inferbench.backend.pool` call, the NLL scores all answers of a
-block with one product with U, and both InfoNCE terms are row-wise
-softmax cross-entropies over a logit matrix, n x n for the in-batch
-term and n x (1 + m) for the per-sample one (padded with -inf where an
-example has fewer negatives). The backward pass ends in one scatter
-into E.
+Text is encoded once into an :class:`EncodedSet` by one encoder,
+:func:`_encode`, behind :func:`encode_set`, :func:`encode_training_set`
+(which also builds the vocabulary), :func:`encode_texts` and
+:func:`encode_inputs`: each call tokenizes each distinct text once, and
+every occurrence of a text shares one read-only id array. Then
+:func:`forward`, the one entry point to the objective, evaluates it on
+that set in matrix form: every pooled embedding (inputs, answers,
+negatives) comes from one :func:`~inferbench.backend.pool` call, the
+NLL scores all answers of a block with one product with U, and both
+InfoNCE terms are row-wise softmax cross-entropies over a logit matrix,
+n x n for the in-batch term and n x (1 + m) for the per-sample one
+(padded with -inf where an example has fewer negatives). The backward
+pass ends in one scatter into E.
 """
 
 from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass, field, fields
+from itertools import islice
 
 import numpy as np
 
-from .backend import EOS, Gradients, ToyBackend, Vocabulary, derive_seed, pool
+from .backend import Gradients, ToyBackend, Vocabulary, derive_seed, pool
 from .corpus import InferenceExample, prepare_input_text
 from .metrics import tokenize
 
@@ -74,46 +77,65 @@ class LossBreakdown:
 
 # --- encoding ----------------------------------------------------------------
 
-def _answer_ids(backend: ToyBackend, answer: str) -> list[int]:
-    tokens = tokenize(answer)
-    if not tokens:
+def _encode(
+    texts: list[str], answers: list[str] = (), vocab: Vocabulary | None = None
+) -> tuple[Vocabulary, list[np.ndarray], list[np.ndarray]]:
+    """The one text-to-ids encoder: token ids of each of ``texts`` and of
+    each of ``answers`` with EOS appended, under ``vocab`` (UNK for an
+    out-of-vocabulary token) or, when it is None, under the vocabulary
+    over the sorted union of their tokens, which is returned.
+
+    Each distinct text is tokenized once per call, and every occurrence
+    of it shares one read-only ``intp`` array (one for its occurrences
+    as a text, one for those as an answer). Nothing outlives the call.
+    """
+    tokens: dict[str, list[str]] = {}
+    for text in (*texts, *answers):
+        if text not in tokens:
+            tokens[text] = tokenize(text)
+    if vocab is None:
+        vocab = Vocabulary(sorted(set().union(*tokens.values())))
+
+    def ids_of(distinct, tail: list[int]) -> dict[str, np.ndarray]:
+        arrays = {}
+        for text in distinct:
+            row = np.array(vocab.encode(tokens[text]) + tail, dtype=np.intp)
+            row.setflags(write=False)
+            arrays[text] = row
+        return arrays
+
+    if not all(tokens[text] for text in answers):
         raise ValueError("empty answer cannot be scored")
-    return backend.vocab.encode(tokens) + [backend.vocab.eos_id]
+    by_text = ids_of(dict.fromkeys(texts), [])
+    by_answer = ids_of(dict.fromkeys(answers), [vocab.eos_id])
+    return vocab, [by_text[t] for t in texts], [by_answer[a] for a in answers]
+
+
+def _encode_examples(
+    examples: list[InferenceExample],
+    negatives: list[list[str]] | None,
+    template_id: str,
+    vocab: Vocabulary | None = None,
+) -> tuple[Vocabulary, EncodedSet]:
+    """One :func:`_encode` call over the examples' input texts, their
+    gold answers and ``negatives[i]``, the negative texts of example i."""
+    inputs = [prepare_input_text(ex, template_id) for ex in examples]
+    flat = [] if negatives is None else [text for negs in negatives for text in negs]
+    vocab, rows, answers = _encode(inputs + flat, [ex.answer for ex in examples], vocab)
+    per_example = None
+    if negatives is not None:
+        rest = iter(rows[len(inputs):])
+        per_example = [list(islice(rest, len(negs))) for negs in negatives]
+    return vocab, EncodedSet([ex.id for ex in examples], rows[: len(inputs)], answers, per_example)
 
 
 def encode_training_set(
     examples: list[InferenceExample], template_id: str = "default"
 ) -> tuple[Vocabulary, EncodedSet]:
-    """One tokenization pass over each example's input text, gold answer
-    and counterfactuals. Returns the vocabulary over their sorted tokens
-    and the set's ids under it, with each example's counterfactuals, in
-    stored order, as its negatives.
-
-    Tokens get provisional ids in first-seen order as the pass goes; one
-    permutation then maps every array, in place, onto the sorted
-    vocabulary.
-    """
-    provisional: dict[str, int] = {EOS: 0}  # every answer ends with EOS
-
-    def ids(text: str, eos: bool = False) -> np.ndarray:
-        row = [provisional.setdefault(t, len(provisional)) for t in tokenize(text)]
-        if eos:
-            row.append(provisional[EOS])
-        return np.array(row, dtype=np.intp)
-
-    inputs, answers, counterfactuals = [], [], []
-    for ex in examples:
-        inputs.append(ids(prepare_input_text(ex, template_id)))
-        answers.append(ids(ex.answer, eos=True))
-        if len(answers[-1]) == 1:
-            raise ValueError("empty answer cannot be scored")
-        counterfactuals.append([ids(text) for text in ex.counterfactuals])
-    vocab = Vocabulary(sorted(provisional))  # Vocabulary places EOS with the specials
-    perm = np.array([vocab.id_of(t) for t in provisional], dtype=np.intp)
-    for arrays in (inputs, answers, *counterfactuals):
-        for a in arrays:
-            a[:] = perm[a]
-    return vocab, EncodedSet([ex.id for ex in examples], inputs, answers, counterfactuals)
+    """The vocabulary over the sorted tokens of each example's input text,
+    gold answer and counterfactuals, and the set's ids under it, with
+    each example's counterfactuals, in stored order, as its negatives."""
+    return _encode_examples(examples, [ex.counterfactuals for ex in examples], template_id)
 
 
 def build_vocabulary(examples: list[InferenceExample], template_id: str = "default") -> Vocabulary:
@@ -124,7 +146,7 @@ def build_vocabulary(examples: list[InferenceExample], template_id: str = "defau
 
 def encode_texts(vocab: Vocabulary, texts: list[str]) -> list[np.ndarray]:
     """Token ids of each text; out-of-vocabulary tokens map to UNK."""
-    return [np.array(vocab.encode(tokenize(text)), dtype=np.intp) for text in texts]
+    return _encode(texts, vocab=vocab)[1]
 
 
 def encode_inputs(
@@ -167,13 +189,7 @@ def encode_set(
     of ``examples[i]``), under the backend's vocabulary."""
     if negatives is not None and len(negatives) != len(examples):
         raise ValueError(f"{len(negatives)} negative lists for {len(examples)} examples")
-    vocab = backend.vocab
-    return EncodedSet(
-        example_ids=[ex.id for ex in examples],
-        inputs=encode_inputs(vocab, examples, template_id),
-        answers=[np.array(_answer_ids(backend, ex.answer), dtype=np.intp) for ex in examples],
-        negatives=None if negatives is None else [encode_texts(vocab, negs) for negs in negatives],
-    )
+    return _encode_examples(examples, negatives, template_id, backend.vocab)[1]
 
 
 # --- matrix kernels -------------------------------------------------------------

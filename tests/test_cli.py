@@ -424,6 +424,28 @@ def test_short_checkpoint_is_json_error(tmp_path, small_data, capsys):
     assert "checkpoint E has shape" in json_error(capsys, "generate")
 
 
+def _without_e(payload):
+    del payload["E"]
+    return payload
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (_without_e, "checkpoint has no 'E' field"),
+    (lambda payload: list(payload.values()), "checkpoint must be a JSON object, got list"),
+    (lambda payload: {**payload, "vocab": 7}, "checkpoint vocab must be a list of strings"),
+], ids=["no_E", "list", "vocab_not_list"])
+def test_malformed_checkpoint_is_json_error(tmp_path, small_data, capsys, corrupt, message):
+    good = tmp_path / "good.json"
+    save_checkpoint(ToyBackend(build_vocabulary(build_split("train", 4, seed=5)), d=4), good)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(corrupt(json.loads(good.read_text()))))
+    capsys.readouterr()
+    code = run(["generate", "--ckpt", bad, "--in", small_data / "valid.jsonl",
+                "--out", tmp_path / "gen.jsonl"])
+    assert code == 2
+    assert message in json_error(capsys, "generate")
+
+
 def test_judgment_without_rater_is_json_error(tmp_path, small_data, capsys):
     lines = (small_data / "judgments.jsonl").read_text().splitlines()
     broken = json.loads(lines[1])

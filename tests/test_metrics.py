@@ -374,6 +374,28 @@ def test_score_corpus_tolerates_empty_hypotheses():
     assert report.per_example["0"]["rouge_l"] == 0.0
 
 
+def test_score_corpus_stems_each_token_once(monkeypatch):
+    # METEOR aligns the stems of the pair tables CIDEr reads
+    calls = []
+    monkeypatch.setattr(metrics, "stem", lambda t: calls.append(t) or stem(t))
+    pairs = [(" ".join(h), " ".join(r)) for h, r in random_pairs(4, n_pairs=6)]
+    report = score_corpus(pairs, with_per_example=True)
+    assert len(calls) == sum(len(tokenize(h)) + len(tokenize(r)) for h, r in pairs)
+    monkeypatch.undo()
+    assert [row["meteor"] for row in report.per_example.values()] == [
+        meteor_lite(tokenize(h), tokenize(r)) for h, r in pairs
+    ]
+
+
+def test_meteor_warnings_point_at_the_caller():
+    with pytest.warns(UserWarning, match="empty sequence") as caught:
+        meteor_lite([], ["a"])
+    with pytest.warns(UserWarning, match="empty sequence") as from_report:
+        score_corpus([("", "the cat sat"), ("a dog", "a dog")])
+    assert caught[0].filename == __file__
+    assert from_report[0].filename == metrics.__file__
+
+
 def test_pair_scores_rejects_an_unknown_metric_and_an_empty_corpus():
     with pytest.raises(ValueError, match="unknown metric 'bleu_5'"):
         pair_scores([("a", "a")], "bleu_5")

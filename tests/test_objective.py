@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -162,10 +163,8 @@ def test_nll_empty_answer_errors(vocab):
     ex = make_example(answer="...", counterfactuals=())
     value = forward(be, encode_set(be, [ex]), NLL_ONLY).nll  # punctuation still tokenizes
     assert value > 0
-    with pytest.raises(ValueError):
-        from inferbench.objective import _answer_ids
-
-        _answer_ids(be, "   ")
+    with pytest.raises(ValueError, match="empty answer cannot be scored"):
+        encode_set(be, [dataclasses.replace(ex, answer="   ")])
 
 
 # --- contrastive sample loss -----------------------------------------------------
@@ -439,3 +438,22 @@ def test_one_pass_matches_the_vocabulary_and_encode_set(data_dir):
         assert [[a.tolist() for a in row] for row in enc.negatives] == [
             [a.tolist() for a in row] for row in expected.negatives
         ]
+
+
+def test_shared_ids_are_read_only():
+    from inferbench.objective import encode_texts, encode_training_set
+
+    ex = make_example()
+    twin = dataclasses.replace(ex, id="ex-2")
+    vocab, enc = encode_training_set([ex, twin])
+    assert enc.inputs[0] is enc.inputs[1]  # one array per distinct text
+    before = [a.tolist() for a in (*enc.inputs, *enc.answers)]
+    with pytest.raises(ValueError, match="read-only"):
+        enc.answers[0][0] = vocab.unk_id
+    with pytest.raises(ValueError, match="read-only"):
+        enc.inputs[1] += 1
+    assert [a.tolist() for a in (*enc.inputs, *enc.answers)] == before
+    be = ToyBackend(vocab, d=4)
+    arrays = [*encode_set(be, [ex], [list(ex.counterfactuals)]).negatives[0],
+              *encode_texts(vocab, [ex.answer, ex.answer])]
+    assert not any(a.flags.writeable for a in arrays)

@@ -17,6 +17,8 @@
   stratum's pairs, bit for bit.
 * The answer normalization equals its regex form, and the replacement
   candidates the ranking of the whole vocabulary.
+* The text-to-ids encoders equal their one-text-at-a-time forms: the
+  same vocabulary, the same ids bit for bit, the same errors.
 * Invariants of decoding, token replacement, checkpoints and canonical
   JSON.
 
@@ -25,6 +27,7 @@ Token lists are 1-8 tokens over a small alphabet, so that repeats occur
 budget. Generation is derandomized and keeps no example database.
 """
 
+import dataclasses
 import json
 import math
 import re
@@ -57,7 +60,7 @@ from inferbench.backend import (
     pool,
     save_checkpoint,
 )
-from inferbench.corpus import normalize_answer
+from inferbench.corpus import TEMPLATES, QuestionType, Utterance, normalize_answer
 from inferbench.jsonio import canonical_dumps
 from inferbench.metrics import (
     PAIR_METRICS,
@@ -69,7 +72,14 @@ from inferbench.metrics import (
     tokenize,
 )
 from inferbench.negatives import ReplaceConfig, _deltas, replacement_candidates, token_replace
-from inferbench.objective import EncodedSet, LossConfig, build_vocabulary, encode_set, forward
+from inferbench.objective import (
+    EncodedSet,
+    LossConfig,
+    build_vocabulary,
+    encode_set,
+    encode_training_set,
+    forward,
+)
 from inferbench.porter import stem
 
 from bruteforce import bf_bleu, bf_cider, bf_rouge_l, bf_total_loss
@@ -732,6 +742,92 @@ def test_tokenize_is_idempotent_on_vocabulary_tokens(turn, answer, data):
     words = [t for t in build_vocabulary([example]).tokens if t not in SPECIALS]
     seq = data.draw(st.lists(st.sampled_from(words), max_size=12))
     assert tokenize(" ".join(seq)) == seq
+
+
+# texts that share tokens and recur as inputs, answers and counterfactuals
+TEXTS = ("the cat sat .", "a cat runs", "The Cat sat .", "cats run , the zebra sat !", "...")
+DIALOGUES = (
+    (("A", "the cat sat ."), ("B", "a cat runs")),
+    (("A", "did the zebra run ?"),),
+    (("B", "cats run"), ("A", "the cat sat .")),
+)
+TEXT_TOKENS = sorted({t for text in TEXTS for t in tokenize(text)})
+
+
+@st.composite
+def example_lists(draw):
+    """1-6 examples over a few dialogues and texts, so that inputs,
+    answers and counterfactuals repeat, within an example and across
+    examples; one in ten lists has a blank answer."""
+    examples = []
+    for i in range(draw(st.integers(1, 6))):
+        turns = draw(st.sampled_from(DIALOGUES))
+        examples.append(dataclasses.replace(
+            make_example(),
+            id=f"ex-{i}",
+            dialogue=tuple(Utterance(s, t, k) for k, (s, t) in enumerate(turns, 1)),
+            target_index=draw(st.integers(1, len(turns))),
+            question=draw(st.sampled_from([QuestionType.CAUSE,
+                                           QuestionType.SUBSEQUENT_EVENT_CLIPPED])),
+            answer=draw(st.sampled_from(TEXTS)),
+            counterfactuals=tuple(draw(st.lists(st.sampled_from(TEXTS), max_size=4))),
+        ))
+    if draw(st.integers(0, 9)) == 0:
+        k = draw(st.integers(0, len(examples) - 1))
+        examples[k] = dataclasses.replace(examples[k], answer="   ")
+    return examples
+
+
+def value_or_error(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+def assert_same_ids(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype == np.intp
+        assert g.shape == w.shape and g.tobytes() == w.tobytes()
+        assert not g.flags.writeable
+
+
+@PROPERTY
+@given(example_lists(), st.sampled_from(sorted(TEMPLATES)), st.sets(st.sampled_from(TEXT_TOKENS)),
+       st.booleans())
+@example([make_example(answer="a cat runs", counterfactuals=()),
+          make_example(ex_id="ex-2", counterfactuals=("a cat runs", "the cat sat ."))],
+         "default", {"cat", "the"}, True)
+def test_encoders_equal_the_per_text_oracle(examples, template_id, words, with_negatives):
+    got = value_or_error(encode_training_set, examples, template_id)
+    want = value_or_error(reference_model.per_text_training_set, examples, template_id)
+    if isinstance(want, str):
+        assert got == want
+    else:
+        vocab, enc = got
+        assert vocab.tokens == want[0].tokens
+        assert enc.example_ids == [ex.id for ex in examples]
+        assert_same_ids(enc.inputs, want[1])
+        assert_same_ids(enc.answers, want[2])
+        assert [len(n) for n in enc.negatives] == [len(n) for n in want[3]]
+        assert_same_ids(sum(enc.negatives, []), sum(want[3], []))
+
+    # a fixed vocabulary missing some of the tokens: those map to UNK
+    be = ToyBackend(Vocabulary(sorted(words)), d=2)
+    negatives = [list(ex.counterfactuals) for ex in examples] if with_negatives else None
+    got = value_or_error(encode_set, be, examples, negatives, template_id)
+    want = value_or_error(reference_model.per_text_set, be.vocab, examples, negatives, template_id)
+    if isinstance(want, str):
+        assert got == want
+        return
+    assert_same_ids(got.inputs, want[0])
+    assert_same_ids(got.answers, want[1])
+    if negatives is None:
+        assert got.negatives is None and want[2] is None
+    else:
+        assert [len(n) for n in got.negatives] == [len(n) for n in want[2]]
+        assert_same_ids(sum(got.negatives, []), sum(want[2], []))
 
 
 # Unicode whitespace past ASCII's, and characters that are not whitespace
