@@ -5,14 +5,14 @@ finite-difference gradient gate."""
 
 from inferbench.backend import ToyBackend
 from inferbench.negatives import pick_counterfactuals
-from inferbench.objective import LossConfig, encode_set, finite_diff_check, forward
+from inferbench.objective import LossConfig, encode, finite_diff_check, forward
 from inferbench.synth import build_split
 from inferbench.trainer import build_vocabulary
 
 batch = build_split("demo", 4, seed=3)
 negatives = [pick_counterfactuals(ex, m=4, seed=0).negatives for ex in batch]
 backend = ToyBackend(build_vocabulary(batch), d=8, seed=1)
-enc = encode_set(backend, batch, negatives)  # token ids, encoded once
+enc = encode(batch, negatives, vocab=backend.vocab)  # token ids, encoded once
 
 config = LossConfig()  # tau_b=0.1, tau_s=2.5, lambda_b=lambda_s=0.5
 breakdown = forward(backend, enc, config)

@@ -12,7 +12,7 @@ from inferbench.negatives import (
     pick_counterfactuals,
     token_replace,
 )
-from inferbench.objective import encode_inputs
+from inferbench.objective import encode
 from inferbench.synth import build_split
 from inferbench.trainer import build_vocabulary
 
@@ -27,7 +27,7 @@ for neg, prov in zip(ns.negatives, ns.provenance):
     print(f"  {neg}   <- stored index {prov['source_index']}")
 
 sampler = ToyBackend(build_vocabulary(batch), d=8, seed=5)
-inputs = encode_inputs(sampler.vocab, [ex])
+inputs = encode([ex], vocab=sampler.vocab).inputs
 ns = nonoptimal_sets(sampler, [ex], inputs, m=2, k=10, seed=7, max_len=10)[0]
 print("\nnon_optimal (top-k sampled from the model, gold collisions resampled):")
 for neg, prov in zip(ns.negatives, ns.provenance):
@@ -37,7 +37,7 @@ scorer = ToyBackend(build_vocabulary(batch), d=8, seed=5)
 scorer.E *= 20.0
 scorer.U *= 20.0  # wider logit range makes the 0.75 threshold meaningful
 cfg = ReplaceConfig(threshold=0.75, k=10, mode="zs", seed=7)
-ns = token_replace(scorer, ex, encode_inputs(scorer.vocab, [ex])[0], cfg, m=2)
+ns = token_replace(scorer, ex, encode([ex], vocab=scorer.vocab).inputs[0], cfg, m=2)
 print("\nreplace_zs (context-sensitive tokens swapped):")
 for neg, prov in zip(ns.negatives, ns.provenance):
     print(f"  {neg}   <- positions {prov['replaced_positions']} fallback={prov['fallback']}")

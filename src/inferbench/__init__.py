@@ -47,7 +47,7 @@ from .objective import (
     EncodedSet,
     LossBreakdown,
     LossConfig,
-    encode_set,
+    encode,
     finite_diff_check,
     forward,
 )
@@ -96,7 +96,7 @@ __all__ = [
     "EncodedSet",
     "LossBreakdown",
     "LossConfig",
-    "encode_set",
+    "encode",
     "finite_diff_check",
     "forward",
     "stem",

@@ -22,7 +22,6 @@ import operator
 import os
 import sys
 import warnings
-from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
@@ -39,14 +38,7 @@ from .corpus import DatasetError, load_dataset, save_dataset
 from .jsonio import config_digest, write_artifact, write_jsonl_artifact
 from .metrics import PAIR_METRICS, pair_scores, score_corpus
 from .negatives import DEFAULT_STRATEGY, STRATEGIES, untrained_model
-from .objective import (
-    LossConfig,
-    check_number_fields,
-    encode_inputs,
-    encode_set,
-    encode_training_set,
-    finite_diff_check,
-)
+from .objective import LossConfig, check_number_fields, encode, finite_diff_check
 from .synth import build_split
 from .trainer import TrainConfig, train
 
@@ -249,7 +241,7 @@ def _generate(backend: ToyBackend, examples, decode: dict, template_id: str) -> 
                        max_len=decode["max_len"])
             for ex in examples
         ]
-    inputs = encode_inputs(backend.vocab, examples, template_id)
+    inputs = encode(examples, template_id=template_id, vocab=backend.vocab).inputs
     return [" ".join(backend.vocab.decode(ids)) for ids in backend.generate_batch(inputs, decodes)]
 
 
@@ -266,23 +258,18 @@ def cmd_generate(args) -> int:
 
 def cmd_perturb(args) -> int:
     config, digest = load_run_config(args.config, args.set)
-    overrides = {"negative_strategy": args.strategy, "m": args.m,
-                 "threshold": args.threshold, "k": args.k}
-    tc = replace(_train_config(config), **{k: v for k, v in overrides.items() if v is not None})
-    seed = args.seed if args.seed is not None else config["seed"]
+    tc = _train_config(config)
     if tc.negative_strategy not in STRATEGIES:
         raise ConfigError(f"unknown strategy {tc.negative_strategy!r}")
     strategy = STRATEGIES[tc.negative_strategy]
     examples = load_dataset(args.input)
-    if strategy.needs_model and args.ckpt:
-        model = load_checkpoint(args.ckpt)
-        counterfactuals = [list(ex.counterfactuals) for ex in examples]
-        enc = encode_set(model, examples, counterfactuals, tc.template_id)
-    else:
-        vocab, enc = encode_training_set(examples, tc.template_id)
-        model = untrained_model(vocab, tc.d, seed) if strategy.needs_model else None
-    records = [ns.to_dict() for ns in strategy.build(model, examples, enc, tc, seed)]
-    write_jsonl_artifact(args.out, records, _meta(digest, seed))
+    model = load_checkpoint(args.ckpt) if strategy.needs_model and args.ckpt else None
+    enc = encode(examples, [ex.counterfactuals for ex in examples], tc.template_id,
+                 None if model is None else model.vocab)
+    if strategy.needs_model and model is None:
+        model = untrained_model(enc.vocab, tc.d, tc.seed)
+    records = [ns.to_dict() for ns in strategy.build(model, examples, enc, tc, tc.seed)]
+    write_jsonl_artifact(args.out, records, _meta(digest, tc.seed))
     print(f"wrote {len(records)} negative sets ({tc.negative_strategy}) -> {args.out}")
     return 0
 
@@ -370,7 +357,7 @@ def cmd_score(args) -> int:
     hyps = _load_generations(args.hyp)
     refs, labels = _load_references(args.ref)
     ids, pairs = _aligned_pairs(hyps, refs)
-    stratify = args.stratify_by or config["report"]["stratify_by"]
+    stratify = config["report"]["stratify_by"]
     strata = _strata_for(ids, labels, stratify) if stratify else None
     report = score_corpus(pairs, ids=ids, strata_labels=strata, with_per_example=args.per_example)
     write_artifact(args.out, report.to_dict(), _meta(digest, config["seed"]))
@@ -410,7 +397,7 @@ def cmd_agree(args) -> int:
 
 def cmd_compare(args) -> int:
     config, digest = load_run_config(args.config, args.set)
-    stratify = args.stratify_by or config["report"]["stratify_by"]
+    stratify = config["report"]["stratify_by"]
     if args.judgments:
         judgments = _read_judgments(args.judgments)
         labels = None
@@ -441,9 +428,10 @@ def cmd_compare(args) -> int:
 
 def cmd_gradcheck(args) -> int:
     config, digest = load_run_config(args.config, args.set)
-    seed = args.seed if args.seed is not None else config["seed"]
-    vocab, enc = encode_training_set(build_split("gradcheck", 4, seed), config["template_id"])
-    backend = ToyBackend(vocab, d=config["model"]["d"], seed=seed)
+    seed = config["seed"]
+    examples = build_split("gradcheck", 4, seed)
+    enc = encode(examples, [ex.counterfactuals for ex in examples], config["template_id"])
+    backend = ToyBackend(enc.vocab, d=config["model"]["d"], seed=seed)
     report = finite_diff_check(backend, enc, LossConfig(**config["loss"]), tol=args.tol, seed=seed)
     write_artifact(args.out, report.to_dict(), _meta(digest, seed))
     status = "PASS" if report.passed else "FAIL"
@@ -632,9 +620,26 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+# the config key each config-setting flag sets, by argparse dest
+_FLAG_KEYS = {
+    "strategy": "negatives.strategy",
+    "m": "negatives.m",
+    "k": "negatives.k",
+    "threshold": "negatives.threshold",
+    "seed": "seed",
+    "stratify_by": "report.stratify_by",
+}
+
+
 def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(level=os.environ.get("INFERBENCH_LOG", "WARNING").upper())
     args = _parser().parse_args(argv)
+    # a config-setting flag is a --set after the user's: it wins, and the
+    # config digest that stamps the artifacts records it
+    args.set = [*(args.set or []), *(
+        f"{key}={json.dumps(getattr(args, dest))}"
+        for dest, key in _FLAG_KEYS.items() if getattr(args, dest, None) is not None
+    )]
     try:
         return args.func(args)
     except (ConfigError, DatasetError, ValueError, OSError, RuntimeError) as exc:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .backend import ToyBackend
 from .corpus import InferenceExample
-from .objective import LossConfig, encode_set
+from .objective import LossConfig, encode
 from .synth import build_corpus
 from .trainer import TrainConfig, train
 
@@ -28,7 +28,7 @@ def validation_margin(
     template_id: str = "default",
 ) -> float:
     """Mean gold-vs-hardest-negative cosine margin of input embeddings."""
-    enc = encode_set(backend, examples, [list(ex.counterfactuals) for ex in examples], template_id)
+    enc = encode(examples, [ex.counterfactuals for ex in examples], template_id, backend.vocab)
     total = 0.0
     for input_ids, answer_ids, negatives in zip(enc.inputs, enc.answers, enc.negatives):
         h_x = backend.embed_ids(input_ids)

@@ -151,8 +151,9 @@ def _lcs_length(a: list[str], b: list[str]) -> int:
     return prev[-1]
 
 
-def rouge_l(hyp: list[str], ref: list[str], beta: float = ROUGE_BETA) -> float:
-    """LCS F-score: P = LCS/|hyp|, R = LCS/|ref|, F = (1+b^2)PR/(R+b^2 P)."""
+def rouge_l(hyp: list[str], ref: list[str]) -> float:
+    """LCS F-score: P = LCS/|hyp|, R = LCS/|ref|, F = (1+b^2)PR/(R+b^2 P)
+    with b = ``ROUGE_BETA``."""
     if not hyp or not ref:
         warnings.warn("rouge_l on empty sequence, scoring 0", stacklevel=2)
         return 0.0
@@ -161,7 +162,7 @@ def rouge_l(hyp: list[str], ref: list[str], beta: float = ROUGE_BETA) -> float:
         return 0.0
     p = lcs / len(hyp)
     r = lcs / len(ref)
-    return (1 + beta**2) * p * r / (r + beta**2 * p)
+    return (1 + ROUGE_BETA**2) * p * r / (r + ROUGE_BETA**2 * p)
 
 
 def _align(hyp_stems: list[str], ref_stems: list[str]) -> tuple[int, int, bool]:
@@ -265,29 +266,18 @@ def _greedy_chunks(hyp_stems, ref_stems, quota) -> int:
     return chunks
 
 
-def meteor_lite(
-    hyp: list[str],
-    ref: list[str],
-    alpha: float = METEOR_ALPHA,
-    gamma: float = METEOR_GAMMA,
-    beta: float = METEOR_BETA,
-) -> float:
+def meteor_lite(hyp: list[str], ref: list[str]) -> float:
     """METEOR restricted to exact + stem matching.
 
     F_mean = PR / (alpha*P + (1-alpha)*R), penalty = gamma*(chunks/m)^beta,
-    score = F_mean * (1 - penalty); 0 when no unigram matches.
+    score = F_mean * (1 - penalty); 0 when no unigram matches. alpha,
+    gamma and beta are ``METEOR_ALPHA``, ``METEOR_GAMMA`` and
+    ``METEOR_BETA``.
     """
-    return _meteor([stem(t) for t in hyp], [stem(t) for t in ref], alpha, gamma, beta, stacklevel=3)
+    return _meteor([stem(t) for t in hyp], [stem(t) for t in ref], stacklevel=3)
 
 
-def _meteor(
-    hyp_stems,
-    ref_stems,
-    alpha: float = METEOR_ALPHA,
-    gamma: float = METEOR_GAMMA,
-    beta: float = METEOR_BETA,
-    stacklevel: int = 2,
-) -> float:
+def _meteor(hyp_stems, ref_stems, stacklevel: int = 2) -> float:
     """:func:`meteor_lite` on the Porter stems of the two token lists;
     its warnings point ``stacklevel`` frames up."""
     if not hyp_stems or not ref_stems:
@@ -304,8 +294,8 @@ def _meteor(
         return 0.0
     p = m / len(hyp_stems)
     r = m / len(ref_stems)
-    f_mean = p * r / (alpha * p + (1 - alpha) * r)
-    penalty = gamma * (chunks / m) ** beta
+    f_mean = p * r / (METEOR_ALPHA * p + (1 - METEOR_ALPHA) * r)
+    penalty = METEOR_GAMMA * (chunks / m) ** METEOR_BETA
     return f_mean * (1 - penalty)
 
 
@@ -440,6 +430,9 @@ def score_corpus(
         ids = [str(i) for i in range(len(pairs))]
     if len(ids) != len(pairs):
         raise ValueError("ids must align with pairs")
+    if len(set(ids)) != len(ids):
+        repeated = next(i for k, i in enumerate(ids) if i in ids[:k])
+        raise ValueError(f"repeated id {repeated!r}")
 
     hyps = [tokenize(h) for h, _ in pairs]
     refs = [tokenize(r) for _, r in pairs]

@@ -266,7 +266,6 @@ def inbatch_negatives(batch: list[InferenceExample], i: int) -> list[str]:
 
 
 def train_mcq_scorer(
-    vocab: Vocabulary,
     enc: EncodedSet,
     d: int = 16,
     seed: int = 0,
@@ -277,12 +276,12 @@ def train_mcq_scorer(
     """Stand-in for a scorer fine-tuned on the multiple-choice task:
     contrastive updates pull input embeddings toward gold answers and
     away from the dataset counterfactuals. ``enc`` holds the examples'
-    ids under ``vocab`` with their counterfactuals as negatives; the
-    rows that have any are trained on."""
+    ids with their counterfactuals as negatives; the rows that have any
+    are trained on, in a scorer over ``enc.vocab``."""
     usable = [i for i, negs in enumerate(enc.negatives or []) if negs]
     if not usable:
         raise ValueError("no examples with counterfactuals to train on")
-    scorer = ToyBackend(vocab, d=d, seed=derive_seed(seed, "mcq_scorer"))
+    scorer = ToyBackend(enc.vocab, d=d, seed=derive_seed(seed, "mcq_scorer"))
     encoded = enc.take(usable)
     # the per-sample term alone, its gradient a mean over the examples
     config = LossConfig(tau_s=tau, lambda_b=0.0, lambda_s=1.0)
@@ -335,7 +334,7 @@ def _replace_zs(model, examples, enc, config, seed, mode="zs"):
 
 
 def _replace_mcq(model, examples, enc, config, seed):
-    scorer = train_mcq_scorer(model.vocab, enc, d=model.d, seed=seed)
+    scorer = train_mcq_scorer(enc, d=model.d, seed=seed)
     return _replace_zs(scorer, examples, enc, config, seed, mode="mcq")
 
 

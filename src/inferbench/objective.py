@@ -12,25 +12,25 @@ Conventions fixed here and relied on by the trainer and tests:
 * the positive representation is the embedding of the gold answer;
 * the in-batch InfoNCE denominator includes the positive pair.
 
-Text is encoded once into an :class:`EncodedSet` by one encoder,
-:func:`_encode`, behind :func:`encode_set`, :func:`encode_training_set`
-(which also builds the vocabulary), :func:`encode_texts` and
-:func:`encode_inputs`: each call tokenizes each distinct text once, and
-every occurrence of a text shares one read-only id array. Then
-:func:`forward`, the one entry point to the objective, evaluates it on
-that set in matrix form: every pooled embedding (inputs, answers,
-negatives) comes from one :func:`~inferbench.backend.pool` call, the
-NLL scores all answers of a block with one product with U, and both
-InfoNCE terms are row-wise softmax cross-entropies over a logit matrix,
-n x n for the in-batch term and n x (1 + m) for the per-sample one
-(padded with -inf where an example has fewer negatives). The backward
-pass ends in one scatter into E.
+Text becomes ids in one call, :func:`encode`, which returns an
+:class:`EncodedSet` that carries its vocabulary: the one given, or the
+one built from every token the call encodes. Each call tokenizes each
+distinct text once, and every occurrence of a text shares one read-only
+id array. Then :func:`forward`, the one entry point to the objective,
+evaluates it on that set in matrix form: every pooled embedding
+(inputs, answers, negatives) comes from one
+:func:`~inferbench.backend.pool` call, the NLL scores all answers of a
+block with one product with U, and both InfoNCE terms are row-wise
+softmax cross-entropies over a logit matrix, n x n for the in-batch term
+and n x (1 + m) for the per-sample one (padded with -inf where an
+example has fewer negatives). The backward pass ends in one scatter
+into E.
 """
 
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 from itertools import islice
 
 import numpy as np
@@ -77,95 +77,17 @@ class LossBreakdown:
 
 # --- encoding ----------------------------------------------------------------
 
-def _encode(
-    texts: list[str], answers: list[str] = (), vocab: Vocabulary | None = None
-) -> tuple[Vocabulary, list[np.ndarray], list[np.ndarray]]:
-    """The one text-to-ids encoder: token ids of each of ``texts`` and of
-    each of ``answers`` with EOS appended, under ``vocab`` (UNK for an
-    out-of-vocabulary token) or, when it is None, under the vocabulary
-    over the sorted union of their tokens, which is returned.
-
-    Each distinct text is tokenized once per call, and every occurrence
-    of it shares one read-only ``intp`` array (one for its occurrences
-    as a text, one for those as an answer). Nothing outlives the call.
-    """
-    tokens: dict[str, list[str]] = {}
-    for text in (*texts, *answers):
-        if text not in tokens:
-            tokens[text] = tokenize(text)
-    if vocab is None:
-        vocab = Vocabulary(sorted(set().union(*tokens.values())))
-
-    def ids_of(distinct, tail: list[int]) -> dict[str, np.ndarray]:
-        arrays = {}
-        for text in distinct:
-            row = np.array(vocab.encode(tokens[text]) + tail, dtype=np.intp)
-            row.setflags(write=False)
-            arrays[text] = row
-        return arrays
-
-    if not all(tokens[text] for text in answers):
-        raise ValueError("empty answer cannot be scored")
-    by_text = ids_of(dict.fromkeys(texts), [])
-    by_answer = ids_of(dict.fromkeys(answers), [vocab.eos_id])
-    return vocab, [by_text[t] for t in texts], [by_answer[a] for a in answers]
-
-
-def _encode_examples(
-    examples: list[InferenceExample],
-    negatives: list[list[str]] | None,
-    template_id: str,
-    vocab: Vocabulary | None = None,
-) -> tuple[Vocabulary, EncodedSet]:
-    """One :func:`_encode` call over the examples' input texts, their
-    gold answers and ``negatives[i]``, the negative texts of example i."""
-    inputs = [prepare_input_text(ex, template_id) for ex in examples]
-    flat = [] if negatives is None else [text for negs in negatives for text in negs]
-    vocab, rows, answers = _encode(inputs + flat, [ex.answer for ex in examples], vocab)
-    per_example = None
-    if negatives is not None:
-        rest = iter(rows[len(inputs):])
-        per_example = [list(islice(rest, len(negs))) for negs in negatives]
-    return vocab, EncodedSet([ex.id for ex in examples], rows[: len(inputs)], answers, per_example)
-
-
-def encode_training_set(
-    examples: list[InferenceExample], template_id: str = "default"
-) -> tuple[Vocabulary, EncodedSet]:
-    """The vocabulary over the sorted tokens of each example's input text,
-    gold answer and counterfactuals, and the set's ids under it, with
-    each example's counterfactuals, in stored order, as its negatives."""
-    return _encode_examples(examples, [ex.counterfactuals for ex in examples], template_id)
-
-
-def build_vocabulary(examples: list[InferenceExample], template_id: str = "default") -> Vocabulary:
-    """Vocabulary over the sorted tokens of the input texts, gold answers
-    and counterfactuals."""
-    return encode_training_set(examples, template_id)[0]
-
-
-def encode_texts(vocab: Vocabulary, texts: list[str]) -> list[np.ndarray]:
-    """Token ids of each text; out-of-vocabulary tokens map to UNK."""
-    return _encode(texts, vocab=vocab)[1]
-
-
-def encode_inputs(
-    vocab: Vocabulary, examples: list[InferenceExample], template_id: str = "default"
-) -> list[np.ndarray]:
-    """Token ids of each example's input text under ``template_id``."""
-    return encode_texts(vocab, [prepare_input_text(ex, template_id) for ex in examples])
-
-
 @dataclass(frozen=True)
 class EncodedSet:
-    """Token ids of a batch or dataset under one vocabulary and template:
+    """Token ids of a batch or dataset under ``vocab`` and one template:
     input ids (possibly empty), answer ids with EOS, and the ids of each
     negative of each example (None without negatives)."""
 
     example_ids: list[str]
     inputs: list[np.ndarray]
     answers: list[np.ndarray]
-    negatives: list[list[np.ndarray]] | None = None
+    negatives: list[list[np.ndarray]] | None
+    vocab: Vocabulary
 
     def __len__(self) -> int:
         return len(self.example_ids)
@@ -174,22 +96,67 @@ class EncodedSet:
         def pick(rows):
             return None if rows is None else [rows[i] for i in index]
 
-        return EncodedSet(
-            pick(self.example_ids), pick(self.inputs), pick(self.answers), pick(self.negatives)
+        return replace(
+            self, example_ids=pick(self.example_ids), inputs=pick(self.inputs),
+            answers=pick(self.answers), negatives=pick(self.negatives),
         )
 
 
-def encode_set(
-    backend: ToyBackend,
+def encode(
     examples: list[InferenceExample],
     negatives: list[list[str]] | None = None,
     template_id: str = "default",
+    vocab: Vocabulary | None = None,
 ) -> EncodedSet:
-    """Encode examples, and ``negatives[i]`` (the negative answer strings
-    of ``examples[i]``), under the backend's vocabulary."""
+    """The one text-to-ids encoder: the ids of each example's input text
+    under ``template_id``, of its gold answer with EOS appended and, with
+    ``negatives``, of ``negatives[i]``, the negative texts of example i.
+
+    Out-of-vocabulary tokens map to UNK under ``vocab``. When it is None,
+    the vocabulary is the sorted union of every token the call encodes;
+    either way the set carries it. Each distinct text is tokenized once
+    per call, and every occurrence of it shares one read-only ``intp``
+    array (one for its occurrences as an answer, one for the others).
+    Nothing outlives the call.
+    """
     if negatives is not None and len(negatives) != len(examples):
         raise ValueError(f"{len(negatives)} negative lists for {len(examples)} examples")
-    return _encode_examples(examples, negatives, template_id, backend.vocab)[1]
+    texts = [prepare_input_text(ex, template_id) for ex in examples]
+    if negatives is not None:
+        texts += [text for negs in negatives for text in negs]
+    answers = [ex.answer for ex in examples]
+    tokens: dict[str, list[str]] = {}
+    for text in (*texts, *answers):
+        if text not in tokens:
+            tokens[text] = tokenize(text)
+    if vocab is None:
+        vocab = Vocabulary(sorted(set().union(*tokens.values())))
+    if not all(tokens[text] for text in answers):
+        raise ValueError("empty answer cannot be scored")
+
+    def ids_of(occurrences: list[str], tail: list[int]) -> list[np.ndarray]:
+        arrays = {}
+        for text in dict.fromkeys(occurrences):
+            row = np.array(vocab.encode(tokens[text]) + tail, dtype=np.intp)
+            row.setflags(write=False)
+            arrays[text] = row
+        return [arrays[text] for text in occurrences]
+
+    rows = ids_of(texts, [])
+    per_example = None
+    if negatives is not None:
+        rest = iter(rows[len(examples):])
+        per_example = [list(islice(rest, len(negs))) for negs in negatives]
+    return EncodedSet(
+        [ex.id for ex in examples], rows[: len(examples)], ids_of(answers, [vocab.eos_id]),
+        per_example, vocab,
+    )
+
+
+def build_vocabulary(examples: list[InferenceExample], template_id: str = "default") -> Vocabulary:
+    """Vocabulary over the sorted tokens of the input texts, gold answers
+    and counterfactuals."""
+    return encode(examples, [ex.counterfactuals for ex in examples], template_id).vocab
 
 
 # --- matrix kernels -------------------------------------------------------------
@@ -414,23 +381,7 @@ class FiniteDiffReport:
     worst: list[FiniteDiffFailure] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "n_checked": self.n_checked,
-            "max_error": self.max_error,
-            "tol": self.tol,
-            "step": self.step,
-            "worst": [
-                {
-                    "parameter": w.parameter,
-                    "flat_index": w.flat_index,
-                    "analytic": w.analytic,
-                    "numeric": w.numeric,
-                    "error": w.error,
-                }
-                for w in self.worst
-            ],
-        }
+        return asdict(self)
 
 
 def finite_diff_check(

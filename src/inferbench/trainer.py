@@ -8,7 +8,7 @@ from __future__ import annotations
 import math
 import shutil
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -21,8 +21,7 @@ from .objective import (  # noqa: F401  callers import build_vocabulary from her
     LossConfig,
     build_vocabulary,
     check_number_fields,
-    encode_set,
-    encode_training_set,
+    encode,
     forward,
 )
 
@@ -83,12 +82,7 @@ class CheckpointInfo:
     path: str | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "epoch": self.epoch,
-            "step": self.step,
-            "validation_perplexity": self.validation_perplexity,
-            "path": self.path,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -123,7 +117,7 @@ def perplexity(
     if not dataset:
         raise ValueError("perplexity of an empty dataset")
     if not isinstance(dataset, EncodedSet):
-        dataset = encode_set(backend, dataset, template_id=template_id)
+        dataset = encode(dataset, template_id=template_id, vocab=backend.vocab)
     config = LossConfig(lambda_b=0.0, lambda_s=0.0)
     nll = forward(backend, dataset, config, grads=False, micro_batch=micro_batch).nll
     per_token = nll * len(dataset) / sum(len(a) for a in dataset.answers)
@@ -175,7 +169,8 @@ def train(
 
     # every build starts from the dataset's own encoding, never from the
     # negatives of an earlier epoch
-    vocab, dataset_enc = encode_training_set(train_set, config.template_id)
+    dataset_enc = encode(train_set, [ex.counterfactuals for ex in train_set], config.template_id)
+    vocab = dataset_enc.vocab
     backend = ToyBackend(vocab, d=config.d, seed=config.seed)
     strategy = STRATEGIES.get(config.negative_strategy) if config.loss.lambda_s > 0 else None
     resample = strategy is not None and strategy.per_epoch
@@ -183,7 +178,7 @@ def train(
     if strategy is not None and not resample:
         model = untrained_model(vocab, config.d, config.seed) if strategy.needs_model else None
         encoded = _with_negatives(strategy, model, train_set, dataset_enc, config, config.seed)
-    valid_enc = encode_set(backend, valid_set, template_id=config.template_id)
+    valid_enc = encode(valid_set, template_id=config.template_id, vocab=vocab)
 
     steps_per_epoch = math.ceil(len(train_set) / config.effective_batch)
     total_steps = steps_per_epoch * config.max_epochs

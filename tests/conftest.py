@@ -11,7 +11,7 @@ from inferbench.corpus import (
     QuestionType,
     Utterance,
 )
-from inferbench.objective import encode_inputs
+from inferbench.objective import encode
 
 DATA_DIR = Path(__file__).parent.parent / "data"
 
@@ -47,7 +47,7 @@ def make_example(
 
 def input_ids(model, example):
     """The example's input ids under the model's vocabulary."""
-    return encode_inputs(model.vocab, [example])[0]
+    return encode([example], vocab=model.vocab).inputs[0]
 
 
 @pytest.fixture

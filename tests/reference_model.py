@@ -8,10 +8,10 @@ same model one row, one position or one example at a time, on
 :func:`inferbench.backend.pool`, so that the tests can compare the
 batched kernels with them bit for bit. The last two state the answer
 normalization and the replacement ranking in their direct forms: a
-regex collapse, and a ranking of the whole vocabulary. The first two
-state the text-to-ids encoders one text at a time: every occurrence of
-a text tokenized and converted on its own, the training vocabulary
-through provisional first-seen ids and one permutation.
+regex collapse, and a ranking of the whole vocabulary. The first
+states the text-to-ids encoder one text at a time: every occurrence of
+a text tokenized and converted on its own, a vocabulary built through
+provisional first-seen ids and one permutation.
 """
 
 import re
@@ -22,54 +22,37 @@ from inferbench.backend import EOS, Vocabulary, pool
 from inferbench.corpus import prepare_input_text
 from inferbench.metrics import tokenize
 from inferbench.negatives import _deltas, nonoptimal_sets
-from inferbench.objective import encode_inputs, encode_set
+from inferbench.objective import encode
 
 
-def per_text_training_set(examples, template_id="default"):
-    """``encode_training_set`` one text at a time: (vocabulary, inputs,
-    answers, negatives). Tokens get provisional ids in first-seen order;
-    one permutation then maps every array onto the sorted vocabulary."""
+def per_text_encode(examples, negatives=None, template_id="default", vocab=None):
+    """``encode`` one text at a time: (vocabulary, inputs, answers,
+    negatives). Under ``vocab``, out-of-vocabulary tokens map to UNK.
+    Without one, tokens get provisional ids in first-seen order, and one
+    permutation then maps every array onto the sorted vocabulary."""
+    if negatives is not None and len(negatives) != len(examples):
+        raise ValueError(f"{len(negatives)} negative lists for {len(examples)} examples")
     provisional = {EOS: 0}  # every answer ends with EOS
 
     def ids(text, eos=False):
-        row = [provisional.setdefault(t, len(provisional)) for t in tokenize(text)]
-        if eos:
-            row.append(provisional[EOS])
-        return np.array(row, dtype=np.intp)
+        tokens = tokenize(text) + ([EOS] if eos else [])
+        if vocab is not None:
+            return np.array(vocab.encode(tokens), dtype=np.intp)
+        return np.array([provisional.setdefault(t, len(provisional)) for t in tokens], dtype=np.intp)
 
-    inputs, answers, negatives = [], [], []
+    inputs = [ids(prepare_input_text(ex, template_id)) for ex in examples]
+    answers = []
     for ex in examples:
-        inputs.append(ids(prepare_input_text(ex, template_id)))
         answers.append(ids(ex.answer, eos=True))
         if len(answers[-1]) == 1:
             raise ValueError("empty answer cannot be scored")
-        negatives.append([ids(text) for text in ex.counterfactuals])
-    vocab = Vocabulary(sorted(provisional))
-    perm = np.array([vocab.id_of(t) for t in provisional], dtype=np.intp)
-    for arrays in (inputs, answers, *negatives):
-        for a in arrays:
+    rows = None if negatives is None else [[ids(text) for text in row] for row in negatives]
+    if vocab is None:
+        vocab = Vocabulary(sorted(provisional))
+        perm = np.array([vocab.id_of(t) for t in provisional], dtype=np.intp)
+        for a in (*inputs, *answers, *(a for row in rows or [] for a in row)):
             a[:] = perm[a]
-    return vocab, inputs, answers, negatives
-
-
-def per_text_set(vocab, examples, negatives=None, template_id="default"):
-    """``encode_set`` one text at a time under ``vocab``: (inputs,
-    answers, negatives); out-of-vocabulary tokens map to UNK."""
-
-    def ids(text):
-        return np.array(vocab.encode(tokenize(text)), dtype=np.intp)
-
-    def answer_ids(text):
-        tokens = tokenize(text)
-        if not tokens:
-            raise ValueError("empty answer cannot be scored")
-        return np.array(vocab.encode(tokens) + [vocab.eos_id], dtype=np.intp)
-
-    if negatives is not None and len(negatives) != len(examples):
-        raise ValueError(f"{len(negatives)} negative lists for {len(examples)} examples")
-    inputs = [ids(prepare_input_text(ex, template_id)) for ex in examples]
-    answers = [answer_ids(ex.answer) for ex in examples]
-    return inputs, answers, None if negatives is None else [[ids(t) for t in n] for n in negatives]
+    return vocab, inputs, answers, rows
 
 
 def log_softmax(logits: np.ndarray) -> np.ndarray:
@@ -110,14 +93,14 @@ def generate_nonoptimal(
 ):
     """``nonoptimal_sets`` of one example, its input text encoded under
     ``template_id``."""
-    inputs = encode_inputs(be.vocab, [example], template_id)
+    inputs = encode([example], template_id=template_id, vocab=be.vocab).inputs
     return nonoptimal_sets(be, [example], inputs, m, k, attempts, seed, max_len)[0]
 
 
 def replacement_deltas(scorer, example, template_id="default") -> np.ndarray:
     """The masked scorer's |log p(a_j | context + answer\\j) -
     log p(a_j | answer\\j)| at each gold-answer position of one example."""
-    enc = encode_set(scorer, [example], template_id=template_id)
+    enc = encode([example], template_id=template_id, vocab=scorer.vocab)
     return _deltas(scorer, enc.answers[0][:-1], enc.inputs[0])[0]
 
 

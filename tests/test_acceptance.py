@@ -27,7 +27,7 @@ from inferbench.cli import main as cli_main
 from inferbench.experiments import contrastive_benefit_experiment
 from inferbench.metrics import bleu, cider, meteor_lite, rouge_l, tokenize
 from inferbench.negatives import ReplaceConfig, pick_counterfactuals, select_positions, token_replace
-from inferbench.objective import LossConfig, encode_set, finite_diff_check, forward
+from inferbench.objective import LossConfig, encode, finite_diff_check, forward
 from bruteforce import (
     bf_bleu,
     bf_cider,
@@ -154,7 +154,7 @@ def test_criterion_3_analytic_loss_values():
             turns=(("A", "alpha beta"),), target_index=1, answer="alpha beta",
             counterfactuals=(),
         )
-        value = forward(be, encode_set(be, [ex]), NLL_ONLY).nll
+        value = forward(be, encode([ex], vocab=be.vocab), NLL_ONLY).nll
         assert value == pytest.approx(3 * math.log(8), abs=1e-9)
 
         h_x = np.array([1.0, 0.0])
@@ -170,7 +170,7 @@ def test_criterion_3_analytic_loss_values():
 
         batch = small_batch()
         be = batch_backend(seed=5)
-        breakdown = forward(be, encode_set(be, batch, batch_negatives(batch)), LossConfig())
+        breakdown = forward(be, encode(batch, batch_negatives(batch), vocab=be.vocab), LossConfig())
         assert breakdown.total == pytest.approx(
             breakdown.nll + 0.5 * breakdown.cl_b + 0.5 * breakdown.cl_s, abs=1e-12
         )
@@ -186,13 +186,13 @@ def test_criterion_4_gradient_gate():
         for seed in range(5):
             be = batch_backend(seed=seed)
             report = finite_diff_check(
-                be, encode_set(be, batch, negs), cfg, step=1e-5, tol=1e-4, seed=seed
+                be, encode(batch, negs, vocab=be.vocab), cfg, step=1e-5, tol=1e-4, seed=seed
             )
             assert report.passed, report.worst[:3]
             assert report.n_checked == be.flat_parameters().size
 
         be = batch_backend(seed=0)
-        enc = encode_set(be, batch, negs)
+        enc = encode(batch, negs, vocab=be.vocab)
         corrupted = forward(be, enc, cfg).grads
         idx = int(np.argmax(np.abs(corrupted.E)))
         r, c = divmod(idx, corrupted.E.shape[1])

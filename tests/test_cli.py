@@ -10,8 +10,8 @@ from inferbench import cli
 from inferbench.backend import ToyBackend, save_checkpoint
 from inferbench.cli import build_parser, load_run_config, main
 from inferbench.corpus import load_dataset, save_dataset
+from inferbench.metrics import tokenize
 from inferbench.synth import build_judgments, build_split
-from inferbench.objective import encode_texts
 from inferbench.trainer import TrainConfig, build_vocabulary, train
 
 from bruteforce import bf_replace_positions
@@ -305,8 +305,57 @@ def test_trainer_and_perturb_build_the_same_negatives(tmp_path, small_data, monk
     vocab = build_vocabulary(examples)
     assert sorted(seen) == sorted(r["example_id"] for r in records)
     for r in records:
-        expected = encode_texts(vocab, r["negatives"])
-        assert [ids.tolist() for ids in seen[r["example_id"]]] == [e.tolist() for e in expected]
+        expected = [vocab.encode(tokenize(text)) for text in r["negatives"]]
+        assert [ids.tolist() for ids in seen[r["example_id"]]] == expected
+
+
+@pytest.mark.parametrize("command, flags, sets", [
+    ("perturb", ["--strategy", "replace_zs", "--m", "2", "--k", "5", "--threshold", "0.5",
+                 "--seed", "3"],
+     ["negatives.strategy=replace_zs", "negatives.m=2", "negatives.k=5", "negatives.threshold=0.5",
+      "seed=3"]),
+    ("score", ["--stratify-by", "difficulty"], ["report.stratify_by=difficulty"]),
+    ("compare", ["--stratify-by", "difficulty"], ["report.stratify_by=difficulty"]),
+    ("gradcheck", ["--seed", "1"], ["seed=1"]),
+], ids=["perturb", "score", "compare", "gradcheck"])
+def test_a_flag_is_a_set_of_its_config_key(tmp_path, small_data, command, flags, sets):
+    """A config-setting flag acts as a ``--set`` of its key placed after
+    the user's: the flag form and the ``--set`` form write the same
+    bytes, config digest included, and the flag wins over a ``--set``."""
+    valid = small_data / "valid.jsonl"
+    hyp = tmp_path / "hyp.jsonl"
+    hyp.write_text("".join(
+        json.dumps({"id": ex.id, "generated": ex.counterfactuals[0]}) + "\n"
+        for ex in load_dataset(valid)
+    ))
+    inputs = {
+        "perturb": ["--in", valid, "--set", "model.d=4"],
+        "score": ["--hyp", hyp, "--ref", valid],
+        "compare": ["--judgments", small_data / "judgments.jsonl", "--ref", valid],
+        "gradcheck": ["--set", "model.d=2"],
+    }[command]
+
+    def written(name, *argv):
+        out = tmp_path / name
+        out.mkdir()
+        assert run([command, *inputs, "--out", out / "artifact", *argv]) in (0, 1)
+        return {p.name: p.read_bytes() for p in out.iterdir()}
+
+    by_flag = written("flags", *flags)
+    assert by_flag == written("sets", *(arg for key in sets for arg in ("--set", key)))
+    key = sets[0].split("=")[0]
+    assert by_flag == written("both", "--set", f"{key}=null", *flags)
+
+
+def test_two_strategies_stamp_two_digests(tmp_path, small_data):
+    digests = set()
+    for strategy in ("counterfactual", "replace_zs"):
+        out = tmp_path / f"{strategy}.jsonl"
+        assert run(["perturb", "--strategy", strategy, "--in", small_data / "valid.jsonl",
+                    "--out", out, "--set", "model.d=4"]) == 0
+        meta = json.loads(out.with_suffix(".jsonl.meta.json").read_text())
+        digests.add(meta["config_digest"])
+    assert len(digests) == 2
 
 
 def test_score_plain_text_mode(tmp_path):

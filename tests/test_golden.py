@@ -26,7 +26,7 @@ from inferbench.negatives import (
 )
 from inferbench.jsonio import canonical_dumps
 from inferbench.metrics import score_corpus
-from inferbench.objective import build_vocabulary, encode_inputs, encode_training_set
+from inferbench.objective import build_vocabulary, encode
 from inferbench.synth import build_judgments, build_split
 
 from reference_model import generate, generate_nonoptimal
@@ -99,7 +99,7 @@ def model(split):
 
 
 def test_greedy_and_top_k_decodes(split, model):
-    inputs = encode_inputs(model.vocab, split)
+    inputs = encode(split, vocab=model.vocab).inputs
     greedy = [" ".join(generate(model, ids, GreedyDecode(max_len=8))) for ids in inputs]
     top_k = [
         " ".join(generate(model, ids, TopKDecode(k=5, seed=seed, max_len=8)))
@@ -125,10 +125,12 @@ def test_token_replace_negatives(split, model, mode):
     if mode == "zs":
         scorer, threshold = model, 0.75
     else:
-        scorer = train_mcq_scorer(*encode_training_set(split[:4]), d=8, seed=11, lr=20.0)
+        examples = split[:4]
+        scorer = train_mcq_scorer(encode(examples, [ex.counterfactuals for ex in examples]),
+                                  d=8, seed=11, lr=20.0)
         threshold = 0.3
     cfg = ReplaceConfig(threshold=threshold, k=5, mode=mode, seed=11)
-    inputs = encode_inputs(scorer.vocab, split)
+    inputs = encode(split, vocab=scorer.vocab).inputs
     got = [token_replace(scorer, ex, ids, cfg, m=2).negatives for ex, ids in zip(split, inputs)]
     assert got == REPLACE[mode]
 

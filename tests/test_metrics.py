@@ -356,6 +356,12 @@ def test_score_corpus_unknown_id_errors():
         score_corpus(pairs, ids=["x", "y"], strata_labels={"x": "a", "y": "a", "z": "a"})
 
 
+def test_score_corpus_repeated_id_errors():
+    pairs = [("a b", "a b"), ("c d", "a b"), ("e f", "e f")]
+    with pytest.raises(ValueError, match="repeated id 'y'"):
+        score_corpus(pairs, ids=["x", "y", "y"], with_per_example=True)
+
+
 def test_score_corpus_raw_string_invariance():
     pairs = [("The Cat sat  ", "the cat sat"), ("A dog RAN", "a dog ran today")]
     a = score_corpus(pairs)

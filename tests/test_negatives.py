@@ -14,7 +14,7 @@ from inferbench.negatives import (
     token_replace,
     train_mcq_scorer,
 )
-from inferbench.objective import encode_inputs, encode_training_set
+from inferbench.objective import encode
 from inferbench.trainer import build_vocabulary
 
 from bruteforce import bf_replace_positions
@@ -91,7 +91,7 @@ def loop_nonoptimal(backend, example, m, k, attempts, seed, max_len):
     """non_optimal sampling as a loop over slots, then attempts, one
     ``generate`` call each: the reference for the batched rounds."""
     gold = normalize_answer(example.answer)
-    input_ids = encode_inputs(backend.vocab, [example])[0]
+    input_ids = encode([example], vocab=backend.vocab).inputs[0]
     negatives, provenance = [], []
     for slot in range(m):
         for attempt in range(attempts):
@@ -114,7 +114,7 @@ def test_rounds_retry_and_drop_like_the_slot_loop(data_dir):
     be = ToyBackend(build_vocabulary(examples), d=4, seed=1)
     be.b[be.vocab.eos_id] += 2.2  # about half the first draws are EOS-first, hence empty
     args = dict(m=4, k=10, attempts=3, seed=0, max_len=16)
-    got = nonoptimal_sets(be, examples, encode_inputs(be.vocab, examples), **args)
+    got = nonoptimal_sets(be, examples, encode(examples, vocab=be.vocab).inputs, **args)
     expected = [loop_nonoptimal(be, ex, **args) for ex in examples]
     assert [ns.to_dict() for ns in got] == [ns.to_dict() for ns in expected]
     rows = [p for ns in got for p in ns.provenance]
@@ -131,7 +131,7 @@ def test_total_collision_drops_every_slot_of_every_example():
                      answer="alpha", counterfactuals=())
         for i in range(4)
     ]
-    inputs = encode_inputs(be.vocab, examples)
+    inputs = encode(examples, vocab=be.vocab).inputs
     sets = nonoptimal_sets(be, examples, inputs, m=3, k=2, attempts=5, seed=0)
     assert [ns.example_id for ns in sets] == [ex.id for ex in examples]
     for ns in sets:
@@ -272,7 +272,7 @@ def test_replace_mcq_scorer_stands_in(example):
                      )[:4])
         for i, fact in enumerate(("rain", "exam", "garden"))
     ]
-    scorer = train_mcq_scorer(*encode_training_set(others), d=8, seed=0)
+    scorer = train_mcq_scorer(encode(others, [ex.counterfactuals for ex in others]), d=8, seed=0)
     cfg = ReplaceConfig(threshold=0.75, k=10, mode="mcq", seed=1)
     ns = token_replace(scorer, example, input_ids(scorer, example), cfg)
     assert ns.strategy == "replace_mcq"

@@ -6,7 +6,7 @@ import pytest
 
 from inferbench.backend import ToyBackend, Vocabulary
 from inferbench.corpus import QuestionType
-from inferbench.objective import EncodedSet, LossConfig, encode_set, finite_diff_check, forward
+from inferbench.objective import EncodedSet, LossConfig, encode, finite_diff_check, forward
 
 from conftest import make_example
 
@@ -93,6 +93,7 @@ def vector_set(inputs, answers, negatives=None):
         negatives=None if negatives is None else [
             [np.array([next(ids)]) for _ in row] for row in negatives
         ],
+        vocab=vocab,
     )
     return be, enc
 
@@ -136,7 +137,7 @@ def test_nll_uniform_backend(vocab):
         answer="alpha beta",  # 2 tokens + EOS = 3 scored
         counterfactuals=(),
     )
-    value = forward(be, encode_set(be, [ex]), NLL_ONLY).nll
+    value = forward(be, encode([ex], vocab=be.vocab), NLL_ONLY).nll
     assert value == pytest.approx(3 * math.log(8), abs=1e-9)
 
 
@@ -154,17 +155,17 @@ def test_nll_perfect_model_is_zero():
     ex = make_example(
         turns=(("A", "zzz zzz"),), target_index=1, answer="alpha", counterfactuals=()
     )
-    value = forward(be, encode_set(be, [ex]), NLL_ONLY).nll
+    value = forward(be, encode([ex], vocab=be.vocab), NLL_ONLY).nll
     assert value == pytest.approx(0.0, abs=1e-9)
 
 
 def test_nll_empty_answer_errors(vocab):
     be = ToyBackend(vocab, d=4, seed=0)
     ex = make_example(answer="...", counterfactuals=())
-    value = forward(be, encode_set(be, [ex]), NLL_ONLY).nll  # punctuation still tokenizes
+    value = forward(be, encode([ex], vocab=be.vocab), NLL_ONLY).nll  # punctuation still tokenizes
     assert value > 0
     with pytest.raises(ValueError, match="empty answer cannot be scored"):
-        encode_set(be, [dataclasses.replace(ex, answer="   ")])
+        encode([dataclasses.replace(ex, answer="   ")], vocab=be.vocab)
 
 
 # --- contrastive sample loss -----------------------------------------------------
@@ -294,7 +295,7 @@ def test_total_equals_nll_when_lambdas_zero():
     batch = small_batch()
     be = batch_backend(seed=3)
     cfg = LossConfig(lambda_b=0.0, lambda_s=0.0)
-    breakdown = forward(be, encode_set(be, batch), cfg)
+    breakdown = forward(be, encode(batch, vocab=be.vocab), cfg)
     assert breakdown.total == breakdown.nll
     assert breakdown.cl_b == 0.0 and breakdown.cl_s == 0.0
 
@@ -303,7 +304,7 @@ def test_total_arithmetic_identity():
     batch = small_batch()
     be = batch_backend(seed=5)
     cfg = LossConfig()
-    breakdown = forward(be, encode_set(be, batch, batch_negatives(batch)), cfg)
+    breakdown = forward(be, encode(batch, batch_negatives(batch), vocab=be.vocab), cfg)
     expected = breakdown.nll + 0.5 * breakdown.cl_b + 0.5 * breakdown.cl_s
     assert breakdown.total == pytest.approx(expected, abs=1e-12)
     assert breakdown.nll >= 0 and breakdown.cl_b >= 0 and breakdown.cl_s >= 0
@@ -313,17 +314,17 @@ def test_total_missing_negatives_errors():
     batch = small_batch()
     be = batch_backend()
     with pytest.raises(ValueError, match="negative"):
-        forward(be, encode_set(be, batch), LossConfig())
+        forward(be, encode(batch, vocab=be.vocab), LossConfig())
 
 
 def test_total_batch_order_invariance():
     batch = small_batch()
     negs = batch_negatives(batch)
     be = batch_backend(seed=8)
-    base = forward(be, encode_set(be, batch, negs), LossConfig())
+    base = forward(be, encode(batch, negs, vocab=be.vocab), LossConfig())
     perm = [2, 0, 3, 1]
     shuffled = forward(
-        be, encode_set(be, [batch[i] for i in perm], [negs[i] for i in perm]), LossConfig()
+        be, encode([batch[i] for i in perm], [negs[i] for i in perm], vocab=be.vocab), LossConfig()
     )
     assert shuffled.total == pytest.approx(base.total, abs=1e-9)
     assert shuffled.cl_b == pytest.approx(base.cl_b, abs=1e-9)
@@ -334,7 +335,7 @@ def test_accumulation_equivalence_over_divisors():
     negs = batch_negatives(batch)
     be = batch_backend(seed=13)
     cfg = LossConfig()
-    enc = encode_set(be, batch, negs)
+    enc = encode(batch, negs, vocab=be.vocab)
     full = forward(be, enc, cfg)
     for micro in (1, 2, 4):
         acc = forward(be, enc, cfg, micro_batch=micro)
@@ -356,7 +357,7 @@ def test_finite_diff_passes_on_seeds():
     for seed in (0, 1):
         be = batch_backend(seed=seed)
         report = finite_diff_check(
-            be, encode_set(be, batch, negs), LossConfig(), tol=1e-4, seed=seed
+            be, encode(batch, negs, vocab=be.vocab), LossConfig(), tol=1e-4, seed=seed
         )
         assert report.passed, report.worst[:3]
         assert report.n_checked == be.flat_parameters().size
@@ -370,7 +371,9 @@ def test_finite_diff_all_zero_backend_passes(vocab):
     ex = make_example(
         turns=(("A", "alpha beta"),), target_index=1, answer="alpha", counterfactuals=()
     )
-    report = finite_diff_check(be, encode_set(be, [ex]), LossConfig(lambda_b=0, lambda_s=0))
+    report = finite_diff_check(
+        be, encode([ex], vocab=be.vocab), LossConfig(lambda_b=0, lambda_s=0)
+    )
     assert report.passed
 
 
@@ -379,7 +382,7 @@ def test_finite_diff_detects_injected_fault():
     negs = batch_negatives(batch)
     be = batch_backend(seed=2)
     cfg = LossConfig()
-    enc = encode_set(be, batch, negs)
+    enc = encode(batch, negs, vocab=be.vocab)
     corrupted = forward(be, enc, cfg).grads
     flat_index = int(np.argmax(np.abs(corrupted.U)))
     r, c = divmod(flat_index, corrupted.U.shape[1])
@@ -388,6 +391,31 @@ def test_finite_diff_detects_injected_fault():
     assert not report.passed
     expected_name = f"U[{r},{c}]"
     assert any(w.parameter == expected_name for w in report.worst)
+
+
+def test_finite_diff_samples_past_the_full_check_limit():
+    batch = small_batch()
+    be = batch_backend(seed=2)
+    cfg = LossConfig()
+    enc = encode(batch, batch_negatives(batch), vocab=be.vocab)
+    limit = be.flat_parameters().size - 1
+
+    def sampled(seed, analytic=None):
+        return finite_diff_check(
+            be, enc, cfg, seed=seed, full_check_limit=limit, sample_size=40, analytic=analytic
+        )
+
+    report = sampled(seed=5)
+    assert report.n_checked == 40
+    assert sampled(seed=5) == report
+    # every gradient doubled: each sampled coordinate with a gradient fails
+    doubled = forward(be, enc, cfg).grads
+    for g in (doubled.E, doubled.U, doubled.b):
+        g *= 2.0
+    faulty = sampled(seed=5, analytic=doubled)
+    assert faulty.n_checked == 40
+    assert not faulty.passed
+    assert all(w.error == pytest.approx(0.5, rel=1e-3) for w in faulty.worst)
 
 
 # --- encoded batch: ragged negatives, perplexity ------------------------------------
@@ -400,7 +428,9 @@ def test_ragged_negatives_pass_finite_differences():
     batch = small_batch()
     negs = ragged_negatives(batch)
     be = batch_backend(seed=4)
-    report = finite_diff_check(be, encode_set(be, batch, negs), LossConfig(), tol=1e-4, seed=4)
+    report = finite_diff_check(
+        be, encode(batch, negs, vocab=be.vocab), LossConfig(), tol=1e-4, seed=4
+    )
     assert report.passed, report.worst[:3]
     assert report.n_checked == be.flat_parameters().size
 
@@ -411,27 +441,25 @@ def test_perplexity_is_exp_of_summed_nll_per_token():
 
     batch = small_batch()
     be = batch_backend(seed=9)
-    nll = sum(forward(be, encode_set(be, [ex]), NLL_ONLY).nll for ex in batch)
+    nll = sum(forward(be, encode([ex], vocab=be.vocab), NLL_ONLY).nll for ex in batch)
     tokens = sum(len(tokenize(ex.answer)) + 1 for ex in batch)
     assert perplexity(be, batch) == pytest.approx(math.exp(nll / tokens), abs=1e-12)
 
 
-def test_one_pass_matches_the_vocabulary_and_encode_set(data_dir):
+def test_built_vocabulary_gives_the_ids_of_a_given_one(data_dir):
     from inferbench.corpus import load_dataset, prepare_input_text
     from inferbench.metrics import tokenize
-    from inferbench.objective import encode_training_set
 
     examples = load_dataset(data_dir / "train.jsonl")[:40]
     for template_id in ("default", "speaker_ids"):
-        vocab, enc = encode_training_set(examples, template_id)
+        enc = encode(examples, [ex.counterfactuals for ex in examples], template_id)
         tokens = set()
         for ex in examples:
             for text in (prepare_input_text(ex, template_id), ex.answer, *ex.counterfactuals):
                 tokens.update(tokenize(text))
-        assert vocab.tokens == Vocabulary(sorted(tokens)).tokens
-        backend = ToyBackend(vocab, d=4)
-        expected = encode_set(backend, examples, [list(ex.counterfactuals) for ex in examples],
-                              template_id)
+        assert enc.vocab.tokens == Vocabulary(sorted(tokens)).tokens
+        expected = encode(examples, [list(ex.counterfactuals) for ex in examples], template_id,
+                          enc.vocab)
         assert enc.example_ids == expected.example_ids
         for got, want in ((enc.inputs, expected.inputs), (enc.answers, expected.answers)):
             assert all(g.dtype == np.intp and g.tolist() == w.tolist() for g, w in zip(got, want))
@@ -441,11 +469,10 @@ def test_one_pass_matches_the_vocabulary_and_encode_set(data_dir):
 
 
 def test_shared_ids_are_read_only():
-    from inferbench.objective import encode_texts, encode_training_set
-
     ex = make_example()
     twin = dataclasses.replace(ex, id="ex-2")
-    vocab, enc = encode_training_set([ex, twin])
+    enc = encode([ex, twin], [ex.counterfactuals, twin.counterfactuals])
+    vocab = enc.vocab
     assert enc.inputs[0] is enc.inputs[1]  # one array per distinct text
     before = [a.tolist() for a in (*enc.inputs, *enc.answers)]
     with pytest.raises(ValueError, match="read-only"):
@@ -453,7 +480,6 @@ def test_shared_ids_are_read_only():
     with pytest.raises(ValueError, match="read-only"):
         enc.inputs[1] += 1
     assert [a.tolist() for a in (*enc.inputs, *enc.answers)] == before
-    be = ToyBackend(vocab, d=4)
-    arrays = [*encode_set(be, [ex], [list(ex.counterfactuals)]).negatives[0],
-              *encode_texts(vocab, [ex.answer, ex.answer])]
+    given = encode([ex, twin], [list(ex.counterfactuals), [ex.answer, ex.answer]], vocab=vocab)
+    arrays = [*given.negatives[0], *given.negatives[1], *given.answers]
     assert not any(a.flags.writeable for a in arrays)

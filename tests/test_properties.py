@@ -76,8 +76,7 @@ from inferbench.objective import (
     EncodedSet,
     LossConfig,
     build_vocabulary,
-    encode_set,
-    encode_training_set,
+    encode,
     forward,
 )
 from inferbench.porter import stem
@@ -237,6 +236,7 @@ def test_forward_pools_as_pool_does(d, seed, data):
         inputs=[np.array(ids, dtype=np.intp) for ids in inputs],
         answers=[np.array([*ids, be.vocab.eos_id], dtype=np.intp) for ids in answers],
         negatives=[[np.array(ids, dtype=np.intp)] for ids in negatives],
+        vocab=be.vocab,
     )
     seen = []
 
@@ -296,6 +296,7 @@ def encoded_batches(draw):
         inputs=[np.array(draw(token_ids), dtype=np.intp) for _ in range(n)],
         answers=[np.array(draw(token_ids) + [be.vocab.eos_id], dtype=np.intp) for _ in range(n)],
         negatives=negatives,
+        vocab=be.vocab,
     )
     config = LossConfig(
         tau_b=draw(st.sampled_from([0.1, 1.0])),
@@ -670,7 +671,7 @@ def test_replacement_deltas_equal_per_position_calls_bitwise(be, context, answer
     example = make_example(
         turns=(("A", context),), target_index=1, answer=" ".join(answer), counterfactuals=()
     )
-    enc = encode_set(be, [example])
+    enc = encode([example], vocab=be.vocab)
     expected = per_position_deltas(be, list(enc.answers[0][:-1]), enc.inputs[0])
     assert replacement_deltas(be, example).tobytes() == expected.tobytes()
 
@@ -800,34 +801,25 @@ def assert_same_ids(got, want):
           make_example(ex_id="ex-2", counterfactuals=("a cat runs", "the cat sat ."))],
          "default", {"cat", "the"}, True)
 def test_encoders_equal_the_per_text_oracle(examples, template_id, words, with_negatives):
-    got = value_or_error(encode_training_set, examples, template_id)
-    want = value_or_error(reference_model.per_text_training_set, examples, template_id)
-    if isinstance(want, str):
-        assert got == want
-    else:
-        vocab, enc = got
-        assert vocab.tokens == want[0].tokens
-        assert enc.example_ids == [ex.id for ex in examples]
-        assert_same_ids(enc.inputs, want[1])
-        assert_same_ids(enc.answers, want[2])
-        assert [len(n) for n in enc.negatives] == [len(n) for n in want[3]]
-        assert_same_ids(sum(enc.negatives, []), sum(want[3], []))
-
-    # a fixed vocabulary missing some of the tokens: those map to UNK
-    be = ToyBackend(Vocabulary(sorted(words)), d=2)
     negatives = [list(ex.counterfactuals) for ex in examples] if with_negatives else None
-    got = value_or_error(encode_set, be, examples, negatives, template_id)
-    want = value_or_error(reference_model.per_text_set, be.vocab, examples, negatives, template_id)
-    if isinstance(want, str):
-        assert got == want
-        return
-    assert_same_ids(got.inputs, want[0])
-    assert_same_ids(got.answers, want[1])
-    if negatives is None:
-        assert got.negatives is None and want[2] is None
-    else:
-        assert [len(n) for n in got.negatives] == [len(n) for n in want[2]]
-        assert_same_ids(sum(got.negatives, []), sum(want[2], []))
+    # a vocabulary built, and a fixed one missing some of the tokens: those map to UNK
+    for vocab in (None, Vocabulary(sorted(words))):
+        got = value_or_error(encode, examples, negatives, template_id, vocab)
+        want = value_or_error(reference_model.per_text_encode, examples, negatives, template_id,
+                              vocab)
+        if isinstance(want, str):
+            assert got == want
+            continue
+        want_vocab, inputs, answers, want_negatives = want
+        assert got.vocab.tokens == want_vocab.tokens
+        assert got.example_ids == [ex.id for ex in examples]
+        assert_same_ids(got.inputs, inputs)
+        assert_same_ids(got.answers, answers)
+        if negatives is None:
+            assert got.negatives is None and want_negatives is None
+        else:
+            assert [len(n) for n in got.negatives] == [len(n) for n in want_negatives]
+            assert_same_ids(sum(got.negatives, []), sum(want_negatives, []))
 
 
 # Unicode whitespace past ASCII's, and characters that are not whitespace

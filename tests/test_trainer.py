@@ -11,8 +11,9 @@ import inferbench.trainer
 from inferbench.backend import ToyBackend, Vocabulary, load_checkpoint
 from inferbench.cli import main
 from inferbench.corpus import load_dataset, prepare_input_text
+from inferbench.metrics import tokenize
 from inferbench.negatives import STRATEGIES
-from inferbench.objective import LossConfig, encode_set, encode_texts
+from inferbench.objective import LossConfig, encode
 from inferbench.synth import build_corpus, build_split
 from inferbench.trainer import (
     CheckpointInfo,
@@ -110,7 +111,7 @@ def test_perplexity_empty_dataset():
 # --- training loop ----------------------------------------------------------------
 
 def test_nll_only_loss_decreases(corpus):
-    from inferbench.objective import encode_set, forward
+    from inferbench.objective import forward
 
     train_set, valid_set = corpus
     for seed in range(5):
@@ -120,9 +121,10 @@ def test_nll_only_loss_decreases(corpus):
             negative_strategy="none",
         )
         fresh = ToyBackend(build_vocabulary(train_set), d=cfg.d, seed=seed)
-        before = forward(fresh, encode_set(fresh, train_set), cfg.loss).total
+        before = forward(fresh, encode(train_set, vocab=fresh.vocab), cfg.loss).total
         result = train(cfg, train_set, valid_set)
-        after = forward(result.backend, encode_set(result.backend, train_set), cfg.loss).total
+        after = forward(result.backend, encode(train_set, vocab=result.backend.vocab),
+                        cfg.loss).total
         assert after < before
 
 
@@ -246,14 +248,14 @@ def test_blocked_perplexity_equals_whole_set():
         train_set, valid_set, _ = build_corpus(seed=seed)
         be = ToyBackend(build_vocabulary(train_set), d=16, seed=seed)
         for examples in (valid_set, train_set):
-            enc = encode_set(be, examples)
+            enc = encode(examples, vocab=be.vocab)
             assert perplexity(be, enc, micro_batch=8) == perplexity(be, enc)
 
 
 def test_blocked_perplexity_peaks_below_one_block():
     valid = build_split("va", 200, seed=2)
     be = ToyBackend(build_vocabulary(valid), d=16, seed=0)
-    enc = encode_set(be, valid)
+    enc = encode(valid, vocab=be.vocab)
 
     def peak(micro_batch):
         tracemalloc.start()
@@ -319,7 +321,7 @@ def test_negative_ids_are_the_encoded_texts(monkeypatch, corpus, strategy):
                 got.update(negatives)
         assert sorted(got) == sorted(ns.example_id for ns in sets)
         for ns in sets:
-            expected = [e.tolist() for e in encode_texts(result.backend.vocab, ns.negatives)]
+            expected = [result.backend.vocab.encode(tokenize(text)) for text in ns.negatives]
             assert [ids.tolist() for ids in ns.ids] == expected
             assert [ids.tolist() for ids in got[ns.example_id]] == expected
 
