@@ -458,6 +458,7 @@ def test_built_vocabulary_gives_the_ids_of_a_given_one(data_dir):
             for text in (prepare_input_text(ex, template_id), ex.answer, *ex.counterfactuals):
                 tokens.update(tokenize(text))
         assert enc.vocab.tokens == Vocabulary(sorted(tokens)).tokens
+        assert enc.take([1, 0]).vocab is enc.vocab
         expected = encode(examples, [list(ex.counterfactuals) for ex in examples], template_id,
                           enc.vocab)
         assert enc.example_ids == expected.example_ids
