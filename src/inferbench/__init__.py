@@ -16,8 +16,6 @@ from .analysis import (
     winning_rate,
 )
 from .backend import (
-    GreedyDecode,
-    TopKDecode,
     ToyBackend,
     Vocabulary,
     load_checkpoint,
@@ -65,8 +63,6 @@ __all__ = [
     "stratified_compare",
     "win_tie_lose",
     "winning_rate",
-    "GreedyDecode",
-    "TopKDecode",
     "ToyBackend",
     "Vocabulary",
     "load_checkpoint",

@@ -17,9 +17,13 @@ conditioned window. The model contract is id-level: the vocabulary
 ``masked_logits_per_position`` (every position of an answer masked in
 turn, with the context and without, in one call) and ``embed_ids``, all
 on token ids, and :func:`pool`, which the objective's forward shares.
-Text becomes ids only in :mod:`inferbench.objective`. All randomness
-flows through seeds derived with :func:`derive_seed`, so identical
-seeds give bit-identical parameters and samples.
+The decoder takes plain values, ``generate_batch(inputs, max_len, k,
+seeds)``: greedy when ``k`` is None, else top-k with one seed per row.
+Every vocabulary puts :data:`SPECIALS` first, in order, so their ids are
+the constants ``PAD_ID`` .. ``MASK_ID`` (0-4). Text becomes ids only in
+:mod:`inferbench.objective`. All randomness flows through seeds derived
+with :func:`derive_seed`, so identical seeds give bit-identical
+parameters and samples.
 """
 
 from __future__ import annotations
@@ -33,6 +37,10 @@ import numpy as np
 
 PAD, BOS, EOS, UNK, MASK = "<pad>", "<bos>", "<eos>", "<unk>", "<mask>"
 SPECIALS = (PAD, BOS, EOS, UNK, MASK)
+# every Vocabulary holds SPECIALS first, in order, so their ids never change
+PAD_ID, BOS_ID, EOS_ID, UNK_ID, MASK_ID = range(len(SPECIALS))
+# the ids the decoder never emits, so generations stay plain text
+SUPPRESSED = [PAD_ID, BOS_ID, UNK_ID, MASK_ID]
 
 # most rows one decode step holds; bounds the rows x vocabulary step arrays
 DECODE_BLOCK = 128
@@ -69,34 +77,14 @@ class Vocabulary:
         return list(self._tokens)
 
     def id_of(self, token: str) -> int:
-        return self._ids.get(token, self._ids[UNK])
+        return self._ids.get(token, UNK_ID)
 
     def encode(self, tokens: list[str]) -> list[int]:
-        ids, unk = self._ids, self._ids[UNK]
-        return [ids.get(t, unk) for t in tokens]
+        ids = self._ids
+        return [ids.get(t, UNK_ID) for t in tokens]
 
     def decode(self, ids: list[int]) -> list[str]:
         return [self._tokens[i] for i in ids]
-
-    @property
-    def pad_id(self) -> int:
-        return self._ids[PAD]
-
-    @property
-    def bos_id(self) -> int:
-        return self._ids[BOS]
-
-    @property
-    def eos_id(self) -> int:
-        return self._ids[EOS]
-
-    @property
-    def unk_id(self) -> int:
-        return self._ids[UNK]
-
-    @property
-    def mask_id(self) -> int:
-        return self._ids[MASK]
 
 
 @dataclass
@@ -174,18 +162,6 @@ def pool(E: np.ndarray, segments) -> np.ndarray:
     return np.divide(sums, counts, out=np.zeros_like(sums), where=counts > 0)
 
 
-@dataclass(frozen=True)
-class GreedyDecode:
-    max_len: int = 16
-
-
-@dataclass(frozen=True)
-class TopKDecode:
-    k: int = 10
-    seed: int = 0
-    max_len: int = 16
-
-
 class ToyBackend:
     """Trainable mean-pooled bag model over a fixed vocabulary."""
 
@@ -249,69 +225,58 @@ class ToyBackend:
     def generate_batch(
         self,
         inputs: list[list[int] | np.ndarray],
-        decodes: list[GreedyDecode] | list[TopKDecode],
+        max_len: int,
+        k: int | None = None,
+        seeds: list[int] | None = None,
     ) -> list[list[int]]:
-        """Decode the token ids of one answer per row: ``inputs[r]`` under
-        ``decodes[r]``.
+        """Decode the token ids of one answer of at most ``max_len`` tokens
+        per row of ``inputs``: greedily when ``k`` is None (``seeds`` is
+        then unused), else top-k, row r drawing from the stream of
+        ``derive_seed(seeds[r], "topk")``.
 
-        The rows share the method, k and max_len; a top-k row draws from
-        its own seed's stream. Greedy breaks ties on lowest id.
-        PAD/BOS/UNK/MASK are suppressed so generations stay plain text;
-        EOS remains a candidate and stops its row. k is bounded by the
-        number of decodable tokens.
+        Greedy breaks ties on lowest id. The :data:`SUPPRESSED` ids are
+        never emitted, so generations stay plain text; EOS remains a
+        candidate and stops its row. k is bounded by the number of
+        decodable tokens.
 
         Batch-invariant: a row's tokens do not depend on the other rows,
         because each row's logits are its own matrix-vector product.
         """
-        if len(inputs) != len(decodes):
-            raise ValueError(f"{len(inputs)} inputs for {len(decodes)} decodes")
-        if not decodes:
-            return []
-        first = decodes[0]
-        if any(
-            type(how) is not type(first) or how.max_len != first.max_len
-            or getattr(how, "k", None) != getattr(first, "k", None)
-            for how in decodes
-        ):
-            raise ValueError("batched rows must share the decode method, k and max_len")
-        if first.max_len < 1:
+        if max_len < 1:
             raise ValueError("max_len must be >= 1")
-        n_decodable = len(self.vocab) - len(self._suppressed)
-        if isinstance(first, TopKDecode) and not 1 <= first.k <= n_decodable:
-            raise ValueError(f"k must be in 1..{n_decodable}")
+        if k is not None:
+            n_decodable = len(self.vocab) - len(SUPPRESSED)
+            if not 1 <= k <= n_decodable:
+                raise ValueError(f"k must be in 1..{n_decodable}")
+            if seeds is None or len(seeds) != len(inputs):
+                raise ValueError(f"top-k needs one seed per input ({len(inputs)})")
         out: list[list[int]] = []
-        for start in range(0, len(decodes), DECODE_BLOCK):
+        for start in range(0, len(inputs), DECODE_BLOCK):
             rows = slice(start, start + DECODE_BLOCK)
-            out.extend(self._decode_block(inputs[rows], decodes[rows]))
+            block_seeds = None if k is None else seeds[rows]
+            out.extend(self._decode_block(inputs[rows], max_len, k, block_seeds))
         return out
 
-    @property
-    def _suppressed(self) -> list[int]:
-        v = self.vocab
-        return [v.pad_id, v.bos_id, v.unk_id, v.mask_id]
-
-    def _decode_block(self, inputs, decodes) -> list[list[int]]:
+    def _decode_block(self, inputs, max_len, k, seeds) -> list[list[int]]:
         """Token ids of each row, one vectorized step per position for the
         rows not yet stopped. A row's state at step j is half the sum of
         the :func:`pool` of its input and the pool of BOS and its j
         decoded tokens, bit for bit: the prefix sum adds one row per step,
         in order. The top-k draw repeats ``Generator.choice`` bit for
         bit."""
-        first = decodes[0]
-        k = first.k if isinstance(first, TopKDecode) else None
-        seeds = [derive_seed(how.seed, "topk") for how in decodes] if k is not None else []
-        suppressed = self._suppressed
+        if k is not None:
+            seeds = [derive_seed(seed, "topk") for seed in seeds]
         out: list[list[int]] = [[] for _ in inputs]
         live = np.arange(len(inputs))  # rows of ``out`` still decoding
         context = pool(self.E, inputs)
         # E[BOS] + E[prefix], summed in order as pool sums its rows
-        prefix_sum = np.tile(self.E[self.vocab.bos_id], (len(inputs), 1))
-        for step in range(first.max_len):
+        prefix_sum = np.tile(self.E[BOS_ID], (len(inputs), 1))
+        for step in range(max_len):
             if k is not None and step % DRAW_STEPS == 0:
-                count = min(DRAW_STEPS, first.max_len - step)
+                count = min(DRAW_STEPS, max_len - step)
                 uniforms = _uniforms([seeds[r] for r in live], step, count)
             log_probs = self._log_probs_rows(0.5 * (context + prefix_sum / (step + 1)))
-            log_probs[:, suppressed] = -np.inf
+            log_probs[:, SUPPRESSED] = -np.inf
             if k is None:
                 nxt = log_probs.argmax(axis=1)
             else:
@@ -327,7 +292,7 @@ class ToyBackend:
                 weights = np.exp(top_lp - top_lp[:, :1])
                 weights /= weights.sum(axis=1, keepdims=True)
                 nxt = top[rows, draw_index(weights, uniforms[:, step % DRAW_STEPS])]
-            going = nxt != self.vocab.eos_id
+            going = nxt != EOS_ID
             live, nxt = live[going], nxt[going]
             for r, t in zip(live.tolist(), nxt.tolist()):
                 out[r].append(t)

@@ -18,6 +18,7 @@ import functools
 import itertools
 import json
 import logging
+import numbers
 import operator
 import os
 import sys
@@ -33,12 +34,12 @@ from .analysis import (
     win_tie_lose,
     winning_rate,
 )
-from .backend import GreedyDecode, TopKDecode, ToyBackend, derive_seed, load_checkpoint
+from .backend import ToyBackend, derive_seed, load_checkpoint
 from .corpus import DatasetError, load_dataset, save_dataset
 from .jsonio import config_digest, write_artifact, write_jsonl_artifact
 from .metrics import PAIR_METRICS, pair_scores, score_corpus
 from .negatives import DEFAULT_STRATEGY, STRATEGIES, untrained_model
-from .objective import LossConfig, check_number_fields, encode, finite_diff_check
+from .objective import LossConfig, encode, finite_diff_check
 from .synth import build_split
 from .trainer import TrainConfig, train
 
@@ -145,12 +146,10 @@ def _check_config(config: dict) -> None:
     decode = config["decode"]
     if decode["method"] not in ("greedy", "top_k"):
         raise ConfigError(f"unknown decode method {decode['method']!r}")
-    try:
-        check_number_fields(
-            TopKDecode(k=decode["k"], seed=decode["seed"], max_len=decode["max_len"])
-        )
-    except ValueError as exc:
-        raise ConfigError(f"decode.{exc}") from exc
+    for key in ("k", "seed", "max_len"):
+        value = decode[key]
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ConfigError(f"decode.{key} must be int, got {value!r}")
     if decode["k"] < 1:
         raise ConfigError("decode.k must be >= 1")
     if config["report"]["stratify_by"] not in [None, *STRATA]:
@@ -193,30 +192,25 @@ def _train_config(config: dict) -> TrainConfig:
         raise ConfigError(f"{keys[name]} {problem}") from exc
 
 
-def _meta(digest: str, seed: int) -> dict:
-    return {"config_digest": digest, "seed": seed, "tool": f"inferbench-{__version__}"}
-
-
 # --- subcommands -------------------------------------------------------------
 
-def cmd_ingest(args) -> int:
-    config, digest = load_run_config(args.config, args.set)
+def cmd_ingest(args, config: dict, meta: dict) -> int:
     examples = load_dataset(args.input, args.format)
     save_dataset(examples, args.out)
     sidecar = Path(args.out).with_suffix(Path(args.out).suffix + ".meta.json")
-    write_artifact(sidecar, {"n_examples": len(examples)}, _meta(digest, config["seed"]))
+    write_artifact(sidecar, {"n_examples": len(examples)}, meta)
     log.info("ingested %d examples -> %s", len(examples), args.out)
     print(f"ingested {len(examples)} examples -> {args.out}")
     return 0
 
 
-def cmd_train(args) -> int:
-    config, digest = load_run_config(args.config, args.set)
+def cmd_train(args, config: dict, meta: dict) -> int:
     tc = _train_config(config)
     train_set = load_dataset(args.train)
     valid_set = load_dataset(args.valid)
-    result = train(tc, train_set, valid_set, out_dir=args.out_dir, config_digest=digest)
-    meta = _meta(digest, config["seed"])
+    result = train(
+        tc, train_set, valid_set, out_dir=args.out_dir, config_digest=meta["config_digest"]
+    )
     out = Path(args.out_dir)
     write_jsonl_artifact(out / "steps.jsonl", result.step_log, meta)
     write_jsonl_artifact(out / "epochs.jsonl", result.epoch_log, meta)
@@ -233,31 +227,24 @@ def cmd_train(args) -> int:
 
 def _generate(backend: ToyBackend, examples, decode: dict, template_id: str) -> list[str]:
     """One decoded answer per example; top-k draws are seeded per example id."""
-    if decode["method"] == "greedy":
-        decodes = [GreedyDecode(max_len=decode["max_len"])] * len(examples)
-    else:
-        decodes = [
-            TopKDecode(k=decode["k"], seed=derive_seed(decode["seed"], ex.id, "decode"),
-                       max_len=decode["max_len"])
-            for ex in examples
-        ]
+    k = None if decode["method"] == "greedy" else decode["k"]
+    seeds = [derive_seed(decode["seed"], ex.id, "decode") for ex in examples]
     inputs = encode(examples, template_id=template_id, vocab=backend.vocab).inputs
-    return [" ".join(backend.vocab.decode(ids)) for ids in backend.generate_batch(inputs, decodes)]
+    generated = backend.generate_batch(inputs, decode["max_len"], k, seeds)
+    return [" ".join(backend.vocab.decode(ids)) for ids in generated]
 
 
-def cmd_generate(args) -> int:
-    config, digest = load_run_config(args.config, args.set)
+def cmd_generate(args, config: dict, meta: dict) -> int:
     backend = load_checkpoint(args.ckpt)
     examples = load_dataset(args.input)
     generated = _generate(backend, examples, config["decode"], config["template_id"])
     records = [{"id": ex.id, "generated": text} for ex, text in zip(examples, generated)]
-    write_jsonl_artifact(args.out, records, _meta(digest, config["seed"]))
+    write_jsonl_artifact(args.out, records, meta)
     print(f"generated {len(records)} answers -> {args.out}")
     return 0
 
 
-def cmd_perturb(args) -> int:
-    config, digest = load_run_config(args.config, args.set)
+def cmd_perturb(args, config: dict, meta: dict) -> int:
     tc = _train_config(config)
     if tc.negative_strategy not in STRATEGIES:
         raise ConfigError(f"unknown strategy {tc.negative_strategy!r}")
@@ -269,7 +256,7 @@ def cmd_perturb(args) -> int:
     if strategy.needs_model and model is None:
         model = untrained_model(enc.vocab, tc.d, tc.seed)
     records = [ns.to_dict() for ns in strategy.build(model, examples, enc, tc, tc.seed)]
-    write_jsonl_artifact(args.out, records, _meta(digest, tc.seed))
+    write_jsonl_artifact(args.out, records, meta)
     print(f"wrote {len(records)} negative sets ({tc.negative_strategy}) -> {args.out}")
     return 0
 
@@ -352,15 +339,14 @@ def _strata_for(ids, labels, key) -> dict[str, str]:
     return strata
 
 
-def cmd_score(args) -> int:
-    config, digest = load_run_config(args.config, args.set)
+def cmd_score(args, config: dict, meta: dict) -> int:
     hyps = _load_generations(args.hyp)
     refs, labels = _load_references(args.ref)
     ids, pairs = _aligned_pairs(hyps, refs)
     stratify = config["report"]["stratify_by"]
     strata = _strata_for(ids, labels, stratify) if stratify else None
     report = score_corpus(pairs, ids=ids, strata_labels=strata, with_per_example=args.per_example)
-    write_artifact(args.out, report.to_dict(), _meta(digest, config["seed"]))
+    write_artifact(args.out, report.to_dict(), meta)
     bleu2 = report.bleu.get(2)
     print(f"scored {len(pairs)} pairs: bleu2={bleu2:.5f} rouge_l={report.rouge_l:.5f} -> {args.out}")
     return 0
@@ -379,8 +365,7 @@ def _read_judgments(path: str) -> list[Judgment]:
     return judgments
 
 
-def cmd_agree(args) -> int:
-    config, digest = load_run_config(args.config, args.set)
+def cmd_agree(args, config: dict, meta: dict) -> int:
     judgments = _read_judgments(args.judgments)
     rate_1, _ = winning_rate(judgments, "option_1")
     rate_2, _ = winning_rate(judgments, "option_2")
@@ -390,14 +375,17 @@ def cmd_agree(args) -> int:
         "win_tie_lose_option_1": win_tie_lose(judgments, "option_1"),
         "winning_rate": {"option_1": rate_1, "option_2": rate_2},
     }
-    write_artifact(args.out, payload, _meta(digest, config["seed"]))
+    write_artifact(args.out, payload, meta)
     print(f"kappa={payload['kappa']:.4f} -> {args.out}")
     return 0
 
 
-def cmd_compare(args) -> int:
-    config, digest = load_run_config(args.config, args.set)
+def cmd_compare(args, config: dict, meta: dict) -> int:
     stratify = config["report"]["stratify_by"]
+    if not (args.judgments or args.a and args.b):
+        raise ConfigError("compare needs --judgments or both --a and --b")
+    if not args.ref and (stratify or not args.judgments):
+        raise ConfigError("compare needs --ref to score --a/--b or to stratify")
     if args.judgments:
         judgments = _read_judgments(args.judgments)
         labels = None
@@ -407,8 +395,6 @@ def cmd_compare(args) -> int:
             labels = _strata_for(sorted(item_ids), ref_labels, stratify)
         report = stratified_compare(judgments, labels)
     else:
-        if not (args.a and args.b):
-            raise ConfigError("compare needs --judgments or both --a and --b")
         refs, ref_labels = _load_references(args.ref)
         hyp_a = _load_generations(args.a)
         hyp_b = _load_generations(args.b)
@@ -420,20 +406,19 @@ def cmd_compare(args) -> int:
         scores_b = dict(zip(ids_b, pair_scores(pairs_b, args.metric)))
         labels = _strata_for(ids_a, ref_labels, stratify) if stratify else None
         report = compare_metric_scores(scores_a, scores_b, labels)
-    write_artifact(args.out, report.to_dict(), _meta(digest, config["seed"]))
+    write_artifact(args.out, report.to_dict(), meta)
     print(f"compare: win={report.overall.win:.1f}% tie={report.overall.tie:.1f}% "
           f"lose={report.overall.lose:.1f}% -> {args.out}")
     return 0
 
 
-def cmd_gradcheck(args) -> int:
-    config, digest = load_run_config(args.config, args.set)
+def cmd_gradcheck(args, config: dict, meta: dict) -> int:
     seed = config["seed"]
     examples = build_split("gradcheck", 4, seed)
     enc = encode(examples, [ex.counterfactuals for ex in examples], config["template_id"])
     backend = ToyBackend(enc.vocab, d=config["model"]["d"], seed=seed)
     report = finite_diff_check(backend, enc, LossConfig(**config["loss"]), tol=args.tol, seed=seed)
-    write_artifact(args.out, report.to_dict(), _meta(digest, seed))
+    write_artifact(args.out, report.to_dict(), meta)
     status = "PASS" if report.passed else "FAIL"
     print(f"gradcheck {status}: max_error={report.max_error:.3e} over "
           f"{report.n_checked} parameters -> {args.out}")
@@ -476,8 +461,7 @@ def _run_name(run: dict) -> str:
     )
 
 
-def cmd_sweep(args) -> int:
-    config, digest = load_run_config(args.config, args.set)
+def cmd_sweep(args, config: dict, meta: dict) -> int:
     runs = _expand_sweep(config)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -511,7 +495,7 @@ def cmd_sweep(args) -> int:
                 }
             )
         rows.append(row)
-    write_artifact(out_dir / "sweep_summary.json", {"runs": rows}, _meta(digest, config["seed"]))
+    write_artifact(out_dir / "sweep_summary.json", {"runs": rows}, meta)
     print(f"{'planned' if args.dry_run else 'completed'} {len(rows)} sweep runs -> {out_dir}")
     return 0
 
@@ -588,7 +572,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", help="generation file for option_1")
     p.add_argument("--b", help="generation file for option_2")
     p.add_argument("--judgments", help="human judgments JSONL")
-    p.add_argument("--ref", required=True)
+    p.add_argument("--ref", help="references; needed with --a/--b or --stratify-by")
     p.add_argument("--metric", default="rouge_l", choices=PAIR_METRICS)
     p.add_argument("--stratify-by", choices=STRATA)
     p.add_argument("--out", required=True)
@@ -641,7 +625,11 @@ def main(argv: list[str] | None = None) -> int:
         for dest, key in _FLAG_KEYS.items() if getattr(args, dest, None) is not None
     )]
     try:
-        return args.func(args)
+        config, digest = load_run_config(args.config, args.set)
+        meta = {
+            "config_digest": digest, "seed": config["seed"], "tool": f"inferbench-{__version__}"
+        }
+        return args.func(args, config, meta)
     except (ConfigError, DatasetError, ValueError, OSError, RuntimeError) as exc:
         sys.stderr.write(json.dumps({"error": str(exc), "command": args.command}) + "\n")
         return 2

@@ -135,30 +135,17 @@ def clip_dialogue(example: InferenceExample) -> InferenceExample:
 
 # --- serialization templates ---------------------------------------------
 
-def _template_default(example: InferenceExample) -> str:
-    context = "\n".join(f"{u.speaker}: {u.text}" for u in example.dialogue)
-    return (
-        f"{example.question.question_text}\n"
-        f"target: {example.target.text}\n"
-        f"context: {context}"
-    )
-
-
-def _template_speaker_ids(example: InferenceExample) -> str:
-    names = {}
+def _speaker_ids(example: InferenceExample) -> dict[str, str]:
+    names: dict[str, str] = {}
     for u in example.dialogue:
         names.setdefault(u.speaker, f"speaker_{len(names) + 1}")
-    context = "\n".join(f"{names[u.speaker]}: {u.text}" for u in example.dialogue)
-    return (
-        f"{example.question.question_text}\n"
-        f"target: {example.target.text}\n"
-        f"context: {context}"
-    )
+    return names
 
 
+# template id -> the name each speaker of an example is written under
 TEMPLATES = {
-    "default": _template_default,
-    "speaker_ids": _template_speaker_ids,
+    "default": lambda example: {u.speaker: u.speaker for u in example.dialogue},
+    "speaker_ids": _speaker_ids,
 }
 
 
@@ -169,7 +156,9 @@ def prepare_input_text(example: InferenceExample, template_id: str = "default") 
         raise ValueError(f"unknown template_id {template_id!r}")
     if example.question is QuestionType.SUBSEQUENT_EVENT_CLIPPED:
         example = clip_dialogue(example)
-    return TEMPLATES[template_id](example)
+    names = TEMPLATES[template_id](example)
+    context = "\n".join(f"{names[u.speaker]}: {u.text}" for u in example.dialogue)
+    return f"{example.question.question_text}\ntarget: {example.target.text}\ncontext: {context}"
 
 
 # --- loading / saving ------------------------------------------------------

@@ -21,11 +21,11 @@ negative can be replayed from its provenance alone.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Collection
 
 import numpy as np
 
-from .backend import SPECIALS, TopKDecode, ToyBackend, Vocabulary, derive_seed
+from .backend import SPECIALS, ToyBackend, Vocabulary, derive_seed
 from .corpus import MAX_COUNTERFACTUALS, InferenceExample, normalize_answer
 from .metrics import tokenize
 from .objective import EncodedSet, LossConfig, forward
@@ -126,10 +126,7 @@ def nonoptimal_sets(
         seeds = [
             derive_seed(seed, examples[i].id, "non_optimal", slot, attempt) for i, slot in pending
         ]
-        samples = backend.generate_batch(
-            [inputs[i] for i, _ in pending],
-            [TopKDecode(k=k, seed=s, max_len=max_len) for s in seeds],
-        )
+        samples = backend.generate_batch([inputs[i] for i, _ in pending], max_len, k, seeds)
         rejected = []
         for (i, slot), slot_seed, ids in zip(pending, seeds, samples):
             text = " ".join(backend.vocab.decode(ids))
@@ -177,7 +174,7 @@ def select_positions(deltas: np.ndarray, threshold: float) -> tuple[list[int], b
 
 
 def replacement_candidates(
-    dist: np.ndarray, gold: int, k: int, special_ids: set[int]
+    dist: np.ndarray, gold: int, k: int, special_ids: Collection[int]
 ) -> list[int]:
     """The non-special tokens among the top k of ``dist`` (ranked by
     descending value, ties by lower id), gold left out; the (k+1)-th
@@ -213,10 +210,9 @@ def token_replace(
     deltas, answer_only = _deltas(scorer, answer_ids, input_ids)
     positions, fallback = select_positions(deltas, cfg.threshold)
 
-    special_ids = {scorer.vocab.id_of(t) for t in SPECIALS}
     candidates_at: dict[int, list[int]] = {}
     for j in positions:
-        top = replacement_candidates(answer_only[j], answer_ids[j], cfg.k, special_ids)
+        top = replacement_candidates(answer_only[j], answer_ids[j], cfg.k, range(len(SPECIALS)))
         if not top:
             raise ValueError(f"example {example.id}: no replacement candidates at {j}")
         candidates_at[j] = top

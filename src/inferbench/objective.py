@@ -35,7 +35,7 @@ from itertools import islice
 
 import numpy as np
 
-from .backend import Gradients, ToyBackend, Vocabulary, derive_seed, pool
+from .backend import BOS_ID, EOS_ID, Gradients, ToyBackend, Vocabulary, derive_seed, pool
 from .corpus import InferenceExample, prepare_input_text
 from .metrics import tokenize
 
@@ -148,7 +148,7 @@ def encode(
         rest = iter(rows[len(examples):])
         per_example = [list(islice(rest, len(negs))) for negs in negatives]
     return EncodedSet(
-        [ex.id for ex in examples], rows[: len(examples)], ids_of(answers, [vocab.eos_id]),
+        [ex.id for ex in examples], rows[: len(examples)], ids_of(answers, [EOS_ID]),
         per_example, vocab,
     )
 
@@ -240,7 +240,7 @@ def _nll(backend: ToyBackend, c: np.ndarray, answers: list[np.ndarray], scale: f
     padded = np.zeros(mask.shape, dtype=np.intp)
     padded[mask] = targets
     prefix = np.empty_like(padded)  # BOS, then the answer shifted right
-    prefix[:, 0] = backend.vocab.bos_id
+    prefix[:, 0] = BOS_ID
     prefix[:, 1:] = padded[:, :-1]
     means = np.cumsum(backend.E[prefix], axis=1) / steps[:, None]
     states = 0.5 * (c[:, None, :] + means)[mask]

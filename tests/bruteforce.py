@@ -197,9 +197,9 @@ def bf_perplexity(backend, dataset, template_id="default"):
     total_tokens = 0
     for ex in dataset:
         input_ids = backend.vocab.encode(tokenize(prepare_input_text(ex, template_id)))
-        answer_ids = backend.vocab.encode(tokenize(ex.answer)) + [backend.vocab.eos_id]
+        answer_ids = backend.vocab.encode(tokenize(ex.answer)) + [backend.vocab.id_of("<eos>")]
         for j, gold in enumerate(answer_ids):
-            prefix = [backend.vocab.bos_id] + answer_ids[:j]
+            prefix = [backend.vocab.id_of("<bos>")] + answer_ids[:j]
             if input_ids:
                 c = sum(backend.E[t] for t in input_ids) / len(input_ids)
             else:
@@ -284,7 +284,7 @@ def bf_total_loss(backend, enc, config):
     does lambda_s > 0 with an example that has no negative.
     """
     E, U, b = backend.E.tolist(), backend.U.tolist(), backend.b.tolist()
-    d, bos = backend.d, backend.vocab.bos_id
+    d, bos = backend.d, backend.vocab.id_of("<bos>")
     ids_of = enc.example_ids
     n = len(ids_of)
     if n == 0:

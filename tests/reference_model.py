@@ -1,24 +1,26 @@
 """One-row references for the model's batched kernels.
 
 The package runs only batched kernels: ``ToyBackend.generate_batch``
-decodes blocks of rows, ``masked_logits_per_position`` scores every
-position of an answer in one call, and ``nonoptimal_sets`` and
+decodes blocks of rows under one ``max_len`` and ``k`` (greedy when
+None) with one seed per row, ``masked_logits_per_position`` scores
+every position of an answer in one call, and ``nonoptimal_sets`` and
 ``token_replace`` work on encoded sets. The functions here state the
 same model one row, one position or one example at a time, on
 :func:`inferbench.backend.pool`, so that the tests can compare the
-batched kernels with them bit for bit. The last two state the answer
-normalization and the replacement ranking in their direct forms: a
-regex collapse, and a ranking of the whole vocabulary. The first
-states the text-to-ids encoder one text at a time: every occurrence of
-a text tokenized and converted on its own, a vocabulary built through
-provisional first-seen ids and one permutation.
+batched kernels with them bit for bit; :func:`generate` is the one-row
+decode call. The last two state the answer normalization and the
+replacement ranking in their direct forms: a regex collapse, and a
+ranking of the whole vocabulary. The first states the text-to-ids
+encoder one text at a time: every occurrence of a text tokenized and
+converted on its own, a vocabulary built through provisional first-seen
+ids and one permutation.
 """
 
 import re
 
 import numpy as np
 
-from inferbench.backend import EOS, Vocabulary, pool
+from inferbench.backend import BOS_ID, EOS, Vocabulary, pool
 from inferbench.corpus import prepare_input_text
 from inferbench.metrics import tokenize
 from inferbench.negatives import _deltas, nonoptimal_sets
@@ -64,7 +66,7 @@ def state(be, input_ids, prefix_ids) -> np.ndarray:
     """The decoder state after ``prefix_ids``: half the sum of the pooled
     input and the pooled BOS + prefix."""
     c = pool(be.E, [input_ids])[0]
-    p = pool(be.E, [[be.vocab.bos_id, *prefix_ids]])[0]
+    p = pool(be.E, [[BOS_ID, *prefix_ids]])[0]
     return 0.5 * (c + p)
 
 
@@ -83,9 +85,11 @@ def masked_logits_ids(be, token_ids, position, context_ids=None) -> np.ndarray:
     return log_softmax(be.U @ pool(be.E, [window])[0] + be.b)
 
 
-def generate(be, input_ids, decode) -> list[str]:
-    """The tokens ``generate_batch`` decodes for one row."""
-    return be.vocab.decode(be.generate_batch([input_ids], [decode])[0])
+def generate(be, input_ids, max_len, k=None, seed=None) -> list[str]:
+    """The tokens ``generate_batch`` decodes for one row: greedy when
+    ``k`` is None, else top-k from ``seed``."""
+    seeds = None if seed is None else [seed]
+    return be.vocab.decode(be.generate_batch([input_ids], max_len, k, seeds)[0])
 
 
 def generate_nonoptimal(

@@ -5,16 +5,21 @@ import numpy as np
 import pytest
 
 from inferbench.backend import (
+    BOS_ID,
+    EOS_ID,
+    MASK_ID,
+    PAD_ID,
     SPECIALS,
+    UNK_ID,
     Gradients,
-    GreedyDecode,
-    TopKDecode,
     ToyBackend,
     Vocabulary,
     load_checkpoint,
     save_checkpoint,
 )
+from inferbench.objective import encode
 
+from conftest import make_example
 from reference_model import generate, log_probs_ids, masked_logits_ids
 
 
@@ -45,7 +50,16 @@ def test_vocab_specials_dense_ids(vocab):
 
 
 def test_vocab_oov_maps_to_unk(vocab):
-    assert vocab.id_of("zzz") == vocab.unk_id
+    assert vocab.id_of("zzz") == UNK_ID
+
+
+def test_special_ids_are_the_fixed_constants(tmp_path):
+    # "!" and "0" sort before "<pad>": the ids hold because SPECIALS come first
+    built = encode([make_example(answer="! 0 alpha .")]).vocab
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(ToyBackend(built, d=2), path)
+    for vocab in (built, load_checkpoint(path).vocab):
+        assert [vocab.id_of(t) for t in SPECIALS] == [PAD_ID, BOS_ID, EOS_ID, UNK_ID, MASK_ID]
 
 
 # --- log_probs_ids ------------------------------------------------------------
@@ -140,56 +154,66 @@ def test_masked_position_out_of_range(backend):
 
 def test_generate_immediate_eos(vocab):
     be = zeroed(vocab)
-    be.b[vocab.eos_id] = 50.0
-    assert generate(be, vocab.encode(["alpha"]), GreedyDecode(max_len=8)) == []
+    be.b[EOS_ID] = 50.0
+    assert generate(be, vocab.encode(["alpha"]), 8) == []
 
 
 def test_generate_greedy_rigged_chain(vocab):
     be = zeroed(vocab)
     # bias makes 'beta' the argmax everywhere; the chain is beta, beta, ...
     be.b[vocab.id_of("beta")] = 5.0
-    out = generate(be, vocab.encode(["alpha"]), GreedyDecode(max_len=3))
+    out = generate(be, vocab.encode(["alpha"]), 3)
     assert out == ["beta", "beta", "beta"]
 
 
 def test_greedy_tie_break_lowest_id(vocab):
     be = zeroed(vocab)
     # all decodable logits equal: EOS has the lowest id, so decoding stops
-    assert generate(be, vocab.encode(["alpha"]), GreedyDecode(max_len=1)) == []
+    assert generate(be, vocab.encode(["alpha"]), 1) == []
     # with EOS pushed down, the lowest-id word wins the tie
-    be.b[vocab.eos_id] = -100.0
-    out = generate(be, vocab.encode(["alpha"]), GreedyDecode(max_len=1))
+    be.b[EOS_ID] = -100.0
+    out = generate(be, vocab.encode(["alpha"]), 1)
     assert out == ["alpha"]
 
 
 def test_generate_never_emits_specials(backend):
     for seed in range(5):
-        out = generate(
-            backend, backend.vocab.encode(["alpha", "beta"]), TopKDecode(k=3, seed=seed, max_len=10)
-        )
+        out = generate(backend, backend.vocab.encode(["alpha", "beta"]), 10, k=3, seed=seed)
         assert all(not t.startswith("<") for t in out)
 
 
 def test_top_k_one_equals_greedy(backend):
     for seed in (0, 1, 2, 99):
-        greedy = generate(backend, backend.vocab.encode(["alpha", "beta"]), GreedyDecode(max_len=6))
-        topk = generate(
-            backend, backend.vocab.encode(["alpha", "beta"]), TopKDecode(k=1, seed=seed, max_len=6)
-        )
+        greedy = generate(backend, backend.vocab.encode(["alpha", "beta"]), 6)
+        topk = generate(backend, backend.vocab.encode(["alpha", "beta"]), 6, k=1, seed=seed)
         assert topk == greedy
 
 
 def test_top_k_deterministic_given_seed(backend):
-    a = generate(backend, backend.vocab.encode(["alpha"]), TopKDecode(k=4, seed=7, max_len=8))
-    b = generate(backend, backend.vocab.encode(["alpha"]), TopKDecode(k=4, seed=7, max_len=8))
+    a = generate(backend, backend.vocab.encode(["alpha"]), 8, k=4, seed=7)
+    b = generate(backend, backend.vocab.encode(["alpha"]), 8, k=4, seed=7)
     assert a == b
 
 
 def test_top_k_bounds(backend):
     with pytest.raises(ValueError):
-        generate(backend, backend.vocab.encode(["alpha"]), TopKDecode(k=0, seed=0))
+        generate(backend, backend.vocab.encode(["alpha"]), 16, k=0, seed=0)
     with pytest.raises(ValueError):
-        generate(backend, backend.vocab.encode(["alpha"]), TopKDecode(k=99, seed=0))
+        generate(backend, backend.vocab.encode(["alpha"]), 16, k=99, seed=0)
+
+
+def test_top_k_needs_one_seed_per_input(backend):
+    inputs = [backend.vocab.encode(["alpha"]), backend.vocab.encode(["beta"])]
+    for seeds in (None, [], [1], [1, 2, 3]):
+        with pytest.raises(ValueError, match="top-k needs one seed per input"):
+            backend.generate_batch(inputs, 8, 3, seeds)
+
+
+def test_greedy_ignores_seeds(backend):
+    inputs = [backend.vocab.encode(["alpha"]), backend.vocab.encode(["beta", "gamma"])]
+    greedy = backend.generate_batch(inputs, 8)
+    for seeds in ([0, 1], [5, 99]):
+        assert backend.generate_batch(inputs, 8, None, seeds) == greedy
 
 
 # --- apply_gradients ---------------------------------------------------------------

@@ -392,6 +392,27 @@ def test_compare_automatic_mode(tmp_path, small_data):
     assert report["aggregation_rule"] == "score_order"
 
 
+def test_compare_judgments_needs_no_ref(tmp_path, small_data):
+    judgments = small_data / "judgments.jsonl"
+    with_ref, without_ref = tmp_path / "with_ref.json", tmp_path / "without_ref.json"
+    assert run(["compare", "--judgments", judgments, "--ref", small_data / "valid.jsonl",
+                "--out", with_ref]) == 0
+    assert run(["compare", "--judgments", judgments, "--out", without_ref]) == 0
+    assert without_ref.read_bytes() == with_ref.read_bytes()
+
+
+@pytest.mark.parametrize("flags", [
+    ["--a", "a.jsonl", "--b", "b.jsonl"],
+    ["--judgments", "judgments.jsonl", "--stratify-by", "difficulty"],
+], ids=["a_b", "stratified_judgments"])
+def test_compare_without_needed_ref_is_json_error(tmp_path, capsys, flags):
+    # the inputs do not exist: the missing --ref is reported before any read
+    out = tmp_path / "cmp.json"
+    assert run(["compare", *flags, "--out", out]) == 2
+    assert "compare needs --ref" in json_error(capsys, "compare")
+    assert not out.exists()
+
+
 def test_gradcheck_command(tmp_path):
     out = tmp_path / "grad.json"
     assert run(["gradcheck", "--seed", "3", "--tol", "1e-4", "--out", out,
@@ -557,6 +578,7 @@ def small_checkpoint(tmp_path_factory, small_data):
         ("train", ["negatives.m=5"], "negatives.m must be <= 4"),
         ("sweep --dry-run", ["sweep.m=[1,5]"],
          "sweep run lb0.5_ls0.5_m5_counterfactual: negatives.m must be <= 4"),
+        ("generate", ['decode.k="5"'], "decode.k must be int, got '5'"),
     ],
 )
 def test_bad_config_is_json_error_at_load(

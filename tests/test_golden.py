@@ -18,7 +18,7 @@ import warnings
 import pytest
 
 from inferbench.analysis import compare_metric_scores, stratified_compare
-from inferbench.backend import GreedyDecode, TopKDecode, ToyBackend, derive_seed
+from inferbench.backend import ToyBackend, derive_seed
 from inferbench.negatives import (
     ReplaceConfig,
     token_replace,
@@ -100,9 +100,9 @@ def model(split):
 
 def test_greedy_and_top_k_decodes(split, model):
     inputs = encode(split, vocab=model.vocab).inputs
-    greedy = [" ".join(generate(model, ids, GreedyDecode(max_len=8))) for ids in inputs]
+    greedy = [" ".join(generate(model, ids, 8)) for ids in inputs]
     top_k = [
-        " ".join(generate(model, ids, TopKDecode(k=5, seed=seed, max_len=8)))
+        " ".join(generate(model, ids, 8, k=5, seed=seed))
         for seed, ids in zip([derive_seed(3, ex.id, "decode") for ex in split], inputs)
     ]
     assert greedy == GREEDY

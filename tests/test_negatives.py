@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from inferbench.backend import TopKDecode, ToyBackend, Vocabulary, derive_seed
+from inferbench.backend import BOS_ID, EOS_ID, ToyBackend, Vocabulary, derive_seed
 from inferbench.corpus import load_dataset, normalize_answer
 from inferbench.metrics import tokenize
 from inferbench.negatives import (
@@ -70,9 +70,9 @@ def gold_only_backend():
     be.b[:] = 0.0
     K = 400.0
     be.E[vocab.id_of("alpha")] = [1.0, 0.0]
-    be.E[vocab.bos_id] = [0.0, 1.0]
+    be.E[BOS_ID] = [0.0, 1.0]
     be.U[vocab.id_of("alpha")] = [-K, K]
-    be.U[vocab.eos_id] = [K, 0.0]
+    be.U[EOS_ID] = [K, 0.0]
     return be
 
 
@@ -96,9 +96,7 @@ def loop_nonoptimal(backend, example, m, k, attempts, seed, max_len):
     for slot in range(m):
         for attempt in range(attempts):
             sample_seed = derive_seed(seed, example.id, "non_optimal", slot, attempt)
-            text = " ".join(
-                generate(backend, input_ids, TopKDecode(k=k, seed=sample_seed, max_len=max_len))
-            )
+            text = " ".join(generate(backend, input_ids, max_len, k=k, seed=sample_seed))
             if text and normalize_answer(text) != gold:
                 negatives.append(text)
                 provenance.append({"slot": slot, "dropped": False, "attempts": attempt + 1,
@@ -112,7 +110,7 @@ def loop_nonoptimal(backend, example, m, k, attempts, seed, max_len):
 def test_rounds_retry_and_drop_like_the_slot_loop(data_dir):
     examples = load_dataset(data_dir / "train.jsonl")[:20]
     be = ToyBackend(build_vocabulary(examples), d=4, seed=1)
-    be.b[be.vocab.eos_id] += 2.2  # about half the first draws are EOS-first, hence empty
+    be.b[EOS_ID] += 2.2  # about half the first draws are EOS-first, hence empty
     args = dict(m=4, k=10, attempts=3, seed=0, max_len=16)
     got = nonoptimal_sets(be, examples, encode(examples, vocab=be.vocab).inputs, **args)
     expected = [loop_nonoptimal(be, ex, **args) for ex in examples]
@@ -160,7 +158,6 @@ def test_nonoptimal_deterministic(example):
 
 
 def test_nonoptimal_provenance_replays(example):
-    from inferbench.backend import TopKDecode
     from inferbench.corpus import prepare_input_text
 
     vocab = build_vocabulary([example])
@@ -169,8 +166,7 @@ def test_nonoptimal_provenance_replays(example):
     input_tokens = tokenize(prepare_input_text(example))
     for neg, prov in zip(ns.negatives, ns.provenance):
         replayed = generate(
-            be, vocab.encode(input_tokens),
-            TopKDecode(k=prov["k"], seed=prov["sample_seed"], max_len=16),
+            be, vocab.encode(input_tokens), 16, k=prov["k"], seed=prov["sample_seed"]
         )
         assert " ".join(replayed) == neg
 

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from inferbench.backend import ToyBackend, Vocabulary
+from inferbench.backend import BOS_ID, EOS_ID, UNK_ID, ToyBackend, Vocabulary
 from inferbench.corpus import QuestionType
 from inferbench.objective import EncodedSet, LossConfig, encode, finite_diff_check, forward
 
@@ -89,7 +89,7 @@ def vector_set(inputs, answers, negatives=None):
     enc = EncodedSet(
         example_ids=[f"e{i}" for i in range(len(inputs))],
         inputs=[np.array([next(ids)]) for _ in inputs],
-        answers=[np.array([next(ids), vocab.eos_id]) for _ in answers],
+        answers=[np.array([next(ids), EOS_ID]) for _ in answers],
         negatives=None if negatives is None else [
             [np.array([next(ids)]) for _ in row] for row in negatives
         ],
@@ -149,9 +149,9 @@ def test_nll_perfect_model_is_zero():
     be.b[:] = 0.0
     K = 400.0
     be.E[vocab.id_of("alpha")] = [1.0, 0.0]
-    be.E[vocab.bos_id] = [0.0, 1.0]
+    be.E[BOS_ID] = [0.0, 1.0]
     be.U[vocab.id_of("alpha")] = [-K, K]
-    be.U[vocab.eos_id] = [K, 0.0]
+    be.U[EOS_ID] = [K, 0.0]
     ex = make_example(
         turns=(("A", "zzz zzz"),), target_index=1, answer="alpha", counterfactuals=()
     )
@@ -477,7 +477,7 @@ def test_shared_ids_are_read_only():
     assert enc.inputs[0] is enc.inputs[1]  # one array per distinct text
     before = [a.tolist() for a in (*enc.inputs, *enc.answers)]
     with pytest.raises(ValueError, match="read-only"):
-        enc.answers[0][0] = vocab.unk_id
+        enc.answers[0][0] = UNK_ID
     with pytest.raises(ValueError, match="read-only"):
         enc.inputs[1] += 1
     assert [a.tolist() for a in (*enc.inputs, *enc.answers)] == before

@@ -47,11 +47,14 @@ from hypothesis import strategies as st
 from inferbench import objective
 from inferbench.analysis import CHOICES, Judgment, compare_metric_scores, stratified_compare
 from inferbench.backend import (
+    BOS_ID,
     DECODE_BLOCK,
     DRAW_STEPS,
+    EOS_ID,
+    MASK_ID,
+    PAD_ID,
     SPECIALS,
-    GreedyDecode,
-    TopKDecode,
+    UNK_ID,
     ToyBackend,
     Vocabulary,
     derive_seed,
@@ -234,7 +237,7 @@ def test_forward_pools_as_pool_does(d, seed, data):
     enc = EncodedSet(
         example_ids=[f"e{i}" for i in range(n)],
         inputs=[np.array(ids, dtype=np.intp) for ids in inputs],
-        answers=[np.array([*ids, be.vocab.eos_id], dtype=np.intp) for ids in answers],
+        answers=[np.array([*ids, EOS_ID], dtype=np.intp) for ids in answers],
         negatives=[[np.array(ids, dtype=np.intp)] for ids in negatives],
         vocab=be.vocab,
     )
@@ -253,7 +256,7 @@ def test_forward_pools_as_pool_does(d, seed, data):
     for row, ids in zip(pooled, [*inputs, *answers, *negatives]):
         assert row.tobytes() == pool(be.E, [ids])[0].tobytes()
     states = [
-        0.5 * (pool(be.E, [ids])[0] + pool(be.E, [[be.vocab.bos_id, *answer[:j]]])[0])
+        0.5 * (pool(be.E, [ids])[0] + pool(be.E, [[BOS_ID, *answer[:j]]])[0])
         for ids, answer in zip(inputs, enc.answers)
         for j in range(len(answer))
     ]
@@ -294,7 +297,7 @@ def encoded_batches(draw):
     enc = EncodedSet(
         example_ids=[f"e{i}" for i in range(n)],
         inputs=[np.array(draw(token_ids), dtype=np.intp) for _ in range(n)],
-        answers=[np.array(draw(token_ids) + [be.vocab.eos_id], dtype=np.intp) for _ in range(n)],
+        answers=[np.array(draw(token_ids) + [EOS_ID], dtype=np.intp) for _ in range(n)],
         negatives=negatives,
         vocab=be.vocab,
     )
@@ -383,27 +386,25 @@ def test_forward_ignores_the_micro_batch_divisor(batch):
 
 # --- the batched decoder -------------------------------------------------------------
 
-def step_loop_generate(be, input_ids, decode):
+def step_loop_generate(be, input_ids, max_len, k=None, seed=None):
     """The ids of decoding one step at a time: a ``log_probs_ids`` call
     per position and a ``Generator.choice`` per top-k draw, with
     PAD/BOS/UNK/MASK suppressed and ties in the top k broken on the
     lowest id."""
-    v = be.vocab
-    suppressed = [v.pad_id, v.bos_id, v.unk_id, v.mask_id]
-    if isinstance(decode, TopKDecode):
-        rng = np.random.default_rng(derive_seed(decode.seed, "topk"))
+    if k is not None:
+        rng = np.random.default_rng(derive_seed(seed, "topk"))
     out = []
-    for _ in range(decode.max_len):
+    for _ in range(max_len):
         log_probs = log_probs_ids(be, input_ids, out).copy()
-        log_probs[suppressed] = -np.inf
-        if isinstance(decode, GreedyDecode):
+        log_probs[[PAD_ID, BOS_ID, UNK_ID, MASK_ID]] = -np.inf
+        if k is None:
             nxt = int(np.argmax(log_probs))
         else:
-            top = np.lexsort((np.arange(len(log_probs)), -log_probs))[: decode.k]
+            top = np.lexsort((np.arange(len(log_probs)), -log_probs))[:k]
             weights = np.exp(log_probs[top] - log_probs[top].max())
             weights /= weights.sum()
             nxt = int(rng.choice(top, p=weights))
-        if nxt == v.eos_id:
+        if nxt == EOS_ID:
             break
         out.append(nxt)
     return out
@@ -413,18 +414,19 @@ def step_loop_generate(be, input_ids, decode):
 def decode_batches(draw, rows, dims=st.integers(1, 4), input_len=6):
     """A random backend whose EOS bias makes rows stop at different steps,
     ragged (possibly empty) inputs of at most ``input_len`` ids, and one
-    decode per row: greedy, or top-k with k 1-5 and a seed per row."""
+    decode ``(max_len, k, seeds)``: greedy (k None, every seed None), or
+    top-k with k 1-5 and a seed per row."""
     be = draw(random_backends(dims))
-    be.b[be.vocab.eos_id] += draw(st.sampled_from([-4.0, 0.0, 1.0, 3.0]))
+    be.b[EOS_ID] += draw(st.sampled_from([-4.0, 0.0, 1.0, 3.0]))
     n = draw(rows)
     token_ids = st.lists(st.integers(0, len(be.vocab) - 1), max_size=input_len)
     inputs = [draw(token_ids) for _ in range(n)]
     max_len = draw(st.integers(1, 2 * DRAW_STEPS + 2))
     if draw(st.booleans()):
-        return be, inputs, [GreedyDecode(max_len=max_len)] * n
+        return be, inputs, (max_len, None, [None] * n)
     k = draw(st.integers(1, 5))
     seed = draw(st.integers(0, 2**40))
-    return be, inputs, [TopKDecode(k=k, seed=seed + r, max_len=max_len) for r in range(n)]
+    return be, inputs, (max_len, k, [seed + r for r in range(n)])
 
 
 @PROPERTY
@@ -444,9 +446,9 @@ def test_batched_log_probs_equal_log_probs_ids_bitwise(be, rows):
 @PROPERTY
 @given(decode_batches(st.integers(1, 3)))
 def test_generate_batch_matches_step_loop(batch):
-    be, inputs, decodes = batch
-    expected = [step_loop_generate(be, ids, how) for ids, how in zip(inputs, decodes)]
-    assert be.generate_batch(inputs, decodes) == expected
+    be, inputs, (max_len, k, seeds) = batch
+    expected = [step_loop_generate(be, ids, max_len, k, seed) for ids, seed in zip(inputs, seeds)]
+    assert be.generate_batch(inputs, max_len, k, seeds) == expected
 
 
 @pytest.mark.parametrize("d", range(1, 25))
@@ -455,7 +457,7 @@ def test_generate_batch_matches_step_loop(batch):
 def test_decoder_states_equal_the_pooled_state_bitwise(d, data):
     # a row's state at step j: the pool of its input and the pool of BOS
     # and its first j tokens, which the decoder sums one row per step
-    be, inputs, decodes = data.draw(decode_batches(st.integers(1, 4), st.just(d), input_len=30))
+    be, inputs, decode = data.draw(decode_batches(st.integers(1, 4), st.just(d), input_len=30))
     steps = []
     log_probs_rows = be._log_probs_rows
 
@@ -464,7 +466,7 @@ def test_decoder_states_equal_the_pooled_state_bitwise(d, data):
         return log_probs_rows(states)
 
     be._log_probs_rows = record
-    out = be.generate_batch(inputs, decodes)
+    out = be.generate_batch(inputs, *decode)
     for step, states in enumerate(steps):
         live = [r for r in range(len(inputs)) if len(out[r]) >= step]
         assert len(states) == len(live)
@@ -475,9 +477,9 @@ def test_decoder_states_equal_the_pooled_state_bitwise(d, data):
 @settings(PROPERTY, max_examples=25)
 @given(decode_batches(st.integers(1, 4) | st.integers(DECODE_BLOCK - 1, DECODE_BLOCK + 3)))
 def test_generate_batch_rows_equal_one_row_calls(batch):
-    be, inputs, decodes = batch
-    got = [be.vocab.decode(ids) for ids in be.generate_batch(inputs, decodes)]
-    assert got == [generate(be, ids, how) for ids, how in zip(inputs, decodes)]
+    be, inputs, (max_len, k, seeds) = batch
+    got = [be.vocab.decode(ids) for ids in be.generate_batch(inputs, max_len, k, seeds)]
+    assert got == [generate(be, ids, max_len, k, seed) for ids, seed in zip(inputs, seeds)]
 
 
 @PROPERTY
@@ -502,7 +504,7 @@ def test_non_finite_weights_raise():
     be = ToyBackend(Vocabulary(list(WORDS)), d=2, seed=0)
     be.b[be.vocab.id_of("cat")] = np.nan
     with pytest.raises(ValueError, match="not finite"):
-        generate(be, [be.vocab.id_of("the")], TopKDecode(k=2, seed=0, max_len=4))
+        generate(be, [be.vocab.id_of("the")], 4, k=2, seed=0)
 
 
 # --- the n-gram metrics against their oracles -----------------------------------------
@@ -571,16 +573,17 @@ def test_report_from_pair_tables_equals_bleu_and_cider_per_stratum(items):
     random_backends(),
     st.lists(st.integers(0, len(SPECIALS) + len(WORDS) - 1), max_size=6),
     st.sampled_from(SPECIALS[:2] + SPECIALS[3:]),
+    # (k, seed, max_len): greedy when k is None
     st.one_of(
-        st.builds(GreedyDecode, max_len=st.integers(1, 8)),
-        st.builds(TopKDecode, k=st.integers(1, len(WORDS) + 1), seed=st.integers(0, 99),
-                  max_len=st.integers(1, 8)),
+        st.tuples(st.none(), st.none(), st.integers(1, 8)),
+        st.tuples(st.integers(1, len(WORDS) + 1), st.integers(0, 99), st.integers(1, 8)),
     ),
 )
 def test_generate_never_emits_suppressed_tokens(be, input_ids, favoured, decode):
+    k, seed, max_len = decode
     be.b[be.vocab.id_of(favoured)] += 50.0  # the suppressed token would win every step
-    tokens = generate(be, input_ids, decode)
-    assert len(tokens) <= decode.max_len
+    tokens = generate(be, input_ids, max_len, k, seed)
+    assert len(tokens) <= max_len
     assert not set(tokens) & set(SPECIALS)
 
 
@@ -619,7 +622,7 @@ def masked_scoring_cases(draw):
     scale = draw(st.sampled_from([0.1, 1.0, 4.0]))
     be.set_flat_parameters(scale * rng.normal(size=be.flat_parameters().size))
     top = draw(st.sampled_from([len(SPECIALS) + 2, len(be.vocab)]))
-    token = st.integers(0, top - 1) | st.just(be.vocab.unk_id)
+    token = st.integers(0, top - 1) | st.just(UNK_ID)
     answer = draw(st.lists(token, min_size=1, max_size=12))
     context = draw(st.lists(token, max_size=40))
     return be, answer, context

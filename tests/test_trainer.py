@@ -8,7 +8,7 @@ import pytest
 
 import inferbench.metrics
 import inferbench.trainer
-from inferbench.backend import ToyBackend, Vocabulary, load_checkpoint
+from inferbench.backend import BOS_ID, EOS_ID, ToyBackend, Vocabulary, load_checkpoint
 from inferbench.cli import main
 from inferbench.corpus import load_dataset, prepare_input_text
 from inferbench.metrics import tokenize
@@ -87,9 +87,9 @@ def test_perplexity_perfect_model():
     be.b[:] = 0.0
     K = 400.0
     be.E[vocab.id_of("alpha")] = [1.0, 0.0]
-    be.E[vocab.bos_id] = [0.0, 1.0]
+    be.E[BOS_ID] = [0.0, 1.0]
     be.U[vocab.id_of("alpha")] = [-K, K]
-    be.U[vocab.eos_id] = [K, 0.0]
+    be.U[EOS_ID] = [K, 0.0]
     ex = make_example(turns=(("A", "zzz"),), target_index=1, answer="alpha", counterfactuals=())
     assert perplexity(be, [ex]) == pytest.approx(1.0, abs=1e-9)
 
@@ -344,9 +344,6 @@ def count_tokenize(monkeypatch) -> Counter:
     return calls
 
 
-@pytest.mark.parametrize(
-    "strategy", ["counterfactual", "non_optimal", "replace_zs", "replace_mcq", "none"]
-)
 def distinct_texts(examples, counterfactuals=True) -> Counter:
     """One count per distinct input text, answer and (optionally)
     counterfactual of ``examples``: what one encode call tokenizes."""
