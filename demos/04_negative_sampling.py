@@ -6,7 +6,6 @@ import json
 
 from inferbench.backend import ToyBackend
 from inferbench.negatives import (
-    ReplaceConfig,
     inbatch_negatives,
     nonoptimal_sets,
     pick_counterfactuals,
@@ -28,7 +27,7 @@ for neg, prov in zip(ns.negatives, ns.provenance):
 
 sampler = ToyBackend(build_vocabulary(batch), d=8, seed=5)
 inputs = encode([ex], vocab=sampler.vocab).inputs
-ns = nonoptimal_sets(sampler, [ex], inputs, m=2, k=10, seed=7, max_len=10)[0]
+ns = nonoptimal_sets(sampler, [ex], inputs, m=2, k=10, attempts=5, seed=7, max_len=10)[0]
 print("\nnon_optimal (top-k sampled from the model, gold collisions resampled):")
 for neg, prov in zip(ns.negatives, ns.provenance):
     print(f"  {neg}   <- attempts={prov['attempts']}")
@@ -36,8 +35,8 @@ for neg, prov in zip(ns.negatives, ns.provenance):
 scorer = ToyBackend(build_vocabulary(batch), d=8, seed=5)
 scorer.E *= 20.0
 scorer.U *= 20.0  # wider logit range makes the 0.75 threshold meaningful
-cfg = ReplaceConfig(threshold=0.75, k=10, mode="zs", seed=7)
-ns = token_replace(scorer, ex, encode([ex], vocab=scorer.vocab).inputs[0], cfg, m=2)
+ns = token_replace(scorer, ex, encode([ex], vocab=scorer.vocab).inputs[0],
+                   threshold=0.75, k=10, m=2, seed=7, mode="zs")
 print("\nreplace_zs (context-sensitive tokens swapped):")
 for neg, prov in zip(ns.negatives, ns.provenance):
     print(f"  {neg}   <- positions {prov['replaced_positions']} fallback={prov['fallback']}")

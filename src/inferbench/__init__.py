@@ -35,7 +35,6 @@ from .corpus import (
 from .metrics import MetricReport, bleu, cider, meteor_lite, rouge_l, score_corpus, tokenize
 from .negatives import (
     NegativeSet,
-    ReplaceConfig,
     inbatch_negatives,
     nonoptimal_sets,
     pick_counterfactuals,
@@ -84,7 +83,6 @@ __all__ = [
     "score_corpus",
     "tokenize",
     "NegativeSet",
-    "ReplaceConfig",
     "inbatch_negatives",
     "nonoptimal_sets",
     "pick_counterfactuals",

@@ -165,7 +165,7 @@ def pool(E: np.ndarray, segments) -> np.ndarray:
 class ToyBackend:
     """Trainable mean-pooled bag model over a fixed vocabulary."""
 
-    def __init__(self, vocab: Vocabulary, d: int = 16, seed: int = 0):
+    def __init__(self, vocab: Vocabulary, d: int, seed: int = 0):
         self.vocab = vocab
         self.d = d
         self.seed = seed

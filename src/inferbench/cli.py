@@ -1,10 +1,11 @@
 """Pipeline entry point: ingest, train, generate, perturb, score,
 agree, compare, gradcheck and sweep, driven by a versioned JSON config.
 
-Config defaults mirror the training recipe baked into the package
-(tau_b 0.1, tau_s 2.5, lambda_b = lambda_s = 0.5, m 4, k 10, threshold
-0.75, effective batch 64, 10 epoch cap, lr 1e-4); flags override config
-via repeatable ``--set section.key=value``. Unknown keys are rejected.
+The default config is the training recipe, written once as the
+defaults of :class:`~inferbench.trainer.TrainConfig` and
+:class:`~inferbench.objective.LossConfig`; each TrainConfig field names
+its config key. Flags override config via repeatable ``--set
+section.key=value``. Unknown keys are rejected.
 Artifacts are canonical JSON stamped with the effective config digest
 and seed, so identical reruns are byte-identical. The only environment
 variable read is INFERBENCH_LOG (log verbosity).
@@ -23,6 +24,7 @@ import operator
 import os
 import sys
 import warnings
+from dataclasses import asdict, fields
 from pathlib import Path
 
 from . import __version__
@@ -38,7 +40,7 @@ from .backend import ToyBackend, derive_seed, load_checkpoint
 from .corpus import DatasetError, load_dataset, save_dataset
 from .jsonio import config_digest, write_artifact, write_jsonl_artifact
 from .metrics import PAIR_METRICS, pair_scores, score_corpus
-from .negatives import DEFAULT_STRATEGY, STRATEGIES, untrained_model
+from .negatives import STRATEGIES, untrained_model
 from .objective import LossConfig, encode, finite_diff_check
 from .synth import build_split
 from .trainer import TrainConfig, train
@@ -47,30 +49,29 @@ log = logging.getLogger("inferbench")
 
 CONFIG_VERSION = "1"
 
-DEFAULT_CONFIG: dict = {
-    "config_version": CONFIG_VERSION,
-    "seed": 0,
-    "template_id": "default",
-    "model": {"d": 16},
-    "loss": {"tau_b": 0.1, "tau_s": 2.5, "lambda_b": 0.5, "lambda_s": 0.5},
-    "train": {
-        "effective_batch": 64,
-        "micro_batch": 8,
-        "lr0": 1e-4,
-        "max_epochs": 10,
-        "warmup_steps": 0,
-    },
-    "negatives": {
-        "strategy": DEFAULT_STRATEGY,
-        "m": 4,
-        "k": 10,
-        "threshold": 0.75,
-        "attempts": 5,
-    },
-    "decode": {"method": "greedy", "k": 10, "max_len": 16, "seed": 0},
-    "report": {"stratify_by": None},
-    "sweep": {"lambda_b": None, "lambda_s": None, "m": None, "strategy": None},
-}
+# the run-config key of each TrainConfig field but ``loss``
+_TRAIN_KEYS = {f.name: f.metadata["key"] for f in fields(TrainConfig) if f.metadata}
+
+
+def _default_config() -> dict:
+    """Each TrainConfig and LossConfig default under its key, and the
+    keys that only the CLI reads."""
+    config = {
+        "config_version": CONFIG_VERSION,
+        "loss": asdict(LossConfig()),
+        "decode": {"method": "greedy", "k": 10, "seed": 0},
+        "report": {"stratify_by": None},
+        "sweep": {"lambda_b": None, "lambda_s": None, "m": None, "strategy": None},
+    }
+    defaults = TrainConfig()
+    for name, key in _TRAIN_KEYS.items():
+        *sections, leaf = key.split(".")
+        node = functools.reduce(lambda node, part: node.setdefault(part, {}), sections, config)
+        node[leaf] = getattr(defaults, name)
+    return config
+
+
+DEFAULT_CONFIG: dict = _default_config()
 
 STRATA = ("difficulty", "question")
 
@@ -154,25 +155,6 @@ def _check_config(config: dict) -> None:
         raise ConfigError("decode.k must be >= 1")
     if config["report"]["stratify_by"] not in [None, *STRATA]:
         raise ConfigError(f"unknown report.stratify_by {config['report']['stratify_by']!r}")
-
-
-# the run-config key of each TrainConfig field but ``loss``
-_TRAIN_KEYS = {
-    "effective_batch": "train.effective_batch",
-    "micro_batch": "train.micro_batch",
-    "lr0": "train.lr0",
-    "max_epochs": "train.max_epochs",
-    "warmup_steps": "train.warmup_steps",
-    "negative_strategy": "negatives.strategy",
-    "m": "negatives.m",
-    "k": "negatives.k",
-    "threshold": "negatives.threshold",
-    "attempts": "negatives.attempts",
-    "max_gen_len": "decode.max_len",
-    "d": "model.d",
-    "seed": "seed",
-    "template_id": "template_id",
-}
 
 
 def _train_config(config: dict) -> TrainConfig:

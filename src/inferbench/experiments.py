@@ -11,7 +11,7 @@ training must widen this margin; the NLL-only run is the control.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -62,32 +62,27 @@ def contrastive_benefit_experiment(
     n_valid: int = 50,
     epochs: int = 3,
     effective_batch: int = 16,
-    micro_batch: int = 8,
+    micro_batch: int = TrainConfig.micro_batch,
     lr0: float = 0.05,
-    d: int = 16,
+    d: int = TrainConfig.d,
 ) -> MarginExperimentResult:
-    """Paired runs per seed: full objective (tau_b 0.1, tau_s 2.5,
-    lambda_b = lambda_s = 0.5, m = 4 counterfactual negatives) against
-    NLL-only, margins measured on the best validation checkpoints."""
+    """Paired runs per seed: the recipe's objective and negatives (the
+    :class:`TrainConfig` and :class:`LossConfig` defaults, with
+    counterfactual negatives) against NLL-only, margins measured on the
+    best validation checkpoints."""
     train_set, valid_set, _ = build_corpus(n_train=n_train, n_valid=n_valid, n_test=0)
     margins_cl: list[float] = []
     margins_nll: list[float] = []
     for seed in seeds:
-        common = dict(
+        cfg_cl = TrainConfig(
             effective_batch=effective_batch,
             micro_batch=micro_batch,
             lr0=lr0,
             max_epochs=epochs,
-            m=4,
             d=d,
             seed=seed,
         )
-        cfg_cl = TrainConfig(
-            loss=LossConfig(tau_b=0.1, tau_s=2.5, lambda_b=0.5, lambda_s=0.5), **common
-        )
-        cfg_nll = TrainConfig(
-            loss=LossConfig(tau_b=0.1, tau_s=2.5, lambda_b=0.0, lambda_s=0.0), **common
-        )
+        cfg_nll = replace(cfg_cl, loss=LossConfig(lambda_b=0.0, lambda_s=0.0))
         result_cl = train(cfg_cl, train_set, valid_set)
         result_nll = train(cfg_nll, train_set, valid_set)
         margins_cl.append(validation_margin(result_cl.best_backend, valid_set))

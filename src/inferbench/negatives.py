@@ -31,22 +31,6 @@ from .metrics import tokenize
 from .objective import EncodedSet, LossConfig, forward
 
 
-@dataclass(frozen=True)
-class ReplaceConfig:
-    threshold: float = 0.75
-    k: int = 10
-    mode: str = "zs"  # "zs" | "mcq"; records which scorer produced the set
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.threshold <= 0:
-            raise ValueError("threshold must be positive")
-        if self.k < 1:
-            raise ValueError("k must be >= 1")
-        if self.mode not in ("zs", "mcq"):
-            raise ValueError(f"unknown replace mode {self.mode!r}")
-
-
 @dataclass
 class NegativeSet:
     example_id: str
@@ -93,11 +77,11 @@ def nonoptimal_sets(
     backend: ToyBackend,
     examples: list[InferenceExample],
     inputs: list[np.ndarray],
-    m: int = 4,
-    k: int = 10,
-    attempts: int = 5,
-    seed: int = 0,
-    max_len: int = 16,
+    m: int,
+    k: int,
+    attempts: int,
+    seed: int,
+    max_len: int,
 ) -> list[NegativeSet]:
     """Sample m negatives per example by top-k generation from the
     current model; ``inputs`` are the examples' input ids under the
@@ -189,12 +173,17 @@ def token_replace(
     scorer: ToyBackend,
     example: InferenceExample,
     input_ids: np.ndarray,
-    cfg: ReplaceConfig,
-    m: int = 1,
+    *,
+    threshold: float,
+    k: int,
+    m: int,
+    seed: int,
+    mode: str,
 ) -> NegativeSet:
     """Swap the most context-sensitive gold tokens using the scorer's
     masked distributions; ``input_ids`` are the example's input ids
-    under the scorer's vocabulary.
+    under the scorer's vocabulary. ``m`` negatives are drawn, and
+    ``mode`` ("zs" or "mcq") records which scorer produced the set.
 
     Replacements are seeded-uniform draws from the top-k tokens of the
     answer-only masked distribution at each selected position, excluding
@@ -203,27 +192,33 @@ def token_replace(
     equals the gold token count, and each negative's ids are the gold
     answer's ids with the replacements swapped in.
     """
+    if threshold <= 0:
+        raise ValueError("threshold must be positive")
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    if mode not in ("zs", "mcq"):
+        raise ValueError(f"unknown replace mode {mode!r}")
     answer_tokens = tokenize(example.answer)  # an out-of-vocabulary token keeps its surface form
     if not answer_tokens:
         raise ValueError(f"example {example.id}: empty answer")
     answer_ids = scorer.vocab.encode(answer_tokens)
     deltas, answer_only = _deltas(scorer, answer_ids, input_ids)
-    positions, fallback = select_positions(deltas, cfg.threshold)
+    positions, fallback = select_positions(deltas, threshold)
 
     candidates_at: dict[int, list[int]] = {}
     for j in positions:
-        top = replacement_candidates(answer_only[j], answer_ids[j], cfg.k, range(len(SPECIALS)))
+        top = replacement_candidates(answer_only[j], answer_ids[j], k, range(len(SPECIALS)))
         if not top:
             raise ValueError(f"example {example.id}: no replacement candidates at {j}")
         candidates_at[j] = top
 
-    strategy = f"replace_{cfg.mode}"
+    strategy = f"replace_{mode}"
     tokens = scorer.vocab.tokens
     negatives: list[str] = []
     ids: list[np.ndarray] = []
     provenance: list[dict] = []
     for slot in range(m):
-        slot_seed = derive_seed(cfg.seed, example.id, strategy, slot)
+        slot_seed = derive_seed(seed, example.id, strategy, slot)
         rng = np.random.default_rng(slot_seed)
         out_tokens, out_ids = list(answer_tokens), list(answer_ids)
         for j in positions:
@@ -237,9 +232,9 @@ def token_replace(
                 "seed": slot_seed,
                 "replaced_positions": positions,
                 "fallback": fallback,
-                "mode": cfg.mode,
-                "threshold": cfg.threshold,
-                "k": cfg.k,
+                "mode": mode,
+                "threshold": threshold,
+                "k": k,
             }
         )
     return NegativeSet(
@@ -263,8 +258,8 @@ def inbatch_negatives(batch: list[InferenceExample], i: int) -> list[str]:
 
 def train_mcq_scorer(
     enc: EncodedSet,
-    d: int = 16,
-    seed: int = 0,
+    d: int,
+    seed: int,
     epochs: int = 5,
     lr: float = 1.0,
     tau: float = 0.5,
@@ -322,9 +317,9 @@ def _non_optimal(model, examples, enc, config, seed):
 
 
 def _replace_zs(model, examples, enc, config, seed, mode="zs"):
-    cfg = ReplaceConfig(threshold=config.threshold, k=config.k, mode=mode, seed=seed)
     return [
-        token_replace(model, ex, input_ids, cfg, m=config.m)
+        token_replace(model, ex, input_ids, threshold=config.threshold, k=config.k, m=config.m,
+                      seed=seed, mode=mode)
         for ex, input_ids in zip(examples, enc.inputs)
     ]
 

@@ -26,23 +26,34 @@ from .objective import (  # noqa: F401  callers import build_vocabulary from her
 )
 
 
+def _recipe(key: str, default):
+    """A TrainConfig field with its recipe default, read from the run
+    config at the dotted ``key``."""
+    return field(default=default, metadata={"key": key})
+
+
 @dataclass(frozen=True)
 class TrainConfig:
-    effective_batch: int = 64
-    micro_batch: int = 8
-    lr0: float = 1e-4
-    max_epochs: int = 10
-    warmup_steps: int = 0
+    """The training recipe: each default is written here (the loss
+    terms' in :class:`LossConfig`) and nowhere else, and each field but
+    ``loss`` names the run-config key that sets it."""
+
+    effective_batch: int = _recipe("train.effective_batch", 64)
+    micro_batch: int = _recipe("train.micro_batch", 8)
+    lr0: float = _recipe("train.lr0", 1e-4)
+    max_epochs: int = _recipe("train.max_epochs", 10)
+    warmup_steps: int = _recipe("train.warmup_steps", 0)
     loss: LossConfig = field(default_factory=LossConfig)
-    negative_strategy: str = DEFAULT_STRATEGY  # a key of negatives.STRATEGIES, or "none"
-    m: int = 4
-    k: int = 10
-    threshold: float = 0.75
-    attempts: int = 5
-    max_gen_len: int = 16
-    d: int = 16
-    seed: int = 0
-    template_id: str = "default"
+    # a key of negatives.STRATEGIES, or "none"
+    negative_strategy: str = _recipe("negatives.strategy", DEFAULT_STRATEGY)
+    m: int = _recipe("negatives.m", 4)
+    k: int = _recipe("negatives.k", 10)
+    threshold: float = _recipe("negatives.threshold", 0.75)
+    attempts: int = _recipe("negatives.attempts", 5)
+    max_gen_len: int = _recipe("decode.max_len", 16)
+    d: int = _recipe("model.d", 16)
+    seed: int = _recipe("seed", 0)
+    template_id: str = _recipe("template_id", "default")
 
     def __post_init__(self):
         check_number_fields(self)

@@ -115,6 +115,10 @@ def test_kappa_hand_anchor():
 
 
 def test_kappa_matches_bruteforce_on_random_tables():
+    # one item: the category count must come from the only row there is
+    assert fleiss_kappa_table([[2, 1, 0, 0]]) == pytest.approx(
+        bf_fleiss_kappa([[2, 1, 0, 0]]), abs=1e-12
+    )
     rng = np.random.default_rng(6)
     for _ in range(20):
         n_items, n_raters = int(rng.integers(2, 9)), int(rng.integers(2, 6))

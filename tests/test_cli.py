@@ -7,10 +7,11 @@ import pytest
 
 import inferbench.trainer
 from inferbench import cli
-from inferbench.backend import ToyBackend, save_checkpoint
+from inferbench.backend import ToyBackend, load_checkpoint, save_checkpoint
 from inferbench.cli import build_parser, load_run_config, main
 from inferbench.corpus import load_dataset, save_dataset
 from inferbench.metrics import tokenize
+from inferbench.objective import LossConfig
 from inferbench.synth import build_judgments, build_split
 from inferbench.trainer import TrainConfig, build_vocabulary, train
 
@@ -60,6 +61,52 @@ def test_defaults_match_training_recipe():
     assert config["train"]["effective_batch"] == 64
     assert config["train"]["max_epochs"] == 10
     assert config["train"]["lr0"] == 1e-4
+
+
+RECIPE_CONFIG = {
+    "config_version": "1",
+    "seed": 0,
+    "template_id": "default",
+    "model": {"d": 16},
+    "loss": {"tau_b": 0.1, "tau_s": 2.5, "lambda_b": 0.5, "lambda_s": 0.5},
+    "train": {
+        "effective_batch": 64,
+        "micro_batch": 8,
+        "lr0": 1e-4,
+        "max_epochs": 10,
+        "warmup_steps": 0,
+    },
+    "negatives": {
+        "strategy": "counterfactual",
+        "m": 4,
+        "k": 10,
+        "threshold": 0.75,
+        "attempts": 5,
+    },
+    "decode": {"method": "greedy", "k": 10, "max_len": 16, "seed": 0},
+    "report": {"stratify_by": None},
+    "sweep": {"lambda_b": None, "lambda_s": None, "m": None, "strategy": None},
+}
+
+
+def test_default_config_is_the_recipe():
+    assert cli.DEFAULT_CONFIG == RECIPE_CONFIG
+    assert load_run_config(None)[1] == (
+        "d913a1f78121dd042b30181259f82a7f18a6cf7f2cb9be778b704e0441ab26bb"
+    )
+
+
+def test_default_config_gives_the_default_dataclasses():
+    assert cli._train_config(cli.DEFAULT_CONFIG) == TrainConfig()
+    assert LossConfig(**cli.DEFAULT_CONFIG["loss"]) == LossConfig()
+
+
+def test_model_width_one_is_accepted(tmp_path, small_data):
+    assert TrainConfig(d=1).d == 1
+    assert run(["train", "--train", small_data / "train.jsonl",
+                "--valid", small_data / "valid.jsonl", "--out-dir", tmp_path,
+                *FAST, "--set", "model.d=1"]) == 0
+    assert load_checkpoint(tmp_path / "best.json").d == 1
 
 
 def test_unknown_key_named(tmp_path):

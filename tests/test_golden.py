@@ -20,7 +20,6 @@ import pytest
 from inferbench.analysis import compare_metric_scores, stratified_compare
 from inferbench.backend import ToyBackend, derive_seed
 from inferbench.negatives import (
-    ReplaceConfig,
     token_replace,
     train_mcq_scorer,
 )
@@ -129,9 +128,9 @@ def test_token_replace_negatives(split, model, mode):
         scorer = train_mcq_scorer(encode(examples, [ex.counterfactuals for ex in examples]),
                                   d=8, seed=11, lr=20.0)
         threshold = 0.3
-    cfg = ReplaceConfig(threshold=threshold, k=5, mode=mode, seed=11)
+    cfg = dict(threshold=threshold, k=5, m=2, seed=11, mode=mode)
     inputs = encode(split, vocab=scorer.vocab).inputs
-    got = [token_replace(scorer, ex, ids, cfg, m=2).negatives for ex, ids in zip(split, inputs)]
+    got = [token_replace(scorer, ex, ids, **cfg).negatives for ex, ids in zip(split, inputs)]
     assert got == REPLACE[mode]
 
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,6 @@ from inferbench.corpus import load_dataset, normalize_answer
 from inferbench.metrics import tokenize
 from inferbench.negatives import (
     NegativeSet,
-    ReplaceConfig,
     inbatch_negatives,
     nonoptimal_sets,
     pick_counterfactuals,
@@ -130,7 +131,7 @@ def test_total_collision_drops_every_slot_of_every_example():
         for i in range(4)
     ]
     inputs = encode(examples, vocab=be.vocab).inputs
-    sets = nonoptimal_sets(be, examples, inputs, m=3, k=2, attempts=5, seed=0)
+    sets = nonoptimal_sets(be, examples, inputs, m=3, k=2, attempts=5, seed=0, max_len=16)
     assert [ns.example_id for ns in sets] == [ex.id for ex in examples]
     for ns in sets:
         assert ns.negatives == []
@@ -175,8 +176,8 @@ def test_nonoptimal_provenance_replays(example):
 
 def test_forced_fallback_single_replacement(example):
     scorer = context_sensitive_scorer(example)
-    cfg = ReplaceConfig(threshold=1e9, k=10, mode="zs", seed=4)
-    ns = token_replace(scorer, example, input_ids(scorer, example), cfg)
+    ns = token_replace(scorer, example, input_ids(scorer, example),
+                       threshold=1e9, k=10, m=1, seed=4, mode="zs")
     gold_tokens = tokenize(example.answer)
     out_tokens = tokenize(ns.negatives[0])
     assert len(out_tokens) == len(gold_tokens)
@@ -184,6 +185,19 @@ def test_forced_fallback_single_replacement(example):
     assert len(diff) == 1
     assert ns.provenance[0]["fallback"] is True
     assert ns.provenance[0]["replaced_positions"] == diff
+
+
+@pytest.mark.parametrize("bad,message", [
+    ({"threshold": 0.0}, "threshold must be positive"),
+    ({"threshold": -0.5}, "threshold must be positive"),
+    ({"k": 0}, "k must be >= 1"),
+    ({"mode": "fs"}, "unknown replace mode 'fs'"),
+])
+def test_replace_rejects_bad_arguments(example, bad, message):
+    scorer = context_sensitive_scorer(example)
+    args = {"threshold": 0.75, "k": 10, "m": 1, "seed": 0, "mode": "zs", **bad}
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        token_replace(scorer, example, input_ids(scorer, example), **args)
 
 
 def test_zero_scorer_fallback_picks_position_zero(example):
@@ -201,8 +215,8 @@ def test_zero_scorer_fallback_picks_position_zero(example):
 def test_positions_match_bruteforce(example):
     scorer = context_sensitive_scorer(example)
     for threshold in (0.25, 0.5, 0.75, 1.0):
-        cfg = ReplaceConfig(threshold=threshold, k=10, mode="zs", seed=1)
-        ns = token_replace(scorer, example, input_ids(scorer, example), cfg)
+        ns = token_replace(scorer, example, input_ids(scorer, example),
+                           threshold=threshold, k=10, m=1, seed=1, mode="zs")
         expected = bf_replace_positions(scorer, example, threshold)
         assert ns.provenance[0]["replaced_positions"] == expected
 
@@ -223,8 +237,8 @@ def test_threshold_monotonicity(example):
 
 def test_replaced_positions_differ_and_count_preserved(example):
     scorer = context_sensitive_scorer(example)
-    cfg = ReplaceConfig(threshold=0.75, k=10, mode="zs", seed=2)
-    ns = token_replace(scorer, example, input_ids(scorer, example), cfg, m=3)
+    ns = token_replace(scorer, example, input_ids(scorer, example),
+                       threshold=0.75, k=10, m=3, seed=2, mode="zs")
     gold_tokens = tokenize(example.answer)
     positions = set(ns.provenance[0]["replaced_positions"])
     for neg, prov in zip(ns.negatives, ns.provenance):
@@ -238,20 +252,20 @@ def test_replaced_positions_differ_and_count_preserved(example):
 
 def test_replace_deterministic_and_seed_sensitive(example):
     scorer = context_sensitive_scorer(example)
-    cfg = ReplaceConfig(threshold=0.5, k=10, mode="zs", seed=3)
+    cfg = dict(threshold=0.5, k=10, m=2, mode="zs")
     ids = input_ids(scorer, example)
-    a = token_replace(scorer, example, ids, cfg, m=2)
-    b = token_replace(scorer, example, ids, cfg, m=2)
+    a = token_replace(scorer, example, ids, seed=3, **cfg)
+    b = token_replace(scorer, example, ids, seed=3, **cfg)
     assert a.negatives == b.negatives
-    c = token_replace(scorer, example, ids, ReplaceConfig(threshold=0.5, k=10, mode="zs", seed=4), m=2)
+    c = token_replace(scorer, example, ids, seed=4, **cfg)
     assert a.negatives != c.negatives
 
 
 def test_replacement_never_emits_specials_or_gold(example):
     scorer = context_sensitive_scorer(example)
-    cfg = ReplaceConfig(threshold=0.25, k=3, mode="zs", seed=6)
     gold_tokens = tokenize(example.answer)
-    ns = token_replace(scorer, example, input_ids(scorer, example), cfg, m=4)
+    ns = token_replace(scorer, example, input_ids(scorer, example),
+                       threshold=0.25, k=3, m=4, seed=6, mode="zs")
     for neg in ns.negatives:
         for i, tok in enumerate(tokenize(neg)):
             assert not tok.startswith("<")
@@ -269,8 +283,8 @@ def test_replace_mcq_scorer_stands_in(example):
         for i, fact in enumerate(("rain", "exam", "garden"))
     ]
     scorer = train_mcq_scorer(encode(others, [ex.counterfactuals for ex in others]), d=8, seed=0)
-    cfg = ReplaceConfig(threshold=0.75, k=10, mode="mcq", seed=1)
-    ns = token_replace(scorer, example, input_ids(scorer, example), cfg)
+    ns = token_replace(scorer, example, input_ids(scorer, example),
+                       threshold=0.75, k=10, m=1, seed=1, mode="mcq")
     assert ns.strategy == "replace_mcq"
     assert len(ns.negatives) == 1
 
@@ -308,7 +322,8 @@ def test_all_strategies_emit_distinct_from_gold(example):
     sets = [
         pick_counterfactuals(example, m=4, seed=0),
         generate_nonoptimal(sampler, example, m=2, seed=0),
-        token_replace(scorer, example, input_ids(scorer, example), ReplaceConfig(seed=0), m=2),
+        token_replace(scorer, example, input_ids(scorer, example),
+                      threshold=0.75, k=10, m=2, seed=0, mode="zs"),
     ]
     gold = normalize_answer(example.answer)
     for ns in sets:

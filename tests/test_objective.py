@@ -7,6 +7,7 @@ import pytest
 from inferbench.backend import BOS_ID, EOS_ID, UNK_ID, ToyBackend, Vocabulary
 from inferbench.corpus import QuestionType
 from inferbench.objective import EncodedSet, LossConfig, encode, finite_diff_check, forward
+from inferbench.synth import build_split
 
 from conftest import make_example
 
@@ -416,6 +417,35 @@ def test_finite_diff_samples_past_the_full_check_limit():
     assert faulty.n_checked == 40
     assert not faulty.passed
     assert all(w.error == pytest.approx(0.5, rel=1e-3) for w in faulty.worst)
+
+
+def gradcheck_batch():
+    """The batch and model of ``gradcheck --seed 3``, at d = 2."""
+    examples = build_split("gradcheck", 4, 3)
+    enc = encode(examples, [ex.counterfactuals for ex in examples])
+    return ToyBackend(enc.vocab, d=2, seed=3), enc
+
+
+def test_finite_diff_fails_a_fault_below_the_near_zero_floor():
+    be, enc = gradcheck_batch()
+    faulty = forward(be, enc, LossConfig()).grads
+    assert faulty.E[0, 0] == 0.0  # the PAD row is never pooled
+    faulty.E[0, 0] = 5e-7
+    report = finite_diff_check(be, enc, LossConfig(), seed=3, analytic=faulty)
+    assert not report.passed
+    assert [w.parameter for w in report.worst] == ["E[0,0]"]
+    assert report.worst[0].error == pytest.approx(5e-7, rel=1e-9)
+
+
+def test_finite_diff_reports_the_ten_worst_failures():
+    be, enc = gradcheck_batch()
+    faulty = forward(be, enc, LossConfig()).grads
+    faulty.U *= 1.01
+    report = finite_diff_check(be, enc, LossConfig(), seed=3, analytic=faulty)
+    assert not report.passed
+    errors = [w.error for w in report.worst]
+    assert len(errors) == 10
+    assert errors == sorted(errors, reverse=True)
 
 
 # --- encoded batch: ragged negatives, perplexity ------------------------------------

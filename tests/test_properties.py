@@ -74,7 +74,7 @@ from inferbench.metrics import (
     score_corpus,
     tokenize,
 )
-from inferbench.negatives import ReplaceConfig, _deltas, replacement_candidates, token_replace
+from inferbench.negatives import _deltas, replacement_candidates, token_replace
 from inferbench.objective import (
     EncodedSet,
     LossConfig,
@@ -601,8 +601,8 @@ def test_token_replace_keeps_the_token_count(scorer, context, answer, threshold,
     example = make_example(
         turns=(("A", context),), target_index=1, answer=answer, counterfactuals=()
     )
-    cfg = ReplaceConfig(threshold=threshold, k=k, seed=seed)
-    result = token_replace(scorer, example, input_ids(scorer, example), cfg, m=m)
+    result = token_replace(scorer, example, input_ids(scorer, example),
+                           threshold=threshold, k=k, m=m, seed=seed, mode="zs")
     assert len(result.negatives) == m
     for negative in result.negatives:
         assert len(tokenize(negative)) == len(tokenize(answer))
