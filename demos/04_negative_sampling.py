@@ -9,7 +9,7 @@ from inferbench.negatives import (
     inbatch_negatives,
     nonoptimal_sets,
     pick_counterfactuals,
-    token_replace,
+    replace_sets,
 )
 from inferbench.objective import encode
 from inferbench.synth import build_split
@@ -35,8 +35,8 @@ for neg, prov in zip(ns.negatives, ns.provenance):
 scorer = ToyBackend(build_vocabulary(batch), d=8, seed=5)
 scorer.E *= 20.0
 scorer.U *= 20.0  # wider logit range makes the 0.75 threshold meaningful
-ns = token_replace(scorer, ex, encode([ex], vocab=scorer.vocab).inputs[0],
-                   threshold=0.75, k=10, m=2, seed=7, mode="zs")
+ns = replace_sets(scorer, [ex], encode([ex], vocab=scorer.vocab),
+                  threshold=0.75, k=10, m=2, seed=7, mode="zs")[0]
 print("\nreplace_zs (context-sensitive tokens swapped):")
 for neg, prov in zip(ns.negatives, ns.provenance):
     print(f"  {neg}   <- positions {prov['replaced_positions']} fallback={prov['fallback']}")

@@ -38,7 +38,7 @@ from .negatives import (
     inbatch_negatives,
     nonoptimal_sets,
     pick_counterfactuals,
-    token_replace,
+    replace_sets,
 )
 from .objective import (
     EncodedSet,
@@ -86,7 +86,7 @@ __all__ = [
     "inbatch_negatives",
     "nonoptimal_sets",
     "pick_counterfactuals",
-    "token_replace",
+    "replace_sets",
     "EncodedSet",
     "LossBreakdown",
     "LossConfig",

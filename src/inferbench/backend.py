@@ -14,8 +14,8 @@ in order, divided by the count, zeros for an empty segment. Masked
 scoring drops the masked position and pools the remaining tokens of the
 conditioned window. The model contract is id-level: the vocabulary
 ``vocab`` plus ``generate_batch`` (the decoded ids of each row),
-``masked_logits_per_position`` (every position of an answer masked in
-turn, with the context and without, in one call) and ``embed_ids``, all
+``masked_log_probs`` (every position of every answer of a set masked in
+turn, with its context and without, in one call) and ``embed_ids``, all
 on token ids, and :func:`pool`, which the objective's forward shares.
 The decoder takes plain values, ``generate_batch(inputs, max_len, k,
 seeds)``: greedy when ``k`` is None, else top-k with one seed per row.
@@ -195,32 +195,40 @@ class ToyBackend:
             return v
         return v / norm
 
-    def masked_logits_per_position(
-        self, token_ids: list[int], context_ids: list[int]
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """The log-probabilities at every masked position of ``token_ids``,
-        one row per position, with ``context_ids`` and without: row j
-        scores the window ``context_ids`` + ``token_ids`` without
-        position j, and the window ``token_ids`` without position j,
-        each pooled as :func:`pool` pools it, bit for bit.
+    def masked_log_probs(self, answers, contexts) -> tuple[np.ndarray, np.ndarray]:
+        """The log-probabilities at every masked position of each answer,
+        with its context and without, one row per position, answer after
+        answer: the row of position j of ``answers[i]`` scores the window
+        ``contexts[i]`` + ``answers[i]`` without position j, and the window
+        ``answers[i]`` without position j, each pooled as :func:`pool`
+        pools it, bit for bit.
 
-        The 2L windows are scored in one :meth:`_log_probs_rows` call."""
-        n, d = len(token_ids), self.d
-        # each window's sum up to position j is the context's sum, or -0.0,
-        # then the first j rows, in one cumsum; the rows after j follow in
-        # L - 1 vector adds
-        rows = self.E[token_ids]
-        starts = np.full((2, 1, d), -0.0)
-        starts[0] = _segment_sums(self.E, [context_ids])
-        head = np.broadcast_to(rows[:-1], (2, n - 1, d))
-        sums = np.cumsum(np.concatenate([starts, head], axis=1), axis=1)
-        for t in range(1, n):
-            sums[:, : n - t] += rows[t:]
-        sizes = np.array([len(context_ids) + n - 1, n - 1])[:, None, None]
-        # an empty window pools to zeros
-        states = np.divide(sums, sizes, out=np.zeros_like(sums), where=sizes > 0)
-        log_probs = self._log_probs_rows(states.reshape(2 * n, d)).reshape(2, n, -1)
-        return log_probs[0], log_probs[1]
+        Each context is summed once; its windows sum on from that sum, a
+        row appended to the embedding table. The windows are summed and
+        scored :data:`DECODE_BLOCK` at a time."""
+        # context i's in-order sum is row len(E) + i of the table
+        table = np.concatenate([self.E, *(
+            _segment_sums(self.E, contexts[start : start + DECODE_BLOCK])
+            for start in range(0, len(contexts), DECODE_BLOCK)
+        )])
+        with_ctx, alone, sizes = [], [], []
+        for i, (answer, context) in enumerate(zip(answers, contexts)):
+            cols = np.arange(len(answer))
+            # row j: context i's sum, then the answer without position j
+            windows = np.concatenate([[len(self.E) + i], answer])[cols + (cols > cols[:, None])]
+            with_ctx.extend(windows)
+            alone.extend(windows[:, 1:])
+            sizes += [len(context) + len(answer) - 1] * len(answer)
+        windows = with_ctx + alone
+        counts = np.array([*sizes, *map(len, alone)])[:, None]
+        out = np.empty((len(windows), len(self.vocab)))
+        for start in range(0, len(windows), DECODE_BLOCK):
+            rows = slice(start, start + DECODE_BLOCK)
+            sums = _segment_sums(table, windows[rows])
+            # an empty window pools to zeros
+            states = np.divide(sums, counts[rows], out=np.zeros_like(sums), where=counts[rows] > 0)
+            out[rows] = self._log_probs_rows(states)
+        return out[: len(with_ctx)], out[len(with_ctx) :]
 
     def generate_batch(
         self,

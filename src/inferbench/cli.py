@@ -147,7 +147,7 @@ def _check_config(config: dict) -> None:
     decode = config["decode"]
     if decode["method"] not in ("greedy", "top_k"):
         raise ConfigError(f"unknown decode method {decode['method']!r}")
-    for key in ("k", "seed", "max_len"):
+    for key in ("k", "seed"):
         value = decode[key]
         if isinstance(value, bool) or not isinstance(value, numbers.Integral):
             raise ConfigError(f"decode.{key} must be int, got {value!r}")
@@ -207,19 +207,19 @@ def cmd_train(args, config: dict, meta: dict) -> int:
     return 0
 
 
-def _generate(backend: ToyBackend, examples, decode: dict, template_id: str) -> list[str]:
+def _generate(backend: ToyBackend, examples, decode: dict, tc: TrainConfig) -> list[str]:
     """One decoded answer per example; top-k draws are seeded per example id."""
     k = None if decode["method"] == "greedy" else decode["k"]
     seeds = [derive_seed(decode["seed"], ex.id, "decode") for ex in examples]
-    inputs = encode(examples, template_id=template_id, vocab=backend.vocab).inputs
-    generated = backend.generate_batch(inputs, decode["max_len"], k, seeds)
+    inputs = encode(examples, template_id=tc.template_id, vocab=backend.vocab).inputs
+    generated = backend.generate_batch(inputs, tc.max_gen_len, k, seeds)
     return [" ".join(backend.vocab.decode(ids)) for ids in generated]
 
 
 def cmd_generate(args, config: dict, meta: dict) -> int:
     backend = load_checkpoint(args.ckpt)
     examples = load_dataset(args.input)
-    generated = _generate(backend, examples, config["decode"], config["template_id"])
+    generated = _generate(backend, examples, config["decode"], _train_config(config))
     records = [{"id": ex.id, "generated": text} for ex, text in zip(examples, generated)]
     write_jsonl_artifact(args.out, records, meta)
     print(f"generated {len(records)} answers -> {args.out}")
@@ -395,11 +395,11 @@ def cmd_compare(args, config: dict, meta: dict) -> int:
 
 
 def cmd_gradcheck(args, config: dict, meta: dict) -> int:
-    seed = config["seed"]
-    examples = build_split("gradcheck", 4, seed)
-    enc = encode(examples, [ex.counterfactuals for ex in examples], config["template_id"])
-    backend = ToyBackend(enc.vocab, d=config["model"]["d"], seed=seed)
-    report = finite_diff_check(backend, enc, LossConfig(**config["loss"]), tol=args.tol, seed=seed)
+    tc = _train_config(config)
+    examples = build_split("gradcheck", 4, tc.seed)
+    enc = encode(examples, [ex.counterfactuals for ex in examples], tc.template_id)
+    backend = ToyBackend(enc.vocab, d=tc.d, seed=tc.seed)
+    report = finite_diff_check(backend, enc, tc.loss, tol=args.tol, seed=tc.seed)
     write_artifact(args.out, report.to_dict(), meta)
     status = "PASS" if report.passed else "FAIL"
     print(f"gradcheck {status}: max_error={report.max_error:.3e} over "
@@ -412,6 +412,8 @@ def _expand_sweep(config: dict) -> list[dict]:
     for key, values in sweep.items():
         if values is not None and not isinstance(values, list):
             raise ConfigError(f"sweep.{key} must be a list or null, got {values!r}")
+        if values == []:
+            raise ConfigError(f"sweep.{key} must not be an empty list")
     axes = {
         "lambda_b": sweep["lambda_b"] or [config["loss"]["lambda_b"]],
         "lambda_s": sweep["lambda_s"] or [config["loss"]["lambda_s"]],
@@ -461,10 +463,11 @@ def cmd_sweep(args, config: dict, meta: dict) -> int:
             "strategy": run["negatives"]["strategy"],
         }
         if not args.dry_run:
-            result = train(_train_config(run), train_set, valid_set, out_dir=out_dir / name,
+            tc = _train_config(run)
+            result = train(tc, train_set, valid_set, out_dir=out_dir / name,
                            config_digest=config_digest(run))
             greedy = dict(run["decode"], method="greedy")
-            generated = _generate(result.best_backend, valid_set, greedy, run["template_id"])
+            generated = _generate(result.best_backend, valid_set, greedy, tc)
             pairs = [(text, ex.answer) for ex, text in zip(valid_set, generated)]
             scores = score_corpus(pairs, ids=[ex.id for ex in valid_set])
             row.update(
@@ -609,7 +612,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config, digest = load_run_config(args.config, args.set)
         meta = {
-            "config_digest": digest, "seed": config["seed"], "tool": f"inferbench-{__version__}"
+            "config_digest": digest, "seed": _train_config(config).seed,
+            "tool": f"inferbench-{__version__}",
         }
         return args.func(args, config, meta)
     except (ConfigError, DatasetError, ValueError, OSError, RuntimeError) as exc:

@@ -139,15 +139,6 @@ def nonoptimal_sets(
     ]
 
 
-def _deltas(scorer: ToyBackend, answer_ids, context_ids) -> tuple[np.ndarray, np.ndarray]:
-    """|log p(a_j | context + answer\\j) - log p(a_j | answer\\j)| at each
-    position j of the answer ids, from the masked scorer, and the
-    answer-only masked distribution at each position (one row each)."""
-    with_ctx, answer_only = scorer.masked_logits_per_position(answer_ids, context_ids)
-    at_gold = (np.arange(len(answer_ids)), answer_ids)
-    return np.abs(with_ctx[at_gold] - answer_only[at_gold]), answer_only
-
-
 def select_positions(deltas: np.ndarray, threshold: float) -> tuple[list[int], bool]:
     """Positions with delta above threshold; falls back to the argmax
     (lowest index on ties) when nothing clears it."""
@@ -169,22 +160,26 @@ def replacement_candidates(
     return [t for t in ranked[:k] if t != gold] or [t for t in ranked[k : k + 1] if t != gold]
 
 
-def token_replace(
+def replace_sets(
     scorer: ToyBackend,
-    example: InferenceExample,
-    input_ids: np.ndarray,
+    examples: list[InferenceExample],
+    enc: EncodedSet,
     *,
     threshold: float,
     k: int,
     m: int,
     seed: int,
     mode: str,
-) -> NegativeSet:
-    """Swap the most context-sensitive gold tokens using the scorer's
-    masked distributions; ``input_ids`` are the example's input ids
-    under the scorer's vocabulary. ``m`` negatives are drawn, and
-    ``mode`` ("zs" or "mcq") records which scorer produced the set.
+) -> list[NegativeSet]:
+    """Swap the most context-sensitive gold tokens of each example using
+    the scorer's masked distributions; ``enc`` holds the examples' ids
+    under the scorer's vocabulary. ``m`` negatives are drawn per example,
+    and ``mode`` ("zs" or "mcq") records which scorer produced them.
 
+    A position is context-sensitive when |log p(a_j | context +
+    answer\\j) - log p(a_j | answer\\j)| exceeds ``threshold``; every
+    masked window of the set is scored in one
+    :meth:`~inferbench.backend.ToyBackend.masked_log_probs` call.
     Replacements are seeded-uniform draws from the top-k tokens of the
     answer-only masked distribution at each selected position, excluding
     the gold token and the special tokens; when gold fills the whole
@@ -198,52 +193,41 @@ def token_replace(
         raise ValueError("k must be >= 1")
     if mode not in ("zs", "mcq"):
         raise ValueError(f"unknown replace mode {mode!r}")
-    answer_tokens = tokenize(example.answer)  # an out-of-vocabulary token keeps its surface form
-    if not answer_tokens:
-        raise ValueError(f"example {example.id}: empty answer")
-    answer_ids = scorer.vocab.encode(answer_tokens)
-    deltas, answer_only = _deltas(scorer, answer_ids, input_ids)
-    positions, fallback = select_positions(deltas, threshold)
-
-    candidates_at: dict[int, list[int]] = {}
-    for j in positions:
-        top = replacement_candidates(answer_only[j], answer_ids[j], k, range(len(SPECIALS)))
-        if not top:
-            raise ValueError(f"example {example.id}: no replacement candidates at {j}")
-        candidates_at[j] = top
-
+    answers = [ids[:-1] for ids in enc.answers]  # without EOS
+    with_ctx, answer_only = scorer.masked_log_probs(answers, enc.inputs)
     strategy = f"replace_{mode}"
     tokens = scorer.vocab.tokens
-    negatives: list[str] = []
-    ids: list[np.ndarray] = []
-    provenance: list[dict] = []
-    for slot in range(m):
-        slot_seed = derive_seed(seed, example.id, strategy, slot)
-        rng = np.random.default_rng(slot_seed)
-        out_tokens, out_ids = list(answer_tokens), list(answer_ids)
+    specials = range(len(SPECIALS))
+    sets = []
+    starts = np.cumsum([0, *map(len, answers)]).tolist()
+    for example, answer_ids, start in zip(examples, answers, starts):
+        at_gold = (np.arange(start, start + len(answer_ids)), answer_ids)
+        deltas = np.abs(with_ctx[at_gold] - answer_only[at_gold])
+        positions, fallback = select_positions(deltas, threshold)
+        candidates_at: dict[int, list[int]] = {}
         for j in positions:
-            out_ids[j] = int(rng.choice(candidates_at[j]))
-            out_tokens[j] = tokens[out_ids[j]]
-        negatives.append(" ".join(out_tokens))
-        ids.append(np.array(out_ids, dtype=np.intp))
-        provenance.append(
-            {
-                "slot": slot,
-                "seed": slot_seed,
-                "replaced_positions": positions,
-                "fallback": fallback,
-                "mode": mode,
-                "threshold": threshold,
-                "k": k,
-            }
-        )
-    return NegativeSet(
-        example_id=example.id,
-        strategy=strategy,
-        negatives=negatives,
-        provenance=provenance,
-        ids=ids,
-    )
+            top = replacement_candidates(answer_only[start + j], answer_ids[j], k, specials)
+            if not top:
+                raise ValueError(f"example {example.id}: no replacement candidates at {j}")
+            candidates_at[j] = top
+        # an out-of-vocabulary token keeps its surface form
+        answer_tokens = tokenize(example.answer)
+        negatives, ids, provenance = [], [], []
+        for slot in range(m):
+            slot_seed = derive_seed(seed, example.id, strategy, slot)
+            rng = np.random.default_rng(slot_seed)
+            out_tokens, out_ids = list(answer_tokens), answer_ids.copy()
+            for j in positions:
+                out_ids[j] = rng.choice(candidates_at[j])
+                out_tokens[j] = tokens[out_ids[j]]
+            negatives.append(" ".join(out_tokens))
+            ids.append(out_ids)
+            provenance.append({
+                "slot": slot, "seed": slot_seed, "replaced_positions": positions,
+                "fallback": fallback, "mode": mode, "threshold": threshold, "k": k,
+            })
+        sets.append(NegativeSet(example.id, strategy, negatives, provenance, ids))
+    return sets
 
 
 def inbatch_negatives(batch: list[InferenceExample], i: int) -> list[str]:
@@ -288,8 +272,11 @@ def train_mcq_scorer(
 # ``enc`` is the examples' EncodedSet under the model's vocabulary (for
 # counterfactual, which has no model, the training vocabulary) with each
 # example's dataset counterfactuals, in stored order, as its negatives;
-# no builder tokenizes an input or a counterfactual again. ``config`` is
-# a TrainConfig: m, k, threshold, attempts and max_gen_len come from it.
+# no builder tokenizes an input or a counterfactual again. The replace
+# builders take the answer ids from ``enc`` too; they tokenize the answer
+# text only to keep the surface form of out-of-vocabulary tokens. Every
+# model-based builder calls its model on the whole set. ``config`` is a
+# TrainConfig: m, k, threshold, attempts and max_gen_len come from it.
 # The builders look the procedures up by module-level name at call time,
 # so a wrapper installed on those names sees every call.
 
@@ -317,11 +304,10 @@ def _non_optimal(model, examples, enc, config, seed):
 
 
 def _replace_zs(model, examples, enc, config, seed, mode="zs"):
-    return [
-        token_replace(model, ex, input_ids, threshold=config.threshold, k=config.k, m=config.m,
-                      seed=seed, mode=mode)
-        for ex, input_ids in zip(examples, enc.inputs)
-    ]
+    return replace_sets(
+        model, examples, enc, threshold=config.threshold, k=config.k, m=config.m, seed=seed,
+        mode=mode,
+    )
 
 
 def _replace_mcq(model, examples, enc, config, seed):

@@ -60,10 +60,12 @@ class LossConfig:
 
     def __post_init__(self):
         check_number_fields(self)
-        if self.tau_b <= 0 or self.tau_s <= 0:
-            raise ValueError("temperatures must be strictly positive")
-        if self.lambda_b < 0 or self.lambda_s < 0:
-            raise ValueError("loss coefficients must be non-negative")
+        for name in ("tau_b", "tau_s"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be > 0")
+        for name in ("lambda_b", "lambda_s"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0")
 
 
 @dataclass

@@ -57,21 +57,17 @@ class TrainConfig:
 
     def __post_init__(self):
         check_number_fields(self)
-        if self.d < 1:
-            raise ValueError("d must be >= 1")
-        if self.effective_batch < 1 or self.micro_batch < 1:
-            raise ValueError("batch sizes must be >= 1")
+        for name in (
+            "d", "effective_batch", "micro_batch", "max_epochs", "m", "k", "attempts", "max_gen_len"
+        ):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
         if self.effective_batch % self.micro_batch != 0:
             raise ValueError("micro_batch must divide effective_batch")
         if self.lr0 < 0:
             raise ValueError("lr0 must be non-negative")
-        if self.max_epochs < 1:
-            raise ValueError("max_epochs must be >= 1")
         if self.warmup_steps < 0:
             raise ValueError("warmup_steps must be >= 0")
-        for name in ("m", "k", "attempts", "max_gen_len"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
         if self.threshold <= 0:
             raise ValueError("threshold must be > 0")
         if self.negative_strategy not in [*STRATEGIES, "none"]:

@@ -11,6 +11,7 @@ from inferbench.corpus import (
     QuestionType,
     Utterance,
 )
+from inferbench.negatives import replace_sets
 from inferbench.objective import encode
 
 DATA_DIR = Path(__file__).parent.parent / "data"
@@ -45,9 +46,9 @@ def make_example(
     return example
 
 
-def input_ids(model, example):
-    """The example's input ids under the model's vocabulary."""
-    return encode([example], vocab=model.vocab).inputs[0]
+def replace_one(scorer, example, **args):
+    """``replace_sets`` on one example, encoded under the scorer's vocabulary."""
+    return replace_sets(scorer, [example], encode([example], vocab=scorer.vocab), **args)[0]
 
 
 @pytest.fixture

@@ -2,9 +2,9 @@
 
 The package runs only batched kernels: ``ToyBackend.generate_batch``
 decodes blocks of rows under one ``max_len`` and ``k`` (greedy when
-None) with one seed per row, ``masked_logits_per_position`` scores
-every position of an answer in one call, and ``nonoptimal_sets`` and
-``token_replace`` work on encoded sets. The functions here state the
+None) with one seed per row, ``masked_log_probs`` scores every masked
+position of a set of answers in one call, and ``nonoptimal_sets`` and
+``replace_sets`` work on encoded sets. The functions here state the
 same model one row, one position or one example at a time, on
 :func:`inferbench.backend.pool`, so that the tests can compare the
 batched kernels with them bit for bit; :func:`generate` is the one-row
@@ -23,7 +23,7 @@ import numpy as np
 from inferbench.backend import BOS_ID, EOS, Vocabulary, pool
 from inferbench.corpus import prepare_input_text
 from inferbench.metrics import tokenize
-from inferbench.negatives import _deltas, nonoptimal_sets
+from inferbench.negatives import nonoptimal_sets
 from inferbench.objective import encode
 
 
@@ -103,9 +103,13 @@ def generate_nonoptimal(
 
 def replacement_deltas(scorer, example, template_id="default") -> np.ndarray:
     """The masked scorer's |log p(a_j | context + answer\\j) -
-    log p(a_j | answer\\j)| at each gold-answer position of one example."""
+    log p(a_j | answer\\j)| at each gold-answer position of one example,
+    from one ``masked_log_probs`` call."""
     enc = encode([example], template_id=template_id, vocab=scorer.vocab)
-    return _deltas(scorer, enc.answers[0][:-1], enc.inputs[0])[0]
+    answer = enc.answers[0][:-1]
+    with_ctx, answer_only = scorer.masked_log_probs([answer], enc.inputs)
+    at_gold = (np.arange(len(answer)), answer)
+    return np.abs(with_ctx[at_gold] - answer_only[at_gold])
 
 
 def normalize_answer(text: str) -> str:
@@ -114,7 +118,7 @@ def normalize_answer(text: str) -> str:
 
 
 def replacement_candidates(dist, gold, k, special_ids) -> list[int]:
-    """``token_replace``'s candidates at one position from the whole
+    """``replace_sets``' candidates at one position from the whole
     vocabulary ranked (descending value, ties by lower id) with the
     specials removed: its top k without gold, else the (k+1)-th."""
     order = np.lexsort((np.arange(len(dist)), -dist))

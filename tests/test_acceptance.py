@@ -26,7 +26,7 @@ from inferbench.backend import ToyBackend, Vocabulary
 from inferbench.cli import main as cli_main
 from inferbench.experiments import contrastive_benefit_experiment
 from inferbench.metrics import bleu, cider, meteor_lite, rouge_l, tokenize
-from inferbench.negatives import pick_counterfactuals, select_positions, token_replace
+from inferbench.negatives import pick_counterfactuals, select_positions
 from inferbench.objective import LossConfig, encode, finite_diff_check, forward
 from bruteforce import (
     bf_bleu,
@@ -36,7 +36,7 @@ from bruteforce import (
     bf_rouge_l,
     bf_t_two_sided_p,
 )
-from conftest import DATA_DIR, input_ids, make_example
+from conftest import DATA_DIR, make_example, replace_one
 from reference_model import replacement_deltas
 from test_metrics import random_pairs
 from test_objective import (
@@ -247,8 +247,7 @@ def test_criterion_7_negative_procedure_contracts():
 
         previous = None
         for threshold in (0.25, 0.5, 0.75, 1.0):
-            ns = token_replace(scorer, example, input_ids(scorer, example),
-                               threshold=threshold, k=10, m=1, seed=1, mode="zs")
+            ns = replace_one(scorer, example, threshold=threshold, k=10, m=1, seed=1, mode="zs")
             out_tokens = tokenize(ns.negatives[0])
             assert len(out_tokens) == len(gold_tokens)
             positions = ns.provenance[0]["replaced_positions"]

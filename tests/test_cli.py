@@ -621,11 +621,15 @@ def small_checkpoint(tmp_path_factory, small_data):
         ("train", ["train.warmup_steps=-3"], "train.warmup_steps must be >= 0"),
         ("generate", ["decode.method=top_k", "decode.k=0"], "decode.k must be >= 1"),
         ("sweep --dry-run", ["sweep.lambda_s=[0.5,-1]"],
-         "sweep run lb0.5_ls-1_m4_counterfactual: loss coefficients must be non-negative"),
+         "sweep run lb0.5_ls-1_m4_counterfactual: loss.lambda_s must be >= 0"),
         ("train", ["negatives.m=5"], "negatives.m must be <= 4"),
         ("sweep --dry-run", ["sweep.m=[1,5]"],
          "sweep run lb0.5_ls0.5_m5_counterfactual: negatives.m must be <= 4"),
         ("generate", ['decode.k="5"'], "decode.k must be int, got '5'"),
+        ("train", ["loss.tau_b=0"], "loss.tau_b must be > 0"),
+        ("train", ["loss.lambda_s=-0.5"], "loss.lambda_s must be >= 0"),
+        ("train", ["train.effective_batch=0"], "train.effective_batch must be >= 1"),
+        ("sweep --dry-run", ["sweep.m=[]"], "sweep.m must not be an empty list"),
     ],
 )
 def test_bad_config_is_json_error_at_load(

@@ -19,10 +19,7 @@ import pytest
 
 from inferbench.analysis import compare_metric_scores, stratified_compare
 from inferbench.backend import ToyBackend, derive_seed
-from inferbench.negatives import (
-    token_replace,
-    train_mcq_scorer,
-)
+from inferbench.negatives import replace_sets, train_mcq_scorer
 from inferbench.jsonio import canonical_dumps
 from inferbench.metrics import score_corpus
 from inferbench.objective import build_vocabulary, encode
@@ -129,8 +126,8 @@ def test_token_replace_negatives(split, model, mode):
                                   d=8, seed=11, lr=20.0)
         threshold = 0.3
     cfg = dict(threshold=threshold, k=5, m=2, seed=11, mode=mode)
-    inputs = encode(split, vocab=scorer.vocab).inputs
-    got = [token_replace(scorer, ex, ids, **cfg).negatives for ex, ids in zip(split, inputs)]
+    sets = replace_sets(scorer, split, encode(split, vocab=scorer.vocab), **cfg)
+    got = [ns.negatives for ns in sets]
     assert got == REPLACE[mode]
 
 

@@ -12,14 +12,13 @@ from inferbench.negatives import (
     nonoptimal_sets,
     pick_counterfactuals,
     select_positions,
-    token_replace,
     train_mcq_scorer,
 )
 from inferbench.objective import encode
 from inferbench.trainer import build_vocabulary
 
 from bruteforce import bf_replace_positions
-from conftest import input_ids, make_example
+from conftest import make_example, replace_one
 from reference_model import generate, generate_nonoptimal, replacement_deltas
 
 
@@ -176,8 +175,7 @@ def test_nonoptimal_provenance_replays(example):
 
 def test_forced_fallback_single_replacement(example):
     scorer = context_sensitive_scorer(example)
-    ns = token_replace(scorer, example, input_ids(scorer, example),
-                       threshold=1e9, k=10, m=1, seed=4, mode="zs")
+    ns = replace_one(scorer, example, threshold=1e9, k=10, m=1, seed=4, mode="zs")
     gold_tokens = tokenize(example.answer)
     out_tokens = tokenize(ns.negatives[0])
     assert len(out_tokens) == len(gold_tokens)
@@ -197,7 +195,7 @@ def test_replace_rejects_bad_arguments(example, bad, message):
     scorer = context_sensitive_scorer(example)
     args = {"threshold": 0.75, "k": 10, "m": 1, "seed": 0, "mode": "zs", **bad}
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        token_replace(scorer, example, input_ids(scorer, example), **args)
+        replace_one(scorer, example, **args)
 
 
 def test_zero_scorer_fallback_picks_position_zero(example):
@@ -215,8 +213,7 @@ def test_zero_scorer_fallback_picks_position_zero(example):
 def test_positions_match_bruteforce(example):
     scorer = context_sensitive_scorer(example)
     for threshold in (0.25, 0.5, 0.75, 1.0):
-        ns = token_replace(scorer, example, input_ids(scorer, example),
-                           threshold=threshold, k=10, m=1, seed=1, mode="zs")
+        ns = replace_one(scorer, example, threshold=threshold, k=10, m=1, seed=1, mode="zs")
         expected = bf_replace_positions(scorer, example, threshold)
         assert ns.provenance[0]["replaced_positions"] == expected
 
@@ -237,8 +234,7 @@ def test_threshold_monotonicity(example):
 
 def test_replaced_positions_differ_and_count_preserved(example):
     scorer = context_sensitive_scorer(example)
-    ns = token_replace(scorer, example, input_ids(scorer, example),
-                       threshold=0.75, k=10, m=3, seed=2, mode="zs")
+    ns = replace_one(scorer, example, threshold=0.75, k=10, m=3, seed=2, mode="zs")
     gold_tokens = tokenize(example.answer)
     positions = set(ns.provenance[0]["replaced_positions"])
     for neg, prov in zip(ns.negatives, ns.provenance):
@@ -253,19 +249,17 @@ def test_replaced_positions_differ_and_count_preserved(example):
 def test_replace_deterministic_and_seed_sensitive(example):
     scorer = context_sensitive_scorer(example)
     cfg = dict(threshold=0.5, k=10, m=2, mode="zs")
-    ids = input_ids(scorer, example)
-    a = token_replace(scorer, example, ids, seed=3, **cfg)
-    b = token_replace(scorer, example, ids, seed=3, **cfg)
+    a = replace_one(scorer, example, seed=3, **cfg)
+    b = replace_one(scorer, example, seed=3, **cfg)
     assert a.negatives == b.negatives
-    c = token_replace(scorer, example, ids, seed=4, **cfg)
+    c = replace_one(scorer, example, seed=4, **cfg)
     assert a.negatives != c.negatives
 
 
 def test_replacement_never_emits_specials_or_gold(example):
     scorer = context_sensitive_scorer(example)
     gold_tokens = tokenize(example.answer)
-    ns = token_replace(scorer, example, input_ids(scorer, example),
-                       threshold=0.25, k=3, m=4, seed=6, mode="zs")
+    ns = replace_one(scorer, example, threshold=0.25, k=3, m=4, seed=6, mode="zs")
     for neg in ns.negatives:
         for i, tok in enumerate(tokenize(neg)):
             assert not tok.startswith("<")
@@ -283,8 +277,7 @@ def test_replace_mcq_scorer_stands_in(example):
         for i, fact in enumerate(("rain", "exam", "garden"))
     ]
     scorer = train_mcq_scorer(encode(others, [ex.counterfactuals for ex in others]), d=8, seed=0)
-    ns = token_replace(scorer, example, input_ids(scorer, example),
-                       threshold=0.75, k=10, m=1, seed=1, mode="mcq")
+    ns = replace_one(scorer, example, threshold=0.75, k=10, m=1, seed=1, mode="mcq")
     assert ns.strategy == "replace_mcq"
     assert len(ns.negatives) == 1
 
@@ -322,8 +315,7 @@ def test_all_strategies_emit_distinct_from_gold(example):
     sets = [
         pick_counterfactuals(example, m=4, seed=0),
         generate_nonoptimal(sampler, example, m=2, seed=0),
-        token_replace(scorer, example, input_ids(scorer, example),
-                      threshold=0.75, k=10, m=2, seed=0, mode="zs"),
+        replace_one(scorer, example, threshold=0.75, k=10, m=2, seed=0, mode="zs"),
     ]
     gold = normalize_answer(example.answer)
     for ns in sets:

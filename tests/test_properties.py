@@ -74,7 +74,7 @@ from inferbench.metrics import (
     score_corpus,
     tokenize,
 )
-from inferbench.negatives import _deltas, replacement_candidates, token_replace
+from inferbench.negatives import replacement_candidates
 from inferbench.objective import (
     EncodedSet,
     LossConfig,
@@ -85,7 +85,7 @@ from inferbench.objective import (
 from inferbench.porter import stem
 
 from bruteforce import bf_bleu, bf_cider, bf_rouge_l, bf_total_loss
-from conftest import input_ids, make_example
+from conftest import make_example, replace_one
 import reference_model
 from reference_model import (
     generate,
@@ -601,8 +601,7 @@ def test_token_replace_keeps_the_token_count(scorer, context, answer, threshold,
     example = make_example(
         turns=(("A", context),), target_index=1, answer=answer, counterfactuals=()
     )
-    result = token_replace(scorer, example, input_ids(scorer, example),
-                           threshold=threshold, k=k, m=m, seed=seed, mode="zs")
+    result = replace_one(scorer, example, threshold=threshold, k=k, m=m, seed=seed, mode="zs")
     assert len(result.negatives) == m
     for negative in result.negatives:
         assert len(tokenize(negative)) == len(tokenize(answer))
@@ -610,9 +609,9 @@ def test_token_replace_keeps_the_token_count(scorer, context, answer, threshold,
 
 @st.composite
 def masked_scoring_cases(draw):
-    """A backend of d 1-24 over 8-100 tokens with random parameters, an
-    answer of 1-12 ids and a context of 0-40 ids. Ids repeat (a draw may
-    keep to a handful) and UNK is among them."""
+    """A backend of d 1-24 over 8-100 tokens with random parameters, and
+    a set of 1-6 cases, each an answer of 1-12 ids and a context of 0-40
+    ids. Ids repeat (a draw may keep to a handful) and UNK is among them."""
     be = ToyBackend(
         Vocabulary([f"w{k}" for k in range(draw(st.integers(3, 95)))]),
         d=draw(st.integers(1, 24)),
@@ -623,21 +622,43 @@ def masked_scoring_cases(draw):
     be.set_flat_parameters(scale * rng.normal(size=be.flat_parameters().size))
     top = draw(st.sampled_from([len(SPECIALS) + 2, len(be.vocab)]))
     token = st.integers(0, top - 1) | st.just(UNK_ID)
-    answer = draw(st.lists(token, min_size=1, max_size=12))
-    context = draw(st.lists(token, max_size=40))
-    return be, answer, context
+    case = st.tuples(st.lists(token, min_size=1, max_size=12), st.lists(token, max_size=40))
+    return be, draw(st.lists(case, min_size=1, max_size=6))
+
+
+def random_backend(d, seed):
+    """A backend of width ``d`` over 20 words with normal parameters, and
+    the generator that drew them, for drawing its cases."""
+    be = ToyBackend(Vocabulary([f"w{k}" for k in range(20)]), d=d, seed=0)
+    rng = np.random.default_rng(seed)
+    be.set_flat_parameters(rng.normal(size=be.flat_parameters().size))
+    return be, rng
 
 
 def long_window_d1_case(seed):
     """A d = 1 case with a 30-id context and a 12-id answer: both windows
     have 8 or more rows, where numpy sums a single column pairwise and
     so apart from an in-order sum."""
-    be = ToyBackend(Vocabulary([f"w{k}" for k in range(20)]), d=1, seed=0)
-    rng = np.random.default_rng(seed)
-    be.set_flat_parameters(rng.normal(size=be.flat_parameters().size))
+    be, rng = random_backend(1, seed)
     answer = rng.integers(0, len(be.vocab), size=12).tolist()
     context = rng.integers(0, len(be.vocab), size=30).tolist()
-    return be, answer, context
+    return be, [(answer, context)]
+
+
+def block_crossing_case(d, seed):
+    """40 cases whose windows fill more than two blocks of
+    ``DECODE_BLOCK``: every third answer has one id, and every fourth
+    context is empty."""
+    be, rng = random_backend(d, seed)
+    cases = [
+        (
+            rng.integers(0, len(be.vocab), size=1 if i % 3 == 0 else rng.integers(2, 13)).tolist(),
+            rng.integers(0, len(be.vocab), size=0 if i % 4 == 0 else rng.integers(1, 41)).tolist(),
+        )
+        for i in range(40)
+    ]
+    assert 2 * sum(len(answer) for answer, _ in cases) > 2 * DECODE_BLOCK
+    return be, cases
 
 
 def per_position_deltas(be, answer, context):
@@ -656,16 +677,19 @@ def per_position_deltas(be, answer, context):
 @example(long_window_d1_case(0))
 @example(long_window_d1_case(1))
 @example(long_window_d1_case(2))
+@example(block_crossing_case(1, 3))
+@example(block_crossing_case(7, 4))
 def test_batched_masked_scoring_equals_per_position_calls_bitwise(case):
-    be, answer, context = case
-    with_ctx, alone = be.masked_logits_per_position(answer, context)
-    assert with_ctx.shape == alone.shape == (len(answer), len(be.vocab))
-    for j in range(len(answer)):
-        assert with_ctx[j].tobytes() == masked_logits_ids(be, answer, j, context).tobytes()
-        assert alone[j].tobytes() == masked_logits_ids(be, answer, j).tobytes()
-    deltas, answer_only = _deltas(be, answer, context)
-    assert deltas.tobytes() == per_position_deltas(be, answer, context).tobytes()
-    assert answer_only.tobytes() == alone.tobytes()
+    be, cases = case
+    answers = [answer for answer, _ in cases]
+    with_ctx, alone = be.masked_log_probs(answers, [context for _, context in cases])
+    assert with_ctx.shape == alone.shape == (sum(map(len, answers)), len(be.vocab))
+    rows = iter(zip(with_ctx, alone))
+    for answer, context in cases:
+        for j in range(len(answer)):
+            got_with_ctx, got_alone = next(rows)
+            assert got_with_ctx.tobytes() == masked_logits_ids(be, answer, j, context).tobytes()
+            assert got_alone.tobytes() == masked_logits_ids(be, answer, j).tobytes()
 
 
 @PROPERTY
