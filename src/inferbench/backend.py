@@ -195,40 +195,44 @@ class ToyBackend:
             return v
         return v / norm
 
-    def masked_log_probs(self, answers, contexts) -> tuple[np.ndarray, np.ndarray]:
-        """The log-probabilities at every masked position of each answer,
-        with its context and without, one row per position, answer after
-        answer: the row of position j of ``answers[i]`` scores the window
-        ``contexts[i]`` + ``answers[i]`` without position j, and the window
-        ``answers[i]`` without position j, each pooled as :func:`pool`
-        pools it, bit for bit.
+    def masked_log_probs(self, answers, contexts):
+        """Yield, answer by answer, the log-probabilities at every masked
+        position of the answer, with its context and without: the pair of
+        ``answers[i]`` has a row j that scores the window ``contexts[i]`` +
+        ``answers[i]`` without position j, and one that scores ``answers[i]``
+        without position j, each pooled as :func:`pool` pools it, bit for bit.
 
-        Each context is summed once; its windows sum on from that sum, a
-        row appended to the embedding table. The windows are summed and
-        scored :data:`DECODE_BLOCK` at a time."""
-        # context i's in-order sum is row len(E) + i of the table
-        table = np.concatenate([self.E, *(
-            _segment_sums(self.E, contexts[start : start + DECODE_BLOCK])
-            for start in range(0, len(contexts), DECODE_BLOCK)
-        )])
-        with_ctx, alone, sizes = [], [], []
-        for i, (answer, context) in enumerate(zip(answers, contexts)):
-            cols = np.arange(len(answer))
-            # row j: context i's sum, then the answer without position j
-            windows = np.concatenate([[len(self.E) + i], answer])[cols + (cols > cols[:, None])]
-            with_ctx.extend(windows)
-            alone.extend(windows[:, 1:])
-            sizes += [len(context) + len(answer) - 1] * len(answer)
-        windows = with_ctx + alone
-        counts = np.array([*sizes, *map(len, alone)])[:, None]
-        out = np.empty((len(windows), len(self.vocab)))
-        for start in range(0, len(windows), DECODE_BLOCK):
-            rows = slice(start, start + DECODE_BLOCK)
-            sums = _segment_sums(table, windows[rows])
+        The answers are scored in runs of at most :data:`DECODE_BLOCK` windows
+        (an answer with more is a run alone), so no array outgrows a block or
+        one answer. Each context of a run is summed once; its windows sum on
+        from that sum, a row appended to the embedding table."""
+        runs = []
+        for i, answer in enumerate(answers):
+            if not runs or size + 2 * len(answer) > DECODE_BLOCK:
+                runs.append([])
+                size = 0
+            runs[-1].append(i)
+            size += 2 * len(answer)
+        for run in runs:
+            # the in-order sum of the run's context r is row len(E) + r
+            table = np.concatenate([self.E, _segment_sums(self.E, [contexts[i] for i in run])])
+            windows, counts = [], []
+            for r, i in enumerate(run):
+                n = len(answers[i])
+                cols = np.arange(n)
+                # row j: the context's sum, then the answer without position j
+                ids = np.concatenate([[len(self.E) + r], answers[i]])
+                with_ctx = ids[cols + (cols > cols[:, None])]
+                windows += [*with_ctx, *with_ctx[:, 1:]]
+                counts += [len(contexts[i]) + n - 1] * n + [n - 1] * n
+            counts = np.array(counts)[:, None]
+            sums = _segment_sums(table, windows)
             # an empty window pools to zeros
-            states = np.divide(sums, counts[rows], out=np.zeros_like(sums), where=counts[rows] > 0)
-            out[rows] = self._log_probs_rows(states)
-        return out[: len(with_ctx)], out[len(with_ctx) :]
+            states = np.divide(sums, counts, out=np.zeros_like(sums), where=counts > 0)
+            log_probs = self._log_probs_rows(states)
+            for start, i in zip(np.cumsum([0, *(2 * len(answers[i]) for i in run)]), run):
+                n = len(answers[i])
+                yield log_probs[start : start + n], log_probs[start + n : start + 2 * n]
 
     def generate_batch(
         self,

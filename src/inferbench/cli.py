@@ -612,8 +612,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config, digest = load_run_config(args.config, args.set)
         meta = {
-            "config_digest": digest, "seed": _train_config(config).seed,
-            "tool": f"inferbench-{__version__}",
+            "config_digest": digest, "seed": config["seed"], "tool": f"inferbench-{__version__}"
         }
         return args.func(args, config, meta)
     except (ConfigError, DatasetError, ValueError, OSError, RuntimeError) as exc:

@@ -194,19 +194,18 @@ def replace_sets(
     if mode not in ("zs", "mcq"):
         raise ValueError(f"unknown replace mode {mode!r}")
     answers = [ids[:-1] for ids in enc.answers]  # without EOS
-    with_ctx, answer_only = scorer.masked_log_probs(answers, enc.inputs)
+    scored = scorer.masked_log_probs(answers, enc.inputs)
     strategy = f"replace_{mode}"
     tokens = scorer.vocab.tokens
     specials = range(len(SPECIALS))
     sets = []
-    starts = np.cumsum([0, *map(len, answers)]).tolist()
-    for example, answer_ids, start in zip(examples, answers, starts):
-        at_gold = (np.arange(start, start + len(answer_ids)), answer_ids)
+    for example, answer_ids, (with_ctx, answer_only) in zip(examples, answers, scored):
+        at_gold = (np.arange(len(answer_ids)), answer_ids)
         deltas = np.abs(with_ctx[at_gold] - answer_only[at_gold])
         positions, fallback = select_positions(deltas, threshold)
         candidates_at: dict[int, list[int]] = {}
         for j in positions:
-            top = replacement_candidates(answer_only[start + j], answer_ids[j], k, specials)
+            top = replacement_candidates(answer_only[j], answer_ids[j], k, specials)
             if not top:
                 raise ValueError(f"example {example.id}: no replacement candidates at {j}")
             candidates_at[j] = top

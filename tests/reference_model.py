@@ -3,9 +3,10 @@
 The package runs only batched kernels: ``ToyBackend.generate_batch``
 decodes blocks of rows under one ``max_len`` and ``k`` (greedy when
 None) with one seed per row, ``masked_log_probs`` scores every masked
-position of a set of answers in one call, and ``nonoptimal_sets`` and
-``replace_sets`` work on encoded sets. The functions here state the
-same model one row, one position or one example at a time, on
+position of a set of answers in one call, a block at a time, and
+``nonoptimal_sets`` and ``replace_sets`` work on encoded sets. The
+functions here state the same model one row, one position or one
+example at a time, on
 :func:`inferbench.backend.pool`, so that the tests can compare the
 batched kernels with them bit for bit; :func:`generate` is the one-row
 decode call. The last two state the answer normalization and the
@@ -107,7 +108,7 @@ def replacement_deltas(scorer, example, template_id="default") -> np.ndarray:
     from one ``masked_log_probs`` call."""
     enc = encode([example], template_id=template_id, vocab=scorer.vocab)
     answer = enc.answers[0][:-1]
-    with_ctx, answer_only = scorer.masked_log_probs([answer], enc.inputs)
+    [(with_ctx, answer_only)] = scorer.masked_log_probs([answer], enc.inputs)
     at_gold = (np.arange(len(answer)), answer)
     return np.abs(with_ctx[at_gold] - answer_only[at_gold])
 

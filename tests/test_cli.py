@@ -484,6 +484,21 @@ def test_sweep_dry_run_shapes(tmp_path, small_data):
     assert len({r["strategy"] for r in summary["runs"]}) == 4
 
 
+@pytest.mark.parametrize("overrides", [
+    ["negatives.m=8", "sweep.m=[1,2]"],
+    ["negatives.strategy=none", "sweep.lambda_s=[0.0]"],
+])
+def test_sweep_replaces_an_invalid_base_value(tmp_path, small_data, overrides):
+    """A sweep is checked run by run: a base value that every swept value
+    replaces need not be valid on its own."""
+    out_dir = tmp_path / "sweep"
+    flags = [arg for item in overrides for arg in ("--set", item)]
+    assert run(["sweep", *flags, "--train", small_data / "train.jsonl",
+                "--valid", small_data / "valid.jsonl", "--out-dir", out_dir, "--dry-run"]) == 0
+    summary = json.loads((out_dir / "sweep_summary.json").read_text())
+    assert summary["meta"]["seed"] == 0
+
+
 def test_sweep_single_run_executes(tmp_path, small_data):
     cfg = tmp_path / "one.json"
     cfg.write_text(json.dumps({

@@ -3,7 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from inferbench.backend import BOS_ID, EOS_ID, ToyBackend, Vocabulary, derive_seed
+from inferbench.backend import BOS_ID, DECODE_BLOCK, EOS_ID, ToyBackend, Vocabulary, derive_seed
 from inferbench.corpus import load_dataset, normalize_answer
 from inferbench.metrics import tokenize
 from inferbench.negatives import (
@@ -11,6 +11,7 @@ from inferbench.negatives import (
     inbatch_negatives,
     nonoptimal_sets,
     pick_counterfactuals,
+    replace_sets,
     select_positions,
     train_mcq_scorer,
 )
@@ -216,6 +217,31 @@ def test_positions_match_bruteforce(example):
         ns = replace_one(scorer, example, threshold=threshold, k=10, m=1, seed=1, mode="zs")
         expected = bf_replace_positions(scorer, example, threshold)
         assert ns.provenance[0]["replaced_positions"] == expected
+
+
+def test_positions_of_a_ragged_set_match_bruteforce():
+    """One ``replace_sets`` call on 30 examples of 1-10 answer tokens and
+    ragged contexts, whose masked windows fill several runs of
+    ``DECODE_BLOCK``: each example's positions are its own brute-force
+    selection."""
+    words = "the rain was announced earlier yes is set for friday did you hear".split()
+    examples = [
+        make_example(
+            ex_id=f"ex-{i}",
+            turns=(("A", " ".join(words[: 1 + i % 12])), ("B", "yes the rain is set .")),
+            answer=" ".join(words[i % 3 : i % 3 + 1 + i % 10]),
+        )
+        for i in range(30)
+    ]
+    assert 2 * sum(len(tokenize(ex.answer)) for ex in examples) > 2 * DECODE_BLOCK
+    scorer = ToyBackend(build_vocabulary(examples), d=8, seed=5)
+    scorer.E *= 20.0
+    scorer.U *= 20.0
+    enc = encode(examples, vocab=scorer.vocab)
+    sets = replace_sets(scorer, examples, enc, threshold=0.5, k=10, m=1, seed=1, mode="zs")
+    positions = [ns.provenance[0]["replaced_positions"] for ns in sets]
+    assert positions == [bf_replace_positions(scorer, ex, 0.5) for ex in examples]
+    assert max(map(len, positions)) > 1
 
 
 def test_threshold_monotonicity(example):

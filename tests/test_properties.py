@@ -647,15 +647,20 @@ def long_window_d1_case(seed):
 
 def block_crossing_case(d, seed):
     """40 cases whose windows fill more than two blocks of
-    ``DECODE_BLOCK``: every third answer has one id, and every fourth
-    context is empty."""
+    ``DECODE_BLOCK``: every third answer has one id, the answer of case
+    20 has more windows than a block, and every fourth context is
+    empty."""
     be, rng = random_backend(d, seed)
+    sizes = [
+        1 if i % 3 == 0 else DECODE_BLOCK // 2 + 3 if i == 20 else rng.integers(2, 13)
+        for i in range(40)
+    ]
     cases = [
         (
-            rng.integers(0, len(be.vocab), size=1 if i % 3 == 0 else rng.integers(2, 13)).tolist(),
+            rng.integers(0, len(be.vocab), size=size).tolist(),
             rng.integers(0, len(be.vocab), size=0 if i % 4 == 0 else rng.integers(1, 41)).tolist(),
         )
-        for i in range(40)
+        for i, size in enumerate(sizes)
     ]
     assert 2 * sum(len(answer) for answer, _ in cases) > 2 * DECODE_BLOCK
     return be, cases
@@ -682,14 +687,13 @@ def per_position_deltas(be, answer, context):
 def test_batched_masked_scoring_equals_per_position_calls_bitwise(case):
     be, cases = case
     answers = [answer for answer, _ in cases]
-    with_ctx, alone = be.masked_log_probs(answers, [context for _, context in cases])
-    assert with_ctx.shape == alone.shape == (sum(map(len, answers)), len(be.vocab))
-    rows = iter(zip(with_ctx, alone))
-    for answer, context in cases:
+    scored = list(be.masked_log_probs(answers, [context for _, context in cases]))
+    assert len(scored) == len(cases)
+    for (answer, context), (with_ctx, alone) in zip(cases, scored):
+        assert with_ctx.shape == alone.shape == (len(answer), len(be.vocab))
         for j in range(len(answer)):
-            got_with_ctx, got_alone = next(rows)
-            assert got_with_ctx.tobytes() == masked_logits_ids(be, answer, j, context).tobytes()
-            assert got_alone.tobytes() == masked_logits_ids(be, answer, j).tobytes()
+            assert with_ctx[j].tobytes() == masked_logits_ids(be, answer, j, context).tobytes()
+            assert alone[j].tobytes() == masked_logits_ids(be, answer, j).tobytes()
 
 
 @PROPERTY
