@@ -14,8 +14,8 @@ in order, divided by the count, zeros for an empty segment. Masked
 scoring drops the masked position and pools the remaining tokens of the
 conditioned window. The model contract is id-level: the vocabulary
 ``vocab`` plus ``generate_batch`` (the decoded ids of each row),
-``masked_log_probs`` (every position of every answer of a set masked in
-turn, with its context and without, in one call) and ``embed_ids``, all
+``masked_log_probs`` (every masked position of each answer of a set, with
+its context and without, yielded answer by answer) and ``embed_ids``, all
 on token ids, and :func:`pool`, which the objective's forward shares.
 The decoder takes plain values, ``generate_batch(inputs, max_len, k,
 seeds)``: greedy when ``k`` is None, else top-k with one seed per row.
