@@ -69,9 +69,6 @@ class Vocabulary:
     def __len__(self) -> int:
         return len(self._tokens)
 
-    def __contains__(self, token: str) -> bool:
-        return token in self._ids
-
     @property
     def tokens(self) -> list[str]:
         return list(self._tokens)
@@ -202,10 +199,16 @@ class ToyBackend:
         ``answers[i]`` without position j, and one that scores ``answers[i]``
         without position j, each pooled as :func:`pool` pools it, bit for bit.
 
-        The answers are scored in runs of at most :data:`DECODE_BLOCK` windows
-        (an answer with more is a run alone), so no array outgrows a block or
-        one answer. Each context of a run is summed once; its windows sum on
-        from that sum, a row appended to the embedding table."""
+        Each context is summed once, in one call, and its windows sum on from
+        that sum, a row appended to the embedding table; this table of
+        context sums (one row of d per answer) and the context rows gathered
+        to take it are the arrays that grow with the set. The answers are scored in runs of at most
+        :data:`DECODE_BLOCK` windows (an answer with more is a run alone), so
+        no other array outgrows a block or one answer."""
+        if not answers:
+            return
+        # the in-order sum of context i is row len(E) + i
+        table = np.concatenate([self.E, _segment_sums(self.E, contexts)])
         runs = []
         for i, answer in enumerate(answers):
             if not runs or size + 2 * len(answer) > DECODE_BLOCK:
@@ -214,14 +217,12 @@ class ToyBackend:
             runs[-1].append(i)
             size += 2 * len(answer)
         for run in runs:
-            # the in-order sum of the run's context r is row len(E) + r
-            table = np.concatenate([self.E, _segment_sums(self.E, [contexts[i] for i in run])])
             windows, counts = [], []
-            for r, i in enumerate(run):
+            for i in run:
                 n = len(answers[i])
                 cols = np.arange(n)
                 # row j: the context's sum, then the answer without position j
-                ids = np.concatenate([[len(self.E) + r], answers[i]])
+                ids = np.concatenate([[len(self.E) + i], answers[i]])
                 with_ctx = ids[cols + (cols > cols[:, None])]
                 windows += [*with_ctx, *with_ctx[:, 1:]]
                 counts += [len(contexts[i]) + n - 1] * n + [n - 1] * n

@@ -1,11 +1,16 @@
 """Pipeline entry point: ingest, train, generate, perturb, score,
 agree, compare, gradcheck and sweep, driven by a versioned JSON config.
 
-The default config is the training recipe, written once as the
-defaults of :class:`~inferbench.trainer.TrainConfig` and
-:class:`~inferbench.objective.LossConfig`; each TrainConfig field names
-its config key. Flags override config via repeatable ``--set
-section.key=value``. Unknown keys are rejected.
+The config's typed form is :class:`~inferbench.trainer.TrainConfig`
+(with :class:`~inferbench.objective.LossConfig` for the loss section):
+its defaults are the default config, each of its fields names its
+config key and checks its value, and the subcommands read their values
+from it, never from the dict. Only the ``sweep`` section lives in the
+dict alone; each sweep axis is named once, in :data:`SWEEP_AXES`. A
+repeatable ``--set section.key=value`` is merged as a config file that
+holds only that key would be, after ``--config``. Unknown keys are
+rejected. Every subcommand but ``sweep`` checks the base config before
+it opens a file; ``sweep`` checks each of its grid points instead.
 Artifacts are canonical JSON stamped with the effective config digest
 and seed, so identical reruns are byte-identical. The only environment
 variable read is INFERBENCH_LOG (log verbosity).
@@ -14,17 +19,15 @@ variable read is INFERBENCH_LOG (log verbosity).
 from __future__ import annotations
 
 import argparse
-import copy
 import functools
 import itertools
 import json
 import logging
-import numbers
 import operator
 import os
 import sys
 import warnings
-from dataclasses import asdict, fields
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 from . import __version__
@@ -43,7 +46,7 @@ from .metrics import PAIR_METRICS, pair_scores, score_corpus
 from .negatives import STRATEGIES, untrained_model
 from .objective import LossConfig, encode, finite_diff_check
 from .synth import build_split
-from .trainer import TrainConfig, train
+from .trainer import STRATA, TrainConfig, train
 
 log = logging.getLogger("inferbench")
 
@@ -52,16 +55,22 @@ CONFIG_VERSION = "1"
 # the run-config key of each TrainConfig field but ``loss``
 _TRAIN_KEYS = {f.name: f.metadata["key"] for f in fields(TrainConfig) if f.metadata}
 
+# each sweep axis: the config key it sets, and the prefix of its value in a run name
+SWEEP_AXES = {
+    "lambda_b": ("loss.lambda_b", "lb"),
+    "lambda_s": ("loss.lambda_s", "ls"),
+    "m": ("negatives.m", "m"),
+    "strategy": ("negatives.strategy", ""),
+}
+
 
 def _default_config() -> dict:
-    """Each TrainConfig and LossConfig default under its key, and the
-    keys that only the CLI reads."""
+    """Each TrainConfig and LossConfig default under its key, and no
+    sweep."""
     config = {
         "config_version": CONFIG_VERSION,
         "loss": asdict(LossConfig()),
-        "decode": {"method": "greedy", "k": 10, "seed": 0},
-        "report": {"stratify_by": None},
-        "sweep": {"lambda_b": None, "lambda_s": None, "m": None, "strategy": None},
+        "sweep": dict.fromkeys(SWEEP_AXES),
     }
     defaults = TrainConfig()
     for name, key in _TRAIN_KEYS.items():
@@ -73,47 +82,55 @@ def _default_config() -> dict:
 
 DEFAULT_CONFIG: dict = _default_config()
 
-STRATA = ("difficulty", "question")
-
 
 class ConfigError(ValueError):
     pass
 
 
-def _merge_config(defaults: dict, user: dict, path: str = "") -> dict:
-    merged = copy.deepcopy(defaults)
+def _merge_config(base: dict, user: dict, path: str = "") -> dict:
+    """``base`` with ``user``'s values in its place, section by section;
+    a section ``user`` changes is copied, the others are shared with
+    ``base``, so no config is changed in place once it is built. An
+    object is taken only where ``base`` has a section, so every config
+    keeps the sections and keys of the default one."""
+    merged = dict(base)
     for key, value in user.items():
         where = f"{path}{key}"
-        if key not in defaults:
+        if key not in base:
             raise ConfigError(f"unknown config key {where!r}")
-        if isinstance(defaults[key], dict):
+        if isinstance(base[key], dict):
             if not isinstance(value, dict):
                 raise ConfigError(f"config key {where!r} must be an object")
-            merged[key] = _merge_config(defaults[key], value, where + ".")
+            merged[key] = _merge_config(base[key], value, where + ".")
+        elif isinstance(value, dict):
+            raise ConfigError(f"config key {where!r} must not be an object")
         else:
             merged[key] = value
     return merged
 
 
-def _apply_overrides(config: dict, overrides: list[str]) -> dict:
-    for item in overrides or []:
-        if "=" not in item:
-            raise ConfigError(f"override {item!r} is not of the form key=value")
-        dotted, raw = item.split("=", 1)
-        try:
-            value = json.loads(raw)
-        except json.JSONDecodeError:
-            value = raw
-        node = config
-        parts = dotted.split(".")
-        for part in parts[:-1]:
-            if part not in node or not isinstance(node[part], dict):
-                raise ConfigError(f"unknown config key {dotted!r}")
-            node = node[part]
-        if parts[-1] not in node:
-            raise ConfigError(f"unknown config key {dotted!r}")
-        node[parts[-1]] = value
-    return config
+def _value_at(config: dict, key: str):
+    """The value at the dotted ``key`` of ``config``."""
+    return functools.reduce(operator.getitem, key.split("."), config)
+
+
+def _config_at(key: str, value) -> dict:
+    """The config that holds only ``value``, at the dotted ``key``."""
+    *sections, leaf = key.split(".")
+    return functools.reduce(lambda inner, part: {part: inner}, reversed(sections), {leaf: value})
+
+
+def _override(item: str) -> dict:
+    """The config that ``--set key=value`` merges: ``value`` parsed as
+    JSON, or else kept as a string, at the dotted ``key``."""
+    if "=" not in item:
+        raise ConfigError(f"override {item!r} is not of the form key=value")
+    key, raw = item.split("=", 1)
+    try:
+        value = json.loads(raw)
+    except json.JSONDecodeError:
+        value = raw
+    return _config_at(key, value)
 
 
 def load_run_config(path: str | None, overrides: list[str] | None = None) -> tuple[dict, str]:
@@ -123,7 +140,8 @@ def load_run_config(path: str | None, overrides: list[str] | None = None) -> tup
         if not isinstance(user, dict):
             raise ConfigError("config file must hold a JSON object")
     config = _merge_config(DEFAULT_CONFIG, user)
-    config = _apply_overrides(config, overrides or [])
+    for item in overrides or []:
+        config = _merge_config(config, _override(item))
     if str(config["config_version"]) != CONFIG_VERSION:
         raise ConfigError(
             f"unsupported config_version {config['config_version']!r}"
@@ -137,33 +155,19 @@ def _check_config(config: dict) -> None:
     point, naming the grid point when a sweep is set; the dict itself is
     left as it is, because its digest stamps the artifacts."""
     swept = any(values is not None for values in config["sweep"].values())
-    for run in _expand_sweep(config):
+    for point, run in _expand_sweep(config):
         try:
             _train_config(run)
         except ValueError as exc:
             if not swept:
                 raise
-            raise ConfigError(f"sweep run {_run_name(run)}: {exc}") from exc
-    decode = config["decode"]
-    if decode["method"] not in ("greedy", "top_k"):
-        raise ConfigError(f"unknown decode method {decode['method']!r}")
-    for key in ("k", "seed"):
-        value = decode[key]
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-            raise ConfigError(f"decode.{key} must be int, got {value!r}")
-    if decode["k"] < 1:
-        raise ConfigError("decode.k must be >= 1")
-    if config["report"]["stratify_by"] not in [None, *STRATA]:
-        raise ConfigError(f"unknown report.stratify_by {config['report']['stratify_by']!r}")
+            raise ConfigError(f"sweep run {_run_name(point)}: {exc}") from exc
 
 
 def _train_config(config: dict) -> TrainConfig:
     """The config's TrainConfig; an error that begins with a field name
     begins with its config key instead."""
-    values = {
-        name: functools.reduce(operator.getitem, key.split("."), config)
-        for name, key in _TRAIN_KEYS.items()
-    }
+    values = {name: _value_at(config, key) for name, key in _TRAIN_KEYS.items()}
     try:
         return TrainConfig(loss=LossConfig(**config["loss"]), **values)
     except ValueError as exc:
@@ -176,7 +180,7 @@ def _train_config(config: dict) -> TrainConfig:
 
 # --- subcommands -------------------------------------------------------------
 
-def cmd_ingest(args, config: dict, meta: dict) -> int:
+def cmd_ingest(args, tc: TrainConfig, meta: dict) -> int:
     examples = load_dataset(args.input, args.format)
     save_dataset(examples, args.out)
     sidecar = Path(args.out).with_suffix(Path(args.out).suffix + ".meta.json")
@@ -186,8 +190,7 @@ def cmd_ingest(args, config: dict, meta: dict) -> int:
     return 0
 
 
-def cmd_train(args, config: dict, meta: dict) -> int:
-    tc = _train_config(config)
+def cmd_train(args, tc: TrainConfig, meta: dict) -> int:
     train_set = load_dataset(args.train)
     valid_set = load_dataset(args.valid)
     result = train(
@@ -207,27 +210,26 @@ def cmd_train(args, config: dict, meta: dict) -> int:
     return 0
 
 
-def _generate(backend: ToyBackend, examples, decode: dict, tc: TrainConfig) -> list[str]:
+def _generate(backend: ToyBackend, examples, tc: TrainConfig) -> list[str]:
     """One decoded answer per example; top-k draws are seeded per example id."""
-    k = None if decode["method"] == "greedy" else decode["k"]
-    seeds = [derive_seed(decode["seed"], ex.id, "decode") for ex in examples]
+    k = None if tc.decode_method == "greedy" else tc.decode_k
+    seeds = [derive_seed(tc.decode_seed, ex.id, "decode") for ex in examples]
     inputs = encode(examples, template_id=tc.template_id, vocab=backend.vocab).inputs
     generated = backend.generate_batch(inputs, tc.max_gen_len, k, seeds)
     return [" ".join(backend.vocab.decode(ids)) for ids in generated]
 
 
-def cmd_generate(args, config: dict, meta: dict) -> int:
+def cmd_generate(args, tc: TrainConfig, meta: dict) -> int:
     backend = load_checkpoint(args.ckpt)
     examples = load_dataset(args.input)
-    generated = _generate(backend, examples, config["decode"], _train_config(config))
+    generated = _generate(backend, examples, tc)
     records = [{"id": ex.id, "generated": text} for ex, text in zip(examples, generated)]
     write_jsonl_artifact(args.out, records, meta)
     print(f"generated {len(records)} answers -> {args.out}")
     return 0
 
 
-def cmd_perturb(args, config: dict, meta: dict) -> int:
-    tc = _train_config(config)
+def cmd_perturb(args, tc: TrainConfig, meta: dict) -> int:
     if tc.negative_strategy not in STRATEGIES:
         raise ConfigError(f"unknown strategy {tc.negative_strategy!r}")
     strategy = STRATEGIES[tc.negative_strategy]
@@ -321,12 +323,11 @@ def _strata_for(ids, labels, key) -> dict[str, str]:
     return strata
 
 
-def cmd_score(args, config: dict, meta: dict) -> int:
+def cmd_score(args, tc: TrainConfig, meta: dict) -> int:
     hyps = _load_generations(args.hyp)
     refs, labels = _load_references(args.ref)
     ids, pairs = _aligned_pairs(hyps, refs)
-    stratify = config["report"]["stratify_by"]
-    strata = _strata_for(ids, labels, stratify) if stratify else None
+    strata = _strata_for(ids, labels, tc.stratify_by) if tc.stratify_by else None
     report = score_corpus(pairs, ids=ids, strata_labels=strata, with_per_example=args.per_example)
     write_artifact(args.out, report.to_dict(), meta)
     bleu2 = report.bleu.get(2)
@@ -347,7 +348,7 @@ def _read_judgments(path: str) -> list[Judgment]:
     return judgments
 
 
-def cmd_agree(args, config: dict, meta: dict) -> int:
+def cmd_agree(args, tc: TrainConfig, meta: dict) -> int:
     judgments = _read_judgments(args.judgments)
     rate_1, _ = winning_rate(judgments, "option_1")
     rate_2, _ = winning_rate(judgments, "option_2")
@@ -362,8 +363,8 @@ def cmd_agree(args, config: dict, meta: dict) -> int:
     return 0
 
 
-def cmd_compare(args, config: dict, meta: dict) -> int:
-    stratify = config["report"]["stratify_by"]
+def cmd_compare(args, tc: TrainConfig, meta: dict) -> int:
+    stratify = tc.stratify_by
     if not (args.judgments or args.a and args.b):
         raise ConfigError("compare needs --judgments or both --a and --b")
     if not args.ref and (stratify or not args.judgments):
@@ -394,8 +395,7 @@ def cmd_compare(args, config: dict, meta: dict) -> int:
     return 0
 
 
-def cmd_gradcheck(args, config: dict, meta: dict) -> int:
-    tc = _train_config(config)
+def cmd_gradcheck(args, tc: TrainConfig, meta: dict) -> int:
     examples = build_split("gradcheck", 4, tc.seed)
     enc = encode(examples, [ex.counterfactuals for ex in examples], tc.template_id)
     backend = ToyBackend(enc.vocab, d=tc.d, seed=tc.seed)
@@ -407,42 +407,35 @@ def cmd_gradcheck(args, config: dict, meta: dict) -> int:
     return 0 if report.passed else 1
 
 
-def _expand_sweep(config: dict) -> list[dict]:
-    sweep = config["sweep"]
-    for key, values in sweep.items():
+def _expand_sweep(config: dict) -> list[tuple[dict, dict]]:
+    """Each grid point of the config's sweep, as its value per axis, with
+    its run config: the config with those values at their keys and no
+    sweep. An axis left null holds the config's own value."""
+    axes = []
+    for axis, (key, _) in SWEEP_AXES.items():
+        values = config["sweep"][axis]
         if values is not None and not isinstance(values, list):
-            raise ConfigError(f"sweep.{key} must be a list or null, got {values!r}")
+            raise ConfigError(f"sweep.{axis} must be a list or null, got {values!r}")
         if values == []:
-            raise ConfigError(f"sweep.{key} must not be an empty list")
-    axes = {
-        "lambda_b": sweep["lambda_b"] or [config["loss"]["lambda_b"]],
-        "lambda_s": sweep["lambda_s"] or [config["loss"]["lambda_s"]],
-        "m": sweep["m"] or [config["negatives"]["m"]],
-        "strategy": sweep["strategy"] or [config["negatives"]["strategy"]],
-    }
-    for key, values in axes.items():
+            raise ConfigError(f"sweep.{axis} must not be an empty list")
+        values = values or [_value_at(config, key)]
         repeated = [v for i, v in enumerate(values) if v in values[:i]]
         if repeated:
-            raise ConfigError(f"sweep.{key} repeats the value {repeated[0]!r}")
+            raise ConfigError(f"sweep.{axis} repeats the value {repeated[0]!r}")
+        axes.append(values)
+    unswept = _merge_config(config, {"sweep": dict.fromkeys(SWEEP_AXES)})
     runs = []
-    for lb, ls, m, strategy in itertools.product(
-        axes["lambda_b"], axes["lambda_s"], axes["m"], axes["strategy"]
-    ):
-        run = copy.deepcopy(config)
-        run["loss"]["lambda_b"] = lb
-        run["loss"]["lambda_s"] = ls
-        run["negatives"]["m"] = m
-        run["negatives"]["strategy"] = strategy
-        run["sweep"] = dict.fromkeys(run["sweep"])
-        runs.append(run)
+    for values in itertools.product(*axes):
+        point = dict(zip(SWEEP_AXES, values))
+        run = unswept
+        for axis, value in point.items():
+            run = _merge_config(run, _config_at(SWEEP_AXES[axis][0], value))
+        runs.append((point, run))
     return runs
 
 
-def _run_name(run: dict) -> str:
-    return (
-        f"lb{run['loss']['lambda_b']}_ls{run['loss']['lambda_s']}"
-        f"_m{run['negatives']['m']}_{run['negatives']['strategy']}"
-    )
+def _run_name(point: dict) -> str:
+    return "_".join(f"{SWEEP_AXES[axis][1]}{value}" for axis, value in point.items())
 
 
 def cmd_sweep(args, config: dict, meta: dict) -> int:
@@ -453,21 +446,15 @@ def cmd_sweep(args, config: dict, meta: dict) -> int:
         train_set = load_dataset(args.train)
         valid_set = load_dataset(args.valid)
     rows = []
-    for run in runs:
-        name = _run_name(run)
-        row = {
-            "run": name,
-            "lambda_b": run["loss"]["lambda_b"],
-            "lambda_s": run["loss"]["lambda_s"],
-            "m": run["negatives"]["m"],
-            "strategy": run["negatives"]["strategy"],
-        }
+    for point, run in runs:
+        name = _run_name(point)
+        row = {"run": name, **point}
         if not args.dry_run:
             tc = _train_config(run)
             result = train(tc, train_set, valid_set, out_dir=out_dir / name,
                            config_digest=config_digest(run))
-            greedy = dict(run["decode"], method="greedy")
-            generated = _generate(result.best_backend, valid_set, greedy, tc)
+            greedy = replace(tc, decode_method="greedy")
+            generated = _generate(result.best_backend, valid_set, greedy)
             pairs = [(text, ex.answer) for ex, text in zip(valid_set, generated)]
             scores = score_corpus(pairs, ids=[ex.id for ex in valid_set])
             row.update(
@@ -614,7 +601,10 @@ def main(argv: list[str] | None = None) -> int:
         meta = {
             "config_digest": digest, "seed": config["seed"], "tool": f"inferbench-{__version__}"
         }
-        return args.func(args, config, meta)
+        # a sweep checked each grid point at load; every other subcommand
+        # runs on the base config, checked here before it opens a file
+        run = config if args.command == "sweep" else _train_config(config)
+        return args.func(args, run, meta)
     except (ConfigError, DatasetError, ValueError, OSError, RuntimeError) as exc:
         sys.stderr.write(json.dumps({"error": str(exc), "command": args.command}) + "\n")
         return 2

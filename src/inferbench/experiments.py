@@ -22,13 +22,9 @@ from .synth import build_corpus
 from .trainer import TrainConfig, train
 
 
-def validation_margin(
-    backend: ToyBackend,
-    examples: list[InferenceExample],
-    template_id: str = "default",
-) -> float:
+def validation_margin(backend: ToyBackend, examples: list[InferenceExample]) -> float:
     """Mean gold-vs-hardest-negative cosine margin of input embeddings."""
-    enc = encode(examples, [ex.counterfactuals for ex in examples], template_id, backend.vocab)
+    enc = encode(examples, [ex.counterfactuals for ex in examples], vocab=backend.vocab)
     total = 0.0
     for input_ids, answer_ids, negatives in zip(enc.inputs, enc.answers, enc.negatives):
         h_x = backend.embed_ids(input_ids)
@@ -58,35 +54,20 @@ class MarginExperimentResult:
 
 def contrastive_benefit_experiment(
     seeds: tuple[int, ...] = (0, 1, 2, 3, 4),
-    n_train: int = 200,
-    n_valid: int = 50,
-    epochs: int = 3,
-    effective_batch: int = 16,
-    micro_batch: int = TrainConfig.micro_batch,
-    lr0: float = 0.05,
-    d: int = TrainConfig.d,
 ) -> MarginExperimentResult:
-    """Paired runs per seed: the recipe's objective and negatives (the
+    """Paired runs per seed, 3 epochs each of 200 training examples at
+    batch 16 and lr0 0.05: the recipe's objective and negatives (the
     :class:`TrainConfig` and :class:`LossConfig` defaults, with
-    counterfactual negatives) against NLL-only, margins measured on the
-    best validation checkpoints."""
-    train_set, valid_set, _ = build_corpus(n_train=n_train, n_valid=n_valid, n_test=0)
+    counterfactual negatives) against NLL-only, margins measured on 50
+    validation examples at the best validation checkpoints."""
+    train_set, valid_set, _ = build_corpus(n_train=200, n_valid=50, n_test=0)
     margins_cl: list[float] = []
     margins_nll: list[float] = []
     for seed in seeds:
-        cfg_cl = TrainConfig(
-            effective_batch=effective_batch,
-            micro_batch=micro_batch,
-            lr0=lr0,
-            max_epochs=epochs,
-            d=d,
-            seed=seed,
-        )
+        cfg_cl = TrainConfig(effective_batch=16, lr0=0.05, max_epochs=3, seed=seed)
         cfg_nll = replace(cfg_cl, loss=LossConfig(lambda_b=0.0, lambda_s=0.0))
         result_cl = train(cfg_cl, train_set, valid_set)
         result_nll = train(cfg_nll, train_set, valid_set)
         margins_cl.append(validation_margin(result_cl.best_backend, valid_set))
         margins_nll.append(validation_margin(result_nll.best_backend, valid_set))
-    return MarginExperimentResult(
-        margins_contrastive=margins_cl, margins_nll_only=margins_nll
-    )
+    return MarginExperimentResult(margins_contrastive=margins_cl, margins_nll_only=margins_nll)

@@ -155,10 +155,10 @@ def encode(
     )
 
 
-def build_vocabulary(examples: list[InferenceExample], template_id: str = "default") -> Vocabulary:
-    """Vocabulary over the sorted tokens of the input texts, gold answers
-    and counterfactuals."""
-    return encode(examples, [ex.counterfactuals for ex in examples], template_id).vocab
+def build_vocabulary(examples: list[InferenceExample]) -> Vocabulary:
+    """Vocabulary over the sorted tokens of the input texts (default
+    template), gold answers and counterfactuals."""
+    return encode(examples, [ex.counterfactuals for ex in examples]).vocab
 
 
 # --- matrix kernels -------------------------------------------------------------

@@ -26,6 +26,10 @@ from .objective import (  # noqa: F401  callers import build_vocabulary from her
 )
 
 
+# the labels a report can be stratified by
+STRATA = ("difficulty", "question")
+
+
 def _recipe(key: str, default):
     """A TrainConfig field with its recipe default, read from the run
     config at the dotted ``key``."""
@@ -34,9 +38,10 @@ def _recipe(key: str, default):
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """The training recipe: each default is written here (the loss
-    terms' in :class:`LossConfig`) and nowhere else, and each field but
-    ``loss`` names the run-config key that sets it."""
+    """The run config in typed form: the training recipe, decoding and
+    reporting. Each default is written here (the loss terms' in
+    :class:`LossConfig`) and nowhere else, and each field but ``loss``
+    names the run-config key that sets it."""
 
     effective_batch: int = _recipe("train.effective_batch", 64)
     micro_batch: int = _recipe("train.micro_batch", 8)
@@ -54,11 +59,18 @@ class TrainConfig:
     d: int = _recipe("model.d", 16)
     seed: int = _recipe("seed", 0)
     template_id: str = _recipe("template_id", "default")
+    # "greedy", or "top_k" over the decode_k likeliest tokens
+    decode_method: str = _recipe("decode.method", "greedy")
+    decode_k: int = _recipe("decode.k", 10)
+    decode_seed: int = _recipe("decode.seed", 0)
+    # one of STRATA, or None for an unstratified report
+    stratify_by: str | None = _recipe("report.stratify_by", None)
 
     def __post_init__(self):
         check_number_fields(self)
         for name in (
-            "d", "effective_batch", "micro_batch", "max_epochs", "m", "k", "attempts", "max_gen_len"
+            "d", "effective_batch", "micro_batch", "max_epochs", "m", "k", "attempts",
+            "max_gen_len", "decode_k",
         ):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
@@ -79,6 +91,10 @@ class TrainConfig:
             raise ValueError("lambda_s > 0 needs a negative strategy")
         if self.template_id not in [*TEMPLATES]:
             raise ValueError(f"unknown template_id {self.template_id!r}")
+        if self.decode_method not in ("greedy", "top_k"):
+            raise ValueError(f"unknown decode method {self.decode_method!r}")
+        if self.stratify_by not in [None, *STRATA]:
+            raise ValueError(f"unknown report.stratify_by {self.stratify_by!r}")
 
 
 @dataclass
@@ -113,18 +129,18 @@ def lr_at(step: int, total_steps: int, lr0: float) -> float:
 def perplexity(
     backend: ToyBackend,
     dataset: list[InferenceExample] | EncodedSet,
-    template_id: str = "default",
     micro_batch: int | None = None,
 ) -> float:
     """exp(total answer NLL / total answer token count), EOS included,
-    forward only; ``dataset`` may be a set encoded once by the caller.
+    forward only; ``dataset`` may be a set encoded once by the caller (a
+    list of examples is encoded under the default template).
     ``micro_batch`` caps the examples per NLL logit block, as in
     :func:`forward`, which bounds memory and leaves the value as it is.
     A perplexity that is not finite raises RuntimeError."""
     if not dataset:
         raise ValueError("perplexity of an empty dataset")
     if not isinstance(dataset, EncodedSet):
-        dataset = encode(dataset, template_id=template_id, vocab=backend.vocab)
+        dataset = encode(dataset, vocab=backend.vocab)
     config = LossConfig(lambda_b=0.0, lambda_s=0.0)
     nll = forward(backend, dataset, config, grads=False, micro_batch=micro_batch).nll
     per_token = nll * len(dataset) / sum(len(a) for a in dataset.answers)

@@ -499,6 +499,45 @@ def test_sweep_replaces_an_invalid_base_value(tmp_path, small_data, overrides):
     assert summary["meta"]["seed"] == 0
 
 
+def test_sweep_dry_run_names_each_run(tmp_path, small_data):
+    """A run's name is the directory a real sweep trains it in."""
+    out_dir = tmp_path / "sweep"
+    assert run(["sweep", "--set", "sweep.lambda_b=[0.5,1.0]",
+                "--set", 'sweep.strategy=["counterfactual","replace_zs"]',
+                "--train", small_data / "train.jsonl", "--valid", small_data / "valid.jsonl",
+                "--out-dir", out_dir, "--dry-run"]) == 0
+    rows = json.loads((out_dir / "sweep_summary.json").read_text())["runs"]
+    assert [row["run"] for row in rows] == [
+        "lb0.5_ls0.5_m4_counterfactual", "lb0.5_ls0.5_m4_replace_zs",
+        "lb1.0_ls0.5_m4_counterfactual", "lb1.0_ls0.5_m4_replace_zs",
+    ]
+    assert rows[3] == {"run": "lb1.0_ls0.5_m4_replace_zs", "lambda_b": 1.0, "lambda_s": 0.5,
+                       "m": 4, "strategy": "replace_zs"}
+    assert all(set(row) == set(rows[3]) for row in rows)
+
+
+@pytest.mark.parametrize(
+    "command", ["ingest", "train", "generate", "perturb", "score", "agree", "compare", "gradcheck"]
+)
+def test_every_subcommand_but_sweep_checks_the_base_config(tmp_path, capsys, command):
+    """Only ``sweep`` runs the swept values: every other subcommand runs
+    on the base config, and rejects it before it opens a file."""
+    missing, out = tmp_path / "missing.jsonl", tmp_path / "out"
+    paths = {
+        "ingest": ["--in", missing, "--out", out],
+        "train": ["--train", missing, "--valid", missing, "--out-dir", out],
+        "generate": ["--ckpt", missing, "--in", missing, "--out", out],
+        "perturb": ["--in", missing, "--out", out],
+        "score": ["--hyp", missing, "--ref", missing, "--out", out],
+        "agree": ["--judgments", missing, "--out", out],
+        "compare": ["--a", missing, "--b", missing, "--ref", missing, "--out", out],
+        "gradcheck": ["--out", out],
+    }[command]
+    assert run([command, *paths, "--set", "negatives.m=8", "--set", "sweep.m=[1,2]"]) == 2
+    assert "negatives.m must be <= 4" in json_error(capsys, command)
+    assert not list(tmp_path.iterdir())
+
+
 def test_sweep_single_run_executes(tmp_path, small_data):
     cfg = tmp_path / "one.json"
     cfg.write_text(json.dumps({
@@ -645,6 +684,12 @@ def small_checkpoint(tmp_path_factory, small_data):
         ("train", ["loss.lambda_s=-0.5"], "loss.lambda_s must be >= 0"),
         ("train", ["train.effective_batch=0"], "train.effective_batch must be >= 1"),
         ("sweep --dry-run", ["sweep.m=[]"], "sweep.m must not be an empty list"),
+        ("sweep --dry-run", ["train=5"], "config key 'train' must be an object"),
+        ("sweep --dry-run", ["loss=[1]"], "config key 'loss' must be an object"),
+        ("sweep --dry-run", ["decode=null"], "config key 'decode' must be an object"),
+        ("sweep --dry-run", ["report=1"], "config key 'report' must be an object"),
+        ("sweep --dry-run", ["sweep=5"], "config key 'sweep' must be an object"),
+        ("train", ["loss.tau_b.x=1"], "config key 'loss.tau_b' must not be an object"),
     ],
 )
 def test_bad_config_is_json_error_at_load(
@@ -666,6 +711,19 @@ def test_bad_config_is_json_error_at_load(
     assert run([name, *flags, *paths, *sets]) == 2
     assert message in json_error(capsys, name)
     assert not list(tmp_path.iterdir())
+
+
+def test_a_set_of_a_section_merges_like_a_config_file(tmp_path, small_data, small_checkpoint):
+    """``--set`` of a partial section changes only the keys it holds: it
+    writes what ``--set`` of each of those keys writes, digest included."""
+    def written(name, override):
+        out = tmp_path / name
+        out.mkdir()
+        assert run(["generate", "--ckpt", small_checkpoint, "--in", small_data / "valid.jsonl",
+                    "--out", out / "gen.jsonl", "--set", override]) == 0
+        return {p.name: p.read_bytes() for p in out.iterdir()}
+
+    assert written("section", 'decode={"method":"top_k"}') == written("key", "decode.method=top_k")
 
 
 @pytest.mark.parametrize(
