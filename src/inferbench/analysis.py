@@ -218,15 +218,6 @@ def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
     return 1.0 - front * _betacf(b, a, 1.0 - x) / b
 
 
-def student_t_cdf(t: float, df: int) -> float:
-    if df < 1:
-        raise ValueError("df must be >= 1")
-    if t == 0.0:
-        return 0.5
-    tail = 0.5 * regularized_incomplete_beta(df / 2.0, 0.5, df / (df + t * t))
-    return 1.0 - tail if t > 0 else tail
-
-
 def student_t_two_sided_p(t: float, df: int) -> float:
     if df < 1:
         raise ValueError("df must be >= 1")

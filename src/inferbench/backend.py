@@ -44,8 +44,6 @@ SUPPRESSED = [PAD_ID, BOS_ID, UNK_ID, MASK_ID]
 
 # most rows one decode step holds; bounds the rows x vocabulary step arrays
 DECODE_BLOCK = 128
-# uniforms a top-k row draws ahead, so a block holds no generator per row
-DRAW_STEPS = 16
 
 
 def derive_seed(seed: int, *parts) -> int:
@@ -112,15 +110,13 @@ def draw_index(weights: np.ndarray, u: np.ndarray) -> np.ndarray:
     return (cdf <= u[:, None]).sum(axis=1)
 
 
-def _uniforms(seeds: list[int], start: int, count: int) -> np.ndarray:
-    """Draws ``start`` .. ``start + count - 1`` of each seed's
-    ``default_rng`` stream, one row per seed: what ``count`` further
-    ``rng.random()`` calls return after ``start`` of them."""
+def _uniforms(seeds: list[int], count: int) -> np.ndarray:
+    """The first ``count`` draws of each seed's ``default_rng`` stream,
+    one row per seed: value j of row r is what ``rng.random()`` returns
+    at its (j + 1)-th call."""
     out = np.empty((len(seeds), count))
     for row, seed in zip(out, seeds):
-        bits = np.random.PCG64(seed)
-        bits.advance(start)
-        np.random.Generator(bits).random(out=row)
+        np.random.default_rng(seed).random(out=row)
     return out
 
 
@@ -202,9 +198,10 @@ class ToyBackend:
         Each context is summed once, in one call, and its windows sum on from
         that sum, a row appended to the embedding table; this table of
         context sums (one row of d per answer) and the context rows gathered
-        to take it are the arrays that grow with the set. The answers are scored in runs of at most
-        :data:`DECODE_BLOCK` windows (an answer with more is a run alone), so
-        no other array outgrows a block or one answer."""
+        to take it are the arrays that grow with the set. The answers are
+        scored in runs of at most :data:`DECODE_BLOCK` windows (an answer
+        with more is a run alone), so no other array outgrows a block or
+        one answer."""
         if not answers:
             return
         # the in-order sum of context i is row len(E) + i
@@ -275,19 +272,17 @@ class ToyBackend:
         rows not yet stopped. A row's state at step j is half the sum of
         the :func:`pool` of its input and the pool of BOS and its j
         decoded tokens, bit for bit: the prefix sum adds one row per step,
-        in order. The top-k draw repeats ``Generator.choice`` bit for
-        bit."""
+        in order. The top-k draw of row r at step j takes value j of its
+        stream, drawn with the row's others before the first step, and
+        repeats ``Generator.choice`` bit for bit."""
         if k is not None:
-            seeds = [derive_seed(seed, "topk") for seed in seeds]
+            uniforms = _uniforms([derive_seed(seed, "topk") for seed in seeds], max_len)
         out: list[list[int]] = [[] for _ in inputs]
         live = np.arange(len(inputs))  # rows of ``out`` still decoding
         context = pool(self.E, inputs)
         # E[BOS] + E[prefix], summed in order as pool sums its rows
         prefix_sum = np.tile(self.E[BOS_ID], (len(inputs), 1))
         for step in range(max_len):
-            if k is not None and step % DRAW_STEPS == 0:
-                count = min(DRAW_STEPS, max_len - step)
-                uniforms = _uniforms([seeds[r] for r in live], step, count)
             log_probs = self._log_probs_rows(0.5 * (context + prefix_sum / (step + 1)))
             log_probs[:, SUPPRESSED] = -np.inf
             if k is None:
@@ -304,7 +299,7 @@ class ToyBackend:
                 top_lp = log_probs[rows[:, None], top]
                 weights = np.exp(top_lp - top_lp[:, :1])
                 weights /= weights.sum(axis=1, keepdims=True)
-                nxt = top[rows, draw_index(weights, uniforms[:, step % DRAW_STEPS])]
+                nxt = top[rows, draw_index(weights, uniforms[:, step])]
             going = nxt != EOS_ID
             live, nxt = live[going], nxt[going]
             for r, t in zip(live.tolist(), nxt.tolist()):

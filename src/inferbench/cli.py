@@ -133,7 +133,12 @@ def _override(item: str) -> dict:
     return _config_at(key, value)
 
 
-def load_run_config(path: str | None, overrides: list[str] | None = None) -> tuple[dict, str]:
+def load_run_config(
+    path: str | None, overrides: list[str] | None = None
+) -> tuple[dict, str, list[tuple[dict, dict, TrainConfig]]]:
+    """The run config (the default one with the file at ``path`` and then
+    each override merged in), its digest, and its runs, each checked: see
+    :func:`_expand_sweep`."""
     user = {}
     if path:
         user = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -146,22 +151,11 @@ def load_run_config(path: str | None, overrides: list[str] | None = None) -> tup
         raise ConfigError(
             f"unsupported config_version {config['config_version']!r}"
         )
-    _check_config(config)
-    return config, config_digest(config)
+    return config, config_digest(config), _expand_sweep(config)
 
 
-def _check_config(config: dict) -> None:
-    """Reject any value a subcommand would misread, at every sweep grid
-    point, naming the grid point when a sweep is set; the dict itself is
-    left as it is, because its digest stamps the artifacts."""
-    swept = any(values is not None for values in config["sweep"].values())
-    for point, run in _expand_sweep(config):
-        try:
-            _train_config(run)
-        except ValueError as exc:
-            if not swept:
-                raise
-            raise ConfigError(f"sweep run {_run_name(point)}: {exc}") from exc
+def _swept(config: dict) -> bool:
+    return any(values is not None for values in config["sweep"].values())
 
 
 def _train_config(config: dict) -> TrainConfig:
@@ -407,10 +401,15 @@ def cmd_gradcheck(args, tc: TrainConfig, meta: dict) -> int:
     return 0 if report.passed else 1
 
 
-def _expand_sweep(config: dict) -> list[tuple[dict, dict]]:
+def _expand_sweep(config: dict) -> list[tuple[dict, dict, TrainConfig]]:
     """Each grid point of the config's sweep, as its value per axis, with
-    its run config: the config with those values at their keys and no
-    sweep. An axis left null holds the config's own value."""
+    its run config (the config with those values at their keys and no
+    sweep) and that run's TrainConfig. An axis left null holds the
+    config's own value, so with no sweep set the one run is the config.
+    Every run config is built before any TrainConfig, and an error in a
+    TrainConfig names its grid point when a sweep is set; the run
+    configs are left as they are, because their digests stamp the
+    artifacts."""
     axes = []
     for axis, (key, _) in SWEEP_AXES.items():
         values = config["sweep"][axis]
@@ -424,13 +423,21 @@ def _expand_sweep(config: dict) -> list[tuple[dict, dict]]:
             raise ConfigError(f"sweep.{axis} repeats the value {repeated[0]!r}")
         axes.append(values)
     unswept = _merge_config(config, {"sweep": dict.fromkeys(SWEEP_AXES)})
-    runs = []
+    points = []
     for values in itertools.product(*axes):
         point = dict(zip(SWEEP_AXES, values))
         run = unswept
         for axis, value in point.items():
             run = _merge_config(run, _config_at(SWEEP_AXES[axis][0], value))
-        runs.append((point, run))
+        points.append((point, run))
+    runs = []
+    for point, run in points:
+        try:
+            runs.append((point, run, _train_config(run)))
+        except ValueError as exc:
+            if not _swept(config):
+                raise
+            raise ConfigError(f"sweep run {_run_name(point)}: {exc}") from exc
     return runs
 
 
@@ -438,19 +445,17 @@ def _run_name(point: dict) -> str:
     return "_".join(f"{SWEEP_AXES[axis][1]}{value}" for axis, value in point.items())
 
 
-def cmd_sweep(args, config: dict, meta: dict) -> int:
-    runs = _expand_sweep(config)
+def cmd_sweep(args, runs: list[tuple[dict, dict, TrainConfig]], meta: dict) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     if not args.dry_run:
         train_set = load_dataset(args.train)
         valid_set = load_dataset(args.valid)
     rows = []
-    for point, run in runs:
+    for point, run, tc in runs:
         name = _run_name(point)
         row = {"run": name, **point}
         if not args.dry_run:
-            tc = _train_config(run)
             result = train(tc, train_set, valid_set, out_dir=out_dir / name,
                            config_digest=config_digest(run))
             greedy = replace(tc, decode_method="greedy")
@@ -597,14 +602,16 @@ def main(argv: list[str] | None = None) -> int:
         for dest, key in _FLAG_KEYS.items() if getattr(args, dest, None) is not None
     )]
     try:
-        config, digest = load_run_config(args.config, args.set)
+        config, digest, runs = load_run_config(args.config, args.set)
         meta = {
             "config_digest": digest, "seed": config["seed"], "tool": f"inferbench-{__version__}"
         }
-        # a sweep checked each grid point at load; every other subcommand
-        # runs on the base config, checked here before it opens a file
-        run = config if args.command == "sweep" else _train_config(config)
-        return args.func(args, run, meta)
+        if args.command == "sweep":
+            return args.func(args, runs, meta)
+        # every other subcommand runs on the base config: the one run when
+        # no sweep is set, else checked here before it opens a file
+        tc = _train_config(config) if _swept(config) else runs[0][2]
+        return args.func(args, tc, meta)
     except (ConfigError, DatasetError, ValueError, OSError, RuntimeError) as exc:
         sys.stderr.write(json.dumps({"error": str(exc), "command": args.command}) + "\n")
         return 2

@@ -14,25 +14,25 @@ import math
 from pathlib import Path
 
 
-def round_sig(x: float, sig: int = 12) -> float:
+def round_sig(x: float) -> float:
     if not math.isfinite(x):
         raise ValueError(f"non-finite value {x} in artifact")
-    return float(f"{x:.{sig}g}")
+    return float(f"{x:.12g}")
 
 
-def canonicalize(obj, sig: int = 12):
+def canonicalize(obj):
     if isinstance(obj, float):
-        return round_sig(obj, sig)
+        return round_sig(obj)
     if isinstance(obj, dict):
-        return {str(k): canonicalize(v, sig) for k, v in obj.items()}
+        return {str(k): canonicalize(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [canonicalize(v, sig) for v in obj]
+        return [canonicalize(v) for v in obj]
     return obj
 
 
-def canonical_dumps(obj, sig: int = 12) -> str:
+def canonical_dumps(obj) -> str:
     return json.dumps(
-        canonicalize(obj, sig), sort_keys=True, separators=(",", ":"), ensure_ascii=False
+        canonicalize(obj), sort_keys=True, separators=(",", ":"), ensure_ascii=False
     )
 
 

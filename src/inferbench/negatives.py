@@ -239,28 +239,22 @@ def inbatch_negatives(batch: list[InferenceExample], i: int) -> list[str]:
     return [ex.answer for j, ex in enumerate(batch) if j != i]
 
 
-def train_mcq_scorer(
-    enc: EncodedSet,
-    d: int,
-    seed: int,
-    epochs: int = 5,
-    lr: float = 1.0,
-    tau: float = 0.5,
-) -> ToyBackend:
-    """Stand-in for a scorer fine-tuned on the multiple-choice task:
-    contrastive updates pull input embeddings toward gold answers and
-    away from the dataset counterfactuals. ``enc`` holds the examples'
-    ids with their counterfactuals as negatives; the rows that have any
-    are trained on, in a scorer over ``enc.vocab``."""
+def train_mcq_scorer(enc: EncodedSet, d: int, seed: int) -> ToyBackend:
+    """Stand-in for a scorer fine-tuned on the multiple-choice task: 5
+    full-batch contrastive steps at lr 1 (tau_s 0.5) pull input
+    embeddings toward gold answers and away from the dataset
+    counterfactuals. ``enc`` holds the examples' ids with their
+    counterfactuals as negatives; the rows that have any are trained
+    on, in a scorer over ``enc.vocab``."""
     usable = [i for i, negs in enumerate(enc.negatives or []) if negs]
     if not usable:
         raise ValueError("no examples with counterfactuals to train on")
     scorer = ToyBackend(enc.vocab, d=d, seed=derive_seed(seed, "mcq_scorer"))
     encoded = enc.take(usable)
     # the per-sample term alone, its gradient a mean over the examples
-    config = LossConfig(tau_s=tau, lambda_b=0.0, lambda_s=1.0)
-    for _ in range(epochs):
-        scorer.E -= lr * forward(scorer, encoded, config, nll=False).grads.E
+    config = LossConfig(tau_s=0.5, lambda_b=0.0, lambda_s=1.0)
+    for _ in range(5):
+        scorer.E -= forward(scorer, encoded, config, nll=False).grads.E
     return scorer
 
 

@@ -10,7 +10,6 @@ from inferbench.analysis import (
     paired_ttest,
     plausibility_stub,
     stratified_compare,
-    student_t_cdf,
     student_t_two_sided_p,
     win_tie_lose,
     winning_rate,
@@ -203,14 +202,6 @@ def test_p_values_match_quadrature_oracle():
             ours = student_t_two_sided_p(t, df)
             oracle = bf_t_two_sided_p(t, df)
             assert ours == pytest.approx(oracle, abs=1e-6), (t, df)
-
-
-def test_cdf_symmetry():
-    for df in (1, 4, 17):
-        for t in (0.3, 1.1, 2.9):
-            assert student_t_cdf(t, df) + student_t_cdf(-t, df) == pytest.approx(
-                1.0, abs=1e-12
-            )
 
 
 # --- plausibility stub ----------------------------------------------------------

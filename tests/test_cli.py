@@ -53,7 +53,7 @@ def run(argv):
 # --- config ---------------------------------------------------------------------
 
 def test_defaults_match_training_recipe():
-    config, _ = load_run_config(None)
+    config, _, _ = load_run_config(None)
     assert config["loss"] == {"tau_b": 0.1, "tau_s": 2.5, "lambda_b": 0.5, "lambda_s": 0.5}
     assert config["negatives"]["m"] == 4
     assert config["negatives"]["k"] == 10
@@ -122,8 +122,8 @@ def test_override_unknown_key_named():
 
 
 def test_overrides_change_digest():
-    _, digest_a = load_run_config(None)
-    _, digest_b = load_run_config(None, ["train.max_epochs=1"])
+    _, digest_a, _ = load_run_config(None)
+    _, digest_b, _ = load_run_config(None, ["train.max_epochs=1"])
     assert digest_a != digest_b
 
 
@@ -206,7 +206,7 @@ def test_one_parser_serves_every_call_of_a_process(tmp_path, small_data, capsys)
     assert names == ["agree.json", "agree_seed.json", "plain.json", "strata.json"]
     for name in names:
         assert (shared / name).read_bytes() == (fresh / name).read_bytes(), name
-    _, default_digest = load_run_config(None)
+    _, default_digest, _ = load_run_config(None)
     plain = json.loads((shared / "plain.json").read_text())
     assert "strata" not in plain
     assert plain["meta"]["config_digest"] == default_digest
@@ -536,6 +536,30 @@ def test_every_subcommand_but_sweep_checks_the_base_config(tmp_path, capsys, com
     assert run([command, *paths, "--set", "negatives.m=8", "--set", "sweep.m=[1,2]"]) == 2
     assert "negatives.m must be <= 4" in json_error(capsys, command)
     assert not list(tmp_path.iterdir())
+
+
+def test_each_run_builds_its_train_config_once(tmp_path, small_data, monkeypatch):
+    """A call with no sweep set builds one TrainConfig; ``sweep`` builds
+    one per grid point."""
+    built = []
+    post_init = TrainConfig.__post_init__
+
+    def counted(tc):
+        built.append(tc)
+        post_init(tc)
+
+    monkeypatch.setattr(TrainConfig, "__post_init__", counted)
+    hyp = tmp_path / "gen.jsonl"
+    hyp.write_text("".join(json.dumps({"id": ex.id, "generated": ex.answer}) + "\n"
+                           for ex in load_dataset(small_data / "valid.jsonl")))
+    assert run(["score", "--hyp", hyp, "--ref", small_data / "valid.jsonl",
+                "--out", tmp_path / "score.json"]) == 0
+    assert len(built) == 1
+    built.clear()
+    assert run(["sweep", "--set", "sweep.m=[1,2]", "--train", small_data / "train.jsonl",
+                "--valid", small_data / "valid.jsonl", "--out-dir", tmp_path / "sweep",
+                "--dry-run"]) == 0
+    assert len(built) == 2
 
 
 def test_sweep_single_run_executes(tmp_path, small_data):

@@ -22,7 +22,7 @@ from inferbench.backend import ToyBackend, derive_seed
 from inferbench.negatives import replace_sets, train_mcq_scorer
 from inferbench.jsonio import canonical_dumps
 from inferbench.metrics import score_corpus
-from inferbench.objective import build_vocabulary, encode
+from inferbench.objective import LossConfig, build_vocabulary, encode, forward
 from inferbench.synth import build_judgments, build_split
 
 from reference_model import generate, generate_nonoptimal
@@ -121,14 +121,47 @@ def test_token_replace_negatives(split, model, mode):
     if mode == "zs":
         scorer, threshold = model, 0.75
     else:
+        # the recipe scorer's 5 per-sample steps at lr 20, so that the
+        # deltas clear the threshold
         examples = split[:4]
-        scorer = train_mcq_scorer(encode(examples, [ex.counterfactuals for ex in examples]),
-                                  d=8, seed=11, lr=20.0)
+        enc = encode(examples, [ex.counterfactuals for ex in examples])
+        scorer = ToyBackend(enc.vocab, d=8, seed=derive_seed(11, "mcq_scorer"))
+        config = LossConfig(tau_s=0.5, lambda_b=0.0, lambda_s=1.0)
+        for _ in range(5):
+            scorer.E -= 20.0 * forward(scorer, enc, config, nll=False).grads.E
         threshold = 0.3
     cfg = dict(threshold=threshold, k=5, m=2, seed=11, mode=mode)
     sets = replace_sets(scorer, split, encode(split, vocab=scorer.vocab), **cfg)
     got = [ns.negatives for ns in sets]
     assert got == REPLACE[mode]
+
+
+# the recipe scorer's deltas clear no 0.75 threshold: each slot falls back
+# to the position of the largest delta, so the pin follows its weights
+RECIPE_MCQ = [
+    (["the movie was announced earlier about", "the movie was announced earlier friday"], 5),
+    (["they about plan for the guitar together .", "they should plan for the guitar together ."],
+     1),
+    (["speaker will talk more about the library .", "about will talk more about the library ."],
+     0),
+    (["someone told the speaker speaker the soup .", "someone told the speaker b the soup ."], 4),
+    (["the b wants to share news about the train .",
+      "the get wants to share news about the train ."], 1),
+    (["the listener feels curious about the garden b",
+      "the listener feels curious about the garden talk"], 7),
+]
+
+
+def test_recipe_mcq_scorer_replacements(split):
+    examples = split[:4]
+    scorer = train_mcq_scorer(encode(examples, [ex.counterfactuals for ex in examples]),
+                              d=8, seed=11)
+    sets = replace_sets(scorer, split, encode(split, vocab=scorer.vocab),
+                        threshold=0.75, k=5, m=2, seed=11, mode="mcq")
+    assert [ns.negatives for ns in sets] == [negatives for negatives, _ in RECIPE_MCQ]
+    assert [[(p["replaced_positions"], p["fallback"]) for p in ns.provenance] for ns in sets] == [
+        [([position], True)] * 2 for _, position in RECIPE_MCQ
+    ]
 
 
 # --- evaluation reports -------------------------------------------------------

@@ -49,7 +49,6 @@ from inferbench.analysis import CHOICES, Judgment, compare_metric_scores, strati
 from inferbench.backend import (
     BOS_ID,
     DECODE_BLOCK,
-    DRAW_STEPS,
     EOS_ID,
     MASK_ID,
     PAD_ID,
@@ -421,7 +420,7 @@ def decode_batches(draw, rows, dims=st.integers(1, 4), input_len=6):
     n = draw(rows)
     token_ids = st.lists(st.integers(0, len(be.vocab) - 1), max_size=input_len)
     inputs = [draw(token_ids) for _ in range(n)]
-    max_len = draw(st.integers(1, 2 * DRAW_STEPS + 2))
+    max_len = draw(st.integers(1, 34))
     if draw(st.booleans()):
         return be, inputs, (max_len, None, [None] * n)
     k = draw(st.integers(1, 5))
