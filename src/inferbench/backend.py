@@ -18,7 +18,10 @@ conditioned window. The model contract is id-level: the vocabulary
 its context and without, yielded answer by answer) and ``embed_ids``, all
 on token ids, and :func:`pool`, which the objective's forward shares.
 The decoder takes plain values, ``generate_batch(inputs, max_len, k,
-seeds)``: greedy when ``k`` is None, else top-k with one seed per row.
+seeds)``: greedy when ``k`` is None, else top-k with one seed per row,
+row r's draw at step j taking the (j + 1)-th
+``default_rng(derive_seed(seeds[r], "topk")).random()``, which
+:func:`_uniforms` computes for all rows at once without a ``Generator``.
 Every vocabulary puts :data:`SPECIALS` first, in order, so their ids are
 the constants ``PAD_ID`` .. ``MASK_ID`` (0-4). Text becomes ids only in
 :mod:`inferbench.objective`. All randomness flows through seeds derived
@@ -110,14 +113,61 @@ def draw_index(weights: np.ndarray, u: np.ndarray) -> np.ndarray:
     return (cdf <= u[:, None]).sum(axis=1)
 
 
+# PCG64's 128-bit LCG multiplier M; the kernel holds a 128-bit value as its
+# high and low 64-bit words in uint64 arrays
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_LOW32, _U32 = np.uint64(0xFFFFFFFF), np.uint64(32)
+
+
+def _hasher(h: int, mult: int):
+    # numpy SeedSequence's hash; its constant h is multiplied by mult at each call
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal h
+        value = (value ^ np.uint32(h)) * np.uint32(h := h * mult & 0xFFFFFFFF)
+        return value ^ (value >> np.uint32(16))
+    return hashmix
+
+
+def _mulhi(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """High 64 bits of each 128-bit product ``a * b``, on 32-bit limbs."""
+    a0, a1, b0, b1 = a & _LOW32, a >> _U32, b & _LOW32, b >> _U32
+    mid = a1 * b0 + (a0 * b0 >> _U32)
+    return a1 * b1 + (mid >> _U32) + ((a0 * b1 + (mid & _LOW32)) >> _U32)
+
+
 def _uniforms(seeds: list[int], count: int) -> np.ndarray:
-    """The first ``count`` draws of each seed's ``default_rng`` stream,
-    one row per seed: value j of row r is what ``rng.random()`` returns
-    at its (j + 1)-th call."""
-    out = np.empty((len(seeds), count))
-    for row, seed in zip(out, seeds):
-        np.random.default_rng(seed).random(out=row)
-    return out
+    """The first ``count`` draws of each seed's ``default_rng`` stream, one
+    row per seed, bit for bit, computed for all rows at once without a
+    ``Generator``: ``SeedSequence`` hashes the seed's two 32-bit words into
+    PCG64's ``init`` and ``seq``, ``inc = 2 seq + 1``, and value j is the
+    top 53 bits of the XSL-RR output of state j + 2 from ``init + inc``."""
+    if not all(0 <= s < 2**64 for s in seeds):
+        raise ValueError("seeds must be in [0, 2**64)")
+    s = np.array(seeds, dtype=np.uint64)
+    zero = np.zeros(len(seeds), dtype=np.uint32)
+    hashmix = _hasher(0x43B0D7E5, 0x931E8875)
+    # the pool hashes a missing entropy word as 0, so a seed below 2**32 needs no case
+    mixer = [hashmix(w.astype(np.uint32)) for w in (s & _LOW32, s >> _U32, zero, zero)]
+    for src, dst in ((src, dst) for src in range(4) for dst in range(4) if src != dst):
+        mixed = np.uint32(0xCA01F9DD) * mixer[dst] - np.uint32(0x4973F715) * hashmix(mixer[src])
+        mixer[dst] = mixed ^ (mixed >> np.uint32(16))
+    hashmix = _hasher(0x8B51F9DD, 0x58F38DED)
+    w = [hashmix(mixer[i % 4]).astype(np.uint64) for i in range(8)]
+    # 64-bit word i is w[2i] | w[2i+1] << 32; init is words 0 (high) and 1
+    init_hi, init_lo, seq_hi, seq_lo = ((w[i] | w[i + 1] << _U32)[:, None] for i in (0, 2, 4, 6))
+    inc = (seq_hi << np.uint64(1) | seq_lo >> np.uint64(63), seq_lo << np.uint64(1) | np.uint64(1))
+    # state t from P is M**t P + (M**(t-1) + ... + 1) inc, so state j + 2 from
+    # init + inc is M**(j+2) init + (M**(j+2) + ... + 1) inc
+    powers = np.array([pow(_PCG_MULT, t, 2**128) for t in range(count + 2)], dtype=object)
+    lo = hi = np.uint64(0)
+    for jump, (b_hi, b_lo) in zip((powers[2:], powers.cumsum()[2:]), ((init_hi, init_lo), inc)):
+        a_hi, a_lo = ((jump >> shift & 2**64 - 1).astype(np.uint64) for shift in (64, 0))
+        lo = lo + (low := a_lo * b_lo)
+        hi = hi + _mulhi(a_lo, b_lo) + a_lo * b_hi + a_hi * b_lo + (lo < low)  # carry
+    x = hi ^ lo
+    rot = hi >> np.uint64(58)  # the state's top 6 bits
+    x = x >> rot | x << ((np.uint64(64) - rot) & np.uint64(63))
+    return (x >> np.uint64(11)).astype(np.float64) * 2.0**-53
 
 
 def _segment_sums(E: np.ndarray, segments) -> np.ndarray:
@@ -273,8 +323,9 @@ class ToyBackend:
         the :func:`pool` of its input and the pool of BOS and its j
         decoded tokens, bit for bit: the prefix sum adds one row per step,
         in order. The top-k draw of row r at step j takes value j of its
-        stream, drawn with the row's others before the first step, and
-        repeats ``Generator.choice`` bit for bit."""
+        stream (the module's draw contract), drawn for every row of the
+        block before the first step, and repeats ``Generator.choice`` bit
+        for bit."""
         if k is not None:
             uniforms = _uniforms([derive_seed(seed, "topk") for seed in seeds], max_len)
         out: list[list[int]] = [[] for _ in inputs]

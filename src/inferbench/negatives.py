@@ -217,7 +217,8 @@ def replace_sets(
             rng = np.random.default_rng(slot_seed)
             out_tokens, out_ids = list(answer_tokens), answer_ids.copy()
             for j in positions:
-                out_ids[j] = rng.choice(candidates_at[j])
+                # the draw of rng.choice(candidates), without its array conversion
+                out_ids[j] = candidates_at[j][rng.integers(len(candidates_at[j]))]
                 out_tokens[j] = tokens[out_ids[j]]
             negatives.append(" ".join(out_tokens))
             ids.append(out_ids)

@@ -10,7 +10,8 @@
   that pool, bit for bit.
 * Decoding: the batched kernel agrees with a one-step-at-a-time loop
   over the reference ``log_probs_ids`` and ``Generator.choice``, and a
-  row's tokens do not depend on the rows batched with it.
+  row's tokens do not depend on the rows batched with it. Its uniforms
+  are ``default_rng``'s bit for bit, drawn without a ``Generator``.
 * The n-gram metrics agree with the oracles of ``tests/bruteforce.py``,
   and a report's corpus BLEU, sentence BLEU and CIDEr, read from the
   per-pair n-gram tables, equal ``bleu`` and ``cider`` called on each
@@ -57,6 +58,7 @@ from inferbench.backend import (
     ToyBackend,
     Vocabulary,
     derive_seed,
+    _uniforms,
     draw_index,
     load_checkpoint,
     pool,
@@ -504,6 +506,35 @@ def test_non_finite_weights_raise():
     be.b[be.vocab.id_of("cat")] = np.nan
     with pytest.raises(ValueError, match="not finite"):
         generate(be, [be.vocab.id_of("the")], 4, k=2, seed=0)
+
+
+@PROPERTY
+@given(st.lists(st.integers(0, 2**63 - 1), max_size=300), st.integers(1, 40))
+def test_uniforms_equal_default_rng_bitwise(seeds, count):
+    # the edge words: a zero or full low word, and a zero, one or top-bit high word
+    seeds = [*seeds, 0, 1, 2**32 - 1, 2**32, 2**63 - 1]
+    expected = np.array([np.random.default_rng(seed).random(count) for seed in seeds])
+    got = _uniforms(seeds, count)
+    assert got.shape == expected.shape
+    assert (got.view(np.uint64) == expected.view(np.uint64)).all()
+
+
+def test_uniforms_reject_a_seed_outside_64_bits():
+    assert _uniforms([2**64 - 1], 1)[0, 0] == np.random.default_rng(2**64 - 1).random()
+    for bad in (-1, 2**64):
+        with pytest.raises(ValueError, match=r"\[0, 2\*\*64\)"):
+            _uniforms([3, bad], 2)
+
+
+def test_topk_decode_builds_no_generator():
+    be = ToyBackend(Vocabulary(list(WORDS)), d=3, seed=0)
+    inputs = [[be.vocab.id_of(w)] for w in WORDS] * 20  # two decode blocks
+    seeds = list(range(len(inputs)))
+    expected = [step_loop_generate(be, ids, 6, 3, seed) for ids, seed in zip(inputs, seeds)]
+    built = AssertionError("the top-k decoder built a Generator")
+    with mock.patch.object(np.random, "default_rng", side_effect=built), \
+            mock.patch.object(np.random, "PCG64", side_effect=built):
+        assert be.generate_batch(inputs, 6, 3, seeds) == expected
 
 
 # --- the n-gram metrics against their oracles -----------------------------------------
