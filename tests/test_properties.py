@@ -57,8 +57,8 @@ from inferbench.backend import (
     UNK_ID,
     ToyBackend,
     Vocabulary,
-    derive_seed,
     _uniforms,
+    derive_seed,
     draw_index,
     load_checkpoint,
     pool,
@@ -511,7 +511,7 @@ def test_non_finite_weights_raise():
 @PROPERTY
 @given(st.lists(st.integers(0, 2**63 - 1), max_size=300), st.integers(1, 40))
 def test_uniforms_equal_default_rng_bitwise(seeds, count):
-    # the edge words: a zero or full low word, and a zero, one or top-bit high word
+    # seeds of one and of two 32-bit words, with a zero and a full low word
     seeds = [*seeds, 0, 1, 2**32 - 1, 2**32, 2**63 - 1]
     expected = np.array([np.random.default_rng(seed).random(count) for seed in seeds])
     got = _uniforms(seeds, count)
