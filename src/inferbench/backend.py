@@ -21,7 +21,8 @@ The decoder takes plain values, ``generate_batch(inputs, max_len, k,
 seeds)``: greedy when ``k`` is None, else top-k with one seed per row,
 row r's draw at step j taking the (j + 1)-th
 ``default_rng(derive_seed(seeds[r], "topk")).random()``, which
-:func:`_uniforms` computes for all rows at once without a ``Generator``.
+:func:`_uniforms` computes for all rows at once without a ``Generator``;
+:func:`_integers` draws ``Generator.integers`` the same way.
 Every vocabulary puts :data:`SPECIALS` first, in order, so their ids are
 the constants ``PAD_ID`` .. ``MASK_ID`` (0-4). Text becomes ids only in
 :mod:`inferbench.objective`. All randomness flows through seeds derived
@@ -135,12 +136,10 @@ def _mulhi(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a1 * b1 + (mid >> _U32) + ((a0 * b1 + (mid & _LOW32)) >> _U32)
 
 
-def _uniforms(seeds: list[int], count: int) -> np.ndarray:
-    """The first ``count`` draws of each seed's ``default_rng`` stream, one
-    row per seed, bit for bit, computed for all rows at once without a
-    ``Generator``: ``SeedSequence`` hashes the seed's two 32-bit words into
-    PCG64's ``init`` and ``seq``, ``inc = 2 seq + 1``, and value j is the
-    top 53 bits of the XSL-RR output of state j + 2 from ``init + inc``."""
+def _pcg_seed(seeds: list[int]) -> np.ndarray:
+    """Rows ``init_hi, init_lo, inc_hi, inc_lo`` of each seed's PCG64 seeding,
+    all at once: ``SeedSequence`` hashes the seed's two 32-bit words into
+    ``init`` and ``seq``, and ``inc = 2 seq + 1``."""
     if not all(0 <= s < 2**64 for s in seeds):
         raise ValueError("seeds must be in [0, 2**64)")
     s = np.array(seeds, dtype=np.uint64)
@@ -154,8 +153,16 @@ def _uniforms(seeds: list[int], count: int) -> np.ndarray:
     hashmix = _hasher(0x8B51F9DD, 0x58F38DED)
     w = [hashmix(mixer[i % 4]).astype(np.uint64) for i in range(8)]
     # 64-bit word i is w[2i] | w[2i+1] << 32; init is words 0 (high) and 1
-    init_hi, init_lo, seq_hi, seq_lo = ((w[i] | w[i + 1] << _U32)[:, None] for i in (0, 2, 4, 6))
+    init_hi, init_lo, seq_hi, seq_lo = (w[i] | w[i + 1] << _U32 for i in (0, 2, 4, 6))
     inc = (seq_hi << np.uint64(1) | seq_lo >> np.uint64(63), seq_lo << np.uint64(1) | np.uint64(1))
+    return np.stack([init_hi, init_lo, *inc], axis=1)
+
+
+def _pcg_outputs(state: np.ndarray, count: int) -> np.ndarray:
+    """The first ``count`` raw 64-bit outputs of each row's stream, for the
+    rows of :func:`_pcg_seed`: output j is the XSL-RR of state j + 2 from
+    ``init + inc``."""
+    init_hi, init_lo, *inc = (state[:, i, None] for i in range(4))
     # state t from P is M**t P + (M**(t-1) + ... + 1) inc, so state j + 2 from
     # init + inc is M**(j+2) init + (M**(j+2) + ... + 1) inc
     powers = np.array([pow(_PCG_MULT, t, 2**128) for t in range(count + 2)], dtype=object)
@@ -166,8 +173,41 @@ def _uniforms(seeds: list[int], count: int) -> np.ndarray:
         hi = hi + _mulhi(a_lo, b_lo) + a_lo * b_hi + a_hi * b_lo + (lo < low)  # carry
     x = hi ^ lo
     rot = hi >> np.uint64(58)  # the state's top 6 bits
-    x = x >> rot | x << ((np.uint64(64) - rot) & np.uint64(63))
-    return (x >> np.uint64(11)).astype(np.float64) * 2.0**-53
+    return x >> rot | x << ((np.uint64(64) - rot) & np.uint64(63))
+
+
+def _unit(outputs: np.ndarray) -> np.ndarray:
+    """``Generator.random()`` of each raw output: its top 53 bits."""
+    return (outputs >> np.uint64(11)).astype(np.float64) * 2.0**-53
+
+
+def _uniforms(seeds: list[int], count: int) -> np.ndarray:
+    """The first ``count`` draws of each seed's ``default_rng`` stream, one
+    row per seed, bit for bit, without a ``Generator``."""
+    return _unit(_pcg_outputs(_pcg_seed(seeds), count))
+
+
+def _integers(seeds: list[int], bounds) -> np.ndarray:
+    """Value [r, p] is the (p + 1)-th ``default_rng(seeds[r]).integers(n)``
+    for the calls n = bounds[r, 0], bounds[r, 1], ..., bit for bit, each n
+    in [1, 2**32]. Numpy's Lemire method: a call with n > 1 takes the next
+    32-bit half h of the stream (an output's low half first) and returns
+    h n >> 32, unless h n mod 2**32 < 2**32 mod n (probability below
+    n / 2**32), when it takes another; such a row is replayed on a
+    ``Generator``."""
+    bounds = np.asarray(bounds, dtype=np.int64)
+    if not ((bounds >= 1) & (bounds <= 2**32)).all():
+        raise ValueError("bounds must be in [1, 2**32]")
+    n, draws = bounds.astype(np.uint64), bounds > 1  # integers(1) is 0 and draws nothing
+    half = np.maximum(np.cumsum(draws, axis=1) - 1, 0)  # the half each draw takes
+    outputs = _pcg_outputs(_pcg_seed(seeds), int(half.max(initial=0)) // 2 + 1)
+    h = np.take_along_axis(outputs, half // 2, axis=1) >> (half % 2 * 32).astype(np.uint64)
+    product = (h & _LOW32) * n
+    values = np.where(draws, product >> _U32, 0).astype(np.intp)
+    for r in np.flatnonzero((draws & ((product & _LOW32) < np.uint64(2**32) % n)).any(axis=1)):
+        rng = np.random.default_rng(seeds[r])
+        values[r] = [rng.integers(b) for b in bounds[r].tolist()]
+    return values
 
 
 def _segment_sums(E: np.ndarray, segments) -> np.ndarray:
@@ -310,24 +350,26 @@ class ToyBackend:
                 raise ValueError(f"k must be in 1..{n_decodable}")
             if seeds is None or len(seeds) != len(inputs):
                 raise ValueError(f"top-k needs one seed per input ({len(inputs)})")
+        # each row's stream is seeded once; only its draws are made per block
+        streams = None if k is None else _pcg_seed([derive_seed(s, "topk") for s in seeds])
         out: list[list[int]] = []
         for start in range(0, len(inputs), DECODE_BLOCK):
             rows = slice(start, start + DECODE_BLOCK)
-            block_seeds = None if k is None else seeds[rows]
-            out.extend(self._decode_block(inputs[rows], max_len, k, block_seeds))
+            block_streams = None if k is None else streams[rows]
+            out.extend(self._decode_block(inputs[rows], max_len, k, block_streams))
         return out
 
-    def _decode_block(self, inputs, max_len, k, seeds) -> list[list[int]]:
+    def _decode_block(self, inputs, max_len, k, streams) -> list[list[int]]:
         """Token ids of each row, one vectorized step per position for the
         rows not yet stopped. A row's state at step j is half the sum of
         the :func:`pool` of its input and the pool of BOS and its j
         decoded tokens, bit for bit: the prefix sum adds one row per step,
         in order. The top-k draw of row r at step j takes value j of its
-        stream (the module's draw contract), drawn for every row of the
-        block before the first step, and repeats ``Generator.choice`` bit
-        for bit."""
+        stream (the module's draw contract; ``streams`` holds the rows'
+        :func:`_pcg_seed`), drawn for every row of the block before the
+        first step, and repeats ``Generator.choice`` bit for bit."""
         if k is not None:
-            uniforms = _uniforms([derive_seed(seed, "topk") for seed in seeds], max_len)
+            uniforms = _unit(_pcg_outputs(streams, max_len))
         out: list[list[int]] = [[] for _ in inputs]
         live = np.arange(len(inputs))  # rows of ``out`` still decoding
         context = pool(self.E, inputs)

@@ -174,13 +174,14 @@ def _align(hyp_stems: list[str], ref_stems: list[str]) -> tuple[int, int, bool]:
     assignments achieving that cardinality, a depth-first branch and
     bound picks one with the fewest chunks (runs of pairs consecutive
     in both sentences). The incumbent starts at the greedy in-order
-    alignment's chunk count; a node is pruned when the chunks it has
+    alignment's chunk count, and the search runs only until it meets
+    :func:`_chunk_lower_bound`. A node is pruned when the chunks it has
     opened, plus one unless its next match can extend the current
     chunk, already reach the incumbent, or when the same state was
     reached before with no more chunks. Returns (matches, chunks,
     exact); ``exact`` is False when the search ran out of its node
-    budget, and the chunk count is then the best found, not certified
-    minimal.
+    budget short of the bound, and the chunk count is then the best
+    found, not certified minimal.
     """
     hyp_counter = Counter(hyp_stems)
     ref_counter = Counter(ref_stems)
@@ -196,6 +197,10 @@ def _align(hyp_stems: list[str], ref_stems: list[str]) -> tuple[int, int, bool]:
     for j, s in enumerate(ref_stems):
         if s in quota:
             ref_by_stem.setdefault(s, []).append(j)
+    best_chunks = _greedy_chunks(hyp_stems, ref_by_stem, quota)
+    lower = _chunk_lower_bound(hyp_stems, ref_stems, m)
+    if best_chunks == lower:
+        return m, best_chunks, True
     # hyp occurrences of each needed stem remaining at position i or later
     remaining = [Counter() for _ in range(len(hyp_stems) + 1)]
     for i in range(len(hyp_stems) - 1, -1, -1):
@@ -203,7 +208,6 @@ def _align(hyp_stems: list[str], ref_stems: list[str]) -> tuple[int, int, bool]:
         if hyp_stems[i] in quota:
             remaining[i][hyp_stems[i]] += 1
 
-    best_chunks = _greedy_chunks(hyp_stems, ref_stems, quota)
     nodes = 0
     need = dict(quota)  # matches each stem still has to place
     # fewest chunks seen per state (i, used ref positions, ref position
@@ -213,7 +217,7 @@ def _align(hyp_stems: list[str], ref_stems: list[str]) -> tuple[int, int, bool]:
     def dfs(i: int, left: int, used: int, chunks: int, last_j: int):
         nonlocal best_chunks, nodes
         nodes += 1
-        if nodes > _ALIGN_NODE_BUDGET:
+        if nodes > _ALIGN_NODE_BUDGET or best_chunks == lower:
             return
         if left == 0:
             best_chunks = min(best_chunks, chunks)
@@ -241,28 +245,28 @@ def _align(hyp_stems: list[str], ref_stems: list[str]) -> tuple[int, int, bool]:
             dfs(i + 1, left, used, chunks, -1)
 
     dfs(0, m, 0, 0, -1)
-    return m, best_chunks, nodes <= _ALIGN_NODE_BUDGET
+    return m, best_chunks, best_chunks == lower or nodes <= _ALIGN_NODE_BUDGET
 
 
-def _greedy_chunks(hyp_stems, ref_stems, quota) -> int:
-    need = dict(quota)
-    used = set()
-    pairs = []
+def _chunk_lower_bound(hyp_stems, ref_stems, m: int) -> int:
+    """Fewest chunks of ``m`` matches: a chunk goes on from hypothesis
+    position i to i + 1 only over a stem bigram of both sides, and each
+    reference bigram serves one, so at most m - 1 and the shared bigrams do."""
+    shared = Counter(zip(hyp_stems, hyp_stems[1:])) & Counter(zip(ref_stems, ref_stems[1:]))
+    return m - min(m - 1, sum(shared.values()))
+
+
+def _greedy_chunks(hyp_stems, ref_by_stem, quota) -> int:
+    """Chunks of the in-order alignment: each hypothesis stem, while its
+    quota lasts, takes the first reference position of its stem not yet
+    taken."""
+    free = {s: js[: quota[s]] for s, js in ref_by_stem.items()}
+    chunks, last = 0, (-2, -2)
     for i, s in enumerate(hyp_stems):
-        if need.get(s, 0) <= 0:
-            continue
-        for j, r in enumerate(ref_stems):
-            if r == s and j not in used:
-                used.add(j)
-                need[s] -= 1
-                pairs.append((i, j))
-                break
-    chunks = 0
-    last = None
-    for i, j in pairs:
-        if last is None or i != last[0] + 1 or j != last[1] + 1:
-            chunks += 1
-        last = (i, j)
+        if free.get(s):
+            j = free[s].pop(0)
+            chunks += (i, j) != (last[0] + 1, last[1] + 1)
+            last = (i, j)
     return chunks
 
 

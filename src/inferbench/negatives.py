@@ -15,7 +15,12 @@ The in-batch term's negatives, the gold answers of the other examples,
 need no procedure (:func:`inbatch_negatives`).
 
 Every draw is seeded per (seed, example id, slot), so any emitted
-negative can be replayed from its provenance alone.
+negative can be replayed from its provenance alone. A replacement
+negative's slot seed s draws one candidate per selected position, in
+position order: the p-th takes the (p + 1)-th
+``default_rng(s).integers(n)``, n the position's candidate count, as
+:func:`~inferbench.backend._integers` computes it for every slot of a
+set at once.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from typing import Callable, Collection
 
 import numpy as np
 
-from .backend import SPECIALS, ToyBackend, Vocabulary, derive_seed
+from .backend import SPECIALS, ToyBackend, Vocabulary, _integers, derive_seed
 from .corpus import MAX_COUNTERFACTUALS, InferenceExample, normalize_answer
 from .metrics import tokenize
 from .objective import EncodedSet, LossConfig, forward
@@ -198,27 +203,33 @@ def replace_sets(
     strategy = f"replace_{mode}"
     tokens = scorer.vocab.tokens
     specials = range(len(SPECIALS))
-    sets = []
+    picks = []  # (positions, fallback, candidates at each position) per example
     for example, answer_ids, (with_ctx, answer_only) in zip(examples, answers, scored):
         at_gold = (np.arange(len(answer_ids)), answer_ids)
         deltas = np.abs(with_ctx[at_gold] - answer_only[at_gold])
         positions, fallback = select_positions(deltas, threshold)
-        candidates_at: dict[int, list[int]] = {}
+        candidates = []
         for j in positions:
             top = replacement_candidates(answer_only[j], answer_ids[j], k, specials)
             if not top:
                 raise ValueError(f"example {example.id}: no replacement candidates at {j}")
-            candidates_at[j] = top
+            candidates.append(top)
+        picks.append((positions, fallback, candidates))
+    slot_seeds = [derive_seed(seed, ex.id, strategy, slot) for ex in examples for slot in range(m)]
+    width = max((len(c) for _, _, c in picks), default=0)
+    # a row per slot: the candidate counts, padded with 1 (integers(1) draws nothing)
+    bounds = [[len(top) for top in c] + [1] * (width - len(c)) for _, _, c in picks for _ in range(m)]
+    drawn = zip(slot_seeds, _integers(slot_seeds, np.reshape(bounds, (len(slot_seeds), width))).tolist())
+    sets = []
+    for example, answer_ids, (positions, fallback, candidates) in zip(examples, answers, picks):
         # an out-of-vocabulary token keeps its surface form
         answer_tokens = tokenize(example.answer)
         negatives, ids, provenance = [], [], []
         for slot in range(m):
-            slot_seed = derive_seed(seed, example.id, strategy, slot)
-            rng = np.random.default_rng(slot_seed)
+            slot_seed, indices = next(drawn)
             out_tokens, out_ids = list(answer_tokens), answer_ids.copy()
-            for j in positions:
-                # the draw of rng.choice(candidates), without its array conversion
-                out_ids[j] = candidates_at[j][rng.integers(len(candidates_at[j]))]
+            for j, top, index in zip(positions, candidates, indices):
+                out_ids[j] = top[index]
                 out_tokens[j] = tokens[out_ids[j]]
             negatives.append(" ".join(out_tokens))
             ids.append(out_ids)

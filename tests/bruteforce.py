@@ -68,6 +68,17 @@ def bf_rouge_l(hyp, ref, beta=1.2):
 
 
 def bf_meteor(hyp, ref, alpha=0.9, gamma=0.5, beta=3.0):
+    """METEOR-lite of the alignment :func:`bf_alignment` finds."""
+    m, ch = bf_alignment(hyp, ref)
+    if m == 0:
+        return 0.0
+    p = m / len(hyp)
+    r = m / len(ref)
+    f_mean = p * r / (alpha * p + (1 - alpha) * r)
+    return f_mean * (1 - gamma * (ch / m) ** beta)
+
+
+def bf_alignment(hyp, ref):
     """Exhaustive alignment search: every injective stem-compatible
     mapping, keeping (max matches, then min chunks)."""
     hs = [stem(t) for t in hyp]
@@ -96,13 +107,7 @@ def bf_meteor(hyp, ref, alpha=0.9, gamma=0.5, beta=3.0):
                 explore(i + 1, used | {j}, pairs + [(i, j)])
 
     explore(0, frozenset(), [])
-    m, ch = best
-    if m == 0:
-        return 0.0
-    p = m / len(hyp)
-    r = m / len(ref)
-    f_mean = p * r / (alpha * p + (1 - alpha) * r)
-    return f_mean * (1 - gamma * (ch / m) ** beta)
+    return tuple(best)
 
 
 def bf_cider(hyps, refs):

@@ -1,5 +1,6 @@
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from inferbench import metrics
 from inferbench.metrics import (
     MetricReport,
     _align,
+    _chunk_lower_bound,
     bleu,
     cider,
     meteor_lite,
@@ -20,7 +22,7 @@ from inferbench.metrics import (
 )
 from inferbench.porter import stem
 
-from bruteforce import bf_bleu, bf_cider, bf_meteor, bf_rouge_l
+from bruteforce import bf_alignment, bf_bleu, bf_cider, bf_meteor, bf_rouge_l
 
 WORDS = [
     "the", "cat", "dog", "sat", "ran", "on", "mat", "rug", "fast", "slow",
@@ -260,6 +262,53 @@ def repeated_token_pairs(draw):
 def test_meteor_matches_bruteforce_on_repeated_tokens(pair):
     hyp, ref = pair
     assert math.isclose(meteor_lite(hyp, ref), bf_meteor(hyp, ref), rel_tol=0, abs_tol=1e-9)
+
+
+def test_meteor_repeated_token_is_certified_by_the_bound(monkeypatch):
+    hyp, ref = map(_stems, THE_X16)
+    # no hypothesis bigram is a reference bigram, so each of the 6 matches opens a chunk
+    assert _chunk_lower_bound(hyp, ref, 6) == 6
+    monkeypatch.setattr(metrics, "_ALIGN_NODE_BUDGET", 2)
+    assert _align(hyp, ref) == (6, 6, True)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        meteor_lite(*THE_X16)
+
+
+def test_chunk_lower_bound_counts_shared_bigrams():
+    # the budget pair above: (b, a) is the one shared bigram, greedy opens 2 chunks
+    assert _chunk_lower_bound(["a", "b", "a"], ["b", "a"], 2) == 1
+    # one chunk at least, however many bigrams are shared
+    assert _chunk_lower_bound(["a", "a", "a"], ["a", "a", "a"], 3) == 1
+    assert _chunk_lower_bound(["a", "b"], ["b", "a"], 2) == 2
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=80)
+@given(repeated_token_pairs())
+def test_chunk_lower_bound_is_at_most_the_minimal_chunk_count(pair):
+    hyp, ref = pair
+    m, chunks = bf_alignment(hyp, ref)
+    if m:
+        assert 1 <= _chunk_lower_bound(_stems(hyp), _stems(ref), m) <= chunks
+
+
+@st.composite
+def longer_repeated_token_pairs(draw):
+    """A (hypothesis, reference) pair of 1-14 tokens each over 2-4 words,
+    so that greedy often misses the bound and the search stops at it."""
+    alphabet = ["cat", "cats", "the", "sat"][: draw(st.integers(2, 4))]
+    tokens = st.lists(st.sampled_from(alphabet), min_size=1, max_size=14)
+    return draw(tokens), draw(tokens)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=120)
+@given(longer_repeated_token_pairs())
+def test_align_with_the_certificate_equals_the_search_alone(pair):
+    hyp, ref = map(_stems, pair)
+    # a bound of 0 is never met: the search runs to its end, as with no bound
+    with mock.patch.object(metrics, "_chunk_lower_bound", return_value=0):
+        searched = _align(hyp, ref)
+    assert _align(hyp, ref) == searched
 
 
 # --- CIDEr -------------------------------------------------------------------

@@ -10,8 +10,9 @@
   that pool, bit for bit.
 * Decoding: the batched kernel agrees with a one-step-at-a-time loop
   over the reference ``log_probs_ids`` and ``Generator.choice``, and a
-  row's tokens do not depend on the rows batched with it. Its uniforms
-  are ``default_rng``'s bit for bit, drawn without a ``Generator``.
+  row's tokens do not depend on the rows batched with it. Its uniforms,
+  and the bounded integers of the replacement draws, are
+  ``default_rng``'s bit for bit, drawn without a ``Generator``.
 * The n-gram metrics agree with the oracles of ``tests/bruteforce.py``,
   and a report's corpus BLEU, sentence BLEU and CIDEr, read from the
   per-pair n-gram tables, equal ``bleu`` and ``cider`` called on each
@@ -45,7 +46,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
-from inferbench import objective
+from inferbench import cli, objective
 from inferbench.analysis import CHOICES, Judgment, compare_metric_scores, stratified_compare
 from inferbench.backend import (
     BOS_ID,
@@ -57,6 +58,7 @@ from inferbench.backend import (
     UNK_ID,
     ToyBackend,
     Vocabulary,
+    _integers,
     _uniforms,
     derive_seed,
     draw_index,
@@ -86,7 +88,7 @@ from inferbench.objective import (
 from inferbench.porter import stem
 
 from bruteforce import bf_bleu, bf_cider, bf_rouge_l, bf_total_loss
-from conftest import make_example, replace_one
+from conftest import DATA_DIR, make_example, replace_one
 import reference_model
 from reference_model import (
     generate,
@@ -535,6 +537,78 @@ def test_topk_decode_builds_no_generator():
     with mock.patch.object(np.random, "default_rng", side_effect=built), \
             mock.patch.object(np.random, "PCG64", side_effect=built):
         assert be.generate_batch(inputs, 6, 3, seeds) == expected
+
+
+EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63 - 1]
+
+
+def integers_by_generator(seeds, bounds):
+    """Row r: ``default_rng(seeds[r]).integers(n)`` for each n of ``bounds[r]``, in order."""
+    rows = []
+    for seed, row in zip(seeds, bounds):
+        rng = np.random.default_rng(seed)
+        rows.append([rng.integers(n) for n in row])
+    return np.array(rows, dtype=np.intp).reshape(len(seeds), -1)
+
+
+@PROPERTY
+@given(st.lists(st.integers(0, 2**63 - 1), max_size=20), st.integers(3, 6), st.data())
+def test_integers_equal_default_rng_bitwise(seeds, draws, data):
+    seeds = [*seeds, *EDGE_SEEDS]
+    # 1 draws nothing; 2**32 takes a whole half
+    bound = st.integers(1, 200) | st.just(2**32)
+    row = st.lists(bound, min_size=draws, max_size=draws)
+    bounds = data.draw(st.lists(row, min_size=len(seeds), max_size=len(seeds)))
+    got = _integers(seeds, bounds)
+    assert got.dtype == np.intp
+    assert (got == integers_by_generator(seeds, bounds)).all()
+
+
+def test_integers_take_the_next_half_after_a_rejected_one():
+    n = 3 * 2**30  # a quarter of all 32-bit halves are rejected
+    seeds = list(range(40))
+    # a seed's first draw is rejected when its first low half h has h n mod 2**32 < 2**32 mod n
+    lows = [int(np.random.default_rng(s).bit_generator.random_raw()) & 0xFFFFFFFF for s in seeds]
+    rejected = [s for s, h in zip(seeds, lows) if h * n % 2**32 < 2**32 % n]
+    assert len(rejected) >= 5
+    replayed = []
+    default_rng = np.random.default_rng
+
+    def recording(seed):
+        replayed.append(seed)
+        return default_rng(seed)
+
+    with mock.patch.object(np.random, "default_rng", side_effect=recording):
+        got = _integers(seeds, [[n]] * len(seeds))
+    assert replayed == rejected  # the rows with a rejected half, and only they
+    assert (got == integers_by_generator(seeds, [[n]] * len(seeds))).all()
+    bounds = [[n, 7, n, 1, n]] * len(seeds)
+    assert (_integers(seeds, bounds) == integers_by_generator(seeds, bounds)).all()
+
+
+def test_integers_reject_bounds_outside_their_range():
+    for bad in ([[0]], [[2**32 + 1]], [[3, -1]]):
+        with pytest.raises(ValueError, match="bounds"):
+            _integers([5], bad)
+
+
+def test_replace_perturb_builds_no_generator_for_a_slot(tmp_path):
+    out = tmp_path / "negatives.jsonl"
+    built = []
+    default_rng = np.random.default_rng
+
+    def recording(seed=None):
+        built.append(seed)
+        return default_rng(seed)
+
+    with mock.patch.object(np.random, "default_rng", side_effect=recording):
+        assert cli.main(["perturb", "--strategy", "replace_mcq", "--in",
+                         str(DATA_DIR / "test.jsonl"), "--out", str(out)]) == 0
+    records = [json.loads(line) for line in out.read_text().splitlines()]
+    slot_seeds = {p["seed"] for r in records for p in r["provenance"]}
+    assert len(slot_seeds) == sum(len(r["provenance"]) for r in records) > 0
+    # the two model inits build theirs; no slot does
+    assert built and not slot_seeds & set(built)
 
 
 # --- the n-gram metrics against their oracles -----------------------------------------
