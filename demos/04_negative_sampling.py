@@ -6,7 +6,6 @@ import json
 
 from inferbench.backend import ToyBackend
 from inferbench.negatives import (
-    inbatch_negatives,
     nonoptimal_sets,
     pick_counterfactuals,
     replace_sets,
@@ -41,9 +40,11 @@ print("\nreplace_zs (context-sensitive tokens swapped):")
 for neg, prov in zip(ns.negatives, ns.provenance):
     print(f"  {neg}   <- positions {prov['replaced_positions']} fallback={prov['fallback']}")
 
+# the in-batch term needs no procedure: its negatives are the other
+# examples' golds, the off-diagonal of forward's n x n similarity matrix
 print("\nin_batch (gold answers of the other batch members):")
-for neg in inbatch_negatives(batch, 0):
-    print(f"  {neg}")
+for other in batch[1:]:
+    print(f"  {other.answer}")
 
 print("\nfull provenance of the last replace negative:")
 print(json.dumps(ns.provenance[-1], indent=2))

@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Contrastive benefit on the synthetic corpus: train with and without
 the contrastive terms and compare the gold-vs-hardest-negative margin
-of validation input embeddings (two seeds here; the acceptance suite
-runs five)."""
+of validation input embeddings, the unit pooled vectors the InfoNCE
+terms train (two seeds here; the acceptance suite runs five)."""
 
 from inferbench.experiments import contrastive_benefit_experiment
 

@@ -35,7 +35,6 @@ from .corpus import (
 from .metrics import MetricReport, bleu, cider, meteor_lite, rouge_l, score_corpus, tokenize
 from .negatives import (
     NegativeSet,
-    inbatch_negatives,
     nonoptimal_sets,
     pick_counterfactuals,
     replace_sets,
@@ -83,7 +82,6 @@ __all__ = [
     "score_corpus",
     "tokenize",
     "NegativeSet",
-    "inbatch_negatives",
     "nonoptimal_sets",
     "pick_counterfactuals",
     "replace_sets",

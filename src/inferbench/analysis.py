@@ -11,6 +11,7 @@ so downstream tables are unambiguous.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 from .metrics import stratify, tokenize
@@ -176,25 +177,20 @@ def _betacf(a: float, b: float, x: float) -> float:
     h = d
     for m in range(1, max_iter + 1):
         m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < fpmin:
-            d = fpmin
-        c = 1.0 + aa / c
-        if abs(c) < fpmin:
-            c = fpmin
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < fpmin:
-            d = fpmin
-        c = 1.0 + aa / c
-        if abs(c) < fpmin:
-            c = fpmin
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
+        # the even and then the odd coefficient of step m, each one Lentz update
+        for aa in (
+            m * (b - m) * x / ((qam + m2) * (a + m2)),
+            -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2)),
+        ):
+            d = 1.0 + aa * d
+            if abs(d) < fpmin:
+                d = fpmin
+            c = 1.0 + aa / c
+            if abs(c) < fpmin:
+                c = fpmin
+            d = 1.0 / d
+            delta = d * c
+            h *= delta
         if abs(delta - 1.0) < eps:
             return h
     raise RuntimeError("incomplete beta continued fraction did not converge")
@@ -383,7 +379,8 @@ def compare_metric_scores(
     labels: dict[str, str] | None = None,
 ) -> ComparisonReport:
     """Automatic-score comparison: per-item win/tie/lose by score order
-    plus the paired t-test; no rater statistics."""
+    plus the paired t-test; no rater statistics. Every score must be a
+    finite number."""
     if set(scores_a) != set(scores_b):
         raise ValueError("score maps must cover the same item ids")
     if not scores_a:
@@ -391,5 +388,7 @@ def compare_metric_scores(
     items = []
     for i in sorted(scores_a):
         a, b = scores_a[i], scores_b[i]
+        if not all(isinstance(v, numbers.Real) and math.isfinite(v) for v in (a, b)):
+            raise ValueError(f"item {i!r} has no finite score pair, got {a!r} and {b!r}")
         items.append(_Item(i, (a > b) - (a < b), (a, b), 1))
     return _report(items, labels, "score_order")

@@ -7,7 +7,7 @@ gradient-check yet rich enough to exercise every training objective:
     p(a_<j)  = pool of BOS + previous answer tokens
     s_j      = (c + p) / 2
     logits_j = U @ s_j + b, log-normalized
-    embed(T) = pool of T, L2-normalized (the zero vector maps to itself)
+    embed(T) = pool of T, L2-normalized (a zero pool is an error)
 
 :func:`pool` is the one pooling rule: a segment's embedding rows added
 in order, divided by the count, zeros for an empty segment. Masked
@@ -15,8 +15,9 @@ scoring drops the masked position and pools the remaining tokens of the
 conditioned window. The model contract is id-level: the vocabulary
 ``vocab`` plus ``generate_batch`` (the decoded ids of each row),
 ``masked_log_probs`` (every masked position of each answer of a set, with
-its context and without, yielded answer by answer) and ``embed_ids``, all
-on token ids, and :func:`pool`, which the objective's forward shares.
+its context and without, yielded answer by answer), both on token ids,
+and :func:`pool`, which the objective's forward shares: embeddings exist
+only as its pooled, normalized rows.
 The decoder takes plain values, ``generate_batch(inputs, max_len, k,
 seeds)``: greedy when ``k`` is None, else top-k with one seed per row,
 row r's draw at step j taking the (j + 1)-th
@@ -212,15 +213,10 @@ def _integers(seeds: list[int], bounds) -> np.ndarray:
 
 def _segment_sums(E: np.ndarray, segments) -> np.ndarray:
     """In-order sum of each id segment's E rows, one row per segment, from
-    -0.0 (the exact identity of float addition). One segment takes a
-    running sum; many take one vector add per token position, over the
-    segments sorted longest first so that those reaching a position lead.
-    Both add in order at every d; numpy's sum over an axis adds a single
-    column pairwise at d = 1."""
-    d = E.shape[1]
-    if len(segments) == 1:
-        rows = E[segments[0]]
-        return np.add.accumulate(rows, axis=0)[-1:] if len(rows) else np.full((1, d), -0.0)
+    -0.0 (the exact identity of float addition): one vector add per token
+    position, over the segments sorted longest first so that those
+    reaching a position lead. This adds in order at every d; numpy's sum
+    over an axis adds a single column pairwise at d = 1."""
     lengths = np.array([len(s) for s in segments])
     order = np.argsort(-lengths, kind="stable")
     # placed[i, j]: the i-th longest segment has a token at position j
@@ -228,7 +224,7 @@ def _segment_sums(E: np.ndarray, segments) -> np.ndarray:
     ids = np.zeros(placed.shape, dtype=np.intp)
     ids[placed] = np.concatenate([segments[i] for i in order])
     rows = E[ids.T[placed.T]]  # position by position, longest segment first
-    sums = np.full((len(segments), d), -0.0)
+    sums = np.full((len(segments), E.shape[1]), -0.0)
     start = 0
     for k in placed.sum(axis=0).tolist():
         sums[:k] += rows[start : start + k]
@@ -270,13 +266,6 @@ class ToyBackend:
         log_probs -= log_probs.max(axis=1, keepdims=True)
         log_probs -= np.log(np.exp(log_probs).sum(axis=1, keepdims=True))
         return log_probs
-
-    def embed_ids(self, ids: list[int]) -> np.ndarray:
-        v = pool(self.E, [ids])[0]
-        norm = np.linalg.norm(v)
-        if norm == 0.0:
-            return v
-        return v / norm
 
     def masked_log_probs(self, answers, contexts):
         """Yield, answer by answer, the log-probabilities at every masked

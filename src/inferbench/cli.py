@@ -151,7 +151,8 @@ def load_run_config(
         raise ConfigError(
             f"unsupported config_version {config['config_version']!r}"
         )
-    return config, config_digest(config), _expand_sweep(config)
+    runs = _expand_sweep(config)  # checked before the digest meets a bad value
+    return config, config_digest(config), runs
 
 
 def _swept(config: dict) -> bool:

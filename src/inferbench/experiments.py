@@ -15,23 +15,29 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .backend import ToyBackend
+from .backend import ToyBackend, pool
 from .corpus import InferenceExample
-from .objective import LossConfig, encode
+from .objective import LossConfig, _unit, _zero_embedding, encode
 from .synth import build_corpus
 from .trainer import TrainConfig, train
 
 
 def validation_margin(backend: ToyBackend, examples: list[InferenceExample]) -> float:
-    """Mean gold-vs-hardest-negative cosine margin of input embeddings."""
+    """Mean gold-vs-hardest-negative cosine margin of input embeddings,
+    on the unit vectors :func:`~inferbench.objective.forward` gives its
+    InfoNCE terms: inputs, answers without EOS and counterfactuals pooled
+    in one call."""
     enc = encode(examples, [ex.counterfactuals for ex in examples], vocab=backend.vocab)
-    total = 0.0
-    for input_ids, answer_ids, negatives in zip(enc.inputs, enc.answers, enc.negatives):
-        h_x = backend.embed_ids(input_ids)
-        h_gold = backend.embed_ids(answer_ids[:-1])  # the answer without EOS
-        neg_sims = [float(h_x @ backend.embed_ids(ids)) for ids in negatives]
-        total += float(h_x @ h_gold) - max(neg_sims)
-    return total / len(examples)
+    counts = np.array([len(negs) for negs in enc.negatives])
+    if not counts.all():
+        raise ValueError(f"example {enc.example_ids[np.argmin(counts)]} has no counterfactual")
+    n = len(enc)
+    segments = [*enc.inputs, *(a[:-1] for a in enc.answers)]
+    segments += [ids for negs in enc.negatives for ids in negs]
+    H, _ = _unit(pool(backend.E, segments), lambda row: _zero_embedding(enc, row))
+    gold = np.einsum("ij,ij->i", H[:n], H[n : 2 * n])
+    negative = np.einsum("ij,ij->i", np.repeat(H[:n], counts, axis=0), H[2 * n :])
+    return float(np.mean(gold - np.maximum.reduceat(negative, np.cumsum(counts) - counts)))
 
 
 @dataclass

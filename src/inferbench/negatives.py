@@ -11,8 +11,10 @@ config check read:
   context-sensitive tokens swapped using a masked scorer (zero-shot or
   fine-tuned to separate gold from counterfactuals).
 
-The in-batch term's negatives, the gold answers of the other examples,
-need no procedure (:func:`inbatch_negatives`).
+The in-batch term's negatives, the gold answers of the other examples
+(duplicate golds included), need no procedure: they are the off-diagonal
+entries of :func:`~inferbench.objective.forward`'s n x n similarity
+matrix.
 
 Every draw is seeded per (seed, example id, slot), so any emitted
 negative can be replayed from its provenance alone. A replacement
@@ -239,16 +241,6 @@ def replace_sets(
             })
         sets.append(NegativeSet(example.id, strategy, negatives, provenance, ids))
     return sets
-
-
-def inbatch_negatives(batch: list[InferenceExample], i: int) -> list[str]:
-    """Gold answers of the other batch members, batch order preserved.
-    Duplicate golds are kept."""
-    if len(batch) < 2:
-        raise ValueError("in-batch negatives need batch size >= 2")
-    if not 0 <= i < len(batch):
-        raise IndexError(f"index {i} outside batch of {len(batch)}")
-    return [ex.answer for j, ex in enumerate(batch) if j != i]
 
 
 def train_mcq_scorer(enc: EncodedSet, d: int, seed: int) -> ToyBackend:

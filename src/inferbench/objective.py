@@ -29,6 +29,7 @@ into E.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import asdict, dataclass, field, fields, replace
 from itertools import islice
@@ -42,13 +43,15 @@ from .metrics import tokenize
 
 def check_number_fields(obj) -> None:
     """Raise ValueError unless every ``int`` field of the dataclass
-    ``obj`` holds an integer and every ``float`` field a real number
-    (bools are neither)."""
+    ``obj`` holds an integer and every ``float`` field a finite real
+    number (bools are neither)."""
     for f in fields(obj):
         value = getattr(obj, f.name)
         kinds = {"int": numbers.Integral, "float": numbers.Real}.get(f.type)
         if kinds and (isinstance(value, bool) or not isinstance(value, kinds)):
             raise ValueError(f"{f.name} must be {f.type}, got {value!r}")
+        if kinds and not math.isfinite(value):
+            raise ValueError(f"{f.name} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)

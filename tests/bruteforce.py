@@ -339,3 +339,24 @@ def bf_total_loss(backend, enc, config):
                 cl_s += _bf_xent(row, 0)
             cl_s /= n
     return nll, cl_b, cl_s, nll + config.lambda_b * cl_b + config.lambda_s * cl_s
+
+
+def bf_validation_margin(backend, examples, template_id="default"):
+    """Mean over the examples of cos(input, gold answer) minus the largest
+    cos(input, counterfactual), one example and one text at a time, each
+    text embedded as the mean of its tokens' E rows (the answer without
+    EOS)."""
+    from inferbench.corpus import prepare_input_text
+    from inferbench.metrics import tokenize
+
+    E, d = backend.E.tolist(), backend.d
+
+    def embed(text):
+        return _bf_mean_row(E, backend.vocab.encode(tokenize(text)), d)
+
+    total = 0.0
+    for ex in examples:
+        h_x = embed(prepare_input_text(ex, template_id))
+        hardest = max(_bf_cosine(h_x, embed(cf)) for cf in ex.counterfactuals)
+        total += _bf_cosine(h_x, embed(ex.answer)) - hardest
+    return total / len(examples)

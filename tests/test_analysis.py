@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -298,3 +300,9 @@ def test_compare_metric_scores():
     assert set(report.strata) == {"s1", "s2"}
     with pytest.raises(ValueError):
         compare_metric_scores(a, {"x": 1.0})
+
+
+@pytest.mark.parametrize("bad", [None, math.nan, math.inf, "0.5"])
+def test_compare_metric_scores_rejects_a_missing_or_non_finite_score(bad):
+    with pytest.raises(ValueError, match="item 'y' has no finite score pair"):
+        compare_metric_scores({"x": 0.9, "y": 0.4}, {"x": 0.5, "y": bad})

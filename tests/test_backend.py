@@ -15,9 +15,10 @@ from inferbench.backend import (
     ToyBackend,
     Vocabulary,
     load_checkpoint,
+    pool,
     save_checkpoint,
 )
-from inferbench.objective import encode
+from inferbench.objective import _unit, encode
 
 from conftest import make_example
 from reference_model import generate, log_probs_ids, masked_logits_ids
@@ -95,22 +96,22 @@ def test_empty_input_and_prefix_never_errors(backend):
     assert abs(np.logaddexp.reduce(log_probs)) < 1e-6
 
 
-# --- embed_ids -----------------------------------------------------------------
+# --- embeddings: pooled rows, L2-normalized as the objective does ------------------
+
+def embed(backend, tokens):
+    return _unit(pool(backend.E, [backend.vocab.encode(tokens)]), str)[0][0]
+
 
 def test_embed_single_token_is_normalized_row(backend):
-    vec = backend.embed_ids(backend.vocab.encode(["alpha"]))
+    vec = embed(backend, ["alpha"])
     row = backend.E[backend.vocab.id_of("alpha")]
     assert np.allclose(vec, row / np.linalg.norm(row))
 
 
 def test_embed_is_order_free(backend):
-    a = backend.embed_ids(backend.vocab.encode(["alpha", "beta", "gamma"]))
-    b = backend.embed_ids(backend.vocab.encode(["gamma", "alpha", "beta"]))
+    a = embed(backend, ["alpha", "beta", "gamma"])
+    b = embed(backend, ["gamma", "alpha", "beta"])
     assert np.allclose(a, b)
-
-
-def test_embed_empty_is_zero(backend):
-    assert np.all(backend.embed_ids(backend.vocab.encode([])) == 0.0)
 
 
 def test_embed_norm_property(backend):
@@ -118,7 +119,7 @@ def test_embed_norm_property(backend):
     words = ["alpha", "beta", "gamma"]
     for _ in range(20):
         toks = [words[int(i)] for i in rng.integers(0, 3, size=rng.integers(1, 6))]
-        norm = np.linalg.norm(backend.embed_ids(backend.vocab.encode(toks)))
+        norm = np.linalg.norm(embed(backend, toks))
         assert abs(norm - 1.0) < 1e-9
 
 

@@ -460,6 +460,21 @@ def test_compare_without_needed_ref_is_json_error(tmp_path, capsys, flags):
     assert not out.exists()
 
 
+def test_compare_cider_without_scores_is_json_error(tmp_path, capsys):
+    # one reference is fewer than the 2 distinct documents CIDEr needs,
+    # so no pair has a score to compare
+    texts = {"a.txt": "the cat sat", "b.txt": "a dog ran", "ref.txt": "the cat ran"}
+    for name, text in texts.items():
+        (tmp_path / name).write_text(text + "\n")
+    out = tmp_path / "cmp.json"
+    with pytest.warns(UserWarning, match="cider skipped"):
+        code = run(["compare", "--a", tmp_path / "a.txt", "--b", tmp_path / "b.txt",
+                    "--ref", tmp_path / "ref.txt", "--metric", "cider", "--out", out])
+    assert code == 2
+    assert "item '0' has no finite score pair, got None and None" in json_error(capsys, "compare")
+    assert not out.exists()
+
+
 def test_gradcheck_command(tmp_path):
     out = tmp_path / "grad.json"
     assert run(["gradcheck", "--seed", "3", "--tol", "1e-4", "--out", out,
@@ -714,6 +729,7 @@ def small_checkpoint(tmp_path_factory, small_data):
         ("sweep --dry-run", ["report=1"], "config key 'report' must be an object"),
         ("sweep --dry-run", ["sweep=5"], "config key 'sweep' must be an object"),
         ("train", ["loss.tau_b.x=1"], "config key 'loss.tau_b' must not be an object"),
+        ("train", ["loss.tau_b=NaN"], "loss.tau_b must be finite, got nan"),
     ],
 )
 def test_bad_config_is_json_error_at_load(

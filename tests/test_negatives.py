@@ -8,17 +8,16 @@ from inferbench.corpus import load_dataset, normalize_answer
 from inferbench.metrics import tokenize
 from inferbench.negatives import (
     NegativeSet,
-    inbatch_negatives,
     nonoptimal_sets,
     pick_counterfactuals,
     replace_sets,
     select_positions,
     train_mcq_scorer,
 )
-from inferbench.objective import encode
+from inferbench.objective import LossConfig, encode, forward
 from inferbench.trainer import build_vocabulary
 
-from bruteforce import bf_replace_positions
+from bruteforce import bf_replace_positions, bf_total_loss
 from conftest import make_example, replace_one
 from reference_model import generate, generate_nonoptimal, replacement_deltas
 
@@ -310,26 +309,19 @@ def test_replace_mcq_scorer_stands_in(example):
 
 # --- in-batch -----------------------------------------------------------------
 
-def test_inbatch_order_and_exclusion():
-    batch = [make_example(ex_id=f"e{i}", answer=f"answer number {i} .") for i in range(3)]
-    for i in range(3):
-        negs = inbatch_negatives(batch, i)
-        assert negs == [ex.answer for j, ex in enumerate(batch) if j != i]
-        assert len(negs) == 2
-
-
 def test_inbatch_keeps_duplicate_golds():
+    # the in-batch negatives are the other golds of forward's n x n
+    # similarity matrix: a gold repeated in the batch counts every time
     batch = [
         make_example(ex_id="a", answer="same answer ."),
         make_example(ex_id="b", answer="same answer ."),
         make_example(ex_id="c", answer="other answer ."),
     ]
-    assert inbatch_negatives(batch, 2) == ["same answer .", "same answer ."]
-
-
-def test_inbatch_batch_of_one_errors(example):
-    with pytest.raises(ValueError):
-        inbatch_negatives([example], 0)
+    enc = encode(batch)
+    be = ToyBackend(enc.vocab, d=4, seed=3)
+    config = LossConfig(lambda_s=0.0)
+    _, cl_b, _, _ = bf_total_loss(be, enc, config)
+    assert forward(be, enc, config, grads=False).cl_b == pytest.approx(cl_b, rel=1e-12)
 
 
 # --- shared invariants -----------------------------------------------------------

@@ -3,7 +3,9 @@
 * The stratum contract: a stratum of a report equals the same report run
   on that stratum's items alone, exactly.
 * The objective: :func:`forward` agrees with the loop oracle
-  ``bf_total_loss`` on random encoded batches, errors included.
+  ``bf_total_loss`` on random encoded batches, errors included, and the
+  validation margin, read from the same pooled vectors, with its
+  per-example loop ``bf_validation_margin``.
 * Pooling: a segment pools to its rows added in order, divided by the
   count, alone or among other segments; the decoder's states, masked
   scoring's windows and ``forward``'s pooled vectors and NLL states are
@@ -67,6 +69,7 @@ from inferbench.backend import (
     save_checkpoint,
 )
 from inferbench.corpus import TEMPLATES, QuestionType, Utterance, normalize_answer
+from inferbench.experiments import validation_margin
 from inferbench.jsonio import canonical_dumps
 from inferbench.metrics import (
     PAIR_METRICS,
@@ -86,8 +89,9 @@ from inferbench.objective import (
     forward,
 )
 from inferbench.porter import stem
+from inferbench.synth import build_split
 
-from bruteforce import bf_bleu, bf_cider, bf_rouge_l, bf_total_loss
+from bruteforce import bf_bleu, bf_cider, bf_rouge_l, bf_total_loss, bf_validation_margin
 from conftest import DATA_DIR, make_example, replace_one
 import reference_model
 from reference_model import (
@@ -213,8 +217,19 @@ def in_order_mean(E, ids):
     return means
 
 
+def _with_lone_segments(test):
+    """``test`` with the explicit cases of one segment of ids and of one
+    empty segment, each alone, at d 1, 2 and 8."""
+    for d in (1, 2, 8):
+        E = np.random.default_rng(d).normal(size=(5, d))
+        for segments in ([[3, 1, 3, 4, 0, 2]], [[]]):
+            test = example((E, segments))(test)
+    return test
+
+
 @PROPERTY
 @given(pool_cases())
+@_with_lone_segments
 def test_pool_rows_are_in_order_means_alone_or_batched(case):
     E, segments = case
     pooled = pool(E, segments)
@@ -227,9 +242,9 @@ def test_pool_rows_are_in_order_means_alone_or_batched(case):
 @PROPERTY
 @given(st.integers(1, 24), st.integers(0, 2**32 - 1), st.data())
 def test_forward_pools_as_pool_does(d, seed, data):
-    # the InfoNCE terms see the vectors embed_ids normalizes; with U's
-    # first d rows the unit vectors and b zero, the NLL's logits hold its
-    # states, each half the sum of two pools
+    # the InfoNCE terms and the validation margin normalize these pooled
+    # vectors; with U's first d rows the unit vectors and b zero, the
+    # NLL's logits hold its states, each half the sum of two pools
     be = ToyBackend(Vocabulary([f"w{k}" for k in range(30)]), d=d)
     be.E = np.random.default_rng(seed).normal(size=be.E.shape)
     be.U = np.eye(*be.U.shape)
@@ -264,6 +279,35 @@ def test_forward_pools_as_pool_does(d, seed, data):
         for j in range(len(answer))
     ]
     assert nll_logits[:, :d].tobytes() == np.array(states).tobytes()
+
+
+MARGIN_EXAMPLES = build_split("margin", 6, seed=3)
+MARGIN_VOCAB = build_vocabulary(MARGIN_EXAMPLES)
+
+
+@PROPERTY
+@given(
+    st.integers(1, 24), st.integers(0, 2**32 - 1), st.sampled_from([0.1, 1.0, 4.0]), st.data()
+)
+def test_validation_margin_matches_loop_oracle(d, seed, scale, data):
+    # 1-4 counterfactuals per example, so the hardest negative is taken
+    # over groups of uneven size
+    examples = [
+        dataclasses.replace(ex, counterfactuals=ex.counterfactuals[: data.draw(st.integers(1, 4))])
+        for ex in MARGIN_EXAMPLES[: data.draw(st.integers(1, len(MARGIN_EXAMPLES)))]
+    ]
+    be = ToyBackend(MARGIN_VOCAB, d=d)
+    be.E = scale * np.random.default_rng(seed).normal(size=be.E.shape)
+    assert abs(validation_margin(be, examples) - bf_validation_margin(be, examples)) < 1e-12
+
+
+def test_validation_margin_names_what_it_cannot_embed():
+    be = ToyBackend(MARGIN_VOCAB, d=4)
+    with pytest.raises(ValueError, match="no counterfactual"):
+        validation_margin(be, [dataclasses.replace(MARGIN_EXAMPLES[0], counterfactuals=())])
+    be.E[:] = 0.0
+    with pytest.raises(ValueError, match="zero embedding for input of "):
+        validation_margin(be, MARGIN_EXAMPLES[:2])
 
 
 # --- the objective against its loop oracle ------------------------------------------
