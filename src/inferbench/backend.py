@@ -217,12 +217,12 @@ def _segment_sums(E: np.ndarray, segments) -> np.ndarray:
     position, over the segments sorted longest first so that those
     reaching a position lead. This adds in order at every d; numpy's sum
     over an axis adds a single column pairwise at d = 1."""
-    lengths = np.array([len(s) for s in segments])
+    lengths = np.fromiter(map(len, segments), np.intp, len(segments))
     order = np.argsort(-lengths, kind="stable")
     # placed[i, j]: the i-th longest segment has a token at position j
     placed = np.arange(lengths.max(initial=0)) < lengths[order, None]
     ids = np.zeros(placed.shape, dtype=np.intp)
-    ids[placed] = np.concatenate([segments[i] for i in order])
+    ids[placed] = np.concatenate([np.zeros(0, dtype=np.intp), *(segments[i] for i in order)])
     rows = E[ids.T[placed.T]]  # position by position, longest segment first
     sums = np.full((len(segments), E.shape[1]), -0.0)
     start = 0
@@ -235,8 +235,9 @@ def _segment_sums(E: np.ndarray, segments) -> np.ndarray:
 def pool(E: np.ndarray, segments) -> np.ndarray:
     """Mean E row of each id segment, one row per segment: its rows added
     in order, divided by the count; zeros for an empty segment. A
-    segment pools to the same bits alone or among other segments."""
-    counts = np.array([len(s) for s in segments])[:, None]
+    segment pools to the same bits alone or among other segments; no
+    segments pool to a (0, d) array."""
+    counts = np.fromiter(map(len, segments), np.intp, len(segments))[:, None]
     sums = _segment_sums(E, segments)
     return np.divide(sums, counts, out=np.zeros_like(sums), where=counts > 0)
 

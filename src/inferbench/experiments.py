@@ -27,6 +27,8 @@ def validation_margin(backend: ToyBackend, examples: list[InferenceExample]) -> 
     on the unit vectors :func:`~inferbench.objective.forward` gives its
     InfoNCE terms: inputs, answers without EOS and counterfactuals pooled
     in one call."""
+    if not examples:
+        raise ValueError("validation margin of an empty set")
     enc = encode(examples, [ex.counterfactuals for ex in examples], vocab=backend.vocab)
     counts = np.array([len(negs) for negs in enc.negatives])
     if not counts.all():

@@ -15,7 +15,7 @@ Conventions fixed here and relied on by the trainer and tests:
 Text becomes ids in one call, :func:`encode`, which returns an
 :class:`EncodedSet` that carries its vocabulary: the one given, or the
 one built from every token the call encodes. Each call tokenizes each
-distinct text once, and every occurrence of a text shares one read-only
+distinct line once, and every occurrence of a text shares one read-only
 id array. Then :func:`forward`, the one entry point to the objective,
 evaluates it on that set in matrix form: every pooled embedding
 (inputs, answers, negatives) comes from one
@@ -119,10 +119,11 @@ def encode(
 
     Out-of-vocabulary tokens map to UNK under ``vocab``. When it is None,
     the vocabulary is the sorted union of every token the call encodes;
-    either way the set carries it. Each distinct text is tokenized once
-    per call, and every occurrence of it shares one read-only ``intp``
-    array (one for its occurrences as an answer, one for the others).
-    Nothing outlives the call.
+    either way the set carries it. Each distinct ``"\n"``-separated line
+    is tokenized and mapped to ids once per call, a text's ids are its
+    lines' ids joined, and every occurrence of a text shares one
+    read-only ``intp`` array (one for its occurrences as an answer, one
+    for the others). Nothing outlives the call.
     """
     if negatives is not None and len(negatives) != len(examples):
         raise ValueError(f"{len(negatives)} negative lists for {len(examples)} examples")
@@ -130,19 +131,21 @@ def encode(
     if negatives is not None:
         texts += [text for negs in negatives for text in negs]
     answers = [ex.answer for ex in examples]
-    tokens: dict[str, list[str]] = {}
-    for text in (*texts, *answers):
-        if text not in tokens:
-            tokens[text] = tokenize(text)
+    # no token spans whitespace, and lowercasing does not look across "\n"
+    distinct = dict.fromkeys((*texts, *answers))
+    lines = dict.fromkeys(line for text in distinct for line in text.split("\n"))
+    tokens = {line: tokenize(line) for line in lines}
     if vocab is None:
         vocab = Vocabulary(sorted(set().union(*tokens.values())))
-    if not all(tokens[text] for text in answers):
+    line_ids = {line: vocab.encode(tokens[line]) for line in lines}
+    ids = {text: [i for line in text.split("\n") for i in line_ids[line]] for text in distinct}
+    if not all(ids[text] for text in answers):
         raise ValueError("empty answer cannot be scored")
 
     def ids_of(occurrences: list[str], tail: list[int]) -> list[np.ndarray]:
         arrays = {}
         for text in dict.fromkeys(occurrences):
-            row = np.array(vocab.encode(tokens[text]) + tail, dtype=np.intp)
+            row = np.array(ids[text] + tail, dtype=np.intp)
             row.setflags(write=False)
             arrays[text] = row
         return [arrays[text] for text in occurrences]
@@ -228,17 +231,19 @@ def _batch_nce(hx, ha, tau, grads):
     return values, np.concatenate([d @ ha, d.T @ hx])
 
 
-def _nll(backend: ToyBackend, c: np.ndarray, answers: list[np.ndarray], scale: float, g):
+def _nll(backend: ToyBackend, c: np.ndarray, answers: list[np.ndarray], block: int, g):
     """Summed NLL of each answer (EOS included) given its pooled input c.
 
     Prefix means come from one cumsum over the answers padded to a
     common length, which adds the rows in order as
     :func:`~inferbench.backend.pool` does, logits from one product with
-    U. With gradient container ``g``, adds ``scale`` times the U and b
-    gradients to it and returns (d/dc, prefix ids, their E rows) for the
-    caller's scatter; otherwise returns None in their place.
+    U per ``block`` answers. With gradient container ``g``, adds each
+    block's U and b gradients of the batch mean to it and returns
+    (d/dc, prefix ids, their E rows) for the caller's scatter; otherwise
+    returns None in their place.
     """
-    k = np.array([len(a) for a in answers])
+    n = len(answers)
+    k = np.fromiter(map(len, answers), np.intp, n)
     steps = np.arange(1, k.max() + 1)
     mask = steps <= k[:, None]
     targets = np.concatenate(answers)
@@ -249,15 +254,21 @@ def _nll(backend: ToyBackend, c: np.ndarray, answers: list[np.ndarray], scale: f
     prefix[:, 1:] = padded[:, :-1]
     means = np.cumsum(backend.E[prefix], axis=1) / steps[:, None]
     states = 0.5 * (c[:, None, :] + means)[mask]
-    values, d = _xent(states @ backend.U.T + backend.b, targets, g is not None)
-    starts = np.cumsum(k) - k
+    ends = np.cumsum(k)
+    starts = ends - k
+    values, d_states = np.empty(len(targets)), np.empty_like(states)
+    for lo in range(0, n, block):
+        rows = slice(starts[lo], ends[min(lo + block, n) - 1])
+        logits = states[rows] @ backend.U.T + backend.b
+        values[rows], d = _xent(logits, targets[rows], g is not None)
+        if g is not None:
+            d *= 1.0 / n
+            g.b += d.sum(axis=0)
+            g.U += d.T @ states[rows]
+            d_states[rows] = d @ backend.U
     per_answer = np.add.reduceat(values, starts)
     if g is None:
         return per_answer, None
-    d *= scale
-    g.b += d.sum(axis=0)
-    g.U += d.T @ states
-    d_states = d @ backend.U
     d_means = np.zeros(means.shape)
     d_means[mask] = 0.5 * d_states
     d_means /= steps[:, None]
@@ -290,8 +301,10 @@ def forward(
     InfoNCE over an encoded batch, with the gradients of the weighted
     total when ``grads`` is set.
 
-    ``micro_batch`` caps the examples per NLL logit block, whose
-    gradients accumulate; the InfoNCE terms always span the whole batch.
+    ``micro_batch`` caps the examples per NLL logit product with U, whose
+    U and b gradients accumulate block by block (a product's rounding
+    depends on its row count); the rest of the NLL runs once per batch,
+    and the InfoNCE terms always span the whole batch.
     ``nll=False`` leaves the NLL term out. Batches of size 1 contribute
     no in-batch term.
     """
@@ -314,21 +327,15 @@ def forward(
     V = pool(backend.E, segments)
     g = Gradients.zeros_like(backend) if grads else None
     dV = np.zeros_like(V)
-    prefix_ids, prefix_rows = [], []
+    prefix_ids, prefix_rows = np.zeros(0, dtype=np.intp), np.zeros((0, backend.d))
 
     nll_mean = 0.0
     if nll:
-        block = micro_batch or n
-        values = []
-        for lo in range(0, n, block):
-            hi = min(lo + block, n)
-            part, back = _nll(backend, V[lo:hi], enc.answers[lo:hi], 1.0 / n, g)
-            values.append(part)
-            if back is not None:
-                dV[lo:hi] += back[0]
-                prefix_ids.append(back[1])
-                prefix_rows.append(back[2])
-        nll_mean = float(np.concatenate(values).sum()) / n
+        values, back = _nll(backend, V[:n], enc.answers, micro_batch or n, g)
+        nll_mean = float(values.sum()) / n
+        if back is not None:
+            dV[:n] += back[0]
+            prefix_ids, prefix_rows = back[1:]
 
     cl_b = cl_s = 0.0
     if sample or in_batch:
@@ -350,16 +357,15 @@ def forward(
 
     if grads:
         # one scatter into E as a bincount per column, which adds in order
-        # like np.add.at but faster; gathering each pooled segment's row per
-        # column keeps no (ids x d) copy alive
-        lengths = np.array([len(s) for s in segments])
-        ids = np.concatenate([*segments, *prefix_ids])
-        owner = np.repeat(np.arange(len(lengths)), lengths)
-        pooled = dV / np.maximum(lengths, 1)[:, None]
-        rows = np.concatenate([np.zeros((0, backend.d)), *prefix_rows])
+        # like np.add.at but faster; gathering each column from the
+        # (d x segments) transpose keeps no (ids x d) copy alive
+        lengths = np.fromiter(map(len, segments), np.intp, len(segments))
+        ids = np.concatenate([*segments, prefix_ids])
+        owner = np.repeat(np.arange(len(segments)), lengths)
+        pooled = (dV / np.maximum(lengths, 1)[:, None]).T.copy()
         g.E = np.stack([
-            np.bincount(ids, np.concatenate([pooled[owner, j], rows[:, j]]), len(g.E))
-            for j in range(backend.d)
+            np.bincount(ids, np.concatenate([p[owner], r]), len(g.E))
+            for p, r in zip(pooled, prefix_rows.T)
         ], axis=1)
     total = nll_mean + config.lambda_b * cl_b + config.lambda_s * cl_s
     return LossBreakdown(nll=nll_mean, cl_b=cl_b, cl_s=cl_s, total=total, grads=g)

@@ -14,18 +14,30 @@ replacement ranking in their direct forms: a regex collapse, and a
 ranking of the whole vocabulary. The first states the text-to-ids
 encoder one text at a time: every occurrence of a text tokenized and
 converted on its own, a vocabulary built through provisional first-seen
-ids and one permutation.
+ids and one permutation. :func:`per_block_forward` states the objective
+with its NLL set up, scored and differentiated one micro-block at a
+time, each block a batch of its own, and its scatter into E gathered row
+by row.
 """
 
 import re
 
 import numpy as np
 
-from inferbench.backend import BOS_ID, EOS, Vocabulary, pool
+from inferbench.backend import BOS_ID, EOS, Gradients, Vocabulary, pool
 from inferbench.corpus import prepare_input_text
 from inferbench.metrics import tokenize
 from inferbench.negatives import nonoptimal_sets
-from inferbench.objective import encode
+from inferbench.objective import (
+    LossBreakdown,
+    _batch_nce,
+    _sample_nce,
+    _unit,
+    _unit_backward,
+    _xent,
+    _zero_embedding,
+    encode,
+)
 
 
 def per_text_encode(examples, negatives=None, template_id="default", vocab=None):
@@ -56,6 +68,98 @@ def per_text_encode(examples, negatives=None, template_id="default", vocab=None)
         for a in (*inputs, *answers, *(a for row in rows or [] for a in row)):
             a[:] = perm[a]
     return vocab, inputs, answers, rows
+
+
+def _block_nll(be, c, answers, scale, g):
+    """Summed NLL of each answer of one micro-block given its pooled
+    inputs ``c``, padded to the block's longest answer; with ``g``, adds
+    ``scale`` times the block's U and b gradients to it and returns
+    (d/dc, prefix ids, their E rows) for the scatter."""
+    k = np.array([len(a) for a in answers])
+    steps = np.arange(1, k.max() + 1)
+    mask = steps <= k[:, None]
+    targets = np.concatenate(answers)
+    padded = np.zeros(mask.shape, dtype=np.intp)
+    padded[mask] = targets
+    prefix = np.empty_like(padded)
+    prefix[:, 0] = BOS_ID
+    prefix[:, 1:] = padded[:, :-1]
+    means = np.cumsum(be.E[prefix], axis=1) / steps[:, None]
+    states = 0.5 * (c[:, None, :] + means)[mask]
+    values, d = _xent(states @ be.U.T + be.b, targets, g is not None)
+    starts = np.cumsum(k) - k
+    per_answer = np.add.reduceat(values, starts)
+    if g is None:
+        return per_answer, None
+    d *= scale
+    g.b += d.sum(axis=0)
+    g.U += d.T @ states
+    d_states = d @ be.U
+    d_means = np.zeros(means.shape)
+    d_means[mask] = 0.5 * d_states
+    d_means /= steps[:, None]
+    suffix = np.cumsum(d_means[:, ::-1], axis=1)[:, ::-1]
+    d_c = 0.5 * np.add.reduceat(d_states, starts, axis=0)
+    return per_answer, (d_c, prefix[mask], suffix[mask])
+
+
+def per_block_forward(be, enc, config, grads=True, micro_batch=None) -> LossBreakdown:
+    """``forward`` on a batch it accepts, its NLL one micro-block at a
+    time and its E gradient scattered from a row gather per column."""
+    n = len(enc)
+    sample = config.lambda_s > 0
+    in_batch = config.lambda_b > 0 and n >= 2
+    segments = list(enc.inputs)
+    if sample or in_batch:
+        segments += [a[:-1] for a in enc.answers]
+    if sample:
+        counts = np.array([len(negs) for negs in enc.negatives])
+        segments += [ids for negs in enc.negatives for ids in negs]
+    V = pool(be.E, segments)
+    g = Gradients.zeros_like(be) if grads else None
+    dV = np.zeros_like(V)
+    prefix_ids, prefix_rows, values = [], [], []
+    block = micro_batch or n
+    for lo in range(0, n, block):
+        hi = min(lo + block, n)
+        part, back = _block_nll(be, V[lo:hi], enc.answers[lo:hi], 1.0 / n, g)
+        values.append(part)
+        if back is not None:
+            dV[lo:hi] += back[0]
+            prefix_ids.append(back[1])
+            prefix_rows.append(back[2])
+    nll = float(np.concatenate(values).sum()) / n
+
+    cl_b = cl_s = 0.0
+    if sample or in_batch:
+        H, norms = _unit(V, lambda row: _zero_embedding(enc, row))
+        hx, ha = H[:n], H[n : 2 * n]
+        dH = np.zeros_like(H)
+        if sample:
+            values, back = _sample_nce(hx, ha, H[2 * n :], counts, config.tau_s, grads)
+            cl_s = float(values.sum()) / n
+            if grads:
+                dH += (config.lambda_s / n) * back
+        if in_batch:
+            values, back = _batch_nce(hx, ha, config.tau_b, grads)
+            cl_b = float(values.sum()) / n
+            if grads:
+                dH[: 2 * n] += (config.lambda_b / n) * back
+        if grads:
+            dV += _unit_backward(H, norms, dH)
+
+    if grads:
+        lengths = np.array([len(s) for s in segments])
+        ids = np.concatenate([*segments, *prefix_ids])
+        owner = np.repeat(np.arange(len(lengths)), lengths)
+        pooled = dV / np.maximum(lengths, 1)[:, None]
+        rows = np.concatenate([np.zeros((0, be.d)), *prefix_rows])
+        g.E = np.stack([
+            np.bincount(ids, np.concatenate([pooled[owner, j], rows[:, j]]), len(g.E))
+            for j in range(be.d)
+        ], axis=1)
+    total = nll + config.lambda_b * cl_b + config.lambda_s * cl_s
+    return LossBreakdown(nll=nll, cl_b=cl_b, cl_s=cl_s, total=total, grads=g)
 
 
 def log_softmax(logits: np.ndarray) -> np.ndarray:

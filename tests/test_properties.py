@@ -5,7 +5,9 @@
 * The objective: :func:`forward` agrees with the loop oracle
   ``bf_total_loss`` on random encoded batches, errors included, and the
   validation margin, read from the same pooled vectors, with its
-  per-example loop ``bf_validation_margin``.
+  per-example loop ``bf_validation_margin``. Its values and gradients
+  equal, bit for bit, those of the reference that sets up and scores the
+  NLL one micro-block at a time, at every micro-block size.
 * Pooling: a segment pools to its rows added in order, divided by the
   count, alone or among other segments; the decoder's states, masked
   scoring's windows and ``forward``'s pooled vectors and NLL states are
@@ -22,7 +24,8 @@
 * The answer normalization equals its regex form, and the replacement
   candidates the ranking of the whole vocabulary.
 * The text-to-ids encoders equal their one-text-at-a-time forms: the
-  same vocabulary, the same ids bit for bit, the same errors.
+  same vocabulary, the same ids bit for bit, the same errors; a text's
+  tokens are its lines' tokens joined.
 * Invariants of decoding, token replacement, checkpoints and canonical
   JSON.
 
@@ -218,11 +221,11 @@ def in_order_mean(E, ids):
 
 
 def _with_lone_segments(test):
-    """``test`` with the explicit cases of one segment of ids and of one
-    empty segment, each alone, at d 1, 2 and 8."""
+    """``test`` with the explicit cases of one segment of ids, of one
+    empty segment, each alone, and of no segments, at d 1, 2 and 8."""
     for d in (1, 2, 8):
         E = np.random.default_rng(d).normal(size=(5, d))
-        for segments in ([[3, 1, 3, 4, 0, 2]], [[]]):
+        for segments in ([[3, 1, 3, 4, 0, 2]], [[]], []):
             test = example((E, segments))(test)
     return test
 
@@ -303,6 +306,8 @@ def test_validation_margin_matches_loop_oracle(d, seed, scale, data):
 
 def test_validation_margin_names_what_it_cannot_embed():
     be = ToyBackend(MARGIN_VOCAB, d=4)
+    with pytest.raises(ValueError, match="validation margin of an empty set"):
+        validation_margin(be, [])
     with pytest.raises(ValueError, match="no counterfactual"):
         validation_margin(be, [dataclasses.replace(MARGIN_EXAMPLES[0], counterfactuals=())])
     be.E[:] = 0.0
@@ -429,6 +434,25 @@ def test_forward_ignores_the_micro_batch_divisor(batch):
         blocked = forward(be, enc, config, micro_batch=micro_batch)
         assert_same_loss(blocked, full)
         assert_same_grads(blocked.grads, full.grads)
+
+
+@settings(PROPERTY, max_examples=100)
+@given(encoded_batches())
+def test_forward_equals_the_per_block_reference_bitwise(batch):
+    # the blocks' logit products and their U and b gradients must not be
+    # merged: a product's rounding depends on its row count
+    be, enc, config, _ = batch
+    forward_or_reject(be, enc, config, grads=False)
+    for micro_batch in range(1, len(enc) + 1):
+        for grads in (True, False):
+            got = forward(be, enc, config, grads=grads, micro_batch=micro_batch)
+            want = reference_model.per_block_forward(be, enc, config, grads, micro_batch)
+            for name in ("nll", "cl_b", "cl_s", "total"):
+                assert getattr(got, name) == getattr(want, name), (name, micro_batch)
+            if grads:
+                for name in ("E", "U", "b"):
+                    assert np.array_equal(getattr(got.grads, name), getattr(want.grads, name)), (
+                        name, micro_batch)
 
 
 # --- the batched decoder -------------------------------------------------------------
@@ -979,6 +1003,13 @@ def assert_same_ids(got, want):
 @example([make_example(answer="a cat runs", counterfactuals=()),
           make_example(ex_id="ex-2", counterfactuals=("a cat runs", "the cat sat ."))],
          "default", {"cat", "the"}, True)
+@example([make_example(turns=(("A", "the ΟΔΟΣ\r\n's cat"), ("B", "Σ\n")),
+                       answer="a Cat\n\nruns",
+                       counterfactuals=("the cat\r\nsat .", "ΣΑ\nΣ", "the ΟΔΟΣ"))],
+         "default", {"cat", "the", "'s"}, True)
+@example([make_example(answer="a cat\nruns"),
+          dataclasses.replace(make_example(ex_id="ex-2"), answer=" \n\r\n")],
+         "default", {"cat"}, False)
 def test_encoders_equal_the_per_text_oracle(examples, template_id, words, with_negatives):
     negatives = [list(ex.counterfactuals) for ex in examples] if with_negatives else None
     # a vocabulary built, and a fixed one missing some of the tokens: those map to UNK
@@ -999,6 +1030,25 @@ def test_encoders_equal_the_per_text_oracle(examples, template_id, words, with_n
         else:
             assert [len(n) for n in got.negatives] == [len(n) for n in want_negatives]
             assert_same_ids(sum(got.negatives, []), sum(want_negatives, []))
+
+
+# pieces of lines: letters that lowercasing changes in context (a final
+# sigma) or in length, non-ASCII letters, punctuation, a contraction
+# suffix and the whitespace that ends a "\r\n" line
+LINE_PIECES = ("cat", "ΟΔΟΣ", "Σ", "σ", "ς", "\u0130", "é", "Straße", "'s", "'", ".", ",",
+               "!?", "-", " ", "\t", "\r", "\u2028")
+
+
+@PROPERTY
+@given(st.lists(st.lists(st.sampled_from(LINE_PIECES) | st.characters(), max_size=6).map("".join),
+                min_size=1, max_size=5).map("\n".join))
+@example("the cat\r\n\r\n's mat .\n")
+@example("ΟΔΟΣ\nΣΟΦΙΑ ΚΑΙ ΟΔΟΣ\n\nΣ")
+@example("aΣ\nΣa\n'Σ'\n.Σ\nΣ.")
+@example("Ünïcode, punctuation!\n«quoted» — ¿qué?\r\n'S\n's's")
+def test_tokens_of_a_text_are_its_lines_tokens_joined(text):
+    # encode tokenizes each distinct line once and joins the lines' tokens
+    assert [t for line in text.split("\n") for t in tokenize(line)] == tokenize(text)
 
 
 # Unicode whitespace past ASCII's, and characters that are not whitespace

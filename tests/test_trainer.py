@@ -344,13 +344,15 @@ def count_tokenize(monkeypatch) -> Counter:
     return calls
 
 
-def distinct_texts(examples, counterfactuals=True) -> Counter:
-    """One count per distinct input text, answer and (optionally)
-    counterfactual of ``examples``: what one encode call tokenizes."""
+def distinct_lines(examples, counterfactuals=True) -> Counter:
+    """One count per distinct line of the input texts, answers and
+    (optionally) counterfactuals of ``examples``: what one encode call
+    tokenizes."""
     return Counter({
-        text: 1
+        line: 1
         for ex in examples
         for text in (prepare_input_text(ex), ex.answer, *(ex.counterfactuals if counterfactuals else ()))
+        for line in text.split("\n")
     })
 
 
@@ -364,7 +366,7 @@ def test_train_tokenizes_each_text_once(monkeypatch, data_dir, strategy):
     loss = LossConfig(lambda_s=0.0) if strategy == "none" else LossConfig()
     train(TrainConfig(max_epochs=2, negative_strategy=strategy, loss=loss), train_set, valid_set)
     # the training set and the validation set are one encode call each
-    expected = distinct_texts(train_set) + distinct_texts(valid_set, counterfactuals=False)
+    expected = distinct_lines(train_set) + distinct_lines(valid_set, counterfactuals=False)
     if strategy.startswith("replace_"):
         for ex in train_set:
             expected[ex.answer] += 1  # token replacement keeps out-of-vocabulary surface forms
@@ -376,4 +378,4 @@ def test_gradcheck_tokenizes_each_text_once(monkeypatch, tmp_path):
     code = main(["gradcheck", "--seed", "3", "--set", "model.d=2",
                  "--out", str(tmp_path / "gradcheck.json")])
     assert code in (0, 1)  # a PASS or FAIL verdict, not an error
-    assert calls == distinct_texts(build_split("gradcheck", 4, 3))
+    assert calls == distinct_lines(build_split("gradcheck", 4, 3))
