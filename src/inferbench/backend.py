@@ -47,8 +47,10 @@ PAD_ID, BOS_ID, EOS_ID, UNK_ID, MASK_ID = range(len(SPECIALS))
 # the ids the decoder never emits, so generations stay plain text
 SUPPRESSED = [PAD_ID, BOS_ID, UNK_ID, MASK_ID]
 
-# most rows one decode step holds; bounds the rows x vocabulary step arrays
-DECODE_BLOCK = 128
+# most rows a decode block, or windows a masked-scoring run, holds: a step at
+# 512 rows holds 3 arrays of its log-probs' size (388 KiB at 97 tokens); a top-k
+# block (k 10, 16 steps, d 16) peaks at 1477 KiB in tracemalloc, 370 at 128 rows
+DECODE_BLOCK = 512
 
 
 def derive_seed(seed: int, *parts) -> int:
@@ -330,7 +332,8 @@ class ToyBackend:
         decodable tokens.
 
         Batch-invariant: a row's tokens do not depend on the other rows,
-        because each row's logits are its own matrix-vector product.
+        because each row's logits are its own matrix-vector product. Rows
+        decode in blocks of at most :data:`DECODE_BLOCK`.
         """
         if max_len < 1:
             raise ValueError("max_len must be >= 1")
@@ -340,59 +343,65 @@ class ToyBackend:
                 raise ValueError(f"k must be in 1..{n_decodable}")
             if seeds is None or len(seeds) != len(inputs):
                 raise ValueError(f"top-k needs one seed per input ({len(inputs)})")
-        # each row's stream is seeded once; only its draws are made per block
+        # each row's stream is seeded and each distinct input object pooled
+        # once (a segment pools to the same bits among others)
+        distinct = {id(ids): ids for ids in inputs}
+        slot = {key: i for i, key in enumerate(distinct)}
+        contexts = pool(self.E, list(distinct.values()))[[slot[id(ids)] for ids in inputs]]
         streams = None if k is None else _pcg_seed([derive_seed(s, "topk") for s in seeds])
         out: list[list[int]] = []
         for start in range(0, len(inputs), DECODE_BLOCK):
             rows = slice(start, start + DECODE_BLOCK)
             block_streams = None if k is None else streams[rows]
-            out.extend(self._decode_block(inputs[rows], max_len, k, block_streams))
+            out.extend(self._decode_block(contexts[rows], max_len, k, block_streams))
         return out
 
-    def _decode_block(self, inputs, max_len, k, streams) -> list[list[int]]:
-        """Token ids of each row, one vectorized step per position for the
-        rows not yet stopped. A row's state at step j is half the sum of
-        the :func:`pool` of its input and the pool of BOS and its j
-        decoded tokens, bit for bit: the prefix sum adds one row per step,
-        in order. The top-k draw of row r at step j takes value j of its
-        stream (the module's draw contract; ``streams`` holds the rows'
-        :func:`_pcg_seed`), drawn for every row of the block before the
-        first step, and repeats ``Generator.choice`` bit for bit."""
+    def _decode_block(self, context, max_len, k, streams) -> list[list[int]]:
+        """Token ids of each row of ``context`` (its input's :func:`pool`),
+        one vectorized step per position for the rows not yet stopped. A
+        row's state at step j is half the sum of its context and the pool
+        of BOS and its j decoded tokens, bit for bit: the prefix sum adds
+        one row per step, in order. The top-k draw of row r at step j takes
+        value j of its stream (the module's draw contract; ``streams`` holds
+        the rows' :func:`_pcg_seed`), drawn for every row of the block
+        before the first step, and repeats ``Generator.choice`` bit for bit.
+        Steps write ids to one buffer and compact only after an EOS."""
         if k is not None:
             uniforms = _unit(_pcg_outputs(streams, max_len))
-        out: list[list[int]] = [[] for _ in inputs]
-        live = np.arange(len(inputs))  # rows of ``out`` still decoding
-        context = pool(self.E, inputs)
+        # a row's ids end at its first EOS; the last column holds one for every row
+        tokens = np.full((len(context), max_len + 1), EOS_ID, dtype=np.intp)
+        live = np.arange(len(context))  # rows of ``tokens`` still decoding
         # E[BOS] + E[prefix], summed in order as pool sums its rows
-        prefix_sum = np.tile(self.E[BOS_ID], (len(inputs), 1))
+        prefix_sum = np.tile(self.E[BOS_ID], (len(context), 1))
         for step in range(max_len):
             log_probs = self._log_probs_rows(0.5 * (context + prefix_sum / (step + 1)))
             log_probs[:, SUPPRESSED] = -np.inf
             if k is None:
                 nxt = log_probs.argmax(axis=1)
             else:
-                # stable top-k: probability descending, id ascending, as
-                # argmax takes the lowest id of a tie
+                # stable top-k, each pass masking its pick in place: probability
+                # descending, id ascending, as argmax takes a tie's lowest id
                 rows = np.arange(len(live))
                 top = np.empty((len(live), k), dtype=np.intp)
-                rest = log_probs.copy()
+                top_lp = np.empty((len(live), k))
                 for j in range(k):
-                    top[:, j] = rest.argmax(axis=1)
-                    rest[rows, top[:, j]] = -np.inf
-                top_lp = log_probs[rows[:, None], top]
+                    top[:, j] = pick = log_probs.argmax(axis=1)
+                    top_lp[:, j] = log_probs[rows, pick]
+                    log_probs[rows, pick] = -np.inf
                 weights = np.exp(top_lp - top_lp[:, :1])
                 weights /= weights.sum(axis=1, keepdims=True)
                 nxt = top[rows, draw_index(weights, uniforms[:, step])]
+            tokens[live, step] = nxt
             going = nxt != EOS_ID
-            live, nxt = live[going], nxt[going]
-            for r, t in zip(live.tolist(), nxt.tolist()):
-                out[r].append(t)
-            if not live.size:
-                break
-            context, prefix_sum = context[going], prefix_sum[going] + self.E[nxt]
-            if k is not None:
-                uniforms = uniforms[going]
-        return out
+            if not going.all():
+                live, nxt = live[going], nxt[going]
+                if not live.size:
+                    break
+                context, prefix_sum = context[going], prefix_sum[going]
+                if k is not None:
+                    uniforms = uniforms[going]
+            prefix_sum += self.E[nxt]
+        return [row[: row.index(EOS_ID)] for row in tokens.tolist()]
 
     def apply_gradients(self, grads: Gradients, lr: float) -> "ToyBackend":
         """Plain SGD step in place: theta <- theta - lr * grad."""

@@ -3,7 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from inferbench.backend import BOS_ID, DECODE_BLOCK, EOS_ID, ToyBackend, Vocabulary, derive_seed
+from inferbench.backend import BOS_ID, EOS_ID, ToyBackend, Vocabulary, derive_seed, pool
 from inferbench.corpus import load_dataset, normalize_answer
 from inferbench.metrics import tokenize
 from inferbench.negatives import (
@@ -171,6 +171,34 @@ def test_nonoptimal_provenance_replays(example):
         assert " ".join(replayed) == neg
 
 
+def test_nonoptimal_round_pools_each_input_once(monkeypatch):
+    """A round decodes m rows per example from its one input array and
+    pools that array once; each kept sample is the one-row decode of its
+    seed."""
+    examples = [
+        make_example(ex_id=f"ex-{i}", turns=(("A", "the rain " * (1 + i)), ("B", "yes .")))
+        for i in range(12)
+    ]
+    be = ToyBackend(build_vocabulary(examples), d=4, seed=3)
+    inputs = encode(examples, vocab=be.vocab).inputs
+    pooled = []
+
+    def counting_pool(E, segments):
+        pooled.append(len(segments))
+        return pool(E, segments)
+
+    monkeypatch.setattr("inferbench.backend.pool", counting_pool)
+    sets = nonoptimal_sets(be, examples, inputs, m=4, k=5, attempts=1, seed=2, max_len=8)
+    assert pooled == [len(examples)]
+    monkeypatch.undo()
+    for ids, ns in zip(inputs, sets):
+        seeds = [p["sample_seed"] for p in ns.provenance if not p["dropped"]]
+        assert [a.tolist() for a in ns.ids] == [
+            be.generate_batch([ids], 8, 5, [seed])[0] for seed in seeds
+        ]
+    assert sum(map(len, (ns.ids for ns in sets))) > len(examples)
+
+
 # --- token replacement ------------------------------------------------------------
 
 def test_forced_fallback_single_replacement(example):
@@ -218,11 +246,12 @@ def test_positions_match_bruteforce(example):
         assert ns.provenance[0]["replaced_positions"] == expected
 
 
-def test_positions_of_a_ragged_set_match_bruteforce():
+def test_positions_of_a_ragged_set_match_bruteforce(monkeypatch):
     """One ``replace_sets`` call on 30 examples of 1-10 answer tokens and
     ragged contexts, whose masked windows fill several runs of
-    ``DECODE_BLOCK``: each example's positions are its own brute-force
-    selection."""
+    ``DECODE_BLOCK`` cut to 64: each example's positions are its own
+    brute-force selection."""
+    monkeypatch.setattr("inferbench.backend.DECODE_BLOCK", 64)
     words = "the rain was announced earlier yes is set for friday did you hear".split()
     examples = [
         make_example(
@@ -232,7 +261,7 @@ def test_positions_of_a_ragged_set_match_bruteforce():
         )
         for i in range(30)
     ]
-    assert 2 * sum(len(tokenize(ex.answer)) for ex in examples) > 2 * DECODE_BLOCK
+    assert 2 * sum(len(tokenize(ex.answer)) for ex in examples) > 2 * 64
     scorer = ToyBackend(build_vocabulary(examples), d=8, seed=5)
     scorer.E *= 20.0
     scorer.U *= 20.0

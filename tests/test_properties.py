@@ -51,7 +51,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
-from inferbench import cli, objective
+from inferbench import backend, cli, objective
 from inferbench.analysis import CHOICES, Judgment, compare_metric_scores, stratified_compare
 from inferbench.backend import (
     BOS_ID,
@@ -546,11 +546,64 @@ def test_decoder_states_equal_the_pooled_state_bitwise(d, data):
 
 
 @settings(PROPERTY, max_examples=25)
-@given(decode_batches(st.integers(1, 4) | st.integers(DECODE_BLOCK - 1, DECODE_BLOCK + 3)))
-def test_generate_batch_rows_equal_one_row_calls(batch):
-    be, inputs, (max_len, k, seeds) = batch
-    got = [be.vocab.decode(ids) for ids in be.generate_batch(inputs, max_len, k, seeds)]
+@given(st.integers(1, 8), st.data())
+def test_generate_batch_rows_equal_one_row_calls(block, data):
+    # the rows fill more than one decode block of a drawn size
+    rows = st.integers(block + 1, 3 * block + 1)
+    be, inputs, (max_len, k, seeds) = data.draw(decode_batches(rows))
+    with mock.patch("inferbench.backend.DECODE_BLOCK", block):
+        got = [be.vocab.decode(ids) for ids in be.generate_batch(inputs, max_len, k, seeds)]
     assert got == [generate(be, ids, max_len, k, seed) for ids, seed in zip(inputs, seeds)]
+
+
+def stopping_rows(n):
+    """A backend over ``WORDS`` and ``n`` short inputs whose top-k (k 2,
+    seeds 0..n-1) rows stop at steps 0 to 8 of 8."""
+    be = ToyBackend(Vocabulary(list(WORDS)), d=3, seed=0)
+    be.set_flat_parameters(np.random.default_rng(0).normal(size=be.flat_parameters().size))
+    ids = [be.vocab.id_of(w) for w in WORDS]
+    return be, [[ids[r % 7], ids[r * 3 % 7]][: r % 3] for r in range(n)]
+
+
+def test_rows_stopping_at_different_steps_across_blocks(monkeypatch):
+    monkeypatch.setattr("inferbench.backend.DECODE_BLOCK", 4)
+    be, inputs = stopping_rows(11)
+    seeds = list(range(len(inputs)))
+    for k in (None, 2):
+        out = be.generate_batch(inputs, 8, k, seeds)
+        assert out == [step_loop_generate(be, ids, 8, k, seed) for ids, seed in zip(inputs, seeds)]
+    # rows of each block of 4 stop at different steps, one never stops
+    assert [len(ids) for ids in out] == [0, 1, 2, 1, 8, 2, 1, 1, 0, 2, 0]
+
+
+def test_rows_past_one_real_block_equal_one_row_calls():
+    be, inputs = stopping_rows(DECODE_BLOCK + 1)
+    seeds = list(range(len(inputs)))
+    out = be.generate_batch(inputs, 8, 2, seeds)
+    assert out == [be.generate_batch([ids], 8, 2, [seed])[0] for ids, seed in zip(inputs, seeds)]
+    # rows of the first block stop at every step or never; the last row stops alone
+    lengths = [len(ids) for ids in out]
+    assert set(lengths[:-1]) == set(range(9)) and 0 < lengths[-1] < 8
+
+
+def test_topk_ties_rank_lowest_id_first():
+    """Two tokens with equal U rows and bias tie on every step's top log
+    probability: greedy and k 1 take the lower id, and k 2 draws the
+    lower id when the row's uniform is below one half."""
+    be = ToyBackend(Vocabulary(list(WORDS)), d=1, seed=0)
+    low, high = be.vocab.id_of("cat"), be.vocab.id_of("run")
+    be.U[high] = be.U[low]
+    be.b[[low, high]] = 5.0
+    inputs = [[be.vocab.id_of(w)] for w in WORDS] * 3
+    assert log_probs_ids(be, inputs[0], [])[low] == log_probs_ids(be, inputs[0], [])[high]
+    seeds = list(range(len(inputs)))
+    assert be.generate_batch(inputs, 1) == [[low]] * len(inputs)
+    assert be.generate_batch(inputs, 1, 1, seeds) == [[low]] * len(inputs)
+    got = be.generate_batch(inputs, 1, 2, seeds)
+    below = [_uniforms([derive_seed(seed, "topk")], 1)[0, 0] < 0.5 for seed in seeds]
+    assert got == [[low] if u else [high] for u in below]
+    assert 0 < sum(below) < len(seeds)
+    assert got == [step_loop_generate(be, ids, 1, 2, seed) for ids, seed in zip(inputs, seeds)]
 
 
 @PROPERTY
@@ -596,9 +649,10 @@ def test_uniforms_reject_a_seed_outside_64_bits():
             _uniforms([3, bad], 2)
 
 
-def test_topk_decode_builds_no_generator():
+def test_topk_decode_builds_no_generator(monkeypatch):
+    monkeypatch.setattr("inferbench.backend.DECODE_BLOCK", 64)
     be = ToyBackend(Vocabulary(list(WORDS)), d=3, seed=0)
-    inputs = [[be.vocab.id_of(w)] for w in WORDS] * 20  # two decode blocks
+    inputs = [[be.vocab.id_of(w)] for w in WORDS] * 20  # three decode blocks of 64
     seeds = list(range(len(inputs)))
     expected = [step_loop_generate(be, ids, 6, 3, seed) for ids, seed in zip(inputs, seeds)]
     built = AssertionError("the top-k decoder built a Generator")
@@ -819,12 +873,12 @@ def long_window_d1_case(seed):
 
 def block_crossing_case(d, seed):
     """40 cases whose windows fill more than two blocks of
-    ``DECODE_BLOCK``: every third answer has one id, the answer of case
-    20 has more windows than a block, and every fourth context is
-    empty."""
+    ``backend.DECODE_BLOCK`` cut to 128: every third answer has one id,
+    the answer of case 20 has more windows than a block, and every fourth
+    context is empty."""
     be, rng = random_backend(d, seed)
     sizes = [
-        1 if i % 3 == 0 else DECODE_BLOCK // 2 + 3 if i == 20 else rng.integers(2, 13)
+        1 if i % 3 == 0 else backend.DECODE_BLOCK // 2 + 3 if i == 20 else rng.integers(2, 13)
         for i in range(40)
     ]
     cases = [
@@ -834,7 +888,7 @@ def block_crossing_case(d, seed):
         )
         for i, size in enumerate(sizes)
     ]
-    assert 2 * sum(len(answer) for answer, _ in cases) > 2 * DECODE_BLOCK
+    assert 2 * sum(len(answer) for answer, _ in cases) > 2 * backend.DECODE_BLOCK
     return be, cases
 
 
@@ -854,10 +908,17 @@ def per_position_deltas(be, answer, context):
 @example(long_window_d1_case(0))
 @example(long_window_d1_case(1))
 @example(long_window_d1_case(2))
-@example(block_crossing_case(1, 3))
-@example(block_crossing_case(7, 4))
 def test_batched_masked_scoring_equals_per_position_calls_bitwise(case):
-    be, cases = case
+    assert_masked_scoring_equals_per_position_calls(*case)
+
+
+@pytest.mark.parametrize("d, seed", [(1, 3), (7, 4)])
+def test_masked_scoring_across_blocks_equals_per_position_calls_bitwise(d, seed, monkeypatch):
+    monkeypatch.setattr("inferbench.backend.DECODE_BLOCK", 128)
+    assert_masked_scoring_equals_per_position_calls(*block_crossing_case(d, seed))
+
+
+def assert_masked_scoring_equals_per_position_calls(be, cases):
     answers = [answer for answer, _ in cases]
     scored = list(be.masked_log_probs(answers, [context for _, context in cases]))
     assert len(scored) == len(cases)

@@ -9,7 +9,9 @@ command sees is the same relative path on both sides. The list covers
 ``train`` with each negative strategy and ``none``, at ``micro_batch``
 8, 4 and 64 and at 1 with ``effective_batch`` 3; greedy and top-k
 ``generate``; ``perturb`` with every strategy, with and without
-``--ckpt``; ``score``, ``compare`` (judgments and two metrics),
+``--ckpt``, and ``non_optimal`` from the trained checkpoint on
+``data/train.jsonl`` (800 top-k rows, more than one decode block, rows
+stopping at EOS at different steps); ``score``, ``compare`` (judgments and two metrics),
 ``agree``, ``gradcheck --seed 3`` and ``--seed 1``, and a 2-run
 ``sweep``. One line per command gives both exit codes, then one line per
 file: both digests and ``same`` or ``DIFFERS``. Exits 0 when every exit
@@ -62,6 +64,10 @@ def commands() -> list[tuple[str, list[str]]]:
                                       "--out", f"out/perturb_{s}.jsonl"]))
         runs.append((f"perturb_{s}_ckpt", ["perturb", "--strategy", s, "--seed", "7", *TEST,
                                            "--ckpt", CKPT, "--out", f"out/perturb_{s}_ckpt.jsonl"]))
+    runs.append(("perturb_non_optimal_train_ckpt", [
+        "perturb", "--strategy", "non_optimal", "--seed", "7", "--in", "data/train.jsonl",
+        "--ckpt", CKPT, "--out", "out/perturb_non_optimal_train_ckpt.jsonl",
+    ]))
     runs += [
         ("score", ["score", "--hyp", "out/gen_greedy.jsonl", "--ref", "data/test.jsonl",
                    "--stratify-by", "difficulty", "--per-example", "--out", "out/score.json"]),
