@@ -587,7 +587,7 @@ def test_rows_past_one_real_block_equal_one_row_calls():
 
 
 def test_topk_ties_rank_lowest_id_first():
-    """Two tokens with equal U rows and bias tie on every step's top log
+    """Two tokens with equal U rows and bias tie for the top log
     probability: greedy and k 1 take the lower id, and k 2 draws the
     lower id when the row's uniform is below one half."""
     be = ToyBackend(Vocabulary(list(WORDS)), d=1, seed=0)

@@ -11,12 +11,12 @@ command sees is the same relative path on both sides. The list covers
 ``generate``; ``perturb`` with every strategy, with and without
 ``--ckpt``, and ``non_optimal`` from the trained checkpoint on
 ``data/train.jsonl`` (800 top-k rows, more than one decode block, rows
-stopping at EOS at different steps); ``score``, ``compare`` (judgments and two metrics),
-``agree``, ``gradcheck --seed 3`` and ``--seed 1``, and a 2-run
-``sweep``. One line per command gives both exit codes, then one line per
-file: both digests and ``same`` or ``DIFFERS``. Exits 0 when every exit
-code and every file agree, else 1. Standard library only; not part of
-the test suite.
+stopping at EOS at different steps); ``score``, ``compare``
+(judgments and two metrics), ``agree``, ``gradcheck --seed 3`` and
+``--seed 1``, and a 2-run ``sweep``. One line per command gives both
+exit codes, then one line per file: both digests and ``same`` or
+``DIFFERS``. Exits 0 when every exit code and every file agree, else 1.
+Standard library only; not part of the test suite.
 """
 
 from __future__ import annotations
