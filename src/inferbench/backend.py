@@ -33,8 +33,10 @@ parameters and samples.
 
 from __future__ import annotations
 
+import base64
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -449,30 +451,35 @@ class ToyBackend:
 def save_checkpoint(
     backend: ToyBackend, path: str | Path, config_digest: str | None = None
 ) -> None:
-    """JSON checkpoint; float repr round-trips parameters bit-exactly."""
+    """JSON checkpoint, format 2: ``vocab``, ``d``, ``seed`` and
+    ``config_digest`` as JSON values; ``E``, ``U`` and ``b`` each one
+    string, the standard base64 of the array's little-endian float64
+    bytes in row-major order, so parameters round-trip bit-exactly."""
     payload = {
-        "format_version": 1,
+        "format_version": 2,
         "vocab": backend.vocab.tokens,
         "d": backend.d,
         "seed": backend.seed,
-        "E": backend.E.tolist(),
-        "U": backend.U.tolist(),
-        "b": backend.b.tolist(),
+        **{
+            name: base64.b64encode(getattr(backend, name).astype("<f8").tobytes()).decode("ascii")
+            for name in ("E", "U", "b")
+        },
         "config_digest": config_digest,
     }
-    # one json.dumps call runs the C encoder; json.dump to a file runs the
-    # pure-Python one, about twice as slow, for the same bytes
     Path(path).write_text(json.dumps(payload), encoding="utf-8")
 
 
 def load_checkpoint(path: str | Path) -> ToyBackend:
-    """The backend :func:`save_checkpoint` wrote; ValueError names the
-    first field that is missing or of the wrong type or shape."""
+    """The backend :func:`save_checkpoint` wrote, with writable native
+    float64 parameters; ValueError names the first field that is missing,
+    of the wrong type, not strict base64 of whole float64 values, of the
+    wrong size or not finite. Format-1 files (decimal float lists) are
+    not read."""
     with open(path, encoding="utf-8") as fh:
         payload = json.load(fh)
     if not isinstance(payload, dict):
         raise ValueError(f"checkpoint must be a JSON object, got {type(payload).__name__}")
-    if payload.get("format_version") != 1:
+    if payload.get("format_version") != 2:
         raise ValueError(f"unsupported checkpoint version {payload.get('format_version')}")
     for name in ("vocab", "d", "seed", "E", "U", "b"):
         if name not in payload:
@@ -491,17 +498,24 @@ def load_checkpoint(path: str | Path) -> ToyBackend:
             raise ValueError(f"checkpoint {name} must be an integer, got {value!r:.80}")
         setattr(backend, name, value)
     for name in ("E", "U", "b"):
+        text = payload[name]
+        if not isinstance(text, str):
+            raise ValueError(f"checkpoint {name} must be a base64 string, got {text!r:.80}")
         try:
-            setattr(backend, name, np.array(payload[name], dtype=float))
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"checkpoint {name} is not a numeric array ({exc})") from exc
+            raw = base64.b64decode(text, validate=True)
+        except ValueError as exc:
+            raise ValueError(f"checkpoint {name} is not base64 ({exc})") from exc
+        if len(raw) % 8:
+            raise ValueError(f"checkpoint {name} holds {len(raw)} bytes, not whole float64s")
+        setattr(backend, name, np.frombuffer(raw, "<f8").astype(float))
     if backend.d < 1:
         raise ValueError(f"checkpoint dimension d={backend.d} must be >= 1")
     v = len(vocab)
     for name, shape in (("E", (v, backend.d)), ("U", (v, backend.d)), ("b", (v,))):
         value = getattr(backend, name)
-        if value.shape != shape:
+        if value.size != math.prod(shape):
             raise ValueError(f"checkpoint {name} has shape {value.shape}, expected {shape}")
         if not np.isfinite(value).all():
             raise ValueError(f"checkpoint {name} holds non-finite values")
+        setattr(backend, name, value.reshape(shape))
     return backend

@@ -1,4 +1,6 @@
+import base64
 import hashlib
+import json
 import math
 
 import numpy as np
@@ -282,11 +284,12 @@ def test_checkpoint_round_trip_bit_exact(tmp_path, backend):
     assert loaded.d == backend.d and loaded.seed == backend.seed
 
 
-# sha256 of save_checkpoint's bytes for a fixed seeded backend, captured
-# from the json.dump encoder; the bytes are the file format
+# sha256 of save_checkpoint's bytes for a fixed seeded backend; the bytes
+# are the file format, so these pin checkpoint format 2 (parameters as
+# base64 of little-endian float64)
 CHECKPOINT_SHA256 = {
-    None: "64c1522d5975096e0066ed3966c5a24ca1f7649d1efe690db0dfbade11cddb7f",
-    "ab" * 32: "104a3443c4ffd7c04c981e58ae44decd7eaf3629e91b33208e3208000cb99b81",
+    None: "fd05750c476e5b5d91466effb5cb7f51260297e9f2c58d2e42e3f32e535b0206",
+    "ab" * 32: "58ddff2b90e2935afad9adad1d08a9cf8261e3f0c68fc68dc6b20e7aa181cc4e",
 }
 
 
@@ -296,3 +299,39 @@ def test_checkpoint_bytes_pinned(tmp_path, digest):
     path = tmp_path / "ckpt.json"
     save_checkpoint(backend, path, digest)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == CHECKPOINT_SHA256[digest]
+
+
+TINY = np.finfo(float).smallest_subnormal
+HUGE = np.finfo(float).max
+
+
+@pytest.mark.parametrize("words, d, values", [
+    (["alpha", "beta", "gamma"], 4, [-0.0]),
+    (["alpha", "beta", "gamma"], 4, [TINY, -TINY]),
+    (["alpha", "beta", "gamma"], 4, [HUGE, -HUGE]),
+    (["x"], 1, [-0.0, TINY, HUGE, -HUGE, 1.0, -TINY]),
+], ids=["negative_zero", "smallest_subnormal", "finfo_max", "one_token_d1"])
+def test_checkpoint_round_trips_extreme_values(tmp_path, words, d, values):
+    backend = ToyBackend(Vocabulary(words), d=d, seed=2)
+    for name in ("E", "U", "b"):
+        array = getattr(backend, name)
+        array.flat[: len(values)] = values[: array.size]
+    save_checkpoint(backend, tmp_path / "ckpt.json")
+    loaded = load_checkpoint(tmp_path / "ckpt.json")
+    for name in ("E", "U", "b"):
+        array = getattr(loaded, name)
+        assert array.dtype == np.float64 and array.dtype.isnative
+        assert array.flags.writeable and array.flags.c_contiguous
+        assert array.shape == getattr(backend, name).shape
+        assert array.tobytes() == getattr(backend, name).tobytes()
+
+
+def test_checkpoint_parameters_are_little_endian_float64(tmp_path, backend):
+    save_checkpoint(backend, tmp_path / "ckpt.json")
+    payload = json.loads((tmp_path / "ckpt.json").read_text())
+    assert payload["format_version"] == 2
+    for name in ("E", "U", "b"):
+        decoded = np.frombuffer(base64.b64decode(payload[name], validate=True), "<f8")
+        expected = getattr(backend, name)
+        assert np.array_equal(decoded.reshape(expected.shape), expected)
+        assert decoded.astype(float).tobytes() == expected.tobytes()

@@ -1,4 +1,7 @@
+import base64
 import json
+import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -594,9 +597,13 @@ def test_sweep_single_run_executes(tmp_path, small_data):
 
 
 def test_console_entry_point():
+    # the subprocess imports the package the suite imported, not an installed copy
+    src = str(Path(inferbench.__file__).resolve().parents[1])
+    paths = [src, os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
     out = subprocess.run(
         [sys.executable, "-m", "inferbench.cli", "--version"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert out.returncode == 0
     assert "inferbench" in out.stdout
@@ -624,7 +631,7 @@ def test_short_checkpoint_is_json_error(tmp_path, small_data, capsys):
     assert run(["train", "--train", small_data / "train.jsonl",
                 "--valid", small_data / "valid.jsonl", "--out-dir", model, *FAST]) == 0
     payload = json.loads((model / "best.json").read_text())
-    payload["E"] = payload["E"][:-3]
+    payload["E"] = base64.b64encode(base64.b64decode(payload["E"])[:-8]).decode("ascii")
     short = tmp_path / "short.json"
     short.write_text(json.dumps(payload))
     capsys.readouterr()
@@ -649,6 +656,50 @@ def test_malformed_checkpoint_is_json_error(tmp_path, small_data, capsys, corrup
     save_checkpoint(ToyBackend(build_vocabulary(build_split("train", 4, seed=5)), d=4), good)
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(corrupt(json.loads(good.read_text()))))
+    capsys.readouterr()
+    code = run(["generate", "--ckpt", bad, "--in", small_data / "valid.jsonl",
+                "--out", tmp_path / "gen.jsonl"])
+    assert code == 2
+    assert message in json_error(capsys, "generate")
+
+
+def _e_bytes(payload, edit):
+    raw = edit(base64.b64decode(payload["E"]))
+    return {**payload, "E": base64.b64encode(raw).decode("ascii")}
+
+
+def _float_list(text):
+    """A format-2 parameter string as the decimal float list of format 1."""
+    raw = base64.b64decode(text)
+    return list(struct.unpack(f"<{len(raw) // 8}d", raw))
+
+
+NAN_BYTES = struct.pack("<d", float("nan"))
+INF_BYTES = struct.pack("<d", float("inf"))
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (lambda p: {**p, "E": _float_list(p["E"])}, "checkpoint E must be a base64 string"),
+    (lambda p: {**p, "U": "*" + p["U"][1:]}, "checkpoint U is not base64"),
+    (lambda p: {**p, "b": p["b"][:-1]}, "checkpoint b is not base64 (Incorrect padding)"),
+    (lambda p: _e_bytes(p, lambda raw: raw[:-3]), "checkpoint E holds"),
+    (lambda p: _e_bytes(p, lambda raw: raw[:-8]), "checkpoint E has shape"),
+    (lambda p: _e_bytes(p, lambda raw: INF_BYTES + raw[8:]), "checkpoint E holds non-finite"),
+    (lambda p: _e_bytes(p, lambda raw: raw[:-8] + NAN_BYTES), "checkpoint E holds non-finite"),
+    (lambda p: {**p, "format_version": 1, **{n: _float_list(p[n]) for n in "EUb"}},
+     "unsupported checkpoint version 1"),
+], ids=["E_list", "non_base64_char", "bad_padding", "not_whole_float64", "one_value_short",
+        "inf", "nan", "format_1"])
+def test_corrupt_checkpoint_parameters_are_json_error(
+    tmp_path, small_data, capsys, corrupt, message
+):
+    good = tmp_path / "good.json"
+    save_checkpoint(ToyBackend(build_vocabulary(build_split("train", 4, seed=5)), d=4), good)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(corrupt(json.loads(good.read_text()))))
+    with pytest.raises(ValueError) as info:
+        load_checkpoint(bad)
+    assert message in str(info.value)
     capsys.readouterr()
     code = run(["generate", "--ckpt", bad, "--in", small_data / "valid.jsonl",
                 "--out", tmp_path / "gen.jsonl"])

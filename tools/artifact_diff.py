@@ -14,18 +14,27 @@ command sees is the same relative path on both sides. The list covers
 stopping at EOS at different steps); ``score``, ``compare``
 (judgments and two metrics), ``agree``, ``gradcheck --seed 3`` and
 ``--seed 1``, and a 2-run ``sweep``. One line per command gives both
-exit codes, then one line per file: both digests and ``same`` or
-``DIFFERS``. Exits 0 when every exit code and every file agree, else 1.
+exit codes, then one line per file: both digests and ``same``,
+``params-same`` or ``DIFFERS``. A file whose JSON object has
+``format_version`` is a checkpoint: when its bytes differ, both sides'
+parameters are decoded (format 1's decimal float lists packed with
+``struct.pack("<d")``, format 2's base64 strings decoded), and the file
+is ``params-same`` when ``vocab``, ``d``, ``seed``, ``config_digest`` and
+every byte of ``E``, ``U`` and ``b`` agree, so the tool also compares
+two checkouts across a checkpoint format change. Exits 0 when every exit
+code agrees and every file is ``same`` or ``params-same``, else 1.
 Standard library only; not part of the test suite.
 """
 
 from __future__ import annotations
 
 import argparse
+import base64
 import hashlib
 import json
 import os
 import shutil
+import struct
 import subprocess
 import sys
 import tempfile
@@ -91,9 +100,36 @@ def commands() -> list[tuple[str, list[str]]]:
 SWEEP_CONFIG = {"sweep": {"lambda_b": [0.0, 0.5]}}
 
 
+def _parameter_bytes(value) -> bytes:
+    """Little-endian float64 bytes of a format-2 base64 string or of a
+    format-1 (nested) list of floats, in row-major order."""
+    if isinstance(value, str):
+        return base64.b64decode(value, validate=True)
+    flat = [x for row in value for x in row] if value and isinstance(value[0], list) else value
+    return struct.pack(f"<{len(flat)}d", *flat)
+
+
+def checkpoint_params(path: Path) -> tuple | None:
+    """``vocab``, ``d``, ``seed``, ``config_digest`` and the E, U and b
+    bytes of a checkpoint file of either format; None for any other file
+    or a checkpoint whose parameters do not decode."""
+    try:
+        payload = json.loads(path.read_bytes())
+    except ValueError:
+        return None
+    if not isinstance(payload, dict) or "format_version" not in payload:
+        return None
+    try:
+        params = tuple(_parameter_bytes(payload[name]) for name in ("E", "U", "b"))
+    except (KeyError, TypeError, ValueError, struct.error):
+        return None
+    return (*(payload.get(key) for key in ("vocab", "d", "seed", "config_digest")), *params)
+
+
 def run_side(checkout: Path, work: Path) -> dict:
     """Run every command in ``work`` with ``checkout``'s code and data:
-    the exit code per command and the sha256 per written file."""
+    the exit code per command, the sha256 per written file and the
+    decoded parameters per checkpoint file."""
     shutil.copytree(checkout / "data", work / "data")
     (work / "out").mkdir()
     (work / "sweep.json").write_text(json.dumps(SWEEP_CONFIG))
@@ -107,11 +143,10 @@ def run_side(checkout: Path, work: Path) -> dict:
         if done.returncode not in (0, 1):
             print(f"{checkout}: {name} exited {done.returncode}: {done.stderr.strip()[-300:]}",
                   file=sys.stderr)
-    digests = {
-        str(path.relative_to(work)): hashlib.sha256(path.read_bytes()).hexdigest()
-        for path in sorted((work / "out").rglob("*")) if path.is_file()
-    }
-    return {"codes": codes, "digests": digests}
+    files = [path for path in sorted((work / "out").rglob("*")) if path.is_file()]
+    digests = {str(p.relative_to(work)): hashlib.sha256(p.read_bytes()).hexdigest() for p in files}
+    params = {str(p.relative_to(work)): checkpoint_params(p) for p in files}
+    return {"codes": codes, "digests": digests, "params": params}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -130,12 +165,18 @@ def main(argv: list[str] | None = None) -> int:
         a, b = old["codes"][name], new["codes"][name]
         same &= a == b
         print(f"exit {a} {b} {'same' if a == b else 'DIFFERS'} {name}")
+    verdicts = {"same": 0, "params-same": 0, "DIFFERS": 0}
     for path in sorted(old["digests"].keys() | new["digests"].keys()):
         a, b = old["digests"].get(path, "-"), new["digests"].get(path, "-")
-        same &= a == b
-        print(f"{a} {b} {'same' if a == b else 'DIFFERS'} {path}")
-    print(f"{len(old['digests'])} / {len(new['digests'])} files, "
-          f"{'all identical' if same else 'some differ'}")
+        pa, pb = old["params"].get(path), new["params"].get(path)
+        verdict = ("same" if a == b else
+                   "params-same" if pa is not None and pa == pb else "DIFFERS")
+        verdicts[verdict] += 1
+        same &= verdict != "DIFFERS"
+        print(f"{a} {b} {verdict} {path}")
+    print(f"{len(old['digests'])} / {len(new['digests'])} files: "
+          + ", ".join(f"{n} {verdict}" for verdict, n in verdicts.items())
+          + f"; {'all agree' if same else 'some differ'}")
     return 0 if same else 1
 
 
