@@ -332,6 +332,5 @@ def test_checkpoint_parameters_are_little_endian_float64(tmp_path, backend):
     assert payload["format_version"] == 2
     for name in ("E", "U", "b"):
         decoded = np.frombuffer(base64.b64decode(payload[name], validate=True), "<f8")
-        expected = getattr(backend, name)
-        assert np.array_equal(decoded.reshape(expected.shape), expected)
-        assert decoded.astype(float).tobytes() == expected.tobytes()
+        # row-major native bytes, whatever the host's byte order
+        assert decoded.astype(float).tobytes() == getattr(backend, name).tobytes()

@@ -680,7 +680,7 @@ INF_BYTES = struct.pack("<d", float("inf"))
 
 @pytest.mark.parametrize("corrupt, message", [
     (lambda p: {**p, "E": _float_list(p["E"])}, "checkpoint E must be a base64 string"),
-    (lambda p: {**p, "U": "*" + p["U"][1:]}, "checkpoint U is not base64"),
+    (lambda p: {**p, "U": p["U"][:4] + "*" + p["U"][4:]}, "checkpoint U is not base64"),
     (lambda p: {**p, "b": p["b"][:-1]}, "checkpoint b is not base64 (Incorrect padding)"),
     (lambda p: _e_bytes(p, lambda raw: raw[:-3]), "checkpoint E holds"),
     (lambda p: _e_bytes(p, lambda raw: raw[:-8]), "checkpoint E has shape"),
