@@ -6,7 +6,7 @@ gradient-check yet rich enough to exercise every training objective:
     c(X)     = pool of the input tokens
     p(a_<j)  = pool of BOS + previous answer tokens
     s_j      = (c + p) / 2
-    logits_j = U @ s_j + b, log-normalized
+    logits_j = U @ s_j + b
     embed(T) = pool of T, L2-normalized (a zero pool is an error)
 
 :func:`pool` is the one pooling rule: a segment's embedding rows added
@@ -18,12 +18,14 @@ conditioned window. The model contract is id-level: the vocabulary
 its context and without, yielded answer by answer), both on token ids,
 and :func:`pool`, which the objective's forward shares: embeddings exist
 only as its pooled, normalized rows.
-The decoder takes plain values, ``generate_batch(inputs, max_len, k,
+Masked scoring log-normalizes the logits; the decoder ranks them as they
+are. It takes plain values, ``generate_batch(inputs, max_len, k,
 seeds)``: greedy when ``k`` is None, else top-k with one seed per row,
-row r's draw at step j taking the (j + 1)-th
-``default_rng(derive_seed(seeds[r], "topk")).random()``, which
-:func:`_uniforms` computes for all rows at once without a ``Generator``;
-:func:`_integers` draws ``Generator.integers`` the same way.
+p the softmax of the row's top k logits and row r's draw at step j
+taking the (j + 1)-th ``default_rng(derive_seed(seeds[r], "topk")).random()``,
+which ``_unit(_pcg_outputs(_pcg_seed(seeds), count))`` computes for all
+rows at once without a ``Generator``; :func:`_integers` draws
+``Generator.integers`` the same way.
 Every vocabulary puts :data:`SPECIALS` first, in order, so their ids are
 the constants ``PAD_ID`` .. ``MASK_ID`` (0-4). Text becomes ids only in
 :mod:`inferbench.objective`. All randomness flows through seeds derived
@@ -49,9 +51,9 @@ PAD_ID, BOS_ID, EOS_ID, UNK_ID, MASK_ID = range(len(SPECIALS))
 # the ids the decoder never emits, so generations stay plain text
 SUPPRESSED = [PAD_ID, BOS_ID, UNK_ID, MASK_ID]
 
-# most rows a decode block, or windows a masked-scoring run, holds: a step at
-# 512 rows holds 3 arrays of its log-probs' size (388 KiB at 97 tokens); a top-k
-# block (k 10, 16 steps, d 16) peaks at 1477 KiB in tracemalloc, 370 at 128 rows
+# most rows a decode block, or windows a masked-scoring run, holds: a decode
+# step at 512 rows holds one array of its logits' size (388 KiB at 97 tokens); a
+# top-k block (k 10, 16 steps, d 16) peaks at 1277 KiB in tracemalloc, 368 at 128 rows
 DECODE_BLOCK = 512
 
 
@@ -186,12 +188,6 @@ def _unit(outputs: np.ndarray) -> np.ndarray:
     return (outputs >> np.uint64(11)).astype(np.float64) * 2.0**-53
 
 
-def _uniforms(seeds: list[int], count: int) -> np.ndarray:
-    """The first ``count`` draws of each seed's ``default_rng`` stream, one
-    row per seed, bit for bit, without a ``Generator``."""
-    return _unit(_pcg_outputs(_pcg_seed(seeds), count))
-
-
 def _integers(seeds: list[int], bounds) -> np.ndarray:
     """Value [r, p] is the (p + 1)-th ``default_rng(seeds[r]).integers(n)``
     for the calls n = bounds[r, 0], bounds[r, 1], ..., bit for bit, each n
@@ -261,13 +257,18 @@ class ToyBackend:
 
     # --- forward primitives ---
 
+    def _logits_rows(self, states: np.ndarray) -> np.ndarray:
+        """U s + b of each row s of ``states``: a stacked matmul makes one
+        BLAS gemv per row, so a row's values do not depend on the other
+        rows (one gemm over the rows would round differently)."""
+        logits = np.matmul(self.U, states[:, :, None])[:, :, 0]
+        logits += self.b
+        return logits
+
     def _log_probs_rows(self, states: np.ndarray) -> np.ndarray:
-        """log softmax(U s + b) of each row s of ``states``: a stacked
-        matmul makes one BLAS gemv per row, so a row's values do not
-        depend on the other rows (one gemm over the rows would round
-        differently)."""
-        log_probs = np.matmul(self.U, states[:, :, None])[:, :, 0]
-        log_probs += self.b
+        """log softmax(U s + b) of each row s of ``states``, row by row as
+        :meth:`_logits_rows`."""
+        log_probs = self._logits_rows(states)
         log_probs -= log_probs.max(axis=1, keepdims=True)
         log_probs -= np.log(np.exp(log_probs).sum(axis=1, keepdims=True))
         return log_probs
@@ -328,10 +329,13 @@ class ToyBackend:
         then unused), else top-k, row r drawing from the stream of
         ``derive_seed(seeds[r], "topk")``.
 
-        Greedy breaks ties on lowest id. The :data:`SUPPRESSED` ids are
-        never emitted, so generations stay plain text; EOS remains a
-        candidate and stops its row. k is bounded by the number of
-        decodable tokens.
+        Both rank the logits ``U s + b`` (the log-normalizer of a row
+        changes no ranking); top-k draws from p, the softmax of the row's
+        top k logits. Greedy breaks ties on lowest id. The
+        :data:`SUPPRESSED` ids are never emitted, so generations stay plain
+        text; EOS remains a candidate and stops its row. k is bounded by
+        the number of decodable tokens. A NaN or infinite top logit raises
+        ValueError.
 
         Batch-invariant: a row's tokens do not depend on the other rows,
         because each row's logits are its own matrix-vector product. Rows
@@ -366,8 +370,10 @@ class ToyBackend:
         one row per step, in order. The top-k draw of row r at step j takes
         value j of its stream (the module's draw contract; ``streams`` holds
         the rows' :func:`_pcg_seed`), drawn for every row of the block
-        before the first step, and repeats ``Generator.choice`` bit for bit.
-        Steps write ids to one buffer and compact only after an EOS."""
+        before the first step, and repeats ``Generator.choice`` on the
+        softmax of the top k logits bit for bit. No step normalizes its
+        logits. Steps write ids to one buffer and compact only after an
+        EOS."""
         if k is not None:
             uniforms = _unit(_pcg_outputs(streams, max_len))
         # a row's ids end at its first EOS; the last column holds one for every row
@@ -376,21 +382,26 @@ class ToyBackend:
         # E[BOS] + E[prefix], summed in order as pool sums its rows
         prefix_sum = np.tile(self.E[BOS_ID], (len(context), 1))
         for step in range(max_len):
-            log_probs = self._log_probs_rows(0.5 * (context + prefix_sum / (step + 1)))
-            log_probs[:, SUPPRESSED] = -np.inf
+            logits = self._logits_rows(0.5 * (context + prefix_sum / (step + 1)))
+            logits[:, SUPPRESSED] = -np.inf
+            rows = np.arange(len(live))
             if k is None:
-                nxt = log_probs.argmax(axis=1)
+                nxt = logits.argmax(axis=1)
+                # argmax takes a row's first NaN or inf: its pick is finite
+                # only when the row's maximum is
+                if not np.isfinite(logits[rows, nxt]).all():
+                    raise ValueError("logits are not finite")
             else:
-                # stable top-k, each pass masking its pick in place: probability
+                # stable top-k, each pass masking its pick in place: logit
                 # descending, id ascending, as argmax takes a tie's lowest id
-                rows = np.arange(len(live))
                 top = np.empty((len(live), k), dtype=np.intp)
-                top_lp = np.empty((len(live), k))
+                top_logits = np.empty((len(live), k))
                 for j in range(k):
-                    top[:, j] = pick = log_probs.argmax(axis=1)
-                    top_lp[:, j] = log_probs[rows, pick]
-                    log_probs[rows, pick] = -np.inf
-                weights = np.exp(top_lp - top_lp[:, :1])
+                    top[:, j] = pick = logits.argmax(axis=1)
+                    top_logits[:, j] = logits[rows, pick]
+                    logits[rows, pick] = -np.inf
+                # draw_index raises on a NaN or infinite top logit
+                weights = np.exp(top_logits - top_logits[:, :1])
                 weights /= weights.sum(axis=1, keepdims=True)
                 nxt = top[rows, draw_index(weights, uniforms[:, step])]
             tokens[live, step] = nxt

@@ -613,8 +613,10 @@ def main(argv: list[str] | None = None) -> int:
         # no sweep is set, else checked here before it opens a file
         tc = _train_config(config) if _swept(config) else runs[0][2]
         return args.func(args, tc, meta)
-    except (ConfigError, DatasetError, ValueError, OSError, RuntimeError) as exc:
-        sys.stderr.write(json.dumps({"error": str(exc), "command": args.command}) + "\n")
+    except (ConfigError, DatasetError, ValueError, OSError, RuntimeError, MemoryError) as exc:
+        # a bare MemoryError has no message: name its type instead
+        error = str(exc) or type(exc).__name__
+        sys.stderr.write(json.dumps({"error": error, "command": args.command}) + "\n")
         return 2
 
 

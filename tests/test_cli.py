@@ -706,6 +706,49 @@ def test_corrupt_checkpoint_parameters_are_json_error(
     assert code == 2
     assert message in json_error(capsys, "generate")
 
+# the overflow the test makes, and inf - inf in the top-k weights
+OVERFLOW_WARNINGS = pytest.mark.filterwarnings(
+    "ignore:overflow encountered:RuntimeWarning", "ignore:invalid value encountered:RuntimeWarning"
+)
+
+
+def _overflowing_checkpoint(path):
+    """A loadable checkpoint whose finite parameters overflow every logit."""
+    be = ToyBackend(build_vocabulary(build_split("train", 4, seed=5)), d=4)
+    be.E[:] = be.U[:] = 1e200
+    save_checkpoint(be, path)
+    return path
+
+
+@OVERFLOW_WARNINGS
+@pytest.mark.parametrize("method", ["greedy", "top_k"])
+def test_overflowing_logits_are_json_error(tmp_path, small_data, capsys, method):
+    ckpt = _overflowing_checkpoint(tmp_path / "overflow.json")
+    capsys.readouterr()
+    code = run(["generate", "--ckpt", ckpt, "--in", small_data / "valid.jsonl",
+                "--out", tmp_path / "gen.jsonl", "--set", f"decode.method={method}"])
+    assert code == 2
+    assert "not finite" in json_error(capsys, "generate")
+    assert not (tmp_path / "gen.jsonl").exists()
+
+
+@pytest.mark.parametrize("exc, message", [
+    (MemoryError("Unable to allocate 364. TiB"), "Unable to allocate 364. TiB"),
+    (MemoryError(), "MemoryError"),
+], ids=["numpy_message", "bare"])
+def test_memory_error_is_json_error(
+    tmp_path, small_data, small_checkpoint, capsys, monkeypatch, exc, message
+):
+    def exhausted(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(ToyBackend, "generate_batch", exhausted)
+    capsys.readouterr()
+    code = run(["generate", "--ckpt", small_checkpoint, "--in", small_data / "valid.jsonl",
+                "--out", tmp_path / "gen.jsonl"])
+    assert code == 2
+    assert json_error(capsys, "generate") == message
+
 
 def test_judgment_without_rater_is_json_error(tmp_path, small_data, capsys):
     lines = (small_data / "judgments.jsonl").read_text().splitlines()

@@ -64,7 +64,9 @@ from inferbench.backend import (
     ToyBackend,
     Vocabulary,
     _integers,
-    _uniforms,
+    _pcg_outputs,
+    _pcg_seed,
+    _unit,
     derive_seed,
     draw_index,
     load_checkpoint,
@@ -458,21 +460,22 @@ def test_forward_equals_the_per_block_reference_bitwise(batch):
 # --- the batched decoder -------------------------------------------------------------
 
 def step_loop_generate(be, input_ids, max_len, k=None, seed=None):
-    """The ids of decoding one step at a time: a ``log_probs_ids`` call
-    per position and a ``Generator.choice`` per top-k draw, with
-    PAD/BOS/UNK/MASK suppressed and ties in the top k broken on the
-    lowest id."""
+    """The ids of decoding one step at a time: the logits ``U s + b`` of
+    the pooled state at each position, ranked as they are, and a
+    ``Generator.choice`` per top-k draw weighted by the softmax of the
+    top k logits, with PAD/BOS/UNK/MASK suppressed and ties in the top k
+    broken on the lowest id."""
     if k is not None:
         rng = np.random.default_rng(derive_seed(seed, "topk"))
     out = []
     for _ in range(max_len):
-        log_probs = log_probs_ids(be, input_ids, out).copy()
-        log_probs[[PAD_ID, BOS_ID, UNK_ID, MASK_ID]] = -np.inf
+        logits = be.U @ state(be, input_ids, out) + be.b
+        logits[[PAD_ID, BOS_ID, UNK_ID, MASK_ID]] = -np.inf
         if k is None:
-            nxt = int(np.argmax(log_probs))
+            nxt = int(np.argmax(logits))
         else:
-            top = np.lexsort((np.arange(len(log_probs)), -log_probs))[:k]
-            weights = np.exp(log_probs[top] - log_probs[top].max())
+            top = np.lexsort((np.arange(len(logits)), -logits))[:k]
+            weights = np.exp(logits[top] - logits[top].max())
             weights /= weights.sum()
             nxt = int(rng.choice(top, p=weights))
         if nxt == EOS_ID:
@@ -530,14 +533,19 @@ def test_decoder_states_equal_the_pooled_state_bitwise(d, data):
     # and its first j tokens, which the decoder sums one row per step
     be, inputs, decode = data.draw(decode_batches(st.integers(1, 4), st.just(d), input_len=30))
     steps = []
-    log_probs_rows = be._log_probs_rows
+    logits_rows = be._logits_rows
 
     def record(states):
         steps.append(states.copy())
-        return log_probs_rows(states)
+        return logits_rows(states)
 
-    be._log_probs_rows = record
+    be._logits_rows = record
+    # the decoder ranks logits and never normalizes them
+    be._log_probs_rows = mock.Mock(side_effect=AssertionError("the decoder normalized"))
     out = be.generate_batch(inputs, *decode)
+    max_len = decode[0]
+    # a row runs a step for each token and one for its EOS, up to max_len
+    assert len(steps) == max(min(len(ids) + 1, max_len) for ids in out)
     for step, states in enumerate(steps):
         live = [r for r in range(len(inputs)) if len(out[r]) >= step]
         assert len(states) == len(live)
@@ -600,7 +608,8 @@ def test_topk_ties_rank_lowest_id_first():
     assert be.generate_batch(inputs, 1) == [[low]] * len(inputs)
     assert be.generate_batch(inputs, 1, 1, seeds) == [[low]] * len(inputs)
     got = be.generate_batch(inputs, 1, 2, seeds)
-    below = [_uniforms([derive_seed(seed, "topk")], 1)[0, 0] < 0.5 for seed in seeds]
+    uniforms = _unit(_pcg_outputs(_pcg_seed([derive_seed(seed, "topk") for seed in seeds]), 1))
+    below = list(uniforms[:, 0] < 0.5)
     assert got == [[low] if u else [high] for u in below]
     assert 0 < sum(below) < len(seeds)
     assert got == [step_loop_generate(be, ids, 1, 2, seed) for ids, seed in zip(inputs, seeds)]
@@ -630,6 +639,45 @@ def test_non_finite_weights_raise():
     with pytest.raises(ValueError, match="not finite"):
         generate(be, [be.vocab.id_of("the")], 4, k=2, seed=0)
 
+# the overflow the test makes, and inf - inf in the top-k weights
+OVERFLOW_WARNINGS = pytest.mark.filterwarnings(
+    "ignore:overflow encountered:RuntimeWarning", "ignore:invalid value encountered:RuntimeWarning"
+)
+
+
+def _nan_bias(be):
+    be.b[be.vocab.id_of("cat")] = np.nan
+
+
+def _overflow(be):
+    # finite parameters whose logits overflow
+    be.E[:] = be.U[:] = 1e200
+
+
+@OVERFLOW_WARNINGS
+@pytest.mark.parametrize("k", [None, 2], ids=["greedy", "top_k"])
+@pytest.mark.parametrize("corrupt", [_nan_bias, _overflow], ids=["nan_bias", "overflow"])
+def test_non_finite_logits_raise(corrupt, k):
+    be = ToyBackend(Vocabulary(list(WORDS)), d=2, seed=0)
+    corrupt(be)
+    with pytest.raises(ValueError, match="not finite"):
+        be.generate_batch([[be.vocab.id_of("the")]] * 3, 4, k, [0, 1, 2])
+
+
+def test_greedy_takes_the_larger_of_two_logits_one_ulp_apart():
+    """Log-normalizing rounds these two logits to one value, so ranking
+    log-probabilities would take the lower id; the decoder ranks logits."""
+    be = ToyBackend(Vocabulary(list(WORDS)), d=2, seed=0)
+    alpha, beta = be.vocab.id_of("cat"), be.vocab.id_of("run")
+    be.U[:] = 0.0
+    be.b[:] = 0.0
+    be.b[alpha], be.b[beta] = 1e-3, np.nextafter(1e-3, 1)
+    inputs = [[be.vocab.id_of(w)] for w in WORDS]
+    log_probs = log_probs_ids(be, inputs[0], [])
+    assert alpha < beta and log_probs[alpha] == log_probs[beta]
+    assert be.generate_batch(inputs, 1) == [[beta]] * len(inputs)
+    assert be.generate_batch(inputs, 1) == [step_loop_generate(be, ids, 1) for ids in inputs]
+
 
 @PROPERTY
 @given(st.lists(st.integers(0, 2**63 - 1), max_size=300), st.integers(1, 40))
@@ -637,16 +685,17 @@ def test_uniforms_equal_default_rng_bitwise(seeds, count):
     # seeds of one and of two 32-bit words, with a zero and a full low word
     seeds = [*seeds, 0, 1, 2**32 - 1, 2**32, 2**63 - 1]
     expected = np.array([np.random.default_rng(seed).random(count) for seed in seeds])
-    got = _uniforms(seeds, count)
+    got = _unit(_pcg_outputs(_pcg_seed(seeds), count))
     assert got.shape == expected.shape
     assert (got.view(np.uint64) == expected.view(np.uint64)).all()
 
 
 def test_uniforms_reject_a_seed_outside_64_bits():
-    assert _uniforms([2**64 - 1], 1)[0, 0] == np.random.default_rng(2**64 - 1).random()
+    top = _unit(_pcg_outputs(_pcg_seed([2**64 - 1]), 1))
+    assert top[0, 0] == np.random.default_rng(2**64 - 1).random()
     for bad in (-1, 2**64):
         with pytest.raises(ValueError, match=r"\[0, 2\*\*64\)"):
-            _uniforms([3, bad], 2)
+            _pcg_seed([3, bad])
 
 
 def test_topk_decode_builds_no_generator(monkeypatch):

@@ -8,7 +8,8 @@ fresh work directory that holds a copy of its ``data/``, so every path a
 command sees is the same relative path on both sides. The list covers
 ``train`` with each negative strategy and ``none``, at ``micro_batch``
 8, 4 and 64 and at 1 with ``effective_batch`` 3; greedy and top-k
-``generate``; ``perturb`` with every strategy, with and without
+``generate`` on ``data/test.jsonl`` and greedy ``generate`` on the 200
+rows of ``data/train.jsonl``; ``perturb`` with every strategy, with and without
 ``--ckpt``, and ``non_optimal`` from the trained checkpoint on
 ``data/train.jsonl`` (800 top-k rows, more than one decode block, rows
 stopping at EOS at different steps); ``score``, ``compare``
@@ -67,6 +68,8 @@ def commands() -> list[tuple[str, list[str]]]:
         ("generate_greedy", ["generate", "--ckpt", CKPT, *TEST, "--out", "out/gen_greedy.jsonl"]),
         ("generate_top_k", ["generate", "--ckpt", CKPT, *TEST, "--out", "out/gen_top_k.jsonl",
                             "--set", "decode.method=top_k"]),
+        ("generate_greedy_train", ["generate", "--ckpt", CKPT, "--in", "data/train.jsonl",
+                                   "--out", "out/gen_greedy_train.jsonl"]),
     ]
     for s in STRATEGIES:
         runs.append((f"perturb_{s}", ["perturb", "--strategy", s, "--seed", "7", *TEST,
