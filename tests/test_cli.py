@@ -19,7 +19,7 @@ from inferbench.synth import build_judgments, build_split
 from inferbench.trainer import TrainConfig, build_vocabulary, train
 
 from bruteforce import bf_replace_positions
-from conftest import DATA_DIR
+from conftest import DATA_DIR, OVERFLOW_WARNINGS
 
 
 @pytest.fixture(scope="module")
@@ -705,11 +705,6 @@ def test_corrupt_checkpoint_parameters_are_json_error(
                 "--out", tmp_path / "gen.jsonl"])
     assert code == 2
     assert message in json_error(capsys, "generate")
-
-# the overflow the test makes, and inf - inf in the top-k weights
-OVERFLOW_WARNINGS = pytest.mark.filterwarnings(
-    "ignore:overflow encountered:RuntimeWarning", "ignore:invalid value encountered:RuntimeWarning"
-)
 
 
 def _overflowing_checkpoint(path):

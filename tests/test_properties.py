@@ -97,7 +97,7 @@ from inferbench.porter import stem
 from inferbench.synth import build_split
 
 from bruteforce import bf_bleu, bf_cider, bf_rouge_l, bf_total_loss, bf_validation_margin
-from conftest import DATA_DIR, make_example, replace_one
+from conftest import DATA_DIR, OVERFLOW_WARNINGS, make_example, replace_one
 import reference_model
 from reference_model import (
     generate,
@@ -638,11 +638,6 @@ def test_non_finite_weights_raise():
     be.b[be.vocab.id_of("cat")] = np.nan
     with pytest.raises(ValueError, match="not finite"):
         generate(be, [be.vocab.id_of("the")], 4, k=2, seed=0)
-
-# the overflow the test makes, and inf - inf in the top-k weights
-OVERFLOW_WARNINGS = pytest.mark.filterwarnings(
-    "ignore:overflow encountered:RuntimeWarning", "ignore:invalid value encountered:RuntimeWarning"
-)
 
 
 def _nan_bias(be):
