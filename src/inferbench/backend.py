@@ -267,9 +267,13 @@ class ToyBackend:
 
     def _log_probs_rows(self, states: np.ndarray) -> np.ndarray:
         """log softmax(U s + b) of each row s of ``states``, row by row as
-        :meth:`_logits_rows`."""
+        :meth:`_logits_rows`. A NaN or infinite row maximum (the maximum
+        is NaN if any logit is) raises ValueError."""
         log_probs = self._logits_rows(states)
-        log_probs -= log_probs.max(axis=1, keepdims=True)
+        top = log_probs.max(axis=1, keepdims=True)
+        if not np.isfinite(top).all():
+            raise ValueError("logits are not finite")
+        log_probs -= top
         log_probs -= np.log(np.exp(log_probs).sum(axis=1, keepdims=True))
         return log_probs
 
@@ -286,11 +290,16 @@ class ToyBackend:
         to take it are the arrays that grow with the set. The answers are
         scored in runs of at most :data:`DECODE_BLOCK` windows (an answer
         with more is a run alone), so no other array outgrows a block or
-        one answer."""
+        one answer. A NaN or infinite logit raises ValueError, without a
+        numpy warning."""
         if not answers:
             return
-        # the in-order sum of context i is row len(E) + i
-        table = np.concatenate([self.E, _segment_sums(self.E, contexts)])
+        # numpy's overflow warnings are off where sums and logits are taken
+        # (the log-normalizer checks them), but never across a yield, which
+        # would leave the caller's code under the errstate
+        with np.errstate(over="ignore", invalid="ignore"):
+            # the in-order sum of context i is row len(E) + i
+            table = np.concatenate([self.E, _segment_sums(self.E, contexts)])
         runs = []
         for i, answer in enumerate(answers):
             if not runs or size + 2 * len(answer) > DECODE_BLOCK:
@@ -309,10 +318,11 @@ class ToyBackend:
                 windows += [*with_ctx, *with_ctx[:, 1:]]
                 counts += [len(contexts[i]) + n - 1] * n + [n - 1] * n
             counts = np.array(counts)[:, None]
-            sums = _segment_sums(table, windows)
-            # an empty window pools to zeros
-            states = np.divide(sums, counts, out=np.zeros_like(sums), where=counts > 0)
-            log_probs = self._log_probs_rows(states)
+            with np.errstate(over="ignore", invalid="ignore"):
+                sums = _segment_sums(table, windows)
+                # an empty window pools to zeros
+                states = np.divide(sums, counts, out=np.zeros_like(sums), where=counts > 0)
+                log_probs = self._log_probs_rows(states)
             for start, i in zip(np.cumsum([0, *(2 * len(answers[i]) for i in run)]), run):
                 n = len(answers[i])
                 yield log_probs[start : start + n], log_probs[start + n : start + 2 * n]
@@ -335,7 +345,7 @@ class ToyBackend:
         :data:`SUPPRESSED` ids are never emitted, so generations stay plain
         text; EOS remains a candidate and stops its row. k is bounded by
         the number of decodable tokens. A NaN or infinite top logit raises
-        ValueError.
+        ValueError, without a numpy warning.
 
         Batch-invariant: a row's tokens do not depend on the other rows,
         because each row's logits are its own matrix-vector product. Rows
@@ -353,13 +363,16 @@ class ToyBackend:
         # once (a segment pools to the same bits among others)
         distinct = {id(ids): ids for ids in inputs}
         slot = {key: i for i, key in enumerate(distinct)}
-        contexts = pool(self.E, list(distinct.values()))[[slot[id(ids)] for ids in inputs]]
         streams = None if k is None else _pcg_seed([derive_seed(s, "topk") for s in seeds])
         out: list[list[int]] = []
-        for start in range(0, len(inputs), DECODE_BLOCK):
-            rows = slice(start, start + DECODE_BLOCK)
-            block_streams = None if k is None else streams[rows]
-            out.extend(self._decode_block(contexts[rows], max_len, k, block_streams))
+        # numpy's overflow warnings are off for the whole call: the steps
+        # check their picked logits and draw weights themselves
+        with np.errstate(over="ignore", invalid="ignore"):
+            contexts = pool(self.E, list(distinct.values()))[[slot[id(ids)] for ids in inputs]]
+            for start in range(0, len(inputs), DECODE_BLOCK):
+                rows = slice(start, start + DECODE_BLOCK)
+                block_streams = None if k is None else streams[rows]
+                out.extend(self._decode_block(contexts[rows], max_len, k, block_streams))
         return out
 
     def _decode_block(self, context, max_len, k, streams) -> list[list[int]]:

@@ -12,8 +12,8 @@ holds only that key would be, after ``--config``. Unknown keys are
 rejected. Every subcommand but ``sweep`` checks the base config before
 it opens a file; ``sweep`` checks each of its grid points instead.
 Artifacts are canonical JSON stamped with the effective config digest
-and seed, so identical reruns are byte-identical. The only environment
-variable read is INFERBENCH_LOG (log verbosity).
+and seed, so identical reruns are byte-identical. The CLI reads no
+environment variable.
 """
 
 from __future__ import annotations
@@ -22,9 +22,7 @@ import argparse
 import functools
 import itertools
 import json
-import logging
 import operator
-import os
 import sys
 import warnings
 from dataclasses import asdict, fields, replace
@@ -47,8 +45,6 @@ from .negatives import STRATEGIES, untrained_model
 from .objective import LossConfig, encode, finite_diff_check
 from .synth import build_split
 from .trainer import STRATA, TrainConfig, train
-
-log = logging.getLogger("inferbench")
 
 CONFIG_VERSION = "1"
 
@@ -141,7 +137,10 @@ def load_run_config(
     :func:`_expand_sweep`."""
     user = {}
     if path:
-        user = json.loads(Path(path).read_text(encoding="utf-8"))
+        try:
+            user = json.loads(Path(path).read_text(encoding="utf-8"))
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"{path}: {exc}") from exc
         if not isinstance(user, dict):
             raise ConfigError("config file must hold a JSON object")
     config = _merge_config(DEFAULT_CONFIG, user)
@@ -180,7 +179,6 @@ def cmd_ingest(args, tc: TrainConfig, meta: dict) -> int:
     save_dataset(examples, args.out)
     sidecar = Path(args.out).with_suffix(Path(args.out).suffix + ".meta.json")
     write_artifact(sidecar, {"n_examples": len(examples)}, meta)
-    log.info("ingested %d examples -> %s", len(examples), args.out)
     print(f"ingested {len(examples)} examples -> {args.out}")
     return 0
 
@@ -336,10 +334,13 @@ def _read_judgments(path: str) -> list[Judgment]:
         for key in ("item_id", "rater_id", "choice"):
             if key not in record:
                 raise DatasetError(f"{path}: line {line_no}: judgment has no {key!r}")
-        judgments.append(Judgment(
-            item_id=str(record["item_id"]), rater_id=str(record["rater_id"]),
-            choice=str(record["choice"]),
-        ))
+        try:
+            judgments.append(Judgment(
+                item_id=str(record["item_id"]), rater_id=str(record["rater_id"]),
+                choice=str(record["choice"]),
+            ))
+        except ValueError as exc:
+            raise DatasetError(f"{path}: line {line_no}: {exc}") from exc
     return judgments
 
 
@@ -594,7 +595,6 @@ _FLAG_KEYS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    logging.basicConfig(level=os.environ.get("INFERBENCH_LOG", "WARNING").upper())
     args = _parser().parse_args(argv)
     # a config-setting flag is a --set after the user's: it wins, and the
     # config digest that stamps the artifacts records it

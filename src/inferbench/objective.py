@@ -24,7 +24,8 @@ block with one product with U, and both InfoNCE terms are row-wise
 softmax cross-entropies over a logit matrix, n x n for the in-batch term
 and n x (1 + m) for the per-sample one (padded with -inf where an
 example has fewer negatives). The backward pass ends in one scatter
-into E.
+into E. :func:`validation_margin` measures the InfoNCE terms' unit
+vectors on a validation set.
 """
 
 from __future__ import annotations
@@ -369,6 +370,28 @@ def forward(
         ], axis=1)
     total = nll_mean + config.lambda_b * cl_b + config.lambda_s * cl_s
     return LossBreakdown(nll=nll_mean, cl_b=cl_b, cl_s=cl_s, total=total, grads=g)
+
+
+def validation_margin(backend: ToyBackend, examples: list[InferenceExample]) -> float:
+    """Mean gold-vs-hardest-negative cosine margin of input embeddings,
+
+        sim(h_X, h_gold) - max over counterfactuals of sim(h_X, h_neg),
+
+    on the unit vectors :func:`forward` gives its InfoNCE terms: inputs,
+    answers without EOS and counterfactuals pooled in one call."""
+    if not examples:
+        raise ValueError("validation margin of an empty set")
+    enc = encode(examples, [ex.counterfactuals for ex in examples], vocab=backend.vocab)
+    counts = np.array([len(negs) for negs in enc.negatives])
+    if not counts.all():
+        raise ValueError(f"example {enc.example_ids[np.argmin(counts)]} has no counterfactual")
+    n = len(enc)
+    segments = [*enc.inputs, *(a[:-1] for a in enc.answers)]
+    segments += [ids for negs in enc.negatives for ids in negs]
+    H, _ = _unit(pool(backend.E, segments), lambda row: _zero_embedding(enc, row))
+    gold = np.einsum("ij,ij->i", H[:n], H[n : 2 * n])
+    negative = np.einsum("ij,ij->i", np.repeat(H[:n], counts, axis=0), H[2 * n :])
+    return float(np.mean(gold - np.maximum.reduceat(negative, np.cumsum(counts) - counts)))
 
 
 # --- finite-difference gate -------------------------------------------------

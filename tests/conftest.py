@@ -16,12 +16,6 @@ from inferbench.objective import encode
 
 DATA_DIR = Path(__file__).parent.parent / "data"
 
-# for tests whose parameters overflow the logits: numpy warns of the overflow,
-# and of inf - inf in the top-k weights, before the decoder raises
-OVERFLOW_WARNINGS = pytest.mark.filterwarnings(
-    "ignore:overflow encountered:RuntimeWarning", "ignore:invalid value encountered:RuntimeWarning"
-)
-
 
 def make_example(
     ex_id="ex-1",

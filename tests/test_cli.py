@@ -19,7 +19,7 @@ from inferbench.synth import build_judgments, build_split
 from inferbench.trainer import TrainConfig, build_vocabulary, train
 
 from bruteforce import bf_replace_positions
-from conftest import DATA_DIR, OVERFLOW_WARNINGS
+from conftest import DATA_DIR
 
 
 @pytest.fixture(scope="module")
@@ -715,7 +715,6 @@ def _overflowing_checkpoint(path):
     return path
 
 
-@OVERFLOW_WARNINGS
 @pytest.mark.parametrize("method", ["greedy", "top_k"])
 def test_overflowing_logits_are_json_error(tmp_path, small_data, capsys, method):
     ckpt = _overflowing_checkpoint(tmp_path / "overflow.json")
@@ -725,6 +724,33 @@ def test_overflowing_logits_are_json_error(tmp_path, small_data, capsys, method)
     assert code == 2
     assert "not finite" in json_error(capsys, "generate")
     assert not (tmp_path / "gen.jsonl").exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["generate", "--set", "decode.method=greedy"],
+    ["generate", "--set", "decode.method=top_k"],
+    ["perturb", "--strategy", "non_optimal"],
+    ["perturb", "--strategy", "replace_zs"],
+], ids=["generate_greedy", "generate_top_k", "perturb_non_optimal", "perturb_replace_zs"])
+def test_overflowing_logits_leave_only_the_json_error_on_stderr(tmp_path, small_data, command):
+    """Decoding and masked scoring check their logits themselves, so numpy
+    prints no overflow warning before the JSON error."""
+    ckpt = _overflowing_checkpoint(tmp_path / "overflow.json")
+    name, *flags = command
+    out = tmp_path / "out.jsonl"
+    src = str(Path(inferbench.__file__).resolve().parents[1])
+    paths = [src, os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    done = subprocess.run(
+        [sys.executable, "-m", "inferbench.cli", name, "--ckpt", str(ckpt),
+         "--in", str(small_data / "valid.jsonl"), "--out", str(out), *flags],
+        capture_output=True, text=True, env=env,
+    )
+    assert done.returncode == 2
+    [line] = done.stderr.splitlines()
+    payload = json.loads(line)
+    assert payload["command"] == name and "not finite" in payload["error"]
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("exc, message", [
@@ -755,6 +781,22 @@ def test_judgment_without_rater_is_json_error(tmp_path, small_data, capsys):
     assert code == 2
     error = json_error(capsys, "agree")
     assert "line 2" in error and "rater_id" in error
+
+
+@pytest.mark.parametrize("text, flags, message", [
+    ("{'seed': 1}", ["--config", "{bad}", "--judgments", "{judgments}"],
+     "{bad}: Expecting property name enclosed in double quotes: line 1 column 2"),
+    ('{"item_id": "a", "rater_id": "r", "choice": "maybe"}', ["--judgments", "{bad}"],
+     "{bad}: line 1: unknown choice 'maybe'"),
+], ids=["config_not_json", "unknown_choice"])
+def test_bad_input_file_is_json_error_naming_it(tmp_path, small_data, capsys, text, flags, message):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text + "\n")
+    paths = {"bad": bad, "judgments": small_data / "judgments.jsonl"}
+    code = run(["agree", *(flag.format(**paths) for flag in flags), "--out", tmp_path / "a.json"])
+    assert code == 2
+    assert json_error(capsys, "agree").startswith(message.format(**paths))
+    assert not (tmp_path / "a.json").exists()
 
 
 @pytest.mark.parametrize(

@@ -74,7 +74,6 @@ from inferbench.backend import (
     save_checkpoint,
 )
 from inferbench.corpus import TEMPLATES, QuestionType, Utterance, normalize_answer
-from inferbench.experiments import validation_margin
 from inferbench.jsonio import canonical_dumps
 from inferbench.metrics import (
     PAIR_METRICS,
@@ -92,12 +91,13 @@ from inferbench.objective import (
     build_vocabulary,
     encode,
     forward,
+    validation_margin,
 )
 from inferbench.porter import stem
 from inferbench.synth import build_split
 
 from bruteforce import bf_bleu, bf_cider, bf_rouge_l, bf_total_loss, bf_validation_margin
-from conftest import DATA_DIR, OVERFLOW_WARNINGS, make_example, replace_one
+from conftest import DATA_DIR, make_example, replace_one
 import reference_model
 from reference_model import (
     generate,
@@ -649,14 +649,18 @@ def _overflow(be):
     be.E[:] = be.U[:] = 1e200
 
 
-@OVERFLOW_WARNINGS
-@pytest.mark.parametrize("k", [None, 2], ids=["greedy", "top_k"])
+@pytest.mark.filterwarnings("error")  # the checks are the code's own, not numpy's warnings
+@pytest.mark.parametrize("k", [None, 2, "masked"], ids=["greedy", "top_k", "masked"])
 @pytest.mark.parametrize("corrupt", [_nan_bias, _overflow], ids=["nan_bias", "overflow"])
 def test_non_finite_logits_raise(corrupt, k):
     be = ToyBackend(Vocabulary(list(WORDS)), d=2, seed=0)
     corrupt(be)
+    ids = [be.vocab.id_of("the"), be.vocab.id_of("cat")]
     with pytest.raises(ValueError, match="not finite"):
-        be.generate_batch([[be.vocab.id_of("the")]] * 3, 4, k, [0, 1, 2])
+        if k == "masked":
+            list(be.masked_log_probs([ids] * 3, [ids[:1]] * 3))
+        else:
+            be.generate_batch([ids[:1]] * 3, 4, k, [0, 1, 2])
 
 
 def test_greedy_takes_the_larger_of_two_logits_one_ulp_apart():
