@@ -25,8 +25,8 @@ for neg, prov in zip(ns.negatives, ns.provenance):
     print(f"  {neg}   <- stored index {prov['source_index']}")
 
 sampler = ToyBackend(build_vocabulary(batch), d=8, seed=5)
-inputs = encode([ex], vocab=sampler.vocab).inputs
-ns = nonoptimal_sets(sampler, [ex], inputs, m=2, k=10, attempts=5, seed=7, max_len=10)[0]
+enc = encode([ex], vocab=sampler.vocab)
+ns = nonoptimal_sets(sampler, [ex], enc, m=2, k=10, attempts=5, seed=7, max_len=10)[0]
 print("\nnon_optimal (top-k sampled from the model, gold collisions resampled):")
 for neg, prov in zip(ns.negatives, ns.provenance):
     print(f"  {neg}   <- attempts={prov['attempts']}")

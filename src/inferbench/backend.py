@@ -51,10 +51,12 @@ PAD_ID, BOS_ID, EOS_ID, UNK_ID, MASK_ID = range(len(SPECIALS))
 # the ids the decoder never emits, so generations stay plain text
 SUPPRESSED = [PAD_ID, BOS_ID, UNK_ID, MASK_ID]
 
-# most rows a decode block, or windows a masked-scoring run, holds: a decode
-# step at 512 rows holds one array of its logits' size (388 KiB at 97 tokens); a
-# top-k block (k 10, 16 steps, d 16) peaks at 1277 KiB in tracemalloc, 368 at 128 rows
-DECODE_BLOCK = 512
+# the bytes of one step's logits a decode block may hold: a block holds
+# max(1, DECODE_BYTES // (8 V)) rows, 1351 at V 97; a top-k decode (k 10, 16
+# steps, d 16, V 97) of 800 rows peaks at 1652 KiB in tracemalloc, of 1400 at 2746
+DECODE_BYTES = 2**20
+# most windows a masked-scoring run holds
+MASKED_WINDOWS = 512
 
 
 def derive_seed(seed: int, *parts) -> int:
@@ -288,7 +290,7 @@ class ToyBackend:
         that sum, a row appended to the embedding table; this table of
         context sums (one row of d per answer) and the context rows gathered
         to take it are the arrays that grow with the set. The answers are
-        scored in runs of at most :data:`DECODE_BLOCK` windows (an answer
+        scored in runs of at most :data:`MASKED_WINDOWS` windows (an answer
         with more is a run alone), so no other array outgrows a block or
         one answer. A NaN or infinite logit raises ValueError, without a
         numpy warning."""
@@ -302,7 +304,7 @@ class ToyBackend:
             table = np.concatenate([self.E, _segment_sums(self.E, contexts)])
         runs = []
         for i, answer in enumerate(answers):
-            if not runs or size + 2 * len(answer) > DECODE_BLOCK:
+            if not runs or size + 2 * len(answer) > MASKED_WINDOWS:
                 runs.append([])
                 size = 0
             runs[-1].append(i)
@@ -349,7 +351,9 @@ class ToyBackend:
 
         Batch-invariant: a row's tokens do not depend on the other rows,
         because each row's logits are its own matrix-vector product. Rows
-        decode in blocks of at most :data:`DECODE_BLOCK`.
+        decode in blocks whose step logits take at most
+        :data:`DECODE_BYTES`: ``max(1, DECODE_BYTES // (8 V))`` rows for V
+        tokens.
         """
         if max_len < 1:
             raise ValueError("max_len must be >= 1")
@@ -363,60 +367,79 @@ class ToyBackend:
         # once (a segment pools to the same bits among others)
         distinct = {id(ids): ids for ids in inputs}
         slot = {key: i for i, key in enumerate(distinct)}
+        input_of = np.array([slot[id(ids)] for ids in inputs], dtype=np.intp)
         streams = None if k is None else _pcg_seed([derive_seed(s, "topk") for s in seeds])
+        block = max(1, DECODE_BYTES // (8 * len(self.vocab)))
         out: list[list[int]] = []
         # numpy's overflow warnings are off for the whole call: the steps
-        # check their picked logits and draw weights themselves
+        # check their picked logits themselves
         with np.errstate(over="ignore", invalid="ignore"):
-            contexts = pool(self.E, list(distinct.values()))[[slot[id(ids)] for ids in inputs]]
-            for start in range(0, len(inputs), DECODE_BLOCK):
-                rows = slice(start, start + DECODE_BLOCK)
+            contexts = pool(self.E, list(distinct.values()))
+            for start in range(0, len(inputs), block):
+                rows = slice(start, start + block)
                 block_streams = None if k is None else streams[rows]
-                out.extend(self._decode_block(contexts[rows], max_len, k, block_streams))
+                out.extend(self._decode_block(contexts, input_of[rows], max_len, k, block_streams))
         return out
 
-    def _decode_block(self, context, max_len, k, streams) -> list[list[int]]:
-        """Token ids of each row of ``context`` (its input's :func:`pool`),
-        one vectorized step per position for the rows not yet stopped. A
-        row's state at step j is half the sum of its context and the pool
-        of BOS and its j decoded tokens, bit for bit: the prefix sum adds
-        one row per step, in order. The top-k draw of row r at step j takes
-        value j of its stream (the module's draw contract; ``streams`` holds
-        the rows' :func:`_pcg_seed`), drawn for every row of the block
-        before the first step, and repeats ``Generator.choice`` on the
-        softmax of the top k logits bit for bit. No step normalizes its
-        logits. Steps write ids to one buffer and compact only after an
-        EOS."""
+    def _decode_block(self, contexts, input_of, max_len, k, streams) -> list[list[int]]:
+        """Token ids of each row r of the block, whose input pools to
+        ``contexts[input_of[r]]``, one vectorized step per position for the
+        rows not yet stopped. A row's state at step j is half the sum of
+        its context and the pool of BOS and its j decoded tokens, bit for
+        bit: the prefix sum adds one row per step, in order. Step 0's state
+        depends on the input alone, so its logits and their ranking are
+        taken once per distinct input and gathered to the rows. The top-k
+        draw of row r at step j takes value j of its stream (the module's
+        draw contract; ``streams`` holds the rows' :func:`_pcg_seed`),
+        drawn for every row of the block before the first step, and
+        repeats ``Generator.choice`` on the softmax of the top k logits bit
+        for bit. No step normalizes its logits. Steps write ids to one
+        buffer, allocated first, and compact only after an EOS."""
+        # a row's ids end at its first EOS; the last column holds one for every row
+        tokens = np.full((len(input_of), max_len + 1), EOS_ID, dtype=np.intp)
         if k is not None:
             uniforms = _unit(_pcg_outputs(streams, max_len))
-        # a row's ids end at its first EOS; the last column holds one for every row
-        tokens = np.full((len(context), max_len + 1), EOS_ID, dtype=np.intp)
-        live = np.arange(len(context))  # rows of ``tokens`` still decoding
+        block_inputs, row_input = np.unique(input_of, return_inverse=True)
+        context = contexts[block_inputs]
+        live = np.arange(len(input_of))  # rows of ``tokens`` still decoding
         # E[BOS] + E[prefix], summed in order as pool sums its rows
         prefix_sum = np.tile(self.E[BOS_ID], (len(context), 1))
         for step in range(max_len):
             logits = self._logits_rows(0.5 * (context + prefix_sum / (step + 1)))
             logits[:, SUPPRESSED] = -np.inf
-            rows = np.arange(len(live))
-            if k is None:
-                nxt = logits.argmax(axis=1)
-                # argmax takes a row's first NaN or inf: its pick is finite
-                # only when the row's maximum is
-                if not np.isfinite(logits[rows, nxt]).all():
-                    raise ValueError("logits are not finite")
-            else:
-                # stable top-k, each pass masking its pick in place: logit
-                # descending, id ascending, as argmax takes a tie's lowest id
-                top = np.empty((len(live), k), dtype=np.intp)
-                top_logits = np.empty((len(live), k))
+            flat = logits.reshape(-1)  # a view: masking ``flat`` masks ``logits``
+            at_row = np.arange(len(logits)) * logits.shape[1]
+            nxt = logits.argmax(axis=1)
+            # argmax takes a row's first NaN or inf: its pick is finite
+            # only when the row's maximum is
+            if not np.isfinite(flat[at_row + nxt]).all():
+                raise ValueError("logits are not finite")
+            if k is not None:
+                # stable top-k, the greedy pick first, each pass masking its
+                # pick in place: logit descending, id ascending, as argmax
+                # takes a tie's lowest id
+                top = np.empty((k, len(logits)), dtype=np.intp)
+                top_logits = np.empty((k, len(logits)))
+                pick = nxt
                 for j in range(k):
-                    top[:, j] = pick = logits.argmax(axis=1)
-                    top_logits[:, j] = logits[rows, pick]
-                    logits[rows, pick] = -np.inf
-                # draw_index raises on a NaN or infinite top logit
+                    if j:
+                        pick = logits.argmax(axis=1)
+                    at = at_row + pick
+                    top[j], top_logits[j] = pick, flat[at]
+                    flat[at] = -np.inf
+                # C order, so that each row's weights sum as one row of k does
+                top_logits = top_logits.T.copy()
                 weights = np.exp(top_logits - top_logits[:, :1])
                 weights /= weights.sum(axis=1, keepdims=True)
-                nxt = top[rows, draw_index(weights, uniforms[:, step])]
+                top = top.T
+            if not step:  # step 0 ran once per distinct input: gather it to the rows
+                context, prefix_sum = context[row_input], prefix_sum[row_input]
+                if k is None:
+                    nxt = nxt[row_input]
+                else:
+                    top, weights = top[row_input], weights[row_input]
+            if k is not None:
+                nxt = top[np.arange(len(live)), draw_index(weights, uniforms[:, step])]
             tokens[live, step] = nxt
             going = nxt != EOS_ID
             if not going.all():

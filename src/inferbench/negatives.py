@@ -28,12 +28,13 @@ set at once.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Callable, Collection
 
 import numpy as np
 
 from .backend import SPECIALS, ToyBackend, Vocabulary, _integers, derive_seed
-from .corpus import MAX_COUNTERFACTUALS, InferenceExample, normalize_answer
+from .corpus import MAX_COUNTERFACTUALS, InferenceExample
 from .metrics import tokenize
 from .objective import EncodedSet, LossConfig, forward
 
@@ -83,7 +84,7 @@ def pick_counterfactuals(example: InferenceExample, m: int, seed: int = 0) -> Ne
 def nonoptimal_sets(
     backend: ToyBackend,
     examples: list[InferenceExample],
-    inputs: list[np.ndarray],
+    enc: EncodedSet,
     m: int,
     k: int,
     attempts: int,
@@ -91,20 +92,20 @@ def nonoptimal_sets(
     max_len: int,
 ) -> list[NegativeSet]:
     """Sample m negatives per example by top-k generation from the
-    current model; ``inputs`` are the examples' input ids under the
-    model's vocabulary.
+    current model; ``enc`` holds the examples' ids under the model's
+    vocabulary.
 
-    A sample that normalizes to the gold answer (or to nothing) is
-    rejected and redrawn up to ``attempts`` times; a slot whose draws
-    all collide is dropped and recorded in provenance. Attempts run in
-    rounds, each decoding every pending (example, slot) in one batch;
+    A sample that is empty or whose ids are the gold answer's (without
+    EOS) is rejected and redrawn up to ``attempts`` times; a slot whose
+    draws all collide is dropped and recorded in provenance. Attempts run
+    in rounds, each decoding every pending (example, slot) in one batch;
     every attempt has its own seed, so a sample does not depend on the
     other rows of its round. Each set keeps its samples' decoded ids
-    (``NegativeSet.ids``): the decoder emits no PAD/BOS/UNK/MASK and
-    :func:`tokenize` is idempotent on space-joined tokens, so they are
-    the ids of the sample texts.
+    (``NegativeSet.ids``, views of one array per round): the decoder
+    emits no PAD/BOS/UNK/MASK and :func:`tokenize` is idempotent on
+    space-joined tokens, so they are the ids of the sample texts.
     """
-    golds = [normalize_answer(ex.answer) for ex in examples]
+    golds = [answer[:-1].tolist() for answer in enc.answers]
     texts: dict[tuple[int, int], str] = {}
     sample_ids: dict[tuple[int, int], np.ndarray] = {}
     provenance: dict[tuple[int, int], dict] = {}
@@ -117,13 +118,14 @@ def nonoptimal_sets(
         seeds = [
             derive_seed(seed, examples[i].id, "non_optimal", slot, attempt) for i, slot in pending
         ]
-        samples = backend.generate_batch([inputs[i] for i, _ in pending], max_len, k, seeds)
+        samples = backend.generate_batch([enc.inputs[i] for i, _ in pending], max_len, k, seeds)
+        ends = np.cumsum([len(ids) for ids in samples]).tolist()
+        flat = np.fromiter(chain.from_iterable(samples), np.intp, ends[-1])
         rejected = []
-        for (i, slot), slot_seed, ids in zip(pending, seeds, samples):
-            text = " ".join(backend.vocab.decode(ids))
-            if text and normalize_answer(text) != golds[i]:
-                texts[i, slot] = text
-                sample_ids[i, slot] = np.array(ids, dtype=np.intp)
+        for (i, slot), slot_seed, ids, end in zip(pending, seeds, samples, ends):
+            if ids and ids != golds[i]:
+                texts[i, slot] = " ".join(backend.vocab.decode(ids))
+                sample_ids[i, slot] = flat[end - len(ids) : end]
                 provenance[i, slot] = {
                     "slot": slot, "dropped": False, "attempts": rounds,
                     "sample_seed": slot_seed, "k": k,
@@ -295,7 +297,7 @@ def _counterfactual(model, examples, enc, config, seed):
 
 def _non_optimal(model, examples, enc, config, seed):
     return nonoptimal_sets(
-        model, examples, enc.inputs, m=config.m, k=config.k, attempts=config.attempts,
+        model, examples, enc, m=config.m, k=config.k, attempts=config.attempts,
         seed=seed, max_len=config.max_gen_len,
     )
 

@@ -202,8 +202,8 @@ def generate_nonoptimal(
 ):
     """``nonoptimal_sets`` of one example, its input text encoded under
     ``template_id``."""
-    inputs = encode([example], template_id=template_id, vocab=be.vocab).inputs
-    return nonoptimal_sets(be, [example], inputs, m, k, attempts, seed, max_len)[0]
+    enc = encode([example], template_id=template_id, vocab=be.vocab)
+    return nonoptimal_sets(be, [example], enc, m, k, attempts, seed, max_len)[0]
 
 
 def replacement_deltas(scorer, example, template_id="default") -> np.ndarray:

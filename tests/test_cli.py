@@ -1,6 +1,7 @@
 import base64
 import json
 import os
+import resource
 import struct
 import subprocess
 import sys
@@ -722,7 +723,7 @@ def test_overflowing_logits_are_json_error(tmp_path, small_data, capsys, method)
     code = run(["generate", "--ckpt", ckpt, "--in", small_data / "valid.jsonl",
                 "--out", tmp_path / "gen.jsonl", "--set", f"decode.method={method}"])
     assert code == 2
-    assert "not finite" in json_error(capsys, "generate")
+    assert json_error(capsys, "generate") == "logits are not finite"
     assert not (tmp_path / "gen.jsonl").exists()
 
 
@@ -749,7 +750,36 @@ def test_overflowing_logits_leave_only_the_json_error_on_stderr(tmp_path, small_
     assert done.returncode == 2
     [line] = done.stderr.splitlines()
     payload = json.loads(line)
-    assert payload["command"] == name and "not finite" in payload["error"]
+    assert payload["command"] == name and payload["error"] == "logits are not finite"
+    assert not out.exists()
+
+
+def _capped_address_space():
+    # 3 GiB of address space: an allocation the size max_len asks for fails at once
+    resource.setrlimit(resource.RLIMIT_AS, (3 * 2**30, 3 * 2**30))
+
+
+@pytest.mark.parametrize("method", ["greedy", "top_k"])
+def test_an_absurd_max_len_fails_before_drawing_uniforms(tmp_path, small_data, method):
+    """Both methods allocate the token buffer before any work that grows
+    with max_len, so 10**12 ends at once in the JSON error, in a child
+    process whose address space is capped."""
+    ckpt = tmp_path / "model.json"
+    save_checkpoint(ToyBackend(build_vocabulary(build_split("train", 4, seed=5)), d=4), ckpt)
+    out = tmp_path / "gen.jsonl"
+    src = str(Path(inferbench.__file__).resolve().parents[1])
+    paths = [src, os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    done = subprocess.run(
+        [sys.executable, "-m", "inferbench.cli", "generate", "--ckpt", str(ckpt),
+         "--in", str(small_data / "valid.jsonl"), "--out", str(out),
+         "--set", f"decode.method={method}", "--set", "decode.max_len=1000000000000"],
+        capture_output=True, text=True, env=env, timeout=60, preexec_fn=_capped_address_space,
+    )
+    assert done.returncode == 2
+    [line] = done.stderr.splitlines()
+    payload = json.loads(line)
+    assert payload["command"] == "generate" and "Unable to allocate" in payload["error"]
     assert not out.exists()
 
 

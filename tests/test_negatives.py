@@ -89,15 +89,16 @@ def test_total_collision_drops_slots():
 
 def loop_nonoptimal(backend, example, m, k, attempts, seed, max_len):
     """non_optimal sampling as a loop over slots, then attempts, one
-    ``generate`` call each: the reference for the batched rounds."""
-    gold = normalize_answer(example.answer)
+    ``generate`` call each: the reference for the batched rounds. A
+    sample is kept when it is not empty and its tokens are not the gold's."""
+    gold = tokenize(example.answer)
     input_ids = encode([example], vocab=backend.vocab).inputs[0]
     negatives, provenance = [], []
     for slot in range(m):
         for attempt in range(attempts):
             sample_seed = derive_seed(seed, example.id, "non_optimal", slot, attempt)
             text = " ".join(generate(backend, input_ids, max_len, k=k, seed=sample_seed))
-            if text and normalize_answer(text) != gold:
+            if text and tokenize(text) != gold:
                 negatives.append(text)
                 provenance.append({"slot": slot, "dropped": False, "attempts": attempt + 1,
                                    "sample_seed": sample_seed, "k": k})
@@ -112,7 +113,7 @@ def test_rounds_retry_and_drop_like_the_slot_loop(data_dir):
     be = ToyBackend(build_vocabulary(examples), d=4, seed=1)
     be.b[EOS_ID] += 2.2  # about half the first draws are EOS-first, hence empty
     args = dict(m=4, k=10, attempts=3, seed=0, max_len=16)
-    got = nonoptimal_sets(be, examples, encode(examples, vocab=be.vocab).inputs, **args)
+    got = nonoptimal_sets(be, examples, encode(examples, vocab=be.vocab), **args)
     expected = [loop_nonoptimal(be, ex, **args) for ex in examples]
     assert [ns.to_dict() for ns in got] == [ns.to_dict() for ns in expected]
     rows = [p for ns in got for p in ns.provenance]
@@ -129,8 +130,8 @@ def test_total_collision_drops_every_slot_of_every_example():
                      answer="alpha", counterfactuals=())
         for i in range(4)
     ]
-    inputs = encode(examples, vocab=be.vocab).inputs
-    sets = nonoptimal_sets(be, examples, inputs, m=3, k=2, attempts=5, seed=0, max_len=16)
+    enc = encode(examples, vocab=be.vocab)
+    sets = nonoptimal_sets(be, examples, enc, m=3, k=2, attempts=5, seed=0, max_len=16)
     assert [ns.example_id for ns in sets] == [ex.id for ex in examples]
     for ns in sets:
         assert ns.negatives == []
@@ -180,7 +181,7 @@ def test_nonoptimal_round_pools_each_input_once(monkeypatch):
         for i in range(12)
     ]
     be = ToyBackend(build_vocabulary(examples), d=4, seed=3)
-    inputs = encode(examples, vocab=be.vocab).inputs
+    enc = encode(examples, vocab=be.vocab)
     pooled = []
 
     def counting_pool(E, segments):
@@ -188,15 +189,30 @@ def test_nonoptimal_round_pools_each_input_once(monkeypatch):
         return pool(E, segments)
 
     monkeypatch.setattr("inferbench.backend.pool", counting_pool)
-    sets = nonoptimal_sets(be, examples, inputs, m=4, k=5, attempts=1, seed=2, max_len=8)
+    sets = nonoptimal_sets(be, examples, enc, m=4, k=5, attempts=1, seed=2, max_len=8)
     assert pooled == [len(examples)]
     monkeypatch.undo()
-    for ids, ns in zip(inputs, sets):
+    for ids, ns in zip(enc.inputs, sets):
         seeds = [p["sample_seed"] for p in ns.provenance if not p["dropped"]]
         assert [a.tolist() for a in ns.ids] == [
             be.generate_batch([ids], 8, 5, [seed])[0] for seed in seeds
         ]
     assert sum(map(len, (ns.ids for ns in sets))) > len(examples)
+
+
+@pytest.mark.parametrize("answer", ["She asked how he was.", "she asked how he was ."])
+def test_a_sample_with_the_gold_ids_is_rejected_however_the_gold_is_spaced(answer):
+    """The gold's attached punctuation and capitals do not make a sample
+    of its ids distinct from it: every slot is dropped."""
+    example = make_example(answer=answer)
+    be = ToyBackend(build_vocabulary([example]), d=4, seed=0)
+    enc = encode([example], vocab=be.vocab)
+    gold = enc.answers[0][:-1].tolist()
+    be.generate_batch = lambda inputs, max_len, k, seeds: [list(gold) for _ in inputs]
+    [ns] = nonoptimal_sets(be, [example], enc, m=3, k=2, attempts=2, seed=0, max_len=16)
+    assert " ".join(be.vocab.decode(gold)) == "she asked how he was ."
+    assert ns.negatives == [] and ns.ids == []
+    assert ns.provenance == [{"slot": s, "dropped": True, "attempts": 2} for s in range(3)]
 
 
 # --- token replacement ------------------------------------------------------------
@@ -249,9 +265,9 @@ def test_positions_match_bruteforce(example):
 def test_positions_of_a_ragged_set_match_bruteforce(monkeypatch):
     """One ``replace_sets`` call on 30 examples of 1-10 answer tokens and
     ragged contexts, whose masked windows fill several runs of
-    ``DECODE_BLOCK`` cut to 64: each example's positions are its own
+    ``MASKED_WINDOWS`` cut to 64: each example's positions are its own
     brute-force selection."""
-    monkeypatch.setattr("inferbench.backend.DECODE_BLOCK", 64)
+    monkeypatch.setattr("inferbench.backend.MASKED_WINDOWS", 64)
     words = "the rain was announced earlier yes is set for friday did you hear".split()
     examples = [
         make_example(

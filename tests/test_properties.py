@@ -55,7 +55,7 @@ from inferbench import backend, cli, objective
 from inferbench.analysis import CHOICES, Judgment, compare_metric_scores, stratified_compare
 from inferbench.backend import (
     BOS_ID,
-    DECODE_BLOCK,
+    DECODE_BYTES,
     EOS_ID,
     MASK_ID,
     PAD_ID,
@@ -530,8 +530,11 @@ def test_generate_batch_matches_step_loop(batch):
 @given(data=st.data())
 def test_decoder_states_equal_the_pooled_state_bitwise(d, data):
     # a row's state at step j: the pool of its input and the pool of BOS
-    # and its first j tokens, which the decoder sums one row per step
+    # and its first j tokens, which the decoder sums one row per step;
+    # step 0's state depends on the input alone and is taken once per
+    # distinct input object
     be, inputs, decode = data.draw(decode_batches(st.integers(1, 4), st.just(d), input_len=30))
+    inputs, decode = repeat_inputs(data, inputs, decode)
     steps = []
     logits_rows = be._logits_rows
 
@@ -546,20 +549,36 @@ def test_decoder_states_equal_the_pooled_state_bitwise(d, data):
     max_len = decode[0]
     # a row runs a step for each token and one for its EOS, up to max_len
     assert len(steps) == max(min(len(ids) + 1, max_len) for ids in out)
-    for step, states in enumerate(steps):
+    distinct = list({id(ids): ids for ids in inputs}.values())
+    assert [got.tobytes() for got in steps[0]] == [state(be, ids, []).tobytes() for ids in distinct]
+    for step, states in enumerate(steps[1:], 1):
         live = [r for r in range(len(inputs)) if len(out[r]) >= step]
         assert len(states) == len(live)
         for got, r in zip(states, live):
             assert got.tobytes() == state(be, inputs[r], out[r][:step]).tobytes()
 
 
+def repeat_inputs(data, inputs, decode, min_rows=1):
+    """At least ``min_rows`` rows drawn from ``inputs`` with repeats, each
+    row the same list object as every other row of its input, and a seed
+    per row."""
+    max_len, k, seeds = decode
+    rows = data.draw(st.lists(st.integers(0, len(inputs) - 1), min_size=min_rows,
+                              max_size=min_rows + 2 * len(inputs)))
+    seeds = [None if k is None else seeds[0] + r for r in range(len(rows))]
+    return [inputs[i] for i in rows], (max_len, k, seeds)
+
+
 @settings(PROPERTY, max_examples=25)
 @given(st.integers(1, 8), st.data())
 def test_generate_batch_rows_equal_one_row_calls(block, data):
-    # the rows fill more than one decode block of a drawn size
-    rows = st.integers(block + 1, 3 * block + 1)
-    be, inputs, (max_len, k, seeds) = data.draw(decode_batches(rows))
-    with mock.patch("inferbench.backend.DECODE_BLOCK", block):
+    # the rows, some sharing an input object, fill more than one decode
+    # block of a drawn byte budget
+    be, inputs, decode = data.draw(decode_batches(st.integers(1, 2 * block)))
+    inputs, (max_len, k, seeds) = repeat_inputs(data, inputs, decode, min_rows=block + 1)
+    per_row = 8 * len(be.vocab)  # the budgets that give a block ``block`` rows
+    budget = data.draw(st.integers(block * per_row, (block + 1) * per_row - 1))
+    with mock.patch("inferbench.backend.DECODE_BYTES", budget):
         got = [be.vocab.decode(ids) for ids in be.generate_batch(inputs, max_len, k, seeds)]
     assert got == [generate(be, ids, max_len, k, seed) for ids, seed in zip(inputs, seeds)]
 
@@ -574,8 +593,8 @@ def stopping_rows(n):
 
 
 def test_rows_stopping_at_different_steps_across_blocks(monkeypatch):
-    monkeypatch.setattr("inferbench.backend.DECODE_BLOCK", 4)
     be, inputs = stopping_rows(11)
+    monkeypatch.setattr("inferbench.backend.DECODE_BYTES", 4 * 8 * len(be.vocab))
     seeds = list(range(len(inputs)))
     for k in (None, 2):
         out = be.generate_batch(inputs, 8, k, seeds)
@@ -585,7 +604,14 @@ def test_rows_stopping_at_different_steps_across_blocks(monkeypatch):
 
 
 def test_rows_past_one_real_block_equal_one_row_calls():
-    be, inputs = stopping_rows(DECODE_BLOCK + 1)
+    # 244 tokens that never reach a top 2 widen V to 256, so a real block
+    # holds 512 rows, and the rows decode as under ``stopping_rows``
+    small, _ = stopping_rows(0)
+    v = len(small.vocab)
+    be = ToyBackend(Vocabulary([*WORDS, *(f"never{i}" for i in range(256 - v))]), d=3, seed=0)
+    be.E[:v], be.U[:v], be.b[:v] = small.E, small.U, small.b
+    be.U[v:], be.b[v:] = 0.0, -1e3
+    _, inputs = stopping_rows(DECODE_BYTES // (8 * len(be.vocab)) + 1)
     seeds = list(range(len(inputs)))
     out = be.generate_batch(inputs, 8, 2, seeds)
     assert out == [be.generate_batch([ids], 8, 2, [seed])[0] for ids, seed in zip(inputs, seeds)]
@@ -656,7 +682,8 @@ def test_non_finite_logits_raise(corrupt, k):
     be = ToyBackend(Vocabulary(list(WORDS)), d=2, seed=0)
     corrupt(be)
     ids = [be.vocab.id_of("the"), be.vocab.id_of("cat")]
-    with pytest.raises(ValueError, match="not finite"):
+    # top-k names the logits as greedy does, not its draw weights
+    with pytest.raises(ValueError, match="^logits are not finite$"):
         if k == "masked":
             list(be.masked_log_probs([ids] * 3, [ids[:1]] * 3))
         else:
@@ -698,8 +725,8 @@ def test_uniforms_reject_a_seed_outside_64_bits():
 
 
 def test_topk_decode_builds_no_generator(monkeypatch):
-    monkeypatch.setattr("inferbench.backend.DECODE_BLOCK", 64)
     be = ToyBackend(Vocabulary(list(WORDS)), d=3, seed=0)
+    monkeypatch.setattr("inferbench.backend.DECODE_BYTES", 64 * 8 * len(be.vocab))
     inputs = [[be.vocab.id_of(w)] for w in WORDS] * 20  # three decode blocks of 64
     seeds = list(range(len(inputs)))
     expected = [step_loop_generate(be, ids, 6, 3, seed) for ids, seed in zip(inputs, seeds)]
@@ -921,12 +948,12 @@ def long_window_d1_case(seed):
 
 def block_crossing_case(d, seed):
     """40 cases whose windows fill more than two blocks of
-    ``backend.DECODE_BLOCK`` cut to 128: every third answer has one id,
+    ``backend.MASKED_WINDOWS`` cut to 128: every third answer has one id,
     the answer of case 20 has more windows than a block, and every fourth
     context is empty."""
     be, rng = random_backend(d, seed)
     sizes = [
-        1 if i % 3 == 0 else backend.DECODE_BLOCK // 2 + 3 if i == 20 else rng.integers(2, 13)
+        1 if i % 3 == 0 else backend.MASKED_WINDOWS // 2 + 3 if i == 20 else rng.integers(2, 13)
         for i in range(40)
     ]
     cases = [
@@ -936,7 +963,7 @@ def block_crossing_case(d, seed):
         )
         for i, size in enumerate(sizes)
     ]
-    assert 2 * sum(len(answer) for answer, _ in cases) > 2 * backend.DECODE_BLOCK
+    assert 2 * sum(len(answer) for answer, _ in cases) > 2 * backend.MASKED_WINDOWS
     return be, cases
 
 
@@ -962,7 +989,7 @@ def test_batched_masked_scoring_equals_per_position_calls_bitwise(case):
 
 @pytest.mark.parametrize("d, seed", [(1, 3), (7, 4)])
 def test_masked_scoring_across_blocks_equals_per_position_calls_bitwise(d, seed, monkeypatch):
-    monkeypatch.setattr("inferbench.backend.DECODE_BLOCK", 128)
+    monkeypatch.setattr("inferbench.backend.MASKED_WINDOWS", 128)
     assert_masked_scoring_equals_per_position_calls(*block_crossing_case(d, seed))
 
 

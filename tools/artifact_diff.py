@@ -11,8 +11,10 @@ command sees is the same relative path on both sides. The list covers
 ``generate`` on ``data/test.jsonl`` and greedy ``generate`` on the 200
 rows of ``data/train.jsonl``; ``perturb`` with every strategy, with and without
 ``--ckpt``, and ``non_optimal`` from the trained checkpoint on
-``data/train.jsonl`` (800 top-k rows, more than one decode block, rows
-stopping at EOS at different steps); ``score``, ``compare``
+``data/train.jsonl``, at the default m 4 (800 top-k rows over 120
+distinct inputs, one decode block at V 97, rows stopping at EOS at
+different steps) and at ``--m 7`` (1400 rows, more than the 1351 of a
+block); ``score``, ``compare``
 (judgments and two metrics), ``agree``, ``gradcheck --seed 3`` and
 ``--seed 1``, and a 2-run ``sweep``. One line per command gives both
 exit codes, then one line per file: both digests and ``same``,
@@ -76,10 +78,12 @@ def commands() -> list[tuple[str, list[str]]]:
                                       "--out", f"out/perturb_{s}.jsonl"]))
         runs.append((f"perturb_{s}_ckpt", ["perturb", "--strategy", s, "--seed", "7", *TEST,
                                            "--ckpt", CKPT, "--out", f"out/perturb_{s}_ckpt.jsonl"]))
-    runs.append(("perturb_non_optimal_train_ckpt", [
-        "perturb", "--strategy", "non_optimal", "--seed", "7", "--in", "data/train.jsonl",
-        "--ckpt", CKPT, "--out", "out/perturb_non_optimal_train_ckpt.jsonl",
-    ]))
+    for name, m in (("perturb_non_optimal_train_ckpt", []),
+                    ("perturb_non_optimal_train_ckpt_m7", ["--m", "7"])):
+        runs.append((name, [
+            "perturb", "--strategy", "non_optimal", "--seed", "7", "--in", "data/train.jsonl",
+            "--ckpt", CKPT, *m, "--out", f"out/{name}.jsonl",
+        ]))
     runs += [
         ("score", ["score", "--hyp", "out/gen_greedy.jsonl", "--ref", "data/test.jsonl",
                    "--stratify-by", "difficulty", "--per-example", "--out", "out/score.json"]),
