@@ -3,7 +3,6 @@
 ratios, winning rates with a paired t-test, Fleiss kappa, and the
 difficulty-stratified comparison report."""
 
-import json
 from pathlib import Path
 
 from inferbench.analysis import (
@@ -15,12 +14,13 @@ from inferbench.analysis import (
     winning_rate,
 )
 from inferbench.corpus import load_dataset
+from inferbench.jsonio import read_jsonl
 
 DATA = Path(__file__).parent.parent / "data"
 
 judgments = [
     Judgment(item_id=r["item_id"], rater_id=r["rater_id"], choice=r["choice"])
-    for r in map(json.loads, open(DATA / "judgments.jsonl"))
+    for r in read_jsonl(DATA / "judgments.jsonl")
 ]
 print(f"{len(judgments)} judgments over {len({j.item_id for j in judgments})} items")
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .metrics import stratify, tokenize
 from .porter import stem
@@ -275,13 +275,14 @@ def plausibility_stub(hypothesis: str, dialogue_context: str) -> float:
 
 @dataclass
 class ComparisonStats:
+    """One comparison's statistics; its fields are its artifact schema."""
+
     n_items: int
+    winning_rate: dict[str, float]  # by option: "option_1", "option_2"
     win: float | None = None
     tie: float | None = None
     lose: float | None = None
     kappa: float | None = None
-    winning_rate_1: float | None = None
-    winning_rate_2: float | None = None
     t_statistic: float | None = None
     df: int | None = None
     p_value: float | None = None
@@ -289,36 +290,20 @@ class ComparisonStats:
     degenerate: bool = False
 
     def to_dict(self) -> dict:
-        return {
-            "n_items": self.n_items,
-            "win": self.win,
-            "tie": self.tie,
-            "lose": self.lose,
-            "kappa": self.kappa,
-            "winning_rate": {
-                "option_1": self.winning_rate_1,
-                "option_2": self.winning_rate_2,
-            },
-            "t_statistic": self.t_statistic,
-            "df": self.df,
-            "p_value": self.p_value,
-            "significant_at_005": self.significant_at_005,
-            "degenerate": self.degenerate,
-        }
+        return asdict(self)
 
 
 @dataclass
 class ComparisonReport:
+    """Overall and per-stratum statistics; its fields are its artifact
+    schema (canonical JSON sorts the keys)."""
+
     overall: ComparisonStats
     strata: dict[str, ComparisonStats] = field(default_factory=dict)
     aggregation_rule: str = "strict_majority"
 
     def to_dict(self) -> dict:
-        return {
-            "aggregation_rule": self.aggregation_rule,
-            "overall": self.overall.to_dict(),
-            "strata": {k: v.to_dict() for k, v in sorted(self.strata.items())},
-        }
+        return asdict(self)
 
 
 def _stats(items: list[_Item]) -> ComparisonStats:
@@ -330,8 +315,7 @@ def _stats(items: list[_Item]) -> ComparisonStats:
     stats = ComparisonStats(
         n_items=len(items),
         **_ratios([it.outcome for it in items]),
-        winning_rate_1=rate_1,
-        winning_rate_2=rate_2,
+        winning_rate={"option_1": rate_1, "option_2": rate_2},
     )
     if len(items) < 2:
         return stats

@@ -20,8 +20,8 @@ and :func:`pool`, which the objective's forward shares: embeddings exist
 only as its pooled, normalized rows.
 Masked scoring log-normalizes the logits; the decoder ranks them as they
 are. It takes plain values, ``generate_batch(inputs, max_len, k,
-seeds)``: greedy when ``k`` is None, else top-k with one seed per row,
-p the softmax of the row's top k logits and row r's draw at step j
+seeds)``: greedy (top-1) when ``k`` is None, else top-k with one seed
+per row, p the softmax of the row's top k logits and row r's draw at step j
 taking the (j + 1)-th ``default_rng(derive_seed(seeds[r], "topk")).random()``,
 which ``_unit(_pcg_outputs(_pcg_seed(seeds), count))`` computes for all
 rows at once without a ``Generator``; :func:`_integers` draws
@@ -341,9 +341,10 @@ class ToyBackend:
         then unused), else top-k, row r drawing from the stream of
         ``derive_seed(seeds[r], "topk")``.
 
-        Both rank the logits ``U s + b`` (the log-normalizer of a row
-        changes no ranking); top-k draws from p, the softmax of the row's
-        top k logits. Greedy breaks ties on lowest id. The
+        Greedy is top-1, and k 1 draws nothing: every step ranks the
+        logits ``U s + b`` (the log-normalizer of a row changes no
+        ranking), and top-k draws from p, the softmax of the row's top k
+        logits. Ties rank lowest id first. The
         :data:`SUPPRESSED` ids are never emitted, so generations stay plain
         text; EOS remains a candidate and stops its row. k is bounded by
         the number of decodable tokens. A NaN or infinite top logit raises
@@ -363,12 +364,13 @@ class ToyBackend:
                 raise ValueError(f"k must be in 1..{n_decodable}")
             if seeds is None or len(seeds) != len(inputs):
                 raise ValueError(f"top-k needs one seed per input ({len(inputs)})")
+        k = 1 if k is None else k
         # each row's stream is seeded and each distinct input object pooled
         # once (a segment pools to the same bits among others)
         distinct = {id(ids): ids for ids in inputs}
         slot = {key: i for i, key in enumerate(distinct)}
         input_of = np.array([slot[id(ids)] for ids in inputs], dtype=np.intp)
-        streams = None if k is None else _pcg_seed([derive_seed(s, "topk") for s in seeds])
+        streams = _pcg_seed([derive_seed(s, "topk") for s in seeds]) if k > 1 else None
         block = max(1, DECODE_BYTES // (8 * len(self.vocab)))
         out: list[list[int]] = []
         # numpy's overflow warnings are off for the whole call: the steps
@@ -377,7 +379,7 @@ class ToyBackend:
             contexts = pool(self.E, list(distinct.values()))
             for start in range(0, len(inputs), block):
                 rows = slice(start, start + block)
-                block_streams = None if k is None else streams[rows]
+                block_streams = None if streams is None else streams[rows]
                 out.extend(self._decode_block(contexts, input_of[rows], max_len, k, block_streams))
         return out
 
@@ -388,16 +390,17 @@ class ToyBackend:
         its context and the pool of BOS and its j decoded tokens, bit for
         bit: the prefix sum adds one row per step, in order. Step 0's state
         depends on the input alone, so its logits and their ranking are
-        taken once per distinct input and gathered to the rows. The top-k
-        draw of row r at step j takes value j of its stream (the module's
-        draw contract; ``streams`` holds the rows' :func:`_pcg_seed`),
-        drawn for every row of the block before the first step, and
-        repeats ``Generator.choice`` on the softmax of the top k logits bit
-        for bit. No step normalizes its logits. Steps write ids to one
-        buffer, allocated first, and compact only after an EOS."""
+        taken once per distinct input and gathered to the rows. A step
+        ranks its top k; greedy is k 1 and picks the first. Above k 1, row
+        r's draw at step j takes value j of its stream (the module's draw
+        contract; ``streams`` holds the rows' :func:`_pcg_seed`), drawn for
+        every row of the block before the first step, and repeats
+        ``Generator.choice`` on the softmax of the top k logits bit for bit.
+        No step normalizes its logits. Steps write ids to one buffer,
+        allocated first, and compact only after an EOS."""
         # a row's ids end at its first EOS; the last column holds one for every row
         tokens = np.full((len(input_of), max_len + 1), EOS_ID, dtype=np.intp)
-        if k is not None:
+        if k > 1:
             uniforms = _unit(_pcg_outputs(streams, max_len))
         block_inputs, row_input = np.unique(input_of, return_inverse=True)
         context = contexts[block_inputs]
@@ -409,37 +412,31 @@ class ToyBackend:
             logits[:, SUPPRESSED] = -np.inf
             flat = logits.reshape(-1)  # a view: masking ``flat`` masks ``logits``
             at_row = np.arange(len(logits)) * logits.shape[1]
-            nxt = logits.argmax(axis=1)
+            # stable top-k, each pass masking its pick in place: logit
+            # descending, id ascending, as argmax takes a tie's lowest id
+            top = np.empty((k, len(logits)), dtype=np.intp)
+            top_logits = np.empty((k, len(logits)))
+            for j in range(k):
+                pick = logits.argmax(axis=1)
+                at = at_row + pick
+                top[j], top_logits[j] = pick, flat[at]
+                flat[at] = -np.inf
             # argmax takes a row's first NaN or inf: its pick is finite
             # only when the row's maximum is
-            if not np.isfinite(flat[at_row + nxt]).all():
+            if not np.isfinite(top_logits[0]).all():
                 raise ValueError("logits are not finite")
-            if k is not None:
-                # stable top-k, the greedy pick first, each pass masking its
-                # pick in place: logit descending, id ascending, as argmax
-                # takes a tie's lowest id
-                top = np.empty((k, len(logits)), dtype=np.intp)
-                top_logits = np.empty((k, len(logits)))
-                pick = nxt
-                for j in range(k):
-                    if j:
-                        pick = logits.argmax(axis=1)
-                    at = at_row + pick
-                    top[j], top_logits[j] = pick, flat[at]
-                    flat[at] = -np.inf
+            top = top.T
+            if k > 1:
                 # C order, so that each row's weights sum as one row of k does
                 top_logits = top_logits.T.copy()
                 weights = np.exp(top_logits - top_logits[:, :1])
                 weights /= weights.sum(axis=1, keepdims=True)
-                top = top.T
             if not step:  # step 0 ran once per distinct input: gather it to the rows
-                context, prefix_sum = context[row_input], prefix_sum[row_input]
-                if k is None:
-                    nxt = nxt[row_input]
-                else:
-                    top, weights = top[row_input], weights[row_input]
-            if k is not None:
-                nxt = top[np.arange(len(live)), draw_index(weights, uniforms[:, step])]
+                context, prefix_sum, top = context[row_input], prefix_sum[row_input], top[row_input]
+                if k > 1:
+                    weights = weights[row_input]
+            # greedy picks the top id, a draw one of the top k
+            nxt = top[np.arange(len(live)), draw_index(weights, uniforms[:, step]) if k > 1 else 0]
             tokens[live, step] = nxt
             going = nxt != EOS_ID
             if not going.all():
@@ -447,7 +444,7 @@ class ToyBackend:
                 if not live.size:
                     break
                 context, prefix_sum = context[going], prefix_sum[going]
-                if k is not None:
+                if k > 1:
                     uniforms = uniforms[going]
             prefix_sum += self.E[nxt]
         return [row[: row.index(EOS_ID)] for row in tokens.tolist()]

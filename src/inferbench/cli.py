@@ -38,7 +38,7 @@ from .analysis import (
     winning_rate,
 )
 from .backend import ToyBackend, derive_seed, load_checkpoint
-from .corpus import DatasetError, load_dataset, save_dataset
+from .corpus import DatasetError, jsonl_records, load_dataset, save_dataset
 from .jsonio import config_digest, write_artifact, write_jsonl_artifact
 from .metrics import PAIR_METRICS, pair_scores, score_corpus
 from .negatives import STRATEGIES, untrained_model
@@ -238,37 +238,18 @@ def cmd_perturb(args, tc: TrainConfig, meta: dict) -> int:
     return 0
 
 
-def _jsonl_objects(path: str):
-    """Line number and record of each non-blank line of a JSONL file; a
-    line that holds anything but a JSON object raises DatasetError."""
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, 1):
-            if line.strip():
-                try:
-                    record = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise DatasetError(f"{path}: line {line_no}: invalid JSON: {exc.msg}") from None
-                if not isinstance(record, dict):
-                    raise DatasetError(f"{path}: line {line_no}: not a JSON object: {record!r}")
-                yield line_no, record
-
-
 def _load_generations(path: str) -> dict[str, str]:
     p = Path(path)
     if p.suffix == ".jsonl":
         out = {}
-        for line_no, rec in _jsonl_objects(path):
+        for where, rec in jsonl_records(path):
             if "generated" not in rec or "id" not in rec:
-                raise DatasetError(
-                    f"{path}: line {line_no}: generation records need id and generated fields"
-                )
+                raise DatasetError(f"{where}: generation records need id and generated fields")
             if not isinstance(rec["generated"], str):
-                raise DatasetError(
-                    f"{path}: line {line_no}: generated must be a string, got {rec['generated']!r}"
-                )
+                raise DatasetError(f"{where}: generated must be a string, got {rec['generated']!r}")
             rec_id = str(rec["id"])
             if rec_id in out:
-                raise DatasetError(f"{path}: line {line_no}: duplicate id {rec_id!r}")
+                raise DatasetError(f"{where}: duplicate id {rec_id!r}")
             out[rec_id] = rec["generated"]
         return out
     lines = p.read_text(encoding="utf-8").splitlines()
@@ -330,17 +311,17 @@ def cmd_score(args, tc: TrainConfig, meta: dict) -> int:
 
 def _read_judgments(path: str) -> list[Judgment]:
     judgments = []
-    for line_no, record in _jsonl_objects(path):
+    for where, record in jsonl_records(path):
         for key in ("item_id", "rater_id", "choice"):
             if key not in record:
-                raise DatasetError(f"{path}: line {line_no}: judgment has no {key!r}")
+                raise DatasetError(f"{where}: judgment has no {key!r}")
         try:
             judgments.append(Judgment(
                 item_id=str(record["item_id"]), rater_id=str(record["rater_id"]),
                 choice=str(record["choice"]),
             ))
         except ValueError as exc:
-            raise DatasetError(f"{path}: line {line_no}: {exc}") from exc
+            raise DatasetError(f"{where}: {exc}") from exc
     return judgments
 
 

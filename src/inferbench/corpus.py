@@ -60,6 +60,24 @@ class DatasetError(ValueError):
     """Malformed record or invariant violation during ingestion."""
 
 
+def jsonl_records(path: str | Path):
+    """``(where, record)`` for each non-blank line N of the JSONL file at
+    ``path``, ``where`` being ``path:N``: every JSONL input is read here.
+    A line that does not parse or is not a JSON object raises
+    DatasetError starting with ``where``, as a caller's record errors do."""
+    with open(path, encoding="utf-8") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            if line.strip():
+                where = f"{path}:{line_no}"
+                try:
+                    record = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise DatasetError(f"{where}: invalid JSON: {exc.msg}") from None
+                if not isinstance(record, dict):
+                    raise DatasetError(f"{where}: not a JSON object: {record!r}")
+                yield where, record
+
+
 @dataclass(frozen=True)
 class Utterance:
     speaker: str
@@ -208,8 +226,7 @@ def _member(enum: type[Enum], by_value: dict, value) -> Enum:
 def _example_from_canonical(obj: dict, where: str, utterances: dict) -> InferenceExample:
     """One canonical record; ``utterances`` holds the load's distinct
     utterances by (speaker, text, index), shared between examples."""
-    if isinstance(obj, dict):
-        _check_types(obj, where)
+    _check_types(obj, where)
     try:
         dialogue = []
         for i, t in enumerate(obj["dialogue"], start=1):
@@ -324,16 +341,8 @@ def load_dataset(path: str | Path, format: str = "canonical_jsonl") -> list[Infe
         examples.append(example)
 
     if format == "canonical_jsonl":
-        with open(path, encoding="utf-8") as fh:
-            for line_no, line in enumerate(fh, start=1):
-                if not line.strip():
-                    continue
-                try:
-                    obj = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise DatasetError(f"{path}:{line_no}: invalid JSON ({exc})") from exc
-                where = f"{path}:{line_no}"
-                add(_example_from_canonical(obj, where, utterances), where)
+        for where, obj in jsonl_records(path):
+            add(_example_from_canonical(obj, where, utterances), where)
     elif format == "cicero_json":
         with open(path, encoding="utf-8") as fh:
             try:

@@ -13,6 +13,8 @@ import json
 import math
 from pathlib import Path
 
+from .corpus import jsonl_records
+
 
 def round_sig(x: float) -> float:
     if not math.isfinite(x):
@@ -59,9 +61,5 @@ def write_jsonl_artifact(path: str | Path, records: list[dict], meta: dict) -> N
 
 
 def read_jsonl(path: str | Path) -> list[dict]:
-    records = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
-                records.append(json.loads(line))
-    return records
+    """The records of a JSONL file, read by :func:`~inferbench.corpus.jsonl_records`."""
+    return [record for _, record in jsonl_records(path)]

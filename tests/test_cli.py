@@ -13,7 +13,8 @@ import inferbench.trainer
 from inferbench import cli
 from inferbench.backend import ToyBackend, load_checkpoint, save_checkpoint
 from inferbench.cli import build_parser, load_run_config, main
-from inferbench.corpus import load_dataset, save_dataset
+from inferbench.corpus import DatasetError, load_dataset, save_dataset
+from inferbench.jsonio import read_jsonl
 from inferbench.metrics import tokenize
 from inferbench.objective import LossConfig
 from inferbench.synth import build_judgments, build_split
@@ -810,14 +811,14 @@ def test_judgment_without_rater_is_json_error(tmp_path, small_data, capsys):
     code = run(["agree", "--judgments", bad, "--out", tmp_path / "agree.json"])
     assert code == 2
     error = json_error(capsys, "agree")
-    assert "line 2" in error and "rater_id" in error
+    assert ":2:" in error and "rater_id" in error
 
 
 @pytest.mark.parametrize("text, flags, message", [
     ("{'seed': 1}", ["--config", "{bad}", "--judgments", "{judgments}"],
      "{bad}: Expecting property name enclosed in double quotes: line 1 column 2"),
     ('{"item_id": "a", "rater_id": "r", "choice": "maybe"}', ["--judgments", "{bad}"],
-     "{bad}: line 1: unknown choice 'maybe'"),
+     "{bad}:1: unknown choice 'maybe'"),
 ], ids=["config_not_json", "unknown_choice"])
 def test_bad_input_file_is_json_error_naming_it(tmp_path, small_data, capsys, text, flags, message):
     bad = tmp_path / "bad.json"
@@ -939,12 +940,12 @@ def test_load_run_config_checks_every_section(override, message):
 
 @pytest.mark.parametrize("lines, message", [
     (['{"id": "test-0000", "generated": 5}', '{"id": "test-0001", "generated": null}'],
-     "line 1: generated must be a string, got 5"),
-    (['{"id": "test-0000", "generated": "a b"}', "5"], "line 2: not a JSON object: 5"),
+     ":1: generated must be a string, got 5"),
+    (['{"id": "test-0000", "generated": "a b"}', "5"], ":2: not a JSON object: 5"),
     (['{"id": "test-0000", "generated": "a b"}', "", '{"id": "test-0001", "generated": '],
-     "line 3: invalid JSON: Expecting value"),
+     ":3: invalid JSON: Expecting value"),
     (['{"id": "test-0000", "generated": "a"}', '{"id": "test-0001", "generated": "b"}',
-      '{"id": "test-0000", "generated": "z"}'], "line 3: duplicate id 'test-0000'"),
+      '{"id": "test-0000", "generated": "z"}'], ":3: duplicate id 'test-0000'"),
 ], ids=["non_string_generated", "non_object_line", "truncated_line", "duplicate_id"])
 def test_bad_generation_record_is_json_error(tmp_path, capsys, lines, message):
     hyp = tmp_path / "gen.jsonl"
@@ -954,6 +955,33 @@ def test_bad_generation_record_is_json_error(tmp_path, capsys, lines, message):
     assert code == 2
     assert message in json_error(capsys, "score")
     assert not (tmp_path / "r.json").exists()
+
+
+# the argv of each CLI input read line by line, by its command
+JSONL_INPUTS = {
+    "ingest": lambda path, out: ["ingest", "--in", path, "--out", out / "o.jsonl"],
+    "score": lambda path, out: ["score", "--hyp", path, "--ref", DATA_DIR / "test.jsonl",
+                                "--out", out / "r.json"],
+    "agree": lambda path, out: ["agree", "--judgments", path, "--out", out / "a.json"],
+}
+
+
+@pytest.mark.parametrize("line, message", [
+    ("[1, 2]", "not a JSON object: [1, 2]"),
+    ('{"id": ', "invalid JSON: Expecting value"),
+], ids=["non_object", "truncated"])
+@pytest.mark.parametrize("reader", [*JSONL_INPUTS, "read_jsonl"])
+def test_every_jsonl_reader_names_a_bad_line_alike(tmp_path, capsys, reader, line, message):
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("\n" + line + "\n")
+    if reader == "read_jsonl":
+        with pytest.raises(DatasetError) as info:
+            read_jsonl(bad)
+        error = str(info.value)
+    else:
+        assert run(JSONL_INPUTS[reader](bad, tmp_path)) == 2
+        error = json_error(capsys, reader)
+    assert error.startswith(f"{bad}:2: {message}")
 
 
 def test_score_warns_about_references_without_hypothesis(tmp_path):

@@ -6,7 +6,8 @@ print the sha256 of every file each side writes.
 Each side runs ``python -m inferbench.cli`` from its own ``src/`` in a
 fresh work directory that holds a copy of its ``data/``, so every path a
 command sees is the same relative path on both sides. The list covers
-``train`` with each negative strategy and ``none``, at ``micro_batch``
+``ingest`` of ``data/train.jsonl``; ``train`` with each negative
+strategy and ``none``, at ``micro_batch``
 8, 4 and 64 and at 1 with ``effective_batch`` 3; greedy and top-k
 ``generate`` on ``data/test.jsonl`` and greedy ``generate`` on the 200
 rows of ``data/train.jsonl``; ``perturb`` with every strategy, with and without
@@ -53,7 +54,8 @@ STRATEGIES = ("counterfactual", "non_optimal", "replace_zs", "replace_mcq")
 def commands() -> list[tuple[str, list[str]]]:
     """(name, CLI arguments) in run order; later commands read the
     checkpoints and generations of earlier ones."""
-    runs = [
+    runs = [("ingest", ["ingest", "--in", "data/train.jsonl", "--out", "out/ingest.jsonl"])]
+    runs += [
         (f"train_{s}", [*TRAIN, "--out-dir", f"out/train_{s}", *FAST,
                         "--set", f"negatives.strategy={s}"])
         for s in STRATEGIES
