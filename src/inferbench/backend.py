@@ -9,15 +9,17 @@ gradient-check yet rich enough to exercise every training objective:
     logits_j = U @ s_j + b
     embed(T) = pool of T, L2-normalized (a zero pool is an error)
 
-:func:`pool` is the one pooling rule: a segment's embedding rows added
-in order, divided by the count, zeros for an empty segment. Masked
-scoring drops the masked position and pools the remaining tokens of the
-conditioned window. The model contract is id-level: the vocabulary
-``vocab`` plus ``generate_batch`` (the decoded ids of each row),
-``masked_log_probs`` (every masked position of each answer of a set, with
-its context and without, yielded answer by answer), both on token ids,
-and :func:`pool`, which the objective's forward shares: embeddings exist
-only as its pooled, normalized rows.
+:func:`pool_flat` is the one pooling rule: a segment's embedding rows
+added in order, divided by the count, zeros for an empty segment. It
+takes every segment's ids in one flat array with their lengths
+(:func:`flatten`), which :func:`pool` builds from a list of segments.
+Masked scoring drops the masked position and pools the remaining tokens
+of the conditioned window. The model contract is id-level: the
+vocabulary ``vocab`` plus ``generate_batch`` (the decoded ids of each
+row), ``masked_log_probs`` (every masked position of each answer of a
+set, with its context and without, yielded answer by answer), both on
+token ids, and :func:`pool_flat`, which the objective's forward shares:
+embeddings exist only as its pooled, normalized rows.
 Masked scoring log-normalizes the logits; the decoder ranks them as they
 are. It takes plain values, ``generate_batch(inputs, max_len, k,
 seeds)``: greedy (top-1) when ``k`` is None, else top-k with one seed
@@ -40,6 +42,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
@@ -127,6 +130,8 @@ def draw_index(weights: np.ndarray, u: np.ndarray) -> np.ndarray:
 # high and low 64-bit words in uint64 arrays
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _LOW32, _U32 = np.uint64(0xFFFFFFFF), np.uint64(32)
+# outputs per chunk of rows that :func:`_pcg_outputs` computes at once (32 KiB)
+_PCG_CHUNK = 4096
 
 
 def _hasher(h: int, mult: int):
@@ -138,11 +143,19 @@ def _hasher(h: int, mult: int):
     return hashmix
 
 
-def _mulhi(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """High 64 bits of each 128-bit product ``a * b``, on 32-bit limbs."""
+def _add_mulhi(hi: np.ndarray, a: np.ndarray, b: np.ndarray, s1: np.ndarray, s2: np.ndarray):
+    """``hi += `` the high 64 bits of each 128-bit product ``a * b``, on
+    32-bit limbs, in place: ``s1`` and ``s2`` are scratch of ``hi``'s shape."""
     a0, a1, b0, b1 = a & _LOW32, a >> _U32, b & _LOW32, b >> _U32
-    mid = a1 * b0 + (a0 * b0 >> _U32)
-    return a1 * b1 + (mid >> _U32) + ((a0 * b1 + (mid & _LOW32)) >> _U32)
+    np.multiply(a0, b0, out=s1)
+    s1 >>= _U32
+    s1 += np.multiply(a1, b0, out=s2)  # the middle limb and its carry
+    hi += np.multiply(a1, b1, out=s2)
+    hi += np.right_shift(s1, _U32, out=s2)
+    s1 &= _LOW32
+    s1 += np.multiply(a0, b1, out=s2)
+    s1 >>= _U32
+    hi += s1
 
 
 def _pcg_seed(seeds: list[int]) -> np.ndarray:
@@ -170,19 +183,43 @@ def _pcg_seed(seeds: list[int]) -> np.ndarray:
 def _pcg_outputs(state: np.ndarray, count: int) -> np.ndarray:
     """The first ``count`` raw 64-bit outputs of each row's stream, for the
     rows of :func:`_pcg_seed`: output j is the XSL-RR of state j + 2 from
-    ``init + inc``."""
-    init_hi, init_lo, *inc = (state[:, i, None] for i in range(4))
+    ``init + inc``. The states are built in place, in chunks of at most
+    :data:`_PCG_CHUNK` outputs, so a chunk's high words and one scratch
+    array are all that is held besides the outputs."""
     # state t from P is M**t P + (M**(t-1) + ... + 1) inc, so state j + 2 from
     # init + inc is M**(j+2) init + (M**(j+2) + ... + 1) inc
-    powers = np.array([pow(_PCG_MULT, t, 2**128) for t in range(count + 2)], dtype=object)
-    lo = hi = np.uint64(0)
-    for jump, (b_hi, b_lo) in zip((powers[2:], powers.cumsum()[2:]), ((init_hi, init_lo), inc)):
-        a_hi, a_lo = ((jump >> shift & 2**64 - 1).astype(np.uint64) for shift in (64, 0))
-        lo = lo + (low := a_lo * b_lo)
-        hi = hi + _mulhi(a_lo, b_lo) + a_lo * b_hi + a_hi * b_lo + (lo < low)  # carry
-    x = hi ^ lo
-    rot = hi >> np.uint64(58)  # the state's top 6 bits
-    return x >> rot | x << ((np.uint64(64) - rot) & np.uint64(63))
+    powers = [pow(_PCG_MULT, t, 2**128) for t in range(count + 2)]
+    jumps = [
+        [np.array([j >> shift & 2**64 - 1 for j in jump], dtype=np.uint64) for shift in (64, 0)]
+        for jump in (powers[2:], list(accumulate(powers))[2:])
+    ]
+    out = np.empty((len(state), count), dtype=np.uint64)
+    step = max(1, _PCG_CHUNK // max(count, 1))
+    for start in range(0, len(state), step):
+        rows = state[start : start + step]
+        lo = out[start : start + step]  # the low words, then the outputs
+        hi, tmp = np.zeros_like(lo), np.empty_like(lo)
+        # the words (a_hi, a_lo) of a jump, (b_hi, b_lo) of init, then of inc
+        terms = [(*jump, rows[:, w, None], rows[:, w + 1, None]) for jump, w in zip(jumps, (0, 2))]
+        # the high words first, with ``lo`` as scratch
+        for a_hi, a_lo, b_hi, b_lo in terms:
+            _add_mulhi(hi, a_lo, b_lo, lo, tmp)
+            hi += np.multiply(a_lo, b_hi, out=tmp)
+            hi += np.multiply(a_hi, b_lo, out=tmp)
+        # then the low words, and their sum's carry
+        (_, a_lo, _, b_lo), (_, c_lo, _, d_lo) = terms
+        np.multiply(a_lo, b_lo, out=lo)
+        lo += np.multiply(c_lo, d_lo, out=tmp)
+        hi += lo < tmp
+        # XSL-RR: hi ^ lo rotated right by the state's top 6 bits
+        lo ^= hi
+        hi >>= np.uint64(58)
+        np.right_shift(lo, hi, out=tmp)
+        np.subtract(np.uint64(64), hi, out=hi)
+        hi &= np.uint64(63)
+        lo <<= hi
+        lo |= tmp
+    return out
 
 
 def _unit(outputs: np.ndarray) -> np.ndarray:
@@ -213,35 +250,49 @@ def _integers(seeds: list[int], bounds) -> np.ndarray:
     return values
 
 
-def _segment_sums(E: np.ndarray, segments) -> np.ndarray:
-    """In-order sum of each id segment's E rows, one row per segment, from
-    -0.0 (the exact identity of float addition): one vector add per token
+def flatten(segments) -> tuple[np.ndarray, np.ndarray]:
+    """The ids of every segment in one flat ``intp`` array, in order, and
+    each segment's length: the form :func:`pool_flat` takes."""
+    lengths = np.fromiter(map(len, segments), np.intp, len(segments))
+    ids = np.concatenate([np.zeros(0, dtype=np.intp), *segments])
+    return ids.astype(np.intp, copy=False), lengths  # an empty list concatenates as float
+
+
+def _segment_sums(E: np.ndarray, ids: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """In-order sum of each segment's E rows, one row per segment, from
+    -0.0 (the exact identity of float addition); segment i is the next
+    ``lengths[i]`` entries of the flat ``ids``. One vector add per token
     position, over the segments sorted longest first so that those
     reaching a position lead. This adds in order at every d; numpy's sum
     over an axis adds a single column pairwise at d = 1."""
-    lengths = np.fromiter(map(len, segments), np.intp, len(segments))
     order = np.argsort(-lengths, kind="stable")
-    # placed[i, j]: the i-th longest segment has a token at position j
-    placed = np.arange(lengths.max(initial=0)) < lengths[order, None]
-    ids = np.zeros(placed.shape, dtype=np.intp)
-    ids[placed] = np.concatenate([np.zeros(0, dtype=np.intp), *(segments[i] for i in order)])
-    rows = E[ids.T[placed.T]]  # position by position, longest segment first
-    sums = np.full((len(segments), E.shape[1]), -0.0)
+    # placed[j, i]: the i-th longest segment has a token at position j
+    placed = np.arange(lengths.max(initial=0))[:, None] < lengths[order]
+    # where in ``ids`` each placed token is, position by position
+    at = (np.cumsum(lengths) - lengths)[order] + np.arange(len(placed))[:, None]
+    rows = E[ids[at[placed]]]
+    sums = np.full((len(lengths), E.shape[1]), -0.0)
     start = 0
-    for k in placed.sum(axis=0).tolist():
+    for k in placed.sum(axis=1).tolist():
         sums[:k] += rows[start : start + k]
         start += k
     return sums[np.argsort(order)]
 
 
-def pool(E: np.ndarray, segments) -> np.ndarray:
-    """Mean E row of each id segment, one row per segment: its rows added
-    in order, divided by the count; zeros for an empty segment. A
-    segment pools to the same bits alone or among other segments; no
-    segments pool to a (0, d) array."""
-    counts = np.fromiter(map(len, segments), np.intp, len(segments))[:, None]
-    sums = _segment_sums(E, segments)
+def pool_flat(E: np.ndarray, ids: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Mean E row of each segment of the flat ``ids`` (segment i is the
+    next ``lengths[i]`` ids), one row per segment: its rows added in
+    order, divided by the count; zeros for an empty segment. A segment
+    pools to the same bits alone or among other segments; no segments
+    pool to a (0, d) array."""
+    sums = _segment_sums(E, ids, lengths)
+    counts = lengths[:, None]
     return np.divide(sums, counts, out=np.zeros_like(sums), where=counts > 0)
+
+
+def pool(E: np.ndarray, segments) -> np.ndarray:
+    """:func:`pool_flat` of a list of id segments, concatenated once."""
+    return pool_flat(E, *flatten(segments))
 
 
 class ToyBackend:
@@ -301,7 +352,7 @@ class ToyBackend:
         # would leave the caller's code under the errstate
         with np.errstate(over="ignore", invalid="ignore"):
             # the in-order sum of context i is row len(E) + i
-            table = np.concatenate([self.E, _segment_sums(self.E, contexts)])
+            table = np.concatenate([self.E, _segment_sums(self.E, *flatten(contexts))])
         runs = []
         for i, answer in enumerate(answers):
             if not runs or size + 2 * len(answer) > MASKED_WINDOWS:
@@ -310,18 +361,20 @@ class ToyBackend:
             runs[-1].append(i)
             size += 2 * len(answer)
         for run in runs:
-            windows, counts = [], []
+            windows, lengths, counts = [], [], []
             for i in run:
                 n = len(answers[i])
                 cols = np.arange(n)
                 # row j: the context's sum, then the answer without position j
                 ids = np.concatenate([[len(self.E) + i], answers[i]])
                 with_ctx = ids[cols + (cols > cols[:, None])]
-                windows += [*with_ctx, *with_ctx[:, 1:]]
+                windows += [with_ctx.ravel(), with_ctx[:, 1:].ravel()]
+                lengths += [n] * n + [n - 1] * n
                 counts += [len(contexts[i]) + n - 1] * n + [n - 1] * n
             counts = np.array(counts)[:, None]
             with np.errstate(over="ignore", invalid="ignore"):
-                sums = _segment_sums(table, windows)
+                lengths = np.array(lengths, dtype=np.intp)
+                sums = _segment_sums(table, np.concatenate(windows), lengths)
                 # an empty window pools to zeros
                 states = np.divide(sums, counts, out=np.zeros_like(sums), where=counts > 0)
                 log_probs = self._log_probs_rows(states)

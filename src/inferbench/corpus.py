@@ -11,6 +11,7 @@ plus a correct-answer index).
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -107,11 +108,17 @@ class InferenceExample:
     counterfactuals: tuple[str, ...] = ()
     difficulty: Difficulty | None = None
 
-    def validate(self) -> None:
+    def validate(self, normalize=normalize_answer, turns=None) -> None:
+        """Raise DatasetError at the first rule the example breaks. A load
+        shares work between its records: ``normalize`` may be a memo of
+        :func:`normalize_answer`, and ``turns``, when given, holds the
+        1-based positions whose utterance is checked itself (a load's
+        shared utterances passed in the record that first used them)."""
         if not self.dialogue:
             raise DatasetError(f"example {self.id}: empty dialogue")
         for i, utt in enumerate(self.dialogue, start=1):
-            utt.validate()
+            if turns is None or i in turns:
+                utt.validate()
             if utt.index != i:
                 raise DatasetError(
                     f"example {self.id}: utterance indices not contiguous at {i}"
@@ -125,10 +132,10 @@ class InferenceExample:
             raise DatasetError(f"example {self.id}: empty answer")
         if len(self.counterfactuals) > MAX_COUNTERFACTUALS:
             raise DatasetError(f"example {self.id}: more than {MAX_COUNTERFACTUALS} counterfactuals")
-        gold = normalize_answer(self.answer)
+        gold = normalize(self.answer)
         seen = set()
         for cf in self.counterfactuals:
-            norm = normalize_answer(cf)
+            norm = normalize(cf)
             if norm == gold:
                 raise DatasetError(
                     f"example {self.id}: counterfactual equals gold answer"
@@ -223,17 +230,19 @@ def _member(enum: type[Enum], by_value: dict, value) -> Enum:
         return enum(value)
 
 
-def _example_from_canonical(obj: dict, where: str, utterances: dict) -> InferenceExample:
+def _example_from_canonical(obj: dict, where: str, utterances: dict, normalize) -> InferenceExample:
     """One canonical record; ``utterances`` holds the load's distinct
-    utterances by (speaker, text, index), shared between examples."""
+    utterances by (speaker, text, index), shared between examples, and
+    ``normalize`` is the load's memo of :func:`normalize_answer`."""
     _check_types(obj, where)
     try:
-        dialogue = []
+        dialogue, new_turns = [], set()
         for i, t in enumerate(obj["dialogue"], start=1):
             key = (t["speaker"], t["text"], i)
             utt = utterances.get(key)
             if utt is None:
                 utt = utterances[key] = Utterance(*key)
+                new_turns.add(i)
             dialogue.append(utt)
         difficulty = obj.get("difficulty")
         example = InferenceExample(
@@ -250,7 +259,7 @@ def _example_from_canonical(obj: dict, where: str, utterances: dict) -> Inferenc
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise DatasetError(f"{where}: malformed record ({exc})") from exc
-    example.validate()
+    example.validate(normalize, new_turns)
     return example
 
 
@@ -266,7 +275,7 @@ def _split_turn(turn: str) -> tuple[str, str]:
     return speaker.strip(), text.strip()
 
 
-def _example_from_cicero(obj: dict, where: str) -> InferenceExample:
+def _example_from_cicero(obj: dict, where: str, normalize) -> InferenceExample:
     try:
         ex_id = str(obj["ID"])
         turns = [_split_turn(t) for t in obj["Dialogue"]]
@@ -295,12 +304,12 @@ def _example_from_cicero(obj: dict, where: str) -> InferenceExample:
         if isinstance(answer_index, list):
             answer_index = answer_index[0]
         answer = choices[int(answer_index)]
-        gold_norm = normalize_answer(answer)
+        gold_norm = normalize(answer)
         counterfactuals = []
         seen = set()
         extra = [str(n) for n in obj.get("Negatives", [])]
         for cand in [c for i, c in enumerate(choices) if i != int(answer_index)] + extra:
-            norm = normalize_answer(cand)
+            norm = normalize(cand)
             if norm == gold_norm or norm in seen:
                 continue
             seen.add(norm)
@@ -322,17 +331,19 @@ def _example_from_cicero(obj: dict, where: str) -> InferenceExample:
         raise
     except (KeyError, TypeError, ValueError, IndexError) as exc:
         raise DatasetError(f"{where}: malformed record ({exc})") from exc
-    example.validate()
+    example.validate(normalize)
     return example
 
 
 def load_dataset(path: str | Path, format: str = "canonical_jsonl") -> list[InferenceExample]:
     """Load and validate a dataset; order and count match the file. A
-    repeated example id raises DatasetError."""
+    repeated example id raises DatasetError. Each distinct answer or
+    counterfactual string is normalized once per load."""
     path = Path(path)
     examples: list[InferenceExample] = []
     seen: set[str] = set()
     utterances: dict[tuple[str, str, int], Utterance] = {}
+    normalize = functools.cache(normalize_answer)
 
     def add(example: InferenceExample, where: str) -> None:
         if example.id in seen:
@@ -342,7 +353,7 @@ def load_dataset(path: str | Path, format: str = "canonical_jsonl") -> list[Infe
 
     if format == "canonical_jsonl":
         for where, obj in jsonl_records(path):
-            add(_example_from_canonical(obj, where, utterances), where)
+            add(_example_from_canonical(obj, where, utterances, normalize), where)
     elif format == "cicero_json":
         with open(path, encoding="utf-8") as fh:
             try:
@@ -353,7 +364,9 @@ def load_dataset(path: str | Path, format: str = "canonical_jsonl") -> list[Infe
             raise DatasetError(f"{path}: expected a JSON array of records")
         for i, obj in enumerate(records):
             where = f"{path}[{i}]"
-            add(_example_from_cicero(obj, where), where)
+            if not isinstance(obj, dict):
+                raise DatasetError(f"{where}: not a JSON object: {obj!r}")
+            add(_example_from_cicero(obj, where, normalize), where)
     else:
         raise ValueError(f"unknown dataset format {format!r}")
     return examples

@@ -15,16 +15,17 @@ Conventions fixed here and relied on by the trainer and tests:
 Text becomes ids in one call, :func:`encode`, which returns an
 :class:`EncodedSet` that carries its vocabulary: the one given, or the
 one built from every token the call encodes. Each call tokenizes each
-distinct line once, and every occurrence of a text shares one read-only
-id array. Then :func:`forward`, the one entry point to the objective,
-evaluates it on that set in matrix form: every pooled embedding
-(inputs, answers, negatives) comes from one
-:func:`~inferbench.backend.pool` call, the NLL scores all answers of a
-block with one product with U, and both InfoNCE terms are row-wise
-softmax cross-entropies over a logit matrix, n x n for the in-batch term
-and n x (1 + m) for the per-sample one (padded with -inf where an
-example has fewer negatives). The backward pass ends in one scatter
-into E. :func:`validation_margin` measures the InfoNCE terms' unit
+distinct line once, every id row of a call is a view of one read-only
+array, and every occurrence of a text shares one row. Then
+:func:`forward`, the one entry point to the objective, evaluates it on
+that set in matrix form: the batch's segment ids are concatenated once,
+every pooled embedding (inputs, answers, negatives) comes from one
+:func:`~inferbench.backend.pool_flat` call on them, the NLL scores all
+answers of a block with one product with U, and both InfoNCE terms are
+row-wise softmax cross-entropies over a logit matrix, n x n for the
+in-batch term and n x (1 + m) for the per-sample one (padded with -inf
+where an example has fewer negatives). The backward pass ends in one
+scatter into E, over the same flat ids. :func:`validation_margin` measures the InfoNCE terms' unit
 vectors on a validation set.
 """
 
@@ -37,7 +38,9 @@ from itertools import islice
 
 import numpy as np
 
-from .backend import BOS_ID, EOS_ID, Gradients, ToyBackend, Vocabulary, derive_seed, pool
+from .backend import (
+    BOS_ID, EOS_ID, Gradients, ToyBackend, Vocabulary, derive_seed, flatten, pool, pool_flat,
+)
 from .corpus import InferenceExample, prepare_input_text
 from .metrics import tokenize
 
@@ -121,10 +124,11 @@ def encode(
     Out-of-vocabulary tokens map to UNK under ``vocab``. When it is None,
     the vocabulary is the sorted union of every token the call encodes;
     either way the set carries it. Each distinct ``"\n"``-separated line
-    is tokenized and mapped to ids once per call, a text's ids are its
-    lines' ids joined, and every occurrence of a text shares one
-    read-only ``intp`` array (one for its occurrences as an answer, one
-    for the others). Nothing outlives the call.
+    is tokenized and mapped to ids once per call, and a text's ids are
+    its lines' ids joined. Every id row of the call is a view of one
+    read-only ``intp`` array, and every occurrence of a text shares one
+    row (one for its occurrences as an answer, one for the others).
+    Nothing else outlives the call.
     """
     if negatives is not None and len(negatives) != len(examples):
         raise ValueError(f"{len(negatives)} negative lists for {len(examples)} examples")
@@ -132,32 +136,36 @@ def encode(
     if negatives is not None:
         texts += [text for negs in negatives for text in negs]
     answers = [ex.answer for ex in examples]
+    # the distinct rows: texts as inputs or negatives, then answers with EOS
+    plain, with_eos = dict.fromkeys(texts), dict.fromkeys(answers)
     # no token spans whitespace, and lowercasing does not look across "\n"
-    distinct = dict.fromkeys((*texts, *answers))
-    lines = dict.fromkeys(line for text in distinct for line in text.split("\n"))
-    tokens = {line: tokenize(line) for line in lines}
+    parts = [text.split("\n") for text in (*plain, *with_eos)]
+    lines = dict.fromkeys(line for row in parts for line in row)
+    tokens = [tokenize(line) for line in lines]
     if vocab is None:
-        vocab = Vocabulary(sorted(set().union(*tokens.values())))
-    line_ids = {line: vocab.encode(tokens[line]) for line in lines}
-    ids = {text: [i for line in text.split("\n") for i in line_ids[line]] for text in distinct}
-    if not all(ids[text] for text in answers):
+        vocab = Vocabulary(sorted(set().union(*tokens)))
+    line_ids = dict(zip(lines, map(vocab.encode, tokens)))
+    flat, bounds = [], [0]
+    for r, row in enumerate(parts):
+        for line in row:
+            flat += line_ids[line]
+        if r >= len(plain):
+            flat.append(EOS_ID)
+        bounds.append(len(flat))
+    base = np.array(flat, dtype=np.intp)
+    base.setflags(write=False)
+    views = [base[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+    by_text = dict(zip(plain, views))
+    by_answer = dict(zip(with_eos, views[len(plain) :]))
+    if any(len(row) == 1 for row in by_answer.values()):
         raise ValueError("empty answer cannot be scored")
-
-    def ids_of(occurrences: list[str], tail: list[int]) -> list[np.ndarray]:
-        arrays = {}
-        for text in dict.fromkeys(occurrences):
-            row = np.array(ids[text] + tail, dtype=np.intp)
-            row.setflags(write=False)
-            arrays[text] = row
-        return [arrays[text] for text in occurrences]
-
-    rows = ids_of(texts, [])
+    rows = [by_text[text] for text in texts]
     per_example = None
     if negatives is not None:
-        rest = iter(rows[len(examples):])
+        rest = iter(rows[len(examples) :])
         per_example = [list(islice(rest, len(negs))) for negs in negatives]
     return EncodedSet(
-        [ex.id for ex in examples], rows[: len(examples)], ids_of(answers, [EOS_ID]),
+        [ex.id for ex in examples], rows[: len(examples)], [by_answer[a] for a in answers],
         per_example, vocab,
     )
 
@@ -325,7 +333,8 @@ def forward(
     if sample:
         counts = np.array([len(negs) for negs in enc.negatives])
         segments += [ids for negs in enc.negatives for ids in negs]
-    V = pool(backend.E, segments)
+    ids, lengths = flatten(segments)  # read by the pool and by the scatter into E
+    V = pool_flat(backend.E, ids, lengths)
     g = Gradients.zeros_like(backend) if grads else None
     dV = np.zeros_like(V)
     prefix_ids, prefix_rows = np.zeros(0, dtype=np.intp), np.zeros((0, backend.d))
@@ -358,16 +367,16 @@ def forward(
 
     if grads:
         # one scatter into E as a bincount per column, which adds in order
-        # like np.add.at but faster; gathering each column from the
-        # (d x segments) transpose keeps no (ids x d) copy alive
-        lengths = np.fromiter(map(len, segments), np.intp, len(segments))
-        ids = np.concatenate([*segments, prefix_ids])
-        owner = np.repeat(np.arange(len(segments)), lengths)
+        # like np.add.at but faster; each column's weights repeat its
+        # segments' values from the (d x segments) transpose into one
+        # buffer, so no (ids x d) copy is kept alive
+        scattered = np.concatenate([ids, prefix_ids])
         pooled = (dV / np.maximum(lengths, 1)[:, None]).T.copy()
-        g.E = np.stack([
-            np.bincount(ids, np.concatenate([p[owner], r]), len(g.E))
-            for p, r in zip(pooled, prefix_rows.T)
-        ], axis=1)
+        weights = np.empty(len(scattered))
+        for column, (p, r) in enumerate(zip(pooled, prefix_rows.T)):
+            weights[: len(ids)] = np.repeat(p, lengths)
+            weights[len(ids) :] = r
+            g.E[:, column] = np.bincount(scattered, weights, len(g.E))
     total = nll_mean + config.lambda_b * cl_b + config.lambda_s * cl_s
     return LossBreakdown(nll=nll_mean, cl_b=cl_b, cl_s=cl_s, total=total, grads=g)
 

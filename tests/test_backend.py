@@ -2,6 +2,7 @@ import base64
 import hashlib
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,8 @@ from inferbench.backend import (
     Gradients,
     ToyBackend,
     Vocabulary,
+    _pcg_outputs,
+    _pcg_seed,
     load_checkpoint,
     pool,
     save_checkpoint,
@@ -334,3 +337,17 @@ def test_checkpoint_parameters_are_little_endian_float64(tmp_path, backend):
         decoded = np.frombuffer(base64.b64decode(payload[name], validate=True), "<f8")
         # row-major native bytes, whatever the host's byte order
         assert decoded.astype(float).tobytes() == getattr(backend, name).tobytes()
+
+
+def test_pcg_outputs_peak_below_three_times_their_size():
+    # a 800-row round of 16 steps: the chunked in-place states, not the
+    # (rows x count) temporaries of whole-array 128-bit products
+    state = _pcg_seed(list(range(800)))
+    tracemalloc.start()
+    try:
+        outputs = _pcg_outputs(state, 16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert outputs.shape == (800, 16)
+    assert peak <= 3 * outputs.nbytes

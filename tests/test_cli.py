@@ -984,6 +984,16 @@ def test_every_jsonl_reader_names_a_bad_line_alike(tmp_path, capsys, reader, lin
     assert error.startswith(f"{bad}:2: {message}")
 
 
+@pytest.mark.parametrize("element", [[1, 2], "x", 3])
+def test_a_cicero_element_that_is_not_an_object_is_json_error(tmp_path, capsys, element):
+    bad = tmp_path / "cic.json"
+    bad.write_text(json.dumps([element]))
+    out = tmp_path / "out.jsonl"
+    assert run(["ingest", "--in", bad, "--format", "cicero_json", "--out", out]) == 2
+    assert json_error(capsys, "ingest") == f"{bad}[0]: not a JSON object: {element!r}"
+    assert not out.exists()
+
+
 def test_score_warns_about_references_without_hypothesis(tmp_path):
     refs = load_dataset(DATA_DIR / "test.jsonl")
     hyp = tmp_path / "gen.jsonl"

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from inferbench import corpus
 from inferbench.corpus import (
     DatasetError,
     Difficulty,
@@ -232,6 +233,74 @@ def test_canonical_counterfactuals_may_be_null_or_absent(tmp_path, example):
     with open(path, "a") as fh:
         fh.write(json.dumps({**record, "id": "ex-2"}) + "\n")
     assert [ex.counterfactuals for ex in load_dataset(path)] == [(), ()]
+
+
+def shared_records(third):
+    """Two valid records on one dialogue, then ``third`` over record 1's
+    fields."""
+    turns = [{"speaker": "A", "text": "did it rain ?"}, {"speaker": "B", "text": "yes ."}]
+    first = {"id": "e1", "dialogue": turns, "target_index": 2, "question": "cause",
+             "answer": "the rain came .", "counterfactuals": ["the sun came .", "a cat came ."]}
+    return [first, {**first, "id": "e2"}, {**first, "id": "e3", **third}]
+
+
+def write_jsonl(path, records):
+    path.write_text("".join(json.dumps(r) + "\n" for r in records))
+    return path
+
+
+@pytest.mark.parametrize("third,message", [
+    # record 1's utterances, and a counterfactual that normalizes like another
+    ({"counterfactuals": ["the sun came .", "The  SUN came ."]},
+     "example e3: duplicate counterfactual 'The  SUN came .'"),
+    ({"counterfactuals": ["The rain came ."]}, "example e3: counterfactual equals gold answer"),
+    # record 1's utterances, and a new empty one after them
+    ({"dialogue": [{"speaker": "A", "text": "did it rain ?"}, {"speaker": "B", "text": "yes ."},
+                   {"speaker": "A", "text": "  "}]}, "utterance 3 has empty text"),
+])
+def test_a_record_sharing_utterances_fails_as_alone(tmp_path, third, message):
+    path = write_jsonl(tmp_path / "shared.jsonl", shared_records(third))
+    with pytest.raises(DatasetError) as info:
+        load_dataset(path)
+    assert str(info.value) == message
+    # the same record alone fails with the same text
+    write_jsonl(path, shared_records(third)[2:])
+    with pytest.raises(DatasetError) as alone:
+        load_dataset(path)
+    assert str(alone.value) == message
+
+
+def test_a_malformed_record_is_reported_before_its_empty_utterance(tmp_path):
+    records = shared_records({"question": "nope", "dialogue": [{"speaker": "A", "text": " "}]})
+    path = write_jsonl(tmp_path / "both.jsonl", records)
+    with pytest.raises(DatasetError) as info:
+        load_dataset(path)
+    assert str(info.value) == f"{path}:3: malformed record ('nope' is not a valid QuestionType)"
+
+
+def test_a_load_checks_each_distinct_utterance_and_normalizes_each_string_once(
+    tmp_path, monkeypatch
+):
+    normalized, checked = [], []
+    normalize, check = corpus.normalize_answer, corpus.Utterance.validate
+    monkeypatch.setattr(corpus, "normalize_answer",
+                        lambda text: normalized.append(text) or normalize(text))
+    monkeypatch.setattr(corpus.Utterance, "validate",
+                        lambda utt: checked.append(utt) or check(utt))
+    third = {"dialogue": [{"speaker": "A", "text": "did it rain ?"},
+                          {"speaker": "B", "text": "no ."}], "answer": "a cat came .",
+             "counterfactuals": ["the rain came ."]}
+    examples = load_dataset(write_jsonl(tmp_path / "shared.jsonl", shared_records(third)))
+    assert len(examples) == 3
+    assert sorted(normalized) == sorted(
+        ["the rain came .", "the sun came .", "a cat came ."])
+    assert [(u.text, u.index) for u in checked] == [
+        ("did it rain ?", 1), ("yes .", 2), ("no .", 2)]
+    # every example's own check still covers all of them
+    checked.clear()
+    for ex in examples:
+        ex.validate()
+    assert len(checked) == 6
 
 
 CICERO_RECORD = {

@@ -9,9 +9,9 @@
   equal, bit for bit, those of the reference that sets up and scores the
   NLL one micro-block at a time, at every micro-block size.
 * Pooling: a segment pools to its rows added in order, divided by the
-  count, alone or among other segments; the decoder's states, masked
-  scoring's windows and ``forward``'s pooled vectors and NLL states are
-  that pool, bit for bit.
+  count, alone or among other segments, from a list or from one flat id
+  array; the decoder's states, masked scoring's windows and
+  ``forward``'s pooled vectors and NLL states are that pool, bit for bit.
 * Decoding: the batched kernel agrees with a one-step-at-a-time loop
   over the reference ``log_probs_ids`` and ``Generator.choice``, and a
   row's tokens do not depend on the rows batched with it. Its uniforms,
@@ -25,7 +25,8 @@
   candidates the ranking of the whole vocabulary.
 * The text-to-ids encoders equal their one-text-at-a-time forms: the
   same vocabulary, the same ids bit for bit, the same errors; a text's
-  tokens are its lines' tokens joined.
+  tokens are its lines' tokens joined, and every row of a call is a view
+  of one read-only array.
 * Invariants of decoding, token replacement, checkpoints and canonical
   JSON.
 
@@ -69,8 +70,10 @@ from inferbench.backend import (
     _unit,
     derive_seed,
     draw_index,
+    flatten,
     load_checkpoint,
     pool,
+    pool_flat,
     save_checkpoint,
 )
 from inferbench.corpus import TEMPLATES, QuestionType, Utterance, normalize_answer
@@ -242,6 +245,36 @@ def test_pool_rows_are_in_order_means_alone_or_batched(case):
     for row, ids in zip(pooled, segments):
         assert row.tobytes() == pool(E, [ids])[0].tobytes()
         assert row.tobytes() == np.array(in_order_mean(E, ids)).tobytes()
+
+
+def in_order_sum(E, ids):
+    """Each column's entries at ``ids`` added left to right in Python
+    floats, from -0.0."""
+    sums = []
+    for column in E.T.tolist():
+        total = -0.0
+        for t in ids:
+            total += column[t]
+        sums.append(total)
+    return sums
+
+
+@PROPERTY
+@given(pool_cases())
+@_with_lone_segments
+def test_flat_segment_sums_equal_each_segment_alone(case):
+    E, segments = case
+    ids, lengths = flatten(segments)
+    assert ids.dtype == lengths.dtype == np.intp
+    assert ids.tolist() == [t for ids in segments for t in ids]
+    assert lengths.tolist() == [len(ids) for ids in segments]
+    sums = backend._segment_sums(E, ids, lengths)
+    pooled = pool_flat(E, ids, lengths)
+    assert sums.shape == pooled.shape == (len(segments), E.shape[1])
+    for row, mean, seg in zip(sums, pooled, segments):
+        alone = backend._segment_sums(E, np.array(seg, dtype=np.intp), np.array([len(seg)]))
+        assert row.tobytes() == alone[0].tobytes() == np.array(in_order_sum(E, seg)).tobytes()
+        assert mean.tobytes() == pool(E, [seg])[0].tobytes()
 
 
 @PROPERTY
@@ -1166,6 +1199,29 @@ def test_encoders_equal_the_per_text_oracle(examples, template_id, words, with_n
         else:
             assert [len(n) for n in got.negatives] == [len(n) for n in want_negatives]
             assert_same_ids(sum(got.negatives, []), sum(want_negatives, []))
+
+
+@PROPERTY
+@given(example_lists(), st.sampled_from(sorted(TEMPLATES)), st.booleans())
+def test_encoded_rows_are_views_of_one_read_only_array(examples, template_id, with_negatives):
+    negatives = [list(ex.counterfactuals) for ex in examples] if with_negatives else None
+    try:
+        enc = encode(examples, negatives, template_id)
+    except ValueError:
+        reject()
+    rows = [*enc.inputs, *enc.answers, *(ids for negs in enc.negatives or [] for ids in negs)]
+    base = rows[0].base
+    assert isinstance(base, np.ndarray) and base.base is None
+    assert base.dtype == np.intp and not base.flags.writeable
+    assert all(row.base is base for row in rows)
+    vocab, inputs, answers, want_negatives = reference_model.per_text_encode(
+        examples, negatives, template_id)
+    assert enc.vocab.tokens == vocab.tokens
+    assert_same_ids(enc.inputs, inputs)
+    assert_same_ids(enc.answers, answers)
+    assert_same_ids(sum(enc.negatives or [], []), sum(want_negatives or [], []))
+    # one row per distinct text and role: together they hold the base
+    assert sum(row.size for row in {id(row): row for row in rows}.values()) == base.size
 
 
 # pieces of lines: letters that lowercasing changes in context (a final

@@ -6,8 +6,9 @@ print the sha256 of every file each side writes.
 Each side runs ``python -m inferbench.cli`` from its own ``src/`` in a
 fresh work directory that holds a copy of its ``data/``, so every path a
 command sees is the same relative path on both sides. The list covers
-``ingest`` of ``data/train.jsonl``; ``train`` with each negative
-strategy and ``none``, at ``micro_batch``
+``ingest`` of ``data/train.jsonl`` and, with ``--format cicero_json``, of
+a small CICERO-shaped file the tool writes itself (``CICERO_RECORDS``);
+``train`` with each negative strategy and ``none``, at ``micro_batch``
 8, 4 and 64 and at 1 with ``effective_batch`` 3; greedy and top-k
 ``generate`` on ``data/test.jsonl`` and greedy ``generate`` on the 200
 rows of ``data/train.jsonl``; ``perturb`` with every strategy, with and without
@@ -54,7 +55,9 @@ STRATEGIES = ("counterfactual", "non_optimal", "replace_zs", "replace_mcq")
 def commands() -> list[tuple[str, list[str]]]:
     """(name, CLI arguments) in run order; later commands read the
     checkpoints and generations of earlier ones."""
-    runs = [("ingest", ["ingest", "--in", "data/train.jsonl", "--out", "out/ingest.jsonl"])]
+    runs = [("ingest", ["ingest", "--in", "data/train.jsonl", "--out", "out/ingest.jsonl"]),
+            ("ingest_cicero", ["ingest", "--in", "cicero.json", "--format", "cicero_json",
+                               "--out", "out/ingest_cicero.jsonl"])]
     runs += [
         (f"train_{s}", [*TRAIN, "--out-dir", f"out/train_{s}", *FAST,
                         "--set", f"negatives.strategy={s}"])
@@ -108,6 +111,26 @@ def commands() -> list[tuple[str, list[str]]]:
 
 SWEEP_CONFIG = {"sweep": {"lambda_b": [0.0, 0.5]}}
 
+# upstream multiple-choice records for ``ingest --format cicero_json``: turns
+# with and without a speaker, a target given with its speaker, a question
+# given by its value, the clipped flag, extra negatives, a choice equal to
+# the gold answer, more counterfactuals than are kept and a difficulty
+CICERO_RECORDS = [
+    {"ID": "cic-1", "Dialogue": ["A: did you hear about the rain ?", "B: yes , Friday ."],
+     "Target": "yes , Friday .",
+     "Question": "What is or could be the cause of the target utterance?",
+     "Choices": ["the picnic was moved .", "The rain was announced.", "a guitar broke ."],
+     "Human Written Answer": [1], "Difficulty": "Likely"},
+    {"ID": 2, "Dialogue": ["A: any news ?", "no speaker here", "B: we leave soon ."],
+     "Target": "B: we leave soon .",
+     "Question": "What subsequent event happens or could happen following the target?",
+     "Clipped": True, "Choices": ["they pack .", "THEY  pack .", "they sleep .", "they eat ."],
+     "AnswerIndex": 0, "Negatives": ["they run .", "they sing .", "they read ."]},
+    {"ID": "cic-3", "Dialogue": ["A: the exam is today .", "B: good luck !"],
+     "Target": "good luck !", "Question": "reaction", "Choices": ["pleased .", "worried ."],
+     "Human Written Answer": 1},
+]
+
 
 def _parameter_bytes(value) -> bytes:
     """Little-endian float64 bytes of a format-2 base64 string or of a
@@ -142,6 +165,7 @@ def run_side(checkout: Path, work: Path) -> dict:
     shutil.copytree(checkout / "data", work / "data")
     (work / "out").mkdir()
     (work / "sweep.json").write_text(json.dumps(SWEEP_CONFIG))
+    (work / "cicero.json").write_text(json.dumps(CICERO_RECORDS))
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"), PYTHONDONTWRITEBYTECODE="1",
                OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     codes = {}
