@@ -161,6 +161,20 @@ def fleiss_kappa(judgments: list[Judgment]) -> float:
     return fleiss_kappa_table([it.votes for it in _judged_items(judgments)])
 
 
+def agreement(judgments: list[Judgment]) -> dict:
+    """``agree``'s statistics from one per-item table: :func:`fleiss_kappa`,
+    :func:`win_tie_lose` of option_1 and :func:`winning_rate` of each
+    option, with their values and errors."""
+    items = _judged_items(judgments)
+    rate_1, _ = _rate(items, 0)
+    rate_2, _ = _rate(items, 1)
+    return {
+        "kappa": fleiss_kappa_table([it.votes for it in items]),
+        "win_tie_lose_option_1": _ratios([it.outcome for it in items]),
+        "winning_rate": {"option_1": rate_1, "option_2": rate_2},
+    }
+
+
 # --- Student t machinery -----------------------------------------------------
 
 def _betacf(a: float, b: float, x: float) -> float:

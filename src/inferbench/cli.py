@@ -29,14 +29,7 @@ from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 from . import __version__
-from .analysis import (
-    Judgment,
-    compare_metric_scores,
-    fleiss_kappa,
-    stratified_compare,
-    win_tie_lose,
-    winning_rate,
-)
+from .analysis import Judgment, agreement, compare_metric_scores, stratified_compare
 from .backend import ToyBackend, derive_seed, load_checkpoint
 from .corpus import DatasetError, jsonl_records, load_dataset, save_dataset
 from .jsonio import config_digest, write_artifact, write_jsonl_artifact
@@ -327,14 +320,7 @@ def _read_judgments(path: str) -> list[Judgment]:
 
 def cmd_agree(args, tc: TrainConfig, meta: dict) -> int:
     judgments = _read_judgments(args.judgments)
-    rate_1, _ = winning_rate(judgments, "option_1")
-    rate_2, _ = winning_rate(judgments, "option_2")
-    payload = {
-        "n_judgments": len(judgments),
-        "kappa": fleiss_kappa(judgments),
-        "win_tie_lose_option_1": win_tie_lose(judgments, "option_1"),
-        "winning_rate": {"option_1": rate_1, "option_2": rate_2},
-    }
+    payload = {"n_judgments": len(judgments), **agreement(judgments)}
     write_artifact(args.out, payload, meta)
     print(f"kappa={payload['kappa']:.4f} -> {args.out}")
     return 0

@@ -259,7 +259,7 @@ def _example_from_canonical(obj: dict, where: str, utterances: dict, normalize) 
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise DatasetError(f"{where}: malformed record ({exc})") from exc
-    example.validate(normalize, new_turns)
+    _validate_at(where, example, normalize, new_turns)
     return example
 
 
@@ -331,8 +331,17 @@ def _example_from_cicero(obj: dict, where: str, normalize) -> InferenceExample:
         raise
     except (KeyError, TypeError, ValueError, IndexError) as exc:
         raise DatasetError(f"{where}: malformed record ({exc})") from exc
-    example.validate(normalize)
+    _validate_at(where, example, normalize)
     return example
+
+
+def _validate_at(where: str, example: InferenceExample, normalize, turns=None) -> None:
+    """``example.validate``, its DatasetError prefixed with the record's
+    ``where``, as every other record error is."""
+    try:
+        example.validate(normalize, turns)
+    except DatasetError as exc:
+        raise DatasetError(f"{where}: {exc}") from None
 
 
 def load_dataset(path: str | Path, format: str = "canonical_jsonl") -> list[InferenceExample]:

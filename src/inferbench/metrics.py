@@ -4,12 +4,16 @@ All scorers consume lowercase token lists produced by :func:`tokenize`.
 CIDEr operates on Porter stems; METEOR-lite matches on exact surface
 forms first and stems second, with no synonym or paraphrase stage.
 
-Each (hypothesis, reference) pair's n-grams are counted once, into one
-per-pair table (:class:`PairTable`): BLEU's clipped token n-gram
-matches and totals, and each side's Porter-stem n-gram counts, for
-n = 1..4. Corpus BLEU of any subset, sentence BLEU and CIDEr (document
-frequencies and tf-idf vectors) all read those tables; :func:`bleu`
-and :func:`cider` build them for their arguments.
+Each text's n-grams are counted once, into one gram table
+(:func:`_grams`: one ``Counter`` of its n-grams for n = 1..4) that
+every metric reads. A (hypothesis, reference) pair's
+:class:`PairTable` holds BLEU's clipped matches and totals, taken from
+the two token tables in one pass, and each side's stem table, which is
+its token table when no stem differs from its token. Corpus BLEU of any
+subset, sentence BLEU and CIDEr (one document-frequency count and one
+idf over all n, one pass over each side's table per pair) all read
+those tables; :func:`bleu`, :func:`cider` and :func:`pair_scores` build
+them for their arguments with the same kernels.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ import re
 import warnings
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import NamedTuple
 
 from .porter import stem
@@ -52,9 +57,15 @@ def tokenize(text: str) -> list[str]:
     return _TOKEN_RE.findall(text.lower())
 
 
-def ngram_counts(tokens: list[str], n: int) -> Counter:
-    """Counts of each n-gram (a tuple), in order of first occurrence."""
-    return Counter(zip(*(tokens[i:] for i in range(n))))
+def _grams(tokens: list[str]) -> Counter:
+    """One gram table: the counts of every n-gram (a tuple) of ``tokens``
+    for n = 1..4, the unigrams first and each n's grams in order of
+    first occurrence. Grams of different n never collide, so restricted
+    to one n it is that n's count table, items in the same order."""
+    return Counter(
+        chain(zip(tokens), zip(tokens, tokens[1:]), zip(tokens, tokens[1:], tokens[2:]),
+              zip(tokens, tokens[1:], tokens[2:], tokens[3:]))
+    )
 
 
 class _BleuCounts(NamedTuple):
@@ -67,29 +78,36 @@ class _BleuCounts(NamedTuple):
     total: tuple[int, ...]
 
 
-def _bleu_counts(hyp: list[str], ref: list[str]) -> _BleuCounts:
-    matched, total = [], []
-    for n in range(1, 5):
-        hyp_counts = ngram_counts(hyp, n)
-        ref_counts = ngram_counts(ref, n)
-        total.append(sum(hyp_counts.values()))
-        matched.append(sum(min(c, ref_counts.get(g, 0)) for g, c in hyp_counts.items()))
-    return _BleuCounts(len(hyp), len(ref), tuple(matched), tuple(total))
+def _bleu_counts(
+    hyp_len: int, hyp_grams: Counter, ref_len: int, ref_grams: Counter
+) -> _BleuCounts:
+    """A pair's :class:`_BleuCounts` from its sides' lengths and gram
+    tables: one pass over the hypothesis grams, bucketed by n."""
+    matched = [0, 0, 0, 0]
+    for g, c in hyp_grams.items():
+        r = ref_grams.get(g)
+        if r is not None:
+            matched[len(g) - 1] += c if c < r else r
+    total = tuple(max(0, hyp_len - n) for n in range(4))
+    return _BleuCounts(hyp_len, ref_len, tuple(matched), total)
 
 
 class _StemGrams(NamedTuple):
-    """A token list's Porter stems and their n-gram counts, n = 1..4:
-    one CIDEr document and its term frequencies."""
+    """A token list's Porter stems and their gram table: one CIDEr
+    document and its term frequencies."""
 
     stems: tuple[str, ...]
-    grams: tuple[Counter, ...]
+    grams: Counter
 
 
-def _stem_grams(tokens: list[str]) -> _StemGrams:
+def _stem_grams(tokens: list[str], token_grams: Counter | None = None) -> _StemGrams:
+    """The stems of ``tokens`` and their gram table; ``token_grams``,
+    the tokens' own table when the caller has it, is that table when no
+    stem differs from its token, and nothing is counted again."""
     stems = [stem(t) for t in tokens]
-    return _StemGrams(
-        tuple(stems), tuple(ngram_counts(stems, n) for n in range(1, CIDER_MAX_N + 1))
-    )
+    if token_grams is None or stems != tokens:
+        token_grams = _grams(stems)
+    return _StemGrams(tuple(stems), token_grams)
 
 
 class PairTable(NamedTuple):
@@ -99,6 +117,16 @@ class PairTable(NamedTuple):
     bleu: _BleuCounts
     hyp: _StemGrams
     ref: _StemGrams
+
+
+def _pair_table(hyp: list[str], ref: list[str]) -> PairTable:
+    """The table of a tokenized pair: each side's grams counted once."""
+    hyp_grams, ref_grams = _grams(hyp), _grams(ref)
+    return PairTable(
+        _bleu_counts(len(hyp), hyp_grams, len(ref), ref_grams),
+        _stem_grams(hyp, hyp_grams),
+        _stem_grams(ref, ref_grams),
+    )
 
 
 def bleu(
@@ -119,7 +147,9 @@ def bleu(
         raise ValueError("empty corpus")
     if not 1 <= max_n <= 4:
         raise ValueError("max_n must be in 1..4")
-    return _corpus_bleu([_bleu_counts(h, r) for h, r in zip(hypotheses, references)], max_n)
+    counts = [_bleu_counts(len(h), _grams(h), len(r), _grams(r))
+              for h, r in zip(hypotheses, references)]
+    return _corpus_bleu(counts, max_n)
 
 
 def _corpus_bleu(counts: list[_BleuCounts], max_n: int) -> dict[int, float]:
@@ -303,19 +333,6 @@ def _meteor(hyp_stems, ref_stems, stacklevel: int = 2) -> float:
     return f_mean * (1 - penalty)
 
 
-def _tfidf_vec(counts: Counter, idf: dict, unseen: float) -> dict:
-    return {g: c * idf.get(g, unseen) for g, c in counts.items()}
-
-
-def _cosine(u: dict, v: dict) -> float:
-    nu = math.sqrt(sum(x * x for x in u.values()))
-    nv = math.sqrt(sum(x * x for x in v.values()))
-    if nu == 0.0 or nv == 0.0:
-        return 0.0
-    dot = sum(x * v[g] for g, x in u.items() if g in v)
-    return dot / (nu * nv)
-
-
 def cider(
     hypotheses: list[list[str]],
     references: list[list[str]],
@@ -347,20 +364,29 @@ def _cider(hyps: list[_StemGrams], refs: list[_StemGrams], docs: list[_StemGrams
         )
     n_docs = len(docs)
     unseen = math.log(n_docs)  # an unseen gram's df is floored at 1
-    idf_by_n = []
-    for n in range(CIDER_MAX_N):
-        df = Counter()
-        for d in docs:
-            df.update(d.grams[n].keys())
-        idf_by_n.append({g: math.log(n_docs / max(c, 1)) for g, c in df.items()})
+    df = Counter(chain.from_iterable(d.grams for d in docs))
+    idf = {g: math.log(n_docs / c) for g, c in df.items()}
 
     per_pair = []
     for hyp, ref in zip(hyps, refs):
+        # per n: the squared norms and the dot product, each summed in
+        # its table's order, as over that n's own vector
+        ref_norm, hyp_norm, dot = [0.0] * CIDER_MAX_N, [0.0] * CIDER_MAX_N, [0.0] * CIDER_MAX_N
+        ref_vec = {}
+        for g, c in ref.grams.items():
+            y = ref_vec[g] = c * idf.get(g, unseen)
+            ref_norm[len(g) - 1] += y * y
+        for g, c in hyp.grams.items():
+            x = c * idf.get(g, unseen)
+            n = len(g) - 1
+            hyp_norm[n] += x * x
+            y = ref_vec.get(g)
+            if y is not None:
+                dot[n] += x * y
         total = 0.0
-        for n, idf in enumerate(idf_by_n):
-            hv = _tfidf_vec(hyp.grams[n], idf, unseen)
-            rv = _tfidf_vec(ref.grams[n], idf, unseen)
-            total += 10.0 * _cosine(hv, rv)
+        for n in range(CIDER_MAX_N):
+            nh, nr = math.sqrt(hyp_norm[n]), math.sqrt(ref_norm[n])
+            total += 0.0 if nh == 0.0 or nr == 0.0 else 10.0 * (dot[n] / (nh * nr))
         per_pair.append(total / CIDER_MAX_N)
     return sum(per_pair) / len(per_pair), per_pair
 
@@ -440,9 +466,7 @@ def score_corpus(
 
     hyps = [tokenize(h) for h, _ in pairs]
     refs = [tokenize(r) for _, r in pairs]
-    tables = [
-        PairTable(_bleu_counts(h, r), _stem_grams(h), _stem_grams(r)) for h, r in zip(hyps, refs)
-    ]
+    tables = [_pair_table(h, r) for h, r in zip(hyps, refs)]
     meteor_scores = [_meteor(t.hyp.stems, t.ref.stems) for t in tables]
     rouge_scores = [rouge_l(h, r) for h, r in zip(hyps, refs)]
     sentence_bleu = [_corpus_bleu([t.bleu], 4) for t in tables] if with_per_example else None

@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from inferbench import analysis
 from inferbench.analysis import (
     DegenerateAgreementError,
     Judgment,
+    agreement,
     compare_metric_scores,
     fleiss_kappa,
     fleiss_kappa_table,
@@ -161,6 +163,52 @@ def test_kappa_single_rater_rejected():
 
 def test_kappa_degenerate_single_category():
     assert fleiss_kappa_table([[3, 0, 0, 0], [3, 0, 0, 0]]) == 1.0
+
+
+# --- agree's statistics from one table ----------------------------------------------
+
+def _each_statistic(judgments):
+    """agree's statistics from one call each, in the order the command
+    once called them, so that the first error is theirs."""
+    rate_1, _ = winning_rate(judgments, "option_1")
+    rate_2, _ = winning_rate(judgments, "option_2")
+    return {
+        "kappa": fleiss_kappa(judgments),
+        "win_tie_lose_option_1": win_tie_lose(judgments, "option_1"),
+        "winning_rate": {"option_1": rate_1, "option_2": rate_2},
+    }
+
+
+AGREEMENT_CASES = {
+    "mixed": votes({"i1": ["option_1", "option_1", "both"],
+                    "i2": ["neither", "option_2", "option_2"],
+                    "i3": ["both", "option_1", "option_2"]}),
+    "one_item": votes({"i1": ["option_1", "option_2"]}),
+    "empty": [],
+    "incomplete": votes({"i1": ["option_1", "option_2"], "i2": ["option_1"]}),
+    "one_rater": votes({"i1": ["option_1"], "i2": ["option_2"]}),
+    "duplicate": votes({"i1": ["both"]}) * 2,
+}
+
+
+@pytest.mark.parametrize("case", AGREEMENT_CASES)
+def test_agreement_groups_once_and_equals_each_statistic(monkeypatch, case):
+    judgments = AGREEMENT_CASES[case]
+    try:
+        expected = _each_statistic(judgments)
+    except ValueError as exc:
+        expected = exc
+    grouped = []
+    judged_items = analysis._judged_items
+    monkeypatch.setattr(analysis, "_judged_items",
+                        lambda js: grouped.append(js) or judged_items(js))
+    if isinstance(expected, ValueError):
+        with pytest.raises(ValueError) as info:
+            agreement(judgments)
+        assert str(info.value) == str(expected)
+    else:
+        assert agreement(judgments) == expected
+    assert len(grouped) == 1
 
 
 # --- paired t-test -----------------------------------------------------------------

@@ -994,6 +994,28 @@ def test_a_cicero_element_that_is_not_an_object_is_json_error(tmp_path, capsys, 
     assert not out.exists()
 
 
+def test_an_invalid_example_is_json_error_at_its_record(tmp_path, capsys):
+    records = [json.loads(line) for line in (DATA_DIR / "test.jsonl").read_text().splitlines()[:2]]
+    records[1]["dialogue"][0]["text"] = "  "
+    bad = tmp_path / "blank.jsonl"
+    bad.write_text("".join(json.dumps(r) + "\n" for r in records))
+    out = tmp_path / "out.jsonl"
+    assert run(["ingest", "--in", bad, "--out", out]) == 2
+    assert json_error(capsys, "ingest") == f"{bad}:2: utterance 1 has empty text"
+    assert not out.exists()
+
+
+def test_an_invalid_cicero_example_is_json_error_at_its_element(tmp_path, capsys):
+    record = {"ID": "c1", "Dialogue": ["A: hi .", ""], "Target": "hi .",
+              "Question": "cause", "Choices": ["x .", "y ."], "AnswerIndex": 0}
+    bad = tmp_path / "cic.json"
+    bad.write_text(json.dumps([{**record, "Dialogue": ["A: hi ."]}, {**record, "ID": "c2"}]))
+    out = tmp_path / "out.jsonl"
+    assert run(["ingest", "--in", bad, "--format", "cicero_json", "--out", out]) == 2
+    assert json_error(capsys, "ingest") == f"{bad}[1]: utterance 2 has empty text"
+    assert not out.exists()
+
+
 def test_score_warns_about_references_without_hypothesis(tmp_path):
     refs = load_dataset(DATA_DIR / "test.jsonl")
     hyp = tmp_path / "gen.jsonl"

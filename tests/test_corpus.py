@@ -262,12 +262,12 @@ def test_a_record_sharing_utterances_fails_as_alone(tmp_path, third, message):
     path = write_jsonl(tmp_path / "shared.jsonl", shared_records(third))
     with pytest.raises(DatasetError) as info:
         load_dataset(path)
-    assert str(info.value) == message
-    # the same record alone fails with the same text
+    assert str(info.value) == f"{path}:3: {message}"
+    # the same record alone fails with the same text, at its own line
     write_jsonl(path, shared_records(third)[2:])
     with pytest.raises(DatasetError) as alone:
         load_dataset(path)
-    assert str(alone.value) == message
+    assert str(alone.value) == f"{path}:1: {message}"
 
 
 def test_a_malformed_record_is_reported_before_its_empty_utterance(tmp_path):

@@ -1,5 +1,6 @@
 import math
 import warnings
+from collections import Counter
 from unittest import mock
 
 import numpy as np
@@ -473,3 +474,80 @@ def test_report_ranges():
     assert isinstance(report, MetricReport)
     for scores in report.per_example.values():
         assert 0.0 <= scores["rouge_l"] <= 1.0
+
+
+# --- one gram table per text -------------------------------------------------
+
+# words whose Porter stem differs from the word ("cats" -> "cat", "running"
+# -> "run", "announced" -> "announc") beside words that are their own stem,
+# two of them the stems of the first
+STEM_WORDS = ["cats", "running", "announced", "cat", "run", "the", "rain"]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=80)
+@given(st.lists(st.sampled_from(STEM_WORDS[:4]), max_size=12))
+def test_a_gram_table_restricted_to_one_n_is_its_count_table(tokens):
+    table = metrics._grams(tokens)
+    for n in range(1, 5):
+        alone = Counter(zip(*(tokens[i:] for i in range(n))))
+        # the same items in the same order: CIDEr sums each n's terms in it
+        assert [(g, c) for g, c in table.items() if len(g) == n] == list(alone.items())
+    # the unigrams first, then each n in turn
+    assert [len(g) for g in table] == sorted(len(g) for g in table)
+
+
+@st.composite
+def stem_changing_pairs(draw):
+    """1-5 (hypothesis, reference) token lists over ``STEM_WORDS``; a
+    hypothesis may be empty, a reference holds 1-7 tokens."""
+    words = st.sampled_from(STEM_WORDS)
+    return [
+        (draw(st.lists(words, max_size=7)), draw(st.lists(words, min_size=1, max_size=7)))
+        for _ in range(draw(st.integers(1, 5)))
+    ]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=80)
+@given(stem_changing_pairs())
+def test_metrics_on_words_their_stems_change_match_bruteforce(pairs):
+    hyps = [h for h, _ in pairs]
+    refs = [r for _, r in pairs]
+    expected = bf_bleu(hyps, refs)
+    got = bleu(hyps, refs)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # an empty hypothesis warns
+        report = score_corpus(_text_pairs(pairs), with_per_example=True)
+    rows = list(report.per_example.values())
+    for n in range(1, 5):
+        assert math.isclose(got[n], expected[n], rel_tol=0, abs_tol=1e-9)
+        assert math.isclose(report.bleu[n], expected[n], rel_tol=0, abs_tol=1e-9)
+        for (hyp, ref), row in zip(pairs, rows, strict=True):
+            assert math.isclose(row[f"bleu_{n}"], bf_bleu([hyp], [ref])[n], abs_tol=1e-9)
+    if len({tuple(map(stem, ref)) for ref in refs}) < 2:
+        with pytest.raises(ValueError):
+            cider(hyps, refs)
+        assert report.cider is None
+        return
+    corpus, per_pair = cider(hyps, refs)
+    bf_corpus, bf_per_pair = bf_cider(hyps, refs)
+    assert math.isclose(corpus, bf_corpus, rel_tol=0, abs_tol=1e-9)
+    assert math.isclose(report.cider, bf_corpus, rel_tol=0, abs_tol=1e-9)
+    for value, row, bf_value in zip(per_pair, rows, bf_per_pair, strict=True):
+        assert math.isclose(value, bf_value, rel_tol=0, abs_tol=1e-9)
+        assert math.isclose(row["cider"], bf_value, rel_tol=0, abs_tol=1e-9)
+
+
+def test_a_side_whose_stems_are_its_tokens_is_counted_once(monkeypatch):
+    counted = []
+    grams = metrics._grams
+    monkeypatch.setattr(metrics, "_grams", lambda tokens: counted.append(tokens) or grams(tokens))
+    pairs = [("the cats ran", "the cat ran"), ("a rain", "running rain"), ("", "the rain")]
+    with pytest.warns(UserWarning):
+        score_corpus(pairs, strata_labels={"0": "a", "1": "a", "2": "b"},
+                     ids=["0", "1", "2"], with_per_example=True)
+    # each side's tokens once, then the stems of the sides they change
+    assert counted == [
+        ["the", "cats", "ran"], ["the", "cat", "ran"], ["the", "cat", "ran"],
+        ["a", "rain"], ["running", "rain"], ["run", "rain"],
+        [], ["the", "rain"],
+    ]

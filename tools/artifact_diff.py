@@ -16,9 +16,12 @@ rows of ``data/train.jsonl``; ``perturb`` with every strategy, with and without
 ``data/train.jsonl``, at the default m 4 (800 top-k rows over 120
 distinct inputs, one decode block at V 97, rows stopping at EOS at
 different steps) and at ``--m 7`` (1400 rows, more than the 1351 of a
-block); ``score``, ``compare``
-(judgments and two metrics), ``agree``, ``gradcheck --seed 3`` and
-``--seed 1``, and a 2-run ``sweep``. One line per command gives both
+block); ``score`` of the greedy generations by ``difficulty`` and of
+the top-k ones (empty hypotheses, stems that differ from their tokens)
+by ``question``, both ``--per-example``; ``compare`` of the judgments
+and of greedy against top-k by ``rouge_l``, ``cider``, ``bleu_4`` and
+``meteor``; ``agree``, ``gradcheck --seed 3`` and ``--seed 1``, and a
+2-run ``sweep``. One line per command gives both
 exit codes, then one line per file: both digests and ``same``,
 ``params-same`` or ``DIFFERS``. A file whose JSON object has
 ``format_version`` is a checkpoint: when its bytes differ, both sides'
@@ -92,6 +95,9 @@ def commands() -> list[tuple[str, list[str]]]:
     runs += [
         ("score", ["score", "--hyp", "out/gen_greedy.jsonl", "--ref", "data/test.jsonl",
                    "--stratify-by", "difficulty", "--per-example", "--out", "out/score.json"]),
+        ("score_top_k_question", ["score", "--hyp", "out/gen_top_k.jsonl", "--ref",
+                                  "data/test.jsonl", "--stratify-by", "question", "--per-example",
+                                  "--out", "out/score_top_k_question.json"]),
         ("compare_judgments", ["compare", "--judgments", "data/judgments.jsonl", "--ref",
                                "data/test.jsonl", "--stratify-by", "difficulty",
                                "--out", "out/compare_judgments.json"]),
@@ -101,7 +107,7 @@ def commands() -> list[tuple[str, list[str]]]:
         ("sweep", ["sweep", *TRAIN[1:], "--out-dir", "out/sweep", "--config", "sweep.json",
                    "--set", "train.max_epochs=1"]),
     ]
-    for metric in ("rouge_l", "cider"):
+    for metric in ("rouge_l", "cider", "bleu_4", "meteor"):
         runs.append((f"compare_{metric}", [
             "compare", "--a", "out/gen_greedy.jsonl", "--b", "out/gen_top_k.jsonl",
             "--ref", "data/test.jsonl", "--metric", metric, "--out", f"out/compare_{metric}.json",
