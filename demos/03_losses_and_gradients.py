@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """The composite objective on a tiny batch: loss components, the
 total = nll + lambda_b*cl_b + lambda_s*cl_s identity, and the
-finite-difference gradient gate."""
+complex-step gradient gate over every parameter."""
 
 from inferbench.backend import ToyBackend
 from inferbench.negatives import pick_counterfactuals

@@ -264,14 +264,15 @@ def _segment_sums(E: np.ndarray, ids: np.ndarray, lengths: np.ndarray) -> np.nda
     ``lengths[i]`` entries of the flat ``ids``. One vector add per token
     position, over the segments sorted longest first so that those
     reaching a position lead. This adds in order at every d; numpy's sum
-    over an axis adds a single column pairwise at d = 1."""
+    over an axis adds a single column pairwise at d = 1. The sums take
+    E's dtype, so complex parameters pool too."""
     order = np.argsort(-lengths, kind="stable")
     # placed[j, i]: the i-th longest segment has a token at position j
     placed = np.arange(lengths.max(initial=0))[:, None] < lengths[order]
     # where in ``ids`` each placed token is, position by position
     at = (np.cumsum(lengths) - lengths)[order] + np.arange(len(placed))[:, None]
     rows = E[ids[at[placed]]]
-    sums = np.full((len(lengths), E.shape[1]), -0.0)
+    sums = np.full((len(lengths), E.shape[1]), -0.0, dtype=E.dtype)
     start = 0
     for k in placed.sum(axis=1).tolist():
         sums[:k] += rows[start : start + k]

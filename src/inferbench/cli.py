@@ -362,7 +362,7 @@ def cmd_gradcheck(args, tc: TrainConfig, meta: dict) -> int:
     examples = build_split("gradcheck", 4, tc.seed)
     enc = encode(examples, [ex.counterfactuals for ex in examples], tc.template_id)
     backend = ToyBackend(enc.vocab, d=tc.d, seed=tc.seed)
-    report = finite_diff_check(backend, enc, tc.loss, tol=args.tol, seed=tc.seed)
+    report = finite_diff_check(backend, enc, tc.loss, tol=args.tol)
     write_artifact(args.out, report.to_dict(), meta)
     status = "PASS" if report.passed else "FAIL"
     print(f"gradcheck {status}: max_error={report.max_error:.3e} over "
@@ -525,7 +525,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(func=cmd_compare)
 
-    p = sub.add_parser("gradcheck", help="finite-difference gradient gate")
+    p = sub.add_parser("gradcheck", help="complex-step gradient gate")
     p.add_argument("--seed", type=int)
     p.add_argument("--tol", type=float, default=1e-4)
     p.add_argument("--out", required=True)

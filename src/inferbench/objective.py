@@ -1,6 +1,6 @@
 """Training objective: token-level NLL plus two InfoNCE contrastive
 terms (in-batch and per-sample negatives), with analytic gradients for
-ToyBackend and a finite-difference verification gate.
+ToyBackend and a complex-step gate that checks them at every parameter.
 
 Conventions fixed here and relied on by the trainer and tests:
 
@@ -26,7 +26,10 @@ row-wise softmax cross-entropies over a logit matrix, n x n for the
 in-batch term and n x (1 + m) for the per-sample one (padded with -inf
 where an example has fewer negatives). The backward pass ends in one
 scatter into E, over the same flat ids. :func:`validation_margin` measures the InfoNCE terms' unit
-vectors on a validation set.
+vectors on a validation set. :func:`finite_diff_check` runs the same
+forward, gradients off, on complex parameters: the complex step
+Im L(theta + ih e_k) / h takes each parameter's derivative with no
+subtraction, so it is exact to rounding at a fixed h.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from itertools import islice
 import numpy as np
 
 from .backend import (
-    BOS_ID, EOS_ID, Gradients, ToyBackend, Vocabulary, derive_seed, flatten, pool, pool_flat,
+    BOS_ID, EOS_ID, Gradients, ToyBackend, Vocabulary, flatten, pool, pool_flat,
 )
 from .corpus import InferenceExample, prepare_input_text
 from .metrics import tokenize
@@ -183,7 +186,7 @@ def _xent(logits: np.ndarray, target: np.ndarray, grads: bool):
     -inf entries are padding. Returns the row values and, with ``grads``,
     d value / d logits = softmax - onehot."""
     rows = np.arange(len(target))
-    top = logits.max(axis=1, keepdims=True)
+    top = logits.real.max(axis=1, keepdims=True)
     exp = np.exp(logits - top)
     z = exp.sum(axis=1, keepdims=True)
     values = (np.log(z) + top)[:, 0] - logits[rows, target]
@@ -196,8 +199,9 @@ def _xent(logits: np.ndarray, target: np.ndarray, grads: bool):
 
 def _unit(V: np.ndarray, zero_message):
     """Unit rows of V and their norms; a zero row raises
-    ``zero_message(row)``."""
-    norms = np.linalg.norm(V, axis=1)
+    ``zero_message(row)``. The norm is sqrt(v . v) with no conjugate, so
+    it stays analytic in complex parameters."""
+    norms = np.sqrt((V * V).sum(axis=1))
     if not norms.all():
         raise ValueError(zero_message(int(np.argmin(norms))))
     return V / norms[:, None], norms
@@ -217,7 +221,7 @@ def _sample_nce(hx, hpos, hneg, counts, tau, grads):
     starts = np.cumsum(counts) - counts
     owner = np.repeat(np.arange(n), counts)
     col = 1 + np.arange(len(hneg)) - starts[owner]
-    logits = np.full((n, 1 + counts.max()), -np.inf)
+    logits = np.full((n, 1 + counts.max()), -np.inf, dtype=hx.dtype)
     logits[:, 0] = np.einsum("ij,ij->i", hx, hpos) / tau
     logits[owner, col] = np.einsum("ij,ij->i", hx[owner], hneg) / tau
     values, d = _xent(logits, np.zeros(n, dtype=np.intp), grads)
@@ -265,7 +269,7 @@ def _nll(backend: ToyBackend, c: np.ndarray, answers: list[np.ndarray], block: i
     states = 0.5 * (c[:, None, :] + means)[mask]
     ends = np.cumsum(k)
     starts = ends - k
-    values, d_states = np.empty(len(targets)), np.empty_like(states)
+    values, d_states = np.empty(len(targets), dtype=states.dtype), np.empty_like(states)
     for lo in range(0, n, block):
         rows = slice(starts[lo], ends[min(lo + block, n) - 1])
         logits = states[rows] @ backend.U.T + backend.b
@@ -315,7 +319,9 @@ def forward(
     depends on its row count); the rest of the NLL runs once per batch,
     and the InfoNCE terms always span the whole batch.
     ``nll=False`` leaves the NLL term out. Batches of size 1 contribute
-    no in-batch term.
+    no in-batch term. Without ``grads`` the parameters may be complex, as
+    :func:`finite_diff_check`'s complex step makes them; the losses are
+    then complex too, and Python floats otherwise.
     """
     n = len(enc)
     if n == 0:
@@ -342,7 +348,7 @@ def forward(
     nll_mean = 0.0
     if nll:
         values, back = _nll(backend, V[:n], enc.answers, micro_batch or n, g)
-        nll_mean = float(values.sum()) / n
+        nll_mean = values.sum() / n
         if back is not None:
             dV[:n] += back[0]
             prefix_ids, prefix_rows = back[1:]
@@ -354,12 +360,12 @@ def forward(
         dH = np.zeros_like(H)
         if sample:
             values, back = _sample_nce(hx, ha, H[2 * n :], counts, config.tau_s, grads)
-            cl_s = float(values.sum()) / n
+            cl_s = values.sum() / n
             if grads:
                 dH += (config.lambda_s / n) * back
         if in_batch:
             values, back = _batch_nce(hx, ha, config.tau_b, grads)
-            cl_b = float(values.sum()) / n
+            cl_b = values.sum() / n
             if grads:
                 dH[: 2 * n] += (config.lambda_b / n) * back
         if grads:
@@ -377,8 +383,10 @@ def forward(
             weights[: len(ids)] = np.repeat(p, lengths)
             weights[len(ids) :] = r
             g.E[:, column] = np.bincount(scattered, weights, len(g.E))
-    total = nll_mean + config.lambda_b * cl_b + config.lambda_s * cl_s
-    return LossBreakdown(nll=nll_mean, cl_b=cl_b, cl_s=cl_s, total=total, grads=g)
+    losses = [nll_mean, cl_b, cl_s, nll_mean + config.lambda_b * cl_b + config.lambda_s * cl_s]
+    if np.isrealobj(losses[3]):  # complex parameters keep complex sums
+        losses = map(float, losses)
+    return LossBreakdown(*losses, grads=g)
 
 
 def validation_margin(backend: ToyBackend, examples: list[InferenceExample]) -> float:
@@ -403,7 +411,7 @@ def validation_margin(backend: ToyBackend, examples: list[InferenceExample]) -> 
     return float(np.mean(gold - np.maximum.reduceat(negative, np.cumsum(counts) - counts)))
 
 
-# --- finite-difference gate -------------------------------------------------
+# --- complex-step gradient gate ---------------------------------------------
 
 @dataclass
 class FiniteDiffFailure:
@@ -431,48 +439,39 @@ def finite_diff_check(
     backend: ToyBackend,
     enc: EncodedSet,
     config: LossConfig,
-    step: float = 1e-5,
     tol: float = 1e-4,
-    seed: int = 0,
-    full_check_limit: int = 10_000,
-    sample_size: int = 1_000,
     analytic: Gradients | None = None,
 ) -> FiniteDiffReport:
-    """Central-difference check of the gradients of :func:`forward`'s
-    total on the encoded batch ``enc``.
+    """Complex-step check of the gradients of :func:`forward`'s total on
+    the encoded batch ``enc``, at every parameter.
 
-    Every parameter is checked when the model has at most
-    ``full_check_limit`` of them, otherwise a seeded sample of
-    ``sample_size``. A coordinate passes when the relative error is
-    below ``tol``, or the absolute error is below 1e-7 where both
-    gradients are near zero. Failure is reported, never raised.
+    Coordinate k's numeric derivative is Im L(theta + ih e_k) / h, one
+    forward each. With no subtraction, h = 1e-20 loses nothing to
+    rounding (Squire & Trapp 1998; Martins, Sturdza & Alonso 2003).
+    ``analytic`` defaults to :func:`forward`'s gradients. A coordinate
+    passes when the relative error is below ``tol``, which must be in
+    (0, 1), or the absolute error is below 1e-7 where both gradients are
+    near zero. Failure is reported, never raised.
     """
+    if not 0 < tol < 1:
+        raise ValueError("tol must be in (0, 1)")
     work = backend.copy()
     if analytic is None:
         analytic = forward(work, enc, config).grads
     flat_analytic = np.concatenate(
         [analytic.E.ravel(), analytic.U.ravel(), analytic.b]
     )
-    theta = work.flat_parameters()
-    n_params = theta.size
-    if n_params <= full_check_limit:
-        indices = np.arange(n_params)
-    else:
-        rng = np.random.default_rng(derive_seed(seed, "fdcheck"))
-        indices = rng.choice(n_params, size=sample_size, replace=False)
+    work.set_flat_parameters(backend.flat_parameters().astype(complex))
+    imag = [p.reshape(-1).imag for p in (work.E, work.U, work.b)]  # writable views
+    coordinates = [(part, k) for part in imag for k in range(part.size)]  # in flat order
+    h = 1e-20
 
     failures: list[FiniteDiffFailure] = []
     max_error = 0.0
-    for idx in indices:
-        orig = theta[idx]
-        theta[idx] = orig + step
-        work.set_flat_parameters(theta)
-        up = forward(work, enc, config, grads=False).total
-        theta[idx] = orig - step
-        work.set_flat_parameters(theta)
-        down = forward(work, enc, config, grads=False).total
-        theta[idx] = orig
-        numeric = (up - down) / (2.0 * step)
+    for idx, (part, k) in enumerate(coordinates):
+        part[k] = h
+        numeric = float(forward(work, enc, config, grads=False).total.imag) / h
+        part[k] = 0.0
         ana = float(flat_analytic[idx])
         denom = max(abs(ana), abs(numeric))
         if denom < 1e-6:
@@ -485,20 +484,19 @@ def finite_diff_check(
         if not ok:
             failures.append(
                 FiniteDiffFailure(
-                    parameter=work.parameter_name(int(idx)),
-                    flat_index=int(idx),
+                    parameter=work.parameter_name(idx),
+                    flat_index=idx,
                     analytic=ana,
                     numeric=numeric,
                     error=err,
                 )
             )
-    work.set_flat_parameters(theta)
     failures.sort(key=lambda f: f.error, reverse=True)
     return FiniteDiffReport(
         passed=not failures,
-        n_checked=len(indices),
+        n_checked=len(coordinates),
         max_error=max_error,
         tol=tol,
-        step=step,
+        step=h,
         worst=failures[:10],
     )

@@ -187,9 +187,7 @@ def test_criterion_4_gradient_gate():
         cfg = LossConfig()
         for seed in range(5):
             be = batch_backend(seed=seed)
-            report = finite_diff_check(
-                be, encode(batch, negs, vocab=be.vocab), cfg, step=1e-5, tol=1e-4, seed=seed
-            )
+            report = finite_diff_check(be, encode(batch, negs, vocab=be.vocab), cfg, tol=1e-4)
             assert report.passed, report.worst[:3]
             assert report.n_checked == be.flat_parameters().size
 

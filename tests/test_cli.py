@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import inferbench.objective
 import inferbench.trainer
 from inferbench import cli
 from inferbench.backend import ToyBackend, load_checkpoint, save_checkpoint
@@ -487,6 +488,29 @@ def test_gradcheck_command(tmp_path):
     payload = json.loads(out.read_text())
     assert payload["passed"] is True
     assert payload["max_error"] < 1e-4
+
+
+@pytest.mark.parametrize("seed", [1, 17])
+def test_gradcheck_passes_at_every_parameter(tmp_path, seed):
+    """Seeds where a central difference's rounding failed correct gradients."""
+    out = tmp_path / "grad.json"
+    assert run(["gradcheck", "--seed", seed, "--out", out]) == 0
+    payload = json.loads(out.read_text())
+    assert payload["passed"] is True
+    vocab = build_vocabulary(build_split("gradcheck", 4, seed))
+    assert payload["n_checked"] == len(vocab) * (2 * cli.DEFAULT_CONFIG["model"]["d"] + 1)
+
+
+@pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf", "1e308"])
+def test_gradcheck_tol_outside_0_1_is_json_error(tmp_path, capsys, monkeypatch, tol):
+    def no_forward(*args, **kwargs):
+        raise AssertionError("forward ran")
+
+    monkeypatch.setattr(inferbench.objective, "forward", no_forward)
+    out = tmp_path / "grad.json"
+    assert run(["gradcheck", "--seed", "3", "--tol", tol, "--out", out]) == 2
+    assert json_error(capsys, "gradcheck") == "tol must be in (0, 1)"
+    assert not out.exists()
 
 
 def test_sweep_dry_run_shapes(tmp_path, small_data):

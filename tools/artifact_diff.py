@@ -20,8 +20,11 @@ block); ``score`` of the greedy generations by ``difficulty`` and of
 the top-k ones (empty hypotheses, stems that differ from their tokens)
 by ``question``, both ``--per-example``; ``compare`` of the judgments
 and of greedy against top-k by ``rouge_l``, ``cider``, ``bleu_4`` and
-``meteor``; ``agree``, ``gradcheck --seed 3`` and ``--seed 1``, and a
-2-run ``sweep``. One line per command gives both
+``meteor``; ``agree``; ``gradcheck --seed 3``, ``--seed 1`` and
+``--seed 17`` (a central difference's rounding failed correct
+gradients at seeds 1 and 17), and ``--seed 1`` at ``model.d`` 64
+(10 578 parameters, every one checked); and a 2-run ``sweep``. One
+line per command gives both
 exit codes, then one line per file: both digests and ``same``,
 ``params-same`` or ``DIFFERS``. A file whose JSON object has
 ``format_version`` is a checkpoint: when its bytes differ, both sides'
@@ -104,6 +107,9 @@ def commands() -> list[tuple[str, list[str]]]:
         ("agree", ["agree", "--judgments", "data/judgments.jsonl", "--out", "out/agree.json"]),
         ("gradcheck_seed3", ["gradcheck", "--seed", "3", "--out", "out/gradcheck_seed3.json"]),
         ("gradcheck_seed1", ["gradcheck", "--seed", "1", "--out", "out/gradcheck_seed1.json"]),
+        ("gradcheck_seed17", ["gradcheck", "--seed", "17", "--out", "out/gradcheck_seed17.json"]),
+        ("gradcheck_seed1_d64", ["gradcheck", "--seed", "1", "--set", "model.d=64",
+                                 "--out", "out/gradcheck_seed1_d64.json"]),
         ("sweep", ["sweep", *TRAIN[1:], "--out-dir", "out/sweep", "--config", "sweep.json",
                    "--set", "train.max_epochs=1"]),
     ]
