@@ -11,14 +11,15 @@ gradient-check yet rich enough to exercise every training objective:
 
 :func:`pool_flat` is the one pooling rule: a segment's embedding rows
 added in order, divided by the count, zeros for an empty segment. It
-takes every segment's ids in one flat array with their lengths
-(:func:`flatten`), which :func:`pool` builds from a list of segments.
-Masked scoring drops the masked position and pools the remaining tokens
-of the conditioned window. The model contract is id-level: the
-vocabulary ``vocab`` plus ``generate_batch`` (the decoded ids of each
-row), ``masked_log_probs`` (every masked position of each answer of a
-set, with its context and without, yielded answer by answer), both on
-token ids, and :func:`pool_flat`, which the objective's forward shares:
+takes the segments laid out flat, one ids array with their lengths
+(:class:`Segments`, built by :func:`flatten`; :func:`pool` flattens a
+list of segments), and a layout keeps the order its rows are added in
+once worked out. Masked scoring drops the masked position and pools the
+remaining tokens of the conditioned window. The model contract is
+id-level: the vocabulary ``vocab`` plus ``generate_batch`` (the decoded
+ids of each row), ``masked_log_probs`` (every masked position of each
+answer of a set, with its context and without, yielded run by run),
+both on token ids, and :func:`pool_flat`, which the objective's forward shares:
 embeddings exist only as its pooled, normalized rows.
 Masked scoring log-normalizes the logits; the decoder ranks them as they
 are. It takes plain values, ``generate_batch(inputs, max_len, k,
@@ -42,6 +43,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import accumulate
 from pathlib import Path
 
@@ -250,50 +252,92 @@ def _integers(seeds: list[int], bounds) -> np.ndarray:
     return values
 
 
-def flatten(segments) -> tuple[np.ndarray, np.ndarray]:
-    """The ids of every segment in one flat ``intp`` array, in order, and
-    each segment's length: the form :func:`pool_flat` takes."""
+@dataclass(frozen=True, eq=False)
+class Segments:
+    """Segments of token ids laid out flat, the form :func:`pool_flat`
+    takes: segment i is the next ``lengths[i]`` entries of ``ids``. The
+    order in which :func:`_segment_sums` adds them is worked out on first
+    use and kept (:attr:`plan`), so a layout pooled again pays only the
+    gather and the adds."""
+
+    ids: np.ndarray
+    lengths: np.ndarray
+
+    @cached_property
+    def plan(self) -> tuple[np.ndarray, list[int], np.ndarray]:
+        """The segments sorted longest first (stable), position by position:
+        the ids of their tokens in that order, how many segments reach each
+        position, and the inverse of the sort."""
+        order = np.argsort(-self.lengths, kind="stable")
+        # placed[j, i]: the i-th longest segment has a token at position j
+        placed = np.arange(self.lengths.max(initial=0))[:, None] < self.lengths[order]
+        # where in ``ids`` each placed token is, position by position
+        at = (np.cumsum(self.lengths) - self.lengths)[order] + np.arange(len(placed))[:, None]
+        return self.ids[at[placed]], placed.sum(axis=1).tolist(), np.argsort(order)
+
+
+def flatten(segments) -> Segments:
+    """The ids of every segment in one flat ``intp`` array, in order, with
+    each segment's length."""
     lengths = np.fromiter(map(len, segments), np.intp, len(segments))
     ids = np.concatenate([np.zeros(0, dtype=np.intp), *segments])
-    return ids.astype(np.intp, copy=False), lengths  # an empty list concatenates as float
+    # an empty list concatenates as float
+    return Segments(ids.astype(np.intp, copy=False), lengths)
 
 
-def _segment_sums(E: np.ndarray, ids: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+def _segment_sums(E: np.ndarray, segments: Segments) -> np.ndarray:
     """In-order sum of each segment's E rows, one row per segment, from
-    -0.0 (the exact identity of float addition); segment i is the next
-    ``lengths[i]`` entries of the flat ``ids``. One vector add per token
-    position, over the segments sorted longest first so that those
-    reaching a position lead. This adds in order at every d; numpy's sum
-    over an axis adds a single column pairwise at d = 1. The sums take
-    E's dtype, so complex parameters pool too."""
-    order = np.argsort(-lengths, kind="stable")
-    # placed[j, i]: the i-th longest segment has a token at position j
-    placed = np.arange(lengths.max(initial=0))[:, None] < lengths[order]
-    # where in ``ids`` each placed token is, position by position
-    at = (np.cumsum(lengths) - lengths)[order] + np.arange(len(placed))[:, None]
-    rows = E[ids[at[placed]]]
-    sums = np.full((len(lengths), E.shape[1]), -0.0, dtype=E.dtype)
+    -0.0 (the exact identity of float addition). One vector add per token
+    position, over the segments sorted longest first (:attr:`Segments.plan`)
+    so that those reaching a position lead. This adds in order at every
+    d; numpy's sum over an axis adds a single column pairwise at d = 1.
+    The sums take E's dtype, so complex parameters pool too."""
+    ids, reach, inverse = segments.plan
+    rows = E[ids]
+    sums = np.full((len(segments.lengths), E.shape[1]), -0.0, dtype=E.dtype)
     start = 0
-    for k in placed.sum(axis=1).tolist():
+    for k in reach:
         sums[:k] += rows[start : start + k]
         start += k
-    return sums[np.argsort(order)]
+    return sums[inverse]
 
 
-def pool_flat(E: np.ndarray, ids: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """Mean E row of each segment of the flat ``ids`` (segment i is the
-    next ``lengths[i]`` ids), one row per segment: its rows added in
+def pool_flat(E: np.ndarray, segments: Segments) -> np.ndarray:
+    """Mean E row of each segment, one row per segment: its rows added in
     order, divided by the count; zeros for an empty segment. A segment
     pools to the same bits alone or among other segments; no segments
     pool to a (0, d) array."""
-    sums = _segment_sums(E, ids, lengths)
-    counts = lengths[:, None]
+    sums = _segment_sums(E, segments)
+    counts = segments.lengths[:, None]
     return np.divide(sums, counts, out=np.zeros_like(sums), where=counts > 0)
 
 
 def pool(E: np.ndarray, segments) -> np.ndarray:
     """:func:`pool_flat` of a list of id segments, concatenated once."""
-    return pool_flat(E, *flatten(segments))
+    return pool_flat(E, flatten(segments))
+
+
+def _masked_windows(answers: Segments, ends: np.ndarray, lo: int, hi: int, context_row: int):
+    """The masked windows of answers ``lo`` .. ``hi - 1`` of ``answers``
+    (``ends`` their cumulative lengths), laid out by index arithmetic:
+    for each position j of each answer i in order, the row ``context_row +
+    i`` of a table that holds context i's sum, then the answer's tokens
+    but the j-th; then, in the same order, those tokens alone."""
+    # window p masks position j of answer owner[p], n[p] tokens long,
+    # which starts at answers.ids[first[p]]
+    owner = np.repeat(np.arange(lo, hi), answers.lengths[lo:hi])
+    n = answers.lengths[owner][:, None]
+    first = ends[owner][:, None] - n
+    j = np.arange(ends[lo] - answers.lengths[lo], ends[hi - 1])[:, None] - first
+    # the answer's tokens but the j-th: column c reads token c before j
+    # and c + 1 from j on
+    cols = np.arange(n.max(initial=1) - 1)
+    rest = np.take(answers.ids, first + cols + (cols >= j), mode="clip")
+    with_context = np.concatenate([context_row + owner[:, None], rest], axis=1)
+    return Segments(
+        np.concatenate([with_context[np.arange(len(cols) + 1) < n], rest[cols < n - 1]]),
+        np.concatenate([n[:, 0], n[:, 0] - 1]),
+    )
 
 
 class ToyBackend:
@@ -332,20 +376,24 @@ class ToyBackend:
         return log_probs
 
     def masked_log_probs(self, answers, contexts):
-        """Yield, answer by answer, the log-probabilities at every masked
-        position of the answer, with its context and without: the pair of
-        ``answers[i]`` has a row j that scores the window ``contexts[i]`` +
-        ``answers[i]`` without position j, and one that scores ``answers[i]``
-        without position j, each pooled as :func:`pool` pools it, bit for bit.
+        """Yield, run by run, the log-probabilities at every masked
+        position of the answers, with their context and without. A run is
+        a ``range`` of consecutive answers holding at most
+        :data:`MASKED_WINDOWS` windows (an answer with more is a run
+        alone); it comes with two arrays of one row per position of its
+        answers, in order: row p of the first scores the window
+        ``contexts[i]`` + ``answers[i]`` without p's position j, row p of
+        the second ``answers[i]`` without position j, each pooled as
+        :func:`pool` pools it, bit for bit.
 
         Each context is summed once, in one call, and its windows sum on from
         that sum, a row appended to the embedding table; this table of
         context sums (one row of d per answer) and the context rows gathered
-        to take it are the arrays that grow with the set. The answers are
-        scored in runs of at most :data:`MASKED_WINDOWS` windows (an answer
-        with more is a run alone), so no other array outgrows a block or
-        one answer. A NaN or infinite logit raises ValueError, without a
-        numpy warning."""
+        to take it are the arrays that grow with the set. A run's windows
+        are laid out by index arithmetic over the run's answers
+        (:func:`_masked_windows`) and let go once summed, so no other array
+        outgrows a run or one answer. A NaN or infinite logit raises
+        ValueError, without a numpy warning."""
         if not answers:
             return
         # numpy's overflow warnings are off where sums and logits are taken
@@ -353,35 +401,26 @@ class ToyBackend:
         # would leave the caller's code under the errstate
         with np.errstate(over="ignore", invalid="ignore"):
             # the in-order sum of context i is row len(E) + i
-            table = np.concatenate([self.E, _segment_sums(self.E, *flatten(contexts))])
-        runs = []
-        for i, answer in enumerate(answers):
-            if not runs or size + 2 * len(answer) > MASKED_WINDOWS:
-                runs.append([])
+            table = np.concatenate([self.E, _segment_sums(self.E, flatten(contexts))])
+        flat = flatten(answers)
+        ends = np.cumsum(flat.lengths)
+        context_lengths = np.fromiter(map(len, contexts), np.intp, len(contexts))
+        starts, size = [0], 0  # the first answer of each run
+        for i, n in enumerate(flat.lengths.tolist()):
+            if i and size + 2 * n > MASKED_WINDOWS:
+                starts.append(i)
                 size = 0
-            runs[-1].append(i)
-            size += 2 * len(answer)
-        for run in runs:
-            windows, lengths, counts = [], [], []
-            for i in run:
-                n = len(answers[i])
-                cols = np.arange(n)
-                # row j: the context's sum, then the answer without position j
-                ids = np.concatenate([[len(self.E) + i], answers[i]])
-                with_ctx = ids[cols + (cols > cols[:, None])]
-                windows += [with_ctx.ravel(), with_ctx[:, 1:].ravel()]
-                lengths += [n] * n + [n - 1] * n
-                counts += [len(contexts[i]) + n - 1] * n + [n - 1] * n
-            counts = np.array(counts)[:, None]
+            size += 2 * n
+        for lo, hi in zip(starts, [*starts[1:], len(answers)]):
+            owner = np.repeat(np.arange(lo, hi), flat.lengths[lo:hi])  # each position's answer
+            n = flat.lengths[owner]
+            counts = np.concatenate([context_lengths[owner] + n - 1, n - 1])[:, None]
             with np.errstate(over="ignore", invalid="ignore"):
-                lengths = np.array(lengths, dtype=np.intp)
-                sums = _segment_sums(table, np.concatenate(windows), lengths)
+                sums = _segment_sums(table, _masked_windows(flat, ends, lo, hi, len(self.E)))
                 # an empty window pools to zeros
                 states = np.divide(sums, counts, out=np.zeros_like(sums), where=counts > 0)
                 log_probs = self._log_probs_rows(states)
-            for start, i in zip(np.cumsum([0, *(2 * len(answers[i]) for i in run)]), run):
-                n = len(answers[i])
-                yield log_probs[start : start + n], log_probs[start + n : start + 2 * n]
+            yield range(lo, hi), log_probs[: len(owner)], log_probs[len(owner) :]
 
     def generate_batch(
         self,

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Callable, Collection
+from typing import Callable
 
 import numpy as np
 
@@ -148,25 +148,24 @@ def nonoptimal_sets(
     ]
 
 
-def select_positions(deltas: np.ndarray, threshold: float) -> tuple[list[int], bool]:
-    """Positions with delta above threshold; falls back to the argmax
-    (lowest index on ties) when nothing clears it."""
-    selected = [int(j) for j in np.flatnonzero(deltas > threshold)]
-    if selected:
-        return selected, False
-    return [int(np.argmax(deltas))], True
+def rank_candidates(rows: np.ndarray, gold: np.ndarray, k: int):
+    """The replacement candidates at each row of log-probabilities, row by
+    row: the top k of the row's ranking without ``gold[r]``, or the
+    (k+1)-th token when gold fills the whole top k. The ranking is by
+    value descending, ties by lower id, with the special tokens (the
+    first ids) left out.
 
-
-def replacement_candidates(
-    dist: np.ndarray, gold: int, k: int, special_ids: Collection[int]
-) -> list[int]:
-    """The non-special tokens among the top k of ``dist`` (ranked by
-    descending value, ties by lower id), gold left out; the (k+1)-th
-    when gold fills the whole top k. Only the first k + 1 + |specials|
-    ranks are read: they hold the first k + 1 non-special tokens."""
-    order = np.lexsort((np.arange(len(dist)), -dist))[: k + 1 + len(special_ids)]
-    ranked = [int(t) for t in order if int(t) not in special_ids]
-    return [t for t in ranked[:k] if t != gold] or [t for t in ranked[k : k + 1] if t != gold]
+    Returns the first k + 1 ranked ids of each row, each row's candidate
+    count (0 when it has none) and gold's column among the top k (k when
+    gold is not there): candidate c is column c, or c + 1 from gold's
+    column on."""
+    order = np.argsort(-rows[:, len(SPECIALS) :], axis=1, kind="stable")
+    ranked = order[:, : k + 1] + len(SPECIALS)  # a copy, so the whole ranking is let go
+    is_gold = ranked[:, :k] == gold[:, None]
+    count = is_gold.shape[1] - is_gold.sum(axis=1)
+    # gold is the whole top k only at k 1, and the (k+1)-th then is column 1
+    count[(count == 0) & (ranked.shape[1] > k)] = 1
+    return ranked, count, np.where(is_gold.any(axis=1), is_gold.argmax(axis=1), k)
 
 
 def replace_sets(
@@ -186,15 +185,24 @@ def replace_sets(
     and ``mode`` ("zs" or "mcq") records which scorer produced them.
 
     A position is context-sensitive when |log p(a_j | context +
-    answer\\j) - log p(a_j | answer\\j)| exceeds ``threshold``; every
-    masked window of the set is scored in one
-    :meth:`~inferbench.backend.ToyBackend.masked_log_probs` call.
+    answer\\j) - log p(a_j | answer\\j)| exceeds ``threshold``; an answer
+    with none falls back to its largest delta (lowest position on ties).
     Replacements are seeded-uniform draws from the top-k tokens of the
     answer-only masked distribution at each selected position, excluding
     the gold token and the special tokens; when gold fills the whole
     top-k, the (k+1)-th ranked token steps in. Output token count always
     equals the gold token count, and each negative's ids are the gold
     answer's ids with the replacements swapped in.
+
+    The set is scored in one
+    :meth:`~inferbench.backend.ToyBackend.masked_log_probs` call. Each
+    run, while its log-probability rows are held, takes the deltas, the
+    selection and its fallback for all its answers at once and ranks the
+    answer-only rows of its selected positions row-wise
+    (:func:`rank_candidates`). The rest is set-level and reads no
+    log-probability: one draw for every slot of the set, then every
+    slot's ids and tokens gathered at once from the gold answers with the
+    draws swapped in, so each example's m id rows are views of one array.
     """
     if threshold <= 0:
         raise ValueError("threshold must be positive")
@@ -202,46 +210,81 @@ def replace_sets(
         raise ValueError("k must be >= 1")
     if mode not in ("zs", "mcq"):
         raise ValueError(f"unknown replace mode {mode!r}")
+    if not examples:
+        return []
     answers = [ids[:-1] for ids in enc.answers]  # without EOS
-    scored = scorer.masked_log_probs(answers, enc.inputs)
     strategy = f"replace_{mode}"
-    tokens = scorer.vocab.tokens
-    specials = range(len(SPECIALS))
-    picks = []  # (positions, fallback, candidates at each position) per example
-    for example, answer_ids, (with_ctx, answer_only) in zip(examples, answers, scored):
-        at_gold = (np.arange(len(answer_ids)), answer_ids)
+    # every answer position of the set, answer by answer
+    lengths = np.fromiter(map(len, answers), np.intp, len(answers))
+    ends = np.cumsum(lengths)
+    starts = ends - lengths
+    owner = np.repeat(np.arange(len(answers)), lengths)  # each position's answer
+    column = np.arange(len(owner)) - starts[owner]  # and its place in that answer
+    gold = np.concatenate(answers)
+    selected = np.zeros(len(gold), dtype=bool)
+    fallback = np.zeros(len(answers), dtype=bool)
+    picks = []  # rank_candidates of each run's selected positions
+    for run, with_ctx, answer_only in scorer.masked_log_probs(answers, enc.inputs):
+        lo, hi = starts[run.start], ends[run.stop - 1]
+        at_gold = (np.arange(hi - lo), gold[lo:hi])
         deltas = np.abs(with_ctx[at_gold] - answer_only[at_gold])
-        positions, fallback = select_positions(deltas, threshold)
-        candidates = []
-        for j in positions:
-            top = replacement_candidates(answer_only[j], answer_ids[j], k, specials)
-            if not top:
-                raise ValueError(f"example {example.id}: no replacement candidates at {j}")
-            candidates.append(top)
-        picks.append((positions, fallback, candidates))
-    slot_seeds = [derive_seed(seed, ex.id, strategy, slot) for ex in examples for slot in range(m)]
-    width = max((len(c) for _, _, c in picks), default=0)
-    # a row per slot: the candidate counts, padded with 1 (integers(1) draws nothing)
-    bounds = [[len(top) for top in c] + [1] * (width - len(c)) for _, _, c in picks for _ in range(m)]
-    drawn = zip(slot_seeds, _integers(slot_seeds, np.reshape(bounds, (len(slot_seeds), width))).tolist())
+        by_answer = np.full((len(run), lengths[run].max()), -np.inf)
+        by_answer[owner[lo:hi] - run.start, column[lo:hi]] = deltas
+        falls = ~(by_answer > threshold).any(axis=1)
+        fallback[run] = falls
+        selected[lo:hi] = deltas > threshold
+        selected[starts[run][falls] + by_answer[falls].argmax(axis=1)] = True
+        chosen = np.flatnonzero(selected[lo:hi])
+        picks.append(rank_candidates(answer_only[chosen], gold[lo + chosen], k))
+    chosen = np.flatnonzero(selected)
+    ranked, count, gold_column = (np.concatenate(part) for part in zip(*picks))
+    if not count.all():
+        p = chosen[np.argmin(count)]
+        raise ValueError(
+            f"example {examples[owner[p]].id}: no replacement candidates at {column[p]}"
+        )
+
+    # one row of draws per slot, m slots per answer: the candidate counts
+    # of the answer's chosen positions, padded with 1 (integers(1) draws
+    # nothing)
+    slots = np.repeat(np.arange(len(answers)), m)
+    n_chosen = np.bincount(owner[chosen], minlength=len(answers))
+    first = np.cumsum(n_chosen) - n_chosen
+    bounds = np.ones((len(answers), n_chosen.max()), dtype=np.int64)
+    bounds[owner[chosen], np.arange(len(chosen)) - first[owner[chosen]]] = count
+    slot_seeds = [derive_seed(seed, ex.id, strategy, s) for ex in examples for s in range(m)]
+    drawn = _integers(slot_seeds, bounds[slots])
+    taken = np.arange(bounds.shape[1]) < n_chosen[slots, None]
+    slot, nth = np.nonzero(taken)
+    at = first[slots[slot]] + nth  # the chosen position each draw is at
+    drawn = drawn[taken]
+    replacements = ranked[at, drawn + (drawn >= gold_column[at])]
+
+    # answer e's slots are m rows of its length from m * starts[e] on,
+    # its gold ids and tokens with the replacements swapped in
+    of = np.repeat(np.arange(len(answers)), m * lengths)
+    source = starts[of] + (np.arange(len(of)) - m * starts[of]) % lengths[of]
+    target = m * starts[slots[slot]] + slot % m * lengths[slots[slot]] + column[chosen[at]]
+    ids = gold[source]
+    ids[target] = replacements
+    # an out-of-vocabulary token keeps its surface form
+    words = np.array([w for ex in examples for w in tokenize(ex.answer)], dtype=object)[source]
+    words[target] = np.array(scorer.vocab.tokens, dtype=object)[replacements]
+    words = words.tolist()
     sets = []
-    for example, answer_ids, (positions, fallback, candidates) in zip(examples, answers, picks):
-        # an out-of-vocabulary token keeps its surface form
-        answer_tokens = tokenize(example.answer)
-        negatives, ids, provenance = [], [], []
-        for slot in range(m):
-            slot_seed, indices = next(drawn)
-            out_tokens, out_ids = list(answer_tokens), answer_ids.copy()
-            for j, top, index in zip(positions, candidates, indices):
-                out_ids[j] = top[index]
-                out_tokens[j] = tokens[out_ids[j]]
-            negatives.append(" ".join(out_tokens))
-            ids.append(out_ids)
-            provenance.append({
-                "slot": slot, "seed": slot_seed, "replaced_positions": positions,
-                "fallback": fallback, "mode": mode, "threshold": threshold, "k": k,
-            })
-        sets.append(NegativeSet(example.id, strategy, negatives, provenance, ids))
+    for e, example in enumerate(examples):
+        n, lo = lengths[e], m * starts[e]
+        positions = column[chosen[first[e] : first[e] + n_chosen[e]]].tolist()
+        provenance = [
+            {
+                "slot": s, "seed": slot_seed, "replaced_positions": positions,
+                "fallback": bool(fallback[e]), "mode": mode, "threshold": threshold, "k": k,
+            }
+            for s, slot_seed in enumerate(slot_seeds[e * m : (e + 1) * m])
+        ]
+        negatives = [" ".join(words[row : row + n]) for row in range(lo, lo + m * n, n)]
+        rows = list(ids[lo : lo + m * n].reshape(m, n))
+        sets.append(NegativeSet(example.id, strategy, negatives, provenance, rows))
     return sets
 
 

@@ -18,9 +18,10 @@ one built from every token the call encodes. Each call tokenizes each
 distinct line once, every id row of a call is a view of one read-only
 array, and every occurrence of a text shares one row. Then
 :func:`forward`, the one entry point to the objective, evaluates it on
-that set in matrix form: the batch's segment ids are concatenated once,
-every pooled embedding (inputs, answers, negatives) comes from one
-:func:`~inferbench.backend.pool_flat` call on them, the NLL scores all
+that set in matrix form: the set lays its segments out flat once
+(:meth:`EncodedSet.segments`), every pooled embedding (inputs, answers,
+negatives) comes from one :func:`~inferbench.backend.pool_flat` call on
+that layout, the NLL scores all
 answers of a block with one product with U, and both InfoNCE terms are
 row-wise softmax cross-entropies over a logit matrix, n x n for the
 in-batch term and n x (1 + m) for the per-sample one (padded with -inf
@@ -42,7 +43,7 @@ from itertools import islice
 import numpy as np
 
 from .backend import (
-    BOS_ID, EOS_ID, Gradients, ToyBackend, Vocabulary, flatten, pool, pool_flat,
+    BOS_ID, EOS_ID, Gradients, Segments, ToyBackend, Vocabulary, flatten, pool_flat,
 )
 from .corpus import InferenceExample, prepare_input_text
 from .metrics import tokenize
@@ -93,16 +94,36 @@ class LossBreakdown:
 class EncodedSet:
     """Token ids of a batch or dataset under ``vocab`` and one template:
     input ids (possibly empty), answer ids with EOS, and the ids of each
-    negative of each example (None without negatives)."""
+    negative of each example (None without negatives).
+
+    :meth:`segments` lays the set out for pooling once: a set pooled
+    again (by every forward of the complex-step gate, every epoch's
+    validation perplexity, every step of the mcq scorer) reuses its flat
+    ids, lengths and add order. :meth:`take` returns a set with its own
+    layout."""
 
     example_ids: list[str]
     inputs: list[np.ndarray]
     answers: list[np.ndarray]
     negatives: list[list[np.ndarray]] | None
     vocab: Vocabulary
+    _layouts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.example_ids)
+
+    def segments(self, groups: int) -> Segments:
+        """The first ``groups`` (1-3) of: the inputs, the answers without
+        EOS and every example's negatives in order, laid out flat, built
+        on the first call for each ``groups``."""
+        if groups not in self._layouts:
+            rows = list(self.inputs)
+            if groups > 1:
+                rows += [a[:-1] for a in self.answers]
+            if groups > 2:
+                rows += [ids for negs in self.negatives for ids in negs]
+            self._layouts[groups] = flatten(rows)
+        return self._layouts[groups]
 
     def take(self, index) -> "EncodedSet":
         def pick(rows):
@@ -322,6 +343,12 @@ def forward(
     no in-batch term. Without ``grads`` the parameters may be complex, as
     :func:`finite_diff_check`'s complex step makes them; the losses are
     then complex too, and Python floats otherwise.
+
+    The pool and the scatter into E read the set's layout
+    (:meth:`EncodedSet.segments`): the inputs alone for the NLL, with
+    the answers for the in-batch term, and with the negatives too for
+    the per-sample term. A set passed again, as the gate and validation
+    perplexity pass theirs, is not laid out again.
     """
     n = len(enc)
     if n == 0:
@@ -333,14 +360,11 @@ def forward(
         raise ValueError("lambda_s > 0 requires >= 1 negative per example")
     in_batch = config.lambda_b > 0 and n >= 2
 
-    segments = list(enc.inputs)
-    if sample or in_batch:
-        segments += [a[:-1] for a in enc.answers]
     if sample:
         counts = np.array([len(negs) for negs in enc.negatives])
-        segments += [ids for negs in enc.negatives for ids in negs]
-    ids, lengths = flatten(segments)  # read by the pool and by the scatter into E
-    V = pool_flat(backend.E, ids, lengths)
+    # read by the pool and by the scatter into E
+    layout = enc.segments(3 if sample else 2 if in_batch else 1)
+    V = pool_flat(backend.E, layout)
     g = Gradients.zeros_like(backend) if grads else None
     dV = np.zeros_like(V)
     prefix_ids, prefix_rows = np.zeros(0, dtype=np.intp), np.zeros((0, backend.d))
@@ -376,6 +400,7 @@ def forward(
         # like np.add.at but faster; each column's weights repeat its
         # segments' values from the (d x segments) transpose into one
         # buffer, so no (ids x d) copy is kept alive
+        ids, lengths = layout.ids, layout.lengths
         scattered = np.concatenate([ids, prefix_ids])
         pooled = (dV / np.maximum(lengths, 1)[:, None]).T.copy()
         weights = np.empty(len(scattered))
@@ -403,9 +428,7 @@ def validation_margin(backend: ToyBackend, examples: list[InferenceExample]) -> 
     if not counts.all():
         raise ValueError(f"example {enc.example_ids[np.argmin(counts)]} has no counterfactual")
     n = len(enc)
-    segments = [*enc.inputs, *(a[:-1] for a in enc.answers)]
-    segments += [ids for negs in enc.negatives for ids in negs]
-    H, _ = _unit(pool(backend.E, segments), lambda row: _zero_embedding(enc, row))
+    H, _ = _unit(pool_flat(backend.E, enc.segments(3)), lambda row: _zero_embedding(enc, row))
     gold = np.einsum("ij,ij->i", H[:n], H[n : 2 * n])
     negative = np.einsum("ij,ij->i", np.repeat(H[:n], counts, axis=0), H[2 * n :])
     return float(np.mean(gold - np.maximum.reduceat(negative, np.cumsum(counts) - counts)))

@@ -3,7 +3,7 @@
 The package runs only batched kernels: ``ToyBackend.generate_batch``
 decodes blocks of rows under one ``max_len`` and ``k`` (greedy when
 None) with one seed per row, ``masked_log_probs`` scores every masked
-position of a set of answers in one call, a block at a time, and
+position of a set of answers in one call, a run at a time, and
 ``nonoptimal_sets`` and ``replace_sets`` work on encoded sets. The
 functions here state the same model one row, one position or one
 example at a time, on
@@ -212,7 +212,7 @@ def replacement_deltas(scorer, example, template_id="default") -> np.ndarray:
     from one ``masked_log_probs`` call."""
     enc = encode([example], template_id=template_id, vocab=scorer.vocab)
     answer = enc.answers[0][:-1]
-    [(with_ctx, answer_only)] = scorer.masked_log_probs([answer], enc.inputs)
+    [(_, with_ctx, answer_only)] = scorer.masked_log_probs([answer], enc.inputs)
     at_gold = (np.arange(len(answer)), answer)
     return np.abs(with_ctx[at_gold] - answer_only[at_gold])
 
@@ -223,7 +223,8 @@ def normalize_answer(text: str) -> str:
 
 
 def replacement_candidates(dist, gold, k, special_ids) -> list[int]:
-    """``replace_sets``' candidates at one position from the whole
+    """The replacement candidates at one position (``rank_candidates``
+    takes them for every selected position at once) from the whole
     vocabulary ranked (descending value, ties by lower id) with the
     specials removed: its top k without gold, else the (k+1)-th."""
     order = np.lexsort((np.arange(len(dist)), -dist))

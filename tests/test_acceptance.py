@@ -26,7 +26,7 @@ from inferbench.analysis import (
 from inferbench.backend import ToyBackend, Vocabulary
 from inferbench.cli import main as cli_main
 from inferbench.metrics import bleu, cider, meteor_lite, rouge_l, tokenize
-from inferbench.negatives import pick_counterfactuals, select_positions
+from inferbench.negatives import pick_counterfactuals
 from inferbench.objective import LossConfig, encode, finite_diff_check, forward, validation_margin
 from inferbench.synth import build_corpus
 from inferbench.trainer import TrainConfig, train
@@ -263,8 +263,9 @@ def test_criterion_7_negative_procedure_contracts():
             assert positions == bf_replace_positions(scorer, example, threshold)
             diff = [i for i, (a, b) in enumerate(zip(out_tokens, gold_tokens)) if a != b]
             assert diff == positions
-            raw, fallback = select_positions(replacement_deltas(scorer, example), threshold)
-            current = set() if fallback else set(raw)
+            deltas = replacement_deltas(scorer, example)
+            current = {j for j, delta in enumerate(deltas) if delta > threshold}
+            assert ns.provenance[0]["fallback"] == (not current)
             if previous is not None:
                 assert current <= previous
             previous = current

@@ -1,9 +1,12 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from inferbench.backend import BOS_ID, EOS_ID, ToyBackend, Vocabulary, derive_seed, pool
+from inferbench.backend import (
+    BOS_ID, EOS_ID, MASKED_WINDOWS, SPECIALS, ToyBackend, Vocabulary, derive_seed, pool,
+)
 from inferbench.corpus import load_dataset, normalize_answer
 from inferbench.metrics import tokenize
 from inferbench.negatives import (
@@ -11,7 +14,6 @@ from inferbench.negatives import (
     nonoptimal_sets,
     pick_counterfactuals,
     replace_sets,
-    select_positions,
     train_mcq_scorer,
 )
 from inferbench.objective import LossConfig, encode, forward
@@ -19,7 +21,9 @@ from inferbench.trainer import build_vocabulary
 
 from bruteforce import bf_replace_positions, bf_total_loss
 from conftest import make_example, replace_one
-from reference_model import generate, generate_nonoptimal, replacement_deltas
+from reference_model import (
+    generate, generate_nonoptimal, masked_logits_ids, replacement_deltas,
+)
 
 
 def context_sensitive_scorer(example, scale=20.0, seed=5, d=8):
@@ -242,6 +246,19 @@ def test_replace_rejects_bad_arguments(example, bad, message):
         replace_one(scorer, example, **args)
 
 
+def test_replace_names_the_position_with_no_candidate():
+    # "yes" is the one non-special token: as gold it leaves no candidate,
+    # while the out-of-vocabulary "cat" (UNK) has "yes"
+    examples = [make_example(ex_id="ex-1", answer="cat"), make_example(ex_id="ex-2", answer="yes")]
+    scorer = ToyBackend(Vocabulary(["yes"]), d=2, seed=0)
+    enc = encode(examples, vocab=scorer.vocab)
+    with pytest.raises(ValueError, match="^example ex-2: no replacement candidates at 0$"):
+        replace_sets(scorer, examples, enc, threshold=0.75, k=3, m=1, seed=0, mode="zs")
+    [ns] = replace_sets(scorer, examples[:1], enc.take([0]), threshold=0.75, k=3, m=2, seed=0,
+                        mode="zs")
+    assert ns.negatives == ["yes", "yes"]
+
+
 def test_zero_scorer_fallback_picks_position_zero(example):
     vocab = build_vocabulary([example])
     scorer = ToyBackend(vocab, d=4, seed=0)
@@ -250,8 +267,10 @@ def test_zero_scorer_fallback_picks_position_zero(example):
     scorer.b[:] = 0.0
     deltas = replacement_deltas(scorer, example)
     assert np.allclose(deltas, 0.0)
-    positions, fallback = select_positions(deltas, 0.75)
-    assert positions == [0] and fallback
+    ns = replace_one(scorer, example, threshold=0.75, k=10, m=2, seed=0, mode="zs")
+    assert bf_replace_positions(scorer, example, 0.75) == [0]
+    for prov in ns.provenance:
+        assert prov["replaced_positions"] == [0] and prov["fallback"]
 
 
 def test_positions_match_bruteforce(example):
@@ -266,7 +285,10 @@ def test_positions_of_a_ragged_set_match_bruteforce(monkeypatch):
     """One ``replace_sets`` call on 30 examples of 1-10 answer tokens and
     ragged contexts, whose masked windows fill several runs of
     ``MASKED_WINDOWS`` cut to 64: each example's positions are its own
-    brute-force selection."""
+    brute-force selection, and its whole NegativeSet (texts, ids and
+    provenance) is its one-example call's. Threshold 0.5 selects several
+    positions, 1e9 none (every answer falls back), and at k 1 gold fills
+    the top k at some selected position, so the second token steps in."""
     monkeypatch.setattr("inferbench.backend.MASKED_WINDOWS", 64)
     words = "the rain was announced earlier yes is set for friday did you hear".split()
     examples = [
@@ -282,10 +304,62 @@ def test_positions_of_a_ragged_set_match_bruteforce(monkeypatch):
     scorer.E *= 20.0
     scorer.U *= 20.0
     enc = encode(examples, vocab=scorer.vocab)
-    sets = replace_sets(scorer, examples, enc, threshold=0.5, k=10, m=1, seed=1, mode="zs")
-    positions = [ns.provenance[0]["replaced_positions"] for ns in sets]
-    assert positions == [bf_replace_positions(scorer, ex, 0.5) for ex in examples]
-    assert max(map(len, positions)) > 1
+    assert len(list(scorer.masked_log_probs([a[:-1] for a in enc.answers], enc.inputs))) > 2
+    for threshold, k in ((0.5, 10), (1e9, 10), (0.5, 1)):
+        args = {"threshold": threshold, "k": k, "m": 3, "seed": 1, "mode": "zs"}
+        sets = replace_sets(scorer, examples, enc, **args)
+        positions = [ns.provenance[0]["replaced_positions"] for ns in sets]
+        assert positions == [bf_replace_positions(scorer, ex, threshold) for ex in examples]
+        for ex, ns in zip(examples, sets):
+            alone = replace_one(scorer, ex, **args)
+            assert ns == alone
+            assert [ids.tolist() for ids in ns.ids] == [ids.tolist() for ids in alone.ids]
+        fallbacks = [ns.provenance[0]["fallback"] for ns in sets]
+        if threshold > 1:
+            assert all(fallbacks)
+        else:
+            assert max(map(len, positions)) > 1 and not all(fallbacks)
+        if k == 1:
+            # the answer-only ranking's top non-special token is gold
+            gold_on_top = [
+                (ex.id, j)
+                for ex, answer, ns in zip(examples, enc.answers, sets)
+                for j in ns.provenance[0]["replaced_positions"]
+                if np.argmax(masked_logits_ids(scorer, list(answer[:-1]), j)[len(SPECIALS) :])
+                + len(SPECIALS) == answer[j]
+            ]
+            assert gold_on_top
+
+
+def test_replace_on_an_empty_set_gives_no_sets(example):
+    scorer = context_sensitive_scorer(example)
+    args = {"threshold": 0.75, "k": 10, "m": 2, "seed": 0, "mode": "zs"}
+    assert replace_sets(scorer, [], encode([], vocab=scorer.vocab), **args) == []
+
+
+def test_replace_sets_peak_stays_within_a_run_not_the_set(data_dir):
+    """On the 200 examples of ``train.jsonl`` (3196 windows, 7 runs), what
+    ``replace_sets`` holds at its traced peak beyond the sets it returns
+    stays within three times one run's log-probabilities plus the
+    context table: the log-probability rows of the whole set (2.5 MB)
+    are never held at once."""
+    examples = load_dataset(data_dir / "train.jsonl")
+    vocab = build_vocabulary(examples)
+    scorer = ToyBackend(vocab, d=16, seed=3)
+    enc = encode(examples, vocab=vocab)
+    windows = 2 * sum(len(answer) - 1 for answer in enc.answers)
+    assert windows > 6 * MASKED_WINDOWS
+    tracemalloc.start()
+    try:
+        sets = replace_sets(scorer, examples, enc, threshold=0.75, k=10, m=4, seed=0, mode="zs")
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(sets) == len(examples)
+    run = MASKED_WINDOWS * len(vocab) * 8
+    table = (len(vocab) + len(examples)) * scorer.d * 8
+    assert peak - held <= 3 * (run + table)
+    assert peak - held < windows * len(vocab) * 8
 
 
 def test_threshold_monotonicity(example):
@@ -293,13 +367,18 @@ def test_threshold_monotonicity(example):
     deltas = replacement_deltas(scorer, example)
     previous = None
     for threshold in (0.25, 0.5, 0.75, 1.0):
-        selected, fallback = select_positions(deltas, threshold)
-        raw = set() if fallback else set(selected)
+        prov = replace_one(scorer, example, threshold=threshold, k=10, m=1, seed=1,
+                           mode="zs").provenance[0]
+        assert prov["replaced_positions"] == bf_replace_positions(scorer, example, threshold)
+        raw = {j for j, delta in enumerate(deltas) if delta > threshold}
+        assert prov["fallback"] == (not raw)
         if previous is not None:
             assert raw <= previous
         previous = raw
     # the fixture scorer keeps the first two thresholds non-trivial
-    assert len(select_positions(deltas, 0.25)[0]) > len(select_positions(deltas, 1.0)[0])
+    assert len(bf_replace_positions(scorer, example, 0.25)) > len(
+        bf_replace_positions(scorer, example, 1.0)
+    )
 
 
 def test_replaced_positions_differ_and_count_preserved(example):

@@ -87,7 +87,7 @@ from inferbench.metrics import (
     score_corpus,
     tokenize,
 )
-from inferbench.negatives import replacement_candidates
+from inferbench.negatives import rank_candidates
 from inferbench.objective import (
     EncodedSet,
     LossConfig,
@@ -264,15 +264,17 @@ def in_order_sum(E, ids):
 @_with_lone_segments
 def test_flat_segment_sums_equal_each_segment_alone(case):
     E, segments = case
-    ids, lengths = flatten(segments)
-    assert ids.dtype == lengths.dtype == np.intp
-    assert ids.tolist() == [t for ids in segments for t in ids]
-    assert lengths.tolist() == [len(ids) for ids in segments]
-    sums = backend._segment_sums(E, ids, lengths)
-    pooled = pool_flat(E, ids, lengths)
+    flat = flatten(segments)
+    assert flat.ids.dtype == flat.lengths.dtype == np.intp
+    assert flat.ids.tolist() == [t for ids in segments for t in ids]
+    assert flat.lengths.tolist() == [len(ids) for ids in segments]
+    sums = backend._segment_sums(E, flat)
+    pooled = pool_flat(E, flat)
     assert sums.shape == pooled.shape == (len(segments), E.shape[1])
+    # a layout pooled again (its add order kept) pools to the same bits
+    assert pool_flat(E, flat).tobytes() == pooled.tobytes()
     for row, mean, seg in zip(sums, pooled, segments):
-        alone = backend._segment_sums(E, np.array(seg, dtype=np.intp), np.array([len(seg)]))
+        alone = backend._segment_sums(E, flatten([seg]))
         assert row.tobytes() == alone[0].tobytes() == np.array(in_order_sum(E, seg)).tobytes()
         assert mean.tobytes() == pool(E, [seg])[0].tobytes()
 
@@ -1027,9 +1029,19 @@ def test_masked_scoring_across_blocks_equals_per_position_calls_bitwise(d, seed,
 
 
 def assert_masked_scoring_equals_per_position_calls(be, cases):
+    """The runs of one call cover the answers in order, each within
+    ``backend.MASKED_WINDOWS`` windows unless it is one answer, and every
+    row of a run is its position's own masked window, bit for bit."""
     answers = [answer for answer, _ in cases]
-    scored = list(be.masked_log_probs(answers, [context for _, context in cases]))
-    assert len(scored) == len(cases)
+    runs = list(be.masked_log_probs(answers, [context for _, context in cases]))
+    assert [i for run, _, _ in runs for i in run] == list(range(len(cases)))
+    scored = []
+    for run, with_ctx, alone in runs:
+        lengths = [len(answers[i]) for i in run]
+        assert len(run) == 1 or 2 * sum(lengths) <= backend.MASKED_WINDOWS
+        assert with_ctx.shape == alone.shape == (sum(lengths), len(be.vocab))
+        ends = np.cumsum(lengths)
+        scored += zip(np.split(with_ctx, ends[:-1]), np.split(alone, ends[:-1]))
     for (answer, context), (with_ctx, alone) in zip(cases, scored):
         assert with_ctx.shape == alone.shape == (len(answer), len(be.vocab))
         for j in range(len(answer)):
@@ -1075,17 +1087,24 @@ def test_checkpoint_round_trip_is_bit_exact(words, d, seed, data):
 @PROPERTY
 @given(
     st.integers(len(SPECIALS) + 1, 60).flatmap(
-        lambda v: st.lists(st.sampled_from([0.0, 0.1, 0.25, 0.5, 1.0]), min_size=v, max_size=v)
+        lambda v: st.lists(
+            st.lists(st.sampled_from([0.0, 0.1, 0.25, 0.5, 1.0]), min_size=v, max_size=v),
+            min_size=1, max_size=4,
+        )
     ),
-    st.integers(0, 70),
+    st.data(),
     st.integers(1, 20),
-    st.sampled_from([set(range(len(SPECIALS))), {0, 3}, set()]),
 )
-def test_replacement_candidates_equal_the_full_vocabulary_ranking(dist, gold, k, special_ids):
-    # few distinct values, so that ties reach across the k-th rank
-    dist = np.array(dist)
-    expected = reference_model.replacement_candidates(dist, gold, k, special_ids)
-    assert replacement_candidates(dist, gold, k, special_ids) == expected
+def test_replacement_candidates_equal_the_full_vocabulary_ranking(dists, data, k):
+    # few distinct values, so that ties reach across the k-th rank; the
+    # rows are ranked in one call, each row against the one-row oracle
+    rows = np.array(dists)
+    gold = np.array(data.draw(st.lists(st.integers(0, 70), min_size=len(rows), max_size=len(rows))))
+    ranked, count, gold_column = rank_candidates(rows, gold, k)
+    for r in range(len(rows)):
+        expected = reference_model.replacement_candidates(rows[r], gold[r], k, range(len(SPECIALS)))
+        got = [int(ranked[r, c + (c >= gold_column[r])]) for c in range(count[r])]
+        assert got == expected
 
 
 json_values = st.recursive(

@@ -9,10 +9,16 @@ command sees is the same relative path on both sides. The list covers
 ``ingest`` of ``data/train.jsonl`` and, with ``--format cicero_json``, of
 a small CICERO-shaped file the tool writes itself (``CICERO_RECORDS``);
 ``train`` with each negative strategy and ``none``, at ``micro_batch``
-8, 4 and 64 and at 1 with ``effective_batch`` 3; greedy and top-k
-``generate`` on ``data/test.jsonl`` and greedy ``generate`` on the 200
-rows of ``data/train.jsonl``; ``perturb`` with every strategy, with and without
-``--ckpt``, and ``non_optimal`` from the trained checkpoint on
+8, 4 and 64, at 1 with ``effective_batch`` 3 and with ``template_id``
+``speaker_ids``; greedy and top-k ``generate`` on ``data/test.jsonl``,
+greedy ``generate`` on the 200 rows of ``data/train.jsonl`` and on
+``data/test.jsonl`` from the ``speaker_ids`` checkpoint under that
+template; ``perturb`` with every strategy, with and without ``--ckpt``,
+``replace_zs`` and ``replace_mcq`` from the trained checkpoint at
+``--threshold`` 0.02 and 0.01 (the recipe's 0.75 makes every slot fall
+back to the argmax position; at these thresholds replace_zs falls back
+on 0 of 200 slots and replace_mcq on 104, and 160 and 60 slots replace
+several positions), and ``non_optimal`` from the trained checkpoint on
 ``data/train.jsonl``, at the default m 4 (800 top-k rows over 120
 distinct inputs, one decode block at V 97, rows stopping at EOS at
 different steps) and at ``--m 7`` (1400 rows, more than the 1351 of a
@@ -20,12 +26,12 @@ block); ``score`` of the greedy generations by ``difficulty`` and of
 the top-k ones (empty hypotheses, stems that differ from their tokens)
 by ``question``, both ``--per-example``; ``compare`` of the judgments
 and of greedy against top-k by ``rouge_l``, ``cider``, ``bleu_4`` and
-``meteor``; ``agree``; ``gradcheck --seed 3``, ``--seed 1`` and
-``--seed 17`` (a central difference's rounding failed correct
-gradients at seeds 1 and 17), and ``--seed 1`` at ``model.d`` 64
-(10 578 parameters, every one checked); and a 2-run ``sweep``. One
-line per command gives both
-exit codes, then one line per file: both digests and ``same``,
+``meteor``, and by ``rouge_l`` stratified by ``question``; ``agree``;
+``gradcheck --seed 3``, ``--seed 1`` and ``--seed 17`` (a central
+difference's rounding failed correct gradients at seeds 1 and 17), and
+``--seed 1`` at ``model.d`` 64 (10 578 parameters, every one checked);
+and a 2-run ``sweep``. One line per command gives both exit codes,
+then one line per file: both digests and ``same``,
 ``params-same`` or ``DIFFERS``. A file whose JSON object has
 ``format_version`` is a checkpoint: when its bytes differ, both sides'
 parameters are decoded (format 1's decimal float lists packed with
@@ -77,18 +83,29 @@ def commands() -> list[tuple[str, list[str]]]:
     runs.append(("train_micro1_eff3", [*TRAIN, "--out-dir", "out/train_micro1_eff3", *FAST,
                                        "--set", "train.micro_batch=1",
                                        "--set", "train.effective_batch=3"]))
+    runs.append(("train_speaker_ids", [*TRAIN, "--out-dir", "out/train_speaker_ids", *FAST,
+                                       "--set", "template_id=speaker_ids"]))
     runs += [
         ("generate_greedy", ["generate", "--ckpt", CKPT, *TEST, "--out", "out/gen_greedy.jsonl"]),
         ("generate_top_k", ["generate", "--ckpt", CKPT, *TEST, "--out", "out/gen_top_k.jsonl",
                             "--set", "decode.method=top_k"]),
         ("generate_greedy_train", ["generate", "--ckpt", CKPT, "--in", "data/train.jsonl",
                                    "--out", "out/gen_greedy_train.jsonl"]),
+        ("generate_greedy_speaker_ids", ["generate", "--ckpt", "out/train_speaker_ids/best.json",
+                                         *TEST, "--out", "out/gen_greedy_speaker_ids.jsonl",
+                                         "--set", "template_id=speaker_ids"]),
     ]
     for s in STRATEGIES:
         runs.append((f"perturb_{s}", ["perturb", "--strategy", s, "--seed", "7", *TEST,
                                       "--out", f"out/perturb_{s}.jsonl"]))
         runs.append((f"perturb_{s}_ckpt", ["perturb", "--strategy", s, "--seed", "7", *TEST,
                                            "--ckpt", CKPT, "--out", f"out/perturb_{s}_ckpt.jsonl"]))
+    # thresholds at which a trained scorer's deltas clear the threshold:
+    # replace_zs at 0.02 falls back on no slot, replace_mcq at 0.01 on about half
+    for s, threshold in (("replace_zs", "0.02"), ("replace_mcq", "0.01")):
+        name = f"perturb_{s}_ckpt_threshold{threshold}"
+        runs.append((name, ["perturb", "--strategy", s, "--seed", "7", *TEST, "--ckpt", CKPT,
+                            "--threshold", threshold, "--out", f"out/{name}.jsonl"]))
     for name, m in (("perturb_non_optimal_train_ckpt", []),
                     ("perturb_non_optimal_train_ckpt_m7", ["--m", "7"])):
         runs.append((name, [
@@ -118,6 +135,11 @@ def commands() -> list[tuple[str, list[str]]]:
             "compare", "--a", "out/gen_greedy.jsonl", "--b", "out/gen_top_k.jsonl",
             "--ref", "data/test.jsonl", "--metric", metric, "--out", f"out/compare_{metric}.json",
         ]))
+    runs.append(("compare_rouge_l_question", [
+        "compare", "--a", "out/gen_greedy.jsonl", "--b", "out/gen_top_k.jsonl",
+        "--ref", "data/test.jsonl", "--stratify-by", "question",
+        "--out", "out/compare_rouge_l_question.json",
+    ]))
     return runs
 
 
