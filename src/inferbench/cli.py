@@ -3,10 +3,11 @@ agree, compare, gradcheck and sweep, driven by a versioned JSON config.
 
 The config's typed form is :class:`~inferbench.trainer.TrainConfig`
 (with :class:`~inferbench.objective.LossConfig` for the loss section):
-its defaults are the default config, each of its fields names its
-config key and checks its value, and the subcommands read their values
-from it, never from the dict. Only the ``sweep`` section lives in the
-dict alone; each sweep axis is named once, in :data:`SWEEP_AXES`. A
+each of its fields states its config key, default and bound in its
+metadata, its defaults are the default config, and the subcommands read
+their values from it, never from the dict. Only the ``sweep`` section
+lives in the dict alone; each sweep axis is named once, with the field
+it sets, in :data:`SWEEP_AXES`. A
 repeatable ``--set section.key=value`` is merged as a config file that
 holds only that key would be, after ``--config``. Unknown keys are
 rejected. Every subcommand but ``sweep`` checks the base config before
@@ -25,7 +26,7 @@ import json
 import operator
 import sys
 import warnings
-from dataclasses import asdict, fields, replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 from . import __version__
@@ -41,31 +42,28 @@ from .trainer import STRATA, TrainConfig, train
 
 CONFIG_VERSION = "1"
 
-# the run-config key of each TrainConfig field but ``loss``
-_TRAIN_KEYS = {f.name: f.metadata["key"] for f in fields(TrainConfig) if f.metadata}
+# every config field: LossConfig's, then TrainConfig's but ``loss``
+_FIELDS = [f for cls in (LossConfig, TrainConfig) for f in fields(cls) if f.metadata]
+# the run-config key of each config field, by field name
+_KEYS = {f.name: f.metadata["key"] for f in _FIELDS}
 
-# each sweep axis: the config key it sets, and the prefix of its value in a run name
+# each sweep axis: the config field it sets, and the prefix of its value in a run name
 SWEEP_AXES = {
-    "lambda_b": ("loss.lambda_b", "lb"),
-    "lambda_s": ("loss.lambda_s", "ls"),
-    "m": ("negatives.m", "m"),
-    "strategy": ("negatives.strategy", ""),
+    "lambda_b": ("lambda_b", "lb"),
+    "lambda_s": ("lambda_s", "ls"),
+    "m": ("m", "m"),
+    "strategy": ("negative_strategy", ""),
 }
 
 
 def _default_config() -> dict:
     """Each TrainConfig and LossConfig default under its key, and no
     sweep."""
-    config = {
-        "config_version": CONFIG_VERSION,
-        "loss": asdict(LossConfig()),
-        "sweep": dict.fromkeys(SWEEP_AXES),
-    }
-    defaults = TrainConfig()
-    for name, key in _TRAIN_KEYS.items():
-        *sections, leaf = key.split(".")
+    config = {"config_version": CONFIG_VERSION, "sweep": dict.fromkeys(SWEEP_AXES)}
+    for f in _FIELDS:
+        *sections, leaf = f.metadata["key"].split(".")
         node = functools.reduce(lambda node, part: node.setdefault(part, {}), sections, config)
-        node[leaf] = getattr(defaults, name)
+        node[leaf] = f.default
     return config
 
 
@@ -152,17 +150,10 @@ def _swept(config: dict) -> bool:
 
 
 def _train_config(config: dict) -> TrainConfig:
-    """The config's TrainConfig; an error that begins with a field name
-    begins with its config key instead."""
-    values = {name: _value_at(config, key) for name, key in _TRAIN_KEYS.items()}
-    try:
-        return TrainConfig(loss=LossConfig(**config["loss"]), **values)
-    except ValueError as exc:
-        name, _, problem = str(exc).partition(" ")
-        keys = {**{field: f"loss.{field}" for field in config["loss"]}, **_TRAIN_KEYS}
-        if name not in keys:
-            raise
-        raise ConfigError(f"{keys[name]} {problem}") from exc
+    """The config's TrainConfig."""
+    values = {name: _value_at(config, key) for name, key in _KEYS.items()}
+    loss = LossConfig(**{f.name: values.pop(f.name) for f in fields(LossConfig)})
+    return TrainConfig(loss=loss, **values)
 
 
 # --- subcommands -------------------------------------------------------------
@@ -380,13 +371,13 @@ def _expand_sweep(config: dict) -> list[tuple[dict, dict, TrainConfig]]:
     configs are left as they are, because their digests stamp the
     artifacts."""
     axes = []
-    for axis, (key, _) in SWEEP_AXES.items():
+    for axis, (name, _) in SWEEP_AXES.items():
         values = config["sweep"][axis]
         if values is not None and not isinstance(values, list):
             raise ConfigError(f"sweep.{axis} must be a list or null, got {values!r}")
         if values == []:
             raise ConfigError(f"sweep.{axis} must not be an empty list")
-        values = values or [_value_at(config, key)]
+        values = values or [_value_at(config, _KEYS[name])]
         repeated = [v for i, v in enumerate(values) if v in values[:i]]
         if repeated:
             raise ConfigError(f"sweep.{axis} repeats the value {repeated[0]!r}")
@@ -397,7 +388,7 @@ def _expand_sweep(config: dict) -> list[tuple[dict, dict, TrainConfig]]:
         point = dict(zip(SWEEP_AXES, values))
         run = unswept
         for axis, value in point.items():
-            run = _merge_config(run, _config_at(SWEEP_AXES[axis][0], value))
+            run = _merge_config(run, _config_at(_KEYS[SWEEP_AXES[axis][0]], value))
         points.append((point, run))
     runs = []
     for point, run in points:
@@ -488,7 +479,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("perturb", help="emit negative samples with provenance")
-    p.add_argument("--strategy", choices=list(STRATEGIES))
+    p.add_argument("--strategy", dest="negative_strategy", choices=list(STRATEGIES))
     p.add_argument("--m", type=int)
     p.add_argument("--threshold", type=float)
     p.add_argument("--k", type=int)
@@ -550,15 +541,8 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
-# the config key each config-setting flag sets, by argparse dest
-_FLAG_KEYS = {
-    "strategy": "negatives.strategy",
-    "m": "negatives.m",
-    "k": "negatives.k",
-    "threshold": "negatives.threshold",
-    "seed": "seed",
-    "stratify_by": "report.stratify_by",
-}
+# the config field each config-setting flag sets, as its argparse dest
+_FLAG_FIELDS = ("negative_strategy", "m", "k", "threshold", "seed", "stratify_by")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -566,8 +550,8 @@ def main(argv: list[str] | None = None) -> int:
     # a config-setting flag is a --set after the user's: it wins, and the
     # config digest that stamps the artifacts records it
     args.set = [*(args.set or []), *(
-        f"{key}={json.dumps(getattr(args, dest))}"
-        for dest, key in _FLAG_KEYS.items() if getattr(args, dest, None) is not None
+        f"{_KEYS[name]}={json.dumps(getattr(args, name))}"
+        for name in _FLAG_FIELDS if getattr(args, name, None) is not None
     )]
     try:
         config, digest, runs = load_run_config(args.config, args.set)

@@ -23,10 +23,18 @@ def round_sig(x: float) -> float:
 
 
 def canonicalize(obj):
+    """``obj`` with every float rounded by :func:`round_sig`, every dict
+    key a string and every tuple a list. A str, int, bool or None, by
+    exact type, is returned at once; any other value goes by
+    ``isinstance``, so a float subclass such as numpy's float64 is
+    rounded too."""
+    kind = type(obj)
+    if kind is str or kind is int or kind is bool or obj is None:
+        return obj
     if isinstance(obj, float):
         return round_sig(obj)
     if isinstance(obj, dict):
-        return {str(k): canonicalize(v) for k, v in obj.items()}
+        return {k if type(k) is str else str(k): canonicalize(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [canonicalize(v) for v in obj]
     return obj

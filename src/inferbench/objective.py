@@ -35,8 +35,8 @@ subtraction, so it is exact to rounding at a fixed h.
 
 from __future__ import annotations
 
-import math
 import numbers
+import sys
 from dataclasses import asdict, dataclass, field, fields, replace
 from itertools import islice
 
@@ -49,34 +49,51 @@ from .corpus import InferenceExample, prepare_input_text
 from .metrics import tokenize
 
 
-def check_number_fields(obj) -> None:
-    """Raise ValueError unless every ``int`` field of the dataclass
-    ``obj`` holds an integer and every ``float`` field a finite real
-    number (bools are neither)."""
-    for f in fields(obj):
-        value = getattr(obj, f.name)
+# the range rule a config field may name in its metadata, and its test
+BOUNDS = {">= 1": lambda v: v >= 1, ">= 0": lambda v: v >= 0, "> 0": lambda v: v > 0}
+
+
+def _recipe(key: str, default, bound: str | None = None):
+    """A config field: its recipe default, the dotted run-config ``key``
+    that sets it and the rule of :data:`BOUNDS` its value must meet, if
+    any."""
+    return field(default=default, metadata={"key": key, "bound": bound})
+
+
+def config_key(config, name: str) -> str:
+    """The run-config key of the field ``name`` of ``config``."""
+    return config.__dataclass_fields__[name].metadata["key"]
+
+
+def check_fields(config) -> None:
+    """Raise ValueError, naming the config key, unless every ``int``
+    field of ``config`` holds an integer and every ``float`` field a real
+    number (bools are neither), each within the float range, and then
+    unless every field meets its bound."""
+    recipe = [f for f in fields(config) if f.metadata]
+    for f in recipe:
+        value, key = getattr(config, f.name), f.metadata["key"]
         kinds = {"int": numbers.Integral, "float": numbers.Real}.get(f.type)
         if kinds and (isinstance(value, bool) or not isinstance(value, kinds)):
-            raise ValueError(f"{f.name} must be {f.type}, got {value!r}")
-        if kinds and not math.isfinite(value):
-            raise ValueError(f"{f.name} must be finite, got {value!r}")
+            raise ValueError(f"{key} must be {f.type}, got {value!r}")
+        # false for nan, the infinities and integers no float holds
+        if kinds and not abs(value) <= sys.float_info.max:
+            raise ValueError(f"{key} must be finite, got {value!r}")
+    for f in recipe:
+        bound = f.metadata["bound"]
+        if bound and not BOUNDS[bound](getattr(config, f.name)):
+            raise ValueError(f"{f.metadata['key']} must be {bound}")
 
 
 @dataclass(frozen=True)
 class LossConfig:
-    tau_b: float = 0.1
-    tau_s: float = 2.5
-    lambda_b: float = 0.5
-    lambda_s: float = 0.5
+    tau_b: float = _recipe("loss.tau_b", 0.1, "> 0")
+    tau_s: float = _recipe("loss.tau_s", 2.5, "> 0")
+    lambda_b: float = _recipe("loss.lambda_b", 0.5, ">= 0")
+    lambda_s: float = _recipe("loss.lambda_s", 0.5, ">= 0")
 
     def __post_init__(self):
-        check_number_fields(self)
-        for name in ("tau_b", "tau_s"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be > 0")
-        for name in ("lambda_b", "lambda_s"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
+        check_fields(self)
 
 
 @dataclass

@@ -19,8 +19,10 @@ from .negatives import DEFAULT_STRATEGY, STRATEGIES, Strategy, untrained_model
 from .objective import (  # noqa: F401  callers import build_vocabulary from here
     EncodedSet,
     LossConfig,
+    _recipe,
     build_vocabulary,
-    check_number_fields,
+    check_fields,
+    config_key,
     encode,
     forward,
 )
@@ -30,71 +32,54 @@ from .objective import (  # noqa: F401  callers import build_vocabulary from her
 STRATA = ("difficulty", "question")
 
 
-def _recipe(key: str, default):
-    """A TrainConfig field with its recipe default, read from the run
-    config at the dotted ``key``."""
-    return field(default=default, metadata={"key": key})
-
-
 @dataclass(frozen=True)
 class TrainConfig:
     """The run config in typed form: the training recipe, decoding and
-    reporting. Each default is written here (the loss terms' in
-    :class:`LossConfig`) and nowhere else, and each field but ``loss``
-    names the run-config key that sets it."""
+    reporting. Each field but ``loss`` states its default, the run-config
+    key that sets it and its bound here (the loss terms' in
+    :class:`LossConfig`) and nowhere else; a value is checked when the
+    config is built, and a type or range error begins with the key."""
 
-    effective_batch: int = _recipe("train.effective_batch", 64)
-    micro_batch: int = _recipe("train.micro_batch", 8)
-    lr0: float = _recipe("train.lr0", 1e-4)
-    max_epochs: int = _recipe("train.max_epochs", 10)
-    warmup_steps: int = _recipe("train.warmup_steps", 0)
+    effective_batch: int = _recipe("train.effective_batch", 64, ">= 1")
+    micro_batch: int = _recipe("train.micro_batch", 8, ">= 1")
+    lr0: float = _recipe("train.lr0", 1e-4, ">= 0")
+    max_epochs: int = _recipe("train.max_epochs", 10, ">= 1")
+    warmup_steps: int = _recipe("train.warmup_steps", 0, ">= 0")
     loss: LossConfig = field(default_factory=LossConfig)
     # a key of negatives.STRATEGIES, or "none"
     negative_strategy: str = _recipe("negatives.strategy", DEFAULT_STRATEGY)
-    m: int = _recipe("negatives.m", 4)
-    k: int = _recipe("negatives.k", 10)
-    threshold: float = _recipe("negatives.threshold", 0.75)
-    attempts: int = _recipe("negatives.attempts", 5)
-    max_gen_len: int = _recipe("decode.max_len", 16)
-    d: int = _recipe("model.d", 16)
+    m: int = _recipe("negatives.m", 4, ">= 1")
+    k: int = _recipe("negatives.k", 10, ">= 1")
+    threshold: float = _recipe("negatives.threshold", 0.75, "> 0")
+    attempts: int = _recipe("negatives.attempts", 5, ">= 1")
+    max_gen_len: int = _recipe("decode.max_len", 16, ">= 1")
+    d: int = _recipe("model.d", 16, ">= 1")
     seed: int = _recipe("seed", 0)
     template_id: str = _recipe("template_id", "default")
     # "greedy", or "top_k" over the decode_k likeliest tokens
     decode_method: str = _recipe("decode.method", "greedy")
-    decode_k: int = _recipe("decode.k", 10)
+    decode_k: int = _recipe("decode.k", 10, ">= 1")
     decode_seed: int = _recipe("decode.seed", 0)
     # one of STRATA, or None for an unstratified report
     stratify_by: str | None = _recipe("report.stratify_by", None)
 
     def __post_init__(self):
-        check_number_fields(self)
-        for name in (
-            "d", "effective_batch", "micro_batch", "max_epochs", "m", "k", "attempts",
-            "max_gen_len", "decode_k",
-        ):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
+        check_fields(self)
         if self.effective_batch % self.micro_batch != 0:
-            raise ValueError("micro_batch must divide effective_batch")
-        if self.lr0 < 0:
-            raise ValueError("lr0 must be non-negative")
-        if self.warmup_steps < 0:
-            raise ValueError("warmup_steps must be >= 0")
-        if self.threshold <= 0:
-            raise ValueError("threshold must be > 0")
+            raise ValueError(f"{config_key(self, 'micro_batch')} must divide effective_batch")
         if self.negative_strategy not in [*STRATEGIES, "none"]:
             raise ValueError(f"unknown negative strategy {self.negative_strategy!r}")
         strategy = STRATEGIES.get(self.negative_strategy)
         if strategy and strategy.max_m is not None and self.m > strategy.max_m:
-            raise ValueError(f"m must be <= {strategy.max_m}")
+            raise ValueError(f"{config_key(self, 'm')} must be <= {strategy.max_m}")
         if self.negative_strategy == "none" and self.loss.lambda_s > 0:
-            raise ValueError("lambda_s > 0 needs a negative strategy")
+            raise ValueError(f"{config_key(self.loss, 'lambda_s')} > 0 needs a negative strategy")
         if self.template_id not in [*TEMPLATES]:
             raise ValueError(f"unknown template_id {self.template_id!r}")
         if self.decode_method not in ("greedy", "top_k"):
             raise ValueError(f"unknown decode method {self.decode_method!r}")
         if self.stratify_by not in [None, *STRATA]:
-            raise ValueError(f"unknown report.stratify_by {self.stratify_by!r}")
+            raise ValueError(f"unknown {config_key(self, 'stratify_by')} {self.stratify_by!r}")
 
 
 @dataclass

@@ -1,4 +1,5 @@
 import base64
+import dataclasses
 import json
 import os
 import resource
@@ -15,7 +16,7 @@ from inferbench import cli
 from inferbench.backend import ToyBackend, load_checkpoint, save_checkpoint
 from inferbench.cli import build_parser, load_run_config, main
 from inferbench.corpus import DatasetError, load_dataset, save_dataset
-from inferbench.jsonio import read_jsonl
+from inferbench.jsonio import config_digest, read_jsonl
 from inferbench.metrics import tokenize
 from inferbench.objective import LossConfig
 from inferbench.synth import build_judgments, build_split
@@ -97,14 +98,47 @@ RECIPE_CONFIG = {
 
 def test_default_config_is_the_recipe():
     assert cli.DEFAULT_CONFIG == RECIPE_CONFIG
-    assert load_run_config(None)[1] == (
-        "d913a1f78121dd042b30181259f82a7f18a6cf7f2cb9be778b704e0441ab26bb"
-    )
+    digest = "d913a1f78121dd042b30181259f82a7f18a6cf7f2cb9be778b704e0441ab26bb"
+    assert load_run_config(None)[1] == digest
+    assert config_digest(cli.DEFAULT_CONFIG) == digest
 
 
 def test_default_config_gives_the_default_dataclasses():
     assert cli._train_config(cli.DEFAULT_CONFIG) == TrainConfig()
     assert LossConfig(**cli.DEFAULT_CONFIG["loss"]) == LossConfig()
+
+
+# every field a run-config key sets, each with its key, default and bound in its metadata
+CONFIG_FIELDS = [f for cls in (LossConfig, TrainConfig) for f in dataclasses.fields(cls)
+                 if f.metadata]
+# the first value outside each bound
+OUTSIDE = {">= 1": 0, ">= 0": -1, "> 0": 0}
+
+
+@pytest.mark.parametrize("field", [f for f in CONFIG_FIELDS if f.metadata["bound"]],
+                         ids=lambda f: f.metadata["key"])
+def test_a_value_outside_its_bound_is_json_error_naming_the_key(tmp_path, capsys, field):
+    key, bound = field.metadata["key"], field.metadata["bound"]
+    missing = tmp_path / "missing.jsonl"
+    assert run(["train", "--train", missing, "--valid", missing, "--out-dir", tmp_path / "model",
+                "--set", f"{key}={OUTSIDE[bound]}"]) == 2
+    assert json_error(capsys, "train") == f"{key} must be {bound}"
+    assert not list(tmp_path.iterdir())
+
+
+def test_readme_states_each_config_key_with_its_default_and_rule():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Command line\n")[1].split("\n## ")[0]
+    rows = [line for line in section.splitlines() if line.startswith("| `")]
+    expected = [f'| `config_version` | `"{cli.CONFIG_VERSION}"` | `"{cli.CONFIG_VERSION}"` |']
+    for f in CONFIG_FIELDS:
+        rule = ", ".join(filter(None, [f.type.replace(" | None", " or null"), f.metadata["bound"]]))
+        expected.append(f"| `{f.metadata['key']}` | `{json.dumps(f.default)}` | {rule} |")
+    for axis, (name, _) in cli.SWEEP_AXES.items():
+        expected.append(
+            f"| `sweep.{axis}` | `null` | null, or a list of distinct `{cli._KEYS[name]}` values |"
+        )
+    assert rows == expected
 
 
 def test_model_width_one_is_accepted(tmp_path, small_data):
@@ -874,6 +908,9 @@ def small_checkpoint(tmp_path_factory, small_data):
     return model / "best.json"
 
 
+BIG = "1" + "0" * 400
+
+
 @pytest.mark.parametrize(
     "command,overrides,message",
     [
@@ -916,6 +953,11 @@ def small_checkpoint(tmp_path_factory, small_data):
         ("sweep --dry-run", ["sweep=5"], "config key 'sweep' must be an object"),
         ("train", ["loss.tau_b.x=1"], "config key 'loss.tau_b' must not be an object"),
         ("train", ["loss.tau_b=NaN"], "loss.tau_b must be finite, got nan"),
+        # integers no float holds (BIG is 10**400)
+        ("gradcheck", [f"loss.tau_b={BIG}"], "loss.tau_b must be finite, got 1000"),
+        ("train", [f"negatives.threshold={BIG}"], "negatives.threshold must be finite, got 1000"),
+        ("sweep --dry-run", [f"sweep.lambda_b=[0.5, {BIG}]"],
+         "000_ls0.5_m4_counterfactual: loss.lambda_b must be finite, got 1000"),
     ],
 )
 def test_bad_config_is_json_error_at_load(

@@ -77,7 +77,7 @@ from inferbench.backend import (
     save_checkpoint,
 )
 from inferbench.corpus import TEMPLATES, QuestionType, Utterance, normalize_answer
-from inferbench.jsonio import canonical_dumps
+from inferbench.jsonio import canonical_dumps, round_sig
 from inferbench.metrics import (
     PAIR_METRICS,
     bleu,
@@ -1119,6 +1119,49 @@ json_values = st.recursive(
 def test_canonical_json_is_idempotent(value):
     once = canonical_dumps(value)
     assert canonical_dumps(json.loads(once)) == once
+
+
+def isinstance_canonicalize(obj):
+    """Canonical JSON's rule by ``isinstance`` alone: the reference for
+    its exact-type dispatch."""
+    if isinstance(obj, float):
+        return round_sig(obj)
+    if isinstance(obj, dict):
+        return {str(k): isinstance_canonicalize(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [isinstance_canonicalize(v) for v in obj]
+    return obj
+
+
+class TaggedFloat(float):
+    pass
+
+
+any_float = st.floats() | st.floats().map(np.float64) | st.floats().map(TaggedFloat)
+nested_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | any_float | st.text(),
+    lambda inner: (
+        st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+        | st.dictionaries(st.text() | st.integers() | st.booleans() | st.none() | any_float,
+                          inner, max_size=4)
+    ),
+    max_leaves=12,
+)
+
+
+@settings(PROPERTY, max_examples=300)
+@given(nested_values)
+def test_canonical_json_equals_the_isinstance_rule(value):
+    """Float subclasses, tuples and non-str keys give the bytes of the
+    isinstance rule, and a non-finite float the same error."""
+    try:
+        expected = json.dumps(isinstance_canonicalize(value), sort_keys=True,
+                              separators=(",", ":"), ensure_ascii=False)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+            canonical_dumps(value)
+        return
+    assert canonical_dumps(value) == expected
 
 
 nonblank_text = st.text(min_size=1).filter(str.strip)

@@ -30,8 +30,12 @@ and of greedy against top-k by ``rouge_l``, ``cider``, ``bleu_4`` and
 ``gradcheck --seed 3``, ``--seed 1`` and ``--seed 17`` (a central
 difference's rounding failed correct gradients at seeds 1 and 17), and
 ``--seed 1`` at ``model.d`` 64 (10 578 parameters, every one checked);
-and a 2-run ``sweep``. One line per command gives both exit codes,
-then one line per file: both digests and ``same``,
+a 2-run ``sweep``; and four bad configs that end in exit 2: ``train``
+with ``model.d=0`` and with ``loss.tau_b=0``, ``gradcheck`` with
+``train.micro_batch=3`` and ``sweep --dry-run`` of the strategy
+``none``. One line per command gives both exit codes, one line per
+command that exits 2 compares the last line each side writes to stderr
+(its JSON error), then one line per file: both digests and ``same``,
 ``params-same`` or ``DIFFERS``. A file whose JSON object has
 ``format_version`` is a checkpoint: when its bytes differ, both sides'
 parameters are decoded (format 1's decimal float lists packed with
@@ -39,7 +43,8 @@ parameters are decoded (format 1's decimal float lists packed with
 is ``params-same`` when ``vocab``, ``d``, ``seed``, ``config_digest`` and
 every byte of ``E``, ``U`` and ``b`` agree, so the tool also compares
 two checkouts across a checkpoint format change. Exits 0 when every exit
-code agrees and every file is ``same`` or ``params-same``, else 1.
+code and every compared stderr line agrees and every file is ``same`` or
+``params-same``, else 1.
 Standard library only; not part of the test suite.
 """
 
@@ -140,6 +145,15 @@ def commands() -> list[tuple[str, list[str]]]:
         "--ref", "data/test.jsonl", "--stratify-by", "question",
         "--out", "out/compare_rouge_l_question.json",
     ]))
+    # bad configs: each exits 2 with its JSON error, before it writes anything
+    runs += [
+        ("error_train_model_d", [*TRAIN, "--out-dir", "out/error", "--set", "model.d=0"]),
+        ("error_train_tau_b", [*TRAIN, "--out-dir", "out/error", "--set", "loss.tau_b=0"]),
+        ("error_gradcheck_micro_batch", ["gradcheck", "--set", "train.micro_batch=3",
+                                         "--out", "out/error.json"]),
+        ("error_sweep_none", ["sweep", *TRAIN[1:], "--out-dir", "out/error", "--dry-run",
+                              "--set", 'sweep.strategy=["none"]']),
+    ]
     return runs
 
 
@@ -194,26 +208,29 @@ def checkpoint_params(path: Path) -> tuple | None:
 
 def run_side(checkout: Path, work: Path) -> dict:
     """Run every command in ``work`` with ``checkout``'s code and data:
-    the exit code per command, the sha256 per written file and the
-    decoded parameters per checkpoint file."""
+    the exit code per command, the last stderr line per command that
+    exits 2, the sha256 per written file and the decoded parameters per
+    checkpoint file."""
     shutil.copytree(checkout / "data", work / "data")
     (work / "out").mkdir()
     (work / "sweep.json").write_text(json.dumps(SWEEP_CONFIG))
     (work / "cicero.json").write_text(json.dumps(CICERO_RECORDS))
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"), PYTHONDONTWRITEBYTECODE="1",
                OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
-    codes = {}
+    codes, errors = {}, {}
     for name, argv in commands():
         done = subprocess.run([sys.executable, "-m", "inferbench.cli", *argv], cwd=work, env=env,
                               stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
         codes[name] = done.returncode
-        if done.returncode not in (0, 1):
+        if done.returncode == 2:
+            errors[name] = (done.stderr.strip().splitlines() or [""])[-1]
+        elif done.returncode not in (0, 1):
             print(f"{checkout}: {name} exited {done.returncode}: {done.stderr.strip()[-300:]}",
                   file=sys.stderr)
     files = [path for path in sorted((work / "out").rglob("*")) if path.is_file()]
     digests = {str(p.relative_to(work)): hashlib.sha256(p.read_bytes()).hexdigest() for p in files}
     params = {str(p.relative_to(work)): checkpoint_params(p) for p in files}
-    return {"codes": codes, "digests": digests, "params": params}
+    return {"codes": codes, "errors": errors, "digests": digests, "params": params}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -232,6 +249,12 @@ def main(argv: list[str] | None = None) -> int:
         a, b = old["codes"][name], new["codes"][name]
         same &= a == b
         print(f"exit {a} {b} {'same' if a == b else 'DIFFERS'} {name}")
+    for name in old["codes"]:
+        if name in old["errors"] or name in new["errors"]:
+            a, b = old["errors"].get(name, "-"), new["errors"].get(name, "-")
+            same &= a == b
+            print(f"stderr {'same' if a == b else 'DIFFERS'} {name}: {a}"
+                  + ("" if a == b else f" | {b}"))
     verdicts = {"same": 0, "params-same": 0, "DIFFERS": 0}
     for path in sorted(old["digests"].keys() | new["digests"].keys()):
         a, b = old["digests"].get(path, "-"), new["digests"].get(path, "-")
