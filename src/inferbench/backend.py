@@ -574,16 +574,6 @@ class ToyBackend:
         self.U = theta[ne : ne + nu].reshape(self.U.shape).copy()
         self.b = theta[ne + nu :].copy()
 
-    def parameter_name(self, flat_index: int) -> str:
-        ne, nu = self.E.size, self.U.size
-        if flat_index < ne:
-            r, c = divmod(flat_index, self.E.shape[1])
-            return f"E[{r},{c}]"
-        if flat_index < ne + nu:
-            r, c = divmod(flat_index - ne, self.U.shape[1])
-            return f"U[{r},{c}]"
-        return f"b[{flat_index - ne - nu}]"
-
 
 def save_checkpoint(
     backend: ToyBackend, path: str | Path, config_digest: str | None = None
@@ -608,12 +598,15 @@ def save_checkpoint(
 
 def load_checkpoint(path: str | Path) -> ToyBackend:
     """The backend :func:`save_checkpoint` wrote, with writable native
-    float64 parameters; ValueError names the first field that is missing,
-    of the wrong type, not strict base64 of whole float64 values, of the
-    wrong size or not finite. Format-1 files (decimal float lists) are
-    not read."""
-    with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
+    float64 parameters. ValueError starts with ``path`` when the file
+    does not parse as JSON, and otherwise names the first field that is
+    missing, of the wrong type, not strict base64 of whole float64
+    values, of the wrong size or not finite. Format-1 files (decimal
+    float lists) are not read."""
+    try:
+        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (ValueError, RecursionError) as exc:
+        raise ValueError(f"{path}: {exc}") from exc
     if not isinstance(payload, dict):
         raise ValueError(f"checkpoint must be a JSON object, got {type(payload).__name__}")
     if payload.get("format_version") != 2:

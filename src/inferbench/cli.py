@@ -109,7 +109,9 @@ def _config_at(key: str, value) -> dict:
 
 def _override(item: str) -> dict:
     """The config that ``--set key=value`` merges: ``value`` parsed as
-    JSON, or else kept as a string, at the dotted ``key``."""
+    JSON, or else kept as a string, at the dotted ``key``. A value that
+    is JSON but does not parse (an integer past Python's digit limit,
+    nesting past the recursion limit) is a ConfigError naming ``key``."""
     if "=" not in item:
         raise ConfigError(f"override {item!r} is not of the form key=value")
     key, raw = item.split("=", 1)
@@ -117,6 +119,8 @@ def _override(item: str) -> dict:
         value = json.loads(raw)
     except json.JSONDecodeError:
         value = raw
+    except (ValueError, RecursionError) as exc:
+        raise ConfigError(f"{key}: {exc}") from None
     return _config_at(key, value)
 
 
@@ -130,7 +134,7 @@ def load_run_config(
     if path:
         try:
             user = json.loads(Path(path).read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
             raise ConfigError(f"{path}: {exc}") from exc
         if not isinstance(user, dict):
             raise ConfigError("config file must hold a JSON object")

@@ -64,16 +64,19 @@ class DatasetError(ValueError):
 def jsonl_records(path: str | Path):
     """``(where, record)`` for each non-blank line N of the JSONL file at
     ``path``, ``where`` being ``path:N``: every JSONL input is read here.
-    A line that does not parse or is not a JSON object raises
-    DatasetError starting with ``where``, as a caller's record errors do."""
+    A line that does not parse, for any reason (bad syntax, an integer
+    past Python's digit limit, nesting past the recursion limit), or is
+    not a JSON object raises DatasetError starting with ``where``, as a
+    caller's record errors do."""
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             if line.strip():
                 where = f"{path}:{line_no}"
                 try:
                     record = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise DatasetError(f"{where}: invalid JSON: {exc.msg}") from None
+                except (ValueError, RecursionError) as exc:
+                    # a syntax error's text without its position: where has the line
+                    raise DatasetError(f"{where}: invalid JSON: {getattr(exc, 'msg', exc)}") from None
                 if not isinstance(record, dict):
                     raise DatasetError(f"{where}: not a JSON object: {record!r}")
                 yield where, record
@@ -367,7 +370,7 @@ def load_dataset(path: str | Path, format: str = "canonical_jsonl") -> list[Infe
         with open(path, encoding="utf-8") as fh:
             try:
                 records = json.load(fh)
-            except json.JSONDecodeError as exc:
+            except (ValueError, RecursionError) as exc:
                 raise DatasetError(f"{path}: invalid JSON ({exc})") from exc
         if not isinstance(records, list):
             raise DatasetError(f"{path}: expected a JSON array of records")

@@ -1050,6 +1050,46 @@ def test_every_jsonl_reader_names_a_bad_line_alike(tmp_path, capsys, reader, lin
     assert error.startswith(f"{bad}:2: {message}")
 
 
+# objects json.loads refuses for other reasons than bad syntax (ValueError past
+# the 4300-digit integer limit, RecursionError), and two of them on two lines
+UNPARSABLE = {
+    "huge_int": '{"id": 1%s}' % ("0" * 5000),
+    "deep": '{"id": %s}' % ("[" * 100_000),
+    "two_lines": '{"id": 1}\n{"id": 2}',
+}
+
+# each JSON input: its argv for the file at path (a --set value is the file's
+# text) and the start of its error, which names the file or the key
+JSON_INPUTS = {
+    **{reader: (argv, "{path}:1: invalid JSON: ") for reader, argv in JSONL_INPUTS.items()},
+    "cicero": (lambda path, out: ["ingest", "--in", path, "--format", "cicero_json",
+                                  "--out", out / "o.jsonl"], "{path}: invalid JSON ("),
+    "config": (lambda path, out: ["gradcheck", "--config", path, "--out", out / "g.json"],
+               "{path}: "),
+    "set": (lambda path, out: ["gradcheck", "--set", f"loss.tau_b={path.read_text()}",
+                               "--out", out / "g.json"], "loss.tau_b: "),
+    "checkpoint": (lambda path, out: ["generate", "--ckpt", path, "--in", DATA_DIR / "test.jsonl",
+                                      "--out", out / "g.jsonl"], "{path}: "),
+}
+
+
+@pytest.mark.parametrize("reader, value", [
+    *((reader, value) for reader in JSON_INPUTS for value in ("huge_int", "deep")),
+    ("checkpoint", "two_lines"),  # a JSONL file given as a checkpoint
+])
+def test_json_that_does_not_parse_is_json_error_naming_its_file_or_key(
+    tmp_path, capsys, reader, value
+):
+    make_argv, start = JSON_INPUTS[reader]
+    path, out = tmp_path / "input.jsonl", tmp_path / "out"
+    path.write_text(UNPARSABLE[value])
+    out.mkdir()
+    argv = make_argv(path, out)
+    assert run(argv) == 2
+    assert json_error(capsys, argv[0]).startswith(start.format(path=path))
+    assert not list(out.iterdir())
+
+
 @pytest.mark.parametrize("element", [[1, 2], "x", 3])
 def test_a_cicero_element_that_is_not_an_object_is_json_error(tmp_path, capsys, element):
     bad = tmp_path / "cic.json"

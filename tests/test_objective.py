@@ -405,6 +405,12 @@ def test_finite_diff_fails_every_doubled_gradient():
     assert faulty.n_checked == be.flat_parameters().size
     assert not faulty.passed
     assert all(w.error == pytest.approx(0.5, rel=1e-3) for w in faulty.worst)
+    # every error is 0.5 up to rounding, which sets the order: pinned, so that
+    # a change to the walk's order or naming shows
+    assert [(w.parameter, w.flat_index) for w in faulty.worst] == [
+        ("E[14,5]", 89), ("E[5,5]", 35), ("E[45,5]", 275), ("E[52,0]", 312), ("E[70,3]", 423),
+        ("E[5,3]", 33), ("U[9,1]", 523), ("U[49,0]", 762), ("E[52,2]", 314), ("E[16,4]", 100),
+    ]
 
 
 def gradcheck_batch(seed=3):
@@ -445,6 +451,20 @@ def test_finite_diff_fails_a_fault_below_the_near_zero_floor():
     assert not report.passed
     assert [w.parameter for w in report.worst] == ["E[0,0]"]
     assert report.worst[0].error == pytest.approx(5e-7, rel=1e-9)
+
+
+def test_finite_diff_names_a_fault_in_each_array_with_its_flat_index():
+    be, enc = gradcheck_batch()
+    V, d = be.E.shape
+    faulty = forward(be, enc, LossConfig()).grads
+    faulty.E[1, 1] += 1.0
+    faulty.U[5, 1] += 1.0
+    faulty.b[3] += 1.0
+    report = finite_diff_check(be, enc, LossConfig(), analytic=faulty)
+    # flat order: E, then U, then b, each row-major
+    assert sorted((w.parameter, w.flat_index) for w in report.worst) == [
+        ("E[1,1]", 1 * d + 1), ("U[5,1]", V * d + 5 * d + 1), ("b[3]", 2 * V * d + 3),
+    ]
 
 
 def test_finite_diff_reports_the_ten_worst_failures():

@@ -29,11 +29,16 @@ and of greedy against top-k by ``rouge_l``, ``cider``, ``bleu_4`` and
 ``meteor``, and by ``rouge_l`` stratified by ``question``; ``agree``;
 ``gradcheck --seed 3``, ``--seed 1`` and ``--seed 17`` (a central
 difference's rounding failed correct gradients at seeds 1 and 17), and
-``--seed 1`` at ``model.d`` 64 (10 578 parameters, every one checked);
-a 2-run ``sweep``; and four bad configs that end in exit 2: ``train``
-with ``model.d=0`` and with ``loss.tau_b=0``, ``gradcheck`` with
-``train.micro_batch=3`` and ``sweep --dry-run`` of the strategy
-``none``. One line per command gives both exit codes, one line per
+``--seed 1`` at ``model.d`` 64 (10 578 parameters, every one checked),
+and ``--seed 3`` at ``--tol 1e-13``, which exits 1 with a FAIL report
+whose ``worst`` names ten coordinates; a 2-run ``sweep``; four bad
+configs that end in exit 2: ``train`` with ``model.d=0`` and with
+``loss.tau_b=0``, ``gradcheck`` with ``train.micro_batch=3`` and
+``sweep --dry-run`` of the strategy ``none``; and two inputs that do
+not parse as JSON, which also end in exit 2: ``generate --ckpt
+data/train.jsonl`` (a JSONL file as the checkpoint) and ``gradcheck
+--set loss.tau_b=`` a 5001-digit integer (past Python's 4300-digit
+limit). One line per command gives both exit codes, one line per
 command that exits 2 compares the last line each side writes to stderr
 (its JSON error), then one line per file: both digests and ``same``,
 ``params-same`` or ``DIFFERS``. A file whose JSON object has
@@ -132,6 +137,9 @@ def commands() -> list[tuple[str, list[str]]]:
         ("gradcheck_seed17", ["gradcheck", "--seed", "17", "--out", "out/gradcheck_seed17.json"]),
         ("gradcheck_seed1_d64", ["gradcheck", "--seed", "1", "--set", "model.d=64",
                                  "--out", "out/gradcheck_seed1_d64.json"]),
+        # a FAIL report: rounding's errors of about 1e-12 exceed this tol
+        ("gradcheck_seed3_tol1e-13", ["gradcheck", "--seed", "3", "--tol", "1e-13",
+                                      "--out", "out/gradcheck_seed3_tol1e-13.json"]),
         ("sweep", ["sweep", *TRAIN[1:], "--out-dir", "out/sweep", "--config", "sweep.json",
                    "--set", "train.max_epochs=1"]),
     ]
@@ -145,7 +153,8 @@ def commands() -> list[tuple[str, list[str]]]:
         "--ref", "data/test.jsonl", "--stratify-by", "question",
         "--out", "out/compare_rouge_l_question.json",
     ]))
-    # bad configs: each exits 2 with its JSON error, before it writes anything
+    # bad configs and inputs: each exits 2 with its JSON error, before it
+    # writes anything
     runs += [
         ("error_train_model_d", [*TRAIN, "--out-dir", "out/error", "--set", "model.d=0"]),
         ("error_train_tau_b", [*TRAIN, "--out-dir", "out/error", "--set", "loss.tau_b=0"]),
@@ -153,6 +162,10 @@ def commands() -> list[tuple[str, list[str]]]:
                                          "--out", "out/error.json"]),
         ("error_sweep_none", ["sweep", *TRAIN[1:], "--out-dir", "out/error", "--dry-run",
                               "--set", 'sweep.strategy=["none"]']),
+        ("error_generate_ckpt_jsonl", ["generate", "--ckpt", "data/train.jsonl", *TEST,
+                                       "--out", "out/error.jsonl"]),
+        ("error_gradcheck_huge_int", ["gradcheck", "--set", "loss.tau_b=1" + "0" * 5000,
+                                      "--out", "out/error.json"]),
     ]
     return runs
 
