@@ -89,9 +89,6 @@ class Vocabulary:
     def tokens(self) -> list[str]:
         return list(self._tokens)
 
-    def id_of(self, token: str) -> int:
-        return self._ids.get(token, UNK_ID)
-
     def encode(self, tokens: list[str]) -> list[int]:
         ids = self._ids
         return [ids.get(t, UNK_ID) for t in tokens]
@@ -553,8 +550,6 @@ class ToyBackend:
         self.b -= lr * grads.b
         return self
 
-    # --- parameter vector helpers (finite differences, checkpoints) ---
-
     def copy(self) -> "ToyBackend":
         clone = ToyBackend.__new__(ToyBackend)
         clone.vocab = self.vocab
@@ -564,15 +559,6 @@ class ToyBackend:
         clone.U = self.U.copy()
         clone.b = self.b.copy()
         return clone
-
-    def flat_parameters(self) -> np.ndarray:
-        return np.concatenate([self.E.ravel(), self.U.ravel(), self.b])
-
-    def set_flat_parameters(self, theta: np.ndarray) -> None:
-        ne, nu = self.E.size, self.U.size
-        self.E = theta[:ne].reshape(self.E.shape).copy()
-        self.U = theta[ne : ne + nu].reshape(self.U.shape).copy()
-        self.b = theta[ne + nu :].copy()
 
 
 def save_checkpoint(

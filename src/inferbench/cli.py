@@ -226,46 +226,58 @@ def cmd_perturb(args, tc: TrainConfig, meta: dict) -> int:
     return 0
 
 
-def _load_generations(path: str) -> dict[str, str]:
-    p = Path(path)
-    if p.suffix == ".jsonl":
-        out = {}
-        for where, rec in jsonl_records(path):
-            if "generated" not in rec or "id" not in rec:
-                raise DatasetError(f"{where}: generation records need id and generated fields")
-            if not isinstance(rec["generated"], str):
-                raise DatasetError(f"{where}: generated must be a string, got {rec['generated']!r}")
-            rec_id = str(rec["id"])
-            if rec_id in out:
-                raise DatasetError(f"{where}: duplicate id {rec_id!r}")
-            out[rec_id] = rec["generated"]
-        return out
-    lines = p.read_text(encoding="utf-8").splitlines()
+def _is_jsonl(path: str) -> bool:
+    """Whether ``--hyp``, ``--a``, ``--b`` or ``--ref`` at ``path`` is
+    JSONL: its first non-blank line starts with ``{`` or ``[``, the start
+    of a JSON object or array, whatever the file's name. Then every line
+    must be a JSON object, and a line that is not reads as
+    ``path:N: <error>``. Any other file is line-aligned plain text."""
+    with open(path, encoding="utf-8") as fh:
+        first = next((line for line in fh if line.strip()), "")
+    return first.lstrip().startswith(("{", "["))
+
+
+def _plain_lines(path: str) -> dict[str, str]:
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
     return {str(i): line for i, line in enumerate(lines)}
+
+
+def _load_generations(path: str) -> dict[str, str]:
+    if not _is_jsonl(path):
+        return _plain_lines(path)
+    out = {}
+    for where, rec in jsonl_records(path):
+        if "generated" not in rec or "id" not in rec:
+            raise DatasetError(f"{where}: generation records need id and generated fields")
+        if not isinstance(rec["generated"], str):
+            raise DatasetError(f"{where}: generated must be a string, got {rec['generated']!r}")
+        rec_id = str(rec["id"])
+        if rec_id in out:
+            raise DatasetError(f"{where}: duplicate id {rec_id!r}")
+        out[rec_id] = rec["generated"]
+    return out
 
 
 def _load_references(path: str) -> tuple[dict[str, str], dict[str, dict]]:
     """Reference text per id plus stratification labels per id."""
-    p = Path(path)
-    if p.suffix == ".jsonl":
-        examples = load_dataset(p)
-        refs = {ex.id: ex.answer for ex in examples}
-        labels = {
-            ex.id: {
-                "difficulty": ex.difficulty.value if ex.difficulty else None,
-                "question": ex.question.value,
-            }
-            for ex in examples
+    if not _is_jsonl(path):
+        return _plain_lines(path), {}
+    examples = load_dataset(path)
+    refs = {ex.id: ex.answer for ex in examples}
+    labels = {
+        ex.id: {
+            "difficulty": ex.difficulty.value if ex.difficulty else None,
+            "question": ex.question.value,
         }
-        return refs, labels
-    lines = p.read_text(encoding="utf-8").splitlines()
-    return {str(i): line for i, line in enumerate(lines)}, {}
+        for ex in examples
+    }
+    return refs, labels
 
 
-def _aligned_pairs(hyps: dict[str, str], refs: dict[str, str]):
+def _aligned_pairs(hyp_path: str, hyps: dict[str, str], refs: dict[str, str]):
     missing = sorted(set(hyps) - set(refs))
     if missing:
-        raise DatasetError(f"hypotheses without references: {missing[:5]}")
+        raise DatasetError(f"{hyp_path}: hypotheses without references: {missing[:5]}")
     ids = [i for i in refs if i in hyps]
     if len(ids) < len(refs):
         warnings.warn(
@@ -288,7 +300,7 @@ def _strata_for(ids, labels, key) -> dict[str, str]:
 def cmd_score(args, tc: TrainConfig, meta: dict) -> int:
     hyps = _load_generations(args.hyp)
     refs, labels = _load_references(args.ref)
-    ids, pairs = _aligned_pairs(hyps, refs)
+    ids, pairs = _aligned_pairs(args.hyp, hyps, refs)
     strata = _strata_for(ids, labels, tc.stratify_by) if tc.stratify_by else None
     report = score_corpus(pairs, ids=ids, strata_labels=strata, with_per_example=args.per_example)
     write_artifact(args.out, report.to_dict(), meta)
@@ -339,8 +351,8 @@ def cmd_compare(args, tc: TrainConfig, meta: dict) -> int:
         refs, ref_labels = _load_references(args.ref)
         hyp_a = _load_generations(args.a)
         hyp_b = _load_generations(args.b)
-        ids_a, pairs_a = _aligned_pairs(hyp_a, refs)
-        ids_b, pairs_b = _aligned_pairs(hyp_b, refs)
+        ids_a, pairs_a = _aligned_pairs(args.a, hyp_a, refs)
+        ids_b, pairs_b = _aligned_pairs(args.b, hyp_b, refs)
         if ids_a != ids_b:
             raise DatasetError("generation files do not cover the same ids")
         scores_a = dict(zip(ids_a, pair_scores(pairs_a, args.metric)))
@@ -495,8 +507,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_perturb)
 
     p = sub.add_parser("score", help="n-gram metric report, optionally stratified")
-    p.add_argument("--hyp", required=True, help="generations (.jsonl with id/generated, or plain text)")
-    p.add_argument("--ref", required=True, help="references (canonical .jsonl or plain text)")
+    p.add_argument("--hyp", required=True, help="generations (JSONL with id/generated, or plain text)")
+    p.add_argument("--ref", required=True, help="references (canonical JSONL or plain text)")
     p.add_argument("--stratify-by", choices=STRATA)
     p.add_argument("--per-example", action="store_true")
     p.add_argument("--out", required=True)

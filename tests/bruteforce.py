@@ -202,9 +202,9 @@ def bf_perplexity(backend, dataset, template_id="default"):
     total_tokens = 0
     for ex in dataset:
         input_ids = backend.vocab.encode(tokenize(prepare_input_text(ex, template_id)))
-        answer_ids = backend.vocab.encode(tokenize(ex.answer)) + [backend.vocab.id_of("<eos>")]
+        answer_ids = backend.vocab.encode(tokenize(ex.answer) + ["<eos>"])
         for j, gold in enumerate(answer_ids):
-            prefix = [backend.vocab.id_of("<bos>")] + answer_ids[:j]
+            prefix = backend.vocab.encode(["<bos>"]) + answer_ids[:j]
             if input_ids:
                 c = sum(backend.E[t] for t in input_ids) / len(input_ids)
             else:
@@ -289,7 +289,7 @@ def bf_total_loss(backend, enc, config):
     does lambda_s > 0 with an example that has no negative.
     """
     E, U, b = backend.E.tolist(), backend.U.tolist(), backend.b.tolist()
-    d, bos = backend.d, backend.vocab.id_of("<bos>")
+    d, bos = backend.d, backend.vocab.encode(["<bos>"])[0]
     ids_of = enc.example_ids
     n = len(ids_of)
     if n == 0:

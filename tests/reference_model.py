@@ -17,7 +17,9 @@ converted on its own, a vocabulary built through provisional first-seen
 ids and one permutation. :func:`per_block_forward` states the objective
 with its NLL set up, scored and differentiated one micro-block at a
 time, each block a batch of its own, and its scatter into E gathered row
-by row.
+by row. :func:`flat_parameters` and :func:`set_flat_parameters` read and
+set a model's E, U and b as one vector, for the tests that draw, compare
+or count its parameters.
 """
 
 import re
@@ -64,7 +66,7 @@ def per_text_encode(examples, negatives=None, template_id="default", vocab=None)
     rows = None if negatives is None else [[ids(text) for text in row] for row in negatives]
     if vocab is None:
         vocab = Vocabulary(sorted(provisional))
-        perm = np.array([vocab.id_of(t) for t in provisional], dtype=np.intp)
+        perm = np.array(vocab.encode(list(provisional)), dtype=np.intp)
         for a in (*inputs, *answers, *(a for row in rows or [] for a in row)):
             a[:] = perm[a]
     return vocab, inputs, answers, rows
@@ -160,6 +162,20 @@ def per_block_forward(be, enc, config, grads=True, micro_batch=None) -> LossBrea
         ], axis=1)
     total = nll + config.lambda_b * cl_b + config.lambda_s * cl_s
     return LossBreakdown(nll=nll, cl_b=cl_b, cl_s=cl_s, total=total, grads=g)
+
+
+def flat_parameters(be) -> np.ndarray:
+    """E, U and b of ``be`` as one vector, each array row-major."""
+    return np.concatenate([be.E.ravel(), be.U.ravel(), be.b])
+
+
+def set_flat_parameters(be, theta: np.ndarray) -> None:
+    """Set E, U and b of ``be`` to copies of the parts of ``theta``, a
+    vector laid out as :func:`flat_parameters` lays it out."""
+    ne, nu = be.E.size, be.U.size
+    be.E = theta[:ne].reshape(be.E.shape).copy()
+    be.U = theta[ne : ne + nu].reshape(be.U.shape).copy()
+    be.b = theta[ne + nu :].copy()
 
 
 def log_softmax(logits: np.ndarray) -> np.ndarray:

@@ -39,7 +39,7 @@ from bruteforce import (
     bf_t_two_sided_p,
 )
 from conftest import DATA_DIR, make_example, replace_one
-from reference_model import replacement_deltas
+from reference_model import flat_parameters, replacement_deltas
 from test_metrics import random_pairs
 from test_objective import (
     NLL_ONLY,
@@ -189,7 +189,7 @@ def test_criterion_4_gradient_gate():
             be = batch_backend(seed=seed)
             report = finite_diff_check(be, encode(batch, negs, vocab=be.vocab), cfg, tol=1e-4)
             assert report.passed, report.worst[:3]
-            assert report.n_checked == be.flat_parameters().size
+            assert report.n_checked == flat_parameters(be).size
 
         be = batch_backend(seed=0)
         enc = encode(batch, negs, vocab=be.vocab)

@@ -26,7 +26,7 @@ from inferbench.backend import (
 from inferbench.objective import _unit, encode
 
 from conftest import make_example
-from reference_model import generate, log_probs_ids, masked_logits_ids
+from reference_model import flat_parameters, generate, log_probs_ids, masked_logits_ids
 
 
 @pytest.fixture
@@ -56,7 +56,7 @@ def test_vocab_specials_dense_ids(vocab):
 
 
 def test_vocab_oov_maps_to_unk(vocab):
-    assert vocab.id_of("zzz") == UNK_ID
+    assert vocab.encode(["zzz"]) == [UNK_ID]
 
 
 def test_special_ids_are_the_fixed_constants(tmp_path):
@@ -65,7 +65,7 @@ def test_special_ids_are_the_fixed_constants(tmp_path):
     path = tmp_path / "ckpt.json"
     save_checkpoint(ToyBackend(built, d=2), path)
     for vocab in (built, load_checkpoint(path).vocab):
-        assert [vocab.id_of(t) for t in SPECIALS] == [PAD_ID, BOS_ID, EOS_ID, UNK_ID, MASK_ID]
+        assert vocab.encode(list(SPECIALS)) == [PAD_ID, BOS_ID, EOS_ID, UNK_ID, MASK_ID]
 
 
 # --- log_probs_ids ------------------------------------------------------------
@@ -78,7 +78,7 @@ def test_uniform_distribution_from_zero_parameters(vocab):
 
 def test_bias_domination(vocab):
     be = zeroed(vocab)
-    rigged = vocab.id_of("gamma")
+    rigged = vocab.encode(["gamma"])[0]
     be.b[rigged] = 50.0
     for tokens in (["alpha"], ["beta", "gamma"], []):
         log_probs = log_probs_ids(be, vocab.encode(tokens), vocab.encode(["alpha"]))
@@ -109,7 +109,7 @@ def embed(backend, tokens):
 
 def test_embed_single_token_is_normalized_row(backend):
     vec = embed(backend, ["alpha"])
-    row = backend.E[backend.vocab.id_of("alpha")]
+    row = backend.E[backend.vocab.encode(["alpha"])[0]]
     assert np.allclose(vec, row / np.linalg.norm(row))
 
 
@@ -167,7 +167,7 @@ def test_generate_immediate_eos(vocab):
 def test_generate_greedy_rigged_chain(vocab):
     be = zeroed(vocab)
     # bias makes 'beta' the argmax everywhere; the chain is beta, beta, ...
-    be.b[vocab.id_of("beta")] = 5.0
+    be.b[vocab.encode(["beta"])[0]] = 5.0
     out = generate(be, vocab.encode(["alpha"]), 3)
     assert out == ["beta", "beta", "beta"]
 
@@ -228,18 +228,18 @@ def test_apply_gradients_zero_lr(backend):
     grads = Gradients(
         E=np.ones_like(backend.E), U=np.ones_like(backend.U), b=np.ones_like(backend.b)
     )
-    before = backend.flat_parameters()
+    before = flat_parameters(backend)
     backend.apply_gradients(grads, lr=0.0)
-    assert np.array_equal(backend.flat_parameters(), before)
+    assert np.array_equal(flat_parameters(backend), before)
 
 
 def test_apply_gradients_ones(backend):
     grads = Gradients(
         E=np.ones_like(backend.E), U=np.ones_like(backend.U), b=np.ones_like(backend.b)
     )
-    before = backend.flat_parameters()
+    before = flat_parameters(backend)
     backend.apply_gradients(grads, lr=0.1)
-    assert np.allclose(backend.flat_parameters(), before - 0.1)
+    assert np.allclose(flat_parameters(backend), before - 0.1)
 
 
 def test_two_half_steps_equal_one_full(vocab):
@@ -251,7 +251,7 @@ def test_two_half_steps_equal_one_full(vocab):
     a.apply_gradients(g, 0.2)
     b.apply_gradients(g, 0.1)
     b.apply_gradients(g, 0.1)
-    assert np.allclose(a.flat_parameters(), b.flat_parameters(), atol=1e-15)
+    assert np.allclose(flat_parameters(a), flat_parameters(b), atol=1e-15)
 
 
 def test_apply_gradients_shape_mismatch(backend):
@@ -265,14 +265,14 @@ def test_apply_gradients_shape_mismatch(backend):
 def test_seeded_init_bit_identical(vocab):
     a = ToyBackend(vocab, d=6, seed=42)
     b = ToyBackend(vocab, d=6, seed=42)
-    assert np.array_equal(a.flat_parameters(), b.flat_parameters())
+    assert np.array_equal(flat_parameters(a), flat_parameters(b))
     c = ToyBackend(vocab, d=6, seed=43)
-    assert not np.array_equal(a.flat_parameters(), c.flat_parameters())
+    assert not np.array_equal(flat_parameters(a), flat_parameters(c))
 
 
 def test_init_range(vocab):
     be = ToyBackend(vocab, d=64, seed=5)
-    theta = be.flat_parameters()
+    theta = flat_parameters(be)
     assert theta.min() >= -0.1 and theta.max() <= 0.1
 
 

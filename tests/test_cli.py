@@ -455,6 +455,47 @@ def test_score_plain_text_mode(tmp_path):
     assert report["n_examples"] == 2
 
 
+@pytest.mark.parametrize("renamed", ["hyp", "ref", "both"])
+def test_jsonl_inputs_are_read_by_content_not_by_name(tmp_path, renamed):
+    """JSONL generations and canonical references named ``.json`` score
+    to the bytes their ``.jsonl`` originals score to."""
+    paths = {"hyp": tmp_path / "gen.jsonl", "ref": tmp_path / "test.jsonl"}
+    paths["hyp"].write_text("".join(
+        json.dumps({"id": ex.id, "generated": ex.counterfactuals[0]}) + "\n"
+        for ex in load_dataset(DATA_DIR / "test.jsonl")
+    ))
+    paths["ref"].write_bytes((DATA_DIR / "test.jsonl").read_bytes())
+
+    def score(hyp, ref, out):
+        assert run(["score", "--hyp", hyp, "--ref", ref, "--stratify-by", "difficulty",
+                    "--per-example", "--out", out]) == 0
+        return out.read_bytes()
+
+    original = score(paths["hyp"], paths["ref"], tmp_path / "original.json")
+    for side in ("hyp", "ref") if renamed == "both" else (renamed,):
+        paths[side] = paths[side].rename(paths[side].with_suffix(".json"))
+    assert score(paths["hyp"], paths["ref"], tmp_path / "renamed.json") == original
+
+
+def test_plain_text_is_read_as_lines_whatever_its_name(tmp_path, capsys):
+    hyp = tmp_path / "hyp.jsonl"
+    ref = tmp_path / "ref.json"
+    hyp.write_text("the cat sat on the mat\na small dog ran\n")
+    ref.write_text("the cat is on the mat\na small dog ran away\n")
+    assert run(["score", "--hyp", hyp, "--ref", ref, "--per-example",
+                "--out", tmp_path / "r.json"]) == 0
+    report = json.loads((tmp_path / "r.json").read_text())
+    assert list(report["per_example"]) == ["0", "1"]
+    # plain-text hypotheses against canonical references share no id
+    test_json = tmp_path / "test.json"
+    test_json.write_bytes((DATA_DIR / "test.jsonl").read_bytes())
+    assert run(["score", "--hyp", hyp, "--ref", test_json, "--out", tmp_path / "x.json"]) == 2
+    assert json_error(capsys, "score") == (
+        f"{hyp}: hypotheses without references: ['0', '1']"
+    )
+    assert not (tmp_path / "x.json").exists()
+
+
 def test_agree_command(tmp_path, small_data):
     out = tmp_path / "agree.json"
     assert run(["agree", "--judgments", small_data / "judgments.jsonl", "--out", out]) == 0

@@ -73,9 +73,9 @@ def gold_only_backend():
     be.U[:] = 0.0
     be.b[:] = 0.0
     K = 400.0
-    be.E[vocab.id_of("alpha")] = [1.0, 0.0]
+    be.E[vocab.encode(["alpha"])[0]] = [1.0, 0.0]
     be.E[BOS_ID] = [0.0, 1.0]
-    be.U[vocab.id_of("alpha")] = [-K, K]
+    be.U[vocab.encode(["alpha"])[0]] = [-K, K]
     be.U[EOS_ID] = [K, 0.0]
     return be
 

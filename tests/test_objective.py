@@ -10,6 +10,7 @@ from inferbench.objective import EncodedSet, LossConfig, encode, finite_diff_che
 from inferbench.synth import build_split
 
 from conftest import make_example
+from reference_model import flat_parameters, set_flat_parameters
 
 
 @pytest.fixture
@@ -84,7 +85,7 @@ def vector_set(inputs, answers, negatives=None):
     vectors = [*inputs, *answers, *(v for row in negatives or [] for v in row)]
     vocab = Vocabulary([f"v{k}" for k in range(len(vectors))])
     be = ToyBackend(vocab, d=len(vectors[0]), seed=0)
-    tokens = [vocab.id_of(f"v{k}") for k in range(len(vectors))]
+    tokens = vocab.encode([f"v{k}" for k in range(len(vectors))])
     be.E[tokens] = vectors
     ids = iter(tokens)
     enc = EncodedSet(
@@ -149,9 +150,9 @@ def test_nll_perfect_model_is_zero():
     be.U[:] = 0.0
     be.b[:] = 0.0
     K = 400.0
-    be.E[vocab.id_of("alpha")] = [1.0, 0.0]
+    be.E[vocab.encode(["alpha"])[0]] = [1.0, 0.0]
     be.E[BOS_ID] = [0.0, 1.0]
-    be.U[vocab.id_of("alpha")] = [-K, K]
+    be.U[vocab.encode(["alpha"])[0]] = [-K, K]
     be.U[EOS_ID] = [K, 0.0]
     ex = make_example(
         turns=(("A", "zzz zzz"),), target_index=1, answer="alpha", counterfactuals=()
@@ -359,7 +360,7 @@ def test_finite_diff_passes_on_seeds():
         be = batch_backend(seed=seed)
         report = finite_diff_check(be, encode(batch, negs, vocab=be.vocab), LossConfig(), tol=1e-4)
         assert report.passed, report.worst[:3]
-        assert report.n_checked == be.flat_parameters().size
+        assert report.n_checked == flat_parameters(be).size
 
 
 def test_finite_diff_all_zero_backend_passes(vocab):
@@ -402,7 +403,7 @@ def test_finite_diff_fails_every_doubled_gradient():
     for g in (doubled.E, doubled.U, doubled.b):
         g *= 2.0
     faulty = finite_diff_check(be, enc, cfg, analytic=doubled)
-    assert faulty.n_checked == be.flat_parameters().size
+    assert faulty.n_checked == flat_parameters(be).size
     assert not faulty.passed
     assert all(w.error == pytest.approx(0.5, rel=1e-3) for w in faulty.worst)
     # every error is 0.5 up to rounding, which sets the order: pinned, so that
@@ -425,7 +426,7 @@ def test_complex_step_gate_passes_seeds_1_to_40_at_tol_1e_9():
         be, enc = gradcheck_batch(seed)
         report = finite_diff_check(be, enc, LossConfig(), tol=1e-9)
         assert report.passed, (seed, report.worst[:3])
-        assert report.n_checked == be.flat_parameters().size
+        assert report.n_checked == flat_parameters(be).size
 
 
 def test_complex_parameters_give_the_real_total_within_4_ulp():
@@ -436,7 +437,7 @@ def test_complex_parameters_give_the_real_total_within_4_ulp():
         total = forward(be, enc, LossConfig(), grads=False).total
         assert isinstance(total, float)
         complex_be = be.copy()
-        complex_be.set_flat_parameters(be.flat_parameters().astype(complex))
+        set_flat_parameters(complex_be, flat_parameters(be).astype(complex))
         z = forward(complex_be, enc, LossConfig(), grads=False).total
         assert z.imag == 0.0
         assert abs(z.real - total) <= 4 * np.spacing(total), seed
@@ -490,7 +491,7 @@ def test_ragged_negatives_pass_finite_differences():
     be = batch_backend(seed=4)
     report = finite_diff_check(be, encode(batch, negs, vocab=be.vocab), LossConfig(), tol=1e-4)
     assert report.passed, report.worst[:3]
-    assert report.n_checked == be.flat_parameters().size
+    assert report.n_checked == flat_parameters(be).size
 
 
 def test_perplexity_is_exp_of_summed_nll_per_token():

@@ -103,10 +103,12 @@ from bruteforce import bf_bleu, bf_cider, bf_rouge_l, bf_total_loss, bf_validati
 from conftest import DATA_DIR, make_example, replace_one
 import reference_model
 from reference_model import (
+    flat_parameters,
     generate,
     log_probs_ids,
     masked_logits_ids,
     replacement_deltas,
+    set_flat_parameters,
     state,
 )
 
@@ -361,7 +363,7 @@ def random_backends(draw, dims=st.integers(1, 4)):
     be = ToyBackend(Vocabulary(list(WORDS)), d=draw(dims), seed=0)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     scale = draw(st.sampled_from([0.1, 1.0, 4.0]))
-    be.set_flat_parameters(scale * rng.normal(size=be.flat_parameters().size))
+    set_flat_parameters(be, scale * rng.normal(size=flat_parameters(be).size))
     return be
 
 
@@ -376,7 +378,7 @@ def encoded_batches(draw):
     degenerate = draw(st.integers(0, 3)) == 0
     least = 0 if degenerate else 1
     if degenerate and draw(st.booleans()):
-        be.E[be.vocab.id_of(WORDS[0])] = 0.0
+        be.E[be.vocab.encode([WORDS[0]])[0]] = 0.0
     token_ids = st.lists(st.integers(0, len(be.vocab) - 1), min_size=least, max_size=4)
     n = draw(st.integers(1, 6))
     negatives = None
@@ -622,8 +624,8 @@ def stopping_rows(n):
     """A backend over ``WORDS`` and ``n`` short inputs whose top-k (k 2,
     seeds 0..n-1) rows stop at steps 0 to 8 of 8."""
     be = ToyBackend(Vocabulary(list(WORDS)), d=3, seed=0)
-    be.set_flat_parameters(np.random.default_rng(0).normal(size=be.flat_parameters().size))
-    ids = [be.vocab.id_of(w) for w in WORDS]
+    set_flat_parameters(be, np.random.default_rng(0).normal(size=flat_parameters(be).size))
+    ids = be.vocab.encode(WORDS)
     return be, [[ids[r % 7], ids[r * 3 % 7]][: r % 3] for r in range(n)]
 
 
@@ -660,10 +662,10 @@ def test_topk_ties_rank_lowest_id_first():
     probability: greedy and k 1 take the lower id, and k 2 draws the
     lower id when the row's uniform is below one half."""
     be = ToyBackend(Vocabulary(list(WORDS)), d=1, seed=0)
-    low, high = be.vocab.id_of("cat"), be.vocab.id_of("run")
+    low, high = be.vocab.encode(["cat", "run"])
     be.U[high] = be.U[low]
     be.b[[low, high]] = 5.0
-    inputs = [[be.vocab.id_of(w)] for w in WORDS] * 3
+    inputs = [[i] for i in be.vocab.encode(WORDS)] * 3
     assert log_probs_ids(be, inputs[0], [])[low] == log_probs_ids(be, inputs[0], [])[high]
     seeds = list(range(len(inputs)))
     assert be.generate_batch(inputs, 1) == [[low]] * len(inputs)
@@ -696,13 +698,13 @@ def test_non_finite_weights_raise():
         with pytest.raises(ValueError, match="not finite"):
             draw_index(np.array([[0.5, bad]]), np.array([0.25]))
     be = ToyBackend(Vocabulary(list(WORDS)), d=2, seed=0)
-    be.b[be.vocab.id_of("cat")] = np.nan
+    be.b[be.vocab.encode(["cat"])[0]] = np.nan
     with pytest.raises(ValueError, match="not finite"):
-        generate(be, [be.vocab.id_of("the")], 4, k=2, seed=0)
+        generate(be, [be.vocab.encode(["the"])[0]], 4, k=2, seed=0)
 
 
 def _nan_bias(be):
-    be.b[be.vocab.id_of("cat")] = np.nan
+    be.b[be.vocab.encode(["cat"])[0]] = np.nan
 
 
 def _overflow(be):
@@ -716,7 +718,7 @@ def _overflow(be):
 def test_non_finite_logits_raise(corrupt, k):
     be = ToyBackend(Vocabulary(list(WORDS)), d=2, seed=0)
     corrupt(be)
-    ids = [be.vocab.id_of("the"), be.vocab.id_of("cat")]
+    ids = be.vocab.encode(["the", "cat"])
     # top-k names the logits as greedy does, not its draw weights
     with pytest.raises(ValueError, match="^logits are not finite$"):
         if k == "masked":
@@ -729,11 +731,11 @@ def test_greedy_takes_the_larger_of_two_logits_one_ulp_apart():
     """Log-normalizing rounds these two logits to one value, so ranking
     log-probabilities would take the lower id; the decoder ranks logits."""
     be = ToyBackend(Vocabulary(list(WORDS)), d=2, seed=0)
-    alpha, beta = be.vocab.id_of("cat"), be.vocab.id_of("run")
+    alpha, beta = be.vocab.encode(["cat", "run"])
     be.U[:] = 0.0
     be.b[:] = 0.0
     be.b[alpha], be.b[beta] = 1e-3, np.nextafter(1e-3, 1)
-    inputs = [[be.vocab.id_of(w)] for w in WORDS]
+    inputs = [[i] for i in be.vocab.encode(WORDS)]
     log_probs = log_probs_ids(be, inputs[0], [])
     assert alpha < beta and log_probs[alpha] == log_probs[beta]
     assert be.generate_batch(inputs, 1) == [[beta]] * len(inputs)
@@ -762,7 +764,7 @@ def test_uniforms_reject_a_seed_outside_64_bits():
 def test_topk_decode_builds_no_generator(monkeypatch):
     be = ToyBackend(Vocabulary(list(WORDS)), d=3, seed=0)
     monkeypatch.setattr("inferbench.backend.DECODE_BYTES", 64 * 8 * len(be.vocab))
-    inputs = [[be.vocab.id_of(w)] for w in WORDS] * 20  # three decode blocks of 64
+    inputs = [[i] for i in be.vocab.encode(WORDS)] * 20  # three decode blocks of 64
     seeds = list(range(len(inputs)))
     expected = [step_loop_generate(be, ids, 6, 3, seed) for ids, seed in zip(inputs, seeds)]
     built = AssertionError("the top-k decoder built a Generator")
@@ -917,7 +919,7 @@ def test_report_from_pair_tables_equals_bleu_and_cider_per_stratum(items):
 )
 def test_generate_never_emits_suppressed_tokens(be, input_ids, favoured, decode):
     k, seed, max_len = decode
-    be.b[be.vocab.id_of(favoured)] += 50.0  # the suppressed token would win every step
+    be.b[be.vocab.encode([favoured])[0]] += 50.0  # the suppressed token would win every step
     tokens = generate(be, input_ids, max_len, k, seed)
     assert len(tokens) <= max_len
     assert not set(tokens) & set(SPECIALS)
@@ -955,7 +957,7 @@ def masked_scoring_cases(draw):
     )
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     scale = draw(st.sampled_from([0.1, 1.0, 4.0]))
-    be.set_flat_parameters(scale * rng.normal(size=be.flat_parameters().size))
+    set_flat_parameters(be, scale * rng.normal(size=flat_parameters(be).size))
     top = draw(st.sampled_from([len(SPECIALS) + 2, len(be.vocab)]))
     token = st.integers(0, top - 1) | st.just(UNK_ID)
     case = st.tuples(st.lists(token, min_size=1, max_size=12), st.lists(token, max_size=40))
@@ -967,7 +969,7 @@ def random_backend(d, seed):
     the generator that drew them, for drawing its cases."""
     be = ToyBackend(Vocabulary([f"w{k}" for k in range(20)]), d=d, seed=0)
     rng = np.random.default_rng(seed)
-    be.set_flat_parameters(rng.normal(size=be.flat_parameters().size))
+    set_flat_parameters(be, rng.normal(size=flat_parameters(be).size))
     return be, rng
 
 
@@ -1072,8 +1074,8 @@ finite = st.floats(allow_nan=False, allow_infinity=False)
 )
 def test_checkpoint_round_trip_is_bit_exact(words, d, seed, data):
     be = ToyBackend(Vocabulary(words), d=d, seed=seed)
-    size = be.flat_parameters().size
-    be.set_flat_parameters(np.array(data.draw(st.lists(finite, min_size=size, max_size=size))))
+    size = flat_parameters(be).size
+    set_flat_parameters(be, np.array(data.draw(st.lists(finite, min_size=size, max_size=size))))
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "ckpt.json"
         save_checkpoint(be, path, config_digest="digest")

@@ -26,6 +26,7 @@ from inferbench.trainer import (
 
 from bruteforce import bf_perplexity
 from conftest import make_example
+from reference_model import flat_parameters
 
 
 def tiny_config(**overrides):
@@ -86,9 +87,9 @@ def test_perplexity_perfect_model():
     be.U[:] = 0.0
     be.b[:] = 0.0
     K = 400.0
-    be.E[vocab.id_of("alpha")] = [1.0, 0.0]
+    be.E[vocab.encode(["alpha"])[0]] = [1.0, 0.0]
     be.E[BOS_ID] = [0.0, 1.0]
-    be.U[vocab.id_of("alpha")] = [-K, K]
+    be.U[vocab.encode(["alpha"])[0]] = [-K, K]
     be.U[EOS_ID] = [K, 0.0]
     ex = make_example(turns=(("A", "zzz"),), target_index=1, answer="alpha", counterfactuals=())
     assert perplexity(be, [ex]) == pytest.approx(1.0, abs=1e-9)
@@ -141,7 +142,7 @@ def test_training_deterministic(tmp_path, corpus):
     assert result_a.step_log == result_b.step_log
     assert result_a.epoch_log == result_b.epoch_log
     assert np.array_equal(
-        result_a.backend.flat_parameters(), result_b.backend.flat_parameters()
+        flat_parameters(result_a.backend), flat_parameters(result_b.backend)
     )
 
 
@@ -150,7 +151,7 @@ def test_zero_lr_keeps_parameters(corpus):
     cfg = tiny_config(lr0=0.0, max_epochs=3)
     result = train(cfg, train_set, valid_set)
     reference = ToyBackend(result.backend.vocab, d=cfg.d, seed=cfg.seed)
-    assert np.array_equal(result.backend.flat_parameters(), reference.flat_parameters())
+    assert np.array_equal(flat_parameters(result.backend), flat_parameters(reference))
     # every epoch ties on perplexity; the earliest epoch wins
     assert result.checkpoint.epoch == 1
     ppls = [e["validation_perplexity"] for e in result.epoch_log]
@@ -187,7 +188,7 @@ def test_micro_batch_choice_is_immaterial(corpus):
     for a, b in zip(base.step_log, micro.step_log):
         assert a["total"] == pytest.approx(b["total"], abs=1e-9)
     assert np.allclose(
-        base.backend.flat_parameters(), micro.backend.flat_parameters(), atol=1e-7
+        flat_parameters(base.backend), flat_parameters(micro.backend), atol=1e-7
     )
 
 
@@ -195,7 +196,7 @@ def test_saved_best_checkpoint_round_trips(tmp_path, corpus):
     train_set, valid_set = corpus
     result = train(tiny_config(), train_set, valid_set, out_dir=tmp_path)
     loaded = load_checkpoint(result.checkpoint.path)
-    assert np.array_equal(loaded.flat_parameters(), result.best_backend.flat_parameters())
+    assert np.array_equal(flat_parameters(loaded), flat_parameters(result.best_backend))
     epochs = sorted(p.name for p in tmp_path.glob("epoch_*.json"))
     assert epochs == ["epoch_001.json", "epoch_002.json"]
 
@@ -291,7 +292,7 @@ def test_best_checkpoint_is_the_best_epochs_file(tmp_path, corpus):
     assert best == (tmp_path / "epoch_001.json").read_bytes()
     assert best != (tmp_path / "epoch_003.json").read_bytes()
     loaded = load_checkpoint(tmp_path / "best.json")
-    assert np.array_equal(loaded.flat_parameters(), result.best_backend.flat_parameters())
+    assert np.array_equal(flat_parameters(loaded), flat_parameters(result.best_backend))
 
 
 @pytest.mark.parametrize("strategy", list(STRATEGIES))

@@ -22,9 +22,11 @@ several positions), and ``non_optimal`` from the trained checkpoint on
 ``data/train.jsonl``, at the default m 4 (800 top-k rows over 120
 distinct inputs, one decode block at V 97, rows stopping at EOS at
 different steps) and at ``--m 7`` (1400 rows, more than the 1351 of a
-block); ``score`` of the greedy generations by ``difficulty`` and of
+block); ``score`` of the greedy generations by ``difficulty``, also with the
+generations (written again by ``generate`` as ``out/gen_greedy.json``)
+or ``data/test.jsonl`` (copied to ``test.json``) named ``.json``, and of
 the top-k ones (empty hypotheses, stems that differ from their tokens)
-by ``question``, both ``--per-example``; ``compare`` of the judgments
+by ``question``, all ``--per-example``; ``compare`` of the judgments
 and of greedy against top-k by ``rouge_l``, ``cider``, ``bleu_4`` and
 ``meteor``, and by ``rouge_l`` stratified by ``question``; ``agree``;
 ``gradcheck --seed 3``, ``--seed 1`` and ``--seed 17`` (a central
@@ -122,9 +124,18 @@ def commands() -> list[tuple[str, list[str]]]:
             "perturb", "--strategy", "non_optimal", "--seed", "7", "--in", "data/train.jsonl",
             "--ckpt", CKPT, *m, "--out", f"out/{name}.jsonl",
         ]))
+    by_difficulty = ["--stratify-by", "difficulty", "--per-example"]
     runs += [
         ("score", ["score", "--hyp", "out/gen_greedy.jsonl", "--ref", "data/test.jsonl",
-                   "--stratify-by", "difficulty", "--per-example", "--out", "out/score.json"]),
+                   *by_difficulty, "--out", "out/score.json"]),
+        # the same generations and references under .json names: each is read
+        # by its content and writes score.json's bytes
+        ("generate_greedy_json", ["generate", "--ckpt", CKPT, *TEST,
+                                  "--out", "out/gen_greedy.json"]),
+        ("score_hyp_json", ["score", "--hyp", "out/gen_greedy.json", "--ref", "data/test.jsonl",
+                            *by_difficulty, "--out", "out/score_hyp_json.json"]),
+        ("score_ref_json", ["score", "--hyp", "out/gen_greedy.jsonl", "--ref", "test.json",
+                            *by_difficulty, "--out", "out/score_ref_json.json"]),
         ("score_top_k_question", ["score", "--hyp", "out/gen_top_k.jsonl", "--ref",
                                   "data/test.jsonl", "--stratify-by", "question", "--per-example",
                                   "--out", "out/score_top_k_question.json"]),
@@ -228,6 +239,7 @@ def run_side(checkout: Path, work: Path) -> dict:
     (work / "out").mkdir()
     (work / "sweep.json").write_text(json.dumps(SWEEP_CONFIG))
     (work / "cicero.json").write_text(json.dumps(CICERO_RECORDS))
+    shutil.copyfile(work / "data" / "test.jsonl", work / "test.json")
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"), PYTHONDONTWRITEBYTECODE="1",
                OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     codes, errors = {}, {}
